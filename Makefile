@@ -2,9 +2,19 @@
 # the roadmap expect before a change lands.
 GO ?= go
 
-.PHONY: check vet lint build test race bench bench-net smoke fuzz-smoke
+.PHONY: check vet lint build test race bench bench-net bench-e2e bench-test smoke fuzz-smoke
 
-check: vet lint build race fuzz-smoke smoke
+# check runs the stages one sub-make at a time and prints each stage's wall
+# seconds, so the gate's cost is a number in the log rather than a guess.
+CHECK_STAGES = vet lint build race bench-test fuzz-smoke smoke
+
+check:
+	@total=0; for stage in $(CHECK_STAGES); do \
+		start=$$(date +%s); \
+		$(MAKE) --no-print-directory $$stage || exit 1; \
+		took=$$(( $$(date +%s) - start )); total=$$(( total + took )); \
+		echo "check: $$stage $${took}s"; \
+	done; echo "check: total $${total}s"
 
 vet:
 	$(GO) vet ./...
@@ -61,3 +71,15 @@ bench:
 # concurrent clients. Latency percentiles land in BENCH_net.json.
 bench-net:
 	./scripts/bench_net.sh
+
+# bench-e2e is the repository's benchmark (BENCHMARK.json, bench/README.md):
+# every workload, untraced then traced, five times. Compare two commits with
+# `bash bench/run.sh -compare old.json new.json`. bench and bench-net above
+# are the legacy per-package snapshots.
+bench-e2e:
+	bash bench/run.sh -seed 42 -runs 5 -out bench/out/new.json
+
+# bench-test vets and tests the benchmark harness itself; bench/ is a module
+# of its own, so vet/race above never see it.
+bench-test:
+	cd bench && $(GO) vet . && $(GO) test -race .

@@ -406,3 +406,97 @@ func TestConcurrentIngestQuery(t *testing.T) {
 		t.Fatalf("store has %d records after concurrent ingest, want %d", store.Len(), want)
 	}
 }
+
+// TestReadsAcrossPartitionRoll reads over loopback while a multi-hall push
+// crosses a partition boundary. The crossing batch closes every shard's
+// block at once, and the store serves those blocks from their raw columns
+// until the pushing request has compressed them, so a reader on a second
+// connection must keep seeing one gap-free, duplicate-free prefix of the
+// trace on both sides of the boundary — never a hole where a partition is
+// between head and sealed form.
+func TestReadsAcrossPartitionRoll(t *testing.T) {
+	fleet := topology.Fleet{Halls: 4, Racks: topology.NumRacks}
+	store := tsdb.NewStoreWith(tsdb.Options{Partition: 24 * time.Hour, Fleet: fleet})
+	ts, _ := startServer(t, store)
+
+	const ticks = 72 // six hours, the partition boundary in the middle
+	boundary := time.Date(2015, 3, 10, 0, 0, 0, 0, time.UTC).In(timeutil.Chicago)
+	start := boundary.Add(-ticks / 2 * timeutil.SampleInterval)
+	from, to := boundary.Add(-time.Hour), boundary.Add(time.Hour)
+	const rows = int(2 * time.Hour / timeutil.SampleInterval)
+
+	pushed := make(chan error, 1)
+	go func() {
+		c := NewClient(ts.URL, ClientOptions{BatchSize: 3 * fleet.NumRacks()})
+		for i := 0; i < ticks; i++ {
+			tick := start.Add(time.Duration(i) * timeutil.SampleInterval)
+			for g := 0; g < fleet.NumRacks(); g++ {
+				rec := sensors.Record{Time: tick, Rack: fleet.RackAt(g),
+					Flow: units.GPM(26 + 0.125*float64(i%16)), Power: units.Watts(55000 + float64(g))}
+				if err := c.Append(rec); err != nil {
+					pushed <- err
+					return
+				}
+			}
+		}
+		if err := c.Flush(); err != nil {
+			pushed <- err
+			return
+		}
+		if got := c.Stats().PushedRecords; got != ticks*fleet.NumRacks() {
+			pushed <- fmt.Errorf("client acked %d records, want %d", got, ticks*fleet.NumRacks())
+			return
+		}
+		pushed <- nil
+	}()
+
+	// read checks one Series and one /v1/aggregate answer over the window
+	// straddling the boundary and returns how many rows the series held.
+	reader := NewClient(ts.URL, ClientOptions{})
+	read := func(rack topology.RackID) int {
+		times, vals := reader.Series(rack, sensors.MetricFlow, from, to)
+		for k := range times {
+			if want := from.Add(time.Duration(k) * timeutil.SampleInterval); !times[k].Equal(want) {
+				t.Fatalf("rack %v: series row %d at %v, want %v (gap or duplicate)", rack, k, times[k], want)
+			}
+			if want := 26 + 0.125*float64((k+ticks/2-rows/2)%16); vals[k] != want {
+				t.Fatalf("rack %v: series row %d = %v, want %v", rack, k, vals[k], want)
+			}
+		}
+		aggs, err := reader.Aggregate(rack, sensors.MetricFlow, from, to, timeutil.SampleInterval)
+		if err != nil {
+			t.Fatalf("aggregate: %v", err)
+		}
+		seen := 0
+		for k, w := range aggs {
+			if w.Count > 1 || (w.Count == 1 && k != seen) {
+				t.Fatalf("rack %v: aggregate window %d holds %d samples after %d filled (gap or duplicate)", rack, k, w.Count, seen)
+			}
+			seen += w.Count
+		}
+		// The aggregate ran after the series, and the trace only grows.
+		if seen < len(times) {
+			t.Fatalf("rack %v: aggregate saw %d rows after series saw %d", rack, seen, len(times))
+		}
+		return len(times)
+	}
+	for n, done := 0, false; !done; n++ {
+		select {
+		case err := <-pushed:
+			if err != nil {
+				t.Fatalf("push: %v", err)
+			}
+			done = true
+		default:
+		}
+		read(fleet.RackAt((n * 37) % fleet.NumRacks()))
+	}
+	for g := 0; g < fleet.NumRacks(); g += 17 {
+		if got := read(fleet.RackAt(g)); got != rows {
+			t.Fatalf("rack %v: %d rows across the boundary after the push, want %d", fleet.RackAt(g), got, rows)
+		}
+	}
+	if want := ticks * fleet.NumRacks(); store.Len() != want {
+		t.Fatalf("store holds %d records, want the %d acked", store.Len(), want)
+	}
+}

@@ -3,6 +3,8 @@ package tsdb
 import (
 	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"mira/internal/sensors"
@@ -60,14 +62,26 @@ func computeZone(vals []float64) ZoneMap {
 	return ZoneMap{mn, mx}
 }
 
-// sealedBlock is an immutable, compressed run of one rack's samples. All
-// fields are written once at seal time (or segment load time); concurrent
-// readers decode without locks.
+// sealedBlock is one closed partition of a rack's samples. Its life has two
+// stages. freezeHead creates it frozen — bounds and count set, raw holding
+// the head's uncompressed columns — under the shard write lock, an O(1)
+// hand-over that publishes the block to readers. seal then compresses the
+// columns into the payload fields (times, ch, zones) with no lock held and
+// clears raw; blocks loaded from a segment are born sealed. Everything is
+// written once: the bounds before the block is published, the payload
+// before raw is cleared. A reader therefore loads raw first and, when it is
+// non-nil, serves the block from those columns exactly like a head
+// snapshot; only a nil raw licenses reading the payload fields.
 type sealedBlock struct {
 	minT, maxT int64 // unix nanoseconds of the first/last sample
 	count      int
-	times      []byte
-	ch         [sensors.NumMetrics]channelData
+	// raw is the frozen block's uncompressed columns. seal's final store of
+	// nil is the release that publishes the payload below; the once makes
+	// every concurrent seal caller wait for the one that compresses.
+	raw   atomic.Pointer[headBlock]
+	once  sync.Once
+	times []byte
+	ch    [sensors.NumMetrics]channelData
 	// zones holds per-channel value bounds when hasZones is set. Blocks
 	// sealed in memory always carry them; disk-loaded blocks carry them
 	// from format version 2 on (version-1 segments predate zone maps and
@@ -82,31 +96,59 @@ type sealedBlock struct {
 // headBlock is the mutable in-progress partition of a shard: plain columnar
 // slices, appended under the shard's write lock. Readers snapshot the slice
 // headers under the read lock; appends only ever write past the snapshotted
-// length (or reallocate), so snapshots stay immutable.
+// length (or reallocate), so snapshots stay immutable. Freezing ends the
+// appends for good, which makes the whole block immutable.
 type headBlock struct {
 	partition int64 // partition index = floor(unixnano / partition length)
 	times     []int64
 	vals      [sensors.NumMetrics][]float64
 }
 
-// sealHead compresses a non-empty head block. Channels whose values survive
-// an exact quantize/dequantize round trip at the store's decimal scale use
-// the integer delta encoding (~2 bytes/value on noisy sensor data); the
-// rest — including channels configured for raw precision — use Gorilla XOR.
-func sealHead(h *headBlock, scales [sensors.NumMetrics]float64) *sealedBlock {
-	defer metSealDur.ObserveSince(time.Now())
+// freezeHead closes a non-empty head block: the returned block serves reads
+// from h's columns until seal compresses them. The caller holds the shard
+// write lock, appends the block to the shard's list and never touches h
+// again.
+func freezeHead(h *headBlock) *sealedBlock {
 	b := &sealedBlock{
 		minT:  h.times[0],
 		maxT:  h.times[len(h.times)-1],
 		count: len(h.times),
-		times: encodeTimes(h.times),
 	}
-	for m := range h.vals {
-		b.ch[m] = encodeChannel(h.vals[m], scales[m])
-		b.zones[m] = computeZone(h.vals[m])
-	}
-	b.hasZones = true
+	b.raw.Store(h)
 	return b
+}
+
+// sealHook, nil in production, runs at the start of every compression; the
+// concurrency tests park a seal in it to pin what readers and other writers
+// may do meanwhile.
+var sealHook func(b *sealedBlock)
+
+// seal makes b's compressed payload exist: it returns at once for a sealed
+// block, compresses a frozen one, and waits when another goroutine is
+// already compressing it. Callers hold no shard lock — compression is the
+// one expensive step of ingest and must never stall a reader. Channels whose
+// values survive an exact quantize/dequantize round trip at the store's
+// decimal scale use the integer delta encoding (~2 bytes/value on noisy
+// sensor data); the rest — including channels configured for raw precision —
+// use Gorilla XOR.
+func (b *sealedBlock) seal(scales *[sensors.NumMetrics]float64) {
+	if b.raw.Load() == nil {
+		return
+	}
+	b.once.Do(func() {
+		if sealHook != nil {
+			sealHook(b)
+		}
+		defer metSealDur.ObserveSince(time.Now())
+		h := b.raw.Load()
+		b.times = encodeTimes(h.times)
+		for m := range h.vals {
+			b.ch[m] = encodeChannel(h.vals[m], scales[m])
+			b.zones[m] = computeZone(h.vals[m])
+		}
+		b.hasZones = true
+		b.raw.Store(nil)
+	})
 }
 
 func encodeChannel(vals []float64, scale float64) channelData {
@@ -204,7 +246,7 @@ func decodeQuantizedInto(dst []int64, c channelData, n int) ([]int64, error) {
 	return decodeIntsInto(dst, c.data, n)
 }
 
-// payloadBytes is the compressed size of the block's streams.
+// payloadBytes is the compressed size of a sealed block's streams.
 func (b *sealedBlock) payloadBytes() int64 {
 	n := int64(len(b.times))
 	for m := range b.ch {

@@ -175,12 +175,12 @@ func (s *Store) CompactBefore(dir string, cutoff time.Time) (CompactStats, error
 				}
 			}
 			// Rewrite the raw segment without the folded prefix. Appends may
-			// have sealed new blocks since the snapshot; they were not on
+			// have closed new blocks since the snapshot; they were not on
 			// disk before this and will persist at the next Flush, exactly as
 			// without compaction.
 			rawName := filepath.Join(shardDir, segFileName(fi))
 			if len(sealed) > k {
-				if _, err := writeSegment(shardDir, fi, loc, sealed[k:]); err != nil {
+				if _, err := s.writeSegment(shardDir, fi, loc, sealed[k:]); err != nil {
 					return st, err
 				}
 			} else if err := os.Remove(rawName); err != nil && !os.IsNotExist(err) {

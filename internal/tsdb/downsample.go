@@ -175,8 +175,13 @@ func addInt64(a, b int64) (int64, bool) {
 // into a single downBlock at the given window length. Blocks must be in
 // time order with strictly increasing timestamps (the shard invariant).
 // One block spans the whole folded range on purpose: the cold codec's
-// adaptive models need long streams to reach their compression ratio.
+// adaptive models need long streams to reach their compression ratio. The
+// fold reads payloads, so blocks a racing partition roll left frozen are
+// sealed first.
 func foldBlocks(blocks []*sealedBlock, scales [sensors.NumMetrics]float64, win int64, src string) (*downBlock, error) {
+	for _, b := range blocks {
+		b.seal(&scales)
+	}
 	var starts, counts []int64
 	winIdx := make([][]int32, len(blocks))
 	var srcRecords int64

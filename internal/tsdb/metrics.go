@@ -19,7 +19,7 @@ var (
 	metOutOfOrder = obs.NewCounter("mira_tsdb_out_of_order_dropped_total",
 		"records rejected by Store.Append for violating per-rack time order")
 	metSealDur = obs.NewHistogram("mira_tsdb_block_seal_duration_seconds",
-		"time to compress one head block into an immutable sealed block", nil)
+		"time to compress one frozen block into its sealed payload (never under a shard lock)", nil)
 	metFlushBytes = obs.NewCounter("mira_tsdb_flush_bytes_written_total",
 		"segment bytes written to disk by Store.Flush")
 	metDecode = obs.NewCounter("mira_tsdb_block_decode_total",
@@ -71,7 +71,8 @@ func (s *Store) ExposeGauges(reg *obs.Registry) {
 		records      = reg.Gauge("mira_tsdb_records", "stored samples across all racks (sealed + head)")
 		sealedBlocks = reg.Gauge("mira_tsdb_sealed_blocks", "immutable compressed blocks across all shards")
 		sealedBytes  = reg.Gauge("mira_tsdb_sealed_bytes", "compressed payload bytes of all sealed blocks")
-		headBytes    = reg.Gauge("mira_tsdb_head_bytes", "uncompressed columnar head footprint in bytes")
+		frozenBlocks = reg.Gauge("mira_tsdb_frozen_blocks", "closed blocks awaiting compression; 0 at rest")
+		headBytes    = reg.Gauge("mira_tsdb_head_bytes", "uncompressed columnar footprint (heads and frozen blocks) in bytes")
 		diskBytes    = reg.Gauge("mira_tsdb_disk_bytes", "segment-file footprint as of the last Flush or Open")
 		perSample    = reg.Gauge("mira_tsdb_compressed_bytes_per_sample", "sealed bytes per (timestamp, value) sample")
 		shardSamples = reg.GaugeVec("mira_tsdb_shard_samples", "stored samples per shard (rack), for ingest-skew checks", "shard")
@@ -82,10 +83,11 @@ func (s *Store) ExposeGauges(reg *obs.Registry) {
 		coldBytes    = reg.Gauge("mira_tsdb_cold_bytes", "compressed payload bytes of the downsampled tier")
 	)
 	reg.OnScrape(func() {
-		st := s.Stats()
+		st, frozen := s.stats()
 		records.Set(float64(st.Records))
 		sealedBlocks.Set(float64(st.SealedBlocks))
 		sealedBytes.Set(float64(st.SealedBytes))
+		frozenBlocks.Set(float64(frozen))
 		headBytes.Set(float64(st.HeadBytes))
 		diskBytes.Set(float64(st.DiskBytes))
 		perSample.Set(st.BytesPerSample)

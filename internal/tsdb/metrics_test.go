@@ -37,6 +37,35 @@ func TestStatsDoesNotDecode(t *testing.T) {
 	if st.Records != db.Len() || st.SealedBytes == 0 {
 		t.Errorf("stats = %+v, want %d records and nonzero sealed bytes", st, db.Len())
 	}
+
+	// A frozen block is accounted from its length alone: with its
+	// compression parked, Stats returns (it neither starts nor awaits the
+	// seal), decodes nothing, and books the block as head memory.
+	if err := db.AppendTick(hourTicks(racks, 100, 104)); err != nil {
+		t.Fatal(err)
+	}
+	gate := parkSeals(t)
+	rolled := make(chan error, 1)
+	go func() { rolled <- db.AppendTick(hourTicks(racks, 108, 109)) }() // closes the 4-sample heads
+	gate.waitParked(t)
+	before = metDecode.Value()
+	parked, frozen := db.stats()
+	if got := metDecode.Value(); got != before {
+		t.Errorf("Stats decoded %d payloads beside a frozen block", got-before)
+	}
+	const rawRecordBytes = 8 * (1 + int64(sensors.NumMetrics))
+	if frozen != len(racks) || parked.SealedBlocks != st.SealedBlocks || parked.SealedBytes != st.SealedBytes ||
+		parked.HeadBytes != int64(len(racks))*(4+1)*rawRecordBytes {
+		t.Errorf("parked stats = %+v with %d frozen, want %d frozen, the sealed tier unchanged from %+v, and 4+1 samples per rack in HeadBytes",
+			parked, frozen, len(racks), st)
+	}
+	gate.open()
+	if err := <-rolled; err != nil {
+		t.Fatal(err)
+	}
+	if st, frozen := db.stats(); frozen != 0 || st.HeadBytes != int64(len(racks))*rawRecordBytes {
+		t.Errorf("at rest: %d frozen, HeadBytes %d; want 0 and the new heads only", frozen, st.HeadBytes)
+	}
 }
 
 // TestStatsConcurrentWithIngest hammers Stats and the scrape-time gauge

@@ -145,7 +145,7 @@ func (s *Store) Flush(dir string) error {
 		snap := s.shards[i].snapshot()
 		shardDir, fi := s.segPlace(dir, i)
 		if len(snap.sealed) > 0 {
-			n, err := writeSegment(shardDir, fi, loc, snap.sealed)
+			n, err := s.writeSegment(shardDir, fi, loc, snap.sealed)
 			if err != nil {
 				return err
 			}
@@ -169,7 +169,13 @@ func (s *Store) Flush(dir string) error {
 	return nil
 }
 
-func writeSegment(dir string, shard int, loc *time.Location, blocks []*sealedBlock) (int64, error) {
+// writeSegment atomically replaces one shard's raw segment file with
+// blocks. It reads payloads, so it first seals any block a concurrent
+// partition roll closed after the caller's last SealAll (a no-op otherwise).
+func (s *Store) writeSegment(dir string, shard int, loc *time.Location, blocks []*sealedBlock) (int64, error) {
+	for _, b := range blocks {
+		b.seal(&s.scales)
+	}
 	name := filepath.Join(dir, segFileName(shard))
 	tmp := name + ".tmp"
 	f, err := os.Create(tmp)

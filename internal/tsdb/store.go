@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -66,12 +67,15 @@ func defaultDecimals(m sensors.Metric) int {
 }
 
 // shard holds one rack's blocks. The RWMutex guards the block list and the
-// head's slice headers; sealed blocks and snapshotted head prefixes are
-// immutable, so readers decode outside the lock.
+// head's slice headers; closed blocks (frozen or sealed, see sealedBlock)
+// and snapshotted head prefixes are immutable, so readers decode outside
+// the lock. The lock is only ever held for O(1) or O(batch) work: a writer
+// that rolls a partition freezes the head under it and compresses the
+// frozen block after releasing it.
 type shard struct {
 	mu      sync.RWMutex
-	cold    []*downBlock // downsampled tier, strictly before every sealed block
-	sealed  []*sealedBlock
+	cold    []*downBlock   // downsampled tier, strictly before every closed block
+	sealed  []*sealedBlock // closed partitions in time order, frozen ones included
 	head    *headBlock
 	lastT   int64
 	hasLast bool
@@ -219,10 +223,23 @@ func (s *Store) Append(r sensors.Record) error {
 			r.Rack, s.fleet.Halls, s.fleet.Racks)
 	}
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	frozen, err := s.appendLocked(sh, &r, t)
+	sh.mu.Unlock()
+	// The rare append that rolls a partition pays for compressing the block
+	// it closed, but only after the lock is gone.
+	if frozen != nil {
+		frozen.seal(&s.scales)
+	}
+	return err
+}
+
+// appendLocked is Append's body under the shard's (held) write lock. It
+// returns the block it froze when r opened a new partition, for the caller
+// to seal once the lock is released.
+func (s *Store) appendLocked(sh *shard, r *sensors.Record, t int64) (frozen *sealedBlock, err error) {
 	if sh.hasLast && t < sh.lastT {
 		metOutOfOrder.Inc()
-		return fmt.Errorf("tsdb: out-of-order record for rack %v: %v before %v",
+		return nil, fmt.Errorf("tsdb: out-of-order record for rack %v: %v before %v",
 			r.Rack, r.Time, time.Unix(0, sh.lastT).In(s.location()))
 	}
 	metAppend.Inc()
@@ -233,11 +250,12 @@ func (s *Store) Append(r sensors.Record) error {
 	sh.hasLast = true
 	sh.counter++
 	if s.opts.Downsample > 1 && (sh.counter-1)%s.opts.Downsample != 0 {
-		return nil
+		return nil, nil
 	}
 	part := floorDiv(t, s.partNanos)
 	if sh.head != nil && sh.head.partition != part {
-		sh.sealed = append(sh.sealed, sealHead(sh.head, s.scales))
+		frozen = freezeHead(sh.head)
+		sh.sealed = append(sh.sealed, frozen)
 		sh.head = nil
 	}
 	if sh.head == nil {
@@ -252,7 +270,7 @@ func (s *Store) Append(r sensors.Record) error {
 		sh.head.vals[m] = append(sh.head.vals[m], v)
 	}
 	sh.total++
-	return nil
+	return frozen, nil
 }
 
 // quantize rounds v to the store's decimal grid. NaN/Inf pass through (the
@@ -282,6 +300,7 @@ type tickScratch struct {
 	nanos   []int64          // per record: UnixNano
 	shards  []tickShardState // per shard: this batch's group + watermark
 	touched []int32          // shards with a non-empty group
+	frozen  []*sealedBlock   // blocks this batch froze, sealed after the unlocks
 }
 
 // tickShardState packs one shard's per-batch state into a single cache
@@ -308,7 +327,11 @@ func (sc *tickScratch) reset() {
 // Batching also amortizes the per-record locking, bounds checks, and slice
 // growth of the Append loop (see BenchmarkIngestTickBatch). Concurrent
 // AppendTick calls lock shards in ascending fleet order, so they cannot
-// deadlock; Append may interleave between batches but not inside one.
+// deadlock; Append may interleave between batches but not inside one. A
+// batch that crosses a partition boundary freezes the full heads under the
+// locks and compresses them after the last lock is released, still before
+// returning: readers never wait on compression, and an acked batch is
+// always fully applied and sealed.
 func (s *Store) AppendTick(recs []sensors.Record) error {
 	s.init()
 	if len(recs) == 0 {
@@ -380,13 +403,22 @@ func (s *Store) AppendTick(recs []sensors.Record) error {
 		}
 	}
 	// Validation passed: apply every group, then release the locks.
+	frozen := sc.frozen[:0]
 	for _, j := range touched {
 		sh := &s.shards[j]
-		s.applyGroup(sh, recs, nanos, sc.shards[j].group)
+		frozen = s.applyGroup(sh, recs, nanos, sc.shards[j].group, frozen)
 		sh.lastT = sc.shards[j].lastSeen
 		sh.hasLast = true
 		sh.mu.Unlock()
 	}
+	// Sealing waits for the last unlock, not just the block's own: shards
+	// later in the lock order stay locked while earlier groups apply, and a
+	// fleet-wide roll must not hold them through everyone else's compression.
+	for _, b := range frozen {
+		b.seal(&s.scales)
+	}
+	clear(frozen)
+	sc.frozen = frozen[:0]
 	metAppend.Add(uint64(len(recs)))
 	sc.reset()
 	return nil
@@ -395,8 +427,9 @@ func (s *Store) AppendTick(recs []sensors.Record) error {
 // applyGroup appends one shard's group of a validated batch under the
 // shard's (held) write lock: downsample stride first, then one fillHead
 // call per partition run — the column-at-a-time amortization that makes
-// AppendTick fast.
-func (s *Store) applyGroup(sh *shard, recs []sensors.Record, nanos []int64, g []int32) {
+// AppendTick fast. Heads the group closes are frozen in place and appended
+// to frozen for the caller to seal after unlocking.
+func (s *Store) applyGroup(sh *shard, recs []sensors.Record, nanos []int64, g []int32, frozen []*sealedBlock) []*sealedBlock {
 	if d := s.opts.Downsample; d > 1 {
 		kept := 0
 		for _, x := range g {
@@ -414,7 +447,9 @@ func (s *Store) applyGroup(sh *shard, recs []sensors.Record, nanos []int64, g []
 		t0 := nanos[g[0]]
 		part := floorDiv(t0, s.partNanos)
 		if sh.head != nil && sh.head.partition != part {
-			sh.sealed = append(sh.sealed, sealHead(sh.head, s.scales))
+			b := freezeHead(sh.head)
+			sh.sealed = append(sh.sealed, b)
+			frozen = append(frozen, b)
 			sh.head = nil
 		}
 		if sh.head == nil {
@@ -431,6 +466,7 @@ func (s *Store) applyGroup(sh *shard, recs []sensors.Record, nanos []int64, g []
 		sh.total += run
 		g = g[run:]
 	}
+	return frozen
 }
 
 // fillHead appends one partition run of grouped records to a head block,
@@ -478,29 +514,32 @@ func (s *Store) fillHead(h *headBlock, recs []sensors.Record, nanos []int64, g [
 	}
 }
 
-// reserve extends s by n elements the caller will overwrite. The capacity
-// hit skips append's zeroing of the extension — fillHead stores to every
-// reserved index, so the stale memory is never read.
+// reserve extends s by n elements the caller will overwrite, growing the
+// backing array in place on a capacity miss. fillHead stores to every
+// reserved index, so the stale memory past the old length is never read.
 func reserve[T any](s []T, n int) []T {
-	if cap(s)-len(s) >= n {
-		return s[:len(s)+n]
-	}
-	return append(s, make([]T, n)...)
+	return slices.Grow(s, n)[:len(s)+n]
 }
 
-// SealAll compresses every non-empty head block. Appends afterwards start
-// fresh heads; use before Stats for a fully-compressed footprint, or to
-// bound head memory when ingest pauses.
+// SealAll closes and compresses every non-empty head block. Appends
+// afterwards start fresh heads; use before Stats for a fully-compressed
+// footprint, or to bound head memory when ingest pauses. On return every
+// block closed so far is sealed, including ones a concurrent Append or
+// AppendTick froze and is still compressing.
 func (s *Store) SealAll() {
 	s.init()
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		if sh.head != nil && len(sh.head.times) > 0 {
-			sh.sealed = append(sh.sealed, sealHead(sh.head, s.scales))
+			sh.sealed = append(sh.sealed, freezeHead(sh.head))
 			sh.head = nil
 		}
+		closed := sh.sealed[:len(sh.sealed):len(sh.sealed)]
 		sh.mu.Unlock()
+		for _, b := range closed {
+			b.seal(&s.scales)
+		}
 	}
 }
 
@@ -518,14 +557,13 @@ func (s *Store) Len() int {
 }
 
 // snapshot is an immutable view of one shard taken under its read lock:
-// sealed block pointers plus the head's current slice prefixes. The backing
+// closed block pointers plus the head's current slice prefixes. The backing
 // arrays are never mutated below the snapshotted lengths, so the snapshot
 // can be decoded and scanned lock-free.
 type snapshot struct {
-	cold      []*downBlock
-	sealed    []*sealedBlock
-	headTimes []int64
-	headVals  [sensors.NumMetrics][]float64
+	cold   []*downBlock
+	sealed []*sealedBlock
+	head   headBlock // the head's columns clipped to their snapshot length
 	// total is the shard's stored-record count at snapshot time (Stats).
 	total int
 }
@@ -540,9 +578,9 @@ func (sh *shard) snapshot() snapshot {
 	}
 	if sh.head != nil {
 		n := len(sh.head.times)
-		snap.headTimes = sh.head.times[:n:n]
+		snap.head.times = sh.head.times[:n:n]
 		for m := range sh.head.vals {
-			snap.headVals[m] = sh.head.vals[m][:n:n]
+			snap.head.vals[m] = sh.head.vals[m][:n:n]
 		}
 	}
 	return snap
@@ -550,26 +588,34 @@ func (sh *shard) snapshot() snapshot {
 
 // blockView is one time-ordered run of samples: a downsampled block (one
 // record per window, timestamped at the window start, valued at the window
-// mean), a sealed block (decoded lazily, one column at a time), or the
-// head prefix.
+// mean), a sealed block (decoded lazily, one column at a time), or raw
+// uncompressed columns — the head prefix, or a frozen block whose payload
+// does not exist yet. The two raw forms are indistinguishable to readers.
 type blockView struct {
-	down     *downBlock
-	sealed   *sealedBlock
-	headSnap *snapshot
+	down   *downBlock
+	sealed *sealedBlock
+	raw    *headBlock
 }
 
 func (snap *snapshot) blocks() []blockView {
 	views := make([]blockView, 0, len(snap.cold)+len(snap.sealed)+1)
-	// Cold blocks precede every sealed block in time (the compaction
+	// Cold blocks precede every closed block in time (the compaction
 	// boundary never splits a window), so this order is time order.
 	for _, d := range snap.cold {
 		views = append(views, blockView{down: d})
 	}
 	for _, b := range snap.sealed {
-		views = append(views, blockView{sealed: b})
+		// The one place a reader decides which form of a closed block it
+		// sees: a frozen block's columns stay valid (and pinned by this view)
+		// however soon seal clears raw.
+		if h := b.raw.Load(); h != nil {
+			views = append(views, blockView{raw: h})
+		} else {
+			views = append(views, blockView{sealed: b})
+		}
 	}
-	if len(snap.headTimes) > 0 {
-		views = append(views, blockView{headSnap: snap})
+	if len(snap.head.times) > 0 {
+		views = append(views, blockView{raw: &snap.head})
 	}
 	return views
 }
@@ -581,7 +627,7 @@ func (bv blockView) bounds() (minT, maxT int64) {
 	if bv.sealed != nil {
 		return bv.sealed.minT, bv.sealed.maxT
 	}
-	return bv.headSnap.headTimes[0], bv.headSnap.headTimes[len(bv.headSnap.headTimes)-1]
+	return bv.raw.times[0], bv.raw.times[len(bv.raw.times)-1]
 }
 
 func (bv blockView) timestamps() ([]int64, error) {
@@ -591,7 +637,7 @@ func (bv blockView) timestamps() ([]int64, error) {
 	if bv.sealed != nil {
 		return bv.sealed.decodeTimes()
 	}
-	return bv.headSnap.headTimes, nil
+	return bv.raw.times, nil
 }
 
 func (bv blockView) channel(m sensors.Metric) ([]float64, error) {
@@ -605,12 +651,13 @@ func (bv blockView) channel(m sensors.Metric) ([]float64, error) {
 	if bv.sealed != nil {
 		return bv.sealed.decodeChannel(m)
 	}
-	return bv.headSnap.headVals[m], nil
+	return bv.raw.vals[m], nil
 }
 
 // timestampsArena is timestamps with arena reuse: sealed blocks decode into
-// dst's backing array when it is large enough. Head views alias their
-// snapshot and cold blocks decode fresh (they are rare), so both ignore dst.
+// dst's backing array when it is large enough. Raw views alias their
+// columns and cold blocks decode fresh (they are rare), so both ignore dst
+// and must never be adopted as arena memory.
 func (bv blockView) timestampsArena(dst []int64) ([]int64, error) {
 	if bv.sealed != nil {
 		return bv.sealed.decodeTimesArena(dst)
@@ -619,7 +666,7 @@ func (bv blockView) timestampsArena(dst []int64) ([]int64, error) {
 }
 
 // channelArena is channel with arena reuse for sealed blocks; the (possibly
-// regrown) integer scratch comes back for the caller to keep. Head and cold
+// regrown) integer scratch comes back for the caller to keep. Raw and cold
 // views ignore the arena like timestampsArena.
 func (bv blockView) channelArena(m sensors.Metric, dst []float64, scratch []int64) ([]float64, []int64, error) {
 	if bv.sealed != nil {
@@ -745,12 +792,14 @@ type Stats struct {
 	// Records is the record count the store yields to readers: raw samples
 	// (sealed + head) plus one window record per downsampled window.
 	Records int
-	// SealedRecords and SealedBlocks count the compressed raw portion.
+	// SealedRecords and SealedBlocks count the compressed raw portion
+	// (frozen blocks join it once sealed).
 	SealedRecords int
 	SealedBlocks  int
 	// SealedBytes is the compressed payload size of all sealed blocks.
 	SealedBytes int64
-	// HeadBytes is the uncompressed columnar head footprint.
+	// HeadBytes is the uncompressed columnar footprint: every head plus any
+	// frozen block whose compression has not finished.
 	HeadBytes int64
 	// ColdBlocks/ColdWindows/ColdSourceRecords/ColdBytes describe the
 	// downsampled tier: block and window counts, how many raw records were
@@ -777,17 +826,30 @@ type Stats struct {
 // lock is held only long enough to copy the block-list header (the same
 // snapshot the query surface takes), and the per-block byte accounting —
 // slice-length sums over already-compressed payloads, never a decode —
-// runs lock-free afterwards. ExposeGauges republishes these numbers as
+// runs lock-free afterwards. A frozen block is uncompressed columnar memory
+// and counts toward HeadBytes until its seal completes; Stats neither
+// triggers nor waits for that. ExposeGauges republishes these numbers as
 // scrape-time gauges, so live processes should scrape /metrics instead of
 // polling this one-shot struct.
 func (s *Store) Stats() Stats {
+	st, _ := s.stats()
+	return st
+}
+
+// stats is Stats plus the number of frozen blocks awaiting compression.
+func (s *Store) stats() (st Stats, frozen int) {
 	s.init()
-	var st Stats
+	const rawRecordBytes = 8 * (1 + int64(sensors.NumMetrics))
 	for i := range s.shards {
 		snap := s.shards[i].snapshot()
 		st.Records += snap.total
-		st.SealedBlocks += len(snap.sealed)
 		for _, b := range snap.sealed {
+			if b.raw.Load() != nil {
+				frozen++
+				st.HeadBytes += int64(b.count) * rawRecordBytes
+				continue
+			}
+			st.SealedBlocks++
 			st.SealedRecords += b.count
 			st.SealedBytes += b.payloadBytes()
 		}
@@ -797,14 +859,14 @@ func (s *Store) Stats() Stats {
 			st.ColdSourceRecords += d.srcRecords
 			st.ColdBytes += d.payloadBytes()
 		}
-		st.HeadBytes += int64(len(snap.headTimes)) * 8 * (1 + int64(sensors.NumMetrics))
+		st.HeadBytes += int64(len(snap.head.times)) * rawRecordBytes
 	}
 	if st.SealedRecords > 0 {
 		st.BytesPerRecord = float64(st.SealedBytes) / float64(st.SealedRecords)
 		st.BytesPerSample = st.BytesPerRecord / float64(sensors.NumMetrics)
 	}
 	st.DiskBytes = s.diskBytes.Load()
-	return st
+	return st, frozen
 }
 
 // Bounds reports the earliest and latest record timestamps across all
