@@ -2,7 +2,7 @@
 # the roadmap expect before a change lands.
 GO ?= go
 
-.PHONY: check vet lint build test race bench bench-net bench-e2e bench-test smoke fuzz-smoke
+.PHONY: check vet lint build test race bench bench-net bench-e2e bench-test profile-study smoke fuzz-smoke
 
 # check runs the stages one sub-make at a time and prints each stage's wall
 # seconds, so the gate's cost is a number in the log rather than a guess.
@@ -83,3 +83,15 @@ bench-e2e:
 # of its own, so vet/race above never see it.
 bench-test:
 	cd bench && $(GO) vet . && $(GO) test -race .
+
+# profile-study names the layer a twin-side regression sits in, the way a
+# traced bench run (-trace 1) does for the serving side: it CPU-profiles
+# BenchmarkStudyRun (a 30-day mira.RunStudy into a tsdb store, what
+# study_local's records_per_s measures) and prints the 30 heaviest functions
+# by cumulative time. Profile and test binary stay in .bench_build/ for
+# `go tool pprof -list`.
+profile-study:
+	mkdir -p .bench_build
+	$(GO) test -run '^$$' -bench '^BenchmarkStudyRun$$' -benchtime 5x \
+		-o .bench_build/study.test -cpuprofile .bench_build/study.cpu.prof .
+	$(GO) tool pprof -top -cum -nodecount 30 .bench_build/study.test .bench_build/study.cpu.prof

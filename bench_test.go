@@ -17,6 +17,7 @@ import (
 	"mira/internal/core"
 	"mira/internal/sim"
 	"mira/internal/timeutil"
+	"mira/internal/tsdb"
 	"mira/internal/weather"
 	"mira/internal/workload"
 
@@ -302,6 +303,7 @@ func BenchmarkAblationFlowNetwork(b *testing.B) {
 // the coolant monitor's native 300 s cadence.
 func BenchmarkSimulatorDay(b *testing.B) {
 	start := time.Date(2016, 8, 2, 0, 0, 0, 0, timeutil.Chicago)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := sim.New(sim.Config{Seed: int64(i), Start: start, End: start.AddDate(0, 0, 1)})
@@ -309,6 +311,26 @@ func BenchmarkSimulatorDay(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkStudyRun measures what study_local's records_per_s measures
+// (bench/README.md), small enough to profile: a 30-day mira.RunStudy at the
+// native cadence into a tsdb store — simulator, scheduler, live collector,
+// window recorder and ingest together. `make profile-study` prints where
+// its time goes.
+func BenchmarkStudyRun(b *testing.B) {
+	start := time.Date(2016, 8, 2, 0, 0, 0, 0, timeutil.Chicago)
+	b.ReportAllocs()
+	records := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		db := tsdb.NewStoreWith(tsdb.Options{})
+		if _, err := RunStudy(StudyConfig{Seed: 42, Start: start, End: start.AddDate(0, 0, 30), TelemetryDB: db}); err != nil {
+			b.Fatal(err)
+		}
+		records += db.Len()
+	}
+	b.ReportMetric(float64(records)/b.Elapsed().Seconds(), "records/s")
 }
 
 // BenchmarkSchedulerStep measures one scheduler tick on a loaded machine.
@@ -321,6 +343,7 @@ func BenchmarkSchedulerStep(b *testing.B) {
 		sched.Step(now)
 		now = now.Add(timeutil.SampleInterval)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sched.Submit(gen.Arrivals(now, timeutil.SampleInterval))

@@ -6,8 +6,11 @@ import (
 	"testing"
 	"time"
 
+	"mira/internal/sensors"
 	"mira/internal/sim"
+	"mira/internal/timeutil"
 	"mira/internal/topology"
+	"mira/internal/units"
 )
 
 // fullRun executes the entire 2014–2019 production window once per test
@@ -390,5 +393,27 @@ func TestCollectorEmpty(t *testing.T) {
 	fig := c.Fig7RackCoolant()
 	if !math.IsNaN(fig.FlowGPM[0]) {
 		t.Error("empty collector should produce NaN means")
+	}
+}
+
+// TestCollectorTickAllocations: one tick through the collector (OnTick and
+// 48 OnSample) allocates nothing once the month's and the weekday's groups
+// exist. The parent of PR 14 allocated nothing here either — its cost was
+// ~480 calendar conversions a tick, which the series.Profile memo cut to 17
+// — so this guards the memo against being rebuilt on something that does.
+func TestCollectorTickAllocations(t *testing.T) {
+	c := NewCollector()
+	now := time.Date(2016, 8, 2, 0, 0, 0, 0, timeutil.Chicago)
+	tick := func() {
+		c.OnTick(now, units.MW(2.5), 0.9)
+		for i := 0; i < topology.NumRacks; i++ {
+			c.OnSample(sensors.Record{Time: now, Rack: topology.RackByIndex(i),
+				DCTemperature: 80, DCHumidity: 30, Flow: 26, InletTemp: 64, OutletTemp: 78, Power: 55000})
+		}
+		now = now.Add(timeutil.SampleInterval)
+	}
+	tick()
+	if avg := testing.AllocsPerRun(200, tick); avg != 0 {
+		t.Errorf("one tick through the collector allocates %v times, want 0", avg)
 	}
 }

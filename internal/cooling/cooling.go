@@ -148,6 +148,13 @@ type FlowNetwork struct {
 	weight [topology.NumRacks]float64
 	total  float64
 	rng    *rand.Rand
+
+	// plant is PlantFlow at the instant plantNano (unix nanoseconds; zero
+	// plant marks it unset): a tick asks for all 48 racks at one instant,
+	// and the plant flow is a calendar computation that depends on nothing
+	// else.
+	plant     float64
+	plantNano int64
 }
 
 // NewFlowNetwork builds the distribution network. The seed shapes the
@@ -166,8 +173,11 @@ func NewFlowNetwork(seed int64) *FlowNetwork {
 // RackFlow returns the flow delivered to one rack at time t, including
 // small turbulent measurement-scale fluctuation.
 func (n *FlowNetwork) RackFlow(r topology.RackID, t time.Time) units.GPM {
+	if nano := t.UnixNano(); n.plant == 0 || nano != n.plantNano {
+		n.plant, n.plantNano = float64(PlantFlow(t)), nano
+	}
 	share := n.weight[r.Index()] / n.total
-	flow := float64(PlantFlow(t)) * share
+	flow := n.plant * share
 	flow *= 1 + 0.004*n.rng.NormFloat64()
 	return units.GPM(flow)
 }

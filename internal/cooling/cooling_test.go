@@ -216,3 +216,46 @@ func TestDeterministicNetwork(t *testing.T) {
 		}
 	}
 }
+
+// TestRackFlowAllocations: a tick's 48 RackFlow calls allocate nothing (nor
+// did they at the parent of PR 14, where each built two time.Date values for
+// the plant flow; the count guards the per-instant memo that replaced them).
+func TestRackFlowAllocations(t *testing.T) {
+	n := NewFlowNetwork(1)
+	now := time.Date(2016, 8, 2, 0, 0, 0, 0, timeutil.Chicago)
+	avg := testing.AllocsPerRun(200, func() {
+		for i := 0; i < topology.NumRacks; i++ {
+			n.RackFlow(topology.RackByIndex(i), now)
+		}
+		now = now.Add(timeutil.SampleInterval)
+	})
+	if avg != 0 {
+		t.Errorf("a tick of RackFlow calls allocates %v times, want 0", avg)
+	}
+}
+
+func TestRackFlowFollowsTheInstant(t *testing.T) {
+	// The plant flow is remembered per instant, not per network: a later
+	// instant, an earlier one and the same one in another zone each get
+	// their own instant's plant flow. The reference for call k is a network
+	// of the same seed that has only ever been asked about instant k (the
+	// noise draws do not depend on the instant, so k-1 calls line its
+	// generator up).
+	r := topology.RackID{Row: 1, Col: 8}
+	instants := []time.Time{
+		time.Date(2016, 8, 1, 0, 0, 0, 0, timeutil.Chicago),
+		time.Date(2016, 8, 1, 5, 0, 0, 0, time.UTC), // the same instant
+		time.Date(2016, 12, 1, 0, 0, 0, 0, timeutil.Chicago),
+		time.Date(2015, 3, 1, 0, 0, 0, 0, timeutil.Chicago),
+	}
+	n := NewFlowNetwork(3)
+	for k, at := range instants {
+		ref := NewFlowNetwork(3)
+		for i := 0; i < k; i++ {
+			ref.RackFlow(r, at)
+		}
+		if got, want := n.RackFlow(r, at), ref.RackFlow(r, at); got != want {
+			t.Errorf("call %d at %v: flow %v, want %v", k, at, got, want)
+		}
+	}
+}

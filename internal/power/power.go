@@ -115,9 +115,9 @@ func (m *Model) RackPower(r topology.RackID, mids []scheduler.MidplaneSnapshot, 
 // scheduler order.
 func (m *Model) SystemPower(snap []scheduler.MidplaneSnapshot, t time.Time) units.Watts {
 	total := AuxiliaryBase
-	for _, r := range topology.AllRacks() {
-		base := r.Index() * topology.MidplanesPerRack
-		total += m.RackPower(r, snap[base:base+topology.MidplanesPerRack], t)
+	for i := 0; i < topology.NumRacks; i++ {
+		base := i * topology.MidplanesPerRack
+		total += m.RackPower(topology.RackByIndex(i), snap[base:base+topology.MidplanesPerRack], t)
 	}
 	return total
 }

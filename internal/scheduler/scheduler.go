@@ -10,9 +10,11 @@
 package scheduler
 
 import (
+	"cmp"
 	"math"
+	"math/bits"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"mira/internal/timeutil"
@@ -102,16 +104,27 @@ type Scheduler struct {
 	inMaintenance  bool
 	maintenanceEnd time.Time
 
-	// perm is the tick's placement visit order: a popularity-weighted
-	// shuffle, so user demand concentrates on some racks without any
-	// index-order artifact.
-	perm []int
 	// avoidUntil implements CMF-aware scheduling: placement treats a
 	// flagged rack's midplanes as a last resort until the deadline passes.
 	avoidUntil [topology.NumMidplanes]time.Time
 	// popularity is the per-midplane placement weight (users habitually
 	// target certain racks, creating the paper's utilization spread).
 	popularity [topology.NumMidplanes]float64
+
+	// What one Step derives from its now, once, for every placement attempt
+	// of the tick. Each Step rebuilds all of it before reading any of it,
+	// so FailRacks and Avoid between steps have nothing to invalidate.
+	//
+	// uniforms are the tick's visit-order draws, taken at the top of Step;
+	// perm, the popularity-weighted visit order they define, is only built
+	// (permReady) by the tick's first placement that gets past the free-slot
+	// count. avail is slotAvailable at now for every slot, kept current as
+	// tryPlace starts jobs; flagged is avoided at now.
+	uniforms  [topology.NumMidplanes]float64
+	perm      [topology.NumMidplanes]int
+	permReady bool
+	avail     slotSet
+	flagged   slotSet
 
 	// Counters.
 	started   int64
@@ -200,8 +213,15 @@ func (s *Scheduler) Stats() Stats {
 
 // Step advances the scheduler to time now: completes finished jobs, handles
 // maintenance transitions, starts reservations, and dispatches queued jobs.
+//
+// Everything stochastic draws from the one s.rng, so the order of draws is
+// part of the simulation: the visit order's uniforms first, then
+// handleMaintenance, maybeReserve and dispatch's one draw per scanned job.
 func (s *Scheduler) Step(now time.Time) {
-	s.perm = s.weightedOrder()
+	for i := range s.uniforms {
+		s.uniforms[i] = s.rng.Float64()
+	}
+	s.permReady = false
 	s.complete(now)
 	s.handleMaintenance(now)
 	s.maybeReserve(now)
@@ -212,41 +232,45 @@ func (s *Scheduler) Step(now time.Time) {
 	}
 }
 
-// weightedOrder draws a popularity-weighted random permutation of the
-// midplanes (Efraimidis-Spirakis sampling: sort by u^(1/w) descending).
-func (s *Scheduler) weightedOrder() []int {
+// visitOrder returns the tick's placement visit order: a popularity-weighted
+// random permutation of the midplanes (Efraimidis-Spirakis sampling: sort by
+// u^(1/w) descending), so user demand concentrates on some racks without any
+// index-order artifact. It is built from the tick's uniforms on first use; a
+// tick that places nothing never pays for the powers and the sort.
+func (s *Scheduler) visitOrder() *[topology.NumMidplanes]int {
+	if s.permReady {
+		return &s.perm
+	}
 	type keyed struct {
 		idx int
 		key float64
 	}
-	ks := make([]keyed, topology.NumMidplanes)
+	var ks [topology.NumMidplanes]keyed
 	for i := range ks {
-		ks[i] = keyed{idx: i, key: math.Pow(s.rng.Float64(), 1/s.popularity[i])}
+		ks[i] = keyed{idx: i, key: math.Pow(s.uniforms[i], 1/s.popularity[i])}
 	}
-	sort.Slice(ks, func(a, b int) bool { return ks[a].key > ks[b].key })
-	out := make([]int, len(ks))
+	slices.SortFunc(ks[:], func(a, b keyed) int { return cmp.Compare(b.key, a.key) })
 	for i, k := range ks {
-		out[i] = k.idx
+		s.perm[i] = k.idx
 	}
-	return out
+	s.permReady = true
+	return &s.perm
 }
 
 // complete frees slots whose jobs have finished.
 func (s *Scheduler) complete(now time.Time) {
-	var done map[int64]bool
+	// A job's midplanes finish together; count it once.
+	var done [topology.NumMidplanes]int64
+	n := 0
 	for i := range s.slots {
 		sl := &s.slots[i]
 		if sl.busyUntil.IsZero() || sl.busyUntil.After(now) {
 			continue
 		}
-		if !sl.burner && sl.jobID != 0 {
-			if done == nil {
-				done = make(map[int64]bool)
-			}
-			if !done[sl.jobID] {
-				done[sl.jobID] = true
-				s.completed++
-			}
+		if !sl.burner && sl.jobID != 0 && !slices.Contains(done[:n], sl.jobID) {
+			done[n] = sl.jobID
+			n++
+			s.completed++
 		}
 		sl.busyUntil = time.Time{}
 		sl.jobID = 0
@@ -344,124 +368,126 @@ func (s *Scheduler) backfillProb(t time.Time) float64 {
 // reservation), and out-of-order starts for later jobs only when they finish
 // before the head's projected start, so the head cannot starve.
 func (s *Scheduler) dispatch(now time.Time) {
-	for len(s.queue) > 0 {
-		if !s.tryPlace(&s.queue[0], now, nil) {
-			break
+	s.avail, s.flagged = slotSet{}, slotSet{}
+	for i := range s.slots {
+		if s.slotAvailable(&s.slots[i], now) {
+			s.avail.add(i)
 		}
-		s.queue = s.queue[1:]
-	}
-	if len(s.queue) <= 1 {
-		return
-	}
-	shadow, shadowSlots := s.shadow(&s.queue[0], now)
-	// Backfill pass over a bounded scan window.
-	p := s.backfillProb(now)
-	scan := s.queue[1:]
-	if len(scan) > 150 {
-		scan = scan[:150]
-	}
-	kept := make([]workload.Job, 0, len(s.queue))
-	kept = append(kept, s.queue[0])
-	for i := range scan {
-		j := &scan[i]
-		// EASY rule: a backfilled job must not delay the head. Jobs ending
-		// before the head's projected start may use any slot; longer jobs
-		// must avoid the slots the head is waiting on.
-		var banned map[int]bool
-		if !now.Add(j.Walltime).Before(shadow) {
-			banned = shadowSlots
+		if s.avoided(i, now) {
+			s.flagged.add(i)
 		}
-		if s.rng.Float64() < p && s.tryPlace(j, now, banned) {
-			continue
-		}
-		// Keep scanning: later, smaller jobs may still fit this tick.
-		kept = append(kept, *j)
 	}
-	s.queue = append(kept, s.queue[1+len(scan):]...)
+	placed := 0
+	for placed < len(s.queue) && s.tryPlace(&s.queue[placed], now, slotSet{}) {
+		placed++
+	}
+	// rest[0], if there is one, is the head job that did not fit.
+	rest := s.queue[placed:]
+	if len(rest) > 1 {
+		// The head's shadow describes the slots as the head found them, and
+		// nothing changes them before the first backfill start: it is taken
+		// on the first attempt with enough free slots to succeed, and a tick
+		// whose scanned jobs all outsize the free slots never sorts for it.
+		var (
+			shadow      time.Time
+			shadowSlots slotSet
+			shadowed    bool
+		)
+		// Backfill pass over a bounded scan window.
+		p := s.backfillProb(now)
+		scanEnd := min(len(rest), 1+150)
+		kept := 1
+		for i := 1; i < scanEnd; i++ {
+			j := &rest[i]
+			// The draw comes first, whether or not the job can fit.
+			if s.rng.Float64() < p && s.avail.count() >= j.Midplanes {
+				if !shadowed {
+					shadow, shadowSlots = s.shadow(&rest[0], now)
+					shadowed = true
+				}
+				// EASY rule: a backfilled job must not delay the head. Jobs
+				// ending before the head's projected start may use any slot;
+				// longer jobs must avoid the slots the head is waiting on.
+				var banned slotSet
+				if !now.Add(j.Walltime).Before(shadow) {
+					banned = shadowSlots
+				}
+				if s.tryPlace(j, now, banned) {
+					continue
+				}
+			}
+			// Keep scanning: later, smaller jobs may still fit this tick.
+			rest[kept] = *j
+			kept++
+		}
+		kept += copy(rest[kept:], rest[scanEnd:])
+		rest = rest[:kept]
+	}
+	// The queue stays at the front of its array, so Submit's appends reuse
+	// the room the started jobs left.
+	s.queue = s.queue[:copy(s.queue, rest)]
+}
+
+// freeSlot is when one midplane next becomes free.
+type freeSlot struct {
+	idx  int
+	free time.Time
 }
 
 // shadow estimates when the head job will be able to start — the moment its
-// Midplanes-th eligible slot becomes free, assuming no further arrivals —
-// and which slots it is waiting on (the earliest-free ones).
-func (s *Scheduler) shadow(j *workload.Job, now time.Time) (time.Time, map[int]bool) {
-	eligible := s.eligibleSlots(j)
-	if len(eligible) < j.Midplanes {
+// Midplanes-th slot becomes free, assuming no further arrivals — and which
+// slots it is waiting on (the earliest-free ones). All queues may ultimately
+// use any midplane (prod-long merely prefers row 0).
+//
+// Ties are the common case (every idle slot is free now, every slot of one
+// job frees together) and which tied slots sort into the first j.Midplanes
+// decides the banned set, so the sort's tie order is part of the
+// simulation: slices.SortFunc over the slots in index order with this
+// comparison, nothing stable, partial or differently keyed.
+func (s *Scheduler) shadow(j *workload.Job, now time.Time) (time.Time, slotSet) {
+	if topology.NumMidplanes < j.Midplanes {
 		// The job can never run; let backfill proceed unrestricted.
-		return now.Add(365 * 24 * time.Hour), nil
+		return now.Add(365 * 24 * time.Hour), slotSet{}
 	}
-	type freeSlot struct {
-		idx  int
-		free time.Time
-	}
-	frees := make([]freeSlot, 0, len(eligible))
-	for _, i := range eligible {
+	var frees [topology.NumMidplanes]freeSlot
+	for i := range s.slots {
 		sl := &s.slots[i]
-		free := now
-		for _, t := range []time.Time{sl.busyUntil, sl.reservedUntil, sl.downUntil} {
-			if t.After(free) {
-				free = t
-			}
-		}
-		frees = append(frees, freeSlot{idx: i, free: free})
+		free := laterOf(sl.downUntil, laterOf(sl.reservedUntil, laterOf(sl.busyUntil, now)))
+		frees[i] = freeSlot{idx: i, free: free}
 	}
-	sort.Slice(frees, func(a, b int) bool { return frees[a].free.Before(frees[b].free) })
-	slots := make(map[int]bool, j.Midplanes)
+	slices.SortFunc(frees[:], func(a, b freeSlot) int { return a.free.Compare(b.free) })
+	var waiting slotSet
 	for _, f := range frees[:j.Midplanes] {
-		slots[f.idx] = true
+		waiting.add(f.idx)
 	}
-	return frees[j.Midplanes-1].free, slots
-}
-
-// eligibleSlots returns every slot index the job's placement policy allows,
-// regardless of current availability. All queues may ultimately use any
-// midplane (prod-long merely prefers row 0).
-func (s *Scheduler) eligibleSlots(j *workload.Job) []int {
-	out := make([]int, topology.NumMidplanes)
-	for i := range out {
-		out[i] = i
-	}
-	return out
+	return frees[j.Midplanes-1].free, waiting
 }
 
 // tryPlace attempts to start the job now, honoring queue placement policy
 // and avoiding banned slots (the head job's shadow reservation). It returns
 // true when the job was started.
-func (s *Scheduler) tryPlace(j *workload.Job, now time.Time, banned map[int]bool) bool {
-	candidates := s.candidateSlots(j, now)
-	if len(banned) > 0 {
-		filtered := candidates[:0]
-		for _, i := range candidates {
-			if !banned[i] {
-				filtered = append(filtered, i)
-			}
-		}
-		candidates = filtered
-	}
-	// CMF-aware scheduling: demote flagged midplanes to a last resort.
-	clear := make([]int, 0, len(candidates))
-	var flagged []int
-	for _, i := range candidates {
-		if s.avoided(i, now) {
-			flagged = append(flagged, i)
-		} else {
-			clear = append(clear, i)
-		}
-	}
-	if len(clear) >= j.Midplanes {
-		candidates = clear
-	} else {
-		candidates = append(clear, flagged...)
-	}
-	if len(candidates) < j.Midplanes {
+func (s *Scheduler) tryPlace(j *workload.Job, now time.Time, banned slotSet) bool {
+	open := s.avail.minus(banned)
+	if open.count() < j.Midplanes {
 		return false
 	}
+	// CMF-aware scheduling: demote flagged midplanes to a last resort.
+	var buf [topology.NumMidplanes]int
+	picked := s.pick(buf[:0], j, open.minus(s.flagged), j.Midplanes)
+	if len(picked) < j.Midplanes {
+		picked = s.pick(picked, j, open.and(s.flagged), j.Midplanes)
+	}
 	end := now.Add(j.Walltime)
-	for _, i := range candidates[:j.Midplanes] {
+	for _, i := range picked {
 		sl := &s.slots[i]
 		sl.busyUntil = end
 		sl.burner = false
 		sl.jobID = j.ID
 		sl.intensity = j.Intensity
+		// A job that ends by now leaves its slots available.
+		if end.After(now) {
+			s.avail.remove(i)
+		}
 	}
 	s.started++
 	q := &s.queueStats[int(j.Queue)]
@@ -479,65 +505,89 @@ func (s *Scheduler) QueueStatsFor(q workload.Queue) QueueStats {
 	return s.queueStats[int(q)]
 }
 
-// candidateSlots returns available midplane indices ordered by the job's
-// placement preference. Within each preference group, the tick's shuffled
-// visit order applies, so no rack is systematically favored by index.
-func (s *Scheduler) candidateSlots(j *workload.Job, now time.Time) []int {
-	order := s.perm
-	if order == nil {
-		order = make([]int, topology.NumMidplanes)
-		for i := range order {
-			order[i] = i
-		}
-	}
-	var pref, rest []int
-	appendAvail := func(dst *[]int, idx int) {
-		if s.slotAvailable(&s.slots[idx], now) {
-			*dst = append(*dst, idx)
-		}
-	}
-	row0End := topology.ColsPerRow * topology.MidplanesPerRack
+// pick appends slots of from to dst, until dst holds n, in the job's
+// placement preference order. Within each preference group the tick's
+// shuffled visit order applies, so no rack is systematically favored by
+// index.
+func (s *Scheduler) pick(dst []int, j *workload.Job, from slotSet, n int) []int {
+	var groups [3]slotSet
 	switch {
 	case j.Queue == workload.ProdLong:
 		// prod-long jobs are allocated racks from row 0 (paper §IV-A),
 		// spilling onto other rows only when row 0 is full.
-		for _, idx := range order {
-			if idx < row0End {
-				appendAvail(&pref, idx)
-			} else {
-				appendAvail(&rest, idx)
-			}
-		}
-		return append(pref, rest...)
+		groups = [3]slotSet{from.and(row0Slots), from.minus(row0Slots)}
 	case j.AffinityCol >= 0:
 		// Rack-affine users: the row-0 rack of their column first (the
 		// habitual target), then the rest of the column, then anywhere.
-		var first []int
-		rackOf := func(idx int) topology.RackID {
-			return topology.RackByIndex(idx / topology.MidplanesPerRack)
+		var col slotSet
+		if j.AffinityCol < topology.ColsPerRow {
+			col = colSlots[j.AffinityCol]
 		}
-		for _, idx := range order {
-			r := rackOf(idx)
-			switch {
-			case r.Col == j.AffinityCol && r.Row == 0:
-				appendAvail(&first, idx)
-			case r.Col == j.AffinityCol:
-				appendAvail(&pref, idx)
-			default:
-				appendAvail(&rest, idx)
-			}
-		}
-		return append(append(first, pref...), rest...)
+		inCol := from.and(col)
+		groups = [3]slotSet{inCol.and(row0Slots), inCol.minus(row0Slots), from.minus(col)}
 	default:
 		// Ordinary jobs place anywhere, visiting racks in the tick's
 		// popularity-weighted order.
-		_ = rest
-		for _, idx := range order {
-			appendAvail(&pref, idx)
-		}
-		return pref
+		groups = [3]slotSet{from}
 	}
+	order := s.visitOrder()
+	for _, g := range groups {
+		if g.count() == 0 {
+			continue
+		}
+		for _, idx := range order {
+			if len(dst) == n {
+				return dst
+			}
+			if g.has(idx) {
+				dst = append(dst, idx)
+			}
+		}
+	}
+	return dst
 }
+
+// slotSet is a set of midplane indices; the machine's 96 fit two words.
+type slotSet [(topology.NumMidplanes + 63) / 64]uint64
+
+func (b *slotSet) add(i int)    { b[i>>6] |= 1 << (i & 63) }
+func (b *slotSet) remove(i int) { b[i>>6] &^= 1 << (i & 63) }
+
+func (b slotSet) has(i int) bool { return b[i>>6]&(1<<(i&63)) != 0 }
+
+func (b slotSet) count() int {
+	n := 0
+	for _, w := range b {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+func (b slotSet) and(o slotSet) slotSet {
+	for i := range b {
+		b[i] &= o[i]
+	}
+	return b
+}
+
+func (b slotSet) minus(o slotSet) slotSet {
+	for i := range b {
+		b[i] &^= o[i]
+	}
+	return b
+}
+
+// row0Slots and colSlots are the midplanes of row 0 and of each rack column.
+var row0Slots, colSlots = func() (row0 slotSet, cols [topology.ColsPerRow]slotSet) {
+	for i := 0; i < topology.NumMidplanes; i++ {
+		r := topology.RackByIndex(i / topology.MidplanesPerRack)
+		if r.Row == 0 {
+			row0.add(i)
+		}
+		cols[r.Col].add(i)
+	}
+	return row0, cols
+}()
 
 // killSlot terminates the job on slot i, killing all slots of that job.
 func (s *Scheduler) killSlot(i int) {
@@ -617,8 +667,7 @@ type MidplaneSnapshot struct {
 
 // Snapshot returns the state of every midplane at now, indexed by midplane
 // number (rack.Index()*2 + m).
-func (s *Scheduler) Snapshot(now time.Time) []MidplaneSnapshot {
-	out := make([]MidplaneSnapshot, topology.NumMidplanes)
+func (s *Scheduler) Snapshot(now time.Time) (out [topology.NumMidplanes]MidplaneSnapshot) {
 	for i := range s.slots {
 		sl := &s.slots[i]
 		switch {

@@ -224,6 +224,14 @@ func (g GroupBy) keyOf(t time.Time) int {
 type Profile struct {
 	Group  GroupBy
 	groups map[int]*groupAcc
+
+	// last is the group the instant lastNano resolved to. Telemetry arrives
+	// a tick at a time — one instant, one observation per rack — so all but
+	// the first Add of a tick skip the calendar conversion and the map. The
+	// memo is keyed on unix nanoseconds, not on time.Time ==, which also
+	// compares location: the same instant in UTC and in Chicago is one key.
+	last     *groupAcc
+	lastNano int64
 }
 
 type groupAcc struct {
@@ -238,14 +246,23 @@ func NewProfile(g GroupBy) *Profile {
 
 // Add records one observation at time t.
 func (p *Profile) Add(t time.Time, v float64) {
-	k := p.Group.keyOf(t)
+	acc := p.last
+	if n := t.UnixNano(); acc == nil || n != p.lastNano {
+		acc = p.group(p.Group.keyOf(t))
+		p.last, p.lastNano = acc, n
+	}
+	acc.v.Add(v)
+	acc.r.Add(v)
+}
+
+// group returns key k's accumulator, creating it on first sight.
+func (p *Profile) group(k int) *groupAcc {
 	acc, ok := p.groups[k]
 	if !ok {
 		acc = &groupAcc{r: NewReservoir(4096, int64(k)*7919+1)}
 		p.groups[k] = acc
 	}
-	acc.v.Add(v)
-	acc.r.Add(v)
+	return acc
 }
 
 // Keys returns the group keys in ascending order.

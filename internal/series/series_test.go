@@ -258,3 +258,78 @@ func TestSeriesResampleTrailingPartial(t *testing.T) {
 		t.Errorf("single-point resample = %v", rs.Points)
 	}
 }
+
+// refProfile is Profile without the instant memo: every Add converts the
+// instant and looks the group up.
+type refProfile struct{ p *Profile }
+
+func (r refProfile) Add(t time.Time, v float64) {
+	acc := r.p.group(r.p.Group.keyOf(t))
+	acc.v.Add(v)
+	acc.r.Add(v)
+}
+
+func sameProfile(t *testing.T, got, want *Profile) {
+	t.Helper()
+	gk, wk := got.Keys(), want.Keys()
+	if len(gk) != len(wk) {
+		t.Fatalf("Keys = %v, want %v", gk, wk)
+	}
+	for i, k := range wk {
+		if gk[i] != k {
+			t.Fatalf("Keys = %v, want %v", gk, wk)
+		}
+		if got.N(k) != want.N(k) || got.Mean(k) != want.Mean(k) || got.Median(k) != want.Median(k) {
+			t.Errorf("key %d: N/Mean/Median = %d/%v/%v, want %d/%v/%v", k,
+				got.N(k), got.Mean(k), got.Median(k), want.N(k), want.Mean(k), want.Median(k))
+		}
+	}
+}
+
+func TestProfileMemoIgnoresLocation(t *testing.T) {
+	// 23:30 on the last of the month in Chicago is already next month (and
+	// next weekday) in UTC; the memo must see one instant, the calendar one
+	// Chicago group.
+	at := time.Date(2016, 5, 31, 23, 30, 0, 0, timeutil.Chicago)
+	for _, g := range []GroupBy{ByYearMonth, ByMonth, ByWeekday} {
+		p := NewProfile(g)
+		p.Add(at, 1)
+		p.Add(at.In(time.UTC), 2)
+		p.Add(at.In(time.UTC).Add(time.Hour), 3) // a new instant, June in both zones
+		p.Add(at, 4)
+		if keys := p.Keys(); len(keys) != 2 || p.N(g.keyOf(at)) != 3 {
+			t.Errorf("GroupBy %d: keys %v, N(%d) = %d; want two groups, three observations in May's",
+				int(g), keys, g.keyOf(at), p.N(g.keyOf(at)))
+		}
+	}
+}
+
+func TestProfileMemoMatchesReference(t *testing.T) {
+	// Ticks of 48 observations each, crossing a month end, several weekday
+	// boundaries and the 2016-11-06 fall-back hour (01:30 CDT and 01:30 CST
+	// are different instants with the same wall clock), then the whole
+	// sequence again backwards: the replay never offers a decreasing
+	// instant, the type must not care.
+	var ticks []time.Time
+	for at := time.Date(2016, 10, 29, 0, 0, 0, 0, timeutil.Chicago); at.Before(time.Date(2016, 11, 8, 0, 0, 0, 0, timeutil.Chicago)); at = at.Add(30 * time.Minute) {
+		ticks = append(ticks, at)
+	}
+	for i := len(ticks) - 1; i >= 0; i-- {
+		ticks = append(ticks, ticks[i])
+	}
+	for _, g := range []GroupBy{ByYearMonth, ByMonth, ByWeekday, ByHour, ByYear} {
+		got, want := NewProfile(g), NewProfile(g)
+		ref := refProfile{want}
+		for n, at := range ticks {
+			for rack := 0; rack < 48; rack++ {
+				v := float64(n%97) + float64(rack)/48
+				if rack%2 == 1 {
+					at = at.In(time.UTC) // zones interleaved inside a tick
+				}
+				got.Add(at, v)
+				ref.Add(at, v)
+			}
+		}
+		sameProfile(t, got, want)
+	}
+}

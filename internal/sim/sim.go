@@ -9,6 +9,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"time"
@@ -61,6 +62,15 @@ type Incident struct {
 
 // Recorder consumes the simulation's output streams. Implementations that
 // only care about a subset of callbacks can embed NopRecorder.
+//
+// A tick is delivered once its physics is done, in this order: OnTick; then
+// per rack, in index order, OnRackState and — unless the rack is down —
+// OnSample; then OnIncident for each incident the tick detected. With
+// several recorders attached each callback reaches them in AddRecorder
+// order before the next one is made. Callbacks run between two ticks, so
+// they must not mutate state the delivering tick still reads; what they set
+// takes effect with the next tick (core.AvoidController flags racks on the
+// scheduler, which the next Step reads).
 type Recorder interface {
 	// OnSample receives each rack's measured coolant-monitor record, once
 	// per rack per tick (racks that are down do not report).
@@ -146,8 +156,14 @@ type Simulator struct {
 	// heatEMA smooths each rack's heat load into the coolant: the rack's
 	// thermal mass and loop recirculation act as a low-pass filter, so the
 	// outlet temperature does not chase every scheduling transient.
+	// heatAlpha is the filter's per-tick weight (time constant ≈ 3 h).
 	heatEMA     [topology.NumRacks]float64
 	heatEMAInit [topology.NumRacks]bool
+	heatAlpha   float64
+
+	// tick is what the current tick has measured, rack by rack, waiting to
+	// be delivered to the recorders.
+	tick [topology.NumRacks]rackTick
 
 	// excursions are the rare room-cooling upsets (power outages, air-
 	// handler failures, extreme weather) during which the data-center
@@ -169,6 +185,8 @@ func New(cfg Config) *Simulator {
 		wx:     weather.New(cfg.WeatherSeed),
 		log:    ras.NewLog(),
 		thresh: sensors.DefaultThresholds(),
+
+		heatAlpha: math.Min(cfg.Step.Hours()/3.0, 1),
 	}
 	s.plant = cooling.NewPlant(s.wx, cfg.Seed+6)
 	s.flows = cooling.NewFlowNetwork(cfg.Seed + 7)
@@ -194,6 +212,14 @@ func New(cfg Config) *Simulator {
 	sort.Slice(s.pending, func(a, b int) bool { return s.pending[a].Time.Before(s.pending[b].Time) })
 	s.scheduleExcursions(cfg)
 	return s
+}
+
+// rackTick is one rack's share of a tick: its utilization, and the measured
+// record if the rack reported.
+type rackTick struct {
+	util     float64
+	reported bool
+	rec      sensors.Record
 }
 
 // excursion is one room-cooling upset window.
@@ -283,12 +309,9 @@ func (s *Simulator) Run() error {
 	return nil
 }
 
-// step advances one tick.
+// step advances one tick: the models first, then the tick's output to the
+// recorders (see Recorder for the order).
 func (s *Simulator) step(now time.Time) {
-	// fanout accumulates wall clock spent inside recorder callbacks this
-	// tick, separating telemetry delivery cost from the physics models.
-	var fanout time.Duration
-	defer func() { metFanout.Observe(fanout.Seconds()) }()
 	// 1. Workload and scheduling.
 	s.sched.Submit(s.gen.Arrivals(now, s.cfg.Step))
 	s.sched.Step(now)
@@ -298,13 +321,8 @@ func (s *Simulator) step(now time.Time) {
 	s.applyPending(now)
 
 	// 3. System-level power and utilization.
-	sysPower := s.powerM.SystemPower(snap, now)
+	sysPower := s.powerM.SystemPower(snap[:], now)
 	util := s.sched.SystemUtilization(now)
-	tickFan := time.Now()
-	for _, r := range s.recorders {
-		r.OnTick(now, sysPower, util)
-	}
-	fanout += time.Since(tickFan)
 
 	// 4. Ambient base conditions from the outdoor weather.
 	outdoor := s.wx.At(now)
@@ -316,12 +334,13 @@ func (s *Simulator) step(now time.Time) {
 
 	// 6. Per-rack telemetry, sampling, and threshold checks.
 	var fatalEpicenters []topology.RackID
-	for i, rack := range topology.AllRacks() {
-		rackUtil := s.sched.RackUtilization(rack, now)
-		for _, r := range s.recorders {
-			r.OnRackState(now, rack, rackUtil)
-		}
-		if s.sched.RackDown(rack, now) {
+	samples := 0
+	for i := range s.tick {
+		rack := topology.RackByIndex(i)
+		rt := &s.tick[i]
+		rt.util = s.sched.RackUtilization(rack, now)
+		rt.reported = !s.sched.RackDown(rack, now)
+		if !rt.reported {
 			continue // powered-off racks do not report
 		}
 		flow := s.flows.RackFlow(rack, now)
@@ -343,12 +362,7 @@ func (s *Simulator) step(now time.Time) {
 			s.heatEMA[i] = heat
 			s.heatEMAInit[i] = true
 		} else {
-			// Thermal time constant ≈ 3 h.
-			alpha := s.cfg.Step.Hours() / 3.0
-			if alpha > 1 {
-				alpha = 1
-			}
-			s.heatEMA[i] += alpha * (heat - s.heatEMA[i])
+			s.heatEMA[i] += s.heatAlpha * (heat - s.heatEMA[i])
 		}
 		outlet := cooling.HeatExchanger(inlet, units.Watts(s.heatEMA[i]), flow)
 
@@ -358,15 +372,10 @@ func (s *Simulator) step(now time.Time) {
 			Flow: flow, InletTemp: inlet, OutletTemp: outlet,
 			Power: rackPower,
 		}
-		measured := s.monitors[i].Sample(truth)
-		metSamples.Inc()
-		sampleFan := time.Now()
-		for _, r := range s.recorders {
-			r.OnSample(measured)
-		}
-		fanout += time.Since(sampleFan)
+		rt.rec = s.monitors[i].Sample(truth)
+		samples++
 
-		alarms := s.thresh.Check(measured)
+		alarms := s.thresh.Check(rt.rec)
 		for _, a := range alarms {
 			if a.Severity == sensors.Warn {
 				s.log.Append(ras.Event{Time: now, Rack: rack, Type: ras.CoolantMonitor, Severity: ras.Warn, Message: a.Reason})
@@ -376,11 +385,39 @@ func (s *Simulator) step(now time.Time) {
 			fatalEpicenters = append(fatalEpicenters, rack)
 		}
 	}
+	metSamples.Add(uint64(samples))
 
 	// 7. Expand detected failures into incidents.
+	detected := len(s.incidents)
 	for _, epicenter := range fatalEpicenters {
 		s.triggerCMF(epicenter, now)
 	}
+
+	// 8. Deliver the tick. The histogram times the whole block, so what it
+	// isolates from the physics is every recorder callback of the tick.
+	fanout := time.Now()
+	for _, r := range s.recorders {
+		r.OnTick(now, sysPower, util)
+	}
+	for i := range s.tick {
+		rt := &s.tick[i]
+		rack := topology.RackByIndex(i)
+		for _, r := range s.recorders {
+			r.OnRackState(now, rack, rt.util)
+		}
+		if !rt.reported {
+			continue
+		}
+		for _, r := range s.recorders {
+			r.OnSample(rt.rec)
+		}
+	}
+	for _, inc := range s.incidents[detected:] {
+		for _, r := range s.recorders {
+			r.OnIncident(inc)
+		}
+	}
+	metFanout.ObserveSince(fanout)
 }
 
 // triggerCMF handles a fatal coolant-monitor detection: cascade, storms,
@@ -414,10 +451,6 @@ func (s *Simulator) triggerCMF(epicenter topology.RackID, now time.Time) {
 	// Follow-on non-CMF failures over the next 48 hours.
 	s.pending = append(s.pending, s.engine.PostCMFEvents(now)...)
 	sort.Slice(s.pending, func(a, b int) bool { return s.pending[a].Time.Before(s.pending[b].Time) })
-
-	for _, r := range s.recorders {
-		r.OnIncident(inc)
-	}
 }
 
 // applyPending logs non-CMF failures that have come due and takes their

@@ -385,3 +385,32 @@ func TestDriftingSensorDoesNotTriggerFalseCMFs(t *testing.T) {
 			driftSum/float64(driftN), neighSum/float64(neighN))
 	}
 }
+
+// rackStateSleeper spends its time in OnRackState only.
+type rackStateSleeper struct {
+	NopRecorder
+	nap time.Duration
+}
+
+func (r rackStateSleeper) OnRackState(time.Time, topology.RackID, float64) { time.Sleep(r.nap) }
+
+func TestFanoutHistogramCoversEveryCallback(t *testing.T) {
+	// mira_sim_recorder_fanout_seconds is the per-tick wall clock spent in
+	// recorder callbacks — all four of them, not only OnTick and OnSample.
+	const nap = 200 * time.Microsecond
+	ticks := 4
+	start := time.Date(2015, 4, 7, 0, 0, 0, 0, timeutil.Chicago)
+	s := New(Config{Seed: 2, Start: start, End: start.Add(time.Duration(ticks) * timeutil.SampleInterval)})
+	s.AddRecorder(rackStateSleeper{nap: nap})
+	count, sum := metFanout.Count(), metFanout.Sum()
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := metFanout.Count() - count; got != uint64(ticks) {
+		t.Errorf("fan-out observations = %d, want one per tick (%d)", got, ticks)
+	}
+	slept := (time.Duration(ticks*topology.NumRacks) * nap).Seconds()
+	if got := metFanout.Sum() - sum; got < slept {
+		t.Errorf("fan-out histogram grew by %.4fs over a run that slept %.4fs in OnRackState", got, slept)
+	}
+}

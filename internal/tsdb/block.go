@@ -104,6 +104,24 @@ type headBlock struct {
 	vals      [sensors.NumMetrics][]float64
 }
 
+// newHead opens a partition's head with room for rows records. Append's
+// partition roll passes the row count of the block it just froze: the
+// ingest cadence does not change at a partition boundary, so the next
+// partition fills to about that length and its seven columns are sized once
+// instead of regrown from nothing by doubling, a record at a time.
+// AppendTick does not reserve: fillHead already grows a column once per
+// batch, and a batch rolls every shard of the fleet in the same call, so
+// reserving there stacks a fleet of whole partitions on top of the frozen
+// ones still waiting to be sealed (measured on the 4-hall ingest_live
+// workload: +47 % peak RSS, no gain in throughput).
+func newHead(partition int64, rows int) *headBlock {
+	h := &headBlock{partition: partition, times: make([]int64, 0, rows)}
+	for m := range h.vals {
+		h.vals[m] = make([]float64, 0, rows)
+	}
+	return h
+}
+
 // freezeHead closes a non-empty head block: the returned block serves reads
 // from h's columns until seal compresses them. The caller holds the shard
 // write lock, appends the block to the shard's list and never touches h

@@ -169,6 +169,16 @@ func (s *Store) init() {
 	})
 }
 
+// latchZone makes the first appended record's zone the store's calendar
+// zone, unless Options.Location set one. Only the first append ever finds
+// the latch open; every later one sees that with a load, where a failing
+// compare-and-swap would take the cache line exclusively per record.
+func (s *Store) latchZone(first time.Time) {
+	if s.loc.Load() == nil {
+		s.loc.CompareAndSwap(nil, first.Location())
+	}
+}
+
 func (s *Store) location() *time.Location {
 	if l := s.loc.Load(); l != nil {
 		return l
@@ -215,7 +225,7 @@ func floorDiv(a, b int64) int64 {
 // different racks proceed in parallel.
 func (s *Store) Append(r sensors.Record) error {
 	s.init()
-	s.loc.CompareAndSwap(nil, r.Time.Location())
+	s.latchZone(r.Time)
 	t := r.Time.UnixNano()
 	sh := s.shardPtr(r.Rack)
 	if sh == nil {
@@ -256,7 +266,7 @@ func (s *Store) appendLocked(sh *shard, r *sensors.Record, t int64) (frozen *sea
 	if sh.head != nil && sh.head.partition != part {
 		frozen = freezeHead(sh.head)
 		sh.sealed = append(sh.sealed, frozen)
-		sh.head = nil
+		sh.head = newHead(part, frozen.count)
 	}
 	if sh.head == nil {
 		sh.head = &headBlock{partition: part}
@@ -337,7 +347,7 @@ func (s *Store) AppendTick(recs []sensors.Record) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	s.loc.CompareAndSwap(nil, recs[0].Time.Location())
+	s.latchZone(recs[0].Time)
 	sc := s.tickPool.Get().(*tickScratch)
 	defer s.tickPool.Put(sc)
 	if cap(sc.nanos) < len(recs) {
