@@ -2,7 +2,7 @@
 # the roadmap expect before a change lands.
 GO ?= go
 
-.PHONY: check vet lint build test race bench bench-net bench-e2e bench-test profile-study smoke fuzz-smoke
+.PHONY: check vet lint build test race bench-e2e bench-test profile-study smoke fuzz-smoke loc
 
 # check runs the stages one sub-make at a time and prints each stage's wall
 # seconds, so the gate's cost is a number in the log rather than a guess.
@@ -22,9 +22,18 @@ vet:
 # lint statically rejects metric registrations whose names violate the
 # mira_[a-z_]+ namespace rule (the obs registry also panics at runtime),
 # span name literals that break [a-z][a-z0-9_.]* or register at more than
-# one site, and exemplar label keys other than a single trace_id.
+# one site, and exemplar label keys other than a single trace_id. It then
+# rejects dead code at package granularity: an internal/ package that no
+# non-test package imports. LINT_TEST_SUPPORT lists the packages that exist
+# to be imported by other packages' tests.
+LINT_TEST_SUPPORT = mira/internal/telemetrynet/faultinject
+
 lint:
 	$(GO) run scripts/lint_metrics.go
+	@$(GO) list -f '{{.ImportPath}} {{join .Imports " "}}' ./... | awk -v support='$(LINT_TEST_SUPPORT)' ' \
+		BEGIN { n = split(support, s, " "); for (i = 1; i <= n; i++) imported[s[i]] = 1 } \
+		{ if ($$1 ~ /\/internal\//) internal[$$1] = 1; for (i = 2; i <= NF; i++) imported[$$i] = 1 } \
+		END { for (p in internal) if (!(p in imported)) { print "lint: " p " is imported by no non-test package"; bad = 1 } exit bad }'
 
 build:
 	$(GO) build ./...
@@ -58,24 +67,9 @@ fuzz-smoke:
 	$(GO) test ./internal/campaign/ -run '^$$' -fuzz '^FuzzDecodeJobSpec$$' -fuzztime 10s
 	$(GO) test ./internal/campaign/ -run '^$$' -fuzz '^FuzzParseClaimResponse$$' -fuzztime 10s
 
-# bench reports tsdb ingest throughput, compressed bytes/sample, and
-# range-query scan performance, then snapshots the numbers (plus an
-# instrumented one-week mirasim RunReport) into BENCH_tsdb.json. The
-# campaign dispatcher's claim-cycle benchmark is folded into BENCH_net.json
-# alongside the network latency sections.
-bench:
-	./scripts/bench.sh
-
-# bench-net load-tests the network telemetry service: a miramon -serve
-# instance over a simulated two-week store, hammered by miraload's 1000
-# concurrent clients. Latency percentiles land in BENCH_net.json.
-bench-net:
-	./scripts/bench_net.sh
-
 # bench-e2e is the repository's benchmark (BENCHMARK.json, bench/README.md):
 # every workload, untraced then traced, five times. Compare two commits with
-# `bash bench/run.sh -compare old.json new.json`. bench and bench-net above
-# are the legacy per-package snapshots.
+# `bash bench/run.sh -compare old.json new.json`.
 bench-e2e:
 	bash bench/run.sh -seed 42 -runs 5 -out bench/out/new.json
 
@@ -95,3 +89,11 @@ profile-study:
 	$(GO) test -run '^$$' -bench '^BenchmarkStudyRun$$' -benchtime 5x \
 		-o .bench_build/study.test -cpuprofile .bench_build/study.cpu.prof .
 	$(GO) tool pprof -top -cum -nodecount 30 .bench_build/study.test .bench_build/study.cpu.prof
+
+# loc prints non-test Go lines per package and their total — the size the
+# roadmap tracks PR over PR (CHANGES.md records the table). bench/ is a
+# module of its own with its own history and is left out.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -print0 \
+		| xargs -0 wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'

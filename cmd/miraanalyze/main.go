@@ -5,7 +5,7 @@
 //
 //	miraanalyze [-seed N] [-step 15m] [-figure all|2|3|...|15]
 //	            [-from out.csv] [-data dir] [-retention 0] [-scan-workers N]
-//	            [-scan-mode chunked|record] [-halls 1] [-racks 48] [-hall 0]
+//	            [-halls 1] [-racks 48] [-hall 0]
 //	            [-report report.json] [-log-format text|json]
 //
 // A full run at -step 15m takes under a minute; -step 300s matches the
@@ -70,7 +70,6 @@ func main() {
 		reportPath  = flag.String("report", "", "write a RunReport metric snapshot (JSON) to this file at exit")
 		logFormat   = flag.String("log-format", "text", "diagnostic log format: text or json")
 		scanWorkers = flag.Int("scan-workers", 0, "decode workers for parallel store scans on the offline paths (0 = GOMAXPROCS)")
-		scanMode    = flag.String("scan-mode", "chunked", "merged-scan surface for the replay figures: chunked (batch-columnar) or record (record-at-a-time)")
 		halls       = flag.Int("halls", 1, "machine halls the -data store is sized for")
 		racks       = flag.Int("racks", topology.NumRacks, "racks per hall (1..48)")
 		hall        = flag.Int("hall", 0, "which machine hall the offline figures describe (fleet stores are analyzed one hall at a time)")
@@ -85,28 +84,18 @@ func main() {
 		return
 	}
 
-	if *halls < 1 || *halls > topology.MaxHalls {
-		logg.Fatalf("bad -halls %d: want 1..%d", *halls, topology.MaxHalls)
-	}
-	if *racks < 1 || *racks > topology.NumRacks {
-		logg.Fatalf("bad -racks %d: want 1..%d", *racks, topology.NumRacks)
+	fleet, err := topology.NewFleet(*halls, *racks)
+	if err != nil {
+		logg.Fatalf("bad -halls/-racks: %v", err)
 	}
 	if *hall < 0 || *hall >= topology.MaxHalls {
 		logg.Fatalf("bad -hall %d: want 0..%d", *hall, topology.MaxHalls-1)
 	}
-	fleet := topology.Fleet{Halls: *halls, Racks: *racks}.Norm()
 	if *dataDir != "" && *hall >= fleet.Halls {
 		logg.Fatalf("-hall %d outside the %d-hall fleet", *hall, fleet.Halls)
 	}
 
 	scan := analysis.CollectOptions{Workers: *scanWorkers, Hall: *hall}
-	switch *scanMode {
-	case "chunked":
-	case "record":
-		scan.ForceRecords = true
-	default:
-		logg.Fatalf("-scan-mode %q: want chunked or record", *scanMode)
-	}
 
 	if *remote != "" {
 		analyzeRemote(*remote, scan, *figure)
@@ -344,7 +333,7 @@ func analyzeOffline(path string, scan analysis.CollectOptions, figure string) {
 // database, however it is reached (CSV import, warm segment open, a fresh
 // simulation, or a remote server through the telemetrynet client). The
 // replay streams the database's merged scan through the collector per the
-// scan options (worker count and surface); when only Figs. 7/9 are requested and the
+// scan options (worker count and hall); when only Figs. 7/9 are requested and the
 // database can push down, per-rack means come straight from compressed
 // columns via aggregation pushdown and the replay is skipped entirely.
 func analyzeStore(db envdb.DB, scan analysis.CollectOptions, figure string) {

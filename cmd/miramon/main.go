@@ -8,8 +8,7 @@
 //	miramon [-seed N] [-train-days 120] [-watch-days 45] [-data dir]
 //	        [-retention 0] [-compact-interval 1h] [-listen :8080] [-serve]
 //	        [-halls 1] [-racks 48] [-audit-interval 1m]
-//	        [-scan-mode chunked|record] [-report report.json]
-//	        [-log-format text|json]
+//	        [-report report.json] [-log-format text|json]
 //
 // With -data, a cold run persists the watched telemetry to segment files;
 // a warm run (segments already present) skips the simulation and instead
@@ -146,7 +145,6 @@ func main() {
 		reportPath  = flag.String("report", "", "write a RunReport metric snapshot (JSON) to this file at exit")
 		logFormat   = flag.String("log-format", "text", "diagnostic log format: text or json")
 		scanWorkers = flag.Int("scan-workers", 0, "decode workers for parallel store scans (0 = GOMAXPROCS)")
-		scanMode    = flag.String("scan-mode", "chunked", "merged-scan surface for the analysis summary: chunked (batch-columnar) or record (record-at-a-time)")
 		slowQuery   = flag.Duration("slow-query", 0, "log telemetry API requests at or over this duration as JSON slow-query lines on stderr, and always keep their traces at /debug/traces (0 = disabled)")
 		traceSample = flag.Float64("trace-sample", 1, "head-sampling ratio for request traces at /debug/traces, 0..1; slow requests are kept regardless")
 	)
@@ -162,24 +160,14 @@ func main() {
 	obs.ConfigureTracer(tcfg)
 
 	scan := analysis.CollectOptions{Workers: *scanWorkers}
-	switch *scanMode {
-	case "chunked":
-	case "record":
-		scan.ForceRecords = true
-	default:
-		logg.Fatalf("-scan-mode %q: want chunked or record", *scanMode)
-	}
 
 	if *serve && (*listen == "" || *dataDir == "") {
 		logg.Fatalf("-serve requires both -listen and -data")
 	}
-	if *halls < 1 || *halls > topology.MaxHalls {
-		logg.Fatalf("bad -halls %d: want 1..%d", *halls, topology.MaxHalls)
+	fleet, err := topology.NewFleet(*halls, *racks)
+	if err != nil {
+		logg.Fatalf("bad -halls/-racks: %v", err)
 	}
-	if *racks < 1 || *racks > topology.NumRacks {
-		logg.Fatalf("bad -racks %d: want 1..%d", *racks, topology.NumRacks)
-	}
-	fleet := topology.Fleet{Halls: *halls, Racks: *racks}.Norm()
 
 	// serveHTTP starts the shared listener: the obs surface, plus — with
 	// -serve — the telemetry API mounted on the same mux.

@@ -94,13 +94,10 @@ func main() {
 	if *push != "" && (*dataDir != "" || *telemetry != "" || *retention > 0) {
 		logg.Fatalf("-push streams to a remote store; it cannot be combined with -data, -telemetry, or -retention")
 	}
-	if *halls < 1 || *halls > topology.MaxHalls {
-		logg.Fatalf("bad -halls %d: want 1..%d", *halls, topology.MaxHalls)
+	fleet, err := topology.NewFleet(*halls, *racks)
+	if err != nil {
+		logg.Fatalf("bad -halls/-racks: %v", err)
 	}
-	if *racks < 1 || *racks > topology.NumRacks {
-		logg.Fatalf("bad -racks %d: want 1..%d", *racks, topology.NumRacks)
-	}
-	fleet := topology.Fleet{Halls: *halls, Racks: *racks}.Norm()
 
 	db := tsdb.NewStoreWith(tsdb.Options{Downsample: *downsample, Partition: *partition, Retention: *retention, Fleet: fleet})
 	db.ExposeGauges(nil)

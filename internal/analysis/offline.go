@@ -29,11 +29,6 @@ func CollectFromStore(db envdb.DB) *Collector {
 type CollectOptions struct {
 	// Workers bounds the scan's shard-decode pool; <= 0 selects GOMAXPROCS.
 	Workers int
-	// ForceRecords replays through the record-at-a-time merge surface even
-	// when the store supports batch-columnar scans — the comparison
-	// baseline for verifying that the chunked default produces identical
-	// figures (scripts/smoke.sh diffs the two).
-	ForceRecords bool
 	// Hall selects which machine hall of a fleet store to analyze (default
 	// 0 — for a single-machine store that is the whole trace). The paper's
 	// figures describe one 48-rack machine, so a fleet replay analyzes one
@@ -88,7 +83,7 @@ func CollectFromStoreCtx(ctx context.Context, db envdb.DB, opts CollectOptions) 
 	// The replay surfaces are error-free; a merged-scan failure means
 	// in-process corruption — the same invariant the tsdb query surface
 	// treats as panic-worthy.
-	if cs, ok := db.(envdb.ChunkScanner); ok && !opts.ForceRecords {
+	if cs, ok := db.(envdb.ChunkScanner); ok {
 		mode = "chunked"
 		if _, err := replayChunkedHallCtx(ctx, cs, opts.Workers, opts.Hall, c); err != nil {
 			panic(err)
@@ -163,10 +158,6 @@ func replayMerged(ss envdb.ShardScanner, workers int, c *Collector) (maxTick int
 	return replayMergedHallCtx(context.Background(), ss, workers, 0, c)
 }
 
-func replayMergedCtx(ctx context.Context, ss envdb.ShardScanner, workers int, c *Collector) (maxTick int, err error) {
-	return replayMergedHallCtx(ctx, ss, workers, 0, c)
-}
-
 func replayMergedHallCtx(ctx context.Context, ss envdb.ShardScanner, workers, hall int, c *Collector) (maxTick int, err error) {
 	acc := newTickAccum(c)
 	visit := func(r sensors.Record) bool {
@@ -207,10 +198,6 @@ func replayMergedHallCtx(ctx context.Context, ss envdb.ShardScanner, workers, ha
 // record-at-a-time replay.
 func replayChunked(cs envdb.ChunkScanner, workers int, c *Collector) (maxTick int, err error) {
 	return replayChunkedHallCtx(context.Background(), cs, workers, 0, c)
-}
-
-func replayChunkedCtx(ctx context.Context, cs envdb.ChunkScanner, workers int, c *Collector) (maxTick int, err error) {
-	return replayChunkedHallCtx(ctx, cs, workers, 0, c)
 }
 
 func replayChunkedHallCtx(ctx context.Context, cs envdb.ChunkScanner, workers, hall int, c *Collector) (maxTick int, err error) {

@@ -118,14 +118,19 @@ func TestReplayMergedBoundedMemory(t *testing.T) {
 }
 
 // TestReplayChunkedMatchesRecords pins the tentpole's correctness bar: the
-// batch-columnar replay (the default) and the record-at-a-time replay
-// (ForceRecords) must produce figures that are bit-identical — not merely
-// close — because both materialize records from the same decoded columns
-// in the same visit order.
+// batch-columnar replay (what a local store gets) and the record-at-a-time
+// replay (the remote client's only path, and the reference here) must
+// produce figures that are bit-identical — not merely close — because both
+// materialize records from the same decoded columns in the same visit
+// order.
 func TestReplayChunkedMatchesRecords(t *testing.T) {
 	db := multiDayStore(t, 2)
 	chunked := CollectFromStoreOpts(db, CollectOptions{Workers: 3})
-	records := CollectFromStoreOpts(db, CollectOptions{Workers: 3, ForceRecords: true})
+	records := NewCollector()
+	if _, err := replayMerged(db, 3, records); err != nil {
+		t.Fatalf("replayMerged: %v", err)
+	}
+	records.Finalize()
 
 	if got, want := fmt.Sprintf("%+v", chunked.Fig3CoolantTimeline()), fmt.Sprintf("%+v", records.Fig3CoolantTimeline()); got != want {
 		t.Errorf("Fig3 differs:\n chunked %s\n records %s", got, want)

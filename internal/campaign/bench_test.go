@@ -12,8 +12,7 @@ import (
 // BenchmarkClaimCycle times one full worker protocol round trip over real
 // HTTP: claim → heartbeat → complete, including the durable completion
 // write. This is the dispatcher's per-job overhead — the floor under how
-// fast a sweep of trivial jobs can drain. Recorded into BENCH_net.json by
-// make bench.
+// fast a sweep of trivial jobs can drain.
 func BenchmarkClaimCycle(b *testing.B) {
 	dir := b.TempDir()
 	q, err := OpenQueue(dir, QueueOptions{Lease: time.Minute})

@@ -4,12 +4,27 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"mira/internal/atomicfile"
 )
 
 // errCrash simulates the process dying mid-write.
 var errCrash = errors.New("injected crash")
+
+// crashAt makes every job-file publication whose path ends in suffix fail
+// with errCrash at stage, until the returned function is called.
+func crashAt(stage atomicfile.Stage, suffix string) (restore func()) {
+	atomicfile.Hook = func(s atomicfile.Stage, path string) error {
+		if s == stage && strings.HasSuffix(path, suffix) {
+			return errCrash
+		}
+		return nil
+	}
+	return func() { atomicfile.Hook = nil }
+}
 
 // TestQueueCrashBetweenTmpWriteAndRename pins the atomic-commit discipline:
 // a dispatcher killed after the tmp file is written and synced but before
@@ -26,21 +41,24 @@ func TestQueueCrashBetweenTmpWriteAndRename(t *testing.T) {
 
 	// Crash during the second submit: the tmp write completes, the rename
 	// never happens.
-	queueFailAfterTmpWrite = func(path string) error { return errCrash }
-	if _, err := q.Submit(testSpec("lost", 2)); !errors.Is(err, errCrash) {
-		queueFailAfterTmpWrite = nil
+	restore := crashAt(atomicfile.BeforeRename, ".cjob")
+	_, err := q.Submit(testSpec("lost", 2))
+	restore()
+	if !errors.Is(err, errCrash) {
 		t.Fatalf("submit under failpoint: %v, want injected crash", err)
 	}
-	queueFailAfterTmpWrite = nil
 
 	// The aborted write must not have committed in memory either.
 	if st := q.Status(); len(st) != 1 {
 		t.Fatalf("queue holds %d jobs after aborted submit, want 1", len(st))
 	}
 
-	// Plant the tmp leftover a real SIGKILL would leave (the failpoint path
-	// cleans up via defer; a killed process would not).
+	// The failpoint leaves the tmp file a real SIGKILL would; make it the
+	// worst leftover, one killed before the write finished.
 	stray := filepath.Join(dir, "job-00000002.cjob.tmp")
+	if _, err := os.Stat(stray); err != nil {
+		t.Fatalf("aborted submit left no tmp file: %v", err)
+	}
 	if err := os.WriteFile(stray, []byte("half-written garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -75,17 +93,12 @@ func TestQueueCrashDuringComplete(t *testing.T) {
 		t.Fatalf("claim: %+v %v", r, err)
 	}
 
-	queueFailAfterTmpWrite = func(path string) error {
-		if strings.HasSuffix(path, "job-00000001.cjob") {
-			return errCrash
-		}
-		return nil
-	}
-	if _, err := q.Complete(1, 1, RunResult{Records: 5}); !errors.Is(err, errCrash) {
-		queueFailAfterTmpWrite = nil
+	restore := crashAt(atomicfile.BeforeRename, "job-00000001.cjob")
+	_, err := q.Complete(1, 1, RunResult{Records: 5})
+	restore()
+	if !errors.Is(err, errCrash) {
 		t.Fatalf("complete under failpoint: %v, want injected crash", err)
 	}
-	queueFailAfterTmpWrite = nil
 
 	// The failed write committed nothing: still pending on disk and in
 	// memory, no result stored.
@@ -118,12 +131,12 @@ func TestQueueCrashAfterRename(t *testing.T) {
 	clock := newFakeClock()
 	q := openTestQueue(t, dir, clock)
 
-	queueFailAfterRename = func(path string) error { return errCrash }
-	if _, err := q.Submit(testSpec("durable", 1)); !errors.Is(err, errCrash) {
-		queueFailAfterRename = nil
+	restore := crashAt(atomicfile.AfterRename, ".cjob")
+	_, err := q.Submit(testSpec("durable", 1))
+	restore()
+	if !errors.Is(err, errCrash) {
 		t.Fatalf("submit under failpoint: %v, want injected crash", err)
 	}
-	queueFailAfterRename = nil
 
 	// The write landed before the "crash": reopen finds the job even though
 	// the submitting dispatcher never acknowledged it.
@@ -154,5 +167,45 @@ func TestQueueCorruptFileRejected(t *testing.T) {
 	}
 	if _, err := OpenQueue(dir, QueueOptions{Now: clock.Now}); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("open over corrupt file: %v, want ErrCorrupt", err)
+	}
+}
+
+// TestQueueCommitSyncsDirectory pins the power-failure half of a commit:
+// every transition renames its job file and then fsyncs the queue directory
+// — once per job file, never before the rename it is there to make durable.
+func TestQueueCommitSyncsDirectory(t *testing.T) {
+	dir := t.TempDir()
+	var stages []atomicfile.Stage
+	atomicfile.Hook = func(s atomicfile.Stage, path string) error {
+		if s == atomicfile.DirSync && path != dir {
+			t.Errorf("synced %s, want the queue directory %s", path, dir)
+		}
+		if s != atomicfile.BeforeRename {
+			stages = append(stages, s)
+		}
+		return nil
+	}
+	defer func() { atomicfile.Hook = nil }()
+
+	q := openTestQueue(t, dir, newFakeClock())
+	if _, err := q.Submit(testSpec("one", 1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := q.Submit(testSpec("two", 2)); err != nil {
+		t.Fatal(err)
+	}
+	if r, err := q.Claim(1, 1); err != nil || r.JobID != 1 {
+		t.Fatalf("claim: %+v %v", r, err)
+	}
+	if _, err := q.Complete(1, 1, RunResult{Records: 5}); err != nil {
+		t.Fatal(err)
+	}
+	want := []atomicfile.Stage{
+		atomicfile.AfterRename, atomicfile.DirSync, // submit one
+		atomicfile.AfterRename, atomicfile.DirSync, // submit two
+		atomicfile.AfterRename, atomicfile.DirSync, // complete one
+	}
+	if !reflect.DeepEqual(stages, want) {
+		t.Fatalf("publication stages %v, want rename then directory sync per commit %v", stages, want)
 	}
 }

@@ -4,12 +4,15 @@ import (
 	"container/list"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
 	"time"
+
+	"mira/internal/atomicfile"
 )
 
 // Job states. Only pending, done, and failed are ever persisted: "running"
@@ -82,10 +85,11 @@ func (o QueueOptions) withDefaults() QueueOptions {
 }
 
 // Queue is the durable campaign job queue. Every committed state transition
-// is a whole-file rewrite through tmp+fsync+rename — the same discipline as
-// tsdb segments — ordered disk-first: memory only changes after the rename
-// lands, so a crash at any point leaves either the old committed state or
-// the new one, never a half-transition.
+// is a whole-file rewrite through internal/atomicfile (tmp, fsync, rename,
+// then fsync of the directory) — the same discipline as tsdb segments —
+// ordered disk-first: memory only changes after the rename lands, so a
+// crash at any point leaves either the old committed state or the new one,
+// never a half-transition.
 type Queue struct {
 	dir  string
 	opts QueueOptions
@@ -100,15 +104,6 @@ type Queue struct {
 	workers map[uint64]*claimVerdict
 	lru     *list.List // claimVerdict owners, front = most recent
 }
-
-// Failpoints for crash tests, nil in production: called between the tmp
-// write (synced) and the rename, and after the rename but before the
-// in-memory commit. Returning an error aborts the transition at that point,
-// simulating a dispatcher killed mid-write.
-var (
-	queueFailAfterTmpWrite func(path string) error
-	queueFailAfterRename   func(path string) error
-)
 
 // OpenQueue opens or creates a queue directory, recovering committed jobs.
 // Stray .tmp files from a crashed write are ignored and cleared; a damaged
@@ -186,45 +181,26 @@ func readJobFile(path string) (*jobRecord, error) {
 	return &rec, nil
 }
 
-// writeJobFile commits rec to disk atomically: marshal, frame, write to a
-// .tmp sibling, fsync, rename over the final name. The caller mutates
-// memory only after this returns nil.
+// writeJobFile commits rec to disk atomically and durably: marshal, frame,
+// publish over the final name, fsync the directory. The caller mutates
+// memory only after this returns nil. The crash tests stop it between the
+// tmp write and the rename, and after the rename but before the in-memory
+// commit, through atomicfile.Hook.
 func (q *Queue) writeJobFile(rec *jobRecord) error {
 	payload, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("campaign: encode job %d: %w", rec.ID, err)
 	}
 	framed := encodeEnvelope(queueMagic, payload)
-	path := q.jobPath(rec.ID)
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	err = atomicfile.Write(q.jobPath(rec.ID), func(w io.Writer) error {
+		_, err := w.Write(framed)
+		return err
+	})
+	if err == nil {
+		err = atomicfile.SyncDir(q.dir)
+	}
 	if err != nil {
-		return fmt.Errorf("campaign: write job %d: %w", rec.ID, err)
-	}
-	defer os.Remove(tmp)
-	if _, err := f.Write(framed); err != nil {
-		f.Close()
-		return fmt.Errorf("campaign: write job %d: %w", rec.ID, err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("campaign: sync job %d: %w", rec.ID, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("campaign: close job %d: %w", rec.ID, err)
-	}
-	if fp := queueFailAfterTmpWrite; fp != nil {
-		if err := fp(path); err != nil {
-			return err
-		}
-	}
-	if err := os.Rename(tmp, path); err != nil {
 		return fmt.Errorf("campaign: commit job %d: %w", rec.ID, err)
-	}
-	if fp := queueFailAfterRename; fp != nil {
-		if err := fp(path); err != nil {
-			return err
-		}
 	}
 	return nil
 }

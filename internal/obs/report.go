@@ -10,10 +10,9 @@ import (
 )
 
 // RunReport is a machine-readable snapshot of the registry at (typically)
-// process exit — the seed for the repository's BENCH_*.json performance
-// trajectories: counters and gauges keyed by series name, histograms with
-// cumulative buckets. scripts/bench.sh embeds one next to the go-bench
-// numbers so each PR leaves a comparable data point behind.
+// process exit: counters and gauges keyed by series name, histograms with
+// cumulative buckets. Every cmd writes one with -report, so two runs can be
+// compared series by series.
 type RunReport struct {
 	Schema      string                   `json:"schema"`
 	GeneratedAt string                   `json:"generated_at"`

@@ -8,10 +8,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"net/url"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -34,8 +32,8 @@ type ClientOptions struct {
 	// sequence token, so a push whose response was lost deduplicates
 	// server-side instead of double-appending.
 	Retries int
-	// HTTPClient overrides the transport (e.g. miraload widens the
-	// connection pool for thousands of concurrent requests).
+	// HTTPClient overrides the transport (e.g. the benchmark's load
+	// generator widens the connection pool for many concurrent requests).
 	HTTPClient *http.Client
 	// ClientID overrides the random ingest identity. Two clients must not
 	// share an ID: the server's dedup watermark is per-ID.
@@ -251,8 +249,8 @@ func retryBackoff(attempt int, id, seq uint64) time.Duration {
 	return time.Duration(attempt)*50*time.Millisecond + jitter
 }
 
-// httpError carries the status code so capability fallbacks can detect
-// 501/404 (endpoint or pushdown unavailable).
+// httpError is a non-200 response. The client retries nothing on the read
+// side and substitutes nothing: a 404 or 501 reaches the caller as this.
 type httpError struct {
 	code int
 	msg  string
@@ -260,11 +258,6 @@ type httpError struct {
 
 func (e *httpError) Error() string {
 	return fmt.Sprintf("telemetrynet: server %d: %s", e.code, e.msg)
-}
-
-func unavailable(err error) bool {
-	he, ok := err.(*httpError)
-	return ok && (he.code == http.StatusNotImplemented || he.code == http.StatusNotFound)
 }
 
 // injectTrace stamps the outgoing request with the context's trace, so
@@ -303,8 +296,6 @@ func (c *Client) get(ctx context.Context, path string, q url.Values) (io.ReadClo
 }
 
 func rangeParams(rack topology.RackID, from, to time.Time) url.Values {
-	// The rack travels as its packed code; for hall 0 this is the plain
-	// index, so the params are unchanged against pre-fleet servers.
 	return url.Values{
 		"rack": {strconv.FormatUint(uint64(rack.Code()), 10)},
 		"from": {strconv.FormatInt(from.UnixNano(), 10)},
@@ -413,17 +404,9 @@ func (c *Client) EachRecord(f func(sensors.Record)) {
 // Panics on a failed request.
 func (c *Client) EachRecordUntil(f func(sensors.Record) bool) {
 	err := c.scan(c.ctx, url.Values{"order": {"rack"}}, func(r sensors.Record, _ byte) bool { return f(r) })
-	if err == nil {
-		return
+	if err != nil {
+		panic(err)
 	}
-	if unavailable(err) {
-		// Fallback for servers without /v1/scan: per-rack range queries in
-		// rack order reproduce the same visit order.
-		if ferr := c.fallbackRackScan(f); ferr == nil {
-			return
-		}
-	}
-	panic(err)
 }
 
 func (c *Client) scan(ctx context.Context, q url.Values, f func(sensors.Record, byte) bool) error {
@@ -442,34 +425,6 @@ func (c *Client) scan(ctx context.Context, q url.Values, f func(sensors.Record, 
 	})
 }
 
-func (c *Client) fallbackRackScan(f func(sensors.Record) bool) error {
-	info, err := c.Info()
-	if err != nil {
-		return err
-	}
-	if !info.HasData {
-		return nil
-	}
-	loc := zoneLocation(info.ZoneOffsetSeconds)
-	first := time.Unix(0, info.FirstUnixNano).In(loc)
-	to := time.Unix(0, info.LastUnixNano).In(loc).Add(time.Nanosecond)
-	// Pre-fleet servers omit the fleet fields; Norm defaults them to the
-	// single-machine 1 × 48 shape.
-	fleet := topology.Fleet{Halls: info.Halls, Racks: info.RacksPerHall}.Norm()
-	for _, rack := range fleet.AllRacks() {
-		recs, err := c.queryErr(c.ctx, rack, first, to)
-		if err != nil {
-			return err
-		}
-		for _, r := range recs {
-			if !f(r) {
-				return nil
-			}
-		}
-	}
-	return nil
-}
-
 // EachRecordMerged implements envdb.ShardScanner over the wire: the server
 // streams its global time-ordered merge (workers bounds the server-side
 // decode fan-out, still capped by the server's own option).
@@ -477,10 +432,7 @@ func (c *Client) EachRecordMerged(workers int, f func(sensors.Record) bool) erro
 	return c.EachRecordMergedTier(workers, func(r sensors.Record, _ envdb.Tier) bool { return f(r) })
 }
 
-// EachRecordMergedTier implements envdb.TierScanner over the wire. When
-// the server lacks the scan endpoint it falls back to per-rack queries
-// merged client-side (O(trace) memory, every record TierRaw) — the
-// graceful-degradation contract of the optional scanner capabilities.
+// EachRecordMergedTier implements envdb.TierScanner over the wire.
 func (c *Client) EachRecordMergedTier(workers int, f func(sensors.Record, envdb.Tier) bool) error {
 	return c.EachRecordMergedTierCtx(c.ctx, workers, f)
 }
@@ -493,42 +445,14 @@ func (c *Client) EachRecordMergedTierCtx(ctx context.Context, workers int, f fun
 	if workers > 0 {
 		q.Set("workers", strconv.Itoa(workers))
 	}
-	err := c.scan(ctx, q, func(r sensors.Record, tier byte) bool { return f(r, envdb.Tier(tier)) })
-	if err != nil && unavailable(err) {
-		return c.fallbackMergedTier(f)
-	}
-	return err
-}
-
-func (c *Client) fallbackMergedTier(f func(sensors.Record, envdb.Tier) bool) error {
-	var all []sensors.Record
-	if err := c.fallbackRackScan(func(r sensors.Record) bool {
-		all = append(all, r)
-		return true
-	}); err != nil {
-		return err
-	}
-	sort.SliceStable(all, func(a, b int) bool {
-		ta, tb := all[a].Time.UnixNano(), all[b].Time.UnixNano()
-		if ta != tb {
-			return ta < tb
-		}
-		return all[a].Rack.Code() < all[b].Rack.Code()
-	})
-	for _, r := range all {
-		if !f(r, envdb.TierRaw) {
-			return nil
-		}
-	}
-	return nil
+	return c.scan(ctx, q, func(r sensors.Record, tier byte) bool { return f(r, envdb.Tier(tier)) })
 }
 
 // Aggregate implements envdb.Aggregator over the wire: the server computes
 // per-window count/min/max/sum straight off its compressed columns and the
 // results travel as raw float64 bits — bit-identical to an in-process
-// Aggregate call. When the server's store cannot push down (501), the
-// client degrades to aggregating a Series fetch locally (float-order
-// accumulation, no integer-domain exactness).
+// Aggregate call. A server whose store cannot push down answers 501, which
+// is returned as the error it is.
 func (c *Client) Aggregate(rack topology.RackID, m sensors.Metric, from, to time.Time, window time.Duration) ([]envdb.WindowAgg, error) {
 	return c.AggregateCtx(c.ctx, rack, m, from, to, window)
 }
@@ -542,9 +466,6 @@ func (c *Client) AggregateCtx(ctx context.Context, rack topology.RackID, m senso
 	q.Set("window", strconv.FormatInt(int64(window), 10))
 	body, err := c.get(ctx, "/v1/aggregate", q)
 	if err != nil {
-		if unavailable(err) {
-			return c.aggregateLocal(rack, m, from, to, window)
-		}
 		return nil, err
 	}
 	defer body.Close()
@@ -559,45 +480,6 @@ func (c *Client) AggregateCtx(ctx context.Context, rack topology.RackID, m senso
 			Count: int(a.count),
 			Min:   a.min, Max: a.max, Sum: a.sum,
 		}
-	}
-	return out, nil
-}
-
-// aggregateLocal reproduces the tsdb window grid over a fetched series.
-func (c *Client) aggregateLocal(rack topology.RackID, m sensors.Metric, from, to time.Time, window time.Duration) ([]envdb.WindowAgg, error) {
-	fromN, toN := from.UnixNano(), to.UnixNano()
-	if toN <= fromN {
-		return nil, nil
-	}
-	winN := int64(window)
-	if winN <= 0 {
-		winN = toN - fromN
-	}
-	nWin := (toN-fromN-1)/winN + 1
-	if nWin > maxAggWindows {
-		return nil, fmt.Errorf("telemetrynet: aggregate fallback needs %d windows (max %d)", nWin, maxAggWindows)
-	}
-	times, vals := c.Series(rack, m, from, to)
-	loc := time.UTC
-	if len(times) > 0 {
-		loc = times[0].Location()
-	}
-	out := make([]envdb.WindowAgg, nWin)
-	for k := range out {
-		out[k] = envdb.WindowAgg{Start: time.Unix(0, fromN+int64(k)*winN).In(loc), Min: math.NaN(), Max: math.NaN()}
-	}
-	for i, t := range times {
-		k := (t.UnixNano() - fromN) / winN
-		w := &out[k]
-		v := vals[i]
-		if w.Count == 0 || v < w.Min {
-			w.Min = v
-		}
-		if w.Count == 0 || v > w.Max {
-			w.Max = v
-		}
-		w.Sum += v
-		w.Count++
 	}
 	return out, nil
 }

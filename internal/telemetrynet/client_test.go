@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -146,14 +147,18 @@ func TestRetryBackoffJitter(t *testing.T) {
 	}
 }
 
-// TestClientScanFallback: against a server without /v1/scan (an older
-// deployment), the merged and rack-order iterations degrade to per-rack
-// range queries with identical visit order.
+// TestClientScanFallback: there is none. Against a server that answers 404
+// on /v1/scan the merged iteration returns that 404 as its error and the
+// error-free EachRecord panics with it (the documented contract of that
+// surface); either way nothing is delivered and exactly one request is
+// made — no per-rack /v1/query stand-in.
 func TestClientScanFallback(t *testing.T) {
 	store := tsdb.NewStoreWith(tsdb.Options{Partition: 24 * time.Hour})
 	fillStore(t, store, netTrace(6))
 	inner := NewServer(store, ServerOptions{}).Handler()
+	var requests []string
 	noScan := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests = append(requests, r.URL.Path)
 		if r.URL.Path == "/v1/scan" {
 			http.NotFound(w, r)
 			return
@@ -162,43 +167,35 @@ func TestClientScanFallback(t *testing.T) {
 	}))
 	defer noScan.Close()
 	client := NewClient(noScan.URL, ClientOptions{})
-
-	var want []sensors.Record
-	if err := store.EachRecordMergedTier(2, func(r sensors.Record, _ envdb.Tier) bool {
-		want = append(want, r)
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	var got []sensors.Record
-	if err := client.EachRecordMergedTier(2, func(r sensors.Record, tier envdb.Tier) bool {
-		if tier != envdb.TierRaw {
-			t.Fatalf("fallback tier = %v, want TierRaw", tier)
-		}
-		got = append(got, r)
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("fallback merged scan: %d records, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if !sameRecord(got[i], want[i]) {
-			t.Fatalf("fallback merged record %d: %+v != %+v", i, got[i], want[i])
-		}
+	is404 := func(err error) bool {
+		var he *httpError
+		return errors.As(err, &he) && he.code == http.StatusNotFound
 	}
 
-	var rackWant, rackGot []sensors.Record
-	store.EachRecord(func(r sensors.Record) { rackWant = append(rackWant, r) })
-	client.EachRecord(func(r sensors.Record) { rackGot = append(rackGot, r) })
-	if len(rackGot) != len(rackWant) {
-		t.Fatalf("fallback rack scan: %d records, want %d", len(rackGot), len(rackWant))
+	delivered := 0
+	err := client.EachRecordMergedTier(2, func(sensors.Record, envdb.Tier) bool {
+		delivered++
+		return true
+	})
+	if !is404(err) {
+		t.Fatalf("merged scan = %v, want the server's 404 as the error", err)
 	}
-	for i := range rackWant {
-		if !sameRecord(rackGot[i], rackWant[i]) {
-			t.Fatalf("fallback rack record %d mismatch", i)
-		}
+
+	func() {
+		defer func() {
+			if err, _ := recover().(error); !is404(err) {
+				t.Fatalf("EachRecord panicked with %v, want the server's 404", err)
+			}
+		}()
+		client.EachRecord(func(sensors.Record) { delivered++ })
+		t.Fatal("EachRecord returned instead of panicking")
+	}()
+
+	if delivered != 0 {
+		t.Fatalf("%d records delivered by failed scans", delivered)
+	}
+	if want := []string{"/v1/scan", "/v1/scan"}; !reflect.DeepEqual(requests, want) {
+		t.Fatalf("requests %v, want one /v1/scan per call and nothing else", requests)
 	}
 }
 

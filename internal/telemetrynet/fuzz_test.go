@@ -25,9 +25,13 @@ func FuzzDecodeIngestFrame(f *testing.F) {
 	flipped[9] ^= 0x80
 	f.Add(flipped)
 	f.Add([]byte{})
-	f.Add([]byte("MTN1 but not really a frame"))
+	f.Add([]byte("MTN2 but not really a frame"))
+	// Well-formed messages of the retired generation (narrow rack byte,
+	// valid CRCs): refused on the magic, never parsed at the wrong width.
+	f.Add(retiredIngestFrame(76, 2, wireTrace(4)))
+	f.Add(retiredChunkStream(wireTrace(6)))
 	var chunked bytes.Buffer
-	cw := newChunkWriter(&chunked, true, false, -21600)
+	cw := newChunkWriter(&chunked, true, -21600)
 	for _, r := range wireTrace(6) {
 		cw.add(r, 1)
 	}
@@ -54,25 +58,24 @@ func FuzzDecodeIngestFrame(f *testing.F) {
 	hugeChunk = binary.LittleEndian.AppendUint32(hugeChunk, 0xFFFFFFFF)
 	f.Add(hugeChunk)
 
-	// Fleet-era v2 frames: wide rack codes force the "MTN2" encoding. The
-	// corpus gets a whole valid v2 frame, a frame carrying the widest
-	// encodable rack index, a v2 header truncated mid-record, and a mixed
-	// stream — v1 frame then v2 frame back to back, the shape a server
-	// sees when an upgraded client follows a legacy one on a connection.
+	// Fleet frames: a whole valid frame addressing halls above 0, a frame
+	// carrying the widest encodable rack code, a frame truncated
+	// mid-record, two frames back to back on one connection, and a frame
+	// whose first rack code is mangled.
 	fleetRecs := wireTrace(4)
 	for i := range fleetRecs {
 		fleetRecs[i].Rack.Hall = 1 + i%3
 	}
-	validV2 := encodeIngestFrame(nil, 78, 4, fleetRecs)
-	f.Add(validV2)
+	validFleet := encodeIngestFrame(nil, 78, 4, fleetRecs)
+	f.Add(validFleet)
 	wideRecs := wireTrace(1)[:1]
 	wideRecs[0].Rack = topology.RackID{Row: topology.Rows - 1, Col: topology.ColsPerRow - 1, Hall: topology.MaxHalls - 1}
 	f.Add(encodeIngestFrame(nil, 79, 5, wideRecs))
-	f.Add(validV2[:ingestHeaderSize+recordSizeV2/2])
-	f.Add(append(append([]byte(nil), valid...), validV2...))
-	flippedV2 := append([]byte(nil), validV2...)
-	flippedV2[ingestHeaderSize+2] ^= 0xFF // rack-code byte of the first record
-	f.Add(flippedV2)
+	f.Add(validFleet[:ingestHeaderSize+recordSize/2])
+	f.Add(append(append([]byte(nil), valid...), validFleet...))
+	flippedRack := append([]byte(nil), validFleet...)
+	flippedRack[ingestHeaderSize] ^= 0xFF // rack-code byte of the first record
+	f.Add(flippedRack)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)

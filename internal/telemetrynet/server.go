@@ -381,10 +381,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, req *http.Request) {
 }
 
 // queryParams parses the shared rack/from/to parameters. The rack travels
-// as its packed code (topology.RackID.Code) — for hall 0 that equals the
-// plain rack index the v1 protocol used, so old clients keep working
-// against single-machine servers. Times travel as UnixNano integers —
-// exact, zone-free instants.
+// as its packed code (topology.RackID.Code). Times travel as UnixNano
+// integers — exact, zone-free instants.
 func (s *Server) queryParams(req *http.Request) (rack topology.RackID, from, to time.Time, err error) {
 	q := req.URL.Query()
 	code, err := strconv.ParseUint(q.Get("rack"), 10, 16)
@@ -449,7 +447,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, req *http.Request) {
 	setRangeShape(shape, rack, from, to)
 	recs := s.db.Query(rack, from, to)
 	shape.set("rows", strconv.Itoa(len(recs)))
-	cw := newChunkWriter(w, false, s.fleet.Halls > 1, s.zoneOff())
+	cw := newChunkWriter(w, false, s.zoneOff())
 	for _, r := range recs {
 		if err := cw.add(r, 0); err != nil {
 			return // client went away mid-stream
@@ -553,7 +551,7 @@ func (s *Server) handleScan(w http.ResponseWriter, req *http.Request) {
 	shape.set("order", order)
 	shape.set("tiers", strconv.FormatBool(tiered))
 	shape.set("workers", strconv.Itoa(workers))
-	cw := newChunkWriter(w, tiered, s.fleet.Halls > 1, s.zoneOff())
+	cw := newChunkWriter(w, tiered, s.zoneOff())
 	sent := 0
 	emit := func(r sensors.Record, tier envdb.Tier) bool {
 		if err := cw.add(r, byte(tier)); err != nil {
@@ -624,12 +622,10 @@ type Info struct {
 	FirstUnixNano     int64 `json:"first_unixnano"`
 	LastUnixNano      int64 `json:"last_unixnano"`
 	ZoneOffsetSeconds int32 `json:"zone_offset_seconds"`
-	// Aggregator reports whether /v1/aggregate is available, so clients
-	// can fall back to client-side aggregation without a probe request.
+	// Aggregator reports whether /v1/aggregate is available (it answers
+	// 501 when the served store has no pushdown).
 	Aggregator bool `json:"aggregator"`
-	// Halls and RacksPerHall describe the store's fleet shape. Omitted
-	// (zero) only by pre-fleet servers, so clients default both to the
-	// single-machine 1 × 48.
+	// Halls and RacksPerHall describe the store's fleet shape.
 	Halls        int `json:"halls"`
 	RacksPerHall int `json:"racks_per_hall"`
 }

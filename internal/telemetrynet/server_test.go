@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -173,6 +175,8 @@ func TestIngestMalformed(t *testing.T) {
 		"garbage":   []byte("not a frame at all"),
 		"truncated": valid[:len(valid)/2],
 		"bad crc":   corrupt,
+		// Well-formed, but of the retired narrow-rack generation ("MTN1").
+		"retired generation": retiredIngestFrame(1, 1, netTrace(1)),
 	}
 	errsBefore := metIngestErrors.Value()
 	for name, body := range cases {
@@ -235,35 +239,32 @@ func TestAggregatePushdown(t *testing.T) {
 }
 
 // TestAggregateNotImplemented: a store without pushdown yields 501 on the
-// wire and the client degrades to aggregating a fetched series locally.
+// wire, and the client returns that as an error — one request, no second
+// attempt through another endpoint, no locally computed stand-in.
 func TestAggregateNotImplemented(t *testing.T) {
 	store := envdb.NewStore() // no envdb.Aggregator
 	fillStore(t, store, netTrace(4))
-	ts, client := startServer(t, store)
-
-	resp, err := http.Get(ts.URL + "/v1/aggregate?rack=0&from=0&to=1&metric=0&window=0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotImplemented {
-		t.Fatalf("aggregate status %d, want 501", resp.StatusCode)
-	}
+	inner := NewServer(store, ServerOptions{}).Handler()
+	var requests []string
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests = append(requests, r.URL.Path)
+		inner.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	client := NewClient(ts.URL, ClientOptions{})
 
 	start := time.Date(2014, 5, 20, 0, 0, 0, 0, timeutil.Chicago)
 	to := start.Add(4 * timeutil.SampleInterval)
 	got, err := client.Aggregate(topology.RackByIndex(2), sensors.MetricFlow, start, to, timeutil.SampleInterval)
-	if err != nil {
-		t.Fatalf("client fallback: %v", err)
+	var he *httpError
+	if !errors.As(err, &he) || he.code != http.StatusNotImplemented {
+		t.Fatalf("Aggregate = %v, %v; want the server's 501 as the error", got, err)
 	}
-	if len(got) != 4 {
-		t.Fatalf("%d windows, want 4", len(got))
+	if got != nil {
+		t.Fatalf("Aggregate returned %d windows beside its error", len(got))
 	}
-	_, vals := store.Series(topology.RackByIndex(2), sensors.MetricFlow, start, to)
-	for i, w := range got {
-		if w.Count != 1 || w.Min != vals[i] || w.Max != vals[i] || w.Sum != vals[i] {
-			t.Fatalf("window %d = %+v, want single sample %v", i, w, vals[i])
-		}
+	if want := []string{"/v1/aggregate"}; !reflect.DeepEqual(requests, want) {
+		t.Fatalf("requests %v, want %v", requests, want)
 	}
 }
 

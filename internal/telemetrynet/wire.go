@@ -9,7 +9,7 @@
 //
 // The wire format is documented in DESIGN.md §7. In short: an ingest frame
 // is a fixed 32-byte header (magic, payload length, client ID, batch
-// sequence, record count, zone offset) followed by 57-byte fixed-width
+// sequence, record count, zone offset) followed by 58-byte fixed-width
 // records and an IEEE CRC32 over header+payload. The (client ID, sequence)
 // pair makes retried pushes idempotent: the server remembers the highest
 // sequence applied per client and drops replays. Query responses reuse the
@@ -39,28 +39,21 @@ import (
 var ErrFrame = errors.New("telemetrynet: malformed frame")
 
 const (
-	// ingestMagic/chunkMagic/seriesMagic/aggMagic version the wire format;
-	// any incompatible change mints new magics. "MTN2" is the fleet-era
-	// ingest frame: identical header, but records carry a uint16 packed
-	// rack code (topology.RackID.Code) instead of a uint8 rack index, so a
-	// pusher can address any hall. Decoders accept both; encoders emit v1
-	// whenever every record lives in hall 0 (a hall-0 code equals the plain
-	// index), keeping single-machine byte streams identical to the v1 era.
-	ingestMagic   = 0x314E544D // "MTN1": v1 ingest, uint8 rack records
-	ingestMagicV2 = 0x324E544D // "MTN2": v2 ingest, uint16 rack-code records
-	chunkMagic    = 0x524E544D // "MTNR": record-chunk stream header
+	// The magics version the wire format; any incompatible change mints new
+	// ones, and there is one generation of each message. The previous ingest
+	// frame and chunk stream, whose records carried a uint8 rack index that
+	// could only address hall 0, are retired: no such client or server
+	// exists, and their magics decode to ErrFrame like any unknown one.
+	ingestMagicV2 = 0x324E544D // "MTN2": ingest frame
+	chunkMagic    = 0x3252544D // "MTR2": record-chunk stream header
 	seriesMagic   = 0x534E544D // "MTNS": series response
 	aggMagic      = 0x414E544D // "MTNA": aggregate response
 
-	// recordSize is the fixed v1 encoding of one sensors.Record: rack index
-	// (uint8), UnixNano timestamp (int64), six float64 channel bit
-	// patterns. Little-endian throughout. The v2 encoding widens the rack
-	// field to a uint16 packed code and leaves everything else in place.
-	recordSize   = 1 + 8 + 8*int(sensors.NumMetrics)
-	recordSizeV2 = 2 + 8 + 8*int(sensors.NumMetrics)
-	// tierRecordSize appends one envdb.Tier byte (scan streams only).
-	tierRecordSize   = recordSize + 1
-	tierRecordSizeV2 = recordSizeV2 + 1
+	// recordSize is the fixed encoding of one sensors.Record: packed rack
+	// code (uint16, topology.RackID.Code: hall high byte, within-hall index
+	// low byte), UnixNano timestamp (int64), six float64 channel bit
+	// patterns. Little-endian throughout.
+	recordSize = 2 + 8 + 8*int(sensors.NumMetrics)
 
 	// ingestHeaderSize: magic, payloadLen, clientID, seq, count, zoneOff.
 	ingestHeaderSize = 4 + 4 + 8 + 8 + 4 + 4
@@ -138,17 +131,6 @@ func zoneLocation(off int32) *time.Location {
 }
 
 func appendRecord(buf []byte, r sensors.Record) []byte {
-	buf = append(buf, byte(r.Rack.Index()))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(r.Time.UnixNano()))
-	for m := 0; m < int(sensors.NumMetrics); m++ {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(r.Value(sensors.Metric(m))))
-	}
-	return buf
-}
-
-// appendRecordWide is the v2 record encoding: the rack travels as its
-// uint16 packed code (hall high byte, within-hall index low byte).
-func appendRecordWide(buf []byte, r sensors.Record) []byte {
 	buf = binary.LittleEndian.AppendUint16(buf, r.Rack.Code())
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(r.Time.UnixNano()))
 	for m := 0; m < int(sensors.NumMetrics); m++ {
@@ -157,35 +139,8 @@ func appendRecordWide(buf []byte, r sensors.Record) []byte {
 	return buf
 }
 
-// hallZero reports whether every record lives in hall 0, i.e. the batch is
-// expressible in the v1 record encoding.
-func hallZero(recs []sensors.Record) bool {
-	for i := range recs {
-		if recs[i].Rack.Hall != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// decodeRecord decodes one fixed-width v1 record; b must hold recordSize
-// bytes.
+// decodeRecord decodes one fixed-width record; b must hold recordSize bytes.
 func decodeRecord(b []byte, loc *time.Location) (sensors.Record, error) {
-	idx := int(b[0])
-	if idx >= topology.NumRacks {
-		return sensors.Record{}, frameErr("rack index %d out of range", idx)
-	}
-	var vals [sensors.NumMetrics]float64
-	for m := range vals {
-		vals[m] = math.Float64frombits(binary.LittleEndian.Uint64(b[9+8*m:]))
-	}
-	return recordFromValues(topology.RackByIndex(idx),
-		time.Unix(0, int64(binary.LittleEndian.Uint64(b[1:]))).In(loc), vals), nil
-}
-
-// decodeRecordWide decodes one fixed-width v2 record; b must hold
-// recordSizeV2 bytes.
-func decodeRecordWide(b []byte, loc *time.Location) (sensors.Record, error) {
 	rack, err := topology.RackFromCode(binary.LittleEndian.Uint16(b))
 	if err != nil {
 		return sensors.Record{}, frameErr("%v", err)
@@ -222,27 +177,17 @@ type ingestFrame struct {
 
 // encodeIngestFrame appends one ingest frame for recs to buf. The zone
 // offset is taken from the first record (one simulator feeds one frame, so
-// a batch never mixes zones). A batch confined to hall 0 encodes as a v1
-// frame — byte-identical to the pre-fleet protocol — and anything touching
-// a higher hall encodes as v2 with wide rack codes.
+// a batch never mixes zones).
 func encodeIngestFrame(buf []byte, clientID, seq uint64, recs []sensors.Record) []byte {
-	magic, rsize := uint32(ingestMagic), recordSize
-	if !hallZero(recs) {
-		magic, rsize = ingestMagicV2, recordSizeV2
-	}
 	start := len(buf)
-	buf = binary.LittleEndian.AppendUint32(buf, magic)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(recs)*rsize))
+	buf = binary.LittleEndian.AppendUint32(buf, ingestMagicV2)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(recs)*recordSize))
 	buf = binary.LittleEndian.AppendUint64(buf, clientID)
 	buf = binary.LittleEndian.AppendUint64(buf, seq)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(recs)))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(zoneOffset(recs[0].Time)))
 	for _, r := range recs {
-		if magic == ingestMagicV2 {
-			buf = appendRecordWide(buf, r)
-		} else {
-			buf = appendRecord(buf, r)
-		}
+		buf = appendRecord(buf, r)
 	}
 	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:]))
 }
@@ -261,12 +206,7 @@ func decodeIngestFrame(r io.Reader) (ingestFrame, error) {
 	if _, err := io.ReadFull(r, hdr[1:]); err != nil {
 		return ingestFrame{}, frameErr("reading header: %v", err)
 	}
-	rsize := recordSize
-	switch m := binary.LittleEndian.Uint32(hdr[0:]); m {
-	case ingestMagic:
-	case ingestMagicV2:
-		rsize = recordSizeV2
-	default:
+	if m := binary.LittleEndian.Uint32(hdr[0:]); m != ingestMagicV2 {
 		return ingestFrame{}, frameErr("bad magic %#x", m)
 	}
 	payloadLen := binary.LittleEndian.Uint32(hdr[4:])
@@ -277,7 +217,7 @@ func decodeIngestFrame(r io.Reader) (ingestFrame, error) {
 	if count == 0 || count > maxFrameRecords {
 		return ingestFrame{}, frameErr("record count %d out of range [1, %d]", count, maxFrameRecords)
 	}
-	need, err := frameLen("record", count, rsize, 4, maxFrameRecords)
+	need, err := frameLen("record", count, recordSize, 4, maxFrameRecords)
 	if err != nil {
 		return ingestFrame{}, err
 	}
@@ -297,11 +237,7 @@ func decodeIngestFrame(r io.Reader) (ingestFrame, error) {
 	recs := make([]sensors.Record, count)
 	for i := range recs {
 		var err error
-		if rsize == recordSizeV2 {
-			recs[i], err = decodeRecordWide(body[i*rsize:], loc)
-		} else {
-			recs[i], err = decodeRecord(body[i*rsize:], loc)
-		}
+		recs[i], err = decodeRecord(body[i*recordSize:], loc)
 		if err != nil {
 			return ingestFrame{}, fmt.Errorf("record %d: %w", i, err)
 		}
@@ -313,36 +249,26 @@ func decodeIngestFrame(r io.Reader) (ingestFrame, error) {
 // header (magic, flags, zone offset) followed by chunks of
 // [count uint32 | payload | crc32], terminated by a zero-count chunk whose
 // CRC covers just the count. Flag bit 0 marks tiered records (one
-// envdb.Tier byte appended to each record); flag bit 1 marks wide-rack
-// records (v2 encoding, uint16 packed rack code). Servers set the wide
-// flag only for multi-hall stores, so single-machine response streams stay
-// byte-identical to the v1 era.
+// envdb.Tier byte appended to each record).
 type chunkWriter struct {
 	w       io.Writer
 	buf     []byte
 	count   uint32
 	tiered  bool
-	wide    bool
 	started bool
 	zoneOff int32
 }
 
-const (
-	chunkFlagTiered   = 1
-	chunkFlagWideRack = 2
-)
+const chunkFlagTiered = 1
 
-func newChunkWriter(w io.Writer, tiered, wide bool, zoneOff int32) *chunkWriter {
-	return &chunkWriter{w: w, tiered: tiered, wide: wide, zoneOff: zoneOff}
+func newChunkWriter(w io.Writer, tiered bool, zoneOff int32) *chunkWriter {
+	return &chunkWriter{w: w, tiered: tiered, zoneOff: zoneOff}
 }
 
 func (cw *chunkWriter) header() []byte {
 	var flags uint32
 	if cw.tiered {
 		flags |= chunkFlagTiered
-	}
-	if cw.wide {
-		flags |= chunkFlagWideRack
 	}
 	hdr := binary.LittleEndian.AppendUint32(nil, chunkMagic)
 	hdr = binary.LittleEndian.AppendUint32(hdr, flags)
@@ -357,11 +283,7 @@ func (cw *chunkWriter) add(r sensors.Record, tier byte) error {
 		}
 		cw.buf = binary.LittleEndian.AppendUint32(cw.buf[:0], 0) // count placeholder
 	}
-	if cw.wide {
-		cw.buf = appendRecordWide(cw.buf, r)
-	} else {
-		cw.buf = appendRecord(cw.buf, r)
-	}
+	cw.buf = appendRecord(cw.buf, r)
 	if cw.tiered {
 		cw.buf = append(cw.buf, tier)
 	}
@@ -414,15 +336,9 @@ func readChunkStream(r io.Reader, f func(rec sensors.Record, tier byte) bool) er
 	if m := binary.LittleEndian.Uint32(hdr[0:]); m != chunkMagic {
 		return frameErr("bad stream magic %#x", m)
 	}
-	flags := binary.LittleEndian.Uint32(hdr[4:])
-	tiered := flags&chunkFlagTiered != 0
-	wide := flags&chunkFlagWideRack != 0
+	tiered := binary.LittleEndian.Uint32(hdr[4:])&chunkFlagTiered != 0
 	loc := zoneLocation(int32(binary.LittleEndian.Uint32(hdr[8:])))
-	rsize := recordSize
-	if wide {
-		rsize = recordSizeV2
-	}
-	size := rsize
+	size := recordSize
 	if tiered {
 		size++
 	}
@@ -453,19 +369,13 @@ func readChunkStream(r io.Reader, f func(rec sensors.Record, tier byte) bool) er
 			return nil // terminator
 		}
 		for i := 0; i < int(count); i++ {
-			var rec sensors.Record
-			var err error
-			if wide {
-				rec, err = decodeRecordWide(chunk[i*size:], loc)
-			} else {
-				rec, err = decodeRecord(chunk[i*size:], loc)
-			}
+			rec, err := decodeRecord(chunk[i*size:], loc)
 			if err != nil {
 				return err
 			}
 			var tier byte
 			if tiered {
-				tier = chunk[i*size+rsize]
+				tier = chunk[i*size+recordSize]
 			}
 			if !f(rec, tier) {
 				return nil

@@ -2,10 +2,13 @@ package telemetrynet
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -116,11 +119,71 @@ func TestIngestFrameCorruption(t *testing.T) {
 	}
 }
 
+// retiredIngestFrame renders recs (hall 0 only) as the retired first-
+// generation ingest frame: magic "MTN1" and 57-byte records led by a uint8
+// rack index, with consistent lengths and a valid CRC — exactly what a
+// pre-fleet client sent. retiredChunkStream is the matching response
+// stream ("MTNR", no flags, one chunk, terminator).
+func retiredIngestFrame(clientID, seq uint64, recs []sensors.Record) []byte {
+	buf := binary.LittleEndian.AppendUint32(nil, 0x314E544D) // "MTN1"
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(recs)*(recordSize-1)))
+	buf = binary.LittleEndian.AppendUint64(buf, clientID)
+	buf = binary.LittleEndian.AppendUint64(buf, seq)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(recs)))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(zoneOffset(recs[0].Time)))
+	for _, r := range recs {
+		buf = appendNarrowRecord(buf, r)
+	}
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+}
+
+// appendNarrowRecord is the retired record encoding: the current one minus
+// the rack code's high (hall) byte.
+func appendNarrowRecord(buf []byte, r sensors.Record) []byte {
+	wide := appendRecord(nil, r)
+	return append(append(buf, wide[0]), wide[2:]...)
+}
+
+func retiredChunkStream(recs []sensors.Record) []byte {
+	buf := binary.LittleEndian.AppendUint32(nil, 0x524E544D) // "MTNR"
+	buf = binary.LittleEndian.AppendUint32(buf, 0)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(zoneOffset(recs[0].Time)))
+	chunk := binary.LittleEndian.AppendUint32(nil, uint32(len(recs)))
+	for _, r := range recs {
+		chunk = appendNarrowRecord(chunk, r)
+	}
+	buf = append(buf, binary.LittleEndian.AppendUint32(chunk, crc32.ChecksumIEEE(chunk))...)
+	end := binary.LittleEndian.AppendUint32(nil, 0)
+	return append(buf, binary.LittleEndian.AppendUint32(end, crc32.ChecksumIEEE(end))...)
+}
+
+// TestRetiredWireFormatsRejected: a well-formed frame or stream of the
+// retired generation is refused whole — a wrapped ErrFrame naming the
+// magic, no record decoded — and never read as the current layout.
+func TestRetiredWireFormatsRejected(t *testing.T) {
+	recs := wireTrace(9)
+	_, err := decodeIngestFrame(bytes.NewReader(retiredIngestFrame(7, 1, recs)))
+	if !errors.Is(err, ErrFrame) || !strings.Contains(err.Error(), "bad magic 0x314e544d") {
+		t.Fatalf("retired ingest frame: err = %v, want ErrFrame naming the magic", err)
+	}
+	visited := 0
+	err = readChunkStream(bytes.NewReader(retiredChunkStream(recs)), func(sensors.Record, byte) bool {
+		visited++
+		return true
+	})
+	if !errors.Is(err, ErrFrame) || !strings.Contains(err.Error(), "bad stream magic 0x524e544d") {
+		t.Fatalf("retired chunk stream: err = %v, want ErrFrame naming the magic", err)
+	}
+	if visited != 0 {
+		t.Fatalf("retired chunk stream delivered %d records before failing", visited)
+	}
+}
+
 func TestChunkStreamRoundTrip(t *testing.T) {
 	recs := wireTrace(113)
 	for _, tiered := range []bool{false, true} {
 		var buf bytes.Buffer
-		cw := newChunkWriter(&buf, tiered, false, zoneOffset(recs[0].Time))
+		cw := newChunkWriter(&buf, tiered, zoneOffset(recs[0].Time))
 		for i, r := range recs {
 			if err := cw.add(r, byte(i%2)); err != nil {
 				t.Fatal(err)
@@ -168,7 +231,7 @@ func TestChunkStreamRoundTrip(t *testing.T) {
 func TestChunkStreamEarlyStop(t *testing.T) {
 	recs := wireTrace(20)
 	var buf bytes.Buffer
-	cw := newChunkWriter(&buf, false, false, 0)
+	cw := newChunkWriter(&buf, false, 0)
 	for _, r := range recs {
 		if err := cw.add(r, 0); err != nil {
 			t.Fatal(err)
@@ -191,7 +254,7 @@ func TestChunkStreamEarlyStop(t *testing.T) {
 
 func TestEmptyChunkStream(t *testing.T) {
 	var buf bytes.Buffer
-	if err := newChunkWriter(&buf, false, false, -21600).close(); err != nil {
+	if err := newChunkWriter(&buf, false, -21600).close(); err != nil {
 		t.Fatal(err)
 	}
 	calls := 0

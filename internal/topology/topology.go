@@ -197,6 +197,19 @@ type Fleet struct {
 	Racks int
 }
 
+// NewFleet builds the fleet of an explicitly given shape — command-line
+// flags, where 0 is a mistake rather than "the default" it means in a zero
+// Fleet — or reports which dimension is out of range.
+func NewFleet(halls, racks int) (Fleet, error) {
+	if halls < 1 || halls > MaxHalls {
+		return Fleet{}, fmt.Errorf("topology: %d halls: want 1..%d", halls, MaxHalls)
+	}
+	if racks < 1 || racks > NumRacks {
+		return Fleet{}, fmt.Errorf("topology: %d racks per hall: want 1..%d", racks, NumRacks)
+	}
+	return Fleet{Halls: halls, Racks: racks}, nil
+}
+
 // Norm returns f with zero fields replaced by the single-machine defaults.
 // It panics on out-of-range values (programmer/flag-validation error).
 func (f Fleet) Norm() Fleet {

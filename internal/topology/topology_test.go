@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -126,6 +127,38 @@ func TestRackCodeRoundTrip(t *testing.T) {
 	}
 	if _, err := RackFromCode(0x0130); err == nil {
 		t.Error("RackFromCode should reject within-hall index 48")
+	}
+}
+
+// TestNewFleet: the flag-facing constructor accepts exactly the shapes Norm
+// accepts, minus the zero defaults, and names the offending dimension.
+func TestNewFleet(t *testing.T) {
+	cases := []struct {
+		halls, racks int
+		wantErr      string // "" = accepted
+	}{
+		{1, NumRacks, ""},
+		{MaxHalls, 1, ""},
+		{4, 8, ""},
+		{0, NumRacks, "0 halls"},
+		{-1, NumRacks, "-1 halls"},
+		{MaxHalls + 1, NumRacks, "halls"},
+		{1, 0, "0 racks per hall"},
+		{1, -3, "-3 racks per hall"},
+		{1, NumRacks + 1, "racks per hall"},
+		{0, 0, "0 halls"},
+	}
+	for _, tc := range cases {
+		f, err := NewFleet(tc.halls, tc.racks)
+		if tc.wantErr == "" {
+			if err != nil || f != (Fleet{Halls: tc.halls, Racks: tc.racks}) || f.Norm() != f {
+				t.Errorf("NewFleet(%d, %d) = %+v, %v; want that shape", tc.halls, tc.racks, f, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("NewFleet(%d, %d) = %+v, %v; want an error naming %q", tc.halls, tc.racks, f, err, tc.wantErr)
+		}
 	}
 }
 

@@ -172,7 +172,7 @@ func benchStoreAllRacks(b *testing.B, days int) *Store {
 // with a single decode worker pipelined against the merge loop — the shape
 // offline replay uses. Compare against BenchmarkEachRecordSerial (rack-
 // major, no merge) and BenchmarkEachRecordParallel (record-at-a-time
-// merge) for the chunked-vs-record contrast bench.sh records.
+// merge) for the chunked-vs-record contrast.
 func BenchmarkEachRecord(b *testing.B) {
 	s := benchStoreAllRacks(b, 7)
 	want := s.Len()

@@ -12,13 +12,14 @@ import (
 
 // Channel encodings of a sealed block.
 const (
-	encInt byte = iota + 1 // zigzag-varbit deltas of decimal-quantized integers
-	encXOR                 // Gorilla XOR of raw float64 bits
-	// encIntPacked stores the same quantized-integer deltas as encInt in
-	// frame-of-reference width groups (see encodeIntsPacked) — the form new
-	// blocks seal to, since fixed-width groups decode several times faster
-	// than prefix codes. encInt stays decodable for blocks loaded from
-	// pre-existing segments.
+	// encInt tags exact integer streams in the downsampled tier only (see
+	// downsample.go); a raw block carrying it is rejected at Open. The value
+	// stays 1 because cold segments persist it.
+	encInt byte = iota + 1
+	encXOR      // Gorilla XOR of raw float64 bits
+	// encIntPacked stores zigzag deltas of decimal-quantized integers in
+	// frame-of-reference width groups (see encodeIntsPacked): fixed-width
+	// groups decode several times faster than prefix codes.
 	encIntPacked
 )
 
@@ -29,7 +30,7 @@ const maxQuantized = 1 << 53
 // channelData is one compressed value column of a sealed block.
 type channelData struct {
 	enc   byte
-	scale float64 // 10^decimals, valid when enc == encInt
+	scale float64 // 10^decimals, valid when enc == encIntPacked
 	data  []byte
 }
 
@@ -82,12 +83,9 @@ type sealedBlock struct {
 	once  sync.Once
 	times []byte
 	ch    [sensors.NumMetrics]channelData
-	// zones holds per-channel value bounds when hasZones is set. Blocks
-	// sealed in memory always carry them; disk-loaded blocks carry them
-	// from format version 2 on (version-1 segments predate zone maps and
-	// scan unpruned).
-	zones    [sensors.NumMetrics]ZoneMap
-	hasZones bool
+	// zones holds per-channel value bounds, computed by seal or read from
+	// the segment's block header.
+	zones [sensors.NumMetrics]ZoneMap
 	// src names the segment file and block index for disk-loaded blocks
 	// ("" for memory-born ones), so decode errors identify their origin.
 	src string
@@ -164,7 +162,6 @@ func (b *sealedBlock) seal(scales *[sensors.NumMetrics]float64) {
 			b.ch[m] = encodeChannel(h.vals[m], scales[m])
 			b.zones[m] = computeZone(h.vals[m])
 		}
-		b.hasZones = true
 		b.raw.Store(nil)
 	})
 }
@@ -242,7 +239,7 @@ func (b *sealedBlock) decodeChannelArena(m sensors.Metric, dst []float64, scratc
 		}
 		return out, scratch, nil
 	}
-	ints, err := decodeQuantizedInto(scratch, c, b.count)
+	ints, err := decodeIntsPackedInto(scratch, c.data, b.count)
 	if err != nil {
 		return nil, scratch, b.wrap(m.String(), err)
 	}
@@ -252,16 +249,6 @@ func (b *sealedBlock) decodeChannelArena(m sensors.Metric, dst []float64, scratc
 		out[i] = float64(n) / scale
 	}
 	return out, ints, nil
-}
-
-// decodeQuantizedInto decodes a quantized channel's integer stream,
-// dispatching on its encoding generation (varbit for pre-existing segment
-// blocks, word-packed for newly sealed ones).
-func decodeQuantizedInto(dst []int64, c channelData, n int) ([]int64, error) {
-	if c.enc == encIntPacked {
-		return decodeIntsPackedInto(dst, c.data, n)
-	}
-	return decodeIntsInto(dst, c.data, n)
 }
 
 // payloadBytes is the compressed size of a sealed block's streams.

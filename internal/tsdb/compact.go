@@ -6,17 +6,20 @@ package tsdb
 //
 // Crash safety hinges on ordering and one recovery rule. Per shard, the
 // disk sequence is: write the cold segment to a temp file, fsync, rename
-// it into place, then atomically rewrite (or remove) the raw segment. At
-// Open, a cold block is dropped whenever any raw sealed block overlaps its
-// window extent — raw wins. A crash before the cold rename leaves only a
-// stray .tmp file (old raw + old cold served); a crash between the rename
-// and the raw rewrite leaves the new cold block overlapping the still-full
-// raw segment, so reopen drops it and serves the raw pre-state; a crash
-// after the raw rewrite serves the compacted post-state. The fold never
-// splits a compaction window across the hot/cold boundary (the fold prefix
-// shrinks until its last window is strictly before the first remaining raw
-// sample), so after a clean compaction no raw block can overlap a cold
-// block and the recovery rule never discards good data.
+// it into place, fsync the directory so that rename is durable, and only
+// then atomically rewrite (or remove) the raw segment — without the
+// directory fsync a power failure could keep the raw removal and lose the
+// cold rename. At Open, a cold block is dropped whenever any raw sealed
+// block overlaps its window extent — raw wins. A crash before the cold
+// rename leaves only a stray .tmp file (old raw + old cold served); a crash
+// between the rename and the raw rewrite leaves the new cold block
+// overlapping the still-full raw segment, so reopen drops it and serves the
+// raw pre-state; a crash after the raw rewrite serves the compacted
+// post-state. The fold never splits a compaction window across the hot/cold
+// boundary (the fold prefix shrinks until its last window is strictly
+// before the first remaining raw sample), so after a clean compaction no
+// raw block can overlap a cold block and the recovery rule never discards
+// good data.
 
 import (
 	"context"
@@ -25,16 +28,8 @@ import (
 	"path/filepath"
 	"time"
 
+	"mira/internal/atomicfile"
 	"mira/internal/obs"
-)
-
-// Compaction failpoints, nil in production. Tests set them to return an
-// error at the two interesting crash points; a non-nil return aborts the
-// shard's compaction after the corresponding disk step, leaving the disk
-// mid-state and the in-memory store untouched.
-var (
-	compactFailAfterColdWrite  func(shard int) error
-	compactFailAfterColdRename func(shard int) error
 )
 
 // CompactStats summarizes one Compact run.
@@ -155,24 +150,15 @@ func (s *Store) CompactBefore(dir string, cutoff time.Time) (CompactStats, error
 					return st, fmt.Errorf("tsdb: compact shard %d: %w", i, err)
 				}
 			}
-			name := filepath.Join(shardDir, coldSegFileName(fi))
-			tmp := name + ".tmp"
+			// A failure from here on (the crash tests inject one before and
+			// after the cold rename, through atomicfile.Hook) leaves the disk
+			// mid-state and the in-memory store untouched.
 			allCold := append(append([]*downBlock(nil), cold...), d)
-			if _, err := writeColdSegment(tmp, fi, loc, allCold); err != nil {
+			if _, err := writeColdSegment(shardDir, fi, loc, allCold); err != nil {
 				return st, err
 			}
-			if f := compactFailAfterColdWrite; f != nil {
-				if err := f(i); err != nil {
-					return st, err
-				}
-			}
-			if err := os.Rename(tmp, name); err != nil {
+			if err := atomicfile.SyncDir(shardDir); err != nil {
 				return st, fmt.Errorf("tsdb: compact shard %d: %w", i, err)
-			}
-			if f := compactFailAfterColdRename; f != nil {
-				if err := f(i); err != nil {
-					return st, err
-				}
 			}
 			// Rewrite the raw segment without the folded prefix. Appends may
 			// have closed new blocks since the snapshot; they were not on

@@ -223,7 +223,7 @@ func foldBlocks(blocks []*sealedBlock, scales [sensors.NumMetrics]float64, win i
 	for m := range d.ch {
 		exact := scales[m] > 0
 		for _, b := range blocks {
-			if (b.ch[m].enc != encInt && b.ch[m].enc != encIntPacked) || b.ch[m].scale != scales[m] {
+			if b.ch[m].enc != encIntPacked || b.ch[m].scale != scales[m] {
 				exact = false
 				break
 			}
@@ -237,7 +237,7 @@ func foldBlocks(blocks []*sealedBlock, scales [sensors.NumMetrics]float64, win i
 		intFold:
 			for bi, b := range blocks {
 				metDecode.Inc()
-				ints, err := decodeQuantizedInto(nil, b.ch[m], b.count)
+				ints, err := decodeIntsPackedInto(nil, b.ch[m].data, b.count)
 				if err != nil {
 					return nil, b.wrap(sensors.Metric(m).String(), err)
 				}

@@ -10,10 +10,12 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"mira/internal/atomicfile"
 	"mira/internal/sensors"
 	"mira/internal/timeutil"
 	"mira/internal/topology"
@@ -294,18 +296,15 @@ func TestCompactionPropertyAggregate(t *testing.T) {
 func TestCompactionCrashSafety(t *testing.T) {
 	racks := []topology.RackID{{Row: 0, Col: 2}, {Row: 1, Col: 8}}
 	cases := []struct {
-		name string
-		set  func(f func(int) error)
+		name  string
+		stage atomicfile.Stage
 	}{
-		{"after-cold-write", func(f func(int) error) { compactFailAfterColdWrite = f }},
-		{"after-cold-rename", func(f func(int) error) { compactFailAfterColdRename = f }},
+		{"after-cold-write", atomicfile.BeforeRename},
+		{"after-cold-rename", atomicfile.AfterRename},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			defer func() {
-				compactFailAfterColdWrite = nil
-				compactFailAfterColdRename = nil
-			}()
+			defer func() { atomicfile.Hook = nil }()
 			dir := t.TempDir()
 			db := NewStoreWith(Options{Partition: 24 * time.Hour, Retention: 24 * time.Hour})
 			fill(t, 5*288, racks, db)
@@ -316,7 +315,12 @@ func TestCompactionCrashSafety(t *testing.T) {
 			wantLen := db.Len()
 
 			injected := errors.New("injected crash")
-			tc.set(func(shard int) error { return injected })
+			atomicfile.Hook = func(stage atomicfile.Stage, path string) error {
+				if stage == tc.stage && strings.HasSuffix(path, ".cold.seg") {
+					return injected
+				}
+				return nil
+			}
 			if _, err := db.Compact(dir); !errors.Is(err, injected) {
 				t.Fatalf("Compact error = %v, want the injected crash", err)
 			}
@@ -337,8 +341,7 @@ func TestCompactionCrashSafety(t *testing.T) {
 			// The failpoints cleared, the same store compacts cleanly and a
 			// further reopen serves identical whole-range aggregates from the
 			// now-downsampled tier.
-			compactFailAfterColdWrite = nil
-			compactFailAfterColdRename = nil
+			atomicfile.Hook = nil
 			st, err := re.Compact(dir)
 			if err != nil {
 				t.Fatalf("clean compact after %s: %v", tc.name, err)
@@ -361,11 +364,84 @@ func TestCompactionCrashSafety(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, e := range ents {
-				if strings.HasSuffix(e.Name(), ".tmp") && tc.name == "after-cold-rename" {
+				if strings.HasSuffix(e.Name(), ".tmp") {
 					t.Errorf("stray temp file %s after clean compaction", e.Name())
 				}
 			}
 		})
+	}
+}
+
+// TestPublishSyncsDirectories pins the power-failure half of the publish
+// discipline by counting atomicfile's hook calls. Flush fsyncs every
+// directory it renamed into exactly once, after the last rename there.
+// Compact fsyncs a shard's directory after the cold rename and before the
+// raw segment is rewritten: the raw data may only go once the cold segment's
+// name is durable.
+func TestPublishSyncsDirectories(t *testing.T) {
+	type event struct {
+		stage atomicfile.Stage
+		path  string
+	}
+	var log []event
+	atomicfile.Hook = func(stage atomicfile.Stage, path string) error {
+		if stage != atomicfile.BeforeRename {
+			log = append(log, event{stage, path})
+		}
+		return nil
+	}
+	defer func() { atomicfile.Hook = nil }()
+
+	dir := t.TempDir()
+	fleet := topology.Fleet{Halls: 2, Racks: topology.NumRacks}
+	db := NewStoreWith(Options{Partition: 24 * time.Hour, Retention: 24 * time.Hour, Fleet: fleet})
+	racks := []topology.RackID{{Row: 0, Col: 2}, {Row: 1, Col: 8}, {Row: 0, Col: 2, Hall: 1}}
+	fill(t, 5*288, racks, db)
+
+	if err := db.Flush(dir); err != nil {
+		t.Fatalf("flush: %v", err)
+	}
+	renames, syncs := map[string]int{}, map[string]int{}
+	for _, e := range log {
+		switch d := filepath.Dir(e.path); e.stage {
+		case atomicfile.AfterRename:
+			if syncs[d] > 0 {
+				t.Errorf("flush renamed %s after syncing its directory", e.path)
+			}
+			renames[d]++
+		case atomicfile.DirSync:
+			syncs[e.path]++
+		}
+	}
+	for h := 0; h < fleet.Halls; h++ {
+		d := filepath.Join(dir, hallDirName(h))
+		if renames[d] == 0 || syncs[d] != 1 {
+			t.Errorf("flush: %d renames into %s, %d directory syncs, want some and 1", renames[d], d, syncs[d])
+		}
+	}
+	if syncs[dir] != 1 {
+		t.Errorf("flush synced the fleet directory %d times, want 1 (the hall directories' names)", syncs[dir])
+	}
+
+	log = nil
+	st, err := db.Compact(dir)
+	if err != nil {
+		t.Fatalf("compact: %v", err)
+	}
+	if st.Shards != len(racks) {
+		t.Fatalf("compacted %d shards, want %d", st.Shards, len(racks))
+	}
+	// Per shard: cold rename, directory sync, raw rename — in that order.
+	if len(log) != 3*len(racks) {
+		t.Fatalf("compact: %d hook events, want %d: %v", len(log), 3*len(racks), log)
+	}
+	for i := 0; i < len(log); i += 3 {
+		cold, sync, raw := log[i], log[i+1], log[i+2]
+		if cold.stage != atomicfile.AfterRename || !strings.HasSuffix(cold.path, ".cold.seg") ||
+			sync.stage != atomicfile.DirSync || sync.path != filepath.Dir(cold.path) ||
+			raw.stage != atomicfile.AfterRename || raw.path != strings.TrimSuffix(cold.path, ".cold.seg")+".seg" {
+			t.Fatalf("compact shard events %v, want cold rename, sync of its directory, raw rename", log[i:i+3])
+		}
 	}
 }
 

@@ -5,7 +5,7 @@
 // head block per shard is a plain columnar buffer; sealed blocks are
 // compressed with Gorilla-style encodings (Facebook's in-memory TSDB,
 // VLDB'15): delta-of-delta timestamps and, per float64 channel, either
-// XOR-of-previous-value encoding (bit-lossless) or zigzag-varbit delta
+// XOR-of-previous-value encoding (bit-lossless) or word-packed zigzag delta
 // encoding of decimal-quantized integers when the channel's values are
 // exactly representable at the block's decimal scale. An RWMutex per shard
 // lets many analytical readers scan while the simulator appends.
@@ -374,17 +374,11 @@ func encodeInts(vals []int64) []byte {
 	return w.bytes()
 }
 
+// decodeInts decodes n zigzag-delta integers. Like decodeTimesInto it runs
+// the bit cursor in locals and folds '0'-prefix runs (repeated values) into
+// one LeadingZeros64.
 func decodeInts(buf []byte, n int) ([]int64, error) {
-	return decodeIntsInto(nil, buf, n)
-}
-
-// decodeIntsInto decodes n zigzag-delta integers into dst, reusing its
-// backing array when large enough. Like decodeTimesInto it runs the bit
-// cursor in locals and folds '0'-prefix runs (repeated values) into one
-// LeadingZeros64; with six channels per block this loop dominates the
-// chunked scan's decode time.
-func decodeIntsInto(dst []int64, buf []byte, n int) ([]int64, error) {
-	out := int64Slice(dst, n)
+	out := make([]int64, n)
 	if n == 0 {
 		return out, nil
 	}
@@ -493,7 +487,7 @@ func decodeIntsPacked(buf []byte, n int) ([]int64, error) {
 // reusing its backing array when large enough. One group costs one 7-bit
 // header read; its values then stream out of the look-ahead word at a fixed
 // shift each — no prefix decode, no width branch per value — which is why
-// newly sealed blocks use this encoding over varbit.
+// sealed blocks use this encoding over varbit.
 func decodeIntsPackedInto(dst []int64, buf []byte, n int) ([]int64, error) {
 	out := int64Slice(dst, n)
 	if n == 0 {

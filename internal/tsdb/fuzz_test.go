@@ -56,8 +56,8 @@ func FuzzOpenSegment(f *testing.F) {
 	raw, cold := fuzzSeedSegments(f)
 	f.Add(raw)
 	f.Add(cold)
-	// The version-1 rendering of the same blocks seeds the zone-less
-	// read-compat path, and an inverted first zone seeds the zone
+	// The version-1 rendering of the same blocks seeds the rejection of the
+	// retired zone-less layout, and an inverted first zone seeds the zone
 	// validator's rejection path.
 	if v1, ok := segmentV1Bytes(raw); ok {
 		f.Add(v1)
@@ -67,7 +67,7 @@ func FuzzOpenSegment(f *testing.F) {
 	{
 		mut := append([]byte(nil), raw...)
 		locLen := int(binary.LittleEndian.Uint16(mut[12:14]))
-		z := segFileHeaderSize + locLen + segBlockHeaderSize - 4
+		z := segFileHeaderSize + locLen + segBlockHeaderSize - 4 - int(sensors.NumMetrics)*16
 		binary.LittleEndian.PutUint64(mut[z:], math.Float64bits(1.0))
 		binary.LittleEndian.PutUint64(mut[z+8:], math.Float64bits(0.0))
 		f.Add(mut)

@@ -279,12 +279,12 @@ func (s *Store) aggregate(rack topology.RackID, m sensors.Metric, from, to time.
 			}
 			continue
 		}
-		if b := bv.sealed; b != nil && exact && (b.ch[m].enc == encInt || b.ch[m].enc == encIntPacked) && b.ch[m].scale == scale {
+		if b := bv.sealed; b != nil && exact && b.ch[m].enc == encIntPacked && b.ch[m].scale == scale {
 			// Raw integer fast path: decode the quantized column once and
 			// derive the float values by division — the same work as the
 			// generic decode, plus the integer accumulation for free.
 			metDecode.Inc()
-			ints, err := decodeQuantizedInto(nil, b.ch[m], b.count)
+			ints, err := decodeIntsPackedInto(nil, b.ch[m].data, b.count)
 			if err != nil {
 				return nil, b.wrap(m.String(), err)
 			}

@@ -2,8 +2,7 @@ package tsdb
 
 // Observability instrumentation of the storage engine. Hot-path metrics
 // (append, decode) are single lock-free atomic adds on the obs default
-// registry — cheap enough for the ingest path (see BenchmarkAppend, whose
-// before/after numbers scripts/bench.sh records in BENCH_tsdb.json).
+// registry — cheap enough for the ingest path (see BenchmarkAppend).
 // Footprint metrics are scrape-time gauges refreshed by ExposeGauges, so
 // they cost nothing between scrapes.
 

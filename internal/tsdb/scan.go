@@ -46,8 +46,8 @@ type scanRun struct {
 // the block from the scan without decoding a single payload byte.
 // Predicates must be conservative: a zone with NaN bounds is unusable (the
 // channel holds NaN values, so the range proves nothing) and must not
-// prune, and blocks without zones (head, cold tier, version-1 segments)
-// are always scanned.
+// prune, and blocks without zones (head, frozen, cold tier) are always
+// scanned.
 type BlockPredicate func(zones *[sensors.NumMetrics]ZoneMap) bool
 
 // scanArena is one reusable set of decode buffers. Each ShardStream owns
@@ -120,7 +120,7 @@ func (st *ShardStream) decodeStep() scanRun {
 			continue
 		}
 		if st.pred != nil {
-			if sb := bv.sealed; sb != nil && sb.hasZones && !st.pred(&sb.zones) {
+			if sb := bv.sealed; sb != nil && !st.pred(&sb.zones) {
 				metScanPruned.Inc()
 				if st.pool.stats != nil {
 					st.pool.stats.BlocksPruned.Add(1)

@@ -9,7 +9,7 @@ package tsdb
 //
 //	file header:
 //	  magic    [4]byte  "MTSG"
-//	  version  uint16   2 (1 accepted on read; it lacks the zone maps)
+//	  version  uint16   2
 //	  shard    uint16   rack index in [0, NumRacks)
 //	  nblocks  uint32
 //	  locLen   uint16   length of the location name
@@ -22,9 +22,9 @@ package tsdb
 //	    count     uint32   samples in the block
 //	    timesLen  uint32   compressed timestamp payload length
 //	    channels  [6]×(enc uint8, scale float64 bits, dataLen uint32)
-//	    zones     [6]×(min float64 bits, max float64 bits)  — version ≥ 2
-//	                       only; both-NaN marks an unusable zone (channel
-//	                       holds NaN values, so the range proves nothing)
+//	    zones     [6]×(min float64 bits, max float64 bits); both-NaN marks
+//	                       an unusable zone (channel holds NaN values, so
+//	                       the range proves nothing)
 //	    crc       uint32   IEEE CRC32 over the header bytes above plus all
 //	                       of the block's payload bytes
 //	  payloads:
@@ -42,22 +42,25 @@ package tsdb
 // of counts, bounds, or encodings is caught at Open, not at decode time.
 // Payload bytes are not decoded at Open: blocks alias the file buffer and
 // decompress lazily on first touch, so a cold open costs O(index) decode
-// work. Writes go through a temp file and an atomic rename, so a crashed
-// Flush never leaves a half-written segment behind.
+// work. Writes go through internal/atomicfile (temp file, fsync, rename), so
+// a crashed Flush never leaves a half-written segment behind, and Flush
+// fsyncs each directory after its last rename so the new names survive a
+// power failure.
 
 import (
-	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
 	"time"
 
+	"mira/internal/atomicfile"
 	"mira/internal/obs"
 	"mira/internal/sensors"
 	"mira/internal/topology"
@@ -82,21 +85,20 @@ var segMagic = [4]byte{'M', 'T', 'S', 'G'}
 var coldMagic = [4]byte{'M', 'T', 'S', 'C'}
 
 const (
-	// segVersion1 is the original raw-segment block-header layout; version
-	// 2 appends per-channel zone maps (min/max float64 bits) to each block
-	// header so scans can prune blocks without decoding. Open accepts both;
-	// Flush writes version 2. Cold segments keep their own version-1
-	// layout — downsampled blocks already store per-window min/max.
-	segVersion1    = 1
+	// segVersion is the one raw-segment layout Open accepts and Flush
+	// writes: each block header carries per-channel zone maps (min/max
+	// float64 bits) so scans can prune blocks without decoding. Version 1,
+	// which lacked them, is retired — no such file exists — and is
+	// rejected like any other unknown version. Cold segments number their
+	// own layout; downsampled blocks already store per-window min/max.
 	segVersion     = 2
 	segVersionCold = 1
 
 	segFileHeaderSize = 4 + 2 + 2 + 4 + 2 + 4 // + location name
 	// segBlockHeaderSize covers minT, maxT, count, timesLen, six
-	// (enc, scale, dataLen) channel triples, and the CRC (version 1);
-	// version 2 adds six (zoneMin, zoneMax) float64 pairs before the CRC.
-	segBlockHeaderSize   = 8 + 8 + 4 + 4 + int(sensors.NumMetrics)*(1+8+4) + 4
-	segBlockHeaderSizeV2 = segBlockHeaderSize + int(sensors.NumMetrics)*16
+	// (enc, scale, dataLen) channel triples, six (zoneMin, zoneMax)
+	// float64 pairs, and the CRC.
+	segBlockHeaderSize = 8 + 8 + 4 + 4 + int(sensors.NumMetrics)*(1+8+4+16) + 4
 	// coldBlockHeaderSize covers window, minT, maxT, count, srcRecords,
 	// timesLen, countsLen, six channel triples, and the CRC.
 	coldBlockHeaderSize = 8 + 8 + 8 + 4 + 8 + 4 + 4 + int(sensors.NumMetrics)*(1+8+4) + 4
@@ -121,9 +123,10 @@ func (s *Store) segPlace(dir string, global int) (shardDir string, fileShard int
 
 // Flush seals every head block and persists all sealed blocks to per-shard
 // segment files under dir (created if missing), replacing existing segments
-// atomically. Records appended concurrently with the flush start fresh head
-// blocks and are not persisted until the next Flush. Stats().DiskBytes
-// reflects the written footprint afterwards.
+// atomically and fsyncing each directory after the last rename into it.
+// Records appended concurrently with the flush start fresh head blocks and
+// are not persisted until the next Flush. Stats().DiskBytes reflects the
+// written footprint afterwards.
 func (s *Store) Flush(dir string) error {
 	s.init()
 	_, span := obs.Span(context.Background(), "tsdb.flush")
@@ -138,12 +141,23 @@ func (s *Store) Flush(dir string) error {
 				return fmt.Errorf("tsdb: flush: %w", err)
 			}
 		}
+		// The hall directories' own names live in dir.
+		if err := atomicfile.SyncDir(dir); err != nil {
+			return fmt.Errorf("tsdb: flush: %w", err)
+		}
 	}
 	loc := s.location()
 	var disk int64
+	var touched []string // directories renamed into; shards are hall-major, so each appears once
 	for i := range s.shards {
 		snap := s.shards[i].snapshot()
+		if len(snap.sealed) == 0 && len(snap.cold) == 0 {
+			continue
+		}
 		shardDir, fi := s.segPlace(dir, i)
+		if n := len(touched); n == 0 || touched[n-1] != shardDir {
+			touched = append(touched, shardDir)
+		}
 		if len(snap.sealed) > 0 {
 			n, err := s.writeSegment(shardDir, fi, loc, snap.sealed)
 			if err != nil {
@@ -152,16 +166,16 @@ func (s *Store) Flush(dir string) error {
 			disk += n
 		}
 		if len(snap.cold) > 0 {
-			name := filepath.Join(shardDir, coldSegFileName(fi))
-			tmp := name + ".tmp"
-			n, err := writeColdSegment(tmp, fi, loc, snap.cold)
+			n, err := writeColdSegment(shardDir, fi, loc, snap.cold)
 			if err != nil {
 				return err
 			}
-			if err := os.Rename(tmp, name); err != nil {
-				return fmt.Errorf("tsdb: flush shard %d: %w", i, err)
-			}
 			disk += n
+		}
+	}
+	for _, d := range touched {
+		if err := atomicfile.SyncDir(d); err != nil {
+			return fmt.Errorf("tsdb: flush: %w", err)
 		}
 	}
 	s.diskBytes.Store(disk)
@@ -176,88 +190,65 @@ func (s *Store) writeSegment(dir string, shard int, loc *time.Location, blocks [
 	for _, b := range blocks {
 		b.seal(&s.scales)
 	}
-	name := filepath.Join(dir, segFileName(shard))
-	tmp := name + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return 0, fmt.Errorf("tsdb: flush shard %d: %w", shard, err)
-	}
-	defer os.Remove(tmp) // no-op after the rename succeeds
-
 	// The location name plus its current UTC offset reconstructs both IANA
 	// zones (by name) and fixed zones like timeutil.Chicago (by offset).
 	locName := loc.String()
 	_, locOff := time.Unix(0, blocks[0].minT).In(loc).Zone()
 
-	w := bufio.NewWriter(f)
 	written := int64(segFileHeaderSize + len(locName))
-	hdr := make([]byte, 0, segFileHeaderSize)
-	hdr = append(hdr, segMagic[:]...)
-	hdr = binary.LittleEndian.AppendUint16(hdr, segVersion)
-	hdr = binary.LittleEndian.AppendUint16(hdr, uint16(shard))
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(blocks)))
-	hdr = binary.LittleEndian.AppendUint16(hdr, uint16(len(locName)))
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(int32(locOff)))
-	hdr = append(hdr, locName...)
-	if _, err := w.Write(hdr); err != nil {
-		return 0, fmt.Errorf("tsdb: flush shard %d: %w", shard, err)
-	}
+	err := atomicfile.Write(filepath.Join(dir, segFileName(shard)), func(w io.Writer) error {
+		hdr := make([]byte, 0, segFileHeaderSize)
+		hdr = append(hdr, segMagic[:]...)
+		hdr = binary.LittleEndian.AppendUint16(hdr, segVersion)
+		hdr = binary.LittleEndian.AppendUint16(hdr, uint16(shard))
+		hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(blocks)))
+		hdr = binary.LittleEndian.AppendUint16(hdr, uint16(len(locName)))
+		hdr = binary.LittleEndian.AppendUint32(hdr, uint32(int32(locOff)))
+		hdr = append(hdr, locName...)
+		if _, err := w.Write(hdr); err != nil {
+			return err
+		}
 
-	bh := make([]byte, 0, segBlockHeaderSizeV2)
-	for _, b := range blocks {
-		bh = bh[:0]
-		bh = binary.LittleEndian.AppendUint64(bh, uint64(b.minT))
-		bh = binary.LittleEndian.AppendUint64(bh, uint64(b.maxT))
-		bh = binary.LittleEndian.AppendUint32(bh, uint32(b.count))
-		bh = binary.LittleEndian.AppendUint32(bh, uint32(len(b.times)))
-		for m := range b.ch {
-			c := b.ch[m]
-			bh = append(bh, c.enc)
-			bh = binary.LittleEndian.AppendUint64(bh, math.Float64bits(c.scale))
-			bh = binary.LittleEndian.AppendUint32(bh, uint32(len(c.data)))
-		}
-		for m := range b.ch {
-			z := b.zones[m]
-			if !b.hasZones {
-				// Blocks loaded from a version-1 segment have no zones;
-				// persist the NaN "unusable" sentinel rather than recompute
-				// (which would decode every payload during Flush).
-				z = ZoneMap{math.NaN(), math.NaN()}
+		bh := make([]byte, 0, segBlockHeaderSize)
+		for _, b := range blocks {
+			bh = bh[:0]
+			bh = binary.LittleEndian.AppendUint64(bh, uint64(b.minT))
+			bh = binary.LittleEndian.AppendUint64(bh, uint64(b.maxT))
+			bh = binary.LittleEndian.AppendUint32(bh, uint32(b.count))
+			bh = binary.LittleEndian.AppendUint32(bh, uint32(len(b.times)))
+			for m := range b.ch {
+				c := b.ch[m]
+				bh = append(bh, c.enc)
+				bh = binary.LittleEndian.AppendUint64(bh, math.Float64bits(c.scale))
+				bh = binary.LittleEndian.AppendUint32(bh, uint32(len(c.data)))
 			}
-			bh = binary.LittleEndian.AppendUint64(bh, math.Float64bits(z.Min))
-			bh = binary.LittleEndian.AppendUint64(bh, math.Float64bits(z.Max))
-		}
-		crc := crc32.ChecksumIEEE(bh)
-		crc = crc32.Update(crc, crc32.IEEETable, b.times)
-		for m := range b.ch {
-			crc = crc32.Update(crc, crc32.IEEETable, b.ch[m].data)
-		}
-		bh = binary.LittleEndian.AppendUint32(bh, crc)
-		if _, err := w.Write(bh); err != nil {
-			return 0, fmt.Errorf("tsdb: flush shard %d: %w", shard, err)
-		}
-		if _, err := w.Write(b.times); err != nil {
-			return 0, fmt.Errorf("tsdb: flush shard %d: %w", shard, err)
-		}
-		written += int64(len(bh)) + int64(len(b.times))
-		for m := range b.ch {
-			if _, err := w.Write(b.ch[m].data); err != nil {
-				return 0, fmt.Errorf("tsdb: flush shard %d: %w", shard, err)
+			for m := range b.ch {
+				bh = binary.LittleEndian.AppendUint64(bh, math.Float64bits(b.zones[m].Min))
+				bh = binary.LittleEndian.AppendUint64(bh, math.Float64bits(b.zones[m].Max))
 			}
-			written += int64(len(b.ch[m].data))
+			crc := crc32.ChecksumIEEE(bh)
+			crc = crc32.Update(crc, crc32.IEEETable, b.times)
+			for m := range b.ch {
+				crc = crc32.Update(crc, crc32.IEEETable, b.ch[m].data)
+			}
+			bh = binary.LittleEndian.AppendUint32(bh, crc)
+			if _, err := w.Write(bh); err != nil {
+				return err
+			}
+			if _, err := w.Write(b.times); err != nil {
+				return err
+			}
+			written += int64(len(bh)) + int64(len(b.times))
+			for m := range b.ch {
+				if _, err := w.Write(b.ch[m].data); err != nil {
+					return err
+				}
+				written += int64(len(b.ch[m].data))
+			}
 		}
-	}
-	if err := w.Flush(); err != nil {
-		return 0, fmt.Errorf("tsdb: flush shard %d: %w", shard, err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return 0, fmt.Errorf("tsdb: flush shard %d: %w", shard, err)
-	}
-	if err := f.Close(); err != nil {
-		return 0, fmt.Errorf("tsdb: flush shard %d: %w", shard, err)
-	}
-	if err := os.Rename(tmp, name); err != nil {
+		return nil
+	})
+	if err != nil {
 		return 0, fmt.Errorf("tsdb: flush shard %d: %w", shard, err)
 	}
 	return written, nil
@@ -432,12 +423,8 @@ func parseSegment(name string, buf []byte) (int, []*sealedBlock, *time.Location,
 		return 0, nil, nil, corrupt("bad magic %q", buf[:4])
 	}
 	version := binary.LittleEndian.Uint16(buf[4:6])
-	if version != segVersion1 && version != segVersion {
-		return 0, nil, nil, corrupt("unsupported format version %d (want %d or %d)", version, segVersion1, segVersion)
-	}
-	bhSize := segBlockHeaderSize
-	if version >= segVersion {
-		bhSize = segBlockHeaderSizeV2
+	if version != segVersion {
+		return 0, nil, nil, corrupt("unsupported format version %d (want %d)", version, segVersion)
 	}
 	shard := int(binary.LittleEndian.Uint16(buf[6:8]))
 	if shard >= topology.NumRacks {
@@ -451,7 +438,7 @@ func parseSegment(name string, buf []byte) (int, []*sealedBlock, *time.Location,
 	}
 	locName := string(buf[segFileHeaderSize : segFileHeaderSize+locLen])
 	loc := loadLocation(locName, locOff)
-	if nblocks <= 0 || nblocks > (len(buf)-segFileHeaderSize)/bhSize {
+	if nblocks <= 0 || nblocks > (len(buf)-segFileHeaderSize)/segBlockHeaderSize {
 		return 0, nil, nil, corrupt("implausible block count %d for %d bytes", nblocks, len(buf))
 	}
 
@@ -459,10 +446,10 @@ func parseSegment(name string, buf []byte) (int, []*sealedBlock, *time.Location,
 	off := segFileHeaderSize + locLen
 	var prevMax int64
 	for i := 0; i < nblocks; i++ {
-		if len(buf)-off < bhSize {
+		if len(buf)-off < segBlockHeaderSize {
 			return 0, nil, nil, corrupt("block %d: truncated header", i)
 		}
-		h := buf[off : off+bhSize]
+		h := buf[off : off+segBlockHeaderSize]
 		b := &sealedBlock{
 			minT:  int64(binary.LittleEndian.Uint64(h[0:8])),
 			maxT:  int64(binary.LittleEndian.Uint64(h[8:16])),
@@ -479,27 +466,22 @@ func parseSegment(name string, buf []byte) (int, []*sealedBlock, *time.Location,
 			payload += dataLen
 			p += 13
 		}
-		if version >= segVersion {
-			for m := range b.zones {
-				b.zones[m].Min = math.Float64frombits(binary.LittleEndian.Uint64(h[p : p+8]))
-				b.zones[m].Max = math.Float64frombits(binary.LittleEndian.Uint64(h[p+8 : p+16]))
-				p += 16
-			}
-			b.hasZones = true
+		for m := range b.zones {
+			b.zones[m].Min = math.Float64frombits(binary.LittleEndian.Uint64(h[p : p+8]))
+			b.zones[m].Max = math.Float64frombits(binary.LittleEndian.Uint64(h[p+8 : p+16]))
+			p += 16
 		}
 		wantCRC := binary.LittleEndian.Uint32(h[p : p+4])
 
 		if b.count <= 0 {
 			return 0, nil, nil, corrupt("block %d: empty block", i)
 		}
-		if b.hasZones {
-			for m, z := range b.zones {
-				// Valid zones are either ordered or the both-NaN "unusable"
-				// sentinel; anything else is a mangled header the CRC would
-				// catch anyway — reject it with a precise message first.
-				if !z.usable() && !(math.IsNaN(z.Min) && math.IsNaN(z.Max)) {
-					return 0, nil, nil, corrupt("block %d: channel %d: inverted zone map [%v, %v]", i, m, z.Min, z.Max)
-				}
+		for m, z := range b.zones {
+			// Valid zones are either ordered or the both-NaN "unusable"
+			// sentinel; anything else is a mangled header the CRC would
+			// catch anyway — reject it with a precise message first.
+			if !z.usable() && !(math.IsNaN(z.Min) && math.IsNaN(z.Max)) {
+				return 0, nil, nil, corrupt("block %d: channel %d: inverted zone map [%v, %v]", i, m, z.Min, z.Max)
 			}
 		}
 		// Plausibility floor before any decoder allocates count-sized
@@ -515,17 +497,17 @@ func parseSegment(name string, buf []byte) (int, []*sealedBlock, *time.Location,
 			return 0, nil, nil, corrupt("block %d: overlaps previous block", i)
 		}
 		prevMax = b.maxT
-		if len(buf)-off-bhSize < payload {
-			return 0, nil, nil, corrupt("block %d: truncated payload (%d of %d bytes)", i, len(buf)-off-bhSize, payload)
+		if len(buf)-off-segBlockHeaderSize < payload {
+			return 0, nil, nil, corrupt("block %d: truncated payload (%d of %d bytes)", i, len(buf)-off-segBlockHeaderSize, payload)
 		}
 
 		crc := crc32.ChecksumIEEE(h[:p]) // header fields, sans CRC itself
-		crc = crc32.Update(crc, crc32.IEEETable, buf[off+bhSize:off+bhSize+payload])
+		crc = crc32.Update(crc, crc32.IEEETable, buf[off+segBlockHeaderSize:off+segBlockHeaderSize+payload])
 		if crc != wantCRC {
 			return 0, nil, nil, corrupt("block %d: checksum mismatch (got %08x, want %08x)", i, crc, wantCRC)
 		}
 
-		q := off + bhSize
+		q := off + segBlockHeaderSize
 		b.times = buf[q : q+timesLen : q+timesLen]
 		q += timesLen
 		p = 24
@@ -535,13 +517,6 @@ func parseSegment(name string, buf []byte) (int, []*sealedBlock, *time.Location,
 			q += dataLen
 			p += 13
 			switch b.ch[m].enc {
-			case encInt:
-				if !(b.ch[m].scale > 0) || math.IsInf(b.ch[m].scale, 1) { // also rejects NaN
-					return 0, nil, nil, corrupt("block %d: channel %d: invalid scale %v", i, m, b.ch[m].scale)
-				}
-				if dataLen*8 < b.count { // varbit: at least one bit per value
-					return 0, nil, nil, corrupt("block %d: channel %d: %d values cannot fit in %d bytes", i, m, b.count, dataLen)
-				}
 			case encIntPacked:
 				if !(b.ch[m].scale > 0) || math.IsInf(b.ch[m].scale, 1) { // also rejects NaN
 					return 0, nil, nil, corrupt("block %d: channel %d: invalid scale %v", i, m, b.ch[m].scale)
@@ -567,84 +542,70 @@ func parseSegment(name string, buf []byte) (int, []*sealedBlock, *time.Location,
 	return shard, blocks, loc, nil
 }
 
-// writeColdSegment writes one shard's downsampled blocks to path (no
-// rename: Flush and Compact wrap it in their own tmp+rename step so the
-// failure window is theirs to test) and fsyncs before returning.
-func writeColdSegment(path string, shard int, loc *time.Location, blocks []*downBlock) (int64, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return 0, fmt.Errorf("tsdb: compact shard %d: %w", shard, err)
-	}
+// writeColdSegment atomically replaces one shard's downsampled segment file
+// in dir with blocks.
+func writeColdSegment(dir string, shard int, loc *time.Location, blocks []*downBlock) (int64, error) {
 	locName := loc.String()
 	_, locOff := time.Unix(0, blocks[0].minT).In(loc).Zone()
 
-	w := bufio.NewWriter(f)
 	written := int64(segFileHeaderSize + len(locName))
-	hdr := make([]byte, 0, segFileHeaderSize)
-	hdr = append(hdr, coldMagic[:]...)
-	hdr = binary.LittleEndian.AppendUint16(hdr, segVersionCold)
-	hdr = binary.LittleEndian.AppendUint16(hdr, uint16(shard))
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(blocks)))
-	hdr = binary.LittleEndian.AppendUint16(hdr, uint16(len(locName)))
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(int32(locOff)))
-	hdr = append(hdr, locName...)
-	writeErr := func(err error) (int64, error) {
-		f.Close()
-		os.Remove(path)
-		return 0, fmt.Errorf("tsdb: compact shard %d: %w", shard, err)
-	}
-	if _, err := w.Write(hdr); err != nil {
-		return writeErr(err)
-	}
+	err := atomicfile.Write(filepath.Join(dir, coldSegFileName(shard)), func(w io.Writer) error {
+		hdr := make([]byte, 0, segFileHeaderSize)
+		hdr = append(hdr, coldMagic[:]...)
+		hdr = binary.LittleEndian.AppendUint16(hdr, segVersionCold)
+		hdr = binary.LittleEndian.AppendUint16(hdr, uint16(shard))
+		hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(blocks)))
+		hdr = binary.LittleEndian.AppendUint16(hdr, uint16(len(locName)))
+		hdr = binary.LittleEndian.AppendUint32(hdr, uint32(int32(locOff)))
+		hdr = append(hdr, locName...)
+		if _, err := w.Write(hdr); err != nil {
+			return err
+		}
 
-	bh := make([]byte, 0, coldBlockHeaderSize)
-	for _, d := range blocks {
-		bh = bh[:0]
-		bh = binary.LittleEndian.AppendUint64(bh, uint64(d.window))
-		bh = binary.LittleEndian.AppendUint64(bh, uint64(d.minT))
-		bh = binary.LittleEndian.AppendUint64(bh, uint64(d.maxT))
-		bh = binary.LittleEndian.AppendUint32(bh, uint32(d.count))
-		bh = binary.LittleEndian.AppendUint64(bh, uint64(d.srcRecords))
-		bh = binary.LittleEndian.AppendUint32(bh, uint32(len(d.times)))
-		bh = binary.LittleEndian.AppendUint32(bh, uint32(len(d.counts)))
-		for m := range d.ch {
-			c := d.ch[m]
-			bh = append(bh, c.enc)
-			bh = binary.LittleEndian.AppendUint64(bh, math.Float64bits(c.scale))
-			bh = binary.LittleEndian.AppendUint32(bh, uint32(len(c.data)))
-		}
-		crc := crc32.ChecksumIEEE(bh)
-		crc = crc32.Update(crc, crc32.IEEETable, d.times)
-		crc = crc32.Update(crc, crc32.IEEETable, d.counts)
-		for m := range d.ch {
-			crc = crc32.Update(crc, crc32.IEEETable, d.ch[m].data)
-		}
-		bh = binary.LittleEndian.AppendUint32(bh, crc)
-		if _, err := w.Write(bh); err != nil {
-			return writeErr(err)
-		}
-		if _, err := w.Write(d.times); err != nil {
-			return writeErr(err)
-		}
-		if _, err := w.Write(d.counts); err != nil {
-			return writeErr(err)
-		}
-		written += int64(len(bh) + len(d.times) + len(d.counts))
-		for m := range d.ch {
-			if _, err := w.Write(d.ch[m].data); err != nil {
-				return writeErr(err)
+		bh := make([]byte, 0, coldBlockHeaderSize)
+		for _, d := range blocks {
+			bh = bh[:0]
+			bh = binary.LittleEndian.AppendUint64(bh, uint64(d.window))
+			bh = binary.LittleEndian.AppendUint64(bh, uint64(d.minT))
+			bh = binary.LittleEndian.AppendUint64(bh, uint64(d.maxT))
+			bh = binary.LittleEndian.AppendUint32(bh, uint32(d.count))
+			bh = binary.LittleEndian.AppendUint64(bh, uint64(d.srcRecords))
+			bh = binary.LittleEndian.AppendUint32(bh, uint32(len(d.times)))
+			bh = binary.LittleEndian.AppendUint32(bh, uint32(len(d.counts)))
+			for m := range d.ch {
+				c := d.ch[m]
+				bh = append(bh, c.enc)
+				bh = binary.LittleEndian.AppendUint64(bh, math.Float64bits(c.scale))
+				bh = binary.LittleEndian.AppendUint32(bh, uint32(len(c.data)))
 			}
-			written += int64(len(d.ch[m].data))
+			crc := crc32.ChecksumIEEE(bh)
+			crc = crc32.Update(crc, crc32.IEEETable, d.times)
+			crc = crc32.Update(crc, crc32.IEEETable, d.counts)
+			for m := range d.ch {
+				crc = crc32.Update(crc, crc32.IEEETable, d.ch[m].data)
+			}
+			bh = binary.LittleEndian.AppendUint32(bh, crc)
+			if _, err := w.Write(bh); err != nil {
+				return err
+			}
+			if _, err := w.Write(d.times); err != nil {
+				return err
+			}
+			if _, err := w.Write(d.counts); err != nil {
+				return err
+			}
+			written += int64(len(bh) + len(d.times) + len(d.counts))
+			for m := range d.ch {
+				if _, err := w.Write(d.ch[m].data); err != nil {
+					return err
+				}
+				written += int64(len(d.ch[m].data))
+			}
 		}
-	}
-	if err := w.Flush(); err != nil {
-		return writeErr(err)
-	}
-	if err := f.Sync(); err != nil {
-		return writeErr(err)
-	}
-	if err := f.Close(); err != nil {
-		return 0, fmt.Errorf("tsdb: compact shard %d: %w", shard, err)
+		return nil
+	})
+	if err != nil {
+		return 0, fmt.Errorf("tsdb: cold segment shard %d: %w", shard, err)
 	}
 	return written, nil
 }

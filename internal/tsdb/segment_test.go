@@ -9,11 +9,11 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"mira/internal/envdb"
 	"mira/internal/sensors"
 	"mira/internal/timeutil"
 	"mira/internal/topology"
@@ -182,14 +182,20 @@ func flushOneShard(t *testing.T) (string, string) {
 	return dir, filepath.Join(dir, segFileName(rack.Index()))
 }
 
-// segmentV1Bytes rewrites a version-2 segment image in the version-1
-// block-header layout: the per-block zone maps are stripped and each block
-// CRC is recomputed over the remaining header fields plus the payload.
-// It reproduces exactly what a pre-zone-map build would have written for
-// the same store, so the tests (and the segment fuzzer's seed corpus) can
-// exercise the read-compat path without keeping golden files around. The
-// second return is false when buf is not a well-formed v2 segment.
+// segmentV1Bytes rewrites a version-2 segment image in the retired
+// version-1 block-header layout: the per-block zone maps are stripped and
+// each block CRC is recomputed over the remaining header fields plus the
+// payload. It reproduces exactly what a pre-zone-map build would have
+// written for the same store — a well-formed file of a format Open no
+// longer reads — for the rejection test and the segment fuzzer's seed
+// corpus. The second return is false when buf is not a well-formed v2
+// segment.
 func segmentV1Bytes(buf []byte) ([]byte, bool) {
+	const (
+		segVersion1 = 1
+		zonesSize   = int(sensors.NumMetrics) * 16
+		fieldsSize  = segBlockHeaderSize - zonesSize - 4 // sans zones and CRC
+	)
 	if len(buf) < segFileHeaderSize {
 		return nil, false
 	}
@@ -200,25 +206,25 @@ func segmentV1Bytes(buf []byte) ([]byte, bool) {
 	binary.LittleEndian.PutUint16(out[4:6], segVersion1)
 	off := segFileHeaderSize + locLen
 	for i := 0; i < nblocks; i++ {
-		if len(buf)-off < segBlockHeaderSizeV2 {
+		if len(buf)-off < segBlockHeaderSize {
 			return nil, false
 		}
-		h := buf[off : off+segBlockHeaderSizeV2]
-		fields := h[:segBlockHeaderSize-4] // sans zones and CRC
+		h := buf[off : off+segBlockHeaderSize]
+		fields := h[:fieldsSize]
 		payload := int(binary.LittleEndian.Uint32(h[20:24]))
-		for p := 24; p < segBlockHeaderSize-4; p += 13 {
+		for p := 24; p < fieldsSize; p += 13 {
 			payload += int(binary.LittleEndian.Uint32(h[p+9 : p+13]))
 		}
-		if len(buf)-off-segBlockHeaderSizeV2 < payload {
+		if len(buf)-off-segBlockHeaderSize < payload {
 			return nil, false
 		}
-		body := buf[off+segBlockHeaderSizeV2 : off+segBlockHeaderSizeV2+payload]
+		body := buf[off+segBlockHeaderSize : off+segBlockHeaderSize+payload]
 		crc := crc32.ChecksumIEEE(fields)
 		crc = crc32.Update(crc, crc32.IEEETable, body)
 		out = append(out, fields...)
 		out = binary.LittleEndian.AppendUint32(out, crc)
 		out = append(out, body...)
-		off += segBlockHeaderSizeV2 + payload
+		off += segBlockHeaderSize + payload
 	}
 	if off != len(buf) {
 		return nil, false
@@ -226,110 +232,29 @@ func segmentV1Bytes(buf []byte) ([]byte, bool) {
 	return out, true
 }
 
-func convertSegmentToV1(t *testing.T, path string) {
-	t.Helper()
+// TestOpenVersion1Segment pins the retirement of the version-1 layout: a
+// well-formed version-1 file (no zone maps, valid CRCs) is not read with
+// guessed zones or skipped — Open fails with a wrapped ErrCorrupt that names
+// the version, like any other format it does not know.
+func TestOpenVersion1Segment(t *testing.T) {
+	dir, path := flushOneShard(t)
 	buf, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, ok := segmentV1Bytes(buf)
+	v1, ok := segmentV1Bytes(buf)
 	if !ok {
 		t.Fatalf("segment %s is not a well-formed v2 file", path)
 	}
-	if err := os.WriteFile(path, out, 0o644); err != nil {
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// TestOpenVersion1Segment pins segment read compatibility: a version-1 file
-// (no zone maps) opens, answers queries and merged scans identically to the
-// version-2 original, and reflushing upgrades it to version 2 with the NaN
-// "unusable" zone sentinel — never fabricated bounds that could prune
-// wrongly.
-func TestOpenVersion1Segment(t *testing.T) {
-	dir := t.TempDir()
-	racks := []topology.RackID{{Row: 0, Col: 2}, {Row: 1, Col: 7}}
-	s := NewStoreWith(Options{Partition: 24 * time.Hour})
-	fill(t, 700, racks, s)
-	if err := s.Flush(dir); err != nil {
-		t.Fatal(err)
+	_, err = Open(dir, Options{Partition: 24 * time.Hour})
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Open(v1 segment) = %v, want ErrCorrupt", err)
 	}
-	for _, rack := range racks {
-		convertSegmentToV1(t, filepath.Join(dir, segFileName(rack.Index())))
-	}
-
-	v1, err := Open(dir, Options{Partition: 24 * time.Hour})
-	if err != nil {
-		t.Fatalf("Open(v1 segments): %v", err)
-	}
-	if v1.Len() != s.Len() {
-		t.Fatalf("v1 Len = %d, want %d", v1.Len(), s.Len())
-	}
-	from, to := base.Add(-time.Hour), base.Add(800*timeutil.SampleInterval)
-	for _, rack := range racks {
-		w := s.Query(rack, from, to)
-		g := v1.Query(rack, from, to)
-		if len(g) != len(w) {
-			t.Fatalf("rack %v: v1 Query len = %d, want %d", rack, len(g), len(w))
-		}
-		for i := range w {
-			for _, m := range sensors.AllMetrics() {
-				if g[i].Value(m) != w[i].Value(m) {
-					t.Fatalf("rack %v sample %d %v: %v, want %v", rack, i, m, g[i].Value(m), w[i].Value(m))
-				}
-			}
-		}
-	}
-	// The chunked merged scan must deliver every record even under a
-	// predicate that matches nothing: version-1 blocks have no zones, so
-	// nothing may be pruned.
-	pruneAll := func(*[sensors.NumMetrics]ZoneMap) bool { return false }
-	rows := 0
-	err = v1.EachChunkMergedWhere(1, pruneAll, func(c *envdb.Chunk) bool {
-		rows += len(c.Times)
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows != s.Len() {
-		t.Fatalf("v1 pruned scan visited %d rows, want %d (zone-less blocks must not prune)", rows, s.Len())
-	}
-
-	// Reflush: the store rewrites what it read as version 2 and reopens.
-	dir2 := t.TempDir()
-	if err := v1.Flush(dir2); err != nil {
-		t.Fatal(err)
-	}
-	for _, rack := range racks {
-		buf, err := os.ReadFile(filepath.Join(dir2, segFileName(rack.Index())))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v := binary.LittleEndian.Uint16(buf[4:6]); v != segVersion {
-			t.Fatalf("reflushed segment version = %d, want %d", v, segVersion)
-		}
-	}
-	v2, err := Open(dir2, Options{Partition: 24 * time.Hour})
-	if err != nil {
-		t.Fatalf("Open(reflushed v2): %v", err)
-	}
-	if v2.Len() != s.Len() {
-		t.Fatalf("reflushed Len = %d, want %d", v2.Len(), s.Len())
-	}
-	for _, rack := range racks {
-		w := s.Query(rack, from, to)
-		g := v2.Query(rack, from, to)
-		if len(g) != len(w) {
-			t.Fatalf("rack %v: reflushed Query len = %d, want %d", rack, len(g), len(w))
-		}
-		for i := range w {
-			for _, m := range sensors.AllMetrics() {
-				if g[i].Value(m) != w[i].Value(m) {
-					t.Fatalf("rack %v sample %d %v: %v, want %v", rack, i, m, g[i].Value(m), w[i].Value(m))
-				}
-			}
-		}
+	if !strings.Contains(err.Error(), "unsupported format version 1") {
+		t.Fatalf("Open(v1 segment) = %v, want the error to name version 1", err)
 	}
 }
 
@@ -388,7 +313,7 @@ func TestOpenCorruption(t *testing.T) {
 			// parser must reject the inversion outright — a mangled zone
 			// that survived would silently prune valid blocks.
 			locLen := int(binary.LittleEndian.Uint16(buf[12:14]))
-			z := segFileHeaderSize + locLen + segBlockHeaderSize - 4
+			z := segFileHeaderSize + locLen + segBlockHeaderSize - 4 - int(sensors.NumMetrics)*16
 			binary.LittleEndian.PutUint64(buf[z:], math.Float64bits(1.0))
 			binary.LittleEndian.PutUint64(buf[z+8:], math.Float64bits(0.0))
 			if err := os.WriteFile(path, buf, 0o644); err != nil {

@@ -59,15 +59,6 @@ if ! diff -u "$data/warm.txt" "$data/scan1.txt"; then
 	exit 1
 fi
 
-# The batch-columnar (chunked) scan is the default replay surface; forcing
-# the record-at-a-time merge with -scan-mode record must print byte-identical
-# figures — the two paths decode the same stored bytes.
-"$bin/miraanalyze" -data "$data/seg" -scan-mode record >"$data/scanrec.txt"
-if ! diff -u "$data/warm.txt" "$data/scanrec.txt"; then
-	echo "smoke: figures differ between the chunked scan and -scan-mode record" >&2
-	exit 1
-fi
-
 # Retention compaction: persist a second store with daily partitions, then
 # let miraanalyze -retention fold everything but the newest day into 1-hour
 # downsampled windows on disk. The Fig. 7/9 pushdown figures aggregate
@@ -167,8 +158,8 @@ fi
 # Fleet round trip: the same two-hall window simulated twice — once into a
 # local fleet store, once pushed over the wire into a fleet-sized
 # miramon -serve — must analyze identically hall by hall. The push travels
-# the v2 (wide rack code) wire encoding for hall 1, so this also proves the
-# fleet encoding survives sim -> push -> remote analysis bit-exactly.
+# the wire encoding for hall 1, so this also proves the fleet encoding
+# survives sim -> push -> remote analysis bit-exactly.
 "$bin/mirasim" -halls 2 -start 2014-03-05 -end 2014-03-07 \
 	-data "$data/fleet-local" >/dev/null
 
@@ -413,4 +404,4 @@ grep -q 'corrupt segment' "$data/corrupt.txt" || {
 	exit 1
 }
 
-echo "smoke: ok (warm figures match the in-memory path; chunked and record-at-a-time scans agree; remote figures match over the wire; push + graceful shutdown persisted; pushdown figures survive retention compaction; two-hall fleet push analyzes hall-identical to the local store; 3-job campaign sweep survived a worker kill and a dispatcher restart exactly-once; corruption rejected)"
+echo "smoke: ok (warm figures match the in-memory path; remote figures match over the wire; push + graceful shutdown persisted; pushdown figures survive retention compaction; two-hall fleet push analyzes hall-identical to the local store; 3-job campaign sweep survived a worker kill and a dispatcher restart exactly-once; corruption rejected)"
