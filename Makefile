@@ -59,15 +59,16 @@ smoke:
 	./scripts/smoke.sh
 
 # fuzz-smoke gives each fuzz target a short budget: segment parsing, block
-# decoding, the network frame parser, the trace-header parser, and the
-# campaign job-spec/claim envelopes must reject arbitrary bytes cleanly
-# (wrapped sentinel errors for the wire formats, a fresh root trace for
-# X-Mira-Trace), never a panic. The go fuzzer runs one target per
-# invocation.
+# decoding, the network frame parser, the client's chunk-stream decoder,
+# the trace-header parser, and the campaign job-spec/claim envelopes must
+# reject arbitrary bytes cleanly (wrapped sentinel errors for the wire
+# formats, a fresh root trace for X-Mira-Trace), never a panic. The go
+# fuzzer runs one target per invocation.
 fuzz-smoke:
 	$(GO) test ./internal/tsdb/ -run '^$$' -fuzz '^FuzzOpenSegment$$' -fuzztime 10s
 	$(GO) test ./internal/tsdb/ -run '^$$' -fuzz '^FuzzDecodeBlock$$' -fuzztime 10s
 	$(GO) test ./internal/telemetrynet/ -run '^$$' -fuzz '^FuzzDecodeIngestFrame$$' -fuzztime 10s
+	$(GO) test ./internal/telemetrynet/ -run '^$$' -fuzz '^FuzzReadChunkStream$$' -fuzztime 10s
 	$(GO) test ./internal/obs/ -run '^$$' -fuzz '^FuzzParseTraceHeader$$' -fuzztime 10s
 	$(GO) test ./internal/telemetrynet/ -run '^$$' -fuzz '^FuzzTraceHeaderHandling$$' -fuzztime 10s
 	$(GO) test ./internal/campaign/ -run '^$$' -fuzz '^FuzzDecodeJobSpec$$' -fuzztime 10s

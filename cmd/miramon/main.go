@@ -375,28 +375,29 @@ func (a *auditor) runOnce() (records, alarms, coldWindows int, err error) {
 	}
 	// Racks advance at different rates (one pusher per rack group), so the
 	// scan starts at the stalest rack's watermark and per-rack skips below
-	// drop the records faster racks already audited. ScanShards fans out
+	// drop the records faster racks already audited. The scan fans out
 	// across every hall's shards, so one pass audits the whole fleet.
-	it := tsdb.MergeByTime(a.db.ScanShards(time.Unix(0, oldest+1), last.Add(time.Nanosecond), a.workers))
-	defer it.Close()
-	for it.Next() {
-		r := it.Record()
-		idx := a.fleet.GlobalIndex(r.Rack)
-		n := r.Time.UnixNano()
-		if n <= a.lastN[idx] {
-			continue
-		}
-		a.lastN[idx] = n
-		if it.Tier() != envdb.TierRaw {
-			coldWindows++
-			continue
-		}
-		records++
-		if len(a.thresholds.Check(r)) > 0 {
-			alarms++
-		}
-	}
-	if err := it.Err(); err != nil {
+	err = a.db.EachChunkInRange(context.Background(), time.Unix(0, oldest+1), last.Add(time.Nanosecond), a.workers,
+		func(c *envdb.Chunk) bool {
+			for i, n := range c.Times {
+				r := c.Record(i)
+				idx := a.fleet.GlobalIndex(r.Rack)
+				if n <= a.lastN[idx] {
+					continue
+				}
+				a.lastN[idx] = n
+				if c.Tiers[i] != envdb.TierRaw {
+					coldWindows++
+					continue
+				}
+				records++
+				if len(a.thresholds.Check(r)) > 0 {
+					alarms++
+				}
+			}
+			return true
+		})
+	if err != nil {
 		return records, alarms, coldWindows, err
 	}
 	metAuditRuns.Inc()
@@ -517,7 +518,7 @@ func finish(logg *obs.Logger, srv *obs.HTTPServer, db *tsdb.Store, dataDir strin
 // the store so the analysis-layer metrics (figure durations) are populated
 // alongside tsdb and sim series on /metrics and in the RunReport.
 func summarizeAnalysis(db *tsdb.Store, scan analysis.CollectOptions) {
-	c := analysis.CollectFromStoreOpts(db, scan)
+	c := analysis.CollectFromStoreCtx(context.Background(), db, scan)
 	fig7 := c.Fig7RackCoolant()
 	fig9 := c.Fig9RackAmbient()
 	fmt.Printf("\nrack spreads over the watch window: flow %.1f%%, inlet %.1f%%, outlet %.1f%%; most humid rack %v\n",
@@ -540,8 +541,8 @@ func replayAudit(db *tsdb.Store, dir string, scan analysis.CollectOptions, logg 
 	fmt.Printf("window: %s .. %s\n\n", first.Format("2006-01-02 15:04"), last.Format("2006-01-02 15:04"))
 
 	// The merged scan behind the auditor decodes shards in parallel and —
-	// unlike EachRecord — returns decode failures instead of panicking,
-	// which suits a replay over disk-loaded segments.
+	// unlike EachRecordUntil — returns decode failures instead of
+	// panicking, which suits a replay over disk-loaded segments.
 	aud := newAuditor(db, scan.Workers)
 	_, warnings, coldWindows, err := aud.runOnce()
 	if err != nil {

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -39,7 +40,7 @@ func TestCollectFromStoreMixedLocations(t *testing.T) {
 		}
 	}
 
-	c := CollectFromStore(db)
+	c := CollectFromStoreCtx(context.Background(), db, CollectOptions{})
 	fig := c.Fig3CoolantTimeline()
 	// One tick per instant → the plant flow is the two racks' sum, not the
 	// mean of two half-populated ticks.
@@ -97,16 +98,16 @@ func fillTrace(t *testing.T, db *tsdb.Store, from, to int) {
 	}
 }
 
-// TestReplayMergedBoundedMemory pins the tentpole's memory bound on a
-// multi-day full-machine trace: the streaming replay's peak buffering is
-// exactly one tick — one record per rack — where the old path
-// materialized the whole trace (ticks × racks records) in a map.
-func TestReplayMergedBoundedMemory(t *testing.T) {
+// TestReplayChunkedBoundedMemory pins the replay's memory bound on a
+// multi-day full-machine trace: the tick buffer stays exactly one tick —
+// one record per rack — even though the scan hands over multi-tick
+// chunks, where a buffering replay would hold ticks × racks records.
+func TestReplayChunkedBoundedMemory(t *testing.T) {
 	db := multiDayStore(t, 3) // 864 ticks × 48 racks ≈ 41k records
 	c := NewCollector()
-	maxTick, err := replayMerged(db, 4, c)
+	maxTick, err := replay(context.Background(), db, 4, 0, c)
 	if err != nil {
-		t.Fatalf("replayMerged: %v", err)
+		t.Fatalf("replay: %v", err)
 	}
 	c.Finalize()
 	if maxTick != topology.NumRacks {
@@ -114,79 +115,6 @@ func TestReplayMergedBoundedMemory(t *testing.T) {
 	}
 	if got := c.Fig7RackCoolant(); len(got.FlowGPM) != topology.NumRacks {
 		t.Fatalf("replay produced %d rack means", len(got.FlowGPM))
-	}
-}
-
-// TestReplayChunkedMatchesRecords pins the tentpole's correctness bar: the
-// batch-columnar replay (what a local store gets) and the record-at-a-time
-// replay (the remote client's only path, and the reference here) must
-// produce figures that are bit-identical — not merely close — because both
-// materialize records from the same decoded columns in the same visit
-// order.
-func TestReplayChunkedMatchesRecords(t *testing.T) {
-	db := multiDayStore(t, 2)
-	chunked := CollectFromStoreOpts(db, CollectOptions{Workers: 3})
-	records := NewCollector()
-	if _, err := replayMerged(db, 3, records); err != nil {
-		t.Fatalf("replayMerged: %v", err)
-	}
-	records.Finalize()
-
-	if got, want := fmt.Sprintf("%+v", chunked.Fig3CoolantTimeline()), fmt.Sprintf("%+v", records.Fig3CoolantTimeline()); got != want {
-		t.Errorf("Fig3 differs:\n chunked %s\n records %s", got, want)
-	}
-	if got, want := chunked.Fig7RackCoolant(), records.Fig7RackCoolant(); !reflect.DeepEqual(got, want) {
-		t.Errorf("Fig7 differs:\n chunked %+v\n records %+v", got, want)
-	}
-	if got, want := fmt.Sprintf("%+v", chunked.Fig8AmbientTimeline()), fmt.Sprintf("%+v", records.Fig8AmbientTimeline()); got != want {
-		t.Errorf("Fig8 differs:\n chunked %s\n records %s", got, want)
-	}
-	if got, want := chunked.Fig9RackAmbient(), records.Fig9RackAmbient(); !reflect.DeepEqual(got, want) {
-		t.Errorf("Fig9 differs:\n chunked %+v\n records %+v", got, want)
-	}
-}
-
-// TestReplayChunkedBoundedMemory: the chunked replay's tick buffer stays
-// one record per rack even though the scan hands over multi-tick chunks.
-func TestReplayChunkedBoundedMemory(t *testing.T) {
-	db := multiDayStore(t, 2)
-	c := NewCollector()
-	maxTick, err := replayChunked(db, 4, c)
-	if err != nil {
-		t.Fatalf("replayChunked: %v", err)
-	}
-	c.Finalize()
-	if maxTick != topology.NumRacks {
-		t.Fatalf("peak tick buffer = %d records, want %d (one per rack)", maxTick, topology.NumRacks)
-	}
-}
-
-// noShardScan hides the ShardScanner capability so CollectFromStore takes
-// the buffering fallback path.
-type noShardScan struct{ envdb.DB }
-
-// TestCollectFromStoreFallbackEquivalence: the streaming merged replay
-// and the legacy buffering fallback must produce identical figures from
-// the same store.
-func TestCollectFromStoreFallbackEquivalence(t *testing.T) {
-	db := multiDayStore(t, 2)
-	merged := CollectFromStoreParallel(db, 3)
-	fallback := CollectFromStore(noShardScan{db})
-
-	// Fig3/Fig8 carry NaN fields when the trace has no summer months, and
-	// NaN != NaN under DeepEqual; the %+v rendering distinguishes every
-	// non-NaN float while treating NaN as equal to itself.
-	if got, want := fmt.Sprintf("%+v", merged.Fig3CoolantTimeline()), fmt.Sprintf("%+v", fallback.Fig3CoolantTimeline()); got != want {
-		t.Errorf("Fig3 differs:\n merged  %s\n grouped %s", got, want)
-	}
-	if got, want := merged.Fig7RackCoolant(), fallback.Fig7RackCoolant(); !reflect.DeepEqual(got, want) {
-		t.Errorf("Fig7 differs:\n merged  %+v\n grouped %+v", got, want)
-	}
-	if got, want := fmt.Sprintf("%+v", merged.Fig8AmbientTimeline()), fmt.Sprintf("%+v", fallback.Fig8AmbientTimeline()); got != want {
-		t.Errorf("Fig8 differs:\n merged  %s\n grouped %s", got, want)
-	}
-	if got, want := merged.Fig9RackAmbient(), fallback.Fig9RackAmbient(); !reflect.DeepEqual(got, want) {
-		t.Errorf("Fig9 differs:\n merged  %+v\n grouped %+v", got, want)
 	}
 }
 
@@ -220,11 +148,11 @@ func closeSlice(a, b []float64, tol float64) bool {
 func TestPushdownMatchesReplay(t *testing.T) {
 	const tol = 1e-9
 	db := multiDayStore(t, 2)
-	c := CollectFromStoreParallel(db, 2)
+	c := CollectFromStoreCtx(context.Background(), db, CollectOptions{Workers: 2})
 
-	fig7, err := Fig7CoolantPushdown(db)
+	fig7, err := Fig7CoolantPushdownHall(context.Background(), db, 0)
 	if err != nil {
-		t.Fatalf("Fig7CoolantPushdown: %v", err)
+		t.Fatalf("Fig7CoolantPushdownHall: %v", err)
 	}
 	if want := c.Fig7RackCoolant(); !closeSlice(fig7.FlowGPM, want.FlowGPM, tol) ||
 		!closeSlice(fig7.InletF, want.InletF, tol) ||
@@ -234,9 +162,9 @@ func TestPushdownMatchesReplay(t *testing.T) {
 		!closeF(fig7.OutletSpreadPct, want.OutletSpreadPct, tol) {
 		t.Errorf("Fig7 pushdown differs:\n pushdown %+v\n replay   %+v", fig7, want)
 	}
-	fig9, err := Fig9AmbientPushdown(db)
+	fig9, err := Fig9AmbientPushdownHall(context.Background(), db, 0)
 	if err != nil {
-		t.Fatalf("Fig9AmbientPushdown: %v", err)
+		t.Fatalf("Fig9AmbientPushdownHall: %v", err)
 	}
 	if want := c.Fig9RackAmbient(); !closeSlice(fig9.TempF, want.TempF, tol) ||
 		!closeSlice(fig9.HumidityRH, want.HumidityRH, tol) ||
@@ -277,8 +205,8 @@ func TestReplaySkipsDownsampledTier(t *testing.T) {
 	hot := tsdb.NewStoreWith(tsdb.Options{Partition: 24 * time.Hour})
 	fillTrace(t, hot, fromTick, 3*288)
 
-	got := CollectFromStoreParallel(db, 3)
-	want := CollectFromStoreParallel(hot, 3)
+	got := CollectFromStoreCtx(context.Background(), db, CollectOptions{Workers: 3})
+	want := CollectFromStoreCtx(context.Background(), hot, CollectOptions{Workers: 3})
 	if g, w := fmt.Sprintf("%+v", got.Fig3CoolantTimeline()), fmt.Sprintf("%+v", want.Fig3CoolantTimeline()); g != w {
 		t.Errorf("Fig3 differs:\n compacted %s\n hot-only  %s", g, w)
 	}
@@ -299,13 +227,13 @@ func TestPushdownCompactionInvariant(t *testing.T) {
 	db := tsdb.NewStoreWith(tsdb.Options{Partition: 24 * time.Hour, Retention: 24 * time.Hour})
 	fillTrace(t, db, 0, 3*288)
 
-	before7, err := Fig7CoolantPushdown(db)
+	before7, err := Fig7CoolantPushdownHall(context.Background(), db, 0)
 	if err != nil {
-		t.Fatalf("Fig7CoolantPushdown: %v", err)
+		t.Fatalf("Fig7CoolantPushdownHall: %v", err)
 	}
-	before9, err := Fig9AmbientPushdown(db)
+	before9, err := Fig9AmbientPushdownHall(context.Background(), db, 0)
 	if err != nil {
-		t.Fatalf("Fig9AmbientPushdown: %v", err)
+		t.Fatalf("Fig9AmbientPushdownHall: %v", err)
 	}
 	st, err := db.Compact("")
 	if err != nil {
@@ -314,13 +242,13 @@ func TestPushdownCompactionInvariant(t *testing.T) {
 	if st.Windows == 0 {
 		t.Fatal("compaction folded nothing; the invariant is not exercised")
 	}
-	after7, err := Fig7CoolantPushdown(db)
+	after7, err := Fig7CoolantPushdownHall(context.Background(), db, 0)
 	if err != nil {
-		t.Fatalf("Fig7CoolantPushdown after compact: %v", err)
+		t.Fatalf("Fig7CoolantPushdownHall after compact: %v", err)
 	}
-	after9, err := Fig9AmbientPushdown(db)
+	after9, err := Fig9AmbientPushdownHall(context.Background(), db, 0)
 	if err != nil {
-		t.Fatalf("Fig9AmbientPushdown after compact: %v", err)
+		t.Fatalf("Fig9AmbientPushdownHall after compact: %v", err)
 	}
 	if !reflect.DeepEqual(before7, after7) {
 		t.Errorf("Fig7 changed under compaction:\n before %+v\n after  %+v", before7, after7)

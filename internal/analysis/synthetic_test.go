@@ -5,6 +5,7 @@ package analysis
 // simulator.
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -308,7 +309,7 @@ func TestCollectFromStoreMatchesLive(t *testing.T) {
 		}
 	}
 	live.Finalize()
-	offline := CollectFromStore(db)
+	offline := CollectFromStoreCtx(context.Background(), db, CollectOptions{})
 
 	lf, of := live.Fig7RackCoolant(), offline.Fig7RackCoolant()
 	if math.Abs(lf.FlowSpreadPct-of.FlowSpreadPct) > 1e-9 {

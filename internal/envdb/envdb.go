@@ -4,10 +4,17 @@
 // the simulator records into and the analyses query, the CSV interchange
 // schema, and a simple slice-backed in-memory implementation (Store). The
 // compressed, concurrent production engine lives in mira/internal/tsdb and
-// implements the same DB surface.
+// the remote client in mira/internal/telemetrynet; both implement the same
+// DB surface.
+//
+// Every store reads in global time order through one scan,
+// DB.EachChunkMergedCtx, which delivers columnar Chunks; ScanRecords is
+// its row view. There is no record-at-a-time merge and no scan capability
+// to probe for: a consumer that needs time order calls the scan.
 package envdb
 
 import (
+	"context"
 	"encoding/csv"
 	"fmt"
 	"io"
@@ -22,9 +29,10 @@ import (
 )
 
 // DB is the environmental-database surface shared by the slice-backed
-// Store and the compressed tsdb.Store: ordered ingest, rack/time-range
-// queries, single-metric series extraction, full scans with early stop,
-// and CSV interchange.
+// Store, the compressed tsdb.Store and the remote telemetrynet.Client:
+// ordered ingest, rack/time-range queries, single-metric series
+// extraction, a rack-major visit with early stop, the one time-ordered
+// scan, and CSV interchange.
 type DB interface {
 	// Append ingests one record; records must arrive in non-decreasing
 	// time order per rack (equal timestamps are allowed).
@@ -35,33 +43,21 @@ type DB interface {
 	Query(rack topology.RackID, from, to time.Time) []sensors.Record
 	// Series extracts one metric for one rack over [from, to).
 	Series(rack topology.RackID, m sensors.Metric, from, to time.Time) ([]time.Time, []float64)
-	// EachRecord visits every record, rack-major, time order within rack.
-	EachRecord(f func(sensors.Record))
-	// EachRecordUntil visits records like EachRecord but stops early when
-	// f returns false.
+	// EachRecordUntil visits every record, rack-major, time order within
+	// rack, and stops early when f returns false.
 	EachRecordUntil(f func(sensors.Record) bool)
+	// EachChunkMergedCtx is the store's one time-ordered scan: every
+	// stored record in global (timestamp, rack code) order, delivered as
+	// columnar chunks. workers bounds the store's decode fan-out (<= 0
+	// selects GOMAXPROCS; stores without decode work ignore it) and never
+	// changes the row order. ctx carries the caller's trace and scan
+	// counters (ContextWithScanStats). The scan stops early when f
+	// returns false; failures come back as errors, never as panics.
+	EachChunkMergedCtx(ctx context.Context, workers int, f func(*Chunk) bool) error
 	// ExportCSV writes all records in the csvHeader schema.
 	ExportCSV(w io.Writer) error
 	// ImportCSV reads records in the csvHeader schema.
 	ImportCSV(r io.Reader) error
-}
-
-// ShardScanner is an optional capability of DB implementations whose
-// storage is sharded by rack: a fan-out scan that visits every record in
-// global timestamp order (ties broken by ascending rack index) instead of
-// EachRecord's rack-major order. workers bounds the number of concurrent
-// shard decoders (values <= 1 request a serial scan; implementations
-// without decode work may ignore it). The visit order is deterministic
-// for a fixed store regardless of workers. The scan stops early when f
-// returns false; unlike the panic-on-corruption EachRecord surface,
-// scan failures come back as errors.
-//
-// Consumers that need global time order (e.g. offline tick replay) should
-// type-assert for this capability and fall back to buffering EachRecord
-// output when it is absent — the DB interface itself stays minimal so
-// simple implementations keep working.
-type ShardScanner interface {
-	EachRecordMerged(workers int, f func(sensors.Record) bool) error
 }
 
 // Tier identifies the storage tier a scanned record came from in stores
@@ -74,28 +70,18 @@ const (
 	// TierDownsampled marks a cold-tier window record: timestamped at the
 	// compaction window's start and valued at the window's per-channel
 	// mean, standing in for every raw sample folded into that window.
+	// Consumers that replay full-rate semantics (tick grouping, incident
+	// detection) skip these rows — a window mean is not a sample — while
+	// aggregate consumers may use both tiers.
 	TierDownsampled
 )
 
-// TierScanner is an optional capability of ShardScanner implementations
-// with a downsampled cold tier: the same merged scan, with each record's
-// tier. Consumers that replay full-rate semantics (tick grouping, incident
-// detection) should skip TierDownsampled records — a window mean is not a
-// sample — while aggregate consumers may use both. Implementations without
-// tiers simply don't implement this; callers fall back to EachRecordMerged
-// treating everything as raw.
-type TierScanner interface {
-	ShardScanner
-	EachRecordMergedTier(workers int, f func(sensors.Record, Tier) bool) error
-}
-
-// Chunk is one batch of a chunked merged scan: parallel columns holding up
-// to a few thousand consecutive rows of the global (timestamp, rack) order.
-// Columnar delivery amortizes the per-record callback and materialization
-// cost of EachRecordMerged away — consumers read the columns they need and
-// call Record only for rows they must materialize.
+// Chunk is one batch of the merged scan: parallel columns holding
+// consecutive rows of the global (timestamp, rack) order. Consumers read
+// the columns they need and call Record only for rows they must
+// materialize.
 //
-// A Chunk passed to an EachChunkMerged callback is only valid for the
+// A Chunk passed to an EachChunkMergedCtx callback is only valid for the
 // duration of the call: the scanner reuses its backing arrays for the next
 // chunk. Consumers that need rows afterwards must copy them out.
 type Chunk struct {
@@ -105,8 +91,8 @@ type Chunk struct {
 	Times []int64
 	// Racks holds the packed rack code (topology.RackID.Code: hall high
 	// byte, within-hall index low byte) of each row; within equal
-	// timestamps rows are ordered by ascending fleet shard order, which
-	// equals ascending code order. Hall-0 codes equal the plain rack index.
+	// timestamps rows are ordered by ascending code, which equals the
+	// fleet shard order. Hall-0 codes equal the plain rack index.
 	Racks []uint16
 	// Tiers holds each row's storage tier.
 	Tiers []Tier
@@ -117,13 +103,23 @@ type Chunk struct {
 // Len returns the number of rows in the chunk.
 func (c *Chunk) Len() int { return len(c.Times) }
 
-// Record materializes row i. The result is bit-identical to what the
-// record-at-a-time scan surfaces for the same stored row.
+// Reset empties every column, keeping the backing arrays for reuse.
+func (c *Chunk) Reset() {
+	c.Times = c.Times[:0]
+	c.Racks = c.Racks[:0]
+	c.Tiers = c.Tiers[:0]
+	for m := range c.Cols {
+		c.Cols[m] = c.Cols[m][:0]
+	}
+}
+
+// Record materializes row i. The result is bit-identical to the stored
+// record: the same instant in Loc, the same rack, the same float bits.
 func (c *Chunk) Record(i int) sensors.Record {
 	rack, err := topology.RackFromCode(c.Racks[i])
 	if err != nil {
-		// Chunks are produced from valid RackIDs; a bad code is in-process
-		// corruption, panic-worthy like the rest of the error-free surface.
+		// Scanners emit only valid codes (the wire decoder rejects bad
+		// ones), so a bad code here is in-process corruption.
 		panic(err)
 	}
 	return sensors.Record{
@@ -138,14 +134,14 @@ func (c *Chunk) Record(i int) sensors.Record {
 	}
 }
 
-// ChunkScanner is an optional capability of ShardScanner implementations
-// with a batch-columnar scan path: the same global (timestamp, rack) order
-// as EachRecordMerged, delivered as columnar chunks instead of one record
-// per callback. The scan stops early when f returns false; failures come
-// back as errors. Consumers should type-assert for this capability and
-// fall back to the record surfaces when it is absent.
-type ChunkScanner interface {
-	EachChunkMerged(workers int, f func(*Chunk) bool) error
+// appendRecord adds r as the chunk's next row.
+func (c *Chunk) appendRecord(r sensors.Record, tier Tier) {
+	c.Times = append(c.Times, r.Time.UnixNano())
+	c.Racks = append(c.Racks, r.Rack.Code())
+	c.Tiers = append(c.Tiers, tier)
+	for m := range c.Cols {
+		c.Cols[m] = append(c.Cols[m], r.Value(sensors.Metric(m)))
+	}
 }
 
 // WindowAgg is one aggregation window of an Aggregator pushdown query.
@@ -171,10 +167,12 @@ func (w WindowAgg) Mean() float64 {
 // Aggregator is an optional capability of DB implementations that can
 // compute per-window min/max/sum/count of one rack's metric without
 // materializing records — aggregation pushdown straight off the storage
-// representation. Bounds scopes whole-store aggregations.
+// representation. Bounds scopes whole-store aggregations; AggregateCtx is
+// Aggregate under a caller trace.
 type Aggregator interface {
 	Bounds() (first, last time.Time, ok bool)
 	Aggregate(rack topology.RackID, m sensors.Metric, from, to time.Time, window time.Duration) ([]WindowAgg, error)
+	AggregateCtx(ctx context.Context, rack topology.RackID, m sensors.Metric, from, to time.Time, window time.Duration) ([]WindowAgg, error)
 }
 
 // Appender is the minimal ingest surface ReadCSV needs.
@@ -207,9 +205,10 @@ type FleetDescriber interface {
 }
 
 // Store is a plain in-memory environmental database backed by one record
-// slice per rack. It is not safe for concurrent use (use tsdb.Store for
-// concurrent ingest and scans); the simulator feeds it from a single
-// goroutine.
+// slice per rack of a single machine: it holds hall 0 only and rejects
+// records of any other hall (use tsdb.Store for a fleet). It is not safe
+// for concurrent use (use tsdb.Store for concurrent ingest and scans); the
+// simulator feeds it from a single goroutine.
 type Store struct {
 	// records per rack, in append (time) order.
 	records [topology.NumRacks][]sensors.Record
@@ -238,6 +237,9 @@ func NewDownsampledStore(n int) *Store { return &Store{Downsample: n} }
 // order per rack; Append returns an error otherwise (the coolant monitor is
 // a periodic sampler, so out-of-order data indicates a bug upstream).
 func (s *Store) Append(r sensors.Record) error {
+	if err := checkHall(r); err != nil {
+		return err
+	}
 	idx := r.Rack.Index()
 	if s.hasLast[idx] && r.Time.Before(s.lastT[idx]) {
 		return fmt.Errorf("envdb: out-of-order record for rack %v: %v before %v",
@@ -255,6 +257,16 @@ func (s *Store) Append(r sensors.Record) error {
 	return nil
 }
 
+// checkHall rejects records the per-rack arrays cannot hold: they are
+// indexed by Rack.Index, which ignores the hall, so a hall-1 record would
+// land in its hall-0 twin's slice.
+func checkHall(r sensors.Record) error {
+	if r.Rack.Hall != 0 {
+		return fmt.Errorf("envdb: record for rack %v: the slice store holds hall 0 only", r.Rack)
+	}
+	return nil
+}
+
 var _ BatchAppender = (*Store)(nil)
 
 // AppendTick implements BatchAppender: the batch is validated in full —
@@ -265,6 +277,9 @@ func (s *Store) AppendTick(recs []sensors.Record) error {
 	var last [topology.NumRacks]time.Time
 	var seen [topology.NumRacks]bool
 	for _, r := range recs {
+		if err := checkHall(r); err != nil {
+			return err
+		}
 		idx := r.Rack.Index()
 		prev, ok := last[idx], seen[idx]
 		if !ok {
@@ -318,15 +333,10 @@ func (s *Store) Series(rack topology.RackID, m sensors.Metric, from, to time.Tim
 	return times, vals
 }
 
-// EachRecord visits every stored record (rack-major, time order within
-// rack). The callback must not retain the record slice.
-func (s *Store) EachRecord(f func(sensors.Record)) {
-	s.EachRecordUntil(func(r sensors.Record) bool { f(r); return true })
-}
-
-// EachRecordUntil visits records like EachRecord but stops as soon as f
-// returns false, so consumers (e.g. CSV export hitting a write error) don't
-// iterate millions of remaining records for nothing.
+// EachRecordUntil visits every stored record (rack-major, time order
+// within rack) and stops as soon as f returns false, so consumers (e.g. CSV
+// export hitting a write error) don't iterate millions of remaining
+// records for nothing.
 func (s *Store) EachRecordUntil(f func(sensors.Record) bool) {
 	for i := range s.records {
 		for _, r := range s.records[i] {
@@ -337,32 +347,45 @@ func (s *Store) EachRecordUntil(f func(sensors.Record) bool) {
 	}
 }
 
-var _ ShardScanner = (*Store)(nil)
+// sliceChunkRows is the fill target of one slice-store chunk, the same
+// size the compressed store's merge targets.
+const sliceChunkRows = 4096
 
-// EachRecordMerged implements ShardScanner: a serial k-way merge over the
-// per-rack record slices, yielding the whole store in global timestamp
-// order with rack-index tie-breaking and O(racks) state — no copy of the
-// trace is ever built. The slice store has no per-shard decode work to fan
-// out, so workers is ignored.
-func (s *Store) EachRecordMerged(_ int, f func(sensors.Record) bool) error {
+// EachChunkMergedCtx implements DB: a serial k-way merge over the per-rack
+// slices, filling chunks in global timestamp order with rack-index
+// tie-breaking and O(racks) cursor state — no copy of the trace is ever
+// built. A chunk also ends where the records' location changes, so every
+// row materializes in its own record's location. The slice store has no
+// decode work to fan out or trace, so ctx and workers are unused.
+func (s *Store) EachChunkMergedCtx(_ context.Context, _ int, f func(*Chunk) bool) error {
 	var pos [topology.NumRacks]int
+	var c Chunk
 	for {
-		best := -1
-		var bestT int64
-		for i := range s.records {
-			if pos[i] >= len(s.records[i]) {
-				continue
+		c.Reset()
+		for c.Len() < sliceChunkRows {
+			best := -1
+			var bestT int64
+			for i := range s.records {
+				if pos[i] >= len(s.records[i]) {
+					continue
+				}
+				if t := s.records[i][pos[i]].Time.UnixNano(); best < 0 || t < bestT {
+					best, bestT = i, t
+				}
 			}
-			if t := s.records[i][pos[i]].Time.UnixNano(); best < 0 || t < bestT {
-				best, bestT = i, t
+			if best < 0 {
+				break
 			}
+			r := s.records[best][pos[best]]
+			if loc := r.Time.Location(); c.Len() == 0 {
+				c.Loc = loc
+			} else if loc != c.Loc {
+				break
+			}
+			c.appendRecord(r, TierRaw)
+			pos[best]++
 		}
-		if best < 0 {
-			return nil
-		}
-		r := s.records[best][pos[best]]
-		pos[best]++
-		if !f(r) {
+		if c.Len() == 0 || !f(&c) {
 			return nil
 		}
 	}

@@ -2,6 +2,7 @@ package envdb
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -104,9 +105,9 @@ func TestEachRecord(t *testing.T) {
 		}
 	}
 	count := 0
-	s.EachRecord(func(sensors.Record) { count++ })
+	s.EachRecordUntil(func(sensors.Record) bool { count++; return true })
 	if count != topology.NumRacks {
-		t.Errorf("EachRecord visited %d, want %d", count, topology.NumRacks)
+		t.Errorf("EachRecordUntil visited %d, want %d", count, topology.NumRacks)
 	}
 }
 
@@ -327,13 +328,14 @@ func TestWriteCSVStopsOnWriteError(t *testing.T) {
 	}
 }
 
-// TestEachRecordMerged: the slice store's ShardScanner must yield the
-// whole store in global time order with rack-index tie-breaking, matching
-// the contract of the compressed store's parallel scanner.
-func TestEachRecordMerged(t *testing.T) {
+// TestEachChunkMerged: the slice store's merged scan must fill chunks with
+// the whole store in global time order with rack-index tie-breaking —
+// the contract of the compressed store's parallel scan — and honour an
+// early stop.
+func TestEachChunkMerged(t *testing.T) {
 	s := NewStore()
 	racks := []topology.RackID{{Row: 2, Col: 14}, {Row: 0, Col: 3}, {Row: 1, Col: 9}}
-	const ticks = 50
+	const ticks = 3000 // more rows than one chunk holds
 	for i := 0; i < ticks; i++ {
 		ts := base.Add(time.Duration(i) * timeutil.SampleInterval)
 		for j, r := range racks {
@@ -349,28 +351,95 @@ func TestEachRecordMerged(t *testing.T) {
 
 	var prevT int64
 	prevRack := -1
-	n := 0
-	if err := s.EachRecordMerged(7, func(r sensors.Record) bool {
-		k := r.Time.UnixNano()
-		if n > 0 && (k < prevT || (k == prevT && r.Rack.Index() <= prevRack)) {
-			t.Fatalf("order violation at record %d: (%d,%d) after (%d,%d)", n, k, r.Rack.Index(), prevT, prevRack)
+	n, chunks := 0, 0
+	if err := s.EachChunkMergedCtx(context.Background(), 7, func(c *Chunk) bool {
+		chunks++
+		for i := 0; i < c.Len(); i++ {
+			r := c.Record(i)
+			k := r.Time.UnixNano()
+			if n > 0 && (k < prevT || (k == prevT && r.Rack.Index() <= prevRack)) {
+				t.Fatalf("order violation at record %d: (%d,%d) after (%d,%d)", n, k, r.Rack.Index(), prevT, prevRack)
+			}
+			if c.Tiers[i] != TierRaw || r.Time.Location() != base.Location() {
+				t.Fatalf("row %d: tier %v, location %v", n, c.Tiers[i], r.Time.Location())
+			}
+			prevT, prevRack = k, r.Rack.Index()
+			n++
 		}
-		prevT, prevRack = k, r.Rack.Index()
-		n++
 		return true
 	}); err != nil {
-		t.Fatalf("EachRecordMerged: %v", err)
+		t.Fatalf("EachChunkMergedCtx: %v", err)
 	}
-	if n != s.Len() {
-		t.Fatalf("visited %d records, want %d", n, s.Len())
+	if n != s.Len() || chunks < 2 {
+		t.Fatalf("visited %d records in %d chunks, want %d in several", n, chunks, s.Len())
 	}
 
-	// Early stop.
-	n = 0
-	if err := s.EachRecordMerged(1, func(sensors.Record) bool { n++; return n < 10 }); err != nil {
+	// Early stop after the first chunk.
+	chunks = 0
+	if err := s.EachChunkMergedCtx(context.Background(), 1, func(*Chunk) bool { chunks++; return false }); err != nil {
 		t.Fatal(err)
 	}
-	if n != 10 {
-		t.Fatalf("early stop visited %d, want 10", n)
+	if chunks != 1 {
+		t.Fatalf("early stop visited %d chunks, want 1", chunks)
+	}
+}
+
+// TestEachChunkMergedSplitsLocations: records of one instant carrying
+// different locations materialize each in its own location, because a
+// chunk shares one Loc across its rows.
+func TestEachChunkMergedSplitsLocations(t *testing.T) {
+	s := NewStore()
+	a, b := topology.RackID{Row: 0, Col: 1}, topology.RackID{Row: 1, Col: 8}
+	for i := 0; i < 3; i++ {
+		ts := base.Add(time.Duration(i) * timeutil.SampleInterval)
+		if err := s.Append(rec(a, ts, 64)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Append(rec(b, ts.UTC(), 64)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got []sensors.Record
+	if err := s.EachChunkMergedCtx(context.Background(), 0, func(c *Chunk) bool {
+		for i := 0; i < c.Len(); i++ {
+			got = append(got, c.Record(i))
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 6 {
+		t.Fatalf("visited %d records, want 6", len(got))
+	}
+	for i, r := range got {
+		want := base.Location()
+		if r.Rack == b {
+			want = time.UTC
+		}
+		if r.Time.Location() != want {
+			t.Fatalf("record %d (rack %v) in %v, want %v", i, r.Rack, r.Time.Location(), want)
+		}
+	}
+}
+
+// TestAppendRejectsOtherHalls: the per-rack arrays are indexed by the
+// within-hall rack index, so a record of hall 1 would land in its hall-0
+// twin's slice. Both ingest paths refuse it and leave the store as it was.
+func TestAppendRejectsOtherHalls(t *testing.T) {
+	s := NewStore()
+	hall0 := topology.RackID{Row: 0, Col: 5}
+	hall1 := hall0
+	hall1.Hall = 1
+	if err := s.Append(rec(hall0, base.Add(time.Hour), 64)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Append(rec(hall1, base, 64)); err == nil || !strings.Contains(err.Error(), "hall 0 only") {
+		t.Fatalf("Append of a hall-1 record = %v, want the hall error", err)
+	}
+	if err := s.AppendTick([]sensors.Record{rec(hall0, base.Add(2*time.Hour), 64), rec(hall1, base.Add(2*time.Hour), 64)}); err == nil {
+		t.Fatal("AppendTick with a hall-1 record succeeded")
+	}
+	if got := s.Query(hall0, base, base.Add(3*time.Hour)); s.Len() != 1 || len(got) != 1 || got[0].Rack != hall0 {
+		t.Fatalf("store holds %d records, rack %v's slice %v; want only the first hall-0 record", s.Len(), hall0, got)
 	}
 }

@@ -1,10 +1,7 @@
 package envdb
 
-// Context-aware scan capabilities. The plain DB surface predates request
-// tracing; these optional interfaces let a caller thread a
-// context.Context — carrying trace spans and per-request scan counters —
-// through a scan without changing the base contract. Callers type-assert
-// and fall back to the plain methods, so every DB keeps working.
+// Scan context: the per-request scan counters a context carries into
+// DB.EachChunkMergedCtx, and the merged scan's row view.
 //
 // ScanStats lives here (not in tsdb) so the telemetry server can read the
 // counters without importing the storage engine.
@@ -12,19 +9,16 @@ package envdb
 import (
 	"context"
 	"sync/atomic"
-	"time"
 
 	"mira/internal/sensors"
-	"mira/internal/topology"
 )
 
 // ScanStats accumulates per-request scan work: rows delivered by the
-// merge, blocks decoded, and blocks skipped undecoded by zone-map
-// pruning. Counters are atomic — decode workers update them concurrently.
+// merge and blocks decoded. Counters are atomic — decode workers update
+// them concurrently.
 type ScanStats struct {
 	Records       atomic.Int64
 	BlocksDecoded atomic.Int64
-	BlocksPruned  atomic.Int64
 }
 
 type scanStatsKey struct{}
@@ -50,20 +44,24 @@ func ScanStatsFrom(ctx context.Context) *ScanStats {
 	return s
 }
 
-// ContextTierScanner is a TierScanner whose merged scan accepts a
-// context for tracing and scan accounting.
+// ContextTierScanner is the row view of the merged scan as a method.
+// tsdb.Store and telemetrynet.Client implement it with ScanRecords; the
+// repository's benchmark harness (bench/replay.go) names the interface,
+// which is the only reason it exists.
 type ContextTierScanner interface {
 	EachRecordMergedTierCtx(ctx context.Context, workers int, f func(sensors.Record, Tier) bool) error
 }
 
-// ContextChunkScanner is a ChunkScanner whose chunked scan accepts a
-// context for tracing and scan accounting.
-type ContextChunkScanner interface {
-	EachChunkMergedCtx(ctx context.Context, workers int, f func(*Chunk) bool) error
-}
-
-// ContextAggregator is an Aggregator whose pushdown accepts a context
-// for tracing.
-type ContextAggregator interface {
-	AggregateCtx(ctx context.Context, rack topology.RackID, m sensors.Metric, from, to time.Time, window time.Duration) ([]WindowAgg, error)
+// ScanRecords is the row view of db's merged scan: it materializes each
+// chunk row with Chunk.Record and hands it to f with its tier, stopping
+// when f returns false.
+func ScanRecords(ctx context.Context, db DB, workers int, f func(sensors.Record, Tier) bool) error {
+	return db.EachChunkMergedCtx(ctx, workers, func(c *Chunk) bool {
+		for i := range c.Times {
+			if !f(c.Record(i), c.Tiers[i]) {
+				return false
+			}
+		}
+		return true
+	})
 }

@@ -49,11 +49,12 @@ func TestSmokeWeekTelemetry(t *testing.T) {
 	}
 	// Telemetry plausibility: inlet ≈64, outlet ≈70-80, flow ≈26.
 	var inlet, outlet, flow, power []float64
-	db.EachRecord(func(r sensors.Record) {
+	db.EachRecordUntil(func(r sensors.Record) bool {
 		inlet = append(inlet, float64(r.InletTemp))
 		outlet = append(outlet, float64(r.OutletTemp))
 		flow = append(flow, float64(r.Flow))
 		power = append(power, float64(r.Power))
+		return true
 	})
 	if m := stats.Mean(inlet); m < 63 || m > 66 {
 		t.Errorf("mean inlet = %v, want ≈64", m)
@@ -202,7 +203,7 @@ func TestDeterminism(t *testing.T) {
 		rec := NewEnvDBRecorder(db)
 		s := runWindow(t, 6, start, 14, timeutil.SampleInterval, rec)
 		var sum float64
-		db.EachRecord(func(r sensors.Record) { sum += float64(r.Power) })
+		db.EachRecordUntil(func(r sensors.Record) bool { sum += float64(r.Power); return true })
 		return s.Log().Len(), len(s.Incidents()), sum
 	}
 	l1, i1, s1 := run()
@@ -290,7 +291,7 @@ func TestSupplyAffectsInletSeasonally(t *testing.T) {
 		rec := NewEnvDBRecorder(db)
 		runWindow(t, 10, start, 28, 2*timeutil.SampleInterval, rec)
 		var vals []float64
-		db.EachRecord(func(r sensors.Record) { vals = append(vals, float64(r.InletTemp)) })
+		db.EachRecordUntil(func(r sensors.Record) bool { vals = append(vals, float64(r.InletTemp)); return true })
 		return stats.Mean(vals)
 	}
 	jan := inletMean(time.Date(2015, 1, 5, 0, 0, 0, 0, timeutil.Chicago))
@@ -316,10 +317,11 @@ func TestExcursionsRaiseAmbientPeaks(t *testing.T) {
 	start := time.Date(2015, 1, 1, 0, 0, 0, 0, timeutil.Chicago)
 	runWindow(t, 12, start, 365, 2*timeutil.SampleInterval, rec)
 	var maxTemp float64
-	db.EachRecord(func(r sensors.Record) {
+	db.EachRecordUntil(func(r sensors.Record) bool {
 		if v := float64(r.DCTemperature); v > maxTemp {
 			maxTemp = v
 		}
+		return true
 	})
 	// The paper's Fig. 8 tops out near 90 °F; our per-rack sample maximum
 	// additionally carries the row-end airflow offset tail.
@@ -367,7 +369,7 @@ func TestDriftingSensorDoesNotTriggerFalseCMFs(t *testing.T) {
 	neighbor := topology.RackID{Row: 2, Col: 0xA}
 	var driftSum, neighSum float64
 	var driftN, neighN int
-	db.EachRecord(func(r sensors.Record) {
+	db.EachRecordUntil(func(r sensors.Record) bool {
 		switch r.Rack {
 		case drifting:
 			driftSum += float64(r.OutletTemp)
@@ -376,6 +378,7 @@ func TestDriftingSensorDoesNotTriggerFalseCMFs(t *testing.T) {
 			neighSum += float64(r.OutletTemp)
 			neighN++
 		}
+		return true
 	})
 	if driftN == 0 || neighN == 0 {
 		t.Fatal("missing telemetry")

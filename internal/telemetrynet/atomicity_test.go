@@ -42,12 +42,13 @@ func postFrame(t *testing.T, url string, frame []byte) (int, IngestResult) {
 // storeDump flattens a store bit-for-bit comparably.
 func storeDump(db *tsdb.Store) []string {
 	var out []string
-	db.EachRecord(func(r sensors.Record) {
+	db.EachRecordUntil(func(r sensors.Record) bool {
 		line := fmt.Sprintf("%d %v", r.Time.UnixNano(), r.Rack)
 		for _, m := range sensors.AllMetrics() {
 			line += fmt.Sprintf(" %x", math.Float64bits(r.Value(m)))
 		}
 		out = append(out, line)
+		return true
 	})
 	return out
 }

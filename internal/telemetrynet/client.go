@@ -55,16 +55,16 @@ type ClientStats struct {
 }
 
 // Client speaks the telemetrynet wire protocol and implements envdb.DB —
-// including the envdb.Aggregator pushdown and the optional merged-scan
-// capabilities — against a remote Server, so `mirasim -push` records into
-// it and `miraanalyze -remote` analyzes through it exactly as they would
-// an in-process store. Reads are bit-identical to local reads: float64
-// channels travel as raw bit patterns and aggregation runs server-side.
+// including the envdb.Aggregator pushdown and the merged scan — against a
+// remote Server, so `mirasim -push` records into it and `miraanalyze
+// -remote` analyzes through it exactly as they would an in-process store.
+// Reads are bit-identical to local reads: float64 channels travel as raw
+// bit patterns and aggregation runs server-side.
 //
 // Error model: methods that return errors (Append, Flush, Aggregate,
-// EachRecordMerged*, ExportCSV/ImportCSV, Info) surface transport and
+// EachChunkMergedCtx, ExportCSV/ImportCSV, Info) surface transport and
 // protocol failures normally. The error-free envdb.DB read surface
-// (Query, Series, Len, Bounds, EachRecord*) mirrors the local stores'
+// (Query, Series, Len, Bounds, EachRecordUntil) mirrors the local stores'
 // convention — there a failure means corrupted memory and panics — by
 // panicking on a failed request; remote consumers should prefer the
 // erroring surfaces, which every shipped consumer (analysis replay and
@@ -90,9 +90,7 @@ type Client struct {
 var (
 	_ envdb.DB                 = (*Client)(nil)
 	_ envdb.Aggregator         = (*Client)(nil)
-	_ envdb.TierScanner        = (*Client)(nil)
 	_ envdb.ContextTierScanner = (*Client)(nil)
-	_ envdb.ContextAggregator  = (*Client)(nil)
 )
 
 // NewClient creates a client for the telemetry server at baseURL (e.g.
@@ -355,8 +353,10 @@ func (c *Client) queryErr(ctx context.Context, rack topology.RackID, from, to ti
 	}
 	defer body.Close()
 	out := []sensors.Record{}
-	if err := readChunkStream(body, func(r sensors.Record, _ byte) bool {
-		out = append(out, r)
+	if err := readChunkStream(body, new(envdb.Chunk), func(c *envdb.Chunk) bool {
+		for i := range c.Times {
+			out = append(out, c.Record(i))
+		}
 		return true
 	}); err != nil {
 		return nil, err
@@ -393,23 +393,45 @@ func (c *Client) Series(rack topology.RackID, m sensors.Metric, from, to time.Ti
 	return times, vals
 }
 
-// EachRecord visits every remote record rack-major (time order within a
-// rack), streamed in CRC-checked chunks. Panics on a failed request.
-func (c *Client) EachRecord(f func(sensors.Record)) {
-	c.EachRecordUntil(func(r sensors.Record) bool { f(r); return true })
-}
-
-// EachRecordUntil visits records like EachRecord, stopping early when f
+// EachRecordUntil visits every remote record rack-major (time order
+// within a rack), streamed in CRC-checked chunks, stopping early when f
 // returns false (the remaining stream is abandoned, not downloaded).
 // Panics on a failed request.
 func (c *Client) EachRecordUntil(f func(sensors.Record) bool) {
-	err := c.scan(c.ctx, url.Values{"order": {"rack"}}, func(r sensors.Record, _ byte) bool { return f(r) })
+	err := c.scan(c.ctx, url.Values{"order": {"rack"}}, func(ch *envdb.Chunk) bool {
+		for i := range ch.Times {
+			if !f(ch.Record(i)) {
+				return false
+			}
+		}
+		return true
+	})
 	if err != nil {
 		panic(err)
 	}
 }
 
-func (c *Client) scan(ctx context.Context, q url.Values, f func(sensors.Record, byte) bool) error {
+// EachChunkMergedCtx implements envdb.DB over the wire: the server streams
+// its merged scan with every row's tier, and the client decodes each wire
+// chunk straight into the columns of one reused envdb.Chunk. workers
+// bounds the server-side decode fan-out, still capped by the server's own
+// option. The request carries ctx's trace in X-Mira-Trace, so the server's
+// handler and store scan spans join the caller's trace.
+func (c *Client) EachChunkMergedCtx(ctx context.Context, workers int, f func(*envdb.Chunk) bool) error {
+	q := url.Values{"order": {"time"}, "tiers": {"1"}}
+	if workers > 0 {
+		q.Set("workers", strconv.Itoa(workers))
+	}
+	return c.scan(ctx, q, f)
+}
+
+// EachRecordMergedTierCtx implements envdb.ContextTierScanner: the merged
+// scan one materialized row at a time, with each row's storage tier.
+func (c *Client) EachRecordMergedTierCtx(ctx context.Context, workers int, f func(sensors.Record, envdb.Tier) bool) error {
+	return envdb.ScanRecords(ctx, c, workers, f)
+}
+
+func (c *Client) scan(ctx context.Context, q url.Values, f func(*envdb.Chunk) bool) error {
 	ctx, span := obs.Span(ctx, "net.client.scan")
 	defer span.End()
 	body, err := c.get(ctx, "/v1/scan", q)
@@ -419,33 +441,10 @@ func (c *Client) scan(ctx context.Context, q url.Values, f func(sensors.Record, 
 	defer body.Close()
 	rows := 0
 	defer func() { span.SetAttr("rows", strconv.Itoa(rows)) }()
-	return readChunkStream(body, func(r sensors.Record, tier byte) bool {
-		rows++
-		return f(r, tier)
+	return readChunkStream(body, new(envdb.Chunk), func(ch *envdb.Chunk) bool {
+		rows += ch.Len()
+		return f(ch)
 	})
-}
-
-// EachRecordMerged implements envdb.ShardScanner over the wire: the server
-// streams its global time-ordered merge (workers bounds the server-side
-// decode fan-out, still capped by the server's own option).
-func (c *Client) EachRecordMerged(workers int, f func(sensors.Record) bool) error {
-	return c.EachRecordMergedTier(workers, func(r sensors.Record, _ envdb.Tier) bool { return f(r) })
-}
-
-// EachRecordMergedTier implements envdb.TierScanner over the wire.
-func (c *Client) EachRecordMergedTier(workers int, f func(sensors.Record, envdb.Tier) bool) error {
-	return c.EachRecordMergedTierCtx(c.ctx, workers, f)
-}
-
-// EachRecordMergedTierCtx implements envdb.ContextTierScanner over the
-// wire: the scan request carries ctx's trace in X-Mira-Trace, so the
-// server-side handler and tsdb scan spans join the caller's trace.
-func (c *Client) EachRecordMergedTierCtx(ctx context.Context, workers int, f func(sensors.Record, envdb.Tier) bool) error {
-	q := url.Values{"order": {"time"}, "tiers": {"1"}}
-	if workers > 0 {
-		q.Set("workers", strconv.Itoa(workers))
-	}
-	return c.scan(ctx, q, func(r sensors.Record, tier byte) bool { return f(r, envdb.Tier(tier)) })
 }
 
 // Aggregate implements envdb.Aggregator over the wire: the server computes
@@ -457,7 +456,8 @@ func (c *Client) Aggregate(rack topology.RackID, m sensors.Metric, from, to time
 	return c.AggregateCtx(c.ctx, rack, m, from, to, window)
 }
 
-// AggregateCtx implements envdb.ContextAggregator over the wire.
+// AggregateCtx is Aggregate under a caller trace: the request carries
+// ctx's trace, so the server's aggregate spans join it.
 func (c *Client) AggregateCtx(ctx context.Context, rack topology.RackID, m sensors.Metric, from, to time.Time, window time.Duration) ([]envdb.WindowAgg, error) {
 	ctx, span := obs.Span(ctx, "net.client.aggregate")
 	defer span.End()

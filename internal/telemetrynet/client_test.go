@@ -148,10 +148,10 @@ func TestRetryBackoffJitter(t *testing.T) {
 }
 
 // TestClientScanFallback: there is none. Against a server that answers 404
-// on /v1/scan the merged iteration returns that 404 as its error and the
-// error-free EachRecord panics with it (the documented contract of that
-// surface); either way nothing is delivered and exactly one request is
-// made — no per-rack /v1/query stand-in.
+// on /v1/scan the merged scan returns that 404 as its error and the
+// error-free EachRecordUntil panics with it (the documented contract of
+// that surface); either way nothing is delivered and exactly one request
+// is made — no per-rack /v1/query stand-in.
 func TestClientScanFallback(t *testing.T) {
 	store := tsdb.NewStoreWith(tsdb.Options{Partition: 24 * time.Hour})
 	fillStore(t, store, netTrace(6))
@@ -173,8 +173,8 @@ func TestClientScanFallback(t *testing.T) {
 	}
 
 	delivered := 0
-	err := client.EachRecordMergedTier(2, func(sensors.Record, envdb.Tier) bool {
-		delivered++
+	err := client.EachChunkMergedCtx(context.Background(), 2, func(c *envdb.Chunk) bool {
+		delivered += c.Len()
 		return true
 	})
 	if !is404(err) {
@@ -184,11 +184,11 @@ func TestClientScanFallback(t *testing.T) {
 	func() {
 		defer func() {
 			if err, _ := recover().(error); !is404(err) {
-				t.Fatalf("EachRecord panicked with %v, want the server's 404", err)
+				t.Fatalf("EachRecordUntil panicked with %v, want the server's 404", err)
 			}
 		}()
-		client.EachRecord(func(sensors.Record) { delivered++ })
-		t.Fatal("EachRecord returned instead of panicking")
+		client.EachRecordUntil(func(sensors.Record) bool { delivered++; return true })
+		t.Fatal("EachRecordUntil returned instead of panicking")
 	}()
 
 	if delivered != 0 {
@@ -234,17 +234,16 @@ func TestClientCSV(t *testing.T) {
 	}
 }
 
-// TestClientInterfaces pins the capability set other packages type-assert.
+// TestClientInterfaces pins the surfaces other packages rely on: the
+// pushdown (type-asserted by the analyses) and the row view of the merged
+// scan that the benchmark harness names.
 func TestClientInterfaces(t *testing.T) {
 	var db envdb.DB = NewClient("http://unused", ClientOptions{})
 	if _, ok := db.(envdb.Aggregator); !ok {
 		t.Error("Client does not satisfy envdb.Aggregator")
 	}
-	if _, ok := db.(envdb.ShardScanner); !ok {
-		t.Error("Client does not satisfy envdb.ShardScanner")
-	}
-	if _, ok := db.(envdb.TierScanner); !ok {
-		t.Error("Client does not satisfy envdb.TierScanner")
+	if _, ok := db.(envdb.ContextTierScanner); !ok {
+		t.Error("Client does not satisfy envdb.ContextTierScanner")
 	}
 }
 

@@ -92,8 +92,8 @@ func TestRemoteFleetRoundTripBitIdentical(t *testing.T) {
 		}
 
 		opts := analysis.CollectOptions{Workers: 3, Hall: hall}
-		local := analysis.CollectFromStoreOpts(store, opts)
-		remote := analysis.CollectFromStoreOpts(client, opts)
+		local := analysis.CollectFromStoreCtx(ctx, store, opts)
+		remote := analysis.CollectFromStoreCtx(ctx, client, opts)
 		if got, want := remote.Fig7RackCoolant(), local.Fig7RackCoolant(); !reflect.DeepEqual(got, want) {
 			t.Errorf("hall %d: Fig7 replay differs:\n local  %+v\n remote %+v", hall, want, got)
 		}

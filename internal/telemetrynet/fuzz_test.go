@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"testing"
 
+	"mira/internal/envdb"
 	"mira/internal/sensors"
 	"mira/internal/topology"
 )
@@ -89,7 +91,7 @@ func FuzzDecodeIngestFrame(f *testing.F) {
 			}
 			break
 		}
-		err := readChunkStream(bytes.NewReader(data), func(sensors.Record, byte) bool { return true })
+		err := readRecords(bytes.NewReader(data), func(sensors.Record, byte) bool { return true })
 		if err != nil && !errors.Is(err, ErrFrame) {
 			t.Fatalf("readChunkStream: %v is not ErrFrame", err)
 		}
@@ -98,6 +100,49 @@ func FuzzDecodeIngestFrame(f *testing.F) {
 		}
 		if _, _, err := decodeAggs(bytes.NewReader(data)); err != nil && !errors.Is(err, ErrFrame) {
 			t.Fatalf("decodeAggs: %v is not ErrFrame", err)
+		}
+	})
+}
+
+// FuzzReadChunkStream pins the column decoder behind every client read:
+// arbitrary bytes decode to chunks whose every row materializes, or to a
+// wrapped ErrFrame. Never a panic — in particular no rack code that
+// Chunk.Record would panic on may reach a chunk.
+func FuzzReadChunkStream(f *testing.F) {
+	var valid bytes.Buffer
+	cw := newChunkWriter(&valid, true, -21600)
+	for i, r := range wireTrace(9) {
+		r.Rack.Hall = i % 3
+		cw.add(r, byte(i%2))
+	}
+	cw.close()
+	stream := valid.Bytes()
+	f.Add(stream)
+	f.Add(stream[:len(stream)-6]) // truncated inside the terminator
+	badCRC := append([]byte(nil), stream...)
+	badCRC[12+4+recordSize+3] ^= 0x01 // a value byte of the second record
+	f.Add(badCRC)
+	// A bad rack code under a valid CRC: only the decoder's own check
+	// stands between it and Chunk.Record.
+	badRack := append([]byte(nil), stream[:12]...)
+	chunk := binary.LittleEndian.AppendUint32(nil, 1)
+	row := appendRecord(nil, wireTrace(1)[0])
+	binary.LittleEndian.PutUint16(row, 0xFFFF)
+	chunk = append(append(chunk, row...), 0)
+	badRack = append(badRack, binary.LittleEndian.AppendUint32(chunk, crc32.ChecksumIEEE(chunk))...)
+	end := binary.LittleEndian.AppendUint32(nil, 0)
+	badRack = append(badRack, binary.LittleEndian.AppendUint32(end, crc32.ChecksumIEEE(end))...)
+	f.Add(badRack)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		err := readChunkStream(bytes.NewReader(data), new(envdb.Chunk), func(c *envdb.Chunk) bool {
+			for i := 0; i < c.Len(); i++ {
+				c.Record(i)
+			}
+			return true
+		})
+		if err != nil && !errors.Is(err, ErrFrame) {
+			t.Fatalf("readChunkStream: %v is not ErrFrame", err)
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package telemetrynet
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -51,11 +52,11 @@ func TestRemotePushdownBitIdentical(t *testing.T) {
 	store := analysisStore(t)
 	_, client := startServer(t, store)
 
-	localF7, err := analysis.Fig7CoolantPushdown(store)
+	localF7, err := analysis.Fig7CoolantPushdownHall(context.Background(), store, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	remoteF7, err := analysis.Fig7CoolantPushdown(client)
+	remoteF7, err := analysis.Fig7CoolantPushdownHall(context.Background(), client, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,11 +64,11 @@ func TestRemotePushdownBitIdentical(t *testing.T) {
 		t.Errorf("Fig7 pushdown differs over the wire:\n local  %+v\n remote %+v", localF7, remoteF7)
 	}
 
-	localF9, err := analysis.Fig9AmbientPushdown(store)
+	localF9, err := analysis.Fig9AmbientPushdownHall(context.Background(), store, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	remoteF9, err := analysis.Fig9AmbientPushdown(client)
+	remoteF9, err := analysis.Fig9AmbientPushdownHall(context.Background(), client, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,8 +85,8 @@ func TestRemoteReplayEquivalence(t *testing.T) {
 	store := analysisStore(t)
 	_, client := startServer(t, store)
 
-	local := analysis.CollectFromStoreParallel(store, 3)
-	remote := analysis.CollectFromStoreParallel(client, 3)
+	local := analysis.CollectFromStoreCtx(context.Background(), store, analysis.CollectOptions{Workers: 3})
+	remote := analysis.CollectFromStoreCtx(context.Background(), client, analysis.CollectOptions{Workers: 3})
 
 	if got, want := remote.Fig7RackCoolant(), local.Fig7RackCoolant(); !reflect.DeepEqual(got, want) {
 		t.Errorf("Fig7 replay differs:\n local  %+v\n remote %+v", want, got)

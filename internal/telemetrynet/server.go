@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -207,7 +206,6 @@ type slowQueryLine struct {
 	Shape         map[string]string `json:"shape,omitempty"`
 	Records       int64             `json:"records"`
 	BlocksDecoded int64             `json:"blocks_decoded"`
-	BlocksPruned  int64             `json:"blocks_pruned"`
 }
 
 func (s *Server) logSlowQuery(endpoint string, trace obs.TraceID, elapsed time.Duration, shape *queryShape, stats *envdb.ScanStats) {
@@ -220,7 +218,6 @@ func (s *Server) logSlowQuery(endpoint string, trace obs.TraceID, elapsed time.D
 		Shape:         shape.snapshot(),
 		Records:       stats.Records.Load(),
 		BlocksDecoded: stats.BlocksDecoded.Load(),
-		BlocksPruned:  stats.BlocksPruned.Load(),
 	})
 	if err != nil {
 		return // all fields are marshalable; defensive only
@@ -502,12 +499,7 @@ func (s *Server) handleAggregate(w http.ResponseWriter, req *http.Request) {
 	setRangeShape(shape, rack, from, to)
 	shape.set("metric", m.String())
 	shape.set("window", time.Duration(windowN).String())
-	var aggs []envdb.WindowAgg
-	if ca, ok := s.db.(envdb.ContextAggregator); ok {
-		aggs, err = ca.AggregateCtx(req.Context(), rack, m, from, to, time.Duration(windowN))
-	} else {
-		aggs, err = agg.Aggregate(rack, m, from, to, time.Duration(windowN))
-	}
+	aggs, err := agg.AggregateCtx(req.Context(), rack, m, from, to, time.Duration(windowN))
 	if err != nil {
 		// The store rejected the shape of the query (e.g. too many
 		// windows): the client's error, not the server's.
@@ -522,16 +514,22 @@ func (s *Server) handleAggregate(w http.ResponseWriter, req *http.Request) {
 }
 
 // handleScan streams every stored record as a chunked frame sequence.
-// order=rack (default) walks rack-major like envdb.DB.EachRecord;
-// order=time yields the global time-ordered merge (rack ascending within
-// an instant) and honors tiers=1 by appending each record's storage tier.
-// Stores without the merged-scan capability fall back to a server-side
-// buffered sort, so the endpoint's contract holds for any envdb.DB.
+// order=rack (default) walks rack-major like envdb.DB.EachRecordUntil;
+// order=time streams the store's merged scan (global time order, rack
+// code ascending within an instant) straight from its chunk columns and
+// honors tiers=1 by appending each record's storage tier. A scan that
+// fails before its first row answers 500 with the store's error; one that
+// fails mid-stream ends without the terminator chunk, which the client
+// decodes as a truncated stream.
 func (s *Server) handleScan(w http.ResponseWriter, req *http.Request) {
 	q := req.URL.Query()
 	order := q.Get("order")
 	if order == "" {
 		order = "rack"
+	}
+	if order != "rack" && order != "time" {
+		http.Error(w, fmt.Sprintf("bad order %q", order), http.StatusBadRequest)
+		return
 	}
 	tiered := q.Get("tiers") == "1"
 	workers := s.opts.ScanWorkers
@@ -553,65 +551,36 @@ func (s *Server) handleScan(w http.ResponseWriter, req *http.Request) {
 	shape.set("workers", strconv.Itoa(workers))
 	cw := newChunkWriter(w, tiered, s.zoneOff())
 	sent := 0
-	emit := func(r sensors.Record, tier envdb.Tier) bool {
-		if err := cw.add(r, byte(tier)); err != nil {
-			return false // client went away; abandon the scan
-		}
-		sent++
-		return true
-	}
 	var err error
-	switch order {
-	case "rack":
-		s.db.EachRecordUntil(func(r sensors.Record) bool { return emit(r, envdb.TierRaw) })
-	case "time":
-		err = s.mergedScan(req.Context(), workers, emit)
-	default:
-		http.Error(w, fmt.Sprintf("bad order %q", order), http.StatusBadRequest)
-		return
+	if order == "rack" {
+		s.db.EachRecordUntil(func(r sensors.Record) bool {
+			if cw.add(r, byte(envdb.TierRaw)) != nil {
+				return false // client went away; abandon the scan
+			}
+			sent++
+			return true
+		})
+	} else {
+		err = s.db.EachChunkMergedCtx(req.Context(), workers, func(c *envdb.Chunk) bool {
+			for i := range c.Times {
+				if cw.addRow(c, i) != nil {
+					return false
+				}
+				sent++
+			}
+			return true
+		})
 	}
 	shape.set("rows", strconv.Itoa(sent))
 	if err != nil {
-		// Mid-stream failure: the chunk stream just stops without its
-		// terminator, which the client decodes as a truncated stream.
+		if !cw.started {
+			http.Error(w, fmt.Sprintf("scan: %v", err), http.StatusInternalServerError)
+		}
 		return
 	}
 	if cw.close() == nil {
 		metScanRecordsSent.Add(uint64(sent))
 	}
-}
-
-// mergedScan drives the store's best global-time-order capability:
-// TierScanner (context-aware when available, so the scan joins the
-// request's trace), then ShardScanner, then a buffered sort over
-// EachRecord for minimal stores.
-func (s *Server) mergedScan(ctx context.Context, workers int, f func(sensors.Record, envdb.Tier) bool) error {
-	if cts, ok := s.db.(envdb.ContextTierScanner); ok {
-		return cts.EachRecordMergedTierCtx(ctx, workers, f)
-	}
-	if ts, ok := s.db.(envdb.TierScanner); ok {
-		return ts.EachRecordMergedTier(workers, f)
-	}
-	if ss, ok := s.db.(envdb.ShardScanner); ok {
-		return ss.EachRecordMerged(workers, func(r sensors.Record) bool { return f(r, envdb.TierRaw) })
-	}
-	var all []sensors.Record
-	s.db.EachRecord(func(r sensors.Record) { all = append(all, r) })
-	sort.SliceStable(all, func(a, b int) bool {
-		ta, tb := all[a].Time.UnixNano(), all[b].Time.UnixNano()
-		if ta != tb {
-			return ta < tb
-		}
-		// Packed-code order is hall-major — the same fleet order the
-		// tsdb merged scan yields within an instant.
-		return all[a].Rack.Code() < all[b].Rack.Code()
-	})
-	for _, r := range all {
-		if !f(r, envdb.TierRaw) {
-			return nil
-		}
-	}
-	return nil
 }
 
 // Info is the JSON body of /v1/info: the store's record count, time

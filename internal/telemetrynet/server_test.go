@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -276,8 +277,8 @@ func TestScanOrders(t *testing.T) {
 	_, client := startServer(t, store)
 
 	var wantRack, gotRack []sensors.Record
-	store.EachRecord(func(r sensors.Record) { wantRack = append(wantRack, r) })
-	client.EachRecord(func(r sensors.Record) { gotRack = append(gotRack, r) })
+	store.EachRecordUntil(func(r sensors.Record) bool { wantRack = append(wantRack, r); return true })
+	client.EachRecordUntil(func(r sensors.Record) bool { gotRack = append(gotRack, r); return true })
 	if len(gotRack) != len(wantRack) {
 		t.Fatalf("rack scan: %d records, want %d", len(gotRack), len(wantRack))
 	}
@@ -292,13 +293,13 @@ func TestScanOrders(t *testing.T) {
 		tier envdb.Tier
 	}
 	var wantTime, gotTime []tiered
-	if err := store.EachRecordMergedTier(3, func(r sensors.Record, tier envdb.Tier) bool {
+	if err := store.EachRecordMergedTierCtx(context.Background(), 3, func(r sensors.Record, tier envdb.Tier) bool {
 		wantTime = append(wantTime, tiered{r, tier})
 		return true
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := client.EachRecordMergedTier(3, func(r sensors.Record, tier envdb.Tier) bool {
+	if err := client.EachRecordMergedTierCtx(context.Background(), 3, func(r sensors.Record, tier envdb.Tier) bool {
 		gotTime = append(gotTime, tiered{r, tier})
 		return true
 	}); err != nil {
@@ -315,7 +316,7 @@ func TestScanOrders(t *testing.T) {
 
 	// Early stop downloads a prefix without erroring.
 	n := 0
-	if err := client.EachRecordMerged(2, func(sensors.Record) bool { n++; return n < 7 }); err != nil {
+	if err := client.EachRecordMergedTierCtx(context.Background(), 2, func(sensors.Record, envdb.Tier) bool { n++; return n < 7 }); err != nil {
 		t.Fatal(err)
 	}
 	if n != 7 {
@@ -499,5 +500,35 @@ func TestReadsAcrossPartitionRoll(t *testing.T) {
 	}
 	if want := ticks * fleet.NumRacks(); store.Len() != want {
 		t.Fatalf("store holds %d records, want the %d acked", store.Len(), want)
+	}
+}
+
+// failingScan is a store whose merged scan fails before its first row.
+type failingScan struct{ envdb.DB }
+
+var errScanFailed = errors.New("segment block checksum mismatch")
+
+func (failingScan) EachChunkMergedCtx(context.Context, int, func(*envdb.Chunk) bool) error {
+	return errScanFailed
+}
+
+// TestScanFailureBeforeFirstRow: a time-ordered scan that fails before the
+// stream header is written answers 500 with the store's error, which the
+// client returns as the server's error — not as a malformed stream.
+func TestScanFailureBeforeFirstRow(t *testing.T) {
+	store := tsdb.NewStoreWith(tsdb.Options{Partition: 24 * time.Hour})
+	fillStore(t, store, netTrace(3))
+	_, client := startServer(t, failingScan{store})
+	delivered := 0
+	err := client.EachChunkMergedCtx(context.Background(), 2, func(c *envdb.Chunk) bool {
+		delivered += c.Len()
+		return true
+	})
+	var he *httpError
+	if !errors.As(err, &he) || he.code != http.StatusInternalServerError || !strings.Contains(he.msg, errScanFailed.Error()) {
+		t.Fatalf("scan = %v, want the server's 500 carrying %q", err, errScanFailed)
+	}
+	if errors.Is(err, ErrFrame) || delivered != 0 {
+		t.Fatalf("scan reported a wire fault (%v) or delivered %d rows", err, delivered)
 	}
 }

@@ -84,11 +84,11 @@ func TestEndToEndTracePropagation(t *testing.T) {
 
 	id := root.Context().Trace
 	spans := waitTrace(t, id,
-		"test.e2e", "net.client.scan", "net.scan", "tsdb.scan_merged", "tsdb.scan_block")
+		"test.e2e", "net.client.scan", "net.scan", "tsdb.scan_chunked", "tsdb.scan_block")
 
 	clientScan := spanByName(t, spans, "net.client.scan")
 	handler := spanByName(t, spans, "net.scan")
-	merged := spanByName(t, spans, "tsdb.scan_merged")
+	merged := spanByName(t, spans, "tsdb.scan_chunked")
 	if clientScan.Parent != spanByName(t, spans, "test.e2e").ID {
 		t.Fatalf("net.client.scan parent %s, want root %s", clientScan.Parent, root.Context().Span)
 	}
@@ -97,7 +97,7 @@ func TestEndToEndTracePropagation(t *testing.T) {
 			handler.Parent, clientScan.ID)
 	}
 	if merged.Parent != handler.ID {
-		t.Fatalf("tsdb.scan_merged parent %s, want handler span %s", merged.Parent, handler.ID)
+		t.Fatalf("tsdb.scan_chunked parent %s, want handler span %s", merged.Parent, handler.ID)
 	}
 	blocks := 0
 	for _, sp := range spans {
@@ -120,7 +120,7 @@ func TestEndToEndTracePropagation(t *testing.T) {
 	if rec.Code != 200 {
 		t.Fatalf("/debug/traces/%s: status %d", id, rec.Code)
 	}
-	for _, want := range []string{"test.e2e", "net.scan", "tsdb.scan_merged"} {
+	for _, want := range []string{"test.e2e", "net.scan", "tsdb.scan_chunked"} {
 		if !strings.Contains(rec.Body.String(), want) {
 			t.Fatalf("/debug/traces tree missing %q:\n%s", want, rec.Body.String())
 		}

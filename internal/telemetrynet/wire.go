@@ -12,9 +12,11 @@
 // sequence, record count, zone offset) followed by 58-byte fixed-width
 // records and an IEEE CRC32 over header+payload. The (client ID, sequence)
 // pair makes retried pushes idempotent: the server remembers the highest
-// sequence applied per client and drops replays. Query responses reuse the
-// record encoding in CRC-checked chunks, and float64 channels travel as
-// raw bit patterns, so remote reads are bit-identical to in-process reads.
+// sequence applied per client and drops replays. Query and scan responses
+// reuse the record encoding in CRC-checked chunks, which the client
+// decodes straight into the columns of an envdb.Chunk; float64 channels
+// travel as raw bit patterns, so remote reads are bit-identical to
+// in-process reads.
 package telemetrynet
 
 import (
@@ -26,6 +28,7 @@ import (
 	"math"
 	"time"
 
+	"mira/internal/envdb"
 	"mira/internal/sensors"
 	"mira/internal/topology"
 	"mira/internal/units"
@@ -275,15 +278,43 @@ func (cw *chunkWriter) header() []byte {
 	return binary.LittleEndian.AppendUint32(hdr, uint32(cw.zoneOff))
 }
 
+// add appends one record to the stream.
 func (cw *chunkWriter) add(r sensors.Record, tier byte) error {
-	if !cw.started {
-		cw.started = true
-		if _, err := cw.w.Write(cw.header()); err != nil {
-			return err
-		}
-		cw.buf = binary.LittleEndian.AppendUint32(cw.buf[:0], 0) // count placeholder
+	if err := cw.start(); err != nil {
+		return err
 	}
 	cw.buf = appendRecord(cw.buf, r)
+	return cw.endRow(tier)
+}
+
+// addRow appends row i of c straight from its columns: the same bytes add
+// writes for c.Record(i), without materializing the record.
+func (cw *chunkWriter) addRow(c *envdb.Chunk, i int) error {
+	if err := cw.start(); err != nil {
+		return err
+	}
+	cw.buf = binary.LittleEndian.AppendUint16(cw.buf, c.Racks[i])
+	cw.buf = binary.LittleEndian.AppendUint64(cw.buf, uint64(c.Times[i]))
+	for m := range c.Cols {
+		cw.buf = binary.LittleEndian.AppendUint64(cw.buf, math.Float64bits(c.Cols[m][i]))
+	}
+	return cw.endRow(byte(c.Tiers[i]))
+}
+
+// start writes the stream header before the first record.
+func (cw *chunkWriter) start() error {
+	if cw.started {
+		return nil
+	}
+	cw.started = true
+	cw.buf = binary.LittleEndian.AppendUint32(cw.buf[:0], 0) // count placeholder
+	_, err := cw.w.Write(cw.header())
+	return err
+}
+
+// endRow finishes the record just appended: its tier byte on a tiered
+// stream, and a chunk flush when the chunk is full.
+func (cw *chunkWriter) endRow(tier byte) error {
 	if cw.tiered {
 		cw.buf = append(cw.buf, tier)
 	}
@@ -309,11 +340,8 @@ func (cw *chunkWriter) flushChunk() error {
 // close flushes the pending chunk and writes the zero-count terminator, so
 // the reader can tell a complete stream from a truncated one.
 func (cw *chunkWriter) close() error {
-	if !cw.started {
-		cw.started = true
-		if _, err := cw.w.Write(cw.header()); err != nil {
-			return err
-		}
+	if err := cw.start(); err != nil {
+		return err
 	}
 	if err := cw.flushChunk(); err != nil {
 		return err
@@ -324,11 +352,13 @@ func (cw *chunkWriter) close() error {
 	return err
 }
 
-// readChunkStream decodes a chunk stream, invoking f for each record until
-// the terminator chunk or f returns false (early stop: the remaining body
-// is abandoned, not decoded). Returns a wrapped ErrFrame on any malformed
-// or truncated input.
-func readChunkStream(r io.Reader, f func(rec sensors.Record, tier byte) bool) error {
+// readChunkStream decodes a chunk stream into c, one wire chunk at a
+// time, invoking f with each filled chunk until the terminator chunk or f
+// returns false (early stop: the remaining body is abandoned, not
+// decoded). c's columns are reused across chunks. Returns a wrapped
+// ErrFrame on any malformed or truncated input, including a rack code
+// that names no rack — Chunk.Record would panic on one.
+func readChunkStream(r io.Reader, c *envdb.Chunk, f func(*envdb.Chunk) bool) error {
 	var hdr [12]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return frameErr("reading stream header: %v", err)
@@ -337,7 +367,7 @@ func readChunkStream(r io.Reader, f func(rec sensors.Record, tier byte) bool) er
 		return frameErr("bad stream magic %#x", m)
 	}
 	tiered := binary.LittleEndian.Uint32(hdr[4:])&chunkFlagTiered != 0
-	loc := zoneLocation(int32(binary.LittleEndian.Uint32(hdr[8:])))
+	c.Loc = zoneLocation(int32(binary.LittleEndian.Uint32(hdr[8:])))
 	size := recordSize
 	if tiered {
 		size++
@@ -368,20 +398,50 @@ func readChunkStream(r io.Reader, f func(rec sensors.Record, tier byte) bool) er
 		if count == 0 {
 			return nil // terminator
 		}
-		for i := 0; i < int(count); i++ {
-			rec, err := decodeRecord(chunk[i*size:], loc)
-			if err != nil {
-				return err
-			}
-			var tier byte
-			if tiered {
-				tier = chunk[i*size+recordSize]
-			}
-			if !f(rec, tier) {
-				return nil
-			}
+		if err := decodeRows(chunk, int(count), size, tiered, c); err != nil {
+			return err
+		}
+		if !f(c) {
+			return nil
 		}
 	}
+}
+
+// decodeRows fills c with the n fixed-width rows of one checksummed chunk
+// payload, size bytes each.
+func decodeRows(b []byte, n, size int, tiered bool, c *envdb.Chunk) error {
+	c.Times = resize(c.Times, n)
+	c.Racks = resize(c.Racks, n)
+	c.Tiers = resize(c.Tiers, n)
+	for m := range c.Cols {
+		c.Cols[m] = resize(c.Cols[m], n)
+	}
+	for i := 0; i < n; i++ {
+		row := b[i*size:]
+		code := binary.LittleEndian.Uint16(row)
+		if _, err := topology.RackFromCode(code); err != nil {
+			return frameErr("record %d: %v", i, err)
+		}
+		c.Racks[i] = code
+		c.Times[i] = int64(binary.LittleEndian.Uint64(row[2:]))
+		for m := range c.Cols {
+			c.Cols[m][i] = math.Float64frombits(binary.LittleEndian.Uint64(row[10+8*m:]))
+		}
+		c.Tiers[i] = envdb.TierRaw
+		if tiered {
+			c.Tiers[i] = envdb.Tier(row[recordSize])
+		}
+	}
+	return nil
+}
+
+// resize returns s with length n, reusing its backing array when it is
+// large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]T, n)
 }
 
 // encodeSeries writes a series response: times as UnixNano, values as raw

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"mira/internal/envdb"
 	"mira/internal/sensors"
 	"mira/internal/timeutil"
 	"mira/internal/topology"
@@ -157,6 +158,19 @@ func retiredChunkStream(recs []sensors.Record) []byte {
 	return append(buf, binary.LittleEndian.AppendUint32(end, crc32.ChecksumIEEE(end))...)
 }
 
+// readRecords decodes a chunk stream one materialized record at a time,
+// stopping when f returns false.
+func readRecords(r io.Reader, f func(rec sensors.Record, tier byte) bool) error {
+	return readChunkStream(r, new(envdb.Chunk), func(c *envdb.Chunk) bool {
+		for i := 0; i < c.Len(); i++ {
+			if !f(c.Record(i), byte(c.Tiers[i])) {
+				return false
+			}
+		}
+		return true
+	})
+}
+
 // TestRetiredWireFormatsRejected: a well-formed frame or stream of the
 // retired generation is refused whole — a wrapped ErrFrame naming the
 // magic, no record decoded — and never read as the current layout.
@@ -167,7 +181,7 @@ func TestRetiredWireFormatsRejected(t *testing.T) {
 		t.Fatalf("retired ingest frame: err = %v, want ErrFrame naming the magic", err)
 	}
 	visited := 0
-	err = readChunkStream(bytes.NewReader(retiredChunkStream(recs)), func(sensors.Record, byte) bool {
+	err = readRecords(bytes.NewReader(retiredChunkStream(recs)), func(sensors.Record, byte) bool {
 		visited++
 		return true
 	})
@@ -194,7 +208,7 @@ func TestChunkStreamRoundTrip(t *testing.T) {
 		}
 		var got []sensors.Record
 		var tiers []byte
-		if err := readChunkStream(bytes.NewReader(buf.Bytes()), func(r sensors.Record, tier byte) bool {
+		if err := readRecords(bytes.NewReader(buf.Bytes()), func(r sensors.Record, tier byte) bool {
 			got = append(got, r)
 			tiers = append(tiers, tier)
 			return true
@@ -217,10 +231,35 @@ func TestChunkStreamRoundTrip(t *testing.T) {
 			}
 		}
 
+		// Written from chunk columns, the stream is byte-identical.
+		var c envdb.Chunk
+		c.Loc = recs[0].Time.Location()
+		for i, r := range recs {
+			c.Times = append(c.Times, r.Time.UnixNano())
+			c.Racks = append(c.Racks, r.Rack.Code())
+			c.Tiers = append(c.Tiers, envdb.Tier(i%2))
+			for m := range c.Cols {
+				c.Cols[m] = append(c.Cols[m], r.Value(sensors.Metric(m)))
+			}
+		}
+		var rows bytes.Buffer
+		cw = newChunkWriter(&rows, tiered, zoneOffset(recs[0].Time))
+		for i := range recs {
+			if err := cw.addRow(&c, i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := cw.close(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(rows.Bytes(), buf.Bytes()) {
+			t.Fatalf("tiered=%v: addRow stream differs from the add stream", tiered)
+		}
+
 		// Truncation anywhere — including a lost terminator — is detected.
 		stream := buf.Bytes()
 		for _, cut := range []int{0, 1, len(stream) / 2, len(stream) - 8, len(stream) - 1} {
-			err := readChunkStream(bytes.NewReader(stream[:cut]), func(sensors.Record, byte) bool { return true })
+			err := readRecords(bytes.NewReader(stream[:cut]), func(sensors.Record, byte) bool { return true })
 			if !errors.Is(err, ErrFrame) {
 				t.Fatalf("tiered=%v truncated at %d: err = %v, want ErrFrame", tiered, cut, err)
 			}
@@ -241,7 +280,7 @@ func TestChunkStreamEarlyStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen := 0
-	if err := readChunkStream(bytes.NewReader(buf.Bytes()), func(sensors.Record, byte) bool {
+	if err := readRecords(bytes.NewReader(buf.Bytes()), func(sensors.Record, byte) bool {
 		seen++
 		return seen < 5
 	}); err != nil {
@@ -258,7 +297,7 @@ func TestEmptyChunkStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	calls := 0
-	if err := readChunkStream(bytes.NewReader(buf.Bytes()), func(sensors.Record, byte) bool {
+	if err := readRecords(bytes.NewReader(buf.Bytes()), func(sensors.Record, byte) bool {
 		calls++
 		return true
 	}); err != nil {

@@ -27,10 +27,10 @@ func fleetTicks(fleet topology.Fleet, n int) []sensors.Record {
 	return out
 }
 
-// dumpStore flattens everything the store yields, in EachRecord order.
+// dumpStore flattens everything the store yields, in EachRecordUntil order.
 func dumpStore(s *Store) []sensors.Record {
 	var out []sensors.Record
-	s.EachRecord(func(r sensors.Record) { out = append(out, r) })
+	s.EachRecordUntil(func(r sensors.Record) bool { out = append(out, r); return true })
 	return out
 }
 
@@ -262,9 +262,10 @@ func TestConcurrentFirstAppend(t *testing.T) {
 	}
 	// Whichever zone won, every record reads back in the same one.
 	want := s.Query(tick[0].Rack, base.Add(-time.Hour).UTC(), base.Add(time.Hour).UTC())[0].Time.Location()
-	s.EachRecord(func(r sensors.Record) {
+	s.EachRecordUntil(func(r sensors.Record) bool {
 		if r.Time.Location() != want {
 			t.Fatalf("mixed calendar zones in one store: %v and %v", r.Time.Location(), want)
 		}
+		return true
 	})
 }

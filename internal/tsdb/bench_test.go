@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -167,12 +168,11 @@ func benchStoreAllRacks(b *testing.B, days int) *Store {
 	return s
 }
 
-// BenchmarkEachRecord is the full-trace replay benchmark on the batch-
-// columnar path: the chunked merged scan in global (timestamp, rack) order
-// with a single decode worker pipelined against the merge loop — the shape
-// offline replay uses. Compare against BenchmarkEachRecordSerial (rack-
-// major, no merge) and BenchmarkEachRecordParallel (record-at-a-time
-// merge) for the chunked-vs-record contrast.
+// BenchmarkEachRecord is the full-trace replay benchmark on the merged
+// scan: chunks in global (timestamp, rack) order with a single decode
+// worker pipelined against the merge loop — the shape offline replay uses.
+// Compare against BenchmarkEachRecordSerial (rack-major, no merge) and
+// BenchmarkEachRecordParallel (every row materialized as a record).
 func BenchmarkEachRecord(b *testing.B) {
 	s := benchStoreAllRacks(b, 7)
 	want := s.Len()
@@ -180,7 +180,7 @@ func BenchmarkEachRecord(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := 0
-		if err := s.EachChunkMerged(1, func(c *envdb.Chunk) bool { n += c.Len(); return true }); err != nil {
+		if err := s.EachChunkMergedCtx(context.Background(), 1, func(c *envdb.Chunk) bool { n += c.Len(); return true }); err != nil {
 			b.Fatal(err)
 		}
 		if n != want {
@@ -198,7 +198,7 @@ func BenchmarkEachRecordSerial(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := 0
-		s.EachRecord(func(sensors.Record) { n++ })
+		s.EachRecordUntil(func(sensors.Record) bool { n++; return true })
 		if n != want {
 			b.Fatalf("visited %d, want %d", n, want)
 		}
@@ -206,9 +206,9 @@ func BenchmarkEachRecordSerial(b *testing.B) {
 	b.ReportMetric(float64(want), "records/op")
 }
 
-// BenchmarkEachRecordParallel replays the same trace through the parallel
-// fan-out + k-way merge in global timestamp order. The GOMAXPROCS sub-
-// benchmarks show the decode scaling; on a single-core host all worker
+// BenchmarkEachRecordParallel replays the same trace through the merged
+// scan's row view, materializing every row as a record. The worker-count
+// sub-benchmarks show the decode scaling; on a single-core host all worker
 // counts collapse to serial throughput plus merge overhead.
 func BenchmarkEachRecordParallel(b *testing.B) {
 	s := benchStoreAllRacks(b, 7)
@@ -218,7 +218,7 @@ func BenchmarkEachRecordParallel(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				n := 0
-				if err := s.EachRecordMerged(workers, func(sensors.Record) bool { n++; return true }); err != nil {
+				if err := s.EachRecordMergedTierCtx(context.Background(), workers, func(sensors.Record, envdb.Tier) bool { n++; return true }); err != nil {
 					b.Fatal(err)
 				}
 				if n != want {
@@ -367,7 +367,7 @@ func BenchmarkFleetScanChunked(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := 0
-		if err := s.EachChunkMerged(1, func(c *envdb.Chunk) bool { n += c.Len(); return true }); err != nil {
+		if err := s.EachChunkMergedCtx(context.Background(), 1, func(c *envdb.Chunk) bool { n += c.Len(); return true }); err != nil {
 			b.Fatal(err)
 		}
 		if n != want {

@@ -34,16 +34,17 @@ type channelData struct {
 	data  []byte
 }
 
-// ZoneMap is the value range of one channel inside a sealed block — the
-// pruning index of the columnar scan path: a block whose zones cannot
-// satisfy a scan predicate is skipped without decoding a single payload
-// byte. NaN bounds mark an unusable zone (the channel holds NaN values, so
-// the range proves nothing); unusable zones never prune.
+// ZoneMap is the value range of one channel inside a sealed block, kept in
+// the segment format (each block header carries one per channel) as a
+// pruning index: a block whose zones cannot satisfy a predicate could be
+// skipped without decoding a payload byte. No scan prunes today. NaN
+// bounds mark an unusable zone (the channel holds NaN values, so the range
+// proves nothing); unusable zones can never prune.
 type ZoneMap struct {
 	Min, Max float64
 }
 
-// usable reports whether the zone can prune; false for NaN bounds.
+// usable reports whether the zone bounds its channel; false for NaN bounds.
 func (z ZoneMap) usable() bool { return z.Min <= z.Max }
 
 // computeZone scans one non-empty value column for its zone map.

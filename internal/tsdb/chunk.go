@@ -1,17 +1,15 @@
 package tsdb
 
-// The batch-columnar merge: EachChunkMerged delivers the same global
-// (timestamp, rack) order as EachRecordMerged, but as columnar chunks
-// built a merge *round* at a time instead of one record per heap
-// operation. Each round finds the minimum timestamp t0 across the shard
-// streams and the next distinct timestamp after it; if one stream alone
-// holds t0 it bulk-copies every record below that boundary (a whole run
-// on disjoint shards), and if several streams tie at t0 — the common
-// shape for tick-aligned telemetry — each emits its t0 records in rack
+// The merged scan: EachChunkMergedCtx delivers every stored record in
+// global (timestamp, shard) order as columnar chunks, built a merge
+// *round* at a time. Each round finds the minimum timestamp t0 across the
+// shard streams and the next distinct timestamp after it; if one stream
+// alone holds t0 it bulk-copies every record below that boundary (a whole
+// run on disjoint shards), and if several streams tie at t0 — the common
+// shape for tick-aligned telemetry — each emits its t0 records in shard
 // order. Either way the copy is a tight per-run loop with no heap
-// maintenance, which is what moves the merged scan from ~2M to >20M
-// records/s on one core: the decode worker pipelines against this
-// merge loop, and neither does per-record bookkeeping.
+// maintenance: the decode workers pipeline against this merge loop, and
+// neither does per-record bookkeeping.
 
 import (
 	"context"
@@ -21,6 +19,7 @@ import (
 
 	"mira/internal/envdb"
 	"mira/internal/obs"
+	"mira/internal/sensors"
 )
 
 // chunkTargetRows is the fill target of one chunk: small enough that a
@@ -29,56 +28,49 @@ import (
 // by up to one round.
 const chunkTargetRows = 4096
 
-var (
-	_ envdb.ChunkScanner        = (*Store)(nil)
-	_ envdb.ContextChunkScanner = (*Store)(nil)
-)
+var _ envdb.ContextTierScanner = (*Store)(nil)
 
-// EachChunkMerged implements envdb.ChunkScanner: the merged scan of
-// EachRecordMerged delivered as reused columnar chunks. workers bounds the
-// decode pool exactly as in EachRecordMerged; the chunk assembly itself is
-// single-threaded, so row order is deterministic and equal to the record
-// surface's visit order.
-func (s *Store) EachChunkMerged(workers int, f func(*envdb.Chunk) bool) error {
-	return s.EachChunkMergedWhereCtx(context.Background(), workers, nil, f)
-}
-
-// EachChunkMergedCtx implements envdb.ContextChunkScanner: the chunked
-// scan as a child span of ctx's trace, with worker-side block decodes
-// linked under it and the request's scan counters updated.
+// EachChunkMergedCtx implements envdb.DB: the whole store in global
+// (timestamp, shard) order as reused columnar chunks; EachChunkInRange
+// over every representable instant.
 func (s *Store) EachChunkMergedCtx(ctx context.Context, workers int, f func(*envdb.Chunk) bool) error {
-	return s.EachChunkMergedWhereCtx(ctx, workers, nil, f)
+	return s.EachChunkInRange(ctx, time.Unix(0, minTime), time.Unix(0, maxTime), workers, f)
 }
 
-// EachChunkMergedWhere is EachChunkMerged with zone-map pruning: sealed
-// blocks whose zones fail pred are skipped without decoding (see
-// ScanShardsWhere). Rows from unpruned blocks still appear even when they
-// individually fail the predicate — zones prune blocks, not rows.
-func (s *Store) EachChunkMergedWhere(workers int, pred BlockPredicate, f func(*envdb.Chunk) bool) error {
-	return s.EachChunkMergedWhereCtx(context.Background(), workers, pred, f)
-}
-
-// EachChunkMergedWhereCtx combines EachChunkMergedCtx and
-// EachChunkMergedWhere.
-func (s *Store) EachChunkMergedWhereCtx(ctx context.Context, workers int, pred BlockPredicate, f func(*envdb.Chunk) bool) error {
-	ctx, span := obs.Span(ctx, "tsdb.scan_chunked")
-	defer span.End()
-	st := envdb.ScanStatsFrom(ctx)
-	if st == nil {
-		st = new(envdb.ScanStats)
-		ctx = envdb.ContextWithScanStats(ctx, st)
+// EachChunkInRange is the merged scan over records with timestamps in
+// [from, to): shards decode in parallel on `workers` goroutines (<= 0
+// selects GOMAXPROCS) while the chunk assembly stays single-threaded, so
+// the row order is deterministic whatever the worker count. The scan runs
+// against per-shard snapshots, so concurrent appends proceed untouched; it
+// stops early when f returns false and returns the first decode failure.
+//
+// Under a traced ctx the scan is a "tsdb.scan_chunked" child span with the
+// workers' block decodes linked under it; an untraced scan (the
+// incremental auditor's) starts no span at all. ctx's scan counters
+// (envdb.ScanStatsFrom) accumulate the rows and blocks either way.
+func (s *Store) EachChunkInRange(ctx context.Context, from, to time.Time, workers int, f func(*envdb.Chunk) bool) error {
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	defer func() {
-		span.SetAttr("rows", strconv.FormatInt(st.Records.Load(), 10))
-		span.SetAttr("blocks", strconv.FormatInt(st.BlocksDecoded.Load(), 10))
-		span.SetAttr("pruned", strconv.FormatInt(st.BlocksPruned.Load(), 10))
-	}()
 	defer metQueryDur.With(opScanChunked).ObserveSince(time.Now())
-	streams := s.ScanShardsWhereCtx(ctx, time.Unix(0, minTime), time.Unix(0, maxTime), workers, pred)
-	cm := chunkMerger{streams: streams}
-	if len(streams) > 0 {
-		cm.pool = streams[0].pool
-		cm.chunk.Loc = streams[0].loc
+	if _, traced := obs.SpanContextFrom(ctx); traced {
+		var span *obs.ActiveSpan
+		ctx, span = obs.Span(ctx, "tsdb.scan_chunked")
+		defer span.End()
+		st := envdb.ScanStatsFrom(ctx)
+		if st == nil {
+			st = new(envdb.ScanStats)
+			ctx = envdb.ContextWithScanStats(ctx, st)
+		}
+		defer func() {
+			span.SetAttr("rows", strconv.FormatInt(st.Records.Load(), 10))
+			span.SetAttr("blocks", strconv.FormatInt(st.BlocksDecoded.Load(), 10))
+		}()
+	}
+	cm := chunkMerger{streams: s.scanShards(ctx, from, to, workers)}
+	if len(cm.streams) > 0 {
+		cm.pool = cm.streams[0].pool
+		cm.chunk.Loc = cm.streams[0].loc
 	}
 	defer cm.close()
 	for cm.fill() {
@@ -89,14 +81,19 @@ func (s *Store) EachChunkMergedWhereCtx(ctx context.Context, workers int, pred B
 	return cm.err
 }
 
+// EachRecordMergedTierCtx implements envdb.ContextTierScanner: the merged
+// scan one materialized row at a time, with each row's storage tier.
+func (s *Store) EachRecordMergedTierCtx(ctx context.Context, workers int, f func(sensors.Record, envdb.Tier) bool) error {
+	return envdb.ScanRecords(ctx, s, workers, f)
+}
+
 // chunkMerger folds shard streams into columnar chunks one merge round at
-// a time. Unlike MergeIter it reads eagerly — a fill may decode past a
-// consumer's early stop by up to a chunk — in exchange for doing no
-// per-record heap work.
+// a time. It reads eagerly — a fill may decode past a consumer's early
+// stop by up to a chunk — in exchange for doing no per-record heap work.
 type chunkMerger struct {
 	pool    *scanPool
-	streams []*ShardStream // as returned by ScanShards, rack-index order
-	active  []*ShardStream // streams with a current run, rack-index order
+	streams []*shardStream // as returned by scanShards, shard order
+	active  []*shardStream // streams with a current run, shard order
 	chunk   envdb.Chunk
 	srcs    [][]float64 // aligned-stretch read cursors, reused across rounds
 	started bool
@@ -114,8 +111,8 @@ func (cm *chunkMerger) fill() bool {
 	if !cm.started {
 		cm.started = true
 		// Admit every stream's first run; the waits overlap since all
-		// streams were armed at ScanShards time.
-		cm.active = make([]*ShardStream, 0, len(cm.streams))
+		// streams were armed at scanShards time.
+		cm.active = make([]*shardStream, 0, len(cm.streams))
 		for _, st := range cm.streams {
 			if st.advanceRun() {
 				cm.active = append(cm.active, st)
@@ -126,12 +123,7 @@ func (cm *chunkMerger) fill() bool {
 		}
 	}
 	c := &cm.chunk
-	c.Times = c.Times[:0]
-	c.Racks = c.Racks[:0]
-	c.Tiers = c.Tiers[:0]
-	for m := range c.Cols {
-		c.Cols[m] = c.Cols[m][:0]
-	}
+	c.Reset()
 	for len(cm.active) > 0 && len(c.Times) < chunkTargetRows {
 		if !cm.round() {
 			return false
@@ -198,7 +190,7 @@ func (cm *chunkMerger) round() bool {
 		if st.curTime() >= limit {
 			continue
 		}
-		if !cm.emit(st, limit) {
+		if !cm.emit(st, limit, tied == 1) {
 			if st.err != nil {
 				cm.fail(st.err)
 				return false
@@ -383,9 +375,13 @@ func (cm *chunkMerger) growChunk(w int) {
 
 // emit bulk-copies st's records below limit into the chunk, following the
 // stream across run boundaries while records keep arriving below the limit
-// (a seal during ingest can split equal timestamps across two runs). It
-// returns false when the stream is exhausted or failed.
-func (cm *chunkMerger) emit(st *ShardStream, limit int64) bool {
+// (a seal during ingest can split equal timestamps across two runs). A
+// lone minimum (every other stream at or past limit) may stop at a run
+// boundary once the chunk is full: the rest of its records stay below
+// limit, so the next round emits them just the same. That bounds a chunk
+// to its target plus one run when a single shard holds the whole range.
+// It returns false when the stream is exhausted or failed.
+func (cm *chunkMerger) emit(st *shardStream, limit int64, lone bool) bool {
 	c := &cm.chunk
 	rackCode := st.rackCode
 	for {
@@ -414,7 +410,7 @@ func (cm *chunkMerger) emit(st *ShardStream, limit int64) bool {
 		if !st.advanceRun() {
 			return false
 		}
-		if st.curTime() >= limit {
+		if st.curTime() >= limit || (lone && len(c.Times) >= chunkTargetRows) {
 			return true
 		}
 	}

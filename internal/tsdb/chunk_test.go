@@ -1,66 +1,19 @@
 package tsdb
 
 import (
-	"fmt"
+	"context"
 	"math/rand"
 	"testing"
 	"time"
 
 	"mira/internal/envdb"
-	"mira/internal/sensors"
 	"mira/internal/timeutil"
 	"mira/internal/topology"
 )
 
-// collectChunked materializes every row of a chunked merged scan through
-// Chunk.Record, so the result is comparable bit-for-bit against the
-// record-at-a-time surfaces.
-func collectChunked(t *testing.T, s *Store, workers int) []sensors.Record {
-	t.Helper()
-	var out []sensors.Record
-	if err := s.EachChunkMerged(workers, func(c *envdb.Chunk) bool {
-		for i := 0; i < c.Len(); i++ {
-			out = append(out, c.Record(i))
-		}
-		return true
-	}); err != nil {
-		t.Fatalf("EachChunkMerged(%d): %v", workers, err)
-	}
-	return out
-}
-
-// TestChunkedScanEquivalence is the chunked path's correctness anchor: the
-// batch-columnar scan must visit record sequences bit-identical to the
-// record-at-a-time merge — same instants, racks, tiers, and float bits —
-// at every worker count, and again after a warm reopen.
-func TestChunkedScanEquivalence(t *testing.T) {
-	s := NewStoreWith(Options{Partition: 24 * time.Hour})
-	// All 48 racks, several sealed partitions plus a live head each, so
-	// every tick exercises the full 48-way tie interleave.
-	const n = 600
-	fill(t, n, topology.AllRacks(), s)
-
-	want := mergedReference(s)
-	if len(want) != n*topology.NumRacks {
-		t.Fatalf("reference has %d records, want %d", len(want), n*topology.NumRacks)
-	}
-	for _, workers := range []int{1, 3, 8, 0} {
-		sameRecords(t, fmt.Sprintf("chunked workers=%d", workers), collectChunked(t, s, workers), want)
-	}
-
-	dir := t.TempDir()
-	if err := s.Flush(dir); err != nil {
-		t.Fatalf("Flush: %v", err)
-	}
-	re, err := Open(dir, Options{Partition: 24 * time.Hour})
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	sameRecords(t, "chunked warm reopen", collectChunked(t, re, 2), want)
-}
-
-// TestChunkedScanTiers checks that chunk rows carry the storage tier and
-// stay identical to the tier-aware record scan over a compacted store.
+// TestChunkedScanTiers checks that chunk rows carry the storage tier over
+// a compacted store: every downsampled row of a rack precedes its raw
+// rows, and both tiers appear.
 func TestChunkedScanTiers(t *testing.T) {
 	s := NewStoreWith(Options{
 		Partition: 6 * time.Hour,
@@ -72,38 +25,33 @@ func TestChunkedScanTiers(t *testing.T) {
 		t.Fatalf("Compact: %v", err)
 	}
 
-	type tiered struct {
-		r    sensors.Record
-		tier envdb.Tier
-	}
-	var want []tiered
-	if err := s.EachRecordMergedTier(2, func(r sensors.Record, tier envdb.Tier) bool {
-		want = append(want, tiered{r, tier})
-		return true
-	}); err != nil {
-		t.Fatalf("EachRecordMergedTier: %v", err)
-	}
-	var got []tiered
-	if err := s.EachChunkMerged(2, func(c *envdb.Chunk) bool {
-		for i := 0; i < c.Len(); i++ {
-			got = append(got, tiered{c.Record(i), c.Tiers[i]})
-		}
-		return true
-	}); err != nil {
-		t.Fatalf("EachChunkMerged: %v", err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("chunked visited %d rows, want %d", len(got), len(want))
-	}
+	rows := 0
+	sawRaw := map[uint16]bool{}
 	sawDown := false
-	for i := range want {
-		if got[i].tier != want[i].tier {
-			t.Fatalf("row %d tier = %v, want %v", i, got[i].tier, want[i].tier)
+	if err := s.EachChunkMergedCtx(context.Background(), 2, func(c *envdb.Chunk) bool {
+		for i := 0; i < c.Len(); i++ {
+			switch c.Tiers[i] {
+			case envdb.TierRaw:
+				sawRaw[c.Racks[i]] = true
+			case envdb.TierDownsampled:
+				sawDown = true
+				if sawRaw[c.Racks[i]] {
+					t.Fatalf("row %d: rack code %d has a downsampled row after a raw one", rows+i, c.Racks[i])
+				}
+			default:
+				t.Fatalf("row %d: tier %v", rows+i, c.Tiers[i])
+			}
 		}
-		sawDown = sawDown || got[i].tier == envdb.TierDownsampled
+		rows += c.Len()
+		return true
+	}); err != nil {
+		t.Fatalf("EachChunkMergedCtx: %v", err)
 	}
-	if !sawDown {
-		t.Fatal("compacted store produced no downsampled rows — test store mis-built")
+	if rows != s.Len() {
+		t.Fatalf("chunked visited %d rows, want %d", rows, s.Len())
+	}
+	if !sawDown || len(sawRaw) != len(racks) {
+		t.Fatal("compacted store did not yield both tiers — test store mis-built")
 	}
 }
 
@@ -132,7 +80,7 @@ func TestChunkedScanEqualTimestampsAcrossSeal(t *testing.T) {
 		ts = ts.Add(timeutil.SampleInterval)
 	}
 	want := mergedReference(s)
-	sameRecords(t, "equal timestamps across seal", collectChunked(t, s, 2), want)
+	sameRecords(t, "equal timestamps across seal", collectMerged(t, s, 2), want)
 }
 
 // TestChunkedScanEarlyStopAndEmpty: stopping after the first chunk must
@@ -142,7 +90,7 @@ func TestChunkedScanEarlyStopAndEmpty(t *testing.T) {
 	s := NewStoreWith(Options{Partition: 12 * time.Hour})
 	fill(t, 500, topology.AllRacks(), s)
 	chunks := 0
-	if err := s.EachChunkMerged(4, func(c *envdb.Chunk) bool {
+	if err := s.EachChunkMergedCtx(context.Background(), 4, func(c *envdb.Chunk) bool {
 		if c.Len() == 0 {
 			t.Fatal("empty chunk delivered")
 		}
@@ -155,7 +103,7 @@ func TestChunkedScanEarlyStopAndEmpty(t *testing.T) {
 		t.Fatalf("visited %d chunks after stopping at the first, want 1", chunks)
 	}
 
-	if err := NewStore().EachChunkMerged(2, func(*envdb.Chunk) bool {
+	if err := NewStore().EachChunkMergedCtx(context.Background(), 2, func(*envdb.Chunk) bool {
 		t.Fatal("no chunks expected from an empty store")
 		return false
 	}); err != nil {
@@ -172,79 +120,19 @@ func TestChunkedScanCorruption(t *testing.T) {
 	s.SealAll()
 	sh := &s.shards[rack.Index()]
 	sh.sealed[len(sh.sealed)-1].times = []byte{0xff, 0xff, 0xff}
-	if err := s.EachChunkMerged(2, func(*envdb.Chunk) bool { return true }); err == nil {
+	if err := s.EachChunkMergedCtx(context.Background(), 2, func(*envdb.Chunk) bool { return true }); err == nil {
 		t.Fatal("chunked scan over corrupt block should error")
 	}
 }
 
-// TestChunkedScanPruning: zone-map predicates skip sealed blocks without
-// decoding them. The proof that pruned blocks are never touched: one block
-// is corrupted, and the scan stays clean as long as the predicate excludes
-// it — then fails when the predicate admits it.
-func TestChunkedScanPruning(t *testing.T) {
-	s := NewStoreWith(Options{Partition: 6 * time.Hour})
-	rack := topology.RackID{Row: 2, Col: 4}
-	fill(t, 500, []topology.RackID{rack}, s)
-	s.SealAll()
-
-	want := mergedReference(s)
-	sh := &s.shards[rack.Index()]
-	if len(sh.sealed) < 2 {
-		t.Fatalf("need ≥2 sealed blocks, got %d", len(sh.sealed))
-	}
-
-	// A tautological predicate prunes nothing and changes nothing.
-	all := func(zones *[sensors.NumMetrics]ZoneMap) bool {
-		z := zones[sensors.MetricPower]
-		return !z.usable() || z.Max >= z.Min
-	}
-	var got []sensors.Record
-	if err := s.EachChunkMergedWhere(2, all, func(c *envdb.Chunk) bool {
-		for i := 0; i < c.Len(); i++ {
-			got = append(got, c.Record(i))
-		}
-		return true
-	}); err != nil {
-		t.Fatalf("EachChunkMergedWhere(all): %v", err)
-	}
-	sameRecords(t, "tautological predicate", got, want)
-
-	// An impossible predicate prunes every sealed block: zero rows.
-	none := func(*[sensors.NumMetrics]ZoneMap) bool { return false }
-	rows := 0
-	if err := s.EachChunkMergedWhere(2, none, func(c *envdb.Chunk) bool {
-		rows += c.Len()
-		return true
-	}); err != nil {
-		t.Fatalf("EachChunkMergedWhere(none): %v", err)
-	}
-	if rows != 0 {
-		t.Fatalf("impossible predicate yielded %d rows, want 0", rows)
-	}
-
-	// Corrupt one block's payload. Pruning it keeps the scan clean —
-	// proving the block was skipped before any decode — while admitting it
-	// surfaces the corruption.
-	bad := sh.sealed[1]
-	badMin := bad.zones[sensors.MetricPower].Min
-	bad.times = []byte{0xff, 0xff, 0xff}
-	skipBad := func(zones *[sensors.NumMetrics]ZoneMap) bool {
-		z := zones[sensors.MetricPower]
-		return !z.usable() || z.Min != badMin
-	}
-	if err := s.EachChunkMergedWhere(2, skipBad, func(*envdb.Chunk) bool { return true }); err != nil {
-		t.Fatalf("scan pruning the corrupt block should stay clean: %v", err)
-	}
-	if err := s.EachChunkMergedWhere(2, all, func(*envdb.Chunk) bool { return true }); err == nil {
-		t.Fatal("scan admitting the corrupt block should error")
-	}
-}
-
-// TestScanStopsAtRangeEnd pins the early-termination bugfix: a scan whose
-// range ends early in the trace must stop walking the block list at the
-// first block past the range instead of bounds-checking every remaining
-// block (and, before the fix, the same `continue` pattern kept the stream
-// alive to the end of the trace).
+// TestScanStopsAtRangeEnd pins the early-termination bugfix on the ranged
+// entry: a scan whose range ends early in the trace yields exactly the
+// range, and stops walking the block list at the first block past the
+// range instead of bounds-checking every remaining block (before the fix,
+// the same `continue` pattern kept the stream alive to the end of the
+// trace). The cursor check drives the machinery under EachChunkInRange —
+// scanShards and the chunk merge — directly, since the streams are
+// internal to the scan.
 func TestScanStopsAtRangeEnd(t *testing.T) {
 	s := NewStoreWith(Options{Partition: time.Hour})
 	rack := topology.RackID{Row: 0, Col: 7}
@@ -255,21 +143,26 @@ func TestScanStopsAtRangeEnd(t *testing.T) {
 	// Range covering only the first ~2 partitions.
 	from := base
 	to := base.Add(20 * timeutil.SampleInterval)
-	streams := s.ScanShards(from, to, 1)
-	it := MergeByTime(streams)
-	got := 0
-	for it.Next() {
-		got++
+	var got []int64
+	if err := s.EachChunkInRange(context.Background(), from, to, 1, func(c *envdb.Chunk) bool {
+		got = append(got, c.Times...)
+		return true
+	}); err != nil {
+		t.Fatalf("EachChunkInRange: %v", err)
 	}
-	if err := it.Err(); err != nil {
-		t.Fatalf("merge: %v", err)
+	if len(got) != 20 || got[0] != from.UnixNano() || got[19] >= to.UnixNano() {
+		t.Fatalf("visited %d records, want the 20 in [from, to)", len(got))
 	}
-	it.Close() // workers joined: stream state is safe to inspect
 
-	if got != 20 {
-		t.Fatalf("visited %d records, want 20", got)
+	cm := chunkMerger{streams: s.scanShards(context.Background(), from, to, 1)}
+	cm.pool = cm.streams[0].pool
+	for cm.fill() {
 	}
-	st := streams[rack.Index()]
+	if cm.err != nil {
+		t.Fatalf("merge: %v", cm.err)
+	}
+	cm.close() // workers joined: stream state is safe to inspect
+	st := cm.streams[rack.Index()]
 	if total := len(st.blocks); total < 100 {
 		t.Fatalf("test store has %d blocks, want ≥100", total)
 	}

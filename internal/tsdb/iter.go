@@ -171,7 +171,7 @@ func (s *Store) Aggregate(rack topology.RackID, m sensors.Metric, from, to time.
 	return s.aggregate(rack, m, from, to, window)
 }
 
-// AggregateCtx implements envdb.ContextAggregator: Aggregate as a child
+// AggregateCtx implements envdb.Aggregator's traced form: Aggregate as a child
 // span of ctx's trace. The plain Aggregate deliberately starts no span —
 // it runs on untraced hot paths (pushdown sweeps) where a root trace per
 // call would be noise.
@@ -352,7 +352,4 @@ func (s *Store) aggregate(rack topology.RackID, m sensors.Metric, from, to time.
 	return out, nil
 }
 
-var (
-	_ envdb.Aggregator        = (*Store)(nil)
-	_ envdb.ContextAggregator = (*Store)(nil)
-)
+var _ envdb.Aggregator = (*Store)(nil)

@@ -26,19 +26,17 @@ var (
 	metQueryDur = obs.NewHistogramVec("mira_tsdb_query_duration_seconds",
 		"latency of the read surface, labeled by operation", "op", nil)
 
-	// Parallel scan layer (ScanShards / MergeByTime / EachRecordMerged).
+	// Parallel scan layer (the merged scan's decode pool and chunk merge).
 	metScanWorkers = obs.NewGauge("mira_tsdb_scan_workers",
-		"decode workers used by the most recent ScanShards fan-out")
+		"decode workers used by the most recent merged-scan fan-out")
 	metScanBlocks = obs.NewCounter("mira_tsdb_scan_blocks_decoded_total",
 		"sealed or head blocks decoded by scan-pool workers")
 	metScanDecodeDur = obs.NewHistogram("mira_tsdb_scan_block_decode_duration_seconds",
 		"time a scan-pool worker spends decoding one block (all channels)", nil)
 	metScanStallDur = obs.NewHistogram("mira_tsdb_scan_merge_stall_seconds",
-		"time the merge iterator waits for a shard's next decoded run; near zero when prefetch keeps up", nil)
+		"time the chunk merge waits for a shard's next decoded run; near zero when prefetch keeps up", nil)
 	metScanRecords = obs.NewCounter("mira_tsdb_scan_records_merged_total",
-		"records yielded in global time order by merge iterators")
-	metScanPruned = obs.NewCounter("mira_tsdb_scan_blocks_pruned_total",
-		"sealed blocks skipped by zone-map predicate pruning without decoding")
+		"rows delivered in global time order by the merged scan")
 
 	// Retention compaction (Store.Compact / CompactBefore).
 	metCompactTotal = obs.NewCounter("mira_tsdb_compact_runs_total",
@@ -127,6 +125,5 @@ const (
 	opQuery       = "query"
 	opSeries      = "series"
 	opAggregate   = "aggregate"
-	opScanMerged  = "scan_merged"
 	opScanChunked = "scan_chunked"
 )

@@ -1,7 +1,7 @@
 package tsdb
 
 import (
-	"fmt"
+	"context"
 	"math"
 	"math/rand"
 	"sort"
@@ -9,36 +9,42 @@ import (
 	"testing"
 	"time"
 
+	"mira/internal/envdb"
 	"mira/internal/sensors"
 	"mira/internal/timeutil"
 	"mira/internal/topology"
 )
 
 // mergedReference derives the expected merged order from the serial
-// rack-major EachRecord: stable-sort by (instant, rack index). Within one
-// rack EachRecord is already time-ordered, so the stable sort is exactly
-// the k-way merge's contract.
+// rack-major EachRecordUntil: stable-sort by (instant, rack code). Within
+// one rack the visit is already time-ordered, so the stable sort is
+// exactly the merged scan's contract.
 func mergedReference(s *Store) []sensors.Record {
 	var out []sensors.Record
-	s.EachRecord(func(r sensors.Record) { out = append(out, r) })
+	s.EachRecordUntil(func(r sensors.Record) bool { out = append(out, r); return true })
 	sort.SliceStable(out, func(a, b int) bool {
 		ta, tb := out[a].Time.UnixNano(), out[b].Time.UnixNano()
 		if ta != tb {
 			return ta < tb
 		}
-		return out[a].Rack.Index() < out[b].Rack.Index()
+		return out[a].Rack.Code() < out[b].Rack.Code()
 	})
 	return out
 }
 
+// collectMerged materializes every row of the merged chunk scan through
+// Chunk.Record, so the result is comparable bit-for-bit against the
+// reference.
 func collectMerged(t *testing.T, s *Store, workers int) []sensors.Record {
 	t.Helper()
 	var out []sensors.Record
-	if err := s.EachRecordMerged(workers, func(r sensors.Record) bool {
-		out = append(out, r)
+	if err := s.EachChunkMergedCtx(context.Background(), workers, func(c *envdb.Chunk) bool {
+		for i := 0; i < c.Len(); i++ {
+			out = append(out, c.Record(i))
+		}
 		return true
 	}); err != nil {
-		t.Fatalf("EachRecordMerged(%d): %v", workers, err)
+		t.Fatalf("EachChunkMergedCtx(%d): %v", workers, err)
 	}
 	return out
 }
@@ -68,74 +74,16 @@ func sameRecords(t *testing.T, label string, got, want []sensors.Record) {
 	}
 }
 
-// TestMergedScanEquivalence is the tentpole's correctness anchor: the
-// serial rack-major scan, the parallel fan-out at several worker counts,
-// and a warm-reopened store must all visit identical record sequences.
-func TestMergedScanEquivalence(t *testing.T) {
-	s := NewStoreWith(Options{Partition: 24 * time.Hour})
-	// All 48 racks, ~2 sealed partitions plus a live head each; every
-	// tick exercises the full 48-way tie-break.
-	const n = 600
-	fill(t, n, topology.AllRacks(), s)
-
-	want := mergedReference(s)
-	if len(want) != n*topology.NumRacks {
-		t.Fatalf("reference has %d records, want %d", len(want), n*topology.NumRacks)
-	}
-	for _, workers := range []int{1, 3, 8, topology.NumRacks, 0} {
-		sameRecords(t, fmt.Sprintf("workers=%d", workers), collectMerged(t, s, workers), want)
-	}
-
-	// Warm reopen: flush to segments, reopen, merge again.
-	dir := t.TempDir()
-	if err := s.Flush(dir); err != nil {
-		t.Fatalf("Flush: %v", err)
-	}
-	re, err := Open(dir, Options{Partition: 24 * time.Hour})
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	sameRecords(t, "warm reopen", collectMerged(t, re, 4), want)
-}
-
-// TestMergeByTimeRange checks the direct ScanShards+MergeByTime surface
-// over a sub-range against a filtered reference.
-func TestMergeByTimeRange(t *testing.T) {
-	s := NewStoreWith(Options{Partition: 24 * time.Hour})
-	racks := []topology.RackID{{Row: 0, Col: 0}, {Row: 1, Col: 8}, {Row: 2, Col: 15}}
-	fill(t, 700, racks, s)
-	from := base.Add(137 * timeutil.SampleInterval)
-	to := base.Add(512 * timeutil.SampleInterval)
-
-	var want []sensors.Record
-	for _, r := range mergedReference(s) {
-		if !r.Time.Before(from) && r.Time.Before(to) {
-			want = append(want, r)
-		}
-	}
-
-	it := MergeByTime(s.ScanShards(from, to, 2))
-	defer it.Close()
-	var got []sensors.Record
-	for it.Next() {
-		got = append(got, it.Record())
-	}
-	if err := it.Err(); err != nil {
-		t.Fatalf("merge: %v", err)
-	}
-	sameRecords(t, "sub-range merge", got, want)
-}
-
-// TestMergedScanEarlyStop exercises abandonment: stopping the visitor and
-// closing a half-consumed iterator must not deadlock or leak workers
-// (goroutine leaks show up as -race hammer flakiness; deadlocks as test
-// timeouts).
+// TestMergedScanEarlyStop exercises abandonment: stopping the row view
+// mid-chunk, and stopping the chunk scan after its first chunk, must not
+// deadlock or leak workers (goroutine leaks show up as -race hammer
+// flakiness; deadlocks as test timeouts).
 func TestMergedScanEarlyStop(t *testing.T) {
 	s := NewStoreWith(Options{Partition: 12 * time.Hour})
 	fill(t, 500, topology.AllRacks(), s)
 
 	seen := 0
-	if err := s.EachRecordMerged(4, func(sensors.Record) bool {
+	if err := s.EachRecordMergedTierCtx(context.Background(), 4, func(sensors.Record, envdb.Tier) bool {
 		seen++
 		return seen < 100
 	}); err != nil {
@@ -145,58 +93,62 @@ func TestMergedScanEarlyStop(t *testing.T) {
 		t.Fatalf("visited %d records, want 100", seen)
 	}
 
-	// Abandon a raw merge mid-flight; Close must be idempotent.
-	it := MergeByTime(s.ScanShards(time.Unix(0, minTime), time.Unix(0, maxTime), 3))
-	if !it.Next() {
-		t.Fatal("expected at least one record")
-	}
-	it.Close()
-	it.Close()
-	if it.Next() {
-		t.Fatal("Next after Close should report exhaustion")
+	for _, workers := range []int{1, 3} {
+		chunks := 0
+		if err := s.EachChunkMergedCtx(context.Background(), workers, func(*envdb.Chunk) bool {
+			chunks++
+			return false
+		}); err != nil {
+			t.Fatalf("abandoned scan: %v", err)
+		}
+		if chunks != 1 {
+			t.Fatalf("workers=%d: visited %d chunks after stopping at the first", workers, chunks)
+		}
 	}
 }
 
 func TestMergedScanEmptyStore(t *testing.T) {
 	s := NewStore()
-	if err := s.EachRecordMerged(4, func(sensors.Record) bool {
-		t.Fatal("no records expected")
+	if err := s.EachChunkMergedCtx(context.Background(), 4, func(*envdb.Chunk) bool {
+		t.Fatal("no chunks expected")
 		return false
 	}); err != nil {
 		t.Fatalf("empty scan: %v", err)
 	}
 }
 
-// TestMergedScanCorruption white-boxes a corrupt sealed payload into one
-// shard: the merged scan must surface it as an error (not a panic, unlike
-// the EachRecord surface), while a scan that stops before the corrupt
-// block stays clean thanks to demand-driven decoding.
+// TestMergedScanCorruption white-boxes a corrupt sealed payload into the
+// tail of one shard: the merged scan must surface it as an error (not a
+// panic, unlike EachRecordUntil), while a scan that stops after its first
+// chunk stays clean — decoding is demand-driven, and a shard that alone
+// holds the range still ends its chunk near the fill target instead of
+// copying the whole shard into one chunk.
 func TestMergedScanCorruption(t *testing.T) {
 	s := NewStoreWith(Options{Partition: 6 * time.Hour})
 	rack := topology.RackID{Row: 1, Col: 1}
-	fill(t, 500, []topology.RackID{rack}, s)
+	fill(t, 12000, []topology.RackID{rack}, s) // ≈167 six-hour blocks
 	s.SealAll()
 
 	sh := &s.shards[rack.Index()]
-	if len(sh.sealed) < 3 {
-		t.Fatalf("need ≥3 sealed blocks, got %d", len(sh.sealed))
+	if len(sh.sealed) < 100 {
+		t.Fatalf("need ≥100 sealed blocks, got %d", len(sh.sealed))
 	}
 	last := sh.sealed[len(sh.sealed)-1]
 	last.times = []byte{0xff, 0xff, 0xff}
 
-	// Early stop inside the first block: the corrupt tail is never
-	// requested past the prefetch horizon, and the prefetched result is
-	// simply discarded on Close.
-	seen := 0
-	if err := s.EachRecordMerged(2, func(sensors.Record) bool {
-		seen++
-		return seen < 10
+	rows := 0
+	if err := s.EachChunkMergedCtx(context.Background(), 2, func(c *envdb.Chunk) bool {
+		rows = c.Len()
+		return false
 	}); err != nil {
 		t.Fatalf("early-stopped scan should not surface the corrupt tail: %v", err)
 	}
+	if rows < chunkTargetRows || rows > 2*chunkTargetRows {
+		t.Fatalf("first chunk holds %d rows, want about %d", rows, chunkTargetRows)
+	}
 
 	// A full scan must report it.
-	if err := s.EachRecordMerged(2, func(sensors.Record) bool { return true }); err == nil {
+	if err := s.EachChunkMergedCtx(context.Background(), 2, func(*envdb.Chunk) bool { return true }); err == nil {
 		t.Fatal("full scan over corrupt block should error")
 	}
 }
@@ -254,7 +206,7 @@ func TestMergedScanDuringIngest(t *testing.T) {
 		var prevT int64 = math.MinInt64
 		prevRack := -1
 		n := 0
-		if err := s.EachRecordMerged(3, func(r sensors.Record) bool {
+		if err := s.EachRecordMergedTierCtx(context.Background(), 3, func(r sensors.Record, _ envdb.Tier) bool {
 			k := r.Time.UnixNano()
 			if k < prevT || (k == prevT && r.Rack.Index() <= prevRack) {
 				t.Errorf("merge order violation at record %d: (%d,%d) after (%d,%d)",

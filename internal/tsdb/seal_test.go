@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -172,15 +173,13 @@ func readAll(t *testing.T, s *Store, rack topology.RackID) readSurface {
 		t.Fatalf("Aggregate: %v", err)
 	}
 	rs.aggs = aggs
-	if err := s.EachChunkMerged(2, func(c *envdb.Chunk) bool {
-		for i := 0; i < c.Len(); i++ {
-			rs.chunked = append(rs.chunked, c.Record(i))
-		}
+	rs.chunked = collectMerged(t, s, 2)
+	if err := s.EachRecordMergedTierCtx(context.Background(), 2, func(r sensors.Record, _ envdb.Tier) bool {
+		rs.merged = append(rs.merged, r)
 		return true
 	}); err != nil {
-		t.Fatalf("EachChunkMerged: %v", err)
+		t.Fatalf("EachRecordMergedTierCtx: %v", err)
 	}
-	rs.merged = collectMerged(t, s, 2)
 	var ok bool
 	if rs.first, rs.last, ok = s.Bounds(); !ok {
 		t.Fatal("Bounds: empty store")
@@ -235,8 +234,8 @@ func TestReadsServedWhileSealParked(t *testing.T) {
 				rack, len(d.query), len(d.seriesT), d.n, 24*len(racks))
 		}
 		sameRecords(t, "Query parked vs sealed", d.query, a.query)
-		sameRecords(t, "EachChunkMerged parked vs sealed", d.chunked, a.chunked)
-		sameRecords(t, "EachRecordMerged parked vs sealed", d.merged, a.merged)
+		sameRecords(t, "EachChunkMergedCtx parked vs sealed", d.chunked, a.chunked)
+		sameRecords(t, "EachRecordMergedTierCtx parked vs sealed", d.merged, a.merged)
 		sameRecords(t, "chunked vs merged while parked", d.chunked, d.merged)
 		sameAggs(t, "Aggregate parked vs sealed", d.aggs, a.aggs)
 		for _, w := range d.aggs {

@@ -87,7 +87,7 @@ var coldMagic = [4]byte{'M', 'T', 'S', 'C'}
 const (
 	// segVersion is the one raw-segment layout Open accepts and Flush
 	// writes: each block header carries per-channel zone maps (min/max
-	// float64 bits) so scans can prune blocks without decoding. Version 1,
+	// float64 bits), a pruning index no scan uses yet. Version 1,
 	// which lacked them, is retired — no such file exists — and is
 	// rejected like any other unknown version. Cold segments number their
 	// own layout; downsampled blocks already store per-window min/max.

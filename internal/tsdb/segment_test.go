@@ -94,14 +94,14 @@ func TestFlushOpenRoundTrip(t *testing.T) {
 
 	// Rack-major full scans agree too.
 	var wantOrder, gotOrder []sensors.Record
-	s.EachRecord(func(r sensors.Record) { wantOrder = append(wantOrder, r) })
-	got.EachRecord(func(r sensors.Record) { gotOrder = append(gotOrder, r) })
+	s.EachRecordUntil(func(r sensors.Record) bool { wantOrder = append(wantOrder, r); return true })
+	got.EachRecordUntil(func(r sensors.Record) bool { gotOrder = append(gotOrder, r); return true })
 	if len(gotOrder) != len(wantOrder) {
-		t.Fatalf("EachRecord visited %d, want %d", len(gotOrder), len(wantOrder))
+		t.Fatalf("EachRecordUntil visited %d, want %d", len(gotOrder), len(wantOrder))
 	}
 	for i := range wantOrder {
 		if !gotOrder[i].Time.Equal(wantOrder[i].Time) || gotOrder[i].Rack != wantOrder[i].Rack {
-			t.Fatalf("EachRecord[%d] = (%v, %v), want (%v, %v)",
+			t.Fatalf("EachRecordUntil[%d] = (%v, %v), want (%v, %v)",
 				i, gotOrder[i].Rack, gotOrder[i].Time, wantOrder[i].Rack, wantOrder[i].Time)
 		}
 	}

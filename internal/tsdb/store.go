@@ -687,12 +687,12 @@ func (bv blockView) channelArena(m sensors.Metric, dst []float64, scratch []int6
 }
 
 // mustDecode is the internal-invariant backstop for the error-free query
-// surface (Query, Series, EachRecord): memory-born blocks are correct by
-// construction and disk-loaded blocks are checksum-verified at Open, so a
-// decode error here means in-process memory corruption or a codec bug —
-// not bad input. Callers that want errors instead of a panic (e.g.
-// streaming over untrusted segments) use Iter, Aggregate, or
-// EachRecordMerged and check the returned error.
+// surface (Query, Series, EachRecordUntil): memory-born blocks are
+// correct by construction and disk-loaded blocks are checksum-verified at
+// Open, so a decode error here means in-process memory corruption or a
+// codec bug — not bad input. Callers that want errors instead of a panic
+// (e.g. streaming over untrusted segments) use Iter, Aggregate, or
+// EachChunkMergedCtx and check the returned error.
 func mustDecode[T any](v T, err error) T {
 	mustOK(err)
 	return v
@@ -758,14 +758,10 @@ func (s *Store) Series(rack topology.RackID, m sensors.Metric, from, to time.Tim
 	return times, vals
 }
 
-// EachRecord visits every stored record (rack-major, time order within
-// rack). The visit runs against a per-shard snapshot, so it never blocks
-// concurrent appends for more than the snapshot instant.
-func (s *Store) EachRecord(f func(sensors.Record)) {
-	s.EachRecordUntil(func(r sensors.Record) bool { f(r); return true })
-}
-
-// EachRecordUntil visits records rack-major until f returns false.
+// EachRecordUntil visits every stored record (rack-major, time order
+// within rack) until f returns false. The visit runs against a per-shard
+// snapshot, so it never blocks concurrent appends for more than the
+// snapshot instant.
 func (s *Store) EachRecordUntil(f func(sensors.Record) bool) {
 	s.init()
 	for i := range s.shards {

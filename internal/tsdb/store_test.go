@@ -104,16 +104,16 @@ func TestParityWithSliceStore(t *testing.T) {
 		}
 	}
 
-	// EachRecord must visit the same records in the same rack-major order.
+	// EachRecordUntil must visit the same records in the same rack-major order.
 	var gotOrder, wantOrder []sensors.Record
-	ts.EachRecord(func(r sensors.Record) { gotOrder = append(gotOrder, r) })
-	ref.EachRecord(func(r sensors.Record) { wantOrder = append(wantOrder, r) })
+	ts.EachRecordUntil(func(r sensors.Record) bool { gotOrder = append(gotOrder, r); return true })
+	ref.EachRecordUntil(func(r sensors.Record) bool { wantOrder = append(wantOrder, r); return true })
 	if len(gotOrder) != len(wantOrder) {
-		t.Fatalf("EachRecord visited %d, want %d", len(gotOrder), len(wantOrder))
+		t.Fatalf("EachRecordUntil visited %d, want %d", len(gotOrder), len(wantOrder))
 	}
 	for i := range wantOrder {
 		if !gotOrder[i].Time.Equal(wantOrder[i].Time) || gotOrder[i].Rack != wantOrder[i].Rack {
-			t.Fatalf("EachRecord[%d] = (%v, %v), want (%v, %v)",
+			t.Fatalf("EachRecordUntil[%d] = (%v, %v), want (%v, %v)",
 				i, gotOrder[i].Rack, gotOrder[i].Time, wantOrder[i].Rack, wantOrder[i].Time)
 		}
 	}

@@ -12,7 +12,7 @@ import (
 )
 
 // TestScanWorkerSpansJoinScanTrace pins the goroutine parent-linkage fix:
-// the per-block decode spans started inside ScanShards' worker pool must
+// the per-block decode spans started inside the scan's worker pool must
 // be children of the merged-scan span, not fresh roots — the scan context
 // has to be threaded into the pool, not dropped at the goroutine boundary.
 func TestScanWorkerSpansJoinScanTrace(t *testing.T) {
@@ -42,15 +42,15 @@ func TestScanWorkerSpansJoinScanTrace(t *testing.T) {
 	}
 	var mergedID obs.SpanID
 	for _, sp := range spans {
-		if sp.Name == "tsdb.scan_merged" {
+		if sp.Name == "tsdb.scan_chunked" {
 			mergedID = sp.ID
 			if sp.Parent != root.Context().Span {
-				t.Fatalf("tsdb.scan_merged parent %s, want root %s", sp.Parent, root.Context().Span)
+				t.Fatalf("tsdb.scan_chunked parent %s, want root %s", sp.Parent, root.Context().Span)
 			}
 		}
 	}
 	if mergedID == 0 {
-		t.Fatal("no tsdb.scan_merged span in trace")
+		t.Fatal("no tsdb.scan_chunked span in trace")
 	}
 	blocks := 0
 	for _, sp := range spans {
@@ -62,7 +62,7 @@ func TestScanWorkerSpansJoinScanTrace(t *testing.T) {
 			t.Fatal("tsdb.scan_block span is a root: worker pool dropped the scan context")
 		}
 		if sp.Parent != mergedID {
-			t.Fatalf("tsdb.scan_block parent %s, want tsdb.scan_merged %s", sp.Parent, mergedID)
+			t.Fatalf("tsdb.scan_block parent %s, want tsdb.scan_chunked %s", sp.Parent, mergedID)
 		}
 	}
 	if blocks == 0 {
@@ -71,9 +71,8 @@ func TestScanWorkerSpansJoinScanTrace(t *testing.T) {
 }
 
 // TestPlainScanStartsNoSpans pins the no-pollution side of the same fix:
-// the low-level ScanShards surface (the auditor's path) runs with no
-// trace context and must not mint root traces — neither for itself nor
-// per decoded block.
+// the ranged scan run without a trace context (the auditor's path) must
+// not mint root traces — neither for itself nor per decoded block.
 func TestPlainScanStartsNoSpans(t *testing.T) {
 	s := NewStoreWith(Options{Partition: 24 * time.Hour})
 	fill(t, 300, topology.AllRacks()[:4], s)
@@ -82,16 +81,13 @@ func TestPlainScanStartsNoSpans(t *testing.T) {
 	for _, tr := range obs.Traces() {
 		before[tr.Trace] = true
 	}
-	it := MergeByTime(s.ScanShards(time.Unix(0, minTime), time.Unix(0, maxTime), 4))
-	for it.Next() {
+	if err := s.EachChunkInRange(context.Background(), time.Unix(0, minTime), time.Unix(0, maxTime), 4,
+		func(*envdb.Chunk) bool { return true }); err != nil {
+		t.Fatalf("EachChunkInRange: %v", err)
 	}
-	if err := it.Err(); err != nil {
-		t.Fatalf("merge iter: %v", err)
-	}
-	it.Close()
 	for _, tr := range obs.Traces() {
 		if !before[tr.Trace] {
-			t.Fatalf("plain ScanShards minted trace %s with %d spans (first: %q)",
+			t.Fatalf("untraced scan minted trace %s with %d spans (first: %q)",
 				tr.Trace, len(tr.Spans), tr.Spans[0].Name)
 		}
 	}
