@@ -5,11 +5,15 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"net/http/httptest"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
 	"mira/internal/envdb"
+	"mira/internal/sensors"
+	"mira/internal/telemetrynet"
 	"mira/internal/timeutil"
 	"mira/internal/topology"
 	"mira/internal/tsdb"
@@ -95,6 +99,102 @@ func fillTrace(t *testing.T, db *tsdb.Store, from, to int) {
 				t.Fatal(err)
 			}
 		}
+	}
+}
+
+// TestReplayMergedBoundedMemory pins the same one-tick bound on the
+// merged scans of the other stores: the slice store's chunk-filling
+// k-way merge, and a remote client decoding the server's time-ordered
+// stream. Both replay through the same tick grouping as a local store,
+// where a buffering replay would hold ticks × racks records.
+func TestReplayMergedBoundedMemory(t *testing.T) {
+	db := multiDayStore(t, 3) // 864 ticks × 48 racks ≈ 41k records
+	slice := envdb.NewStore()
+	for _, r := range sortedRecords(db) {
+		if err := slice.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv := httptest.NewServer(telemetrynet.NewServer(db, telemetrynet.ServerOptions{}).Handler())
+	defer srv.Close()
+	for name, store := range map[string]envdb.DB{
+		"slice":  slice,
+		"remote": telemetrynet.NewClient(srv.URL, telemetrynet.ClientOptions{}),
+	} {
+		c := NewCollector()
+		maxTick, err := replay(context.Background(), store, 4, 0, c)
+		if err != nil {
+			t.Fatalf("%s: replay: %v", name, err)
+		}
+		c.Finalize()
+		if maxTick != topology.NumRacks {
+			t.Fatalf("%s: peak tick buffer = %d records, want %d (one per rack)", name, maxTick, topology.NumRacks)
+		}
+		if got := c.Fig7RackCoolant(); len(got.FlowGPM) != topology.NumRacks {
+			t.Fatalf("%s: replay produced %d rack means", name, len(got.FlowGPM))
+		}
+	}
+}
+
+// sortedRecords is the merged scan's order written out in test code: the
+// store's rack-major EachRecordUntil output stable-sorted by (instant,
+// rack code).
+func sortedRecords(db *tsdb.Store) []sensors.Record {
+	var out []sensors.Record
+	db.EachRecordUntil(func(r sensors.Record) bool { out = append(out, r); return true })
+	sort.SliceStable(out, func(a, b int) bool {
+		ta, tb := out[a].Time.UnixNano(), out[b].Time.UnixNano()
+		if ta != tb {
+			return ta < tb
+		}
+		return out[a].Rack.Code() < out[b].Rack.Code()
+	})
+	return out
+}
+
+// TestReplayChunkedMatchesRecords pins the replay's correctness bar: the
+// batch-columnar replay and a record-at-a-time replay written out in test
+// code — sorted records grouped by instant, each tick's power summed and
+// fed to the collector — must produce figures that are bit-identical, not
+// merely close.
+func TestReplayChunkedMatchesRecords(t *testing.T) {
+	db := multiDayStore(t, 2)
+	chunked := CollectFromStoreCtx(context.Background(), db, CollectOptions{Workers: 3})
+
+	records := NewCollector()
+	recs := sortedRecords(db)
+	for lo := 0; lo < len(recs); {
+		hi := lo
+		var power units.Watts
+		for ; hi < len(recs) && recs[hi].Time.UnixNano() == recs[lo].Time.UnixNano(); hi++ {
+			power += recs[hi].Power
+		}
+		records.OnTick(recs[lo].Time, power, nanUtil)
+		for _, r := range recs[lo:hi] {
+			records.OnSample(r)
+		}
+		lo = hi
+	}
+	records.Finalize()
+
+	// Fig2/Fig3/Fig8 carry NaN fields when the trace has no summer months,
+	// and NaN != NaN under DeepEqual; the %+v rendering distinguishes
+	// every non-NaN float while treating NaN as equal to itself. Fig2
+	// carries the reconstructed system power.
+	if got, want := fmt.Sprintf("%+v", chunked.Fig2YearlyTrend()), fmt.Sprintf("%+v", records.Fig2YearlyTrend()); got != want {
+		t.Errorf("Fig2 differs:\n chunked %s\n records %s", got, want)
+	}
+	if got, want := fmt.Sprintf("%+v", chunked.Fig3CoolantTimeline()), fmt.Sprintf("%+v", records.Fig3CoolantTimeline()); got != want {
+		t.Errorf("Fig3 differs:\n chunked %s\n records %s", got, want)
+	}
+	if got, want := chunked.Fig7RackCoolant(), records.Fig7RackCoolant(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Fig7 differs:\n chunked %+v\n records %+v", got, want)
+	}
+	if got, want := fmt.Sprintf("%+v", chunked.Fig8AmbientTimeline()), fmt.Sprintf("%+v", records.Fig8AmbientTimeline()); got != want {
+		t.Errorf("Fig8 differs:\n chunked %s\n records %s", got, want)
+	}
+	if got, want := chunked.Fig9RackAmbient(), records.Fig9RackAmbient(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Fig9 differs:\n chunked %+v\n records %+v", got, want)
 	}
 }
 

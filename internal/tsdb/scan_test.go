@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -72,6 +73,51 @@ func sameRecords(t *testing.T, label string, got, want []sensors.Record) {
 			}
 		}
 	}
+}
+
+// TestMergedScanEquivalence: the record view of the merged scan
+// (EachRecordMergedTierCtx, the row adapter over the chunk merge) must
+// visit the reference sequence at every worker count, all raw-tier, and
+// again on a warm-reopened store.
+func TestMergedScanEquivalence(t *testing.T) {
+	s := NewStoreWith(Options{Partition: 24 * time.Hour})
+	// All 48 racks, ~2 sealed partitions plus a live head each; every
+	// tick exercises the full 48-way tie-break.
+	const n = 600
+	fill(t, n, topology.AllRacks(), s)
+
+	want := mergedReference(s)
+	if len(want) != n*topology.NumRacks {
+		t.Fatalf("reference has %d records, want %d", len(want), n*topology.NumRacks)
+	}
+	rows := func(s *Store, workers int) []sensors.Record {
+		t.Helper()
+		var out []sensors.Record
+		if err := s.EachRecordMergedTierCtx(context.Background(), workers, func(r sensors.Record, tier envdb.Tier) bool {
+			if tier != envdb.TierRaw {
+				t.Fatalf("workers=%d: record %d tier %v in an uncompacted store", workers, len(out), tier)
+			}
+			out = append(out, r)
+			return true
+		}); err != nil {
+			t.Fatalf("EachRecordMergedTierCtx(%d): %v", workers, err)
+		}
+		return out
+	}
+	for _, workers := range []int{1, 3, 8, topology.NumRacks, 0} {
+		sameRecords(t, fmt.Sprintf("workers=%d", workers), rows(s, workers), want)
+	}
+
+	// Warm reopen: flush to segments, reopen, merge again.
+	dir := t.TempDir()
+	if err := s.Flush(dir); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	re, err := Open(dir, Options{Partition: 24 * time.Hour})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	sameRecords(t, "warm reopen", rows(re, 4), want)
 }
 
 // TestMergedScanEarlyStop exercises abandonment: stopping the row view
