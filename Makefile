@@ -23,13 +23,18 @@ vet:
 # mira_[a-z_]+ namespace rule (the obs registry also panics at runtime),
 # span name literals that break [a-z][a-z0-9_.]* or register at more than
 # one site, and exemplar label keys other than a single trace_id. It then
-# rejects dead code at package granularity: an internal/ package that no
-# non-test package imports. LINT_TEST_SUPPORT lists the packages that exist
-# to be imported by other packages' tests.
+# rejects dead code at two granularities: an exported function or method in
+# internal/ that no non-test file of the module or of bench/ references
+# (scripts/lint_exports.go, which has its own allow-list of methods only the
+# standard library calls), and an internal/ package that no non-test package
+# imports. LINT_TEST_SUPPORT lists the packages that exist to be imported by
+# other packages' tests; their exports may be referenced from _test.go files.
 LINT_TEST_SUPPORT = mira/internal/telemetrynet/faultinject
 
 lint:
 	$(GO) run scripts/lint_metrics.go
+	$(GO) vet scripts/lint_exports.go
+	$(GO) run scripts/lint_exports.go $(LINT_TEST_SUPPORT)
 	@$(GO) list -f '{{.ImportPath}} {{join .Imports " "}}' ./... | awk -v support='$(LINT_TEST_SUPPORT)' ' \
 		BEGIN { n = split(support, s, " "); for (i = 1; i <= n; i++) imported[s[i]] = 1 } \
 		{ if ($$1 ~ /\/internal\//) internal[$$1] = 1; for (i = 2; i <= NF; i++) imported[$$i] = 1 } \
@@ -59,14 +64,16 @@ smoke:
 	./scripts/smoke.sh
 
 # fuzz-smoke gives each fuzz target a short budget: segment parsing, block
-# decoding, the network frame parser, the client's chunk-stream decoder,
-# the trace-header parser, and the campaign job-spec/claim envelopes must
-# reject arbitrary bytes cleanly (wrapped sentinel errors for the wire
-# formats, a fresh root trace for X-Mira-Trace), never a panic. The go
-# fuzzer runs one target per invocation.
+# decoding, the telemetry CSV import (miraanalyze -from), the network frame
+# parser, the client's chunk-stream decoder, the trace-header parser, and
+# the campaign job-spec/claim envelopes must reject arbitrary bytes cleanly
+# (wrapped sentinel errors for the wire formats, a fresh root trace for
+# X-Mira-Trace, an error or every row loaded for the CSV), never a panic.
+# The go fuzzer runs one target per invocation.
 fuzz-smoke:
 	$(GO) test ./internal/tsdb/ -run '^$$' -fuzz '^FuzzOpenSegment$$' -fuzztime 10s
 	$(GO) test ./internal/tsdb/ -run '^$$' -fuzz '^FuzzDecodeBlock$$' -fuzztime 10s
+	$(GO) test ./internal/tsdb/ -run '^$$' -fuzz '^FuzzImportCSV$$' -fuzztime 10s
 	$(GO) test ./internal/telemetrynet/ -run '^$$' -fuzz '^FuzzDecodeIngestFrame$$' -fuzztime 10s
 	$(GO) test ./internal/telemetrynet/ -run '^$$' -fuzz '^FuzzReadChunkStream$$' -fuzztime 10s
 	$(GO) test ./internal/obs/ -run '^$$' -fuzz '^FuzzParseTraceHeader$$' -fuzztime 10s

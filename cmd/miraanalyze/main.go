@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	miraanalyze [-seed N] [-step 15m] [-figure all|2|3|...|15]
+//	miraanalyze [-seed N] [-step 15m] [-figure all|pue|1..15]
 //	            [-from out.csv] [-data dir] [-retention 0] [-scan-workers N]
 //	            [-halls 1] [-racks 48] [-hall 0]
 //	            [-report report.json] [-log-format text|json]
@@ -78,6 +78,27 @@ func main() {
 	flag.Parse()
 	logg = obs.NewLogger(os.Stderr, *logFormat, "miraanalyze")
 
+	// figures is every -figure value a run prints, in print order; "all"
+	// prints each. It is checked before anything is simulated, so a typo
+	// costs no six-year run.
+	figures := []struct {
+		name  string
+		print func(*mira.Study)
+	}{
+		{"1", printFig1}, {"2", printFig2}, {"3", printFig3}, {"4", printFig4}, {"5", printFig5},
+		{"6", printFig6}, {"7", printFig7}, {"8", printFig8}, {"9", printFig9}, {"10", printFig10},
+		{"11", printFig11}, {"12", printFig12}, {"13", func(s *mira.Study) { printFig13(s, *seed) }},
+		{"14", printFig14}, {"15", printFig15}, {"pue", printEfficiency},
+	}
+	want := func(f string) bool { return *figure == "all" || *figure == f }
+	known := false
+	for _, f := range figures {
+		known = known || want(f.name)
+	}
+	if !known {
+		logg.Fatalf("bad -figure %q: want 1..15, pue, or all", *figure)
+	}
+
 	if *campaignURL != "" {
 		analyzeCampaign(*campaignURL)
 		writeReport(*reportPath)
@@ -121,55 +142,10 @@ func main() {
 	}
 	fmt.Printf("simulation finished in %v\n\n", time.Since(began).Round(time.Second))
 
-	want := func(f string) bool { return *figure == "all" || *figure == f }
-
-	if want("1") {
-		printFig1()
-	}
-	if want("2") {
-		printFig2(study)
-	}
-	if want("3") {
-		printFig3(study)
-	}
-	if want("4") {
-		printFig4(study)
-	}
-	if want("5") {
-		printFig5(study)
-	}
-	if want("6") {
-		printFig6(study)
-	}
-	if want("7") {
-		printFig7(study)
-	}
-	if want("8") {
-		printFig8(study)
-	}
-	if want("9") {
-		printFig9(study)
-	}
-	if want("10") {
-		printFig10(study)
-	}
-	if want("11") {
-		printFig11(study)
-	}
-	if want("12") {
-		printFig12(study)
-	}
-	if want("13") {
-		printFig13(study, *seed)
-	}
-	if want("14") {
-		printFig14(study)
-	}
-	if want("15") {
-		printFig15(study)
-	}
-	if want("pue") || *figure == "all" {
-		printEfficiency(study)
+	for _, f := range figures {
+		if want(f.name) {
+			f.print(study)
+		}
 	}
 	writeReport(*reportPath)
 }
@@ -424,7 +400,7 @@ func printOfflineFig9(fig9 analysis.RackAmbient) {
 	fmt.Print(report.RackHeatmap(fig9.HumidityRH))
 }
 
-func printFig1() {
+func printFig1(*mira.Study) {
 	header("Fig. 1 — Mira's liquid-cooling design (as modeled)")
 	fmt.Print(`
   Chilled Water Plant (CWP)                 TCS machine room

@@ -20,8 +20,8 @@
 // -push streams the telemetry over the wire to a remote miramon -serve
 // instead of a local store: ticks batch into idempotent CRC-checked ingest
 // frames as the simulation runs, so the remote store is live (queryable by
-// miraanalyze -remote) while the run is still in flight. Local store
-// outputs (-data, -telemetry, -retention, -downsample) do not apply.
+// miraanalyze -remote) while the run is still in flight; the local-store
+// flags (-data, -telemetry, -retention, -downsample, -partition) are rejected.
 //
 // -worker turns mirasim into a campaign worker: it claims job specs from a
 // miradispatch dispatcher at the given base URL, runs each with the real
@@ -91,8 +91,8 @@ func main() {
 		logg.Fatalf("bad -end: %v", err)
 	}
 
-	if *push != "" && (*dataDir != "" || *telemetry != "" || *retention > 0) {
-		logg.Fatalf("-push streams to a remote store; it cannot be combined with -data, -telemetry, or -retention")
+	if *push != "" && (*dataDir != "" || *telemetry != "" || *retention > 0 || *downsample > 1 || *partition != tsdb.DefaultPartition) {
+		logg.Fatalf("-push streams to a remote store; it cannot be combined with -data, -telemetry, -retention, -downsample, or -partition")
 	}
 	fleet, err := topology.NewFleet(*halls, *racks)
 	if err != nil {

@@ -48,9 +48,6 @@ func NewField(seed int64) *Field {
 	return f
 }
 
-// Score returns the airflow score of a rack in (0, 1].
-func (f *Field) Score(r topology.RackID) float64 { return f.score[r.Index()] }
-
 // Row-end racks are drier (obstructions keep the moist supply air away) yet
 // warmer (less heat is carried off). Rack (1,8) behaves differently: its
 // obstructions trap moist air rather than blocking supply, so low airflow

@@ -11,7 +11,7 @@ import (
 func TestScoresInRange(t *testing.T) {
 	f := NewField(1)
 	for _, r := range topology.AllRacks() {
-		s := f.Score(r)
+		s := f.score[r.Index()]
 		if s <= 0 || s > 1 {
 			t.Errorf("score(%v) = %v out of (0,1]", r, s)
 		}
@@ -21,8 +21,8 @@ func TestScoresInRange(t *testing.T) {
 func TestRowEndsHaveLowerAirflow(t *testing.T) {
 	f := NewField(2)
 	for row := 0; row < topology.Rows; row++ {
-		end := f.Score(topology.RackID{Row: row, Col: 0})
-		center := f.Score(topology.RackID{Row: row, Col: 7})
+		end := f.score[topology.RackID{Row: row, Col: 0}.Index()]
+		center := f.score[topology.RackID{Row: row, Col: 7}.Index()]
 		if row == 1 {
 			// Column 8 of row 1 is the hotspot; use column 7 as center,
 			// still fine. Column 0 must be below center regardless.
@@ -36,7 +36,7 @@ func TestRowEndsHaveLowerAirflow(t *testing.T) {
 
 func TestHotspotRack(t *testing.T) {
 	f := NewField(3)
-	if s := f.Score(topology.HumidityHotspot); s > 0.35 {
+	if s := f.score[topology.HumidityHotspot.Index()]; s > 0.35 {
 		t.Errorf("hotspot score = %v, want <= 0.35", s)
 	}
 	// Hotspot is more humid than its neighbors despite low airflow.
@@ -98,7 +98,7 @@ func TestHumidityClamped(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	a, b := NewField(7), NewField(7)
 	for _, r := range topology.AllRacks() {
-		if a.Score(r) != b.Score(r) {
+		if a.score[r.Index()] != b.score[r.Index()] {
 			t.Fatal("field should be deterministic")
 		}
 	}

@@ -25,7 +25,7 @@ import (
 // land in the same tick. Grouping by time.Time map keys split them, which
 // halved the reconstructed per-tick system power and plant flow.
 func TestCollectFromStoreMixedLocations(t *testing.T) {
-	db := envdb.NewStore()
+	db := &envdb.Store{}
 	rackA := topology.RackID{Row: 0, Col: 1}
 	rackB := topology.RackID{Row: 1, Col: 8}
 	start := time.Date(2015, 3, 10, 0, 0, 0, 0, timeutil.Chicago)
@@ -56,7 +56,7 @@ func TestCollectFromStoreMixedLocations(t *testing.T) {
 	if len(trend.PowerMW) == 0 {
 		t.Fatal("no power samples collected")
 	}
-	wantMW := float64(2*units.KW(55)) / 1e6
+	wantMW := float64(2*units.Watts(55e3)) / 1e6
 	for i, p := range trend.PowerMW {
 		if math.Abs(p-wantMW) > 1e-9 {
 			t.Errorf("month %d power = %v MW, want %v", i, p, wantMW)
@@ -109,7 +109,7 @@ func fillTrace(t *testing.T, db *tsdb.Store, from, to int) {
 // where a buffering replay would hold ticks × racks records.
 func TestReplayMergedBoundedMemory(t *testing.T) {
 	db := multiDayStore(t, 3) // 864 ticks × 48 racks ≈ 41k records
-	slice := envdb.NewStore()
+	slice := &envdb.Store{}
 	for _, r := range sortedRecords(db) {
 		if err := slice.Append(r); err != nil {
 			t.Fatal(err)

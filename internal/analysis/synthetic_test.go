@@ -34,7 +34,7 @@ func flatRecord(ts time.Time, r topology.RackID) sensors.Record {
 		Time: ts, Rack: r,
 		DCTemperature: 80, DCHumidity: 32,
 		Flow: 26, InletTemp: 64, OutletTemp: 79,
-		Power: units.KW(55),
+		Power: units.Watts(55e3),
 	}
 }
 
@@ -135,7 +135,7 @@ func TestFig6SpatialOnSynthetic(t *testing.T) {
 		c.OnRackState(ts, r, util)
 		rec := flatRecord(ts, r)
 		if r == topology.HotRack {
-			rec.Power = units.KW(55 * 1.15)
+			rec.Power = units.Watts(55 * 1.15 * 1e3)
 		}
 		c.OnSample(rec)
 	}
@@ -293,7 +293,7 @@ func TestCollectFromStoreMatchesLive(t *testing.T) {
 	// Feed identical telemetry to a live collector and through an envdb
 	// store; the coolant/ambient figures must agree.
 	live := NewCollector()
-	db := envdb.NewStore()
+	db := &envdb.Store{}
 	start := time.Date(2015, 5, 1, 0, 0, 0, 0, timeutil.Chicago)
 	for tick := 0; tick < 200; tick++ {
 		ts := start.Add(time.Duration(tick) * 5 * time.Minute)

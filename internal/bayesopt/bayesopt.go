@@ -21,6 +21,9 @@ import (
 // better), e.g. cross-validated validation loss of a network architecture.
 type Objective func(x []float64) float64
 
+// gpNoise is the observation-noise variance added to the kernel diagonal.
+const gpNoise = 1e-6
+
 // Config controls an optimization run.
 type Config struct {
 	// Candidates is the finite search grid; each entry is one point.
@@ -32,9 +35,6 @@ type Config struct {
 	Iterations int
 	// LengthScale is the RBF kernel length scale (default 1).
 	LengthScale float64
-	// Noise is the observation-noise variance added to the kernel diagonal
-	// (default 1e-6).
-	Noise float64
 	// Seed drives the initial random sampling.
 	Seed int64
 }
@@ -76,9 +76,6 @@ func Minimize(f Objective, cfg Config) (Result, error) {
 	if cfg.LengthScale <= 0 {
 		cfg.LengthScale = 1
 	}
-	if cfg.Noise <= 0 {
-		cfg.Noise = 1e-6
-	}
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	remaining := make([]int, len(cfg.Candidates))
@@ -112,7 +109,7 @@ func Minimize(f Objective, cfg Config) (Result, error) {
 
 	// GP-guided loop.
 	for it := 0; it < cfg.Iterations && len(remaining) > 0; it++ {
-		gp, err := fitGP(res.Evaluated, res.Costs, cfg.LengthScale, cfg.Noise)
+		gp, err := fitGP(res.Evaluated, res.Costs, cfg.LengthScale, gpNoise)
 		if err != nil {
 			// Ill-conditioned surrogate: fall back to a random candidate
 			// rather than aborting the search.

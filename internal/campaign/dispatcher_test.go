@@ -305,7 +305,7 @@ func waitTrace(t *testing.T, id obs.TraceID, names ...string) []obs.SpanRecord {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		var spans []obs.SpanRecord
-		for _, frag := range obs.TraceByID(id) {
+		for _, frag := range obs.Default().TraceByID(id) {
 			spans = append(spans, frag.Spans...)
 		}
 		have := make(map[string]bool, len(spans))

@@ -53,6 +53,9 @@ type claimVerdict struct {
 	el    *list.Element
 }
 
+// maxWorkers bounds the claim-dedup table, LRU-evicted.
+const maxWorkers = 1024
+
 // QueueOptions configures OpenQueue.
 type QueueOptions struct {
 	// Lease is how long a claim stays valid without a heartbeat
@@ -62,8 +65,6 @@ type QueueOptions struct {
 	// failures (default 3). Lease expiries do not count — a slow worker is
 	// not a broken job.
 	MaxAttempts int
-	// MaxWorkers bounds the claim-dedup table, LRU-evicted (default 1024).
-	MaxWorkers int
 	// Now overrides the clock for tests (default time.Now).
 	Now func() time.Time
 }
@@ -74,9 +75,6 @@ func (o QueueOptions) withDefaults() QueueOptions {
 	}
 	if o.MaxAttempts <= 0 {
 		o.MaxAttempts = 3
-	}
-	if o.MaxWorkers <= 0 {
-		o.MaxWorkers = 1024
 	}
 	if o.Now == nil {
 		o.Now = time.Now
@@ -245,7 +243,7 @@ func (q *Queue) touchWorkerLocked(worker uint64) *claimVerdict {
 		v = &claimVerdict{}
 		v.el = q.lru.PushFront(worker)
 		q.workers[worker] = v
-		for q.lru.Len() > q.opts.MaxWorkers {
+		for q.lru.Len() > maxWorkers {
 			old := q.lru.Back()
 			delete(q.workers, old.Value.(uint64))
 			q.lru.Remove(old)

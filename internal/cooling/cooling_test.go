@@ -154,7 +154,8 @@ func TestPlantPower(t *testing.T) {
 }
 
 func TestChillerCapacityCoversLoad(t *testing.T) {
-	total := units.TonsRefrigeration(float64(ChillerCapacityTons) * ChillerCount).Watts()
+	// One ton of refrigeration is 12,000 BTU/h ≈ 3,516.85 W.
+	total := units.Watts(float64(ChillerCapacityTons) * ChillerCount * 3516.8528)
 	if float64(total) < float64(DesignHeatLoad) {
 		t.Errorf("chillers (%v) cannot cover design load (%v)", total, DesignHeatLoad)
 	}
@@ -202,7 +203,7 @@ func TestFlowNetworkWeights(t *testing.T) {
 
 func TestHeatExchanger(t *testing.T) {
 	// ≈51 kW into the loop at 26 GPM: ≈13°F rise, 64 → ≈77-79°F.
-	out := HeatExchanger(64, units.KW(51), 26)
+	out := HeatExchanger(64, units.Watts(51e3), 26)
 	if float64(out) < 75 || float64(out) > 80 {
 		t.Errorf("HX outlet = %v, want ≈77-79°F", out)
 	}

@@ -32,7 +32,7 @@ func syntheticWindow(n int, step time.Duration, inletSlopePerStep float64) sim.W
 			Flow:          26.5,
 			InletTemp:     units.Fahrenheit(64 + inletSlopePerStep*float64(i)),
 			OutletTemp:    79,
-			Power:         units.KW(57),
+			Power:         units.Watts(57e3),
 		}
 	}
 	return sim.Window{Rack: rack, End: end, Records: recs}

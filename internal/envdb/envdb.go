@@ -208,7 +208,8 @@ type FleetDescriber interface {
 // slice per rack of a single machine: it holds hall 0 only and rejects
 // records of any other hall (use tsdb.Store for a fleet). It is not safe
 // for concurrent use (use tsdb.Store for concurrent ingest and scans); the
-// simulator feeds it from a single goroutine.
+// simulator feeds it from a single goroutine. The zero value is an empty
+// store keeping every sample.
 type Store struct {
 	// records per rack, in append (time) order.
 	records [topology.NumRacks][]sensors.Record
@@ -225,13 +226,6 @@ type Store struct {
 }
 
 var _ DB = (*Store)(nil)
-
-// NewStore creates an empty store keeping every sample.
-func NewStore() *Store { return &Store{} }
-
-// NewDownsampledStore creates a store that keeps one of every n samples per
-// rack, for bounded-memory multi-year runs.
-func NewDownsampledStore(n int) *Store { return &Store{Downsample: n} }
 
 // Append ingests one record. Records must arrive in non-decreasing time
 // order per rack; Append returns an error otherwise (the coolant monitor is

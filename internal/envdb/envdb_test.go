@@ -19,14 +19,14 @@ func rec(rack topology.RackID, ts time.Time, inlet float64) sensors.Record {
 		Time: ts, Rack: rack,
 		DCTemperature: 80, DCHumidity: 32,
 		Flow: 26.5, InletTemp: units.Fahrenheit(inlet), OutletTemp: 79,
-		Power: units.KW(57),
+		Power: units.Watts(57e3),
 	}
 }
 
 var base = time.Date(2015, 3, 1, 0, 0, 0, 0, timeutil.Chicago)
 
 func TestAppendAndQuery(t *testing.T) {
-	s := NewStore()
+	s := &Store{}
 	r1 := topology.RackID{Row: 0, Col: 1}
 	r2 := topology.RackID{Row: 2, Col: 7}
 	for i := 0; i < 10; i++ {
@@ -53,7 +53,7 @@ func TestAppendAndQuery(t *testing.T) {
 }
 
 func TestAppendOutOfOrder(t *testing.T) {
-	s := NewStore()
+	s := &Store{}
 	r := topology.RackID{Row: 1, Col: 1}
 	if err := s.Append(rec(r, base.Add(time.Hour), 64)); err != nil {
 		t.Fatal(err)
@@ -68,7 +68,7 @@ func TestAppendOutOfOrder(t *testing.T) {
 }
 
 func TestSeries(t *testing.T) {
-	s := NewStore()
+	s := &Store{}
 	r := topology.RackID{Row: 1, Col: 4}
 	for i := 0; i < 5; i++ {
 		if err := s.Append(rec(r, base.Add(time.Duration(i)*time.Minute), 64+float64(i))); err != nil {
@@ -85,7 +85,7 @@ func TestSeries(t *testing.T) {
 }
 
 func TestDownsampling(t *testing.T) {
-	s := NewDownsampledStore(3)
+	s := &Store{Downsample: 3}
 	r := topology.RackID{Row: 0, Col: 0}
 	for i := 0; i < 9; i++ {
 		if err := s.Append(rec(r, base.Add(time.Duration(i)*time.Minute), 64)); err != nil {
@@ -98,7 +98,7 @@ func TestDownsampling(t *testing.T) {
 }
 
 func TestEachRecord(t *testing.T) {
-	s := NewStore()
+	s := &Store{}
 	for i, r := range topology.AllRacks() {
 		if err := s.Append(rec(r, base, 64+float64(i))); err != nil {
 			t.Fatal(err)
@@ -112,7 +112,7 @@ func TestEachRecord(t *testing.T) {
 }
 
 func TestCSVRoundTrip(t *testing.T) {
-	s := NewStore()
+	s := &Store{}
 	r1 := topology.RackID{Row: 0, Col: 13}
 	r2 := topology.RackID{Row: 1, Col: 8}
 	for i := 0; i < 4; i++ {
@@ -133,7 +133,7 @@ func TestCSVRoundTrip(t *testing.T) {
 		t.Errorf("CSV missing rack ids:\n%s", out)
 	}
 
-	s2 := NewStore()
+	s2 := &Store{}
 	if err := s2.ImportCSV(strings.NewReader(out)); err != nil {
 		t.Fatal(err)
 	}
@@ -147,13 +147,13 @@ func TestCSVRoundTrip(t *testing.T) {
 	if float64(got[0].InletTemp) != 64.25 {
 		t.Errorf("round-trip inlet = %v", got[0].InletTemp)
 	}
-	if got[0].Power != units.KW(57) {
+	if got[0].Power != units.Watts(57e3) {
 		t.Errorf("round-trip power = %v", got[0].Power)
 	}
 }
 
 func TestImportCSVErrors(t *testing.T) {
-	s := NewStore()
+	s := &Store{}
 	if err := s.ImportCSV(strings.NewReader("")); err == nil {
 		t.Error("empty input should fail on header")
 	}
@@ -179,7 +179,7 @@ func TestImportCSVErrors(t *testing.T) {
 func TestImportCSVReorderedHeader(t *testing.T) {
 	reordered := []string{"time", "rack", "dc_humidity_rh", "dc_temperature_f", "coolant_flow_gpm", "inlet_temp_f", "outlet_temp_f", "power_w"}
 	csv := strings.Join(reordered, ",") + "\n2015-01-01T00:00:00Z,(0,0),32.000,80.000,26.500,64.000,79.000,57000.0\n"
-	s := NewStore()
+	s := &Store{}
 	err := s.ImportCSV(strings.NewReader(csv))
 	if err == nil {
 		t.Fatal("reordered header should fail")
@@ -195,7 +195,7 @@ func TestImportCSVReorderedHeader(t *testing.T) {
 }
 
 func TestEachRecordUntil(t *testing.T) {
-	s := NewStore()
+	s := &Store{}
 	for i, r := range topology.AllRacks() {
 		if err := s.Append(rec(r, base, 64+float64(i))); err != nil {
 			t.Fatal(err)
@@ -234,7 +234,7 @@ func (c *countingVisitor) EachRecordUntil(f func(sensors.Record) bool) {
 // buffers ~4 KiB, so the error surfaces after a few dozen rows — far fewer
 // than the thousands stored.
 func TestExportCSVEarlyStop(t *testing.T) {
-	s := NewStore()
+	s := &Store{}
 	r := topology.RackID{Row: 0, Col: 2}
 	const n = 5000
 	for i := 0; i < n; i++ {
@@ -256,7 +256,7 @@ func TestExportCSVEarlyStop(t *testing.T) {
 }
 
 func TestQueryEmptyRange(t *testing.T) {
-	s := NewStore()
+	s := &Store{}
 	r := topology.RackID{Row: 0, Col: 5}
 	if err := s.Append(rec(r, base, 64)); err != nil {
 		t.Fatal(err)
@@ -274,7 +274,7 @@ func TestQueryEmptyRange(t *testing.T) {
 // skipped samples too. With the watermark only tracking retained records, a
 // record older than a skipped sample slipped in and broke time order.
 func TestDownsampleWatermark(t *testing.T) {
-	s := NewDownsampledStore(3)
+	s := &Store{Downsample: 3}
 	r := topology.RackID{Row: 0, Col: 2}
 	if err := s.Append(rec(r, base, 64)); err != nil { // kept
 		t.Fatal(err)
@@ -304,7 +304,7 @@ func (w *failAfterWriter) Write(p []byte) (int, error) {
 // errors at Flush, so WriteCSV must flush periodically and abort the scan —
 // not walk every remaining record after the destination is dead.
 func TestWriteCSVStopsOnWriteError(t *testing.T) {
-	s := NewStore()
+	s := &Store{}
 	r := topology.RackID{Row: 1, Col: 3}
 	const n = 2*csvFlushEvery + 5000
 	for i := 0; i < n; i++ {
@@ -333,7 +333,7 @@ func TestWriteCSVStopsOnWriteError(t *testing.T) {
 // the contract of the compressed store's parallel scan — and honour an
 // early stop.
 func TestEachChunkMerged(t *testing.T) {
-	s := NewStore()
+	s := &Store{}
 	racks := []topology.RackID{{Row: 2, Col: 14}, {Row: 0, Col: 3}, {Row: 1, Col: 9}}
 	const ticks = 3000 // more rows than one chunk holds
 	for i := 0; i < ticks; i++ {
@@ -388,7 +388,7 @@ func TestEachChunkMerged(t *testing.T) {
 // different locations materialize each in its own location, because a
 // chunk shares one Loc across its rows.
 func TestEachChunkMergedSplitsLocations(t *testing.T) {
-	s := NewStore()
+	s := &Store{}
 	a, b := topology.RackID{Row: 0, Col: 1}, topology.RackID{Row: 1, Col: 8}
 	for i := 0; i < 3; i++ {
 		ts := base.Add(time.Duration(i) * timeutil.SampleInterval)
@@ -426,7 +426,7 @@ func TestEachChunkMergedSplitsLocations(t *testing.T) {
 // within-hall rack index, so a record of hall 1 would land in its hall-0
 // twin's slice. Both ingest paths refuse it and leave the store as it was.
 func TestAppendRejectsOtherHalls(t *testing.T) {
-	s := NewStore()
+	s := &Store{}
 	hall0 := topology.RackID{Row: 0, Col: 5}
 	hall1 := hall0
 	hall1.Hall = 1

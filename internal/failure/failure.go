@@ -234,11 +234,6 @@ func (e *Engine) buildSusceptibility() {
 	e.susceptibility[topology.ClockRoot.Index()] = 0.3
 }
 
-// Susceptibility returns a rack's hazard multiplier (mean ≈ 1).
-func (e *Engine) Susceptibility(r topology.RackID) float64 {
-	return e.susceptibility[r.Index()]
-}
-
 // monthWeight concentrates 2016's hazard in the Theta integration months
 // (June–December) and 2018's at year end.
 func monthWeight(t time.Time) float64 {
@@ -337,13 +332,6 @@ func (e *Engine) poisson(mean float64) int {
 		}
 		k++
 	}
-}
-
-// Episodes returns every scheduled episode in trigger order.
-func (e *Engine) Episodes() []Episode {
-	out := make([]Episode, len(e.episodes))
-	copy(out, e.episodes)
-	return out
 }
 
 // ActiveEpisode returns the episode perturbing the given rack at time t, or

@@ -88,7 +88,7 @@ func TestEngineTotalsCalibration(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		e := NewEngine(Config{Seed: seed})
 		count := 0
-		for _, ep := range e.Episodes() {
+		for _, ep := range e.episodes {
 			count += len(ep.Racks)
 		}
 		totals = append(totals, float64(count))
@@ -105,7 +105,7 @@ func TestEngineTotalsCalibration(t *testing.T) {
 
 func TestEpisodesIncludeEpicenterFirst(t *testing.T) {
 	e := NewEngine(Config{Seed: 21})
-	for _, ep := range e.Episodes() {
+	for _, ep := range e.episodes {
 		if len(ep.Racks) == 0 || ep.Racks[0] != ep.Epicenter {
 			t.Fatalf("episode cascade must lead with the epicenter: %+v", ep)
 		}
@@ -116,7 +116,7 @@ func TestEngineYearDistribution(t *testing.T) {
 	e := NewEngine(Config{Seed: 2})
 	byYear := make(map[int]int)
 	total := 0
-	for _, ep := range e.Episodes() {
+	for _, ep := range e.episodes {
 		byYear[ep.Trigger.Year()]++
 		total++
 	}
@@ -131,7 +131,7 @@ func TestEngineYearDistribution(t *testing.T) {
 		t.Errorf("2017 episodes = %d, want 0 (two-year quiet period)", byYear[2017])
 	}
 	// 2018 episodes only at the very end of the year.
-	for _, ep := range e.Episodes() {
+	for _, ep := range e.episodes {
 		if ep.Trigger.Year() == 2018 && ep.Trigger.Month() < time.November {
 			t.Errorf("2018 episode before November: %v", ep.Trigger)
 		}
@@ -148,7 +148,7 @@ func TestEngineRackDistribution(t *testing.T) {
 	for seed := int64(10); seed < 10+seeds; seed++ {
 		e := NewEngine(Config{Seed: seed})
 		var counts [topology.NumRacks]int
-		for _, ep := range e.Episodes() {
+		for _, ep := range e.episodes {
 			for _, r := range ep.Racks {
 				counts[r.Index()]++
 			}
@@ -177,11 +177,11 @@ func TestEngineRackDistribution(t *testing.T) {
 
 func TestSusceptibilityAnchors(t *testing.T) {
 	e := NewEngine(Config{Seed: 3})
-	if e.Susceptibility(topology.HumidityHotspot) <= e.Susceptibility(topology.QuietRack) {
+	if e.susceptibility[topology.HumidityHotspot.Index()] <= e.susceptibility[topology.QuietRack.Index()] {
 		t.Error("(1,8) susceptibility should exceed (2,7)")
 	}
 	for _, r := range topology.AllRacks() {
-		s := e.Susceptibility(r)
+		s := e.susceptibility[r.Index()]
 		if s <= 0 || s > 3.5 {
 			t.Errorf("susceptibility(%v) = %v out of range", r, s)
 		}
@@ -193,7 +193,7 @@ func TestEpisodeSpacing(t *testing.T) {
 	// cannot start a new precursor.
 	e := NewEngine(Config{Seed: 4})
 	last := make(map[topology.RackID]time.Time)
-	for _, ep := range e.Episodes() {
+	for _, ep := range e.episodes {
 		if prev, ok := last[ep.Epicenter]; ok && !prev.IsZero() {
 			if d := ep.Trigger.Sub(prev); d > 0 && d <= 30*time.Hour {
 				t.Fatalf("epicenter %v episodes too close: %v then %v", ep.Epicenter, prev, ep.Trigger)
@@ -205,7 +205,7 @@ func TestEpisodeSpacing(t *testing.T) {
 
 func TestActiveEpisodeCursor(t *testing.T) {
 	e := NewEngine(Config{Seed: 5})
-	eps := e.Episodes()
+	eps := e.episodes
 	if len(eps) == 0 {
 		t.Fatal("no episodes")
 	}
@@ -397,7 +397,7 @@ func TestBackgroundEvents(t *testing.T) {
 func TestEngineDeterminism(t *testing.T) {
 	a := NewEngine(Config{Seed: 15})
 	b := NewEngine(Config{Seed: 15})
-	ea, eb := a.Episodes(), b.Episodes()
+	ea, eb := a.episodes, b.episodes
 	if len(ea) != len(eb) {
 		t.Fatal("non-deterministic episode count")
 	}

@@ -1,11 +1,11 @@
-// Package mat provides the small dense-matrix kernels used by the neural
-// network and the Gaussian-process surrogate: matrix-vector and
-// matrix-matrix products, transpose, element-wise operations, and a
-// Cholesky-based linear solver.
+// Package mat provides the small dense-matrix kernels of the Gaussian-process
+// surrogate in internal/bayesopt: element access and a Cholesky-based
+// linear solver. The unexported products, transpose and element-wise
+// helpers are exercised only by this package's tests.
 //
 // Matrices are row-major. The package favors clarity over BLAS-style
-// performance; problem sizes here are tiny (a dozen neurons, tens of
-// Bayesian-optimization observations).
+// performance; problem sizes here are tiny (tens of Bayesian-optimization
+// observations).
 package mat
 
 import (
@@ -28,11 +28,11 @@ func NewDense(r, c int) *Dense {
 	return &Dense{Rows: r, Cols: c, Data: make([]float64, r*c)}
 }
 
-// FromRows builds a matrix from row slices, which must be non-empty and of
+// fromRows builds a matrix from row slices, which must be non-empty and of
 // equal length.
-func FromRows(rows [][]float64) *Dense {
+func fromRows(rows [][]float64) *Dense {
 	if len(rows) == 0 || len(rows[0]) == 0 {
-		panic("mat: FromRows needs at least one non-empty row")
+		panic("mat: fromRows needs at least one non-empty row")
 	}
 	m := NewDense(len(rows), len(rows[0]))
 	for i, r := range rows {
@@ -60,8 +60,8 @@ func (m *Dense) Clone() *Dense {
 	return out
 }
 
-// T returns the transpose as a new matrix.
-func (m *Dense) T() *Dense {
+// transpose returns the transpose as a new matrix.
+func (m *Dense) transpose() *Dense {
 	out := NewDense(m.Cols, m.Rows)
 	for i := 0; i < m.Rows; i++ {
 		for j := 0; j < m.Cols; j++ {
@@ -71,10 +71,10 @@ func (m *Dense) T() *Dense {
 	return out
 }
 
-// Mul returns the matrix product a·b. It panics on dimension mismatch.
-func Mul(a, b *Dense) *Dense {
+// mul returns the matrix product a·b. It panics on dimension mismatch.
+func mul(a, b *Dense) *Dense {
 	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("mat: Mul dimension mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
+		panic(fmt.Sprintf("mat: mul dimension mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	out := NewDense(a.Rows, b.Cols)
 	for i := 0; i < a.Rows; i++ {
@@ -93,11 +93,11 @@ func Mul(a, b *Dense) *Dense {
 	return out
 }
 
-// MulVec returns the matrix-vector product a·x. It panics on dimension
+// mulVec returns the matrix-vector product a·x. It panics on dimension
 // mismatch.
-func MulVec(a *Dense, x []float64) []float64 {
+func mulVec(a *Dense, x []float64) []float64 {
 	if a.Cols != len(x) {
-		panic(fmt.Sprintf("mat: MulVec dimension mismatch %dx%d · %d", a.Rows, a.Cols, len(x)))
+		panic(fmt.Sprintf("mat: mulVec dimension mismatch %dx%d · %d", a.Rows, a.Cols, len(x)))
 	}
 	out := make([]float64, a.Rows)
 	for i := 0; i < a.Rows; i++ {
@@ -111,10 +111,10 @@ func MulVec(a *Dense, x []float64) []float64 {
 	return out
 }
 
-// Dot returns the inner product of x and y. It panics on length mismatch.
-func Dot(x, y []float64) float64 {
+// dot returns the inner product of x and y. It panics on length mismatch.
+func dot(x, y []float64) float64 {
 	if len(x) != len(y) {
-		panic(fmt.Sprintf("mat: Dot length mismatch %d vs %d", len(x), len(y)))
+		panic(fmt.Sprintf("mat: dot length mismatch %d vs %d", len(x), len(y)))
 	}
 	var s float64
 	for i := range x {
@@ -123,18 +123,18 @@ func Dot(x, y []float64) float64 {
 	return s
 }
 
-// AddScaled computes dst += alpha·x in place. It panics on length mismatch.
-func AddScaled(dst []float64, alpha float64, x []float64) {
+// addScaled computes dst += alpha·x in place. It panics on length mismatch.
+func addScaled(dst []float64, alpha float64, x []float64) {
 	if len(dst) != len(x) {
-		panic(fmt.Sprintf("mat: AddScaled length mismatch %d vs %d", len(dst), len(x)))
+		panic(fmt.Sprintf("mat: addScaled length mismatch %d vs %d", len(dst), len(x)))
 	}
 	for i := range dst {
 		dst[i] += alpha * x[i]
 	}
 }
 
-// Apply replaces every element of m with f(element) in place and returns m.
-func (m *Dense) Apply(f func(float64) float64) *Dense {
+// apply replaces every element of m with f(element) in place and returns m.
+func (m *Dense) apply(f func(float64) float64) *Dense {
 	for i, v := range m.Data {
 		m.Data[i] = f(v)
 	}

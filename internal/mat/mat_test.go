@@ -21,7 +21,7 @@ func TestNewDenseAndAccess(t *testing.T) {
 }
 
 func TestFromRowsAndClone(t *testing.T) {
-	m := FromRows([][]float64{{1, 2}, {3, 4}})
+	m := fromRows([][]float64{{1, 2}, {3, 4}})
 	c := m.Clone()
 	c.Set(0, 0, 99)
 	if m.At(0, 0) != 1 {
@@ -30,8 +30,8 @@ func TestFromRowsAndClone(t *testing.T) {
 }
 
 func TestTranspose(t *testing.T) {
-	m := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	mt := m.T()
+	m := fromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
+	mt := m.transpose()
 	if mt.Rows != 3 || mt.Cols != 2 {
 		t.Fatalf("T dims = %dx%d", mt.Rows, mt.Cols)
 	}
@@ -41,9 +41,9 @@ func TestTranspose(t *testing.T) {
 }
 
 func TestMul(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	b := FromRows([][]float64{{5, 6}, {7, 8}})
-	c := Mul(a, b)
+	a := fromRows([][]float64{{1, 2}, {3, 4}})
+	b := fromRows([][]float64{{5, 6}, {7, 8}})
+	c := mul(a, b)
 	want := [][]float64{{19, 22}, {43, 50}}
 	for i := range want {
 		for j := range want[i] {
@@ -55,27 +55,27 @@ func TestMul(t *testing.T) {
 }
 
 func TestMulVecDot(t *testing.T) {
-	a := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	got := MulVec(a, []float64{1, 0, -1})
+	a := fromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
+	got := mulVec(a, []float64{1, 0, -1})
 	if got[0] != -2 || got[1] != -2 {
 		t.Errorf("MulVec = %v", got)
 	}
-	if Dot([]float64{1, 2, 3}, []float64{4, 5, 6}) != 32 {
+	if dot([]float64{1, 2, 3}, []float64{4, 5, 6}) != 32 {
 		t.Error("Dot wrong")
 	}
 }
 
 func TestAddScaled(t *testing.T) {
 	dst := []float64{1, 2, 3}
-	AddScaled(dst, 2, []float64{10, 20, 30})
+	addScaled(dst, 2, []float64{10, 20, 30})
 	if dst[0] != 21 || dst[2] != 63 {
 		t.Errorf("AddScaled = %v", dst)
 	}
 }
 
 func TestApply(t *testing.T) {
-	m := FromRows([][]float64{{1, -2}, {-3, 4}})
-	m.Apply(math.Abs)
+	m := fromRows([][]float64{{1, -2}, {-3, 4}})
+	m.apply(math.Abs)
 	if m.At(0, 1) != 2 || m.At(1, 0) != 3 {
 		t.Errorf("Apply = %+v", m)
 	}
@@ -92,20 +92,20 @@ func TestPanics(t *testing.T) {
 		f()
 	}
 	mustPanic("NewDense bad dims", func() { NewDense(0, 3) })
-	mustPanic("FromRows empty", func() { FromRows(nil) })
-	mustPanic("FromRows ragged", func() { FromRows([][]float64{{1, 2}, {3}}) })
+	mustPanic("FromRows empty", func() { fromRows(nil) })
+	mustPanic("FromRows ragged", func() { fromRows([][]float64{{1, 2}, {3}}) })
 	a := NewDense(2, 3)
 	b := NewDense(2, 3)
-	mustPanic("Mul mismatch", func() { Mul(a, b) })
-	mustPanic("MulVec mismatch", func() { MulVec(a, []float64{1}) })
-	mustPanic("Dot mismatch", func() { Dot([]float64{1}, []float64{1, 2}) })
-	mustPanic("AddScaled mismatch", func() { AddScaled([]float64{1}, 1, []float64{1, 2}) })
+	mustPanic("Mul mismatch", func() { mul(a, b) })
+	mustPanic("MulVec mismatch", func() { mulVec(a, []float64{1}) })
+	mustPanic("Dot mismatch", func() { dot([]float64{1}, []float64{1, 2}) })
+	mustPanic("AddScaled mismatch", func() { addScaled([]float64{1}, 1, []float64{1, 2}) })
 	mustPanic("Cholesky non-square", func() { Cholesky(a) })
 }
 
 func TestCholeskySolve(t *testing.T) {
 	// SPD matrix.
-	a := FromRows([][]float64{
+	a := fromRows([][]float64{
 		{4, 2, 0.6},
 		{2, 5, 1.5},
 		{0.6, 1.5, 3},
@@ -115,7 +115,7 @@ func TestCholeskySolve(t *testing.T) {
 		t.Fatal("Cholesky failed on SPD matrix")
 	}
 	// Verify L·Lᵀ == a.
-	llt := Mul(l, l.T())
+	llt := mul(l, l.transpose())
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 3; j++ {
 			if math.Abs(llt.At(i, j)-a.At(i, j)) > 1e-10 {
@@ -125,7 +125,7 @@ func TestCholeskySolve(t *testing.T) {
 	}
 	// Solve a known system.
 	xTrue := []float64{1, -2, 0.5}
-	b := MulVec(a, xTrue)
+	b := mulVec(a, xTrue)
 	x := SolveCholesky(l, b)
 	for i := range xTrue {
 		if math.Abs(x[i]-xTrue[i]) > 1e-10 {
@@ -135,7 +135,7 @@ func TestCholeskySolve(t *testing.T) {
 }
 
 func TestCholeskyNotPD(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3 and -1
+	a := fromRows([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3 and -1
 	if _, ok := Cholesky(a); ok {
 		t.Error("Cholesky should fail on indefinite matrix")
 	}
@@ -150,7 +150,7 @@ func TestCholeskySolveProperty(t *testing.T) {
 		for i := range g.Data {
 			g.Data[i] = rng.NormFloat64()
 		}
-		a := Mul(g.T(), g)
+		a := mul(g.transpose(), g)
 		for i := 0; i < n; i++ {
 			a.Set(i, i, a.At(i, i)+float64(n))
 		}
@@ -158,7 +158,7 @@ func TestCholeskySolveProperty(t *testing.T) {
 		for i := range xTrue {
 			xTrue[i] = rng.NormFloat64()
 		}
-		b := MulVec(a, xTrue)
+		b := mulVec(a, xTrue)
 		l, ok := Cholesky(a)
 		if !ok {
 			return false
@@ -188,8 +188,8 @@ func TestMulAssociativityProperty(t *testing.T) {
 				m.Data[i] = rng.NormFloat64()
 			}
 		}
-		left := Mul(Mul(a, b), c)
-		right := Mul(a, Mul(b, c))
+		left := mul(mul(a, b), c)
+		right := mul(a, mul(b, c))
 		for i := range left.Data {
 			if math.Abs(left.Data[i]-right.Data[i]) > 1e-9 {
 				return false

@@ -76,7 +76,7 @@ func (m *Logistic) Fit(X [][]float64, Y []float64, cfg TrainConfig) ([]float64, 
 			}
 			inv := cfg.LearningRate / float64(end-start)
 			for j := range m.W {
-				m.W[j] -= inv * (gw[j] + cfg.L2*m.W[j]*float64(end-start))
+				m.W[j] -= inv * gw[j]
 			}
 			m.B -= inv * gb
 		}

@@ -9,7 +9,7 @@
 // reproducible.
 //
 // Concurrency: Fit mutates the network and must not overlap any other call
-// on it. Once training is done, Predict, PredictClass and Loss only read the
+// on it. Once training is done, Predict and PredictClass only read the
 // weights, so any number of goroutines may call them on one network at once.
 // Training and inference run the same per-layer forward kernel; training
 // keeps each layer's output in buffers the layer owns, inference keeps it on
@@ -27,30 +27,18 @@ import (
 type Activation int
 
 const (
-	// Identity applies no nonlinearity.
-	Identity Activation = iota
-	// ReLU is max(0, x).
-	ReLU
-	// Sigmoid is 1/(1+e^-x); used on the output layer for binary
+	// ReLU is max(0, x), the hidden-layer activation.
+	ReLU Activation = iota
+	// Sigmoid is 1/(1+e^-x), the output activation for binary
 	// classification.
 	Sigmoid
-	// Tanh is the hyperbolic tangent.
-	Tanh
 )
 
 func (a Activation) String() string {
-	switch a {
-	case Identity:
-		return "identity"
-	case ReLU:
+	if a == ReLU {
 		return "relu"
-	case Sigmoid:
-		return "sigmoid"
-	case Tanh:
-		return "tanh"
-	default:
-		return "unknown"
 	}
+	return "sigmoid"
 }
 
 // applyAll replaces each pre-activation in v by its activation. The switch
@@ -67,28 +55,18 @@ func (a Activation) applyAll(v []float64) {
 		for i, x := range v {
 			v[i] = 1 / (1 + math.Exp(-x))
 		}
-	case Tanh:
-		for i, x := range v {
-			v[i] = math.Tanh(x)
-		}
 	}
 }
 
 // derivFromOutput returns dσ/dx given the activated output y = σ(x).
 func (a Activation) derivFromOutput(y float64) float64 {
-	switch a {
-	case ReLU:
-		if y > 0 {
-			return 1
-		}
-		return 0
-	case Sigmoid:
+	if a == Sigmoid {
 		return y * (1 - y)
-	case Tanh:
-		return 1 - y*y
-	default:
+	}
+	if y > 0 {
 		return 1
 	}
+	return 0
 }
 
 // layer is one fully-connected layer: out = act(W·in + b).
@@ -194,11 +172,6 @@ type Config struct {
 	Inputs int
 	// Hidden lists the widths of the hidden layers (e.g. {12, 12, 6}).
 	Hidden []int
-	// HiddenAct is the hidden activation (default ReLU).
-	HiddenAct Activation
-	// OutputAct is the output activation (default Sigmoid, for binary
-	// classification).
-	OutputAct Activation
 	// Outputs is the output dimension (default 1).
 	Outputs int
 	// Seed makes weight initialization deterministic.
@@ -214,12 +187,6 @@ func New(cfg Config) (*Network, error) {
 	if cfg.Outputs <= 0 {
 		cfg.Outputs = 1
 	}
-	if cfg.HiddenAct == Identity {
-		cfg.HiddenAct = ReLU
-	}
-	if cfg.OutputAct == Identity {
-		cfg.OutputAct = Sigmoid
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	n := &Network{inDim: cfg.Inputs}
 	prev := cfg.Inputs
@@ -227,26 +194,14 @@ func New(cfg Config) (*Network, error) {
 		if h <= 0 {
 			return nil, fmt.Errorf("nn: invalid hidden width %d", h)
 		}
-		n.layers = append(n.layers, newLayer(prev, h, cfg.HiddenAct, rng))
+		n.layers = append(n.layers, newLayer(prev, h, ReLU, rng))
 		prev = h
 	}
-	n.layers = append(n.layers, newLayer(prev, cfg.Outputs, cfg.OutputAct, rng))
+	n.layers = append(n.layers, newLayer(prev, cfg.Outputs, Sigmoid, rng))
 	for _, l := range n.layers {
 		n.maxWidth = max(n.maxWidth, l.out)
 	}
 	return n, nil
-}
-
-// InputDim returns the expected feature-vector length.
-func (n *Network) InputDim() int { return n.inDim }
-
-// NumParams returns the total number of trainable parameters.
-func (n *Network) NumParams() int {
-	total := 0
-	for _, l := range n.layers {
-		total += len(l.w) + len(l.b)
-	}
-	return total
 }
 
 // predictStackWidth bounds the layer width Predict scores on its own stack;
@@ -344,8 +299,6 @@ type TrainConfig struct {
 	Optimizer Optimizer
 	// Seed drives shuffling.
 	Seed int64
-	// L2 is the weight-decay coefficient (default 0).
-	L2 float64
 }
 
 // ErrBadTrainingSet is returned when X and Y disagree or are empty, or when
@@ -424,7 +377,7 @@ func (n *Network) applyGradients(cfg TrainConfig, batch int, step int) {
 		bc2 := 1 - math.Pow(b2, float64(step))
 		for _, l := range n.layers {
 			for i := range l.w {
-				g := l.gw[i]*inv + cfg.L2*l.w[i]
+				g := l.gw[i] * inv
 				l.mw[i] = b1*l.mw[i] + (1-b1)*g
 				l.vw[i] = b2*l.vw[i] + (1-b2)*g*g
 				l.w[i] -= lr * (l.mw[i] / bc1) / (math.Sqrt(l.vw[i]/bc2) + eps)
@@ -440,7 +393,7 @@ func (n *Network) applyGradients(cfg TrainConfig, batch int, step int) {
 		const momentum = 0.9
 		for _, l := range n.layers {
 			for i := range l.w {
-				g := l.gw[i]*inv + cfg.L2*l.w[i]
+				g := l.gw[i] * inv
 				l.mw[i] = momentum*l.mw[i] - lr*g
 				l.w[i] += l.mw[i]
 			}
@@ -450,18 +403,4 @@ func (n *Network) applyGradients(cfg TrainConfig, batch int, step int) {
 			}
 		}
 	}
-}
-
-// Loss returns the mean binary cross-entropy of the network on (X, Y).
-func (n *Network) Loss(X [][]float64, Y []float64) float64 {
-	if len(X) == 0 {
-		return math.NaN()
-	}
-	var total float64
-	for i, x := range X {
-		p := n.Predict(x)
-		p = math.Min(math.Max(p, 1e-12), 1-1e-12)
-		total += -(Y[i]*math.Log(p) + (1-Y[i])*math.Log(1-p))
-	}
-	return total / float64(len(X))
 }

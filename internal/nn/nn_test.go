@@ -24,17 +24,11 @@ func TestActivationValues(t *testing.T) {
 	if s := apply(Sigmoid, 100); s < 0.999 {
 		t.Errorf("Sigmoid(100) = %v", s)
 	}
-	if apply(Tanh, 0) != 0 {
-		t.Error("Tanh(0) != 0")
-	}
-	if apply(Identity, 2.5) != 2.5 {
-		t.Error("Identity wrong")
-	}
 }
 
 func TestActivationDerivatives(t *testing.T) {
 	// Numeric check: derivFromOutput(σ(x)) ≈ dσ/dx.
-	for _, act := range []Activation{Sigmoid, Tanh, ReLU} {
+	for _, act := range []Activation{Sigmoid, ReLU} {
 		for _, x := range []float64{-2, -0.5, 0.3, 1.7} {
 			h := 1e-6
 			num := (apply(act, x+h) - apply(act, x-h)) / (2 * h)
@@ -47,8 +41,7 @@ func TestActivationDerivatives(t *testing.T) {
 }
 
 func TestActivationString(t *testing.T) {
-	if ReLU.String() != "relu" || Sigmoid.String() != "sigmoid" ||
-		Tanh.String() != "tanh" || Identity.String() != "identity" {
+	if ReLU.String() != "relu" || Sigmoid.String() != "sigmoid" {
 		t.Error("Activation.String mismatch")
 	}
 	if SGD.String() != "sgd" || Adam.String() != "adam" {
@@ -69,11 +62,15 @@ func TestNewValidation(t *testing.T) {
 	}
 	// Paper architecture: 6→12→12→6→1.
 	want := 6*12 + 12 + 12*12 + 12 + 12*6 + 6 + 6*1 + 1
-	if n.NumParams() != want {
-		t.Errorf("NumParams = %d, want %d", n.NumParams(), want)
+	got := 0
+	for _, l := range n.layers {
+		got += len(l.w) + len(l.b)
 	}
-	if n.InputDim() != 6 {
-		t.Errorf("InputDim = %d", n.InputDim())
+	if got != want {
+		t.Errorf("parameters = %d, want %d", got, want)
+	}
+	if n.inDim != 6 {
+		t.Errorf("input dimension = %d", n.inDim)
 	}
 }
 
@@ -114,7 +111,7 @@ func TestDeterministicInit(t *testing.T) {
 
 func TestGradientNumericalCheck(t *testing.T) {
 	// Compare backprop gradients to finite differences on a tiny net.
-	n, _ := New(Config{Inputs: 3, Hidden: []int{4}, HiddenAct: Tanh, Seed: 7})
+	n, _ := New(Config{Inputs: 3, Hidden: []int{4}, Seed: 7})
 	x := []float64{0.5, -1.2, 0.8}
 	y := 1.0
 	for _, l := range n.layers {
@@ -247,11 +244,14 @@ func TestLossDecreasesGeneralization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l := net.Loss(X[400:], Y[400:]); l > 0.25 {
-		t.Errorf("test loss = %v, want < 0.25", l)
+	// Mean binary cross-entropy on the held-out third.
+	var loss float64
+	for i := 400; i < n; i++ {
+		p := math.Min(math.Max(net.Predict(X[i]), 1e-12), 1-1e-12)
+		loss += -(Y[i]*math.Log(p) + (1-Y[i])*math.Log(1-p))
 	}
-	if !math.IsNaN(net.Loss(nil, nil)) {
-		t.Error("empty Loss should be NaN")
+	if l := loss / float64(n-400); l > 0.25 {
+		t.Errorf("test loss = %v, want < 0.25", l)
 	}
 }
 
@@ -270,44 +270,22 @@ func TestFitDeterministic(t *testing.T) {
 	}
 }
 
-func TestL2ShrinksWeights(t *testing.T) {
-	X, Y := xorData(200, 14)
-	big, _ := New(Config{Inputs: 2, Hidden: []int{8}, Seed: 15})
-	reg, _ := New(Config{Inputs: 2, Hidden: []int{8}, Seed: 15})
-	if _, err := big.Fit(X, Y, TrainConfig{Epochs: 50, Seed: 16}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := reg.Fit(X, Y, TrainConfig{Epochs: 50, Seed: 16, L2: 0.05}); err != nil {
-		t.Fatal(err)
-	}
-	norm := func(n *Network) float64 {
-		var s float64
-		for _, l := range n.layers {
-			for _, w := range l.w {
-				s += w * w
-			}
-		}
-		return s
-	}
-	if norm(reg) >= norm(big) {
-		t.Errorf("L2-regularized norm %v should be below unregularized %v", norm(reg), norm(big))
-	}
-}
-
 // TestFitGolden pins outputs recorded before Predict and training shared one
 // forward kernel: the kernel must keep the summation order, so every loss and
-// probability is bit-identical for both optimizers.
+// probability is bit-identical for both optimizers. The constants were
+// re-recorded without weight decay when the L2 option was removed, on the
+// code that still had it.
 func TestFitGolden(t *testing.T) {
 	X, Y := xorData(200, 21)
 	for _, tc := range []struct {
 		opt          Optimizer
 		loss, p0, p1 float64
 	}{
-		{SGD, 0x1.e8e163fce3f04p-07, 0x1.f70f042caac3bp-01, 0x1.22a08ad0edce7p-08},
-		{Adam, 0x1.c6d09dc482525p-03, 0x1.5c9f0c1a711b5p-01, 0x1.188715df33a46p-04},
+		{SGD, 0x1.bafd836f39bap-07, 0x1.f7e542ba5d0c1p-01, 0x1.f73df41e1c05fp-09},
+		{Adam, 0x1.b4b466e4070ccp-03, 0x1.60f0588a5f56p-01, 0x1.d7688fd8915a5p-05},
 	} {
 		n, _ := New(Config{Inputs: 2, Hidden: []int{12, 12, 6}, Seed: 22})
-		losses, err := n.Fit(X, Y, TrainConfig{Epochs: 30, Optimizer: tc.opt, Seed: 23, L2: 0.001})
+		losses, err := n.Fit(X, Y, TrainConfig{Epochs: 30, Optimizer: tc.opt, Seed: 23})
 		if err != nil {
 			t.Fatal(err)
 		}

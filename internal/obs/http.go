@@ -12,7 +12,7 @@ import (
 	"time"
 )
 
-// HTTPHandler returns the observability surface:
+// buildMux returns the observability surface:
 //
 //	/metrics        Prometheus text exposition of every registered family
 //	/healthz        200 "ok" while healthy, 503 + error text after SetHealth
@@ -24,8 +24,6 @@ import (
 //
 // The pprof handlers are mounted explicitly so the surface works on this
 // private mux without touching http.DefaultServeMux.
-func (r *Registry) HTTPHandler() http.Handler { return r.buildMux() }
-
 func (r *Registry) buildMux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {

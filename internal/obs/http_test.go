@@ -32,7 +32,7 @@ func get(t *testing.T, url string) (int, string) {
 func TestMetricsScrapeUnderLoad(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("mira_test_hammer_seconds", "hammered", []float64{0.001, 0.1, 1})
-	srv := httptest.NewServer(r.HTTPHandler())
+	srv := httptest.NewServer(r.buildMux())
 	defer srv.Close()
 
 	const goroutines, perG = 16, 2000
@@ -75,7 +75,7 @@ func TestMetricsScrapeUnderLoad(t *testing.T) {
 
 func TestHealthz(t *testing.T) {
 	r := NewRegistry()
-	srv := httptest.NewServer(r.HTTPHandler())
+	srv := httptest.NewServer(r.buildMux())
 	defer srv.Close()
 
 	if status, body := get(t, srv.URL+"/healthz"); status != http.StatusOK || !strings.Contains(body, "ok") {
@@ -97,7 +97,7 @@ func TestHealthz(t *testing.T) {
 
 func TestPprofAndIndex(t *testing.T) {
 	r := NewRegistry()
-	srv := httptest.NewServer(r.HTTPHandler())
+	srv := httptest.NewServer(r.buildMux())
 	defer srv.Close()
 
 	if status, body := get(t, srv.URL+"/debug/pprof/"); status != http.StatusOK || !strings.Contains(body, "goroutine") {

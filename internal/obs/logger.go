@@ -55,7 +55,7 @@ var logLines = NewCounterVec("mira_log_messages_total",
 
 // NewLogger creates a logger writing to w. format is "text" or "json"
 // (anything else falls back to text); component names the program in every
-// line. Lines below LevelInfo are suppressed; use SetLevel for debug runs.
+// line. Lines below LevelInfo are suppressed.
 func NewLogger(w io.Writer, format, component string) *Logger {
 	if w == nil {
 		w = os.Stderr
@@ -69,8 +69,8 @@ func NewLogger(w io.Writer, format, component string) *Logger {
 	}
 }
 
-// SetLevel lowers or raises the minimum emitted level.
-func (l *Logger) SetLevel(min Level) {
+// setLevel lowers or raises the minimum emitted level.
+func (l *Logger) setLevel(min Level) {
 	l.mu.Lock()
 	l.min = min
 	l.mu.Unlock()

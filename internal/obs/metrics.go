@@ -227,11 +227,6 @@ func NewCounterVec(name, help, labelKey string) *CounterVec {
 	return defaultRegistry.CounterVec(name, help, labelKey)
 }
 
-// NewGaugeVec registers a labeled gauge family on the default registry.
-func NewGaugeVec(name, help, labelKey string) *GaugeVec {
-	return defaultRegistry.GaugeVec(name, help, labelKey)
-}
-
 // NewHistogramVec registers a labeled histogram family on the default
 // registry.
 func NewHistogramVec(name, help, labelKey string, buckets []float64) *HistogramVec {

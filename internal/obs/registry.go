@@ -86,9 +86,6 @@ type Registry struct {
 	healthMu sync.RWMutex
 	health   error
 
-	eventMu  sync.Mutex
-	eventLog interface{ Write(p []byte) (int, error) }
-
 	tr tracer
 }
 
@@ -230,9 +227,6 @@ func (r *Registry) Health() error {
 	defer r.healthMu.RUnlock()
 	return r.health
 }
-
-// OnScrape registers a scrape hook on the default registry.
-func OnScrape(f func()) { defaultRegistry.OnScrape(f) }
 
 // SetHealth sets the default registry's health state.
 func SetHealth(err error) { defaultRegistry.SetHealth(err) }

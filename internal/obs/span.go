@@ -2,9 +2,7 @@ package obs
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"regexp"
 	"sync"
 	"time"
@@ -12,8 +10,7 @@ import (
 
 // Trace spans: a span is a named, timed region of work ("tsdb.flush",
 // "analysis.fig9"). Ending a span feeds the registry's
-// mira_span_duration_seconds histogram (labeled by span name) and, when an
-// event log is attached, appends one structured JSON line. Every span also
+// mira_span_duration_seconds histogram (labeled by span name). Every span also
 // belongs to a trace (see trace.go): it carries a 64-bit trace/span ID
 // pair, links to its parent — a local span in the context, or a remote one
 // extracted from an X-Mira-Trace header — and, when its trace is retained,
@@ -28,7 +25,6 @@ type spanCtxKey struct{}
 type ActiveSpan struct {
 	reg      *Registry
 	name     string
-	parent   string
 	start    time.Time
 	sc       SpanContext
 	parentID SpanID
@@ -39,7 +35,7 @@ type ActiveSpan struct {
 }
 
 // Span starts a span on the default registry. The returned context carries
-// the span so nested spans record their parent in the event log.
+// the span so nested spans link to it as their parent.
 func Span(ctx context.Context, name string) (context.Context, *ActiveSpan) {
 	return defaultRegistry.Span(ctx, name)
 }
@@ -54,7 +50,6 @@ func (r *Registry) Span(ctx context.Context, name string) (context.Context, *Act
 		ctx = context.Background()
 	}
 	if parent, ok := ctx.Value(spanCtxKey{}).(*ActiveSpan); ok && parent != nil {
-		s.parent = parent.name
 		s.sc.Trace = parent.sc.Trace
 		s.sc.Sampled = parent.sc.Sampled
 		s.parentID = parent.sc.Span
@@ -98,7 +93,6 @@ func (s *ActiveSpan) End() {
 	}
 	elapsed := time.Since(s.start)
 	s.reg.spanDurations().With(s.name).Observe(elapsed.Seconds())
-	s.reg.logSpanEvent(s, elapsed)
 	if !s.tracked {
 		return
 	}
@@ -123,46 +117,4 @@ func (s *ActiveSpan) End() {
 func (r *Registry) spanDurations() *HistogramVec {
 	return r.HistogramVec("mira_span_duration_seconds",
 		"wall-clock duration of trace spans, labeled by span name", "span", nil)
-}
-
-// SetEventLog attaches a writer that receives one JSON line per completed
-// span: {"ts","span","parent","seconds"}. Pass nil to detach. Writes are
-// serialized; the writer does not need to be concurrency-safe.
-func (r *Registry) SetEventLog(w io.Writer) {
-	r.eventMu.Lock()
-	r.eventLog = w
-	r.eventMu.Unlock()
-}
-
-// SetEventLog attaches the span event log on the default registry.
-func SetEventLog(w io.Writer) { defaultRegistry.SetEventLog(w) }
-
-// spanEvent is the JSON schema of one event-log line.
-type spanEvent struct {
-	TS      string  `json:"ts"`
-	Span    string  `json:"span"`
-	Parent  string  `json:"parent,omitempty"`
-	Seconds float64 `json:"seconds"`
-	Trace   string  `json:"trace,omitempty"`
-	SpanID  string  `json:"span_id,omitempty"`
-}
-
-func (r *Registry) logSpanEvent(s *ActiveSpan, elapsed time.Duration) {
-	r.eventMu.Lock()
-	defer r.eventMu.Unlock()
-	if r.eventLog == nil {
-		return
-	}
-	line, err := json.Marshal(spanEvent{
-		TS:      s.start.UTC().Format(time.RFC3339Nano),
-		Span:    s.name,
-		Parent:  s.parent,
-		Seconds: elapsed.Seconds(),
-		Trace:   s.sc.Trace.String(),
-		SpanID:  s.sc.Span.String(),
-	})
-	if err != nil {
-		return // a span name is always marshalable; defensive only
-	}
-	r.eventLog.Write(append(line, '\n'))
 }

@@ -160,16 +160,6 @@ func SpanContextFrom(ctx context.Context) (SpanContext, bool) {
 	return SpanContext{}, false
 }
 
-// SpanFromContext returns the active span, or nil. All *ActiveSpan
-// methods are nil-safe, so callers may use the result unconditionally.
-func SpanFromContext(ctx context.Context) *ActiveSpan {
-	if ctx == nil {
-		return nil
-	}
-	s, _ := ctx.Value(spanCtxKey{}).(*ActiveSpan)
-	return s
-}
-
 // TracerConfig bounds the tracer. The zero value of each field selects
 // its default; a SampleRatio of exactly 0 is honored (slow-only tracing)
 // by passing NoSample.
@@ -183,17 +173,15 @@ type TracerConfig struct {
 	// SlowSpan retains any trace containing a span at least this slow,
 	// regardless of the sampling decision. Default 100ms.
 	SlowSpan time.Duration
-	// MaxTraces bounds the completed-trace ring. Default 256.
-	MaxTraces int
-	// MaxSpans bounds spans retained per trace; excess spans still run
-	// and record metrics but are counted as truncated. Default 512.
-	MaxSpans int
 }
 
 const (
-	defaultSlowSpan  = 100 * time.Millisecond
-	defaultMaxTraces = 256
-	defaultMaxSpans  = 512
+	defaultSlowSpan = 100 * time.Millisecond
+	// maxTraces bounds the completed-trace ring.
+	maxTraces = 256
+	// maxSpans bounds spans retained per trace; excess spans still run
+	// and record metrics but are counted as truncated.
+	maxSpans = 512
 )
 
 func (c TracerConfig) withDefaults() TracerConfig {
@@ -204,12 +192,6 @@ func (c TracerConfig) withDefaults() TracerConfig {
 	}
 	if c.SlowSpan <= 0 {
 		c.SlowSpan = defaultSlowSpan
-	}
-	if c.MaxTraces <= 0 {
-		c.MaxTraces = defaultMaxTraces
-	}
-	if c.MaxSpans <= 0 {
-		c.MaxSpans = defaultMaxSpans
 	}
 	return c
 }
@@ -231,7 +213,7 @@ type TraceRecord struct {
 	Trace     TraceID
 	Sampled   bool // head-sampling decision
 	Slow      bool // contained a span ≥ SlowSpan
-	Truncated int  // spans dropped past MaxSpans
+	Truncated int  // spans dropped past maxSpans
 	Done      time.Time
 	Spans     []SpanRecord
 }
@@ -272,7 +254,7 @@ func (t *tracer) config() TracerConfig {
 }
 
 // ConfigureTracer replaces the registry's tracing policy. Retained traces
-// are kept; in-flight traces finish under the new bounds.
+// are kept; in-flight traces finish under the new policy.
 func (r *Registry) ConfigureTracer(cfg TracerConfig) {
 	t := &r.tr
 	t.mu.Lock()
@@ -312,13 +294,12 @@ func (t *tracer) spanStarted(trace TraceID, sampled bool) bool {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	cfg := t.config()
 	if t.inflight == nil {
 		t.inflight = make(map[TraceID]*traceBuf)
 	}
 	buf := t.inflight[trace]
 	if buf == nil {
-		if len(t.inflight) >= maxInflightFactor*cfg.MaxTraces {
+		if len(t.inflight) >= maxInflightFactor*maxTraces {
 			return false
 		}
 		buf = &traceBuf{sampled: sampled}
@@ -338,7 +319,7 @@ func (t *tracer) spanEnded(trace TraceID, rec SpanRecord) (bool, bool) {
 	if buf == nil {
 		return false, false
 	}
-	if len(buf.spans) < cfg.MaxSpans {
+	if len(buf.spans) < maxSpans {
 		buf.spans = append(buf.spans, rec)
 	} else {
 		buf.truncated++
@@ -362,7 +343,7 @@ func (t *tracer) spanEnded(trace TraceID, rec SpanRecord) (bool, bool) {
 		Done:      time.Now(),
 		Spans:     buf.spans,
 	}
-	if len(t.ring) < cfg.MaxTraces {
+	if len(t.ring) < maxTraces {
 		t.ring = append(t.ring, tr)
 	} else {
 		t.ring[t.next] = tr
@@ -391,9 +372,6 @@ func (t *tracer) snapshot() []TraceRecord {
 // Traces returns the registry's retained traces, newest first.
 func (r *Registry) Traces() []TraceRecord { return r.tr.snapshot() }
 
-// Traces returns the default registry's retained traces, newest first.
-func Traces() []TraceRecord { return defaultRegistry.Traces() }
-
 // TraceByID returns every retained fragment of one trace, oldest first.
 // A distributed trace finalizes independently per process, so a ring can
 // hold several fragments sharing an ID.
@@ -407,9 +385,6 @@ func (r *Registry) TraceByID(id TraceID) []TraceRecord {
 	}
 	return out
 }
-
-// TraceByID returns the default registry's fragments for one trace.
-func TraceByID(id TraceID) []TraceRecord { return defaultRegistry.TraceByID(id) }
 
 // traceFinalized bumps the retention counters; they live on the metrics
 // side of the registry, so increment outside the tracer lock.

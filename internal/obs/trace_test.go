@@ -142,16 +142,15 @@ func TestSlowTracesAlwaysKept(t *testing.T) {
 
 func TestRingBoundedAndNewestFirst(t *testing.T) {
 	r := NewRegistry()
-	r.ConfigureTracer(TracerConfig{MaxTraces: 4})
 	var ids []TraceID
-	for i := 0; i < 10; i++ {
+	for i := 0; i < maxTraces+6; i++ {
 		_, s := r.Span(context.Background(), "test.ring")
 		ids = append(ids, s.Context().Trace)
 		s.End()
 	}
 	got := r.Traces()
-	if len(got) != 4 {
-		t.Fatalf("ring holds %d traces, want 4", len(got))
+	if len(got) != maxTraces {
+		t.Fatalf("ring holds %d traces, want %d", len(got), maxTraces)
 	}
 	for i, tr := range got {
 		if want := ids[len(ids)-1-i]; tr.Trace != want {
@@ -162,9 +161,8 @@ func TestRingBoundedAndNewestFirst(t *testing.T) {
 
 func TestMaxSpansTruncation(t *testing.T) {
 	r := NewRegistry()
-	r.ConfigureTracer(TracerConfig{MaxSpans: 2})
 	ctx, root := r.Span(context.Background(), "test.trunc")
-	for i := 0; i < 5; i++ {
+	for i := 0; i < maxSpans+3; i++ {
 		_, c := r.Span(ctx, "test.trunc_child")
 		c.End()
 	}
@@ -173,9 +171,9 @@ func TestMaxSpansTruncation(t *testing.T) {
 	if len(frags) != 1 {
 		t.Fatalf("want 1 fragment, got %d", len(frags))
 	}
-	if len(frags[0].Spans) != 2 || frags[0].Truncated != 4 {
-		t.Fatalf("got %d spans, %d truncated; want 2 spans, 4 truncated",
-			len(frags[0].Spans), frags[0].Truncated)
+	if len(frags[0].Spans) != maxSpans || frags[0].Truncated != 4 {
+		t.Fatalf("got %d spans, %d truncated; want %d spans, 4 truncated",
+			len(frags[0].Spans), frags[0].Truncated, maxSpans)
 	}
 }
 
@@ -187,7 +185,7 @@ func TestDebugTracesEndpoints(t *testing.T) {
 	child.SetAttr("rows", "42")
 	child.End()
 	root.End()
-	h := r.HTTPHandler()
+	h := r.buildMux()
 
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/traces", nil))

@@ -70,9 +70,6 @@ func NewModel(seed int64) *Model {
 	return m
 }
 
-// RackBias returns the CPU-intensity bias of a rack (≈1.0).
-func (m *Model) RackBias(r topology.RackID) float64 { return m.rackBias[r.Index()] }
-
 // drift returns the multiplicative power drift at time t.
 func (m *Model) drift(t time.Time) float64 {
 	years := t.Sub(timeutil.ProductionStart).Hours() / (365.25 * 24)

@@ -87,12 +87,12 @@ func TestIntensityAffectsPowerNotUtilization(t *testing.T) {
 
 func TestHotRackBias(t *testing.T) {
 	m := NewModel(3)
-	if m.RackBias(topology.HotRack) < 1.10 {
-		t.Errorf("rack (0,D) bias = %v, want >= 1.10", m.RackBias(topology.HotRack))
+	if m.rackBias[topology.HotRack.Index()] < 1.10 {
+		t.Errorf("rack (0,D) bias = %v, want >= 1.10", m.rackBias[topology.HotRack.Index()])
 	}
 	// All biases within the clip range.
 	for _, r := range topology.AllRacks() {
-		b := m.RackBias(r)
+		b := m.rackBias[r.Index()]
 		if b < 0.85 || b > 1.15 {
 			t.Errorf("rack %v bias = %v out of range", r, b)
 		}
@@ -169,7 +169,7 @@ func TestPartiallyDownRack(t *testing.T) {
 }
 
 func TestRackHeatToCoolant(t *testing.T) {
-	h := RackHeatToCoolant(units.KW(60))
+	h := RackHeatToCoolant(units.Watts(60e3))
 	if h.Kilowatts() != 54 {
 		t.Errorf("heat to coolant = %v, want 54 kW", h)
 	}
@@ -178,7 +178,7 @@ func TestRackHeatToCoolant(t *testing.T) {
 func TestRackBiasDeterministic(t *testing.T) {
 	a, b := NewModel(7), NewModel(7)
 	for _, r := range topology.AllRacks() {
-		if a.RackBias(r) != b.RackBias(r) {
+		if a.rackBias[r.Index()] != b.rackBias[r.Index()] {
 			t.Fatal("bias field should be deterministic")
 		}
 	}

@@ -129,16 +129,6 @@ func (l *Log) ensureSorted() {
 	}
 }
 
-// Between returns the events with timestamps in [from, to), in time order.
-func (l *Log) Between(from, to time.Time) []Event {
-	l.ensureSorted()
-	lo := sort.Search(len(l.events), func(i int) bool { return !l.events[i].Time.Before(from) })
-	hi := sort.Search(len(l.events), func(i int) bool { return !l.events[i].Time.Before(to) })
-	out := make([]Event, hi-lo)
-	copy(out, l.events[lo:hi])
-	return out
-}
-
 // Deduplication windows from the paper's methodology.
 const (
 	// CMFWindow: a rack can take up to six hours to come back after a CMF,
@@ -196,15 +186,6 @@ func CountByRack(events []Event) [topology.NumRacks]int {
 	var out [topology.NumRacks]int
 	for _, e := range events {
 		out[e.Rack.Index()]++
-	}
-	return out
-}
-
-// CountByType groups events by type.
-func CountByType(events []Event) map[EventType]int {
-	out := make(map[EventType]int)
-	for _, e := range events {
-		out[e.Type]++
 	}
 	return out
 }

@@ -1,7 +1,7 @@
 // Package report renders analysis results as terminal-friendly text:
-// aligned tables, Unicode sparklines for time series, and rack-grid
-// heatmaps for the spatial figures. The cmd tools use it to print the
-// paper's figures legibly without any plotting dependency.
+// Unicode sparklines for time series, bars, and rack-grid heatmaps for the
+// spatial figures. The cmd tools use it to print the paper's figures
+// legibly without any plotting dependency.
 package report
 
 import (
@@ -11,59 +11,6 @@ import (
 
 	"mira/internal/topology"
 )
-
-// Table accumulates rows and renders them with aligned columns.
-type Table struct {
-	header []string
-	rows   [][]string
-}
-
-// NewTable creates a table with the given column headers.
-func NewTable(header ...string) *Table { return &Table{header: header} }
-
-// AddRow appends a row; cells beyond the header width are dropped, missing
-// cells render empty.
-func (t *Table) AddRow(cells ...string) {
-	row := make([]string, len(t.header))
-	copy(row, cells)
-	t.rows = append(t.rows, row)
-}
-
-// String renders the table.
-func (t *Table) String() string {
-	widths := make([]int, len(t.header))
-	for i, h := range t.header {
-		widths[i] = len([]rune(h))
-	}
-	for _, row := range t.rows {
-		for i, c := range row {
-			if n := len([]rune(c)); n > widths[i] {
-				widths[i] = n
-			}
-		}
-	}
-	var b strings.Builder
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			b.WriteString(c)
-			b.WriteString(strings.Repeat(" ", widths[i]-len([]rune(c))))
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(t.header)
-	sep := make([]string, len(t.header))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
-	}
-	writeRow(sep)
-	for _, row := range t.rows {
-		writeRow(row)
-	}
-	return b.String()
-}
 
 // sparkLevels are the eighth-block characters used by Sparkline.
 var sparkLevels = []rune("▁▂▃▄▅▆▇█")

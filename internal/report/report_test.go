@@ -8,42 +8,6 @@ import (
 	"mira/internal/topology"
 )
 
-func TestTableAlignment(t *testing.T) {
-	tb := NewTable("month", "power(MW)", "util(%)")
-	tb.AddRow("1", "2.906", "99.0")
-	tb.AddRow("12", "2.947", "100.0")
-	out := tb.String()
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("lines = %d, want header+sep+2 rows", len(lines))
-	}
-	if !strings.HasPrefix(lines[0], "month") {
-		t.Errorf("header = %q", lines[0])
-	}
-	if !strings.Contains(lines[1], "-----") {
-		t.Errorf("separator = %q", lines[1])
-	}
-	// Columns align: the power column starts at the same offset everywhere.
-	idx0 := strings.Index(lines[0], "power")
-	idx2 := strings.Index(lines[2], "2.906")
-	if idx0 != idx2 {
-		t.Errorf("misaligned columns: %d vs %d\n%s", idx0, idx2, out)
-	}
-}
-
-func TestTableShortAndLongRows(t *testing.T) {
-	tb := NewTable("a", "b")
-	tb.AddRow("only")
-	tb.AddRow("x", "y", "dropped")
-	out := tb.String()
-	if strings.Contains(out, "dropped") {
-		t.Error("extra cells should be dropped")
-	}
-	if !strings.Contains(out, "only") {
-		t.Error("short rows should render")
-	}
-}
-
 func TestSparkline(t *testing.T) {
 	s := Sparkline([]float64{0, 1, 2, 3, 4, 5, 6, 7})
 	if s != "▁▂▃▄▅▆▇█" {

@@ -198,9 +198,6 @@ func (s *Scheduler) Submit(jobs []workload.Job) {
 	}
 }
 
-// QueueDepth returns the number of queued jobs.
-func (s *Scheduler) QueueDepth() int { return len(s.queue) }
-
 // Stats reports cumulative scheduler counters.
 type Stats struct {
 	Started, Killed, Rejected, Completed int64

@@ -70,8 +70,8 @@ func TestProdLongPrefersRow0(t *testing.T) {
 	if spilled != 8 {
 		t.Errorf("spilled midplanes = %v, want 8", spilled)
 	}
-	if s.QueueDepth() != 0 {
-		t.Errorf("queue depth = %d, want 0", s.QueueDepth())
+	if len(s.queue) != 0 {
+		t.Errorf("queue depth = %d, want 0", len(s.queue))
 	}
 }
 
@@ -267,8 +267,8 @@ func TestQueueLimitRejects(t *testing.T) {
 		jobs = append(jobs, mkJob(i, workload.ProdCapability, 96, time.Hour))
 	}
 	s.Submit(jobs)
-	if s.QueueDepth() != 5 {
-		t.Errorf("queue depth = %d, want 5", s.QueueDepth())
+	if len(s.queue) != 5 {
+		t.Errorf("queue depth = %d, want 5", len(s.queue))
 	}
 	if s.Stats().Rejected != 5 {
 		t.Errorf("rejected = %d, want 5", s.Stats().Rejected)

@@ -81,8 +81,8 @@ func TestGoldenSchedule(t *testing.T) {
 	if st != want {
 		t.Errorf("Stats() = %+v, golden %+v", st, want)
 	}
-	if got := s.QueueDepth(); got != goldenDepth {
-		t.Errorf("QueueDepth() = %d, golden %d", got, goldenDepth)
+	if got := len(s.queue); got != goldenDepth {
+		t.Errorf("queue depth = %d, golden %d", got, goldenDepth)
 	}
 	if got := slots.Sum64(); got != goldenSlots {
 		t.Errorf("slot state hash = %#x, golden %#x", got, goldenSlots)

@@ -107,8 +107,8 @@ func (r *Record) Values() [NumMetrics]float64 {
 	}
 }
 
-// Dewpoint returns the dewpoint implied by the record's ambient channels.
-func (r Record) Dewpoint() units.Fahrenheit {
+// dewpoint returns the dewpoint implied by the record's ambient channels.
+func (r Record) dewpoint() units.Fahrenheit {
 	return units.Dewpoint(r.DCTemperature, r.DCHumidity)
 }
 

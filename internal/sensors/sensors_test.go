@@ -20,7 +20,7 @@ func healthyRecord(ts time.Time) Record {
 		Flow:          26.5,
 		InletTemp:     64,
 		OutletTemp:    79,
-		Power:         units.KW(57),
+		Power:         units.Watts(57e3),
 	}
 }
 
@@ -68,7 +68,7 @@ func TestMetricStrings(t *testing.T) {
 
 func TestRecordDewpoint(t *testing.T) {
 	r := healthyRecord(ts0)
-	dp := r.Dewpoint()
+	dp := r.dewpoint()
 	if float64(dp) < 44 || float64(dp) > 52 {
 		t.Errorf("Dewpoint = %v, want ≈48°F for 80°F/32RH", dp)
 	}

@@ -26,8 +26,8 @@ type Series struct {
 	Points []Point
 }
 
-// New creates an empty named series.
-func New(name string) *Series { return &Series{Name: name} }
+// newSeries creates an empty named series.
+func newSeries(name string) *Series { return &Series{Name: name} }
 
 // Append adds a point; callers are expected to append in time order.
 func (s *Series) Append(t time.Time, v float64) {
@@ -46,9 +46,9 @@ func (s *Series) Values() []float64 {
 	return out
 }
 
-// Slice returns the sub-series with timestamps in [from, to).
-func (s *Series) Slice(from, to time.Time) *Series {
-	out := New(s.Name)
+// slice returns the sub-series with timestamps in [from, to).
+func (s *Series) slice(from, to time.Time) *Series {
+	out := newSeries(s.Name)
 	for _, p := range s.Points {
 		if !p.T.Before(from) && p.T.Before(to) {
 			out.Points = append(out.Points, p)
@@ -57,40 +57,8 @@ func (s *Series) Slice(from, to time.Time) *Series {
 	return out
 }
 
-// Resample reduces the series to one point per bucket of the given width,
-// each holding the mean of the bucket, anchored at the first point's bucket.
-func (s *Series) Resample(width time.Duration) *Series {
-	out := New(s.Name)
-	if len(s.Points) == 0 || width <= 0 {
-		return out
-	}
-	anchor := s.Points[0].T
-	var (
-		bucket int64 = 0
-		sum    float64
-		n      int
-	)
-	flush := func(b int64) {
-		if n > 0 {
-			out.Append(anchor.Add(time.Duration(b)*width), sum/float64(n))
-		}
-		sum, n = 0, 0
-	}
-	for _, p := range s.Points {
-		b := int64(p.T.Sub(anchor) / width)
-		if b != bucket {
-			flush(bucket)
-			bucket = b
-		}
-		sum += p.V
-		n++
-	}
-	flush(bucket)
-	return out
-}
-
-// Summary returns descriptive statistics of the series values.
-func (s *Series) Summary() stats.Summary { return stats.Summarize(s.Values()) }
+// summary returns descriptive statistics of the series values.
+func (s *Series) summary() stats.Summary { return stats.Summarize(s.Values()) }
 
 // ---------------------------------------------------------------------------
 // Streaming aggregators
@@ -365,6 +333,3 @@ func (r *Reservoir) Add(v float64) {
 
 // Values returns the current sample (not a copy in time order).
 func (r *Reservoir) Values() []float64 { return r.vals }
-
-// Seen returns how many values have been offered.
-func (r *Reservoir) Seen() int64 { return r.seen }

@@ -11,7 +11,7 @@ import (
 var t0 = time.Date(2015, 3, 2, 0, 0, 0, 0, timeutil.Chicago) // a Monday
 
 func TestSeriesAppendValues(t *testing.T) {
-	s := New("power")
+	s := newSeries("power")
 	for i := 0; i < 5; i++ {
 		s.Append(t0.Add(time.Duration(i)*time.Hour), float64(i*10))
 	}
@@ -28,11 +28,11 @@ func TestSeriesAppendValues(t *testing.T) {
 }
 
 func TestSeriesSlice(t *testing.T) {
-	s := New("x")
+	s := newSeries("x")
 	for i := 0; i < 10; i++ {
 		s.Append(t0.Add(time.Duration(i)*time.Hour), float64(i))
 	}
-	sub := s.Slice(t0.Add(2*time.Hour), t0.Add(5*time.Hour))
+	sub := s.slice(t0.Add(2*time.Hour), t0.Add(5*time.Hour))
 	if sub.Len() != 3 {
 		t.Fatalf("Slice len = %d, want 3", sub.Len())
 	}
@@ -41,36 +41,12 @@ func TestSeriesSlice(t *testing.T) {
 	}
 }
 
-func TestSeriesResample(t *testing.T) {
-	s := New("x")
-	// 6 points at 10-minute spacing; resample to 30 min buckets.
-	for i := 0; i < 6; i++ {
-		s.Append(t0.Add(time.Duration(i)*10*time.Minute), float64(i))
-	}
-	rs := s.Resample(30 * time.Minute)
-	if rs.Len() != 2 {
-		t.Fatalf("Resample len = %d, want 2", rs.Len())
-	}
-	if rs.Points[0].V != 1 { // mean of 0,1,2
-		t.Errorf("bucket 0 = %v, want 1", rs.Points[0].V)
-	}
-	if rs.Points[1].V != 4 { // mean of 3,4,5
-		t.Errorf("bucket 1 = %v, want 4", rs.Points[1].V)
-	}
-	if empty := New("e").Resample(time.Hour); empty.Len() != 0 {
-		t.Error("resampling empty series should be empty")
-	}
-	if bad := s.Resample(0); bad.Len() != 0 {
-		t.Error("non-positive width should give empty result")
-	}
-}
-
 func TestSeriesSummary(t *testing.T) {
-	s := New("x")
+	s := newSeries("x")
 	for i := 1; i <= 5; i++ {
 		s.Append(t0.Add(time.Duration(i)*time.Minute), float64(i))
 	}
-	sum := s.Summary()
+	sum := s.summary()
 	if sum.N != 5 || sum.Mean != 3 || sum.Median != 3 {
 		t.Errorf("Summary = %+v", sum)
 	}
@@ -196,8 +172,8 @@ func TestReservoirSmallStream(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		r.Add(float64(i))
 	}
-	if len(r.Values()) != 50 || r.Seen() != 50 {
-		t.Errorf("len=%d seen=%d", len(r.Values()), r.Seen())
+	if len(r.Values()) != 50 || r.seen != 50 {
+		t.Errorf("len=%d seen=%d", len(r.Values()), r.seen)
 	}
 }
 
@@ -228,35 +204,6 @@ func TestReservoirPanics(t *testing.T) {
 		}
 	}()
 	NewReservoir(0, 1)
-}
-
-// TestSeriesResampleTrailingPartial pins the final flush: a last bucket
-// with fewer points than the others must still be emitted, with the mean
-// of just its own points.
-func TestSeriesResampleTrailingPartial(t *testing.T) {
-	s := New("x")
-	// 7 points at 10-minute spacing; 30-minute buckets → 3, 3, and a
-	// trailing singleton.
-	for i := 0; i < 7; i++ {
-		s.Append(t0.Add(time.Duration(i)*10*time.Minute), float64(i))
-	}
-	rs := s.Resample(30 * time.Minute)
-	if rs.Len() != 3 {
-		t.Fatalf("Resample len = %d, want 3 (trailing partial bucket dropped?)", rs.Len())
-	}
-	last := rs.Points[2]
-	if last.V != 6 { // mean of the lone point 6
-		t.Errorf("trailing bucket mean = %v, want 6", last.V)
-	}
-	if want := t0.Add(time.Hour); !last.T.Equal(want) {
-		t.Errorf("trailing bucket anchored at %v, want %v", last.T, want)
-	}
-	// A single-point series is all trailing bucket.
-	one := New("y")
-	one.Append(t0, 42)
-	if rs := one.Resample(time.Hour); rs.Len() != 1 || rs.Points[0].V != 42 {
-		t.Errorf("single-point resample = %v", rs.Points)
-	}
 }
 
 // refProfile is Profile without the instant memo: every Add converts the

@@ -268,9 +268,6 @@ func (s *Simulator) Incidents() []Incident { return s.incidents }
 // Scheduler exposes the scheduler for inspection.
 func (s *Simulator) Scheduler() *scheduler.Scheduler { return s.sched }
 
-// Engine exposes the failure engine for inspection.
-func (s *Simulator) Engine() *failure.Engine { return s.engine }
-
 // AddRecorder attaches an observing recorder before Run. Its callbacks run
 // on Run's delivery goroutine, concurrently with the physics of later ticks
 // (up to 64 ticks ahead), so they must not touch simulator state

@@ -108,21 +108,3 @@ func KFold(n, k int, rng *rand.Rand) [][]int {
 	}
 	return folds
 }
-
-// TrainTestSplit partitions indices [0, n) into a train and test set with
-// the given test fraction after a seeded shuffle.
-func TrainTestSplit(n int, testFrac float64, rng *rand.Rand) (train, test []int) {
-	if testFrac < 0 {
-		testFrac = 0
-	}
-	if testFrac > 1 {
-		testFrac = 1
-	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	rng.Shuffle(n, func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-	cut := int(math.Round(float64(n) * testFrac))
-	return idx[cut:], idx[:cut]
-}

@@ -107,27 +107,3 @@ func TestKFoldPanics(t *testing.T) {
 		}()
 	}
 }
-
-func TestTrainTestSplit(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	train, test := TrainTestSplit(100, 0.2, rng)
-	if len(test) != 20 || len(train) != 80 {
-		t.Errorf("split sizes = %d/%d, want 80/20", len(train), len(test))
-	}
-	seen := make(map[int]bool)
-	for _, i := range append(append([]int{}, train...), test...) {
-		if seen[i] {
-			t.Fatalf("index %d duplicated", i)
-		}
-		seen[i] = true
-	}
-	// Clamping.
-	tr, te := TrainTestSplit(10, -0.5, rng)
-	if len(te) != 0 || len(tr) != 10 {
-		t.Error("negative fraction should clamp to 0")
-	}
-	tr, te = TrainTestSplit(10, 1.5, rng)
-	if len(te) != 10 || len(tr) != 0 {
-		t.Error("fraction > 1 should clamp to 1")
-	}
-}

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"sort"
 )
 
 // Pearson returns the Pearson product-moment correlation coefficient between
@@ -33,43 +32,6 @@ func Pearson(xs, ys []float64) (float64, error) {
 		return math.NaN(), nil
 	}
 	return sxy / math.Sqrt(sxx*syy), nil
-}
-
-// Spearman returns Spearman's rank correlation coefficient: the Pearson
-// correlation of the ranks of xs and ys, with ties assigned average ranks.
-func Spearman(xs, ys []float64) (float64, error) {
-	if len(xs) != len(ys) {
-		return math.NaN(), ErrLengthMismatch
-	}
-	if len(xs) < 2 {
-		return math.NaN(), ErrEmpty
-	}
-	return Pearson(Ranks(xs), Ranks(ys))
-}
-
-// Ranks returns the 1-based ranks of xs, assigning tied values their average
-// rank (fractional ranks).
-func Ranks(xs []float64) []float64 {
-	n := len(xs)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return xs[idx[a]] < xs[idx[b]] })
-	ranks := make([]float64, n)
-	for i := 0; i < n; {
-		j := i
-		for j+1 < n && xs[idx[j+1]] == xs[idx[i]] {
-			j++
-		}
-		// Average rank for the tie group [i, j].
-		avg := (float64(i+1) + float64(j+1)) / 2
-		for k := i; k <= j; k++ {
-			ranks[idx[k]] = avg
-		}
-		i = j + 1
-	}
-	return ranks
 }
 
 // LinearFit is an ordinary-least-squares straight-line fit y = Intercept +

@@ -71,34 +71,6 @@ func TestPearsonInvariantToAffine(t *testing.T) {
 	approx(t, "affine invariance", r2, r1, 1e-9)
 }
 
-func TestSpearmanMonotone(t *testing.T) {
-	// Monotone nonlinear relation: Spearman = 1, Pearson < 1.
-	xs := []float64{1, 2, 3, 4, 5, 6}
-	ys := make([]float64, len(xs))
-	for i, x := range xs {
-		ys[i] = math.Exp(x)
-	}
-	rs, err := Spearman(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx(t, "Spearman monotone", rs, 1, 1e-12)
-	rp, _ := Pearson(xs, ys)
-	if rp >= rs {
-		t.Errorf("Pearson %v should be below Spearman %v for convex monotone", rp, rs)
-	}
-}
-
-func TestRanksWithTies(t *testing.T) {
-	got := Ranks([]float64{10, 20, 20, 30})
-	want := []float64{1, 2.5, 2.5, 4}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Ranks = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestFitLineExact(t *testing.T) {
 	xs := []float64{0, 1, 2, 3}
 	ys := []float64{5, 7, 9, 11} // y = 5 + 2x

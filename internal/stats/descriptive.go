@@ -1,8 +1,7 @@
 // Package stats implements the statistical toolkit the paper's analyses
-// rely on: descriptive statistics, quantiles, histograms, Pearson and
-// Spearman correlation, ordinary-least-squares linear regression (the
-// figures' red-line fits), classifier evaluation metrics, and k-fold
-// cross-validation splits.
+// rely on: descriptive statistics, quantiles, Pearson correlation,
+// ordinary-least-squares linear regression (the figures' red-line fits),
+// classifier evaluation metrics, and k-fold cross-validation splits.
 //
 // The package is deliberately self-contained (stdlib only) because the
 // original study leaned on Python's data-analysis ecosystem, which has no
@@ -50,20 +49,6 @@ func Variance(xs []float64) float64 {
 // StdDev returns the population standard deviation of xs.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// SampleVariance returns the unbiased (n-1) sample variance.
-func SampleVariance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return ss / float64(len(xs)-1)
-}
-
 // Min returns the smallest value in xs; NaN for empty input.
 func Min(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -90,15 +75,6 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s
 }
 
 // Median returns the middle value of xs (average of the two central values

@@ -16,9 +16,9 @@ type Histogram struct {
 	total     int
 }
 
-// NewHistogram creates a histogram with n equal-width bins spanning [lo, hi).
+// newHistogram creates a histogram with n equal-width bins spanning [lo, hi).
 // It panics if n <= 0 or hi <= lo, which indicate programmer error.
-func NewHistogram(lo, hi float64, n int) *Histogram {
+func newHistogram(lo, hi float64, n int) *Histogram {
 	if n <= 0 {
 		panic(fmt.Sprintf("stats: histogram bins must be positive, got %d", n))
 	}
@@ -56,8 +56,8 @@ func (h *Histogram) BinCenter(i int) float64 {
 	return h.Lo + (float64(i)+0.5)*w
 }
 
-// Mode returns the center of the most populated bin; NaN if empty.
-func (h *Histogram) Mode() float64 {
+// mode returns the center of the most populated bin; NaN if empty.
+func (h *Histogram) mode() float64 {
 	best, bestCount := -1, -1
 	for i, c := range h.Counts {
 		if c > bestCount {
@@ -68,112 +68,4 @@ func (h *Histogram) Mode() float64 {
 		return math.NaN()
 	}
 	return h.BinCenter(best)
-}
-
-// Rolling maintains summary statistics over a sliding window of the last
-// Size observations, used for the trailing-window feature extraction in the
-// CMF predictor and for streaming anomaly detection.
-type Rolling struct {
-	size int
-	buf  []float64
-	head int
-	full bool
-}
-
-// NewRolling creates a rolling window of the given size (must be positive).
-func NewRolling(size int) *Rolling {
-	if size <= 0 {
-		panic(fmt.Sprintf("stats: rolling window size must be positive, got %d", size))
-	}
-	return &Rolling{size: size, buf: make([]float64, size)}
-}
-
-// Push appends an observation, evicting the oldest once the window is full.
-func (r *Rolling) Push(x float64) {
-	r.buf[r.head] = x
-	r.head = (r.head + 1) % r.size
-	if r.head == 0 {
-		r.full = true
-	}
-}
-
-// Len returns the number of observations currently in the window.
-func (r *Rolling) Len() int {
-	if r.full {
-		return r.size
-	}
-	return r.head
-}
-
-// Full reports whether the window has reached capacity.
-func (r *Rolling) Full() bool { return r.full }
-
-// Values returns the window contents in insertion order (oldest first).
-func (r *Rolling) Values() []float64 {
-	n := r.Len()
-	out := make([]float64, 0, n)
-	if r.full {
-		out = append(out, r.buf[r.head:]...)
-		out = append(out, r.buf[:r.head]...)
-		return out
-	}
-	return append(out, r.buf[:r.head]...)
-}
-
-// Oldest returns the oldest value in the window; NaN if empty.
-func (r *Rolling) Oldest() float64 {
-	if r.Len() == 0 {
-		return math.NaN()
-	}
-	if r.full {
-		return r.buf[r.head]
-	}
-	return r.buf[0]
-}
-
-// Newest returns the most recently pushed value; NaN if empty.
-func (r *Rolling) Newest() float64 {
-	if r.Len() == 0 {
-		return math.NaN()
-	}
-	idx := r.head - 1
-	if idx < 0 {
-		idx = r.size - 1
-	}
-	return r.buf[idx]
-}
-
-// At returns the value at offset i from the oldest entry (0 = oldest).
-// It returns NaN when i is out of range.
-func (r *Rolling) At(i int) float64 {
-	if i < 0 || i >= r.Len() {
-		return math.NaN()
-	}
-	if r.full {
-		return r.buf[(r.head+i)%r.size]
-	}
-	return r.buf[i]
-}
-
-// Mean returns the mean of the window contents; NaN if empty.
-func (r *Rolling) Mean() float64 {
-	n := r.Len()
-	if n == 0 {
-		return math.NaN()
-	}
-	var s float64
-	for i := 0; i < n; i++ {
-		s += r.At(i)
-	}
-	return s / float64(n)
-}
-
-// Delta returns newest − oldest: the change across the window, the key
-// feature family for CMF prediction (the paper: "not only the level of
-// cooling metrics, but more importantly the change in their values").
-func (r *Rolling) Delta() float64 {
-	if r.Len() < 2 {
-		return 0
-	}
-	return r.Newest() - r.Oldest()
 }

@@ -6,7 +6,7 @@ import (
 )
 
 func TestHistogramBasics(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
+	h := newHistogram(0, 10, 5)
 	for _, x := range []float64{0, 1.9, 2, 5, 9.999} {
 		h.Add(x)
 	}
@@ -28,20 +28,20 @@ func TestHistogramBasics(t *testing.T) {
 }
 
 func TestHistogramBinCenterMode(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
+	h := newHistogram(0, 10, 5)
 	if c := h.BinCenter(0); c != 1 {
 		t.Errorf("BinCenter(0) = %v, want 1", c)
 	}
 	if c := h.BinCenter(4); c != 9 {
 		t.Errorf("BinCenter(4) = %v, want 9", c)
 	}
-	if !math.IsNaN(h.Mode()) {
+	if !math.IsNaN(h.mode()) {
 		t.Error("empty histogram Mode should be NaN")
 	}
 	h.Add(6.5)
 	h.Add(6.9)
 	h.Add(1)
-	if m := h.Mode(); m != 7 {
+	if m := h.mode(); m != 7 {
 		t.Errorf("Mode = %v, want 7", m)
 	}
 }
@@ -56,74 +56,6 @@ func TestHistogramPanics(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("zero bins", func() { NewHistogram(0, 1, 0) })
-	mustPanic("empty range", func() { NewHistogram(5, 5, 3) })
-}
-
-func TestRollingWindow(t *testing.T) {
-	r := NewRolling(3)
-	if r.Len() != 0 || r.Full() {
-		t.Error("fresh window should be empty")
-	}
-	if !math.IsNaN(r.Oldest()) || !math.IsNaN(r.Newest()) || !math.IsNaN(r.Mean()) {
-		t.Error("empty window accessors should be NaN")
-	}
-	r.Push(1)
-	r.Push(2)
-	if r.Len() != 2 || r.Full() {
-		t.Errorf("Len = %d, Full = %v", r.Len(), r.Full())
-	}
-	if r.Oldest() != 1 || r.Newest() != 2 {
-		t.Errorf("Oldest/Newest = %v/%v", r.Oldest(), r.Newest())
-	}
-	r.Push(3)
-	if !r.Full() {
-		t.Error("window should be full")
-	}
-	r.Push(4) // evicts 1
-	vals := r.Values()
-	want := []float64{2, 3, 4}
-	for i := range want {
-		if vals[i] != want[i] {
-			t.Fatalf("Values = %v, want %v", vals, want)
-		}
-	}
-	if r.Oldest() != 2 || r.Newest() != 4 {
-		t.Errorf("after eviction Oldest/Newest = %v/%v", r.Oldest(), r.Newest())
-	}
-	approx(t, "Rolling.Mean", r.Mean(), 3, 1e-12)
-	approx(t, "Rolling.Delta", r.Delta(), 2, 1e-12)
-	if r.At(0) != 2 || r.At(2) != 4 {
-		t.Errorf("At = %v/%v", r.At(0), r.At(2))
-	}
-	if !math.IsNaN(r.At(-1)) || !math.IsNaN(r.At(3)) {
-		t.Error("out-of-range At should be NaN")
-	}
-}
-
-func TestRollingDeltaShortWindow(t *testing.T) {
-	r := NewRolling(5)
-	if r.Delta() != 0 {
-		t.Error("empty window Delta should be 0")
-	}
-	r.Push(7)
-	if r.Delta() != 0 {
-		t.Error("single-value Delta should be 0")
-	}
-	r.Push(9)
-	approx(t, "two-value delta", r.Delta(), 2, 0)
-}
-
-func TestRollingLongSequence(t *testing.T) {
-	r := NewRolling(72) // six hours of 300s samples
-	for i := 0; i < 1000; i++ {
-		r.Push(float64(i))
-	}
-	if r.Oldest() != 928 || r.Newest() != 999 {
-		t.Errorf("Oldest/Newest = %v/%v, want 928/999", r.Oldest(), r.Newest())
-	}
-	approx(t, "long delta", r.Delta(), 71, 0)
-	if len(r.Values()) != 72 {
-		t.Errorf("Values len = %d", len(r.Values()))
-	}
+	mustPanic("zero bins", func() { newHistogram(0, 1, 0) })
+	mustPanic("empty range", func() { newHistogram(5, 5, 3) })
 }

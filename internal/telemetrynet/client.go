@@ -35,9 +35,6 @@ type ClientOptions struct {
 	// HTTPClient overrides the transport (e.g. the benchmark's load
 	// generator widens the connection pool for many concurrent requests).
 	HTTPClient *http.Client
-	// ClientID overrides the random ingest identity. Two clients must not
-	// share an ID: the server's dedup watermark is per-ID.
-	ClientID uint64
 	// Context bounds every push: canceling it aborts in-flight requests
 	// AND the backoff waits between retries, so Append/Flush return
 	// promptly with an error wrapping the context's error instead of
@@ -107,14 +104,15 @@ func NewClient(baseURL string, opts ClientOptions) *Client {
 	if opts.HTTPClient == nil {
 		opts.HTTPClient = &http.Client{Timeout: 5 * time.Minute}
 	}
-	if opts.ClientID == 0 {
-		var b [8]byte
-		if _, err := crand.Read(b[:]); err == nil {
-			opts.ClientID = binary.LittleEndian.Uint64(b[:])
-		}
-		if opts.ClientID == 0 {
-			opts.ClientID = uint64(time.Now().UnixNano()) | 1
-		}
+	// A random ingest identity: the server's dedup watermark is per ID, so
+	// two clients must never share one.
+	var id uint64
+	var b [8]byte
+	if _, err := crand.Read(b[:]); err == nil {
+		id = binary.LittleEndian.Uint64(b[:])
+	}
+	if id == 0 {
+		id = uint64(time.Now().UnixNano()) | 1
 	}
 	if opts.Context == nil {
 		opts.Context = context.Background()
@@ -124,7 +122,7 @@ func NewClient(baseURL string, opts ClientOptions) *Client {
 		hc:      opts.HTTPClient,
 		batch:   opts.BatchSize,
 		retries: opts.Retries,
-		id:      opts.ClientID,
+		id:      id,
 		ctx:     opts.Context,
 	}
 }

@@ -133,14 +133,6 @@ func (t *Transport) Injected(a Action) int64 {
 	return t.injected[a]
 }
 
-// Attempts reports how many requests the transport has seen for one
-// (method, path) pair.
-func (t *Transport) Attempts(method, path string) int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.attempts[method+" "+path]
-}
-
 func (t *Transport) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	switch t.next(req.Method, req.URL.Path) {
 	case Drop:

@@ -243,7 +243,7 @@ func TestAggregatePushdown(t *testing.T) {
 // wire, and the client returns that as an error — one request, no second
 // attempt through another endpoint, no locally computed stand-in.
 func TestAggregateNotImplemented(t *testing.T) {
-	store := envdb.NewStore() // no envdb.Aggregator
+	store := &envdb.Store{} // no envdb.Aggregator
 	fillStore(t, store, netTrace(4))
 	inner := NewServer(store, ServerOptions{}).Handler()
 	var requests []string

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -25,7 +27,7 @@ func waitTrace(t *testing.T, id obs.TraceID, names ...string) []obs.SpanRecord {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		var spans []obs.SpanRecord
-		for _, frag := range obs.TraceByID(id) {
+		for _, frag := range obs.Default().TraceByID(id) {
 			spans = append(spans, frag.Spans...)
 		}
 		have := make(map[string]bool, len(spans))
@@ -114,15 +116,23 @@ func TestEndToEndTracePropagation(t *testing.T) {
 	}
 
 	// The same trace renders as one tree at /debug/traces/<id>.
-	rec := httptest.NewRecorder()
-	obs.Default().HTTPHandler().ServeHTTP(rec,
-		httptest.NewRequest("GET", "/debug/traces/"+id.String(), nil))
-	if rec.Code != 200 {
-		t.Fatalf("/debug/traces/%s: status %d", id, rec.Code)
+	srv, err := obs.ServeWith("127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(context.Background())
+	resp, err := http.Get("http://" + srv.Addr() + "/debug/traces/" + id.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != 200 {
+		t.Fatalf("/debug/traces/%s: status %d", id, resp.StatusCode)
 	}
 	for _, want := range []string{"test.e2e", "net.scan", "tsdb.scan_chunked"} {
-		if !strings.Contains(rec.Body.String(), want) {
-			t.Fatalf("/debug/traces tree missing %q:\n%s", want, rec.Body.String())
+		if !strings.Contains(string(body), want) {
+			t.Fatalf("/debug/traces tree missing %q:\n%s", want, body)
 		}
 	}
 }

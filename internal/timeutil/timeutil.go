@@ -27,12 +27,6 @@ var (
 // ProductionYears lists the calendar years Mira was in production.
 var ProductionYears = []int{2014, 2015, 2016, 2017, 2018, 2019}
 
-// InProduction reports whether t falls inside the production window
-// [ProductionStart, ProductionEnd).
-func InProduction(t time.Time) bool {
-	return !t.Before(ProductionStart) && t.Before(ProductionEnd)
-}
-
 // ThetaCutover is the point at which the Theta system was connected to
 // Mira's cooling loop and the plant flow rate was raised from ~1250 to
 // ~1300 GPM (July 2016).
@@ -154,45 +148,6 @@ func (c MaintenanceCalendar) InMaintenance(t time.Time) bool {
 	return ok && w.Contains(t)
 }
 
-// Season identifies a meteorological season in Chicago.
-type Season int
-
-const (
-	Winter Season = iota
-	Spring
-	Summer
-	Autumn
-)
-
-func (s Season) String() string {
-	switch s {
-	case Winter:
-		return "Winter"
-	case Spring:
-		return "Spring"
-	case Summer:
-		return "Summer"
-	case Autumn:
-		return "Autumn"
-	default:
-		return "Unknown"
-	}
-}
-
-// SeasonOf returns the meteorological season containing t.
-func SeasonOf(t time.Time) Season {
-	switch t.In(Chicago).Month() {
-	case time.December, time.January, time.February:
-		return Winter
-	case time.March, time.April, time.May:
-		return Spring
-	case time.June, time.July, time.August:
-		return Summer
-	default:
-		return Autumn
-	}
-}
-
 // FreeCoolingSeason reports whether t falls in the December–March window in
 // which the Chilled Water Plant's waterside economizer can displace the
 // chillers (the paper's "colder months").
@@ -218,12 +173,4 @@ func YearFraction(t time.Time) float64 {
 func HourOfDay(t time.Time) float64 {
 	t = t.In(Chicago)
 	return float64(t.Hour()) + float64(t.Minute())/60 + float64(t.Second())/3600
-}
-
-// Ticks returns the number of SampleInterval steps in [start, end).
-func Ticks(start, end time.Time) int {
-	if !end.After(start) {
-		return 0
-	}
-	return int(end.Sub(start) / SampleInterval)
 }

@@ -6,18 +6,11 @@ import (
 )
 
 func TestProductionWindow(t *testing.T) {
-	if !InProduction(ProductionStart) {
-		t.Error("ProductionStart should be in production")
+	if want := time.Date(2014, 1, 1, 0, 0, 0, 0, Chicago); !ProductionStart.Equal(want) {
+		t.Errorf("ProductionStart = %v, want %v", ProductionStart, want)
 	}
-	if InProduction(ProductionEnd) {
-		t.Error("ProductionEnd should be exclusive")
-	}
-	mid := time.Date(2016, 7, 4, 12, 0, 0, 0, Chicago)
-	if !InProduction(mid) {
-		t.Error("mid-2016 should be in production")
-	}
-	if InProduction(time.Date(2013, 12, 31, 23, 59, 0, 0, Chicago)) {
-		t.Error("2013 should not be in production")
+	if want := time.Date(2020, 1, 1, 0, 0, 0, 0, Chicago); !ProductionEnd.Equal(want) {
+		t.Errorf("ProductionEnd = %v, want %v (exclusive)", ProductionEnd, want)
 	}
 	if len(ProductionYears) != 6 {
 		t.Errorf("ProductionYears = %v, want 6 entries", ProductionYears)
@@ -25,14 +18,10 @@ func TestProductionWindow(t *testing.T) {
 }
 
 func TestTicksSixYears(t *testing.T) {
-	got := Ticks(ProductionStart, ProductionEnd)
+	got := int(ProductionEnd.Sub(ProductionStart) / SampleInterval)
 	// 6 years incl. leap day 2016 = 2191 days = 631,008 five-minute ticks.
-	want := 2191 * 288
-	if got != want {
-		t.Errorf("Ticks(production) = %d, want %d", got, want)
-	}
-	if Ticks(ProductionEnd, ProductionStart) != 0 {
-		t.Error("reversed range should give 0 ticks")
+	if want := 2191 * 288; got != want {
+		t.Errorf("production window holds %d samples per rack, want %d", got, want)
 	}
 }
 
@@ -130,24 +119,6 @@ func TestMaintenanceCustomDuration(t *testing.T) {
 	}
 }
 
-func TestSeasonOf(t *testing.T) {
-	cases := []struct {
-		m    time.Month
-		want Season
-	}{
-		{time.January, Winter}, {time.February, Winter}, {time.December, Winter},
-		{time.March, Spring}, {time.May, Spring},
-		{time.June, Summer}, {time.August, Summer},
-		{time.September, Autumn}, {time.November, Autumn},
-	}
-	for _, tc := range cases {
-		ts := time.Date(2015, tc.m, 15, 12, 0, 0, 0, Chicago)
-		if got := SeasonOf(ts); got != tc.want {
-			t.Errorf("SeasonOf(%v) = %v, want %v", tc.m, got, tc.want)
-		}
-	}
-}
-
 func TestFreeCoolingSeason(t *testing.T) {
 	for _, m := range []time.Month{time.December, time.January, time.February, time.March} {
 		if !FreeCoolingSeason(time.Date(2015, m, 10, 0, 0, 0, 0, Chicago)) {
@@ -194,8 +165,5 @@ func TestThetaEventOrdering(t *testing.T) {
 func TestProgramString(t *testing.T) {
 	if INCITE.String() != "INCITE" || ALCC.String() != "ALCC" || Discretionary.String() != "Discretionary" {
 		t.Error("Program.String mismatch")
-	}
-	if Winter.String() != "Winter" || Summer.String() != "Summer" {
-		t.Error("Season.String mismatch")
 	}
 }

@@ -256,16 +256,6 @@ func (f Fleet) RackAt(global int) RackID {
 	return r
 }
 
-// AllRacks returns every fleet rack in GlobalIndex order.
-func (f Fleet) AllRacks() []RackID {
-	f = f.Norm()
-	out := make([]RackID, f.NumRacks())
-	for i := range out {
-		out[i] = f.RackAt(i)
-	}
-	return out
-}
-
 // DistanceFromRowEnd returns how many racks separate r from the nearest end
 // of its row (0 for the outermost racks). The paper attributes reduced
 // underfloor airflow — and hence drier, warmer ambient conditions — to the

@@ -190,9 +190,8 @@ func TestFleet(t *testing.T) {
 	if small.Contains(RackID{Row: 0, Col: 8}) {
 		t.Error("within-hall index 8 should be outside an 8-rack hall")
 	}
-	all := f.AllRacks()
-	if len(all) != 192 || all[0] != (RackID{}) || all[48].Hall != 1 {
-		t.Errorf("AllRacks: len=%d first=%v [48]=%v", len(all), all[0], all[48])
+	if n, first, r48 := f.NumRacks(), f.RackAt(0), f.RackAt(48); n != 192 || first != (RackID{}) || r48.Hall != 1 {
+		t.Errorf("fleet racks: n=%d first=%v [48]=%v", n, first, r48)
 	}
 	defer func() {
 		if recover() == nil {

@@ -209,28 +209,6 @@ func TestAppendTickConcurrent(t *testing.T) {
 	}
 }
 
-// TestOptionsLocation pins the explicit calendar-zone override: with
-// Options.Location set, reads reconstruct instants in that zone no matter
-// what zone the first appended record carried.
-func TestOptionsLocation(t *testing.T) {
-	s := NewStoreWith(Options{Partition: 24 * time.Hour, Location: timeutil.Chicago})
-	rec := fleetTicks(topology.Fleet{}.Norm(), 1)[0]
-	rec.Time = rec.Time.UTC()
-	if err := s.Append(rec); err != nil {
-		t.Fatal(err)
-	}
-	got := s.Query(rec.Rack, rec.Time.Add(-time.Minute), rec.Time.Add(time.Minute))
-	if len(got) != 1 {
-		t.Fatalf("query returned %d records, want 1", len(got))
-	}
-	if name, _ := got[0].Time.Zone(); name == "UTC" {
-		t.Fatalf("record came back in UTC; want the configured zone %v", timeutil.Chicago)
-	}
-	if loc := got[0].Time.Location(); loc != timeutil.Chicago {
-		t.Fatalf("record zone = %v, want %v", loc, timeutil.Chicago)
-	}
-}
-
 // TestConcurrentFirstAppend races the very first appends on a fresh store
 // across goroutines (run under -race): the calendar-zone latch must be a
 // single atomic publication, and every read afterwards sees one winner.

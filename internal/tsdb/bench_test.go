@@ -45,7 +45,7 @@ func BenchmarkAppend(b *testing.B) {
 // BenchmarkAppendSliceStore is the envdb.Store baseline for ingest.
 func BenchmarkAppendSliceStore(b *testing.B) {
 	recs := benchRecords(1 << 16)
-	s := envdb.NewStore()
+	s := &envdb.Store{}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -339,7 +339,10 @@ func benchStoreFleet(b *testing.B, days int) *Store {
 	b.Helper()
 	fleet := topology.Fleet{Halls: 4, Racks: topology.NumRacks}
 	rng := rand.New(rand.NewSource(42))
-	racks := fleet.AllRacks()
+	racks := make([]topology.RackID, fleet.NumRacks())
+	for i := range racks {
+		racks[i] = fleet.RackAt(i)
+	}
 	s := NewStoreWith(Options{Partition: 7 * 24 * time.Hour, Fleet: fleet})
 	n := days * 288
 	tick := make([]sensors.Record, len(racks))

@@ -146,9 +146,9 @@ var sealHook func(b *sealedBlock)
 // one expensive step of ingest and must never stall a reader. Channels whose
 // values survive an exact quantize/dequantize round trip at the store's
 // decimal scale use the integer delta encoding (~2 bytes/value on noisy
-// sensor data); the rest — including channels configured for raw precision —
-// use Gorilla XOR.
-func (b *sealedBlock) seal(scales *[sensors.NumMetrics]float64) {
+// sensor data); the rest — a channel holding NaN or infinities — use
+// Gorilla XOR.
+func (b *sealedBlock) seal() {
 	if b.raw.Load() == nil {
 		return
 	}
@@ -160,7 +160,7 @@ func (b *sealedBlock) seal(scales *[sensors.NumMetrics]float64) {
 		h := b.raw.Load()
 		b.times = encodeTimes(h.times)
 		for m := range h.vals {
-			b.ch[m] = encodeChannel(h.vals[m], scales[m])
+			b.ch[m] = encodeChannel(h.vals[m], channelScales[m])
 			b.zones[m] = computeZone(h.vals[m])
 		}
 		b.raw.Store(nil)
@@ -168,10 +168,8 @@ func (b *sealedBlock) seal(scales *[sensors.NumMetrics]float64) {
 }
 
 func encodeChannel(vals []float64, scale float64) channelData {
-	if scale > 0 {
-		if ints, ok := quantizeExact(vals, scale); ok {
-			return channelData{enc: encIntPacked, scale: scale, data: encodeIntsPacked(ints)}
-		}
+	if ints, ok := quantizeExact(vals, scale); ok {
+		return channelData{enc: encIntPacked, scale: scale, data: encodeIntsPacked(ints)}
 	}
 	return channelData{enc: encXOR, data: encodeXOR(vals)}
 }

@@ -84,7 +84,7 @@ func (s *Store) CompactBefore(dir string, cutoff time.Time) (CompactStats, error
 	defer metCompactDur.ObserveSince(start)
 	metCompactTotal.Inc()
 
-	win := s.compWin
+	win := int64(compactWindow)
 	cutN := floorDiv(cutoff.UnixNano(), win) * win
 	loc := s.location()
 	var st CompactStats
@@ -139,7 +139,7 @@ func (s *Store) CompactBefore(dir string, cutoff time.Time) (CompactStats, error
 			continue
 		}
 		fold := sealed[:k]
-		d, err := foldBlocks(fold, s.scales, win, "")
+		d, err := foldBlocks(fold, win, "")
 		if err != nil {
 			return st, err
 		}

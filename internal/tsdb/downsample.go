@@ -178,9 +178,9 @@ func addInt64(a, b int64) (int64, bool) {
 // adaptive models need long streams to reach their compression ratio. The
 // fold reads payloads, so blocks a racing partition roll left frozen are
 // sealed first.
-func foldBlocks(blocks []*sealedBlock, scales [sensors.NumMetrics]float64, win int64, src string) (*downBlock, error) {
+func foldBlocks(blocks []*sealedBlock, win int64, src string) (*downBlock, error) {
 	for _, b := range blocks {
-		b.seal(&scales)
+		b.seal()
 	}
 	var starts, counts []int64
 	winIdx := make([][]int32, len(blocks))
@@ -221,9 +221,9 @@ func foldBlocks(blocks []*sealedBlock, scales [sensors.NumMetrics]float64, win i
 		src:        src,
 	}
 	for m := range d.ch {
-		exact := scales[m] > 0
+		exact := true
 		for _, b := range blocks {
-			if b.ch[m].enc != encIntPacked || b.ch[m].scale != scales[m] {
+			if b.ch[m].enc != encIntPacked || b.ch[m].scale != channelScales[m] {
 				exact = false
 				break
 			}
@@ -265,7 +265,7 @@ func foldBlocks(blocks []*sealedBlock, scales [sensors.NumMetrics]float64, win i
 			if ok {
 				d.ch[m] = downChannel{
 					enc:   encInt,
-					scale: scales[m],
+					scale: channelScales[m],
 					data:  encodeDownChannelInts(sumsI, minsI, maxsI, counts),
 				}
 				continue

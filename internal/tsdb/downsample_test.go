@@ -220,7 +220,7 @@ func TestCompactionPropertyAggregate(t *testing.T) {
 		for _, rack := range racks {
 			recs := byRack[rack]
 			for m := sensors.Metric(0); m < sensors.NumMetrics; m++ {
-				scale := db.scales[m]
+				scale := channelScales[m]
 				// Whole-range single window.
 				got, err := db.Aggregate(rack, m, first, last.Add(time.Nanosecond), 0)
 				if err != nil {
@@ -258,7 +258,7 @@ func TestCompactionPropertyAggregate(t *testing.T) {
 				t.Fatalf("fold split a window: first hot tick %d inside cold window ending %d", bn, coldWinEnd)
 			}
 			m := sensors.MetricFlow
-			scale := db.scales[m]
+			scale := channelScales[m]
 			wantAgg := bruteAgg(recs, m, scale, firstN, lastN, hourN)
 			var wantT []int64
 			var wantV []float64

@@ -1,7 +1,9 @@
 package tsdb
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/csv"
 	"errors"
 	"math"
 	"math/rand"
@@ -205,6 +207,48 @@ func FuzzDecodeBlock(f *testing.F) {
 			for i := range s {
 				_ = math.Abs(s[i])
 			}
+		}
+	})
+}
+
+// FuzzImportCSV feeds arbitrary bytes to Store.ImportCSV, the parser behind
+// miraanalyze -from. It must reject them with an error or load every data
+// row, and never panic.
+func FuzzImportCSV(f *testing.F) {
+	src := NewStore()
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 3; i++ {
+		ts := base.Add(time.Duration(i) * timeutil.SampleInterval)
+		for _, rack := range []topology.RackID{{Row: 0, Col: 1}, {Row: 2, Col: 9}} {
+			if err := src.Append(synthRecord(rng, rack, ts)); err != nil {
+				f.Fatal(err)
+			}
+		}
+	}
+	var valid bytes.Buffer
+	if err := src.ExportCSV(&valid); err != nil {
+		f.Fatal(err)
+	}
+	const header = "time,rack,dc_temperature_f,dc_humidity_rh,coolant_flow_gpm,inlet_temp_f,outlet_temp_f,power_w\n"
+	f.Add(valid.Bytes())
+	f.Add([]byte("time,rack,dc_humidity_rh,dc_temperature_f,coolant_flow_gpm,inlet_temp_f,outlet_temp_f,power_w\n" +
+		"2015-01-01T00:00:00Z,(0,0),32.000,80.000,26.500,64.000,79.000,57000.0\n"))
+	f.Add([]byte(header + "2015-01-01T00:00:00Z,(9,9),80.000,32.000,26.500,64.000,79.000,57000.0\n"))
+	f.Add([]byte(header + "2015-01-01 00:00:00,(0,0),80.000,32.000,26.500,64.000,79.000,57000.0\n"))
+	f.Add([]byte(header +
+		"2015-01-01T00:05:00Z,(0,0),80.000,32.000,26.500,64.000,79.000,57000.0\n" +
+		"2015-01-01T00:00:00Z,(0,0),80.000,32.000,26.500,64.000,79.000,57000.0\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s := NewStore()
+		if err := s.ImportCSV(bytes.NewReader(data)); err != nil {
+			return
+		}
+		rows, err := csv.NewReader(bytes.NewReader(data)).ReadAll()
+		if err != nil {
+			t.Fatalf("ImportCSV accepted input encoding/csv rejects: %v", err)
+		}
+		if got, want := s.Len(), len(rows)-1; got != want {
+			t.Fatalf("ImportCSV loaded %d records from %d data rows", got, want)
 		}
 	})
 }

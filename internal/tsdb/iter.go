@@ -218,8 +218,8 @@ func (s *Store) aggregate(rack topology.RackID, m sensors.Metric, from, to time.
 	// contribution stays integral the integer totals replace the float
 	// sums at the end — making Sum independent of accumulation order and
 	// therefore identical before and after compaction.
-	scale := s.scales[m]
-	exact := scale > 0
+	scale := channelScales[m]
+	exact := true
 	sumsI := make([]int64, nWin)
 	snap := s.readShard(rack).snapshot()
 	for _, bv := range snap.blocks() {

@@ -1,10 +1,10 @@
 package tsdb
 
 import (
+	"context"
 	"errors"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -152,9 +152,12 @@ func TestCorruptStoreFlipsHealthz(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	reg.SetHealth(err)
-	srv := httptest.NewServer(reg.HTTPHandler())
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/healthz")
+	srv, err := reg.ServeWith("127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(context.Background())
+	resp, err := http.Get("http://" + srv.Addr() + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}

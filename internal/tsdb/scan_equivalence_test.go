@@ -171,7 +171,7 @@ func TestScanEquivalence(t *testing.T) {
 			stores := map[string]envdb.DB{"tsdb": s}
 			servers := map[string]envdb.DB{"client/tsdb": s}
 			if shape.slice {
-				slice := envdb.NewStore()
+				slice := &envdb.Store{}
 				for _, tr := range want {
 					if err := slice.Append(tr.r); err != nil {
 						t.Fatal(err)

@@ -188,7 +188,7 @@ func (s *Store) Flush(dir string) error {
 // partition roll closed after the caller's last SealAll (a no-op otherwise).
 func (s *Store) writeSegment(dir string, shard int, loc *time.Location, blocks []*sealedBlock) (int64, error) {
 	for _, b := range blocks {
-		b.seal(&s.scales)
+		b.seal()
 	}
 	// The location name plus its current UTC offset reconstructs both IANA
 	// zones (by name) and fixed zones like timeutil.Chicago (by offset).

@@ -108,11 +108,12 @@ func TestFlushOpenRoundTrip(t *testing.T) {
 }
 
 // TestFlushOpenRaw exercises the XOR channel path across the process
-// boundary: unquantized float64 payloads — including NaN and infinities —
-// survive Flush/Open bit for bit.
+// boundary: a NaN or an infinity keeps its block's channel off the decimal
+// grid, so it is sealed as raw float64 bits, and every value survives
+// Flush/Open bit for bit.
 func TestFlushOpenRaw(t *testing.T) {
 	dir := t.TempDir()
-	s := NewRawStore()
+	s := NewStore()
 	rack := topology.RackID{Row: 2, Col: 9}
 	rng := rand.New(rand.NewSource(11))
 	var want []sensors.Record
@@ -120,12 +121,12 @@ func TestFlushOpenRaw(t *testing.T) {
 		rec := sensors.Record{
 			Time:          base.Add(time.Duration(i) * timeutil.SampleInterval),
 			Rack:          rack,
-			DCTemperature: units.Fahrenheit(82 + rng.NormFloat64()),
-			DCHumidity:    units.RelativeHumidity(rng.Float64() * 100),
-			Flow:          units.GPM(26.5 + rng.NormFloat64()*0.1),
-			InletTemp:     units.Fahrenheit(64 + rng.NormFloat64()*0.08),
-			OutletTemp:    units.Fahrenheit(79 + rng.NormFloat64()*0.12),
-			Power:         units.Watts(57000 + rng.NormFloat64()*250),
+			DCTemperature: units.Fahrenheit(round3(82 + rng.NormFloat64())),
+			DCHumidity:    units.RelativeHumidity(round3(rng.Float64() * 100)),
+			Flow:          units.GPM(round3(26.5 + rng.NormFloat64()*0.1)),
+			InletTemp:     units.Fahrenheit(round3(64 + rng.NormFloat64()*0.08)),
+			OutletTemp:    units.Fahrenheit(round3(79 + rng.NormFloat64()*0.12)),
+			Power:         units.Watts(math.Round(10*(57000+rng.NormFloat64()*250)) / 10),
 		}
 		switch i {
 		case 100:

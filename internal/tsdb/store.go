@@ -19,10 +19,11 @@ import (
 // the coolant monitor's 300 s cadence.
 const DefaultPartition = 30 * 24 * time.Hour
 
-// DefaultCompactWindow is the cold-tier cadence retention compaction folds
-// old partitions down to: one window per hour, 1/12 of the monitor's 300 s
-// sample rate.
-const DefaultCompactWindow = time.Hour
+// compactWindow is the cold-tier cadence retention compaction folds old
+// partitions down to: one window per hour, 1/12 of the monitor's 300 s
+// sample rate. Each downsampled window retains count/sum/min/max per
+// channel.
+const compactWindow = time.Hour
 
 // Options configures a Store.
 type Options struct {
@@ -30,19 +31,9 @@ type Options struct {
 	// value is the paper's single 48-rack machine; multi-hall fleets get
 	// halls × racks shards and per-hall segment directories on disk.
 	Fleet topology.Fleet
-	// Location fixes the time zone used to materialize record timestamps.
-	// When nil, the store adopts the location of whichever record lands
-	// first (fine for the single-writer simulator; concurrent first appends
-	// from mixed zones should set this explicitly).
-	Location *time.Location
 	// Partition is the block length (default 30 days). Sealed blocks carry
 	// their time bounds, so range queries skip whole partitions.
 	Partition time.Duration
-	// Precision is the per-channel decimal quantization applied on ingest:
-	// 0 selects the channel's default (the CSV export schema: 3 decimals,
-	// 1 for power), positive values override it, and negative values keep
-	// raw float64 bits (sealed with XOR encoding instead of integer deltas).
-	Precision [sensors.NumMetrics]int
 	// Downsample keeps only every Nth sample per rack (0 or 1 = keep all).
 	// Retained for drop-in compatibility with envdb.Store; compression makes
 	// full-rate six-year runs fit in memory, so the default keeps all.
@@ -50,21 +41,22 @@ type Options struct {
 	// Retention is the hot window: Compact folds sealed partitions whose
 	// data is older than Retention (measured back from the store's last
 	// record, not wall clock — traces are simulated) into downsampled
-	// blocks at CompactWindow cadence. 0 disables compaction.
+	// blocks of one-hour windows. 0 disables compaction.
 	Retention time.Duration
-	// CompactWindow is the cold-tier window length (default 1 hour). Each
-	// downsampled window retains count/sum/min/max per channel.
-	CompactWindow time.Duration
 }
 
-// defaultDecimals mirrors the envdb CSV export schema, so ingest
-// quantization never discards information that survives an export anyway.
-func defaultDecimals(m sensors.Metric) int {
-	if m == sensors.MetricPower {
-		return 1
+// channelScales is the per-channel decimal grid values are quantized to on
+// ingest, 10^decimals: it mirrors the envdb CSV export schema (3 decimals,
+// 1 for power), so quantization never discards information that survives
+// an export anyway. A sealed block whose values do not fit the grid (NaN or
+// infinities) keeps raw float64 bits with XOR encoding instead.
+var channelScales = func() (sc [sensors.NumMetrics]float64) {
+	for m := range sc {
+		sc[m] = 1000
 	}
-	return 3
-}
+	sc[sensors.MetricPower] = 10
+	return sc
+}()
 
 // shard holds one rack's blocks. The RWMutex guards the block list and the
 // head's slice headers; closed blocks (frozen or sealed, see sealedBlock)
@@ -92,10 +84,8 @@ type shard struct {
 // queried. The zero value is ready to use with default Options.
 type Store struct {
 	opts      Options
-	fleet     topology.Fleet              // normalized Options.Fleet
-	scales    [sensors.NumMetrics]float64 // 10^decimals; 0 = raw (XOR)
+	fleet     topology.Fleet // normalized Options.Fleet
 	partNanos int64
-	compWin   int64 // cold-tier window length, nanoseconds
 	once      sync.Once
 	loc       atomic.Pointer[time.Location]
 	diskBytes atomic.Int64 // segment bytes as of the last Flush/Open
@@ -110,8 +100,8 @@ var (
 	_ envdb.FleetDescriber = (*Store)(nil)
 )
 
-// NewStore creates a store with default options: 30-day partitions,
-// CSV-schema precision, no downsampling.
+// NewStore creates a store with default options: 30-day partitions, no
+// downsampling.
 func NewStore() *Store { return NewStoreWith(Options{}) }
 
 // NewStoreWith creates a store with explicit options.
@@ -119,16 +109,6 @@ func NewStoreWith(o Options) *Store {
 	s := &Store{opts: o}
 	s.init()
 	return s
-}
-
-// NewRawStore creates a store that preserves raw float64 bits on every
-// channel (XOR-compressed; larger, but bit-lossless for unquantized data).
-func NewRawStore() *Store {
-	var o Options
-	for m := range o.Precision {
-		o.Precision[m] = -1
-	}
-	return NewStoreWith(o)
 }
 
 func (s *Store) init() {
@@ -140,37 +120,15 @@ func (s *Store) init() {
 				shards: make([]tickShardState, len(s.shards)),
 			}
 		}
-		if s.opts.Location != nil {
-			s.loc.Store(s.opts.Location)
-		}
 		if s.opts.Partition <= 0 {
 			s.opts.Partition = DefaultPartition
 		}
 		s.partNanos = int64(s.opts.Partition)
-		if s.opts.CompactWindow <= 0 {
-			s.opts.CompactWindow = DefaultCompactWindow
-		}
-		s.compWin = int64(s.opts.CompactWindow)
-		for m := range s.scales {
-			dec := s.opts.Precision[m]
-			if dec == 0 {
-				dec = defaultDecimals(sensors.Metric(m))
-			}
-			if dec < 0 {
-				s.scales[m] = 0 // raw
-				continue
-			}
-			scale := 1.0
-			for i := 0; i < dec; i++ {
-				scale *= 10
-			}
-			s.scales[m] = scale
-		}
 	})
 }
 
 // latchZone makes the first appended record's zone the store's calendar
-// zone, unless Options.Location set one. Only the first append ever finds
+// zone. Only the first append ever finds
 // the latch open; every later one sees that with a load, where a failing
 // compare-and-swap would take the cache line exclusively per record.
 func (s *Store) latchZone(first time.Time) {
@@ -238,7 +196,7 @@ func (s *Store) Append(r sensors.Record) error {
 	// The rare append that rolls a partition pays for compressing the block
 	// it closed, but only after the lock is gone.
 	if frozen != nil {
-		frozen.seal(&s.scales)
+		frozen.seal()
 	}
 	return err
 }
@@ -273,11 +231,7 @@ func (s *Store) appendLocked(sh *shard, r *sensors.Record, t int64) (frozen *sea
 	}
 	sh.head.times = append(sh.head.times, t)
 	for m := range sh.head.vals {
-		v := r.Value(sensors.Metric(m))
-		if scale := s.scales[m]; scale > 0 {
-			v = quantize(v, scale)
-		}
-		sh.head.vals[m] = append(sh.head.vals[m], v)
+		sh.head.vals[m] = append(sh.head.vals[m], quantize(r.Value(sensors.Metric(m)), channelScales[m]))
 	}
 	sh.total++
 	return frozen, nil
@@ -291,15 +245,6 @@ func quantize(v, scale float64) float64 {
 		return v
 	}
 	return q
-}
-
-// qz applies the channel's ingest quantization; scale 0 marks a raw
-// channel that keeps its float64 bits.
-func qz(v, scale float64) float64 {
-	if scale > 0 {
-		return quantize(v, scale)
-	}
-	return v
 }
 
 // tickScratch is AppendTick's reusable per-call state, pooled on the store
@@ -425,7 +370,7 @@ func (s *Store) AppendTick(recs []sensors.Record) error {
 	// later in the lock order stay locked while earlier groups apply, and a
 	// fleet-wide roll must not hold them through everyone else's compression.
 	for _, b := range frozen {
-		b.seal(&s.scales)
+		b.seal()
 	}
 	clear(frozen)
 	sc.frozen = frozen[:0]
@@ -494,33 +439,17 @@ func (s *Store) fillHead(h *headBlock, recs []sensors.Record, nanos []int64, g [
 	times := h.times[base:][:len(g)]
 	v0, v1, v2 := h.vals[0][base:][:len(g)], h.vals[1][base:][:len(g)], h.vals[2][base:][:len(g)]
 	v3, v4, v5 := h.vals[3][base:][:len(g)], h.vals[4][base:][:len(g)], h.vals[5][base:][:len(g)]
-	s0, s1, s2 := s.scales[0], s.scales[1], s.scales[2]
-	s3, s4, s5 := s.scales[3], s.scales[4], s.scales[5]
+	s0, s1, s2 := channelScales[0], channelScales[1], channelScales[2]
+	s3, s4, s5 := channelScales[3], channelScales[4], channelScales[5]
 	for k, x := range g {
 		r := &recs[x]
 		times[k] = nanos[x]
-		a0, a1, a2 := float64(r.DCTemperature), float64(r.DCHumidity), float64(r.Flow)
-		a3, a4, a5 := float64(r.InletTemp), float64(r.OutletTemp), float64(r.Power)
-		if s0 > 0 {
-			a0 = quantize(a0, s0)
-		}
-		if s1 > 0 {
-			a1 = quantize(a1, s1)
-		}
-		if s2 > 0 {
-			a2 = quantize(a2, s2)
-		}
-		if s3 > 0 {
-			a3 = quantize(a3, s3)
-		}
-		if s4 > 0 {
-			a4 = quantize(a4, s4)
-		}
-		if s5 > 0 {
-			a5 = quantize(a5, s5)
-		}
-		v0[k], v1[k], v2[k] = a0, a1, a2
-		v3[k], v4[k], v5[k] = a3, a4, a5
+		v0[k] = quantize(float64(r.DCTemperature), s0)
+		v1[k] = quantize(float64(r.DCHumidity), s1)
+		v2[k] = quantize(float64(r.Flow), s2)
+		v3[k] = quantize(float64(r.InletTemp), s3)
+		v4[k] = quantize(float64(r.OutletTemp), s4)
+		v5[k] = quantize(float64(r.Power), s5)
 	}
 }
 
@@ -548,7 +477,7 @@ func (s *Store) SealAll() {
 		closed := sh.sealed[:len(sh.sealed):len(sh.sealed)]
 		sh.mu.Unlock()
 		for _, b := range closed {
-			b.seal(&s.scales)
+			b.seal()
 		}
 	}
 }
@@ -713,7 +642,7 @@ func searchRange(times []int64, fromN, toN int64) (lo, hi int) {
 
 // Query returns the stored records for one rack with timestamps in
 // [from, to), in time order. Values are the stored (ingest-quantized)
-// values; see Options.Precision.
+// values; see channelScales.
 func (s *Store) Query(rack topology.RackID, from, to time.Time) []sensors.Record {
 	s.init()
 	defer metQueryDur.With(opQuery).ObserveSince(time.Now())

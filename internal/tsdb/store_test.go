@@ -60,7 +60,7 @@ func fill(t *testing.T, n int, racks []topology.RackID, dbs ...envdb.DB) {
 // requires identical query results.
 func TestParityWithSliceStore(t *testing.T) {
 	ts := NewStoreWith(Options{Partition: 24 * time.Hour}) // 288 samples/block
-	ref := envdb.NewStore()
+	ref := &envdb.Store{}
 	racks := []topology.RackID{{Row: 0, Col: 1}, {Row: 1, Col: 8}, {Row: 2, Col: 15}}
 	const n = 1000 // ~3.5 partitions
 	fill(t, n, racks, ts, ref)
@@ -166,24 +166,24 @@ func TestQuantizationOnIngest(t *testing.T) {
 	}
 }
 
-// TestRawStoreLossless checks the XOR path end to end: arbitrary float64
-// payloads (including NaN and infinities) survive seal/decode bit-for-bit.
+// TestRawStoreLossless checks the XOR path end to end: a NaN or an infinity
+// keeps its block's channel off the decimal grid, so it is sealed as raw
+// float64 bits, and every value survives seal/decode bit for bit.
 func TestRawStoreLossless(t *testing.T) {
-	s := NewRawStore()
+	s := NewStore()
 	r := topology.RackID{Row: 2, Col: 9}
 	rng := rand.New(rand.NewSource(11))
 	var want []sensors.Record
 	for i := 0; i < 700; i++ {
 		rec := sensors.Record{
-			Time: base.Add(time.Duration(i) * timeutil.SampleInterval),
-			Rack: r,
-			// Unquantized full-precision values.
-			DCTemperature: units.Fahrenheit(82 + rng.NormFloat64()),
-			DCHumidity:    units.RelativeHumidity(rng.Float64() * 100),
-			Flow:          units.GPM(26.5 + rng.NormFloat64()*0.1),
-			InletTemp:     units.Fahrenheit(64 + rng.NormFloat64()*0.08),
-			OutletTemp:    units.Fahrenheit(79 + rng.NormFloat64()*0.12),
-			Power:         units.Watts(57000 + rng.NormFloat64()*250),
+			Time:          base.Add(time.Duration(i) * timeutil.SampleInterval),
+			Rack:          r,
+			DCTemperature: units.Fahrenheit(round3(82 + rng.NormFloat64())),
+			DCHumidity:    units.RelativeHumidity(round3(rng.Float64() * 100)),
+			Flow:          units.GPM(round3(26.5 + rng.NormFloat64()*0.1)),
+			InletTemp:     units.Fahrenheit(round3(64 + rng.NormFloat64()*0.08)),
+			OutletTemp:    units.Fahrenheit(round3(79 + rng.NormFloat64()*0.12)),
+			Power:         units.Watts(math.Round(10*(57000+rng.NormFloat64()*250)) / 10),
 		}
 		switch i {
 		case 100:
@@ -197,6 +197,14 @@ func TestRawStoreLossless(t *testing.T) {
 		}
 	}
 	s.SealAll()
+	b := s.readShard(r).sealed[0]
+	for m, want := range map[sensors.Metric]byte{
+		sensors.MetricFlow: encXOR, sensors.MetricPower: encXOR, sensors.MetricInletTemp: encIntPacked,
+	} {
+		if got := b.ch[m].enc; got != want {
+			t.Errorf("%v sealed with encoding %d, want %d", m, got, want)
+		}
+	}
 	got := s.Query(r, base, base.Add(1000*timeutil.SampleInterval))
 	if len(got) != len(want) {
 		t.Fatalf("Query len = %d, want %d", len(got), len(want))
@@ -331,7 +339,7 @@ func TestIterMatchesQuery(t *testing.T) {
 
 func TestDownsample(t *testing.T) {
 	s := NewStoreWith(Options{Downsample: 3})
-	ref := envdb.NewDownsampledStore(3)
+	ref := &envdb.Store{Downsample: 3}
 	rack := topology.RackID{Row: 0, Col: 0}
 	fill(t, 9, []topology.RackID{rack}, s, ref)
 	if s.Len() != ref.Len() || s.Len() != 3 {

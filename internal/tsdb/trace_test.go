@@ -32,7 +32,7 @@ func TestScanWorkerSpansJoinScanTrace(t *testing.T) {
 		t.Fatalf("scanned %d records, want %d", n, 400*6)
 	}
 
-	frags := obs.TraceByID(root.Context().Trace)
+	frags := obs.Default().TraceByID(root.Context().Trace)
 	if len(frags) == 0 {
 		t.Fatal("scan trace not retained")
 	}
@@ -78,14 +78,14 @@ func TestPlainScanStartsNoSpans(t *testing.T) {
 	fill(t, 300, topology.AllRacks()[:4], s)
 
 	before := make(map[obs.TraceID]bool)
-	for _, tr := range obs.Traces() {
+	for _, tr := range obs.Default().Traces() {
 		before[tr.Trace] = true
 	}
 	if err := s.EachChunkInRange(context.Background(), time.Unix(0, minTime), time.Unix(0, maxTime), 4,
 		func(*envdb.Chunk) bool { return true }); err != nil {
 		t.Fatalf("EachChunkInRange: %v", err)
 	}
-	for _, tr := range obs.Traces() {
+	for _, tr := range obs.Default().Traces() {
 		if !before[tr.Trace] {
 			t.Fatalf("untraced scan minted trace %s with %d spans (first: %q)",
 				tr.Trace, len(tr.Spans), tr.Spans[0].Name)

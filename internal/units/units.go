@@ -27,8 +27,8 @@ func (f Fahrenheit) Celsius() Celsius { return Celsius((float64(f) - 32) * 5 / 9
 // Fahrenheit converts the temperature to degrees Fahrenheit.
 func (c Celsius) Fahrenheit() Fahrenheit { return Fahrenheit(float64(c)*9/5 + 32) }
 
-// Kelvin returns the absolute temperature in kelvins.
-func (c Celsius) Kelvin() float64 { return float64(c) + 273.15 }
+// kelvin returns the absolute temperature in kelvins.
+func (c Celsius) kelvin() float64 { return float64(c) + 273.15 }
 
 func (f Fahrenheit) String() string { return fmt.Sprintf("%.2f°F", float64(f)) }
 func (c Celsius) String() string    { return fmt.Sprintf("%.2f°C", float64(c)) }
@@ -67,9 +67,6 @@ func (w Watts) String() string {
 // MW constructs a Watts value from megawatts.
 func MW(mw float64) Watts { return Watts(mw * 1e6) }
 
-// KW constructs a Watts value from kilowatts.
-func KW(kw float64) Watts { return Watts(kw * 1e3) }
-
 // KilowattHours is electrical energy in kWh, the unit the paper uses for
 // free-cooling savings (17,820 kWh/day; 2,174,040 kWh per cold season).
 type KilowattHours float64
@@ -103,9 +100,9 @@ func (rh RelativeHumidity) Clamp() RelativeHumidity {
 // two Mira chiller towers is rated for 1,500 tons.
 type TonsRefrigeration float64
 
-// Watts returns the equivalent heat-removal rate. One ton of refrigeration is
+// watts returns the equivalent heat-removal rate. One ton of refrigeration is
 // 12,000 BTU/h ≈ 3,516.85 W.
-func (t TonsRefrigeration) Watts() Watts { return Watts(float64(t) * 3516.8528) }
+func (t TonsRefrigeration) watts() Watts { return Watts(float64(t) * 3516.8528) }
 
 func (t TonsRefrigeration) String() string { return fmt.Sprintf("%.0f tons", float64(t)) }
 

@@ -105,13 +105,6 @@ func WetBulb(t units.Fahrenheit, rh units.RelativeHumidity) units.Fahrenheit {
 // heat-exchanger approach.
 const EconomizerThreshold units.Fahrenheit = 42
 
-// FreeCoolingAvailable reports whether the outdoor conditions at t support
-// full free cooling. The paper: the chillers remain partially or fully
-// non-operational during the colder months (December–March).
-func (m *Model) FreeCoolingAvailable(t time.Time) bool {
-	return m.At(t).WetBulb <= EconomizerThreshold
-}
-
 // valueNoise returns smooth noise in [-1, 1] as a function of a continuous
 // coordinate: pseudo-random values at integer lattice points, interpolated
 // with a smoothstep. Different channels decorrelate temperature from

@@ -133,7 +133,7 @@ func TestFreeCoolingSeasonality(t *testing.T) {
 		for year := 2014; year <= 2019; year++ {
 			for day := 1; day <= 28; day += 2 {
 				ts := time.Date(year, month, day, 12, 0, 0, 0, timeutil.Chicago)
-				if m.FreeCoolingAvailable(ts) {
+				if m.At(ts).WetBulb <= EconomizerThreshold {
 					n++
 				}
 			}

@@ -288,17 +288,3 @@ func (g *Generator) poisson(mean float64) int {
 // and draw noticeably less power than production jobs, which is why Mira's
 // Monday power dips ≈6% while utilization dips only ≈1.5% (paper Fig. 5).
 const BurnerIntensity = 0.55
-
-// NewBurner creates a burner job covering the given midplane count.
-func NewBurner(t time.Time, midplanes int, walltime time.Duration) Job {
-	return Job{
-		ID:          -1, // burners are not user jobs
-		Program:     timeutil.Discretionary,
-		Queue:       ProdShort,
-		Midplanes:   midplanes,
-		Walltime:    walltime,
-		Intensity:   BurnerIntensity,
-		AffinityCol: -1,
-		Submitted:   t,
-	}
-}

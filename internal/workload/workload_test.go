@@ -182,20 +182,6 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestNewBurner(t *testing.T) {
-	ts := time.Date(2015, 6, 1, 9, 0, 0, 0, timeutil.Chicago)
-	b := NewBurner(ts, 2, 8*time.Hour)
-	if b.Intensity != BurnerIntensity {
-		t.Errorf("burner intensity = %v", b.Intensity)
-	}
-	if b.ID != -1 || b.Midplanes != 2 || b.Walltime != 8*time.Hour {
-		t.Errorf("burner fields wrong: %+v", b)
-	}
-	if BurnerIntensity >= 0.8 {
-		t.Error("burner intensity should be well below production intensity")
-	}
-}
-
 func TestQueueString(t *testing.T) {
 	if ProdLong.String() != "prod-long" || ProdShort.String() != "prod-short" || ProdCapability.String() != "prod-capability" {
 		t.Error("Queue.String mismatch")

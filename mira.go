@@ -108,15 +108,17 @@ var errNoLocationFrames = errors.New("mira: set StudyConfig.LocationFrameEvery t
 // NewSimulator builds a raw simulator for custom studies.
 func NewSimulator(cfg SimConfig) *Simulator { return sim.New(cfg) }
 
-// NewAvoidController wires a trained predictor to a simulator's scheduler as
-// an online CMF-aware scheduling controller. Attach it with AddController
-// before Run — it steers the scheduler, so it must run between ticks, not on
-// the AddRecorder delivery goroutine:
+// AttachAvoidController wires a trained predictor to a simulator's scheduler
+// as an online CMF-aware scheduling controller and attaches it before Run:
+// it steers the scheduler, so it runs between ticks (AddController), never
+// on the AddRecorder delivery goroutine.
 //
 //	s := mira.NewSimulator(mira.SimConfig{Seed: 1})
-//	s.AddController(mira.NewAvoidController(predictor, s, step))
-func NewAvoidController(p *Predictor, s *Simulator, step time.Duration) *AvoidController {
-	return core.NewAvoidController(p, s.Scheduler(), step)
+//	c := mira.AttachAvoidController(s, predictor, step)
+func AttachAvoidController(s *Simulator, p *Predictor, step time.Duration) *AvoidController {
+	c := core.NewAvoidController(p, s.Scheduler(), step)
+	s.AddController(c)
+	return c
 }
 
 // Production window constants.
