@@ -63,14 +63,16 @@ race:
 smoke:
 	./scripts/smoke.sh
 
-# fuzz-smoke gives each fuzz target a short budget: segment parsing, block
-# decoding, the telemetry CSV import (miraanalyze -from), the network frame
-# parser, the client's chunk-stream decoder, the trace-header parser, and
-# the campaign job-spec/claim envelopes must reject arbitrary bytes cleanly
+# fuzz-smoke gives each fuzz target a short budget: the word-at-a-time bit
+# writer must write what a bit-at-a-time reference writes; segment parsing,
+# block decoding, the telemetry CSV import (miraanalyze -from), the network
+# frame parser, the client's chunk-stream decoder, the trace-header parser,
+# and the campaign job-spec/claim envelopes must reject arbitrary bytes cleanly
 # (wrapped sentinel errors for the wire formats, a fresh root trace for
 # X-Mira-Trace, an error or every row loaded for the CSV), never a panic.
 # The go fuzzer runs one target per invocation.
 fuzz-smoke:
+	$(GO) test ./internal/tsdb/ -run '^$$' -fuzz '^FuzzBitWriter$$' -fuzztime 10s
 	$(GO) test ./internal/tsdb/ -run '^$$' -fuzz '^FuzzOpenSegment$$' -fuzztime 10s
 	$(GO) test ./internal/tsdb/ -run '^$$' -fuzz '^FuzzDecodeBlock$$' -fuzztime 10s
 	$(GO) test ./internal/tsdb/ -run '^$$' -fuzz '^FuzzImportCSV$$' -fuzztime 10s
@@ -95,12 +97,12 @@ bench-test:
 # profile-study names the layer a twin-side regression sits in, the way a
 # traced bench run (-trace 1) does for the serving side: it CPU-profiles
 # BenchmarkStudyRun (a 30-day mira.RunStudy into a tsdb store, what
-# study_local's records_per_s measures) and prints the 30 heaviest functions
-# by cumulative time. Profile and test binary stay in .bench_build/ for
-# `go tool pprof -list`.
+# study_local's records_per_s measures), reports its allocations per run and
+# prints the 30 heaviest functions by cumulative time. Profile and test
+# binary stay in .bench_build/ for `go tool pprof -list`.
 profile-study:
 	mkdir -p .bench_build
-	$(GO) test -run '^$$' -bench '^BenchmarkStudyRun$$' -benchtime 5x \
+	$(GO) test -run '^$$' -bench '^BenchmarkStudyRun$$' -benchtime 5x -benchmem \
 		-o .bench_build/study.test -cpuprofile .bench_build/study.cpu.prof .
 	$(GO) tool pprof -top -cum -nodecount 30 .bench_build/study.test .bench_build/study.cpu.prof
 

@@ -36,14 +36,19 @@ const (
 	Down
 )
 
-// slot is the state of one midplane.
+// slot is the state of one midplane. Its deadlines, like every instant the
+// scheduler keeps, are Unix nanoseconds with 0 for "never set": no simulated
+// instant lies near 1970, so 0 orders before all of them exactly as the zero
+// time.Time would, and the tick's many deadline comparisons are single
+// integer compares instead of time.Time's two-word ones. Exported methods
+// still take time.Time and convert once per call.
 type slot struct {
-	busyUntil     time.Time
+	busyUntil     int64
 	intensity     float64
 	burner        bool
 	jobID         int64
-	reservedUntil time.Time
-	downUntil     time.Time
+	reservedUntil int64
+	downUntil     int64
 }
 
 // Config holds the tunable scheduler parameters. The zero value is replaced
@@ -102,11 +107,11 @@ type Scheduler struct {
 	cal   timeutil.MaintenanceCalendar
 
 	inMaintenance  bool
-	maintenanceEnd time.Time
+	maintenanceEnd int64
 
 	// avoidUntil implements CMF-aware scheduling: placement treats a
 	// flagged rack's midplanes as a last resort until the deadline passes.
-	avoidUntil [topology.NumMidplanes]time.Time
+	avoidUntil [topology.NumMidplanes]int64
 	// popularity is the per-midplane placement weight (users habitually
 	// target certain racks, creating the paper's utilization spread).
 	popularity [topology.NumMidplanes]float64
@@ -219,13 +224,14 @@ func (s *Scheduler) Step(now time.Time) {
 		s.uniforms[i] = s.rng.Float64()
 	}
 	s.permReady = false
-	s.complete(now)
+	t := now.UnixNano()
+	s.complete(t)
 	s.handleMaintenance(now)
-	s.maybeReserve(now)
+	s.maybeReserve(t)
 	if !s.inMaintenance {
 		s.dispatch(now)
 	} else {
-		s.refreshBurners(now)
+		s.refreshBurners(t)
 	}
 }
 
@@ -255,13 +261,13 @@ func (s *Scheduler) visitOrder() *[topology.NumMidplanes]int {
 }
 
 // complete frees slots whose jobs have finished.
-func (s *Scheduler) complete(now time.Time) {
+func (s *Scheduler) complete(now int64) {
 	// A job's midplanes finish together; count it once.
 	var done [topology.NumMidplanes]int64
 	n := 0
 	for i := range s.slots {
 		sl := &s.slots[i]
-		if sl.busyUntil.IsZero() || sl.busyUntil.After(now) {
+		if sl.busyUntil == 0 || sl.busyUntil > now {
 			continue
 		}
 		if !sl.burner && sl.jobID != 0 && !slices.Contains(done[:n], sl.jobID) {
@@ -269,7 +275,7 @@ func (s *Scheduler) complete(now time.Time) {
 			n++
 			s.completed++
 		}
-		sl.busyUntil = time.Time{}
+		sl.busyUntil = 0
 		sl.jobID = 0
 		sl.burner = false
 		sl.intensity = 0
@@ -287,21 +293,22 @@ func (s *Scheduler) handleMaintenance(now time.Time) {
 		for s.cal.InMaintenance(end) {
 			end = end.Add(timeutil.SampleInterval)
 		}
-		s.maintenanceEnd = end
+		s.maintenanceEnd = end.UnixNano()
 		// Drain: kill all user jobs.
+		t := now.UnixNano()
 		for i := range s.slots {
 			sl := &s.slots[i]
-			if sl.busyUntil.After(now) && !sl.burner {
+			if sl.busyUntil > t && !sl.burner {
 				s.killSlot(i)
 			}
 		}
 		// Power off a service subset; burners cover the rest.
 		for i := range s.slots {
 			if s.rng.Float64() < s.cfg.ServiceFraction {
-				s.slots[i].downUntil = laterOf(s.slots[i].downUntil, s.maintenanceEnd)
+				s.slots[i].downUntil = max(s.slots[i].downUntil, s.maintenanceEnd)
 			}
 		}
-		s.refreshBurners(now)
+		s.refreshBurners(t)
 	case !inWindow && s.inMaintenance:
 		s.inMaintenance = false
 		// Burners end with the window via busyUntil; nothing else to do.
@@ -311,7 +318,7 @@ func (s *Scheduler) handleMaintenance(now time.Time) {
 // refreshBurners starts burner jobs on every available midplane during
 // maintenance, keeping otherwise-idle racks warm (the paper: cold inlet
 // coolant can damage inactive CPUs).
-func (s *Scheduler) refreshBurners(now time.Time) {
+func (s *Scheduler) refreshBurners(now int64) {
 	for i := range s.slots {
 		sl := &s.slots[i]
 		if s.slotAvailable(sl, now) {
@@ -326,14 +333,14 @@ func (s *Scheduler) refreshBurners(now time.Time) {
 // maybeReserve occasionally reserves a block of midplanes that a project
 // then leaves (partially) unused — one of the paper's sources of transient
 // utilization drops.
-func (s *Scheduler) maybeReserve(now time.Time) {
+func (s *Scheduler) maybeReserve(now int64) {
 	perTick := timeutil.SampleInterval.Hours() / (s.cfg.ReservationMeanDays * 24)
 	if s.rng.Float64() >= perTick {
 		return
 	}
 	count := 8 + s.rng.Intn(17) // 8–24 midplanes
 	hold := time.Duration(6+s.rng.Intn(13)) * time.Hour
-	until := now.Add(hold)
+	until := now + int64(hold)
 	reserved := 0
 	for _, i := range s.rng.Perm(topology.NumMidplanes) {
 		if reserved >= count {
@@ -348,8 +355,8 @@ func (s *Scheduler) maybeReserve(now time.Time) {
 }
 
 // slotAvailable reports whether a midplane can accept work at now.
-func (s *Scheduler) slotAvailable(sl *slot, now time.Time) bool {
-	return !sl.busyUntil.After(now) && !sl.reservedUntil.After(now) && !sl.downUntil.After(now)
+func (s *Scheduler) slotAvailable(sl *slot, now int64) bool {
+	return sl.busyUntil <= now && sl.reservedUntil <= now && sl.downUntil <= now
 }
 
 // backfillProb returns the probability that a hole can be filled by an
@@ -365,17 +372,18 @@ func (s *Scheduler) backfillProb(t time.Time) float64 {
 // reservation), and out-of-order starts for later jobs only when they finish
 // before the head's projected start, so the head cannot starve.
 func (s *Scheduler) dispatch(now time.Time) {
+	t := now.UnixNano()
 	s.avail, s.flagged = slotSet{}, slotSet{}
 	for i := range s.slots {
-		if s.slotAvailable(&s.slots[i], now) {
+		if s.slotAvailable(&s.slots[i], t) {
 			s.avail.add(i)
 		}
-		if s.avoided(i, now) {
+		if s.avoided(i, t) {
 			s.flagged.add(i)
 		}
 	}
 	placed := 0
-	for placed < len(s.queue) && s.tryPlace(&s.queue[placed], now, slotSet{}) {
+	for placed < len(s.queue) && s.tryPlace(&s.queue[placed], t, slotSet{}) {
 		placed++
 	}
 	// rest[0], if there is one, is the head job that did not fit.
@@ -386,7 +394,7 @@ func (s *Scheduler) dispatch(now time.Time) {
 		// on the first attempt with enough free slots to succeed, and a tick
 		// whose scanned jobs all outsize the free slots never sorts for it.
 		var (
-			shadow      time.Time
+			shadow      int64
 			shadowSlots slotSet
 			shadowed    bool
 		)
@@ -399,17 +407,17 @@ func (s *Scheduler) dispatch(now time.Time) {
 			// The draw comes first, whether or not the job can fit.
 			if s.rng.Float64() < p && s.avail.count() >= j.Midplanes {
 				if !shadowed {
-					shadow, shadowSlots = s.shadow(&rest[0], now)
+					shadow, shadowSlots = s.shadow(&rest[0], t)
 					shadowed = true
 				}
 				// EASY rule: a backfilled job must not delay the head. Jobs
 				// ending before the head's projected start may use any slot;
 				// longer jobs must avoid the slots the head is waiting on.
 				var banned slotSet
-				if !now.Add(j.Walltime).Before(shadow) {
+				if t+int64(j.Walltime) >= shadow {
 					banned = shadowSlots
 				}
-				if s.tryPlace(j, now, banned) {
+				if s.tryPlace(j, t, banned) {
 					continue
 				}
 			}
@@ -428,7 +436,7 @@ func (s *Scheduler) dispatch(now time.Time) {
 // freeSlot is when one midplane next becomes free.
 type freeSlot struct {
 	idx  int
-	free time.Time
+	free int64
 }
 
 // shadow estimates when the head job will be able to start — the moment its
@@ -441,18 +449,17 @@ type freeSlot struct {
 // decides the banned set, so the sort's tie order is part of the
 // simulation: slices.SortFunc over the slots in index order with this
 // comparison, nothing stable, partial or differently keyed.
-func (s *Scheduler) shadow(j *workload.Job, now time.Time) (time.Time, slotSet) {
+func (s *Scheduler) shadow(j *workload.Job, now int64) (int64, slotSet) {
 	if topology.NumMidplanes < j.Midplanes {
 		// The job can never run; let backfill proceed unrestricted.
-		return now.Add(365 * 24 * time.Hour), slotSet{}
+		return now + int64(365*24*time.Hour), slotSet{}
 	}
 	var frees [topology.NumMidplanes]freeSlot
 	for i := range s.slots {
 		sl := &s.slots[i]
-		free := laterOf(sl.downUntil, laterOf(sl.reservedUntil, laterOf(sl.busyUntil, now)))
-		frees[i] = freeSlot{idx: i, free: free}
+		frees[i] = freeSlot{idx: i, free: max(sl.downUntil, sl.reservedUntil, sl.busyUntil, now)}
 	}
-	slices.SortFunc(frees[:], func(a, b freeSlot) int { return a.free.Compare(b.free) })
+	slices.SortFunc(frees[:], func(a, b freeSlot) int { return cmp.Compare(a.free, b.free) })
 	var waiting slotSet
 	for _, f := range frees[:j.Midplanes] {
 		waiting.add(f.idx)
@@ -463,7 +470,7 @@ func (s *Scheduler) shadow(j *workload.Job, now time.Time) (time.Time, slotSet) 
 // tryPlace attempts to start the job now, honoring queue placement policy
 // and avoiding banned slots (the head job's shadow reservation). It returns
 // true when the job was started.
-func (s *Scheduler) tryPlace(j *workload.Job, now time.Time, banned slotSet) bool {
+func (s *Scheduler) tryPlace(j *workload.Job, now int64, banned slotSet) bool {
 	open := s.avail.minus(banned)
 	if open.count() < j.Midplanes {
 		return false
@@ -474,7 +481,7 @@ func (s *Scheduler) tryPlace(j *workload.Job, now time.Time, banned slotSet) boo
 	if len(picked) < j.Midplanes {
 		picked = s.pick(picked, j, open.and(s.flagged), j.Midplanes)
 	}
-	end := now.Add(j.Walltime)
+	end := now + int64(j.Walltime)
 	for _, i := range picked {
 		sl := &s.slots[i]
 		sl.busyUntil = end
@@ -482,15 +489,17 @@ func (s *Scheduler) tryPlace(j *workload.Job, now time.Time, banned slotSet) boo
 		sl.jobID = j.ID
 		sl.intensity = j.Intensity
 		// A job that ends by now leaves its slots available.
-		if end.After(now) {
+		if end > now {
 			s.avail.remove(i)
 		}
 	}
 	s.started++
 	q := &s.queueStats[int(j.Queue)]
 	q.Started++
-	if !j.Submitted.IsZero() && now.After(j.Submitted) {
-		q.WaitHoursSum += now.Sub(j.Submitted).Hours()
+	if !j.Submitted.IsZero() {
+		if sub := j.Submitted.UnixNano(); now > sub {
+			q.WaitHoursSum += time.Duration(now - sub).Hours()
+		}
 	}
 	q.RunHoursSum += j.Walltime.Hours()
 	q.MidplaneHours += float64(j.Midplanes) * j.Walltime.Hours()
@@ -595,7 +604,7 @@ func (s *Scheduler) killSlot(i int) {
 	for k := range s.slots {
 		sl := &s.slots[k]
 		if sl.jobID == jobID {
-			sl.busyUntil = time.Time{}
+			sl.busyUntil = 0
 			sl.jobID = 0
 			sl.burner = false
 			sl.intensity = 0
@@ -609,15 +618,15 @@ func (s *Scheduler) killSlot(i int) {
 // running jobs drain ahead of a predicted coolant monitor failure (the
 // paper's closing opportunity: "develop CMF-aware job schedulers").
 func (s *Scheduler) Avoid(r topology.RackID, until time.Time) {
-	base := r.Index() * topology.MidplanesPerRack
+	base, u := r.Index()*topology.MidplanesPerRack, until.UnixNano()
 	for m := 0; m < topology.MidplanesPerRack; m++ {
-		s.avoidUntil[base+m] = laterOf(s.avoidUntil[base+m], until)
+		s.avoidUntil[base+m] = max(s.avoidUntil[base+m], u)
 	}
 }
 
 // avoided reports whether the midplane is flagged at now.
-func (s *Scheduler) avoided(idx int, now time.Time) bool {
-	return s.avoidUntil[idx].After(now)
+func (s *Scheduler) avoided(idx int, now int64) bool {
+	return s.avoidUntil[idx] > now
 }
 
 // FailRacks takes the given racks down until the given time, killing every
@@ -625,7 +634,7 @@ func (s *Scheduler) avoided(idx int, now time.Time) bool {
 // through multi-rack jobs, many more jobs). It returns the number of jobs
 // killed.
 func (s *Scheduler) FailRacks(racks []topology.RackID, until time.Time) int {
-	before := s.killed
+	before, u := s.killed, until.UnixNano()
 	for _, r := range racks {
 		base := r.Index() * topology.MidplanesPerRack
 		for m := 0; m < topology.MidplanesPerRack; m++ {
@@ -633,11 +642,11 @@ func (s *Scheduler) FailRacks(racks []topology.RackID, until time.Time) int {
 			if s.slots[i].jobID != 0 && !s.slots[i].burner {
 				s.killSlot(i)
 			}
-			s.slots[i].busyUntil = time.Time{}
+			s.slots[i].busyUntil = 0
 			s.slots[i].burner = false
 			s.slots[i].jobID = 0
 			s.slots[i].intensity = 0
-			s.slots[i].downUntil = laterOf(s.slots[i].downUntil, until)
+			s.slots[i].downUntil = max(s.slots[i].downUntil, u)
 		}
 	}
 	return int(s.killed - before)
@@ -645,11 +654,11 @@ func (s *Scheduler) FailRacks(racks []topology.RackID, until time.Time) int {
 
 // RackDown reports whether the rack is powered off at now.
 func (s *Scheduler) RackDown(r topology.RackID, now time.Time) bool {
-	base := r.Index() * topology.MidplanesPerRack
+	base, t := r.Index()*topology.MidplanesPerRack, now.UnixNano()
 	// A rack is down when all its midplanes are down (failures take whole
 	// racks; maintenance service takes individual midplanes).
 	for m := 0; m < topology.MidplanesPerRack; m++ {
-		if !s.slots[base+m].downUntil.After(now) {
+		if s.slots[base+m].downUntil <= t {
 			return false
 		}
 	}
@@ -665,14 +674,15 @@ type MidplaneSnapshot struct {
 // Snapshot returns the state of every midplane at now, indexed by midplane
 // number (rack.Index()*2 + m).
 func (s *Scheduler) Snapshot(now time.Time) (out [topology.NumMidplanes]MidplaneSnapshot) {
+	t := now.UnixNano()
 	for i := range s.slots {
 		sl := &s.slots[i]
 		switch {
-		case sl.downUntil.After(now):
+		case sl.downUntil > t:
 			out[i] = MidplaneSnapshot{State: Down}
-		case sl.busyUntil.After(now) && sl.burner:
+		case sl.busyUntil > t && sl.burner:
 			out[i] = MidplaneSnapshot{State: Burning, Intensity: sl.intensity}
-		case sl.busyUntil.After(now):
+		case sl.busyUntil > t:
 			out[i] = MidplaneSnapshot{State: Busy, Intensity: sl.intensity}
 		default:
 			out[i] = MidplaneSnapshot{State: Idle}
@@ -686,9 +696,9 @@ func (s *Scheduler) Snapshot(now time.Time) (out [topology.NumMidplanes]Midplane
 // the paper's definition of "percentage of nodes on which jobs are running";
 // serviced/down midplanes do not.
 func (s *Scheduler) SystemUtilization(now time.Time) float64 {
-	busy := 0
+	busy, t := 0, now.UnixNano()
 	for i := range s.slots {
-		if s.slots[i].busyUntil.After(now) && !s.slots[i].downUntil.After(now) {
+		if s.slots[i].busyUntil > t && s.slots[i].downUntil <= t {
 			busy++
 		}
 	}
@@ -697,20 +707,12 @@ func (s *Scheduler) SystemUtilization(now time.Time) float64 {
 
 // RackUtilization returns the fraction of the rack's nodes running jobs.
 func (s *Scheduler) RackUtilization(r topology.RackID, now time.Time) float64 {
-	base := r.Index() * topology.MidplanesPerRack
-	busy := 0
+	base, busy, t := r.Index()*topology.MidplanesPerRack, 0, now.UnixNano()
 	for m := 0; m < topology.MidplanesPerRack; m++ {
 		sl := &s.slots[base+m]
-		if sl.busyUntil.After(now) && !sl.downUntil.After(now) {
+		if sl.busyUntil > t && sl.downUntil <= t {
 			busy++
 		}
 	}
 	return float64(busy) / float64(topology.MidplanesPerRack)
-}
-
-func laterOf(a, b time.Time) time.Time {
-	if a.After(b) {
-		return a
-	}
-	return b
 }

@@ -391,7 +391,7 @@ func TestSchedulerInvariants(t *testing.T) {
 	st := s.Stats()
 	running := make(map[int64]bool)
 	for i := range s.slots {
-		if s.slots[i].jobID > 0 && s.slots[i].busyUntil.After(now) {
+		if s.slots[i].jobID > 0 && s.slots[i].busyUntil > now.UnixNano() {
 			running[s.slots[i].jobID] = true
 		}
 	}

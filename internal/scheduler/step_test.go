@@ -65,12 +65,8 @@ func TestGoldenSchedule(t *testing.T) {
 		if sl.burner {
 			burner = 1
 		}
-		for _, at := range []time.Time{sl.busyUntil, sl.reservedUntil, sl.downUntil} {
-			if at.IsZero() {
-				put(slots, 0)
-			} else {
-				put(slots, uint64(at.UnixNano()))
-			}
+		for _, at := range []int64{sl.busyUntil, sl.reservedUntil, sl.downUntil} {
+			put(slots, uint64(at)) // 0 is "never set", as the zero time hashed before
 		}
 		put(slots, uint64(sl.jobID))
 		put(slots, burner)
@@ -151,7 +147,7 @@ func TestAvailabilityTracksSlots(t *testing.T) {
 		s.Step(now)
 		if !s.inMaintenance {
 			for i := range s.slots {
-				if got, want := s.avail.has(i), s.slotAvailable(&s.slots[i], now); got != want {
+				if got, want := s.avail.has(i), s.slotAvailable(&s.slots[i], now.UnixNano()); got != want {
 					t.Fatalf("tick %d slot %d: availability set says %v, slotAvailable %v", tick, i, got, want)
 				}
 			}

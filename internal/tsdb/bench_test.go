@@ -42,6 +42,25 @@ func BenchmarkAppend(b *testing.B) {
 	}
 }
 
+// BenchmarkSeal compresses one full 30-day block (8640 rows of sim-shaped
+// samples, the timestamp column and six value columns) per op: the work a
+// partition roll hands the ingest goroutine for every rack at once.
+func BenchmarkSeal(b *testing.B) {
+	recs := benchRecords(8640)
+	h := newHead(0, len(recs))
+	for _, r := range recs {
+		h.times = append(h.times, r.Time.UnixNano())
+		for m := range h.vals {
+			h.vals[m] = append(h.vals[m], quantize(r.Value(sensors.Metric(m)), channelScales[m]))
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		freezeHead(h).seal() // seal reads h and leaves it intact
+	}
+}
+
 // BenchmarkAppendSliceStore is the envdb.Store baseline for ingest.
 func BenchmarkAppendSliceStore(b *testing.B) {
 	recs := benchRecords(1 << 16)

@@ -159,34 +159,39 @@ func (b *sealedBlock) seal() {
 		defer metSealDur.ObserveSince(time.Now())
 		h := b.raw.Load()
 		b.times = encodeTimes(h.times)
+		var ints []int64 // one quantization scratch for every channel
 		for m := range h.vals {
-			b.ch[m] = encodeChannel(h.vals[m], channelScales[m])
+			b.ch[m], ints = encodeChannel(h.vals[m], channelScales[m], ints)
 			b.zones[m] = computeZone(h.vals[m])
 		}
 		b.raw.Store(nil)
 	})
 }
 
-func encodeChannel(vals []float64, scale float64) channelData {
-	if ints, ok := quantizeExact(vals, scale); ok {
-		return channelData{enc: encIntPacked, scale: scale, data: encodeIntsPacked(ints)}
+// encodeChannel compresses one value column, quantizing through scratch;
+// it returns the (possibly regrown) scratch for the next column.
+func encodeChannel(vals []float64, scale float64, scratch []int64) (channelData, []int64) {
+	ints, ok := quantizeExact(scratch, vals, scale)
+	if ok {
+		return channelData{enc: encIntPacked, scale: scale, data: encodeIntsPacked(ints)}, ints
 	}
-	return channelData{enc: encXOR, data: encodeXOR(vals)}
+	return channelData{enc: encXOR, data: encodeXOR(vals)}, ints
 }
 
-// quantizeExact converts values to scaled integers, reporting whether the
-// conversion is invertible bit-for-bit (it is whenever the values were
-// quantized at the same scale on ingest).
-func quantizeExact(vals []float64, scale float64) ([]int64, bool) {
-	ints := make([]int64, len(vals))
+// quantizeExact converts values to scaled integers in dst (reused when large
+// enough), reporting whether the conversion is invertible bit-for-bit (it
+// is whenever the values were quantized at the same scale on ingest). The
+// returned slice is dst's array either way, for the caller to reuse.
+func quantizeExact(dst []int64, vals []float64, scale float64) ([]int64, bool) {
+	ints := int64Slice(dst, len(vals))
 	for i, v := range vals {
 		n := math.Round(v * scale)
 		if math.IsNaN(n) || n >= maxQuantized || n <= -maxQuantized {
-			return nil, false
+			return ints, false
 		}
 		iv := int64(n)
 		if float64(iv)/scale != v {
-			return nil, false
+			return ints, false
 		}
 		ints[i] = iv
 	}

@@ -19,10 +19,15 @@ import (
 	stdbits "math/bits"
 )
 
-// bitWriter appends bits MSB-first into a growing byte slice.
+// bitWriter appends bits MSB-first into a growing byte slice. Bits are
+// staged in a 64-bit accumulator and leave it as whole big-endian words, so
+// a write costs one or two shifts instead of a loop over the bytes it
+// touches; bytes ends the stream with the leftover whole bytes and a
+// zero-padded last byte.
 type bitWriter struct {
-	b []byte
-	n uint // bits used in the last byte (0..7; 0 = last byte full or empty)
+	b   []byte
+	acc uint64 // staged bits, MSB-aligned; the bits below them are zero
+	n   uint   // staged bit count (0..63)
 }
 
 func (w *bitWriter) writeBit(bit bool) {
@@ -33,25 +38,29 @@ func (w *bitWriter) writeBit(bit bool) {
 	}
 }
 
+// writeBits appends the low nbits (0..64) of v; bits above them are ignored.
 func (w *bitWriter) writeBits(v uint64, nbits uint) {
-	v <<= 64 - nbits
-	for nbits > 0 {
-		if w.n == 0 {
-			w.b = append(w.b, 0)
-		}
-		free := 8 - w.n
-		take := nbits
-		if take > free {
-			take = free
-		}
-		w.b[len(w.b)-1] |= byte(v >> (64 - take) << (free - take))
-		v <<= take
-		nbits -= take
-		w.n = (w.n + take) & 7
+	v &= ^uint64(0) >> (64 - nbits) // nbits == 0 shifts by 64: mask 0
+	free := 64 - w.n
+	if nbits < free {
+		w.acc |= v << (free - nbits)
+		w.n += nbits
+		return
 	}
+	rest := nbits - free // bits of v that spill past the completed word
+	w.b = binary.BigEndian.AppendUint64(w.b, w.acc|v>>rest)
+	w.acc = v << (64 - rest) // rest == 0 shifts by 64: nothing staged
+	w.n = rest
 }
 
-func (w *bitWriter) bytes() []byte { return w.b }
+// bytes ends the stream and returns it; the writer takes no bits after it.
+func (w *bitWriter) bytes() []byte {
+	for ; w.n > 0; w.n -= min(w.n, 8) {
+		w.b = append(w.b, byte(w.acc>>56))
+		w.acc <<= 8
+	}
+	return w.b
+}
 
 // errOverrun reports a compressed stream that ended before the declared
 // sample count was decoded — a truncated or corrupted payload.
@@ -100,10 +109,6 @@ func (r *bitReader) overrun() {
 func (r *bitReader) skip(nbits uint) {
 	r.cur <<= nbits
 	r.n -= nbits
-}
-
-func (r *bitReader) readBit() bool {
-	return r.readBits(1) != 0
 }
 
 func (r *bitReader) readBits(nbits uint) uint64 {
@@ -205,7 +210,9 @@ func readVarbit(r *bitReader) uint64 {
 // rest as zigzag delta-of-deltas. A fixed-cadence sampler (the coolant
 // monitor's 300 s) costs one bit per timestamp after the second.
 func encodeTimes(ts []int64) []byte {
-	w := &bitWriter{}
+	// Sized for a fixed cadence: 64 raw bits, at most 70 for the first
+	// delta, then one bit per timestamp; an irregular stream grows past it.
+	w := &bitWriter{b: make([]byte, 0, (len(ts)+132+63)/64*8)}
 	var prev, prevDelta int64
 	for i, t := range ts {
 		switch i {
@@ -451,36 +458,38 @@ const packGroup = 64
 // on noisy sensor data the sizes come out within a few percent, while
 // decode drops to a branch-light shift loop — the batch-decode form the
 // chunked scan path is built around.
+//
+// A first pass takes every group's width, which also gives the stream's
+// exact length (Σ 7 + width·count bits), so the second pass writes into a
+// buffer sized once, rounded up to the writer's whole words.
 func encodeIntsPacked(vals []int64) []byte {
-	w := &bitWriter{}
-	var prev int64
-	for g := 0; g < len(vals); g += packGroup {
-		end := g + packGroup
-		if end > len(vals) {
-			end = len(vals)
+	widths := make([]uint8, (len(vals)+packGroup-1)/packGroup)
+	total, prev := 0, int64(0)
+	for gi := range widths {
+		group := vals[gi*packGroup : min((gi+1)*packGroup, len(vals))]
+		width := 0
+		for _, v := range group {
+			width = max(width, stdbits.Len64(zigzag(v-prev)))
+			prev = v
 		}
-		width, p := 0, prev
-		for _, v := range vals[g:end] {
-			if bl := stdbits.Len64(zigzag(v - p)); bl > width {
-				width = bl
-			}
-			p = v
-		}
+		widths[gi] = uint8(width)
+		total += 7 + width*len(group)
+	}
+	w := &bitWriter{b: make([]byte, 0, (total+63)/64*8)}
+	prev = 0
+	for gi, width := range widths {
+		group := vals[gi*packGroup : min((gi+1)*packGroup, len(vals))]
 		w.writeBits(uint64(width), 7)
 		if width == 0 {
-			prev = p
+			prev = group[len(group)-1]
 			continue
 		}
-		for _, v := range vals[g:end] {
+		for _, v := range group {
 			w.writeBits(zigzag(v-prev), uint(width))
 			prev = v
 		}
 	}
 	return w.bytes()
-}
-
-func decodeIntsPacked(buf []byte, n int) ([]int64, error) {
-	return decodeIntsPackedInto(nil, buf, n)
 }
 
 // decodeIntsPackedInto decodes n word-packed integer deltas into dst,

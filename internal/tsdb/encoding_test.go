@@ -1,6 +1,8 @@
 package tsdb
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -29,6 +31,52 @@ func TestBitStreamRoundTrip(t *testing.T) {
 			t.Fatalf("field %d: read %d, want %d (%d bits)", i, got, f.v, f.n)
 		}
 	}
+}
+
+// refBitWriter is the plain definition bitWriter must match: one bit at a
+// time, MSB-first, bits above the width ignored, the last byte zero-padded.
+type refBitWriter struct {
+	b []byte
+	n uint // bits written in total
+}
+
+func (w *refBitWriter) writeBits(v uint64, nbits uint) {
+	for i := int(nbits) - 1; i >= 0; i-- {
+		if w.n%8 == 0 {
+			w.b = append(w.b, 0)
+		}
+		if v>>uint(i)&1 != 0 {
+			w.b[len(w.b)-1] |= 0x80 >> (w.n % 8)
+		}
+		w.n++
+	}
+}
+
+// FuzzBitWriter drives bitWriter and refBitWriter with the same (value,
+// width) sequence — each field is one width byte (mapped to 1..64) and eight
+// value bytes, which usually carry bits above the width — and requires
+// identical streams.
+func FuzzBitWriter(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
+	f.Add(bytes.Repeat([]byte{62, 1, 2, 3, 4, 5, 6, 7, 8, 6, 0xaa, 0x55, 0xaa, 0x55, 0xaa, 0x55, 0xaa, 0x55}, 9))
+	rng := rand.New(rand.NewSource(4))
+	seed := make([]byte, 9*200)
+	rng.Read(seed)
+	f.Add(seed)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var w bitWriter
+		var ref refBitWriter
+		for ; len(data) >= 9; data = data[9:] {
+			width := uint(data[0])%64 + 1
+			v := binary.BigEndian.Uint64(data[1:9])
+			w.writeBits(v, width)
+			ref.writeBits(v, width)
+		}
+		if got := w.bytes(); !bytes.Equal(got, ref.b) {
+			t.Fatalf("bitWriter wrote %x, reference %x", got, ref.b)
+		}
+	})
 }
 
 func TestZigzag(t *testing.T) {

@@ -189,8 +189,8 @@ func FuzzDecodeBlock(f *testing.F) {
 		if out, err := decodeInts(data, count); err == nil && len(out) != count {
 			t.Fatalf("decodeInts returned %d values, want %d", len(out), count)
 		}
-		if out, err := decodeIntsPacked(data, count); err == nil && len(out) != count {
-			t.Fatalf("decodeIntsPacked returned %d values, want %d", len(out), count)
+		if out, err := decodeIntsPackedInto(nil, data, count); err == nil && len(out) != count {
+			t.Fatalf("decodeIntsPackedInto returned %d values, want %d", len(out), count)
 		}
 		if out, err := decodeXOR(data, count); err == nil && len(out) != count {
 			t.Fatalf("decodeXOR returned %d values, want %d", len(out), count)

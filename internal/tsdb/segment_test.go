@@ -514,3 +514,108 @@ func TestFlushLeavesNoTempFiles(t *testing.T) {
 		}
 	}
 }
+
+// Pinned CRC32s of the segment files segmentPinFixture writes (see
+// segmentFilesCRC): once after Flush, once after Compact rewrote them. The
+// encoders promise byte-identical segments across optimisation; these
+// constants were recorded before the word-at-a-time bit writer replaced the
+// byte-at-a-time one.
+const (
+	segFlushCRC   = 44970996
+	segCompactCRC = 1756908780
+)
+
+// segmentPinFixture builds a store whose segments exercise every encoder
+// path: two racks over 75 days from base give each rack a partial first
+// block, two full 30-day blocks (8640 rows) and a partial head. One rack's
+// flow and power carry a NaN and both infinities inside the first full
+// block, which keeps those channels on the XOR path; a 45-day retention
+// folds the partial first blocks into the cold tier when compacted.
+func segmentPinFixture(t *testing.T) *Store {
+	t.Helper()
+	s := NewStoreWith(Options{Retention: 45 * 24 * time.Hour})
+	racks := []topology.RackID{{Row: 0, Col: 5}, {Row: 2, Col: 11}}
+	rng := rand.New(rand.NewSource(33))
+	for i := 0; i < 75*288; i++ {
+		ts := base.Add(time.Duration(i) * timeutil.SampleInterval)
+		for _, rack := range racks {
+			rec := synthRecord(rng, rack, ts)
+			if rack == racks[1] {
+				switch i {
+				case 20 * 288:
+					rec.Flow = units.GPM(math.NaN())
+				case 20*288 + 1:
+					rec.Power = units.Watts(math.Inf(1))
+				case 20*288 + 2:
+					rec.Power = units.Watts(math.Inf(-1))
+				}
+			}
+			if err := s.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return s
+}
+
+// segmentFilesCRC is the CRC32 over every file in dir, in name order, each
+// framed by its name and length.
+func segmentFilesCRC(t *testing.T, dir string) uint32 {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := crc32.NewIEEE()
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write([]byte(e.Name()))
+		h.Write(binary.BigEndian.AppendUint64(nil, uint64(len(data))))
+		h.Write(data)
+	}
+	return h.Sum32()
+}
+
+// TestSegmentBytesPinned pins the bytes Flush and Compact write, so an
+// encoder change that alters a single payload bit fails here rather than
+// only in the figures that decode it.
+func TestSegmentBytesPinned(t *testing.T) {
+	dir := t.TempDir()
+	s := segmentPinFixture(t)
+	if err := s.Flush(dir); err != nil {
+		t.Fatal(err)
+	}
+	// The fixture must still cover what its comment promises.
+	var full, xor int
+	for i := range s.shards {
+		for _, b := range s.shards[i].sealed {
+			if b.count == 8640 {
+				full++
+			}
+			for m := range b.ch {
+				if b.ch[m].enc == encXOR {
+					xor++
+				}
+			}
+		}
+	}
+	if full != 4 || xor != 2 {
+		t.Fatalf("fixture has %d full blocks and %d XOR channels, want 4 and 2", full, xor)
+	}
+	flushed := segmentFilesCRC(t, dir)
+	st, err := s.Compact(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Blocks == 0 {
+		t.Fatalf("Compact folded nothing: %+v", st)
+	}
+	compacted := segmentFilesCRC(t, dir)
+	if flushed != segFlushCRC || compacted != segCompactCRC {
+		t.Fatalf("segment CRC32 after Flush %d, after Compact %d; want %d and %d",
+			flushed, compacted, segFlushCRC, segCompactCRC)
+	}
+}

@@ -230,19 +230,26 @@ func (s *Store) appendLocked(sh *shard, r *sensors.Record, t int64) (frozen *sea
 		sh.head = &headBlock{partition: part}
 	}
 	sh.head.times = append(sh.head.times, t)
+	vals := r.Values() // one read of the six fields; Value would copy r per channel
 	for m := range sh.head.vals {
-		sh.head.vals[m] = append(sh.head.vals[m], quantize(r.Value(sensors.Metric(m)), channelScales[m]))
+		sh.head.vals[m] = append(sh.head.vals[m], quantize(vals[m], channelScales[m]))
 	}
 	sh.total++
 	return frozen, nil
 }
 
 // quantize rounds v to the store's decimal grid. NaN/Inf pass through (the
-// sealer falls back to XOR for such blocks).
+// sealer falls back to XOR for such blocks). The grid has one zero: a value
+// that rounds to zero from below, or -0 itself, stores as +0, which is what
+// the sealed integer encoding reads back — a head -0 would export as
+// "-0.000" until sealing and "0.000" after.
 func quantize(v, scale float64) float64 {
 	q := math.Round(v*scale) / scale
-	if q != q { // NaN
+	switch {
+	case q != q: // NaN
 		return v
+	case q == 0: // also -0
+		return 0
 	}
 	return q
 }

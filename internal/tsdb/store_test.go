@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -466,5 +467,61 @@ func TestDownsampleWatermark(t *testing.T) {
 	}
 	if err := s.Append(synthRecord(rng, rack, base.Add(time.Minute))); err == nil {
 		t.Error("append behind a downsample-skipped sample should fail")
+	}
+}
+
+// TestNegativeZeroHasOneGrid: the store's decimal grid has a single zero.
+// A value that rounds to zero from below (or is -0 outright) must read back
+// as the same 0 from the head, from the sealed block and from a reopened
+// segment, through Append and AppendTick alike — a -0 head value would
+// export as "-0.000" and then silently turn into "0.000" once sealed.
+func TestNegativeZeroHasOneGrid(t *testing.T) {
+	rack := topology.RackID{Row: 0, Col: 3}
+	rng := rand.New(rand.NewSource(5))
+	recs := make([]sensors.Record, 10)
+	for i := range recs {
+		recs[i] = synthRecord(rng, rack, base.Add(time.Duration(i)*timeutil.SampleInterval))
+	}
+	recs[4].DCTemperature = -0.0001
+	recs[4].Power = units.Watts(math.Copysign(0, -1))
+	export := func(s *Store) string {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := s.ExportCSV(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+
+	s, batched := NewStore(), NewStore()
+	for _, r := range recs {
+		if err := s.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := batched.AppendTick(recs); err != nil {
+		t.Fatal(err)
+	}
+	head := export(s)
+	if strings.Contains(head, "-0.0") {
+		t.Errorf("head export holds a negative zero:\n%s", head)
+	}
+	if got := export(batched); got != head {
+		t.Errorf("AppendTick head exports differently from Append:\n%s\nvs\n%s", got, head)
+	}
+	s.SealAll()
+	if sealed := export(s); sealed != head {
+		t.Errorf("export changed when the head was sealed:\nhead:\n%s\nsealed:\n%s", head, sealed)
+	}
+	dir := t.TempDir()
+	if err := s.Flush(dir); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reopened := export(re); reopened != head {
+		t.Errorf("export changed across Flush and Open:\nhead:\n%s\nreopened:\n%s", head, reopened)
 	}
 }
