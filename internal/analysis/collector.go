@@ -30,11 +30,12 @@ type Collector struct {
 	// in which case figures trace as roots). See Collector.timed in obs.go.
 	ctx context.Context
 
-	// System-level profiles.
+	// System-level profiles. Fig. 4 plots monthly medians, so only the
+	// monthly ones keep a reservoir sample.
 	powerByYM  *series.Profile
 	utilByYM   *series.Profile
-	powerByMon *series.Profile
-	utilByMon  *series.Profile
+	powerByMon *series.MedianProfile
+	utilByMon  *series.MedianProfile
 	powerByDow *series.Profile
 	utilByDow  *series.Profile
 
@@ -60,6 +61,12 @@ type Collector struct {
 	tempByYM    *series.Profile
 	humByYM     *series.Profile
 
+	// at holds the cross-rack profiles' groups of the instant atNano. They
+	// are resolved once per tick, on its first sample (see resolve), and
+	// every sample of the tick adds to them directly.
+	at     sampleGroups
+	atNano int64
+
 	// Overall standard deviations (paper Figs. 3, 8 captions).
 	inletOv  series.VarAcc
 	outletOv series.VarAcc
@@ -84,8 +91,8 @@ func NewCollector() *Collector {
 	return &Collector{
 		powerByYM:   series.NewProfile(series.ByYearMonth),
 		utilByYM:    series.NewProfile(series.ByYearMonth),
-		powerByMon:  series.NewProfile(series.ByMonth),
-		utilByMon:   series.NewProfile(series.ByMonth),
+		powerByMon:  series.NewMedianProfile(series.ByMonth),
+		utilByMon:   series.NewMedianProfile(series.ByMonth),
 		powerByDow:  series.NewProfile(series.ByWeekday),
 		utilByDow:   series.NewProfile(series.ByWeekday),
 		flowTotByYM: series.NewProfile(series.ByYearMonth),
@@ -102,11 +109,29 @@ func NewCollector() *Collector {
 	}
 }
 
+// sampleGroups are one instant's groups of the cross-rack profiles.
+type sampleGroups struct {
+	inletYM, outletYM, tempYM, humYM *series.RunningMean
+	flowMon, inletMon, outletMon     *series.RunningMean
+	flowDow, inletDow, outletDow     *series.RunningMean
+}
+
 // OnTick records system power and utilization and flushes the previous
 // tick's plant-flow total (OnTick always precedes the tick's samples).
 func (c *Collector) OnTick(t time.Time, p units.Watts, util float64) {
+	c.beginTick(t)
+	c.addSystem(t, p, util)
+}
+
+// beginTick flushes the previous tick's plant-flow total; the samples of
+// the tick at t follow.
+func (c *Collector) beginTick(t time.Time) {
 	c.flushFlow()
 	c.curTick = t
+}
+
+// addSystem records the system power and utilization of the tick at t.
+func (c *Collector) addSystem(t time.Time, p units.Watts, util float64) {
 	mw := p.Megawatts()
 	c.powerByYM.Add(t, mw)
 	c.powerByMon.Add(t, mw)
@@ -128,35 +153,53 @@ func (c *Collector) flushFlow() {
 	}
 }
 
+// resolve points c.at at the groups of instant t. Grouping is keyed on
+// unix nanoseconds, not on time.Time ==, which also compares location:
+// the same instant in UTC and in Chicago is one tick.
+func (c *Collector) resolve(t time.Time) {
+	if n := t.UnixNano(); c.at.inletYM == nil || n != c.atNano {
+		c.atNano = n
+		c.at = sampleGroups{
+			inletYM: c.inletByYM.At(t), outletYM: c.outletByYM.At(t),
+			tempYM: c.tempByYM.At(t), humYM: c.humByYM.At(t),
+			flowMon: c.flowByMon.At(t), inletMon: c.inletByMon.At(t), outletMon: c.outletByMon.At(t),
+			flowDow: c.flowByDow.At(t), inletDow: c.inletByDow.At(t), outletDow: c.outletByDow.At(t),
+		}
+	}
+}
+
 // OnSample accumulates the coolant and ambient aggregates.
 func (c *Collector) OnSample(r sensors.Record) {
-	i := r.Rack.Index()
-	flow := float64(r.Flow)
-	inlet := float64(r.InletTemp)
-	outlet := float64(r.OutletTemp)
-	temp := float64(r.DCTemperature)
-	hum := float64(r.DCHumidity)
+	c.resolve(r.Time)
+	c.sample(r.Rack.Index(), float64(r.Power), float64(r.Flow), float64(r.InletTemp),
+		float64(r.OutletTemp), float64(r.DCTemperature), float64(r.DCHumidity))
+}
 
+// sample accumulates rack i's sample at the instant last resolved. It is
+// the one per-sample body: the live OnSample and the store replay both
+// call it.
+func (c *Collector) sample(i int, power, flow, inlet, outlet, temp, hum float64) {
 	c.curFlowSum += flow
 	c.curInletSum += inlet
 	c.curOutletSum += outlet
 	c.curFlowCount++
 
-	c.inletByYM.Add(r.Time, inlet)
-	c.outletByYM.Add(r.Time, outlet)
-	c.flowByMon.Add(r.Time, flow)
-	c.inletByMon.Add(r.Time, inlet)
-	c.outletByMon.Add(r.Time, outlet)
-	c.flowByDow.Add(r.Time, flow)
-	c.inletByDow.Add(r.Time, inlet)
-	c.outletByDow.Add(r.Time, outlet)
-	c.tempByYM.Add(r.Time, temp)
-	c.humByYM.Add(r.Time, hum)
+	g := &c.at
+	g.inletYM.Add(inlet)
+	g.outletYM.Add(outlet)
+	g.flowMon.Add(flow)
+	g.inletMon.Add(inlet)
+	g.outletMon.Add(outlet)
+	g.flowDow.Add(flow)
+	g.inletDow.Add(inlet)
+	g.outletDow.Add(outlet)
+	g.tempYM.Add(temp)
+	g.humYM.Add(hum)
 
 	c.tempOv.Add(temp)
 	c.humOv.Add(hum)
 
-	c.rackPower[i].Add(float64(r.Power))
+	c.rackPower[i].Add(power)
 	c.rackFlow[i].Add(flow)
 	c.rackInlet[i].Add(inlet)
 	c.rackOutlet[i].Add(outlet)

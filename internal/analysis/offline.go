@@ -36,11 +36,12 @@ type CollectOptions struct {
 // usable.
 //
 // The replay is one streaming pass over the store's merged chunk scan,
-// local and remote alike: records are materialized only as they enter the
-// tick buffer, so peak buffering is one tick — at most one record per
-// rack — regardless of trace length. It runs as an "analysis.replay" span
-// parented to ctx, the scan joins that trace, and the returned Collector
-// keeps it so later per-figure aggregations join it as children.
+// local and remote alike: it reads the chunk columns in place and feeds
+// the collector plain values, so no record is materialized and the only
+// per-tick state is a row count and a power sum, regardless of trace
+// length. It runs as an "analysis.replay" span parented to ctx, the scan
+// joins that trace, and the returned Collector keeps it so later
+// per-figure aggregations join it as children.
 //
 // Stores with a downsampled cold tier replay the hot window only: a cold
 // window's mean record is not a sample, so feeding it to the tick/incident
@@ -63,80 +64,73 @@ func CollectFromStoreCtx(ctx context.Context, db envdb.DB, opts CollectOptions) 
 	return c
 }
 
-// tickAccum groups a time-ordered record stream into monitor ticks and
-// feeds them to the collector.
+// replay streams db's merged chunk scan through the collector, straight
+// from the chunk columns. Ticks are grouped on the raw int64 timestamp
+// column: == on time.Time compares location too, so Chicago-simulated and
+// UTC-reimported telemetry of one instant would split into two ticks and
+// halve the reconstructed system power. Cold-tier rows and rows of other
+// halls are skipped on the packed-code column (hall in the high byte); a
+// kept row's values go to Collector.sample with the code's low byte as
+// the rack index.
 //
-// Grouping keys are unix nanoseconds, not time.Time: == on time.Time
-// compares wall clock and location too, so identical instants from
-// different sources (Chicago-simulated vs UTC CSV-reimported telemetry)
-// would split into separate ticks and corrupt the reconstructed system
-// power.
-type tickAccum struct {
-	c       *Collector
-	tick    []sensors.Record
-	curN    int64
-	maxTick int
-}
-
-func newTickAccum(c *Collector) *tickAccum {
-	return &tickAccum{c: c, tick: make([]sensors.Record, 0, topology.NumRacks)}
-}
-
-// visit appends one record of instant k; a new instant flushes the
-// previous tick first.
-func (a *tickAccum) visit(k int64, r sensors.Record) {
-	if len(a.tick) != 0 && k != a.curN {
-		a.flush()
-	}
-	a.curN = k
-	a.tick = append(a.tick, r)
-}
-
-// flush replays the buffered tick: system power is reconstructed as the
-// sum of rack powers at the instant.
-func (a *tickAccum) flush() {
-	if len(a.tick) == 0 {
-		return
-	}
-	var totalPower units.Watts
-	for _, r := range a.tick {
-		totalPower += r.Power
-	}
-	a.c.OnTick(a.tick[0].Time, totalPower, nanUtil)
-	for _, r := range a.tick {
-		a.c.OnSample(r)
-	}
-	if len(a.tick) > a.maxTick {
-		a.maxTick = len(a.tick)
-	}
-	a.tick = a.tick[:0]
-}
-
-// replay streams db's merged chunk scan through the collector: tick
-// boundaries are found on the raw int64 timestamp column and records are
-// materialized only as they enter the tick buffer. Cold-tier rows and
-// rows of other halls are skipped on their columns, so they never
-// materialize. It returns the peak tick-buffer length so tests can pin the
-// O(racks) memory bound.
+// The first row of an instant flushes the previous tick's plant-flow
+// sums, and the tick's system power — its rack powers summed in row
+// order — is added when the next instant or the scan's end closes it, so
+// every accumulator sees the observations the live OnTick-then-OnSample
+// order gives it. It returns the most rows one tick spanned so tests can
+// pin the one-sample-per-rack tick shape.
 func replay(ctx context.Context, db envdb.DB, workers, hall int, c *Collector) (maxTick int, err error) {
-	acc := newTickAccum(c)
-	// The hall filter runs on the packed-code column (hall in the high
-	// byte).
 	hallCode := uint16(hall) << 8
+	var (
+		cur   int64       // the open tick's instant
+		rows  int         // its rows so far; 0 before the first
+		power units.Watts // its summed rack power
+		bad   error
+	)
+	endTick := func() {
+		if rows == 0 {
+			return
+		}
+		c.addSystem(time.Unix(0, cur), power, nanUtil)
+		maxTick = max(maxTick, rows)
+		rows, power = 0, 0
+	}
 	err = db.EachChunkMergedCtx(ctx, workers, func(ch *envdb.Chunk) bool {
+		cols := &ch.Cols
 		for i, k := range ch.Times {
-			if ch.Tiers[i] != envdb.TierRaw || ch.Racks[i]&0xFF00 != hallCode {
+			code := ch.Racks[i]
+			if ch.Tiers[i] != envdb.TierRaw || code&0xFF00 != hallCode {
 				continue
 			}
-			acc.visit(k, ch.Record(i))
+			rack := int(code & 0xFF)
+			if rack >= topology.NumRacks {
+				// Scanners emit only valid codes (the wire decoder rejects
+				// bad ones), so a bad code here is in-process corruption.
+				_, bad = topology.RackFromCode(code)
+				return false
+			}
+			if rows == 0 || k != cur {
+				endTick()
+				cur = k
+				t := time.Unix(0, k)
+				c.beginTick(t)
+				c.resolve(t)
+			}
+			p := cols[sensors.MetricPower][i]
+			power += units.Watts(p)
+			rows++
+			c.sample(rack, p, cols[sensors.MetricFlow][i], cols[sensors.MetricInletTemp][i],
+				cols[sensors.MetricOutletTemp][i], cols[sensors.MetricDCTemperature][i], cols[sensors.MetricDCHumidity][i])
 		}
 		return true
 	})
-	if err != nil {
-		return acc.maxTick, err
+	if err == nil {
+		err = bad
 	}
-	acc.flush()
-	return acc.maxTick, nil
+	if err == nil {
+		endTick()
+	}
+	return maxTick, err
 }
 
 // nanUtil marks utilization as unknown in offline mode.

@@ -3,6 +3,7 @@ package analysis
 import (
 	"context"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"net/http/httptest"
@@ -67,7 +68,7 @@ func TestCollectFromStoreMixedLocations(t *testing.T) {
 // multiDayStore simulates a multi-day full-machine trace (every rack,
 // coolant-monitor cadence) into a compressed store with enough variation
 // to make every figure's aggregates non-trivial.
-func multiDayStore(t *testing.T, days int) *tsdb.Store {
+func multiDayStore(t testing.TB, days int) *tsdb.Store {
 	t.Helper()
 	db := tsdb.NewStoreWith(tsdb.Options{Partition: 24 * time.Hour})
 	fillTrace(t, db, 0, days*288) // 300 s cadence
@@ -78,7 +79,7 @@ func multiDayStore(t *testing.T, days int) *tsdb.Store {
 // to db. The rng is re-seeded and fast-forwarded through skipped ticks, so
 // any tick range yields the same records regardless of where it starts —
 // a compacted store's hot window can be rebuilt record-for-record.
-func fillTrace(t *testing.T, db *tsdb.Store, from, to int) {
+func fillTrace(t testing.TB, db *tsdb.Store, from, to int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(11))
 	start := time.Date(2015, 3, 10, 0, 0, 0, 0, timeutil.Chicago)
@@ -153,10 +154,10 @@ func sortedRecords(db *tsdb.Store) []sensors.Record {
 }
 
 // TestReplayChunkedMatchesRecords pins the replay's correctness bar: the
-// batch-columnar replay and a record-at-a-time replay written out in test
+// column-reading replay and a record-at-a-time replay written out in test
 // code — sorted records grouped by instant, each tick's power summed and
-// fed to the collector — must produce figures that are bit-identical, not
-// merely close.
+// fed to the collector's OnTick and OnSample — must produce Figs. 2–9
+// bit-identical, not merely close.
 func TestReplayChunkedMatchesRecords(t *testing.T) {
 	db := multiDayStore(t, 2)
 	chunked := CollectFromStoreCtx(context.Background(), db, CollectOptions{Workers: 3})
@@ -186,6 +187,17 @@ func TestReplayChunkedMatchesRecords(t *testing.T) {
 	}
 	if got, want := fmt.Sprintf("%+v", chunked.Fig3CoolantTimeline()), fmt.Sprintf("%+v", records.Fig3CoolantTimeline()); got != want {
 		t.Errorf("Fig3 differs:\n chunked %s\n records %s", got, want)
+	}
+	// Fig4 reads the monthly reservoirs, the one median the replay keeps;
+	// Figs 5 and 6 carry NaN utilization offline.
+	if got, want := fmt.Sprintf("%+v", chunked.Fig4MonthlyProfile()), fmt.Sprintf("%+v", records.Fig4MonthlyProfile()); got != want {
+		t.Errorf("Fig4 differs:\n chunked %s\n records %s", got, want)
+	}
+	if got, want := fmt.Sprintf("%+v", chunked.Fig5WeekdayProfile()), fmt.Sprintf("%+v", records.Fig5WeekdayProfile()); got != want {
+		t.Errorf("Fig5 differs:\n chunked %s\n records %s", got, want)
+	}
+	if got, want := fmt.Sprintf("%+v", chunked.Fig6RackPowerUtil()), fmt.Sprintf("%+v", records.Fig6RackPowerUtil()); got != want {
+		t.Errorf("Fig6 differs:\n chunked %s\n records %s", got, want)
 	}
 	if got, want := chunked.Fig7RackCoolant(), records.Fig7RackCoolant(); !reflect.DeepEqual(got, want) {
 		t.Errorf("Fig7 differs:\n chunked %+v\n records %+v", got, want)
@@ -356,4 +368,55 @@ func TestPushdownCompactionInvariant(t *testing.T) {
 	if !reflect.DeepEqual(before9, after9) {
 		t.Errorf("Fig9 changed under compaction:\n before %+v\n after  %+v", before9, after9)
 	}
+}
+
+// figuresCRC is the CRC-32 of Figs. 2–9 rendered with %+v, which prints
+// every float in its shortest round-trip form: two collectors print the
+// same number only if every figure agrees bit for bit.
+func figuresCRC(c *Collector) uint32 {
+	h := crc32.NewIEEE()
+	for _, fig := range []any{
+		c.Fig2YearlyTrend(), c.Fig3CoolantTimeline(), c.Fig4MonthlyProfile(), c.Fig5WeekdayProfile(),
+		c.Fig6RackPowerUtil(), c.Fig7RackCoolant(), c.Fig8AmbientTimeline(), c.Fig9RackAmbient(),
+	} {
+		fmt.Fprintf(h, "%+v\n", fig)
+	}
+	return h.Sum32()
+}
+
+// TestFiguresPinned pins Figs. 2–9 of a store replay and of the live
+// six-year run to constants recorded before the replay read chunk columns
+// and the profiles dropped what no figure reads: an accumulator change
+// that moves any figure bit fails here, whichever path it is on. The
+// replay runs first so -short (which skips the live run) still checks it.
+func TestFiguresPinned(t *testing.T) {
+	const (
+		wantReplay = 203523793
+		wantLive   = 566891508
+	)
+	replayed := CollectFromStoreCtx(context.Background(), multiDayStore(t, 2), CollectOptions{Workers: 3})
+	if got := figuresCRC(replayed); got != wantReplay {
+		t.Errorf("replayed figures CRC-32 = %d, want %d", got, wantReplay)
+	}
+	live, _, _ := fullSim(t)
+	if got := figuresCRC(live); got != wantLive {
+		t.Errorf("live figures CRC-32 = %d, want %d", got, wantLive)
+	}
+}
+
+// BenchmarkReplay measures what every figure study pays per stored record:
+// CollectFromStoreCtx over a week-long full-machine trace in a local
+// compressed store, scan and collector together.
+//
+//	go test -run '^$' -bench '^BenchmarkReplay$' -benchmem ./internal/analysis/
+func BenchmarkReplay(b *testing.B) {
+	const days = 7
+	db := multiDayStore(b, days)
+	records := days * 288 * topology.NumRacks
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		CollectFromStoreCtx(context.Background(), db, CollectOptions{})
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*records), "ns/record")
 }

@@ -84,6 +84,19 @@ func (a *MeanAcc) Mean() float64 {
 	return a.Sum / float64(a.N)
 }
 
+// RunningMean is a streaming mean in Welford's form, mean += (v−mean)/n:
+// the recurrence VarAcc's mean follows, so the two agree bit for bit.
+type RunningMean struct {
+	n    int
+	mean float64
+}
+
+// Add records one observation.
+func (a *RunningMean) Add(v float64) {
+	a.n++
+	a.mean += (v - a.mean) / float64(a.n)
+}
+
 // VarAcc is a streaming mean/variance accumulator (Welford's algorithm),
 // used for the paper's "overall standard deviation" figures (41 GPM, 0.61°F,
 // 0.71°F, 2.48°F, 3.66 RH) without storing the raw samples.
@@ -91,22 +104,10 @@ type VarAcc struct {
 	n    int
 	mean float64
 	m2   float64
-	min  float64
-	max  float64
 }
 
 // Add records one observation.
 func (a *VarAcc) Add(v float64) {
-	if a.n == 0 {
-		a.min, a.max = v, v
-	} else {
-		if v < a.min {
-			a.min = v
-		}
-		if v > a.max {
-			a.max = v
-		}
-	}
 	a.n++
 	d := v - a.mean
 	a.mean += d / float64(a.n)
@@ -130,22 +131,6 @@ func (a *VarAcc) StdDev() float64 {
 		return math.NaN()
 	}
 	return math.Sqrt(a.m2 / float64(a.n))
-}
-
-// Min returns the smallest observation; NaN if empty.
-func (a *VarAcc) Min() float64 {
-	if a.n == 0 {
-		return math.NaN()
-	}
-	return a.min
-}
-
-// Max returns the largest observation; NaN if empty.
-func (a *VarAcc) Max() float64 {
-	if a.n == 0 {
-		return math.NaN()
-	}
-	return a.max
 }
 
 // GroupBy identifies a calendar grouping for streaming profiles.
@@ -186,55 +171,24 @@ func (g GroupBy) keyOf(t time.Time) int {
 	}
 }
 
-// Profile accumulates a calendar-grouped profile of a metric: for each group
-// key it tracks a streaming mean and extrema, plus a bounded reservoir for
-// median estimation.
-type Profile struct {
+// meanGroups is the per-group running means both profile kinds keep.
+type meanGroups struct {
 	Group  GroupBy
-	groups map[int]*groupAcc
-
-	// last is the group the instant lastNano resolved to. Telemetry arrives
-	// a tick at a time — one instant, one observation per rack — so all but
-	// the first Add of a tick skip the calendar conversion and the map. The
-	// memo is keyed on unix nanoseconds, not on time.Time ==, which also
-	// compares location: the same instant in UTC and in Chicago is one key.
-	last     *groupAcc
-	lastNano int64
-}
-
-type groupAcc struct {
-	v VarAcc
-	r *Reservoir
-}
-
-// NewProfile creates a profile with the given grouping.
-func NewProfile(g GroupBy) *Profile {
-	return &Profile{Group: g, groups: make(map[int]*groupAcc)}
-}
-
-// Add records one observation at time t.
-func (p *Profile) Add(t time.Time, v float64) {
-	acc := p.last
-	if n := t.UnixNano(); acc == nil || n != p.lastNano {
-		acc = p.group(p.Group.keyOf(t))
-		p.last, p.lastNano = acc, n
-	}
-	acc.v.Add(v)
-	acc.r.Add(v)
+	groups map[int]*RunningMean
 }
 
 // group returns key k's accumulator, creating it on first sight.
-func (p *Profile) group(k int) *groupAcc {
+func (p *meanGroups) group(k int) *RunningMean {
 	acc, ok := p.groups[k]
 	if !ok {
-		acc = &groupAcc{r: NewReservoir(4096, int64(k)*7919+1)}
+		acc = new(RunningMean)
 		p.groups[k] = acc
 	}
 	return acc
 }
 
 // Keys returns the group keys in ascending order.
-func (p *Profile) Keys() []int {
+func (p *meanGroups) Keys() []int {
 	keys := make([]int, 0, len(p.groups))
 	for k := range p.groups {
 		keys = append(keys, k)
@@ -244,31 +198,23 @@ func (p *Profile) Keys() []int {
 }
 
 // Mean returns the mean for key k; NaN if the key was never observed.
-func (p *Profile) Mean(k int) float64 {
+func (p *meanGroups) Mean(k int) float64 {
 	if acc, ok := p.groups[k]; ok {
-		return acc.v.Mean()
-	}
-	return math.NaN()
-}
-
-// Median returns the (reservoir-estimated) median for key k; NaN if absent.
-func (p *Profile) Median(k int) float64 {
-	if acc, ok := p.groups[k]; ok {
-		return stats.Median(acc.r.Values())
+		return acc.mean
 	}
 	return math.NaN()
 }
 
 // N returns the observation count for key k.
-func (p *Profile) N(k int) int {
+func (p *meanGroups) N(k int) int {
 	if acc, ok := p.groups[k]; ok {
-		return acc.v.N()
+		return acc.n
 	}
 	return 0
 }
 
 // Means returns the keys and their means as parallel slices.
-func (p *Profile) Means() (keys []int, means []float64) {
+func (p *meanGroups) Means() (keys []int, means []float64) {
 	keys = p.Keys()
 	means = make([]float64, len(keys))
 	for i, k := range keys {
@@ -277,8 +223,65 @@ func (p *Profile) Means() (keys []int, means []float64) {
 	return keys, means
 }
 
+// Profile accumulates a calendar-grouped profile of a metric: a running
+// mean per group key and nothing else, so it has no median to ask for.
+// MedianProfile is the kind that keeps a sample.
+type Profile struct{ meanGroups }
+
+// NewProfile creates a profile with the given grouping.
+func NewProfile(g GroupBy) *Profile {
+	return &Profile{meanGroups{Group: g, groups: make(map[int]*RunningMean)}}
+}
+
+// At returns the accumulator of t's group, creating it on first sight.
+// Telemetry arrives a tick at a time — one instant, one observation per
+// rack — so a caller resolves the group once per instant and adds to it
+// directly, skipping the calendar conversion and the map for the rest.
+func (p *Profile) At(t time.Time) *RunningMean { return p.group(p.Group.keyOf(t)) }
+
+// Add records one observation at time t.
+func (p *Profile) Add(t time.Time, v float64) { p.At(t).Add(v) }
+
+// MedianProfile is a Profile that also keeps, per group, a bounded
+// reservoir for median estimation. The reservoir costs a PRNG step per
+// observation once full and 32 KiB per group, so only profiles whose
+// medians a figure reads are built this way.
+type MedianProfile struct {
+	meanGroups
+	res map[int]*Reservoir
+}
+
+// NewMedianProfile creates a median-keeping profile with the given
+// grouping.
+func NewMedianProfile(g GroupBy) *MedianProfile {
+	return &MedianProfile{
+		meanGroups: meanGroups{Group: g, groups: make(map[int]*RunningMean)},
+		res:        make(map[int]*Reservoir),
+	}
+}
+
+// Add records one observation at time t.
+func (p *MedianProfile) Add(t time.Time, v float64) {
+	k := p.Group.keyOf(t)
+	p.group(k).Add(v)
+	r, ok := p.res[k]
+	if !ok {
+		r = NewReservoir(4096, int64(k)*7919+1)
+		p.res[k] = r
+	}
+	r.Add(v)
+}
+
+// Median returns the (reservoir-estimated) median for key k; NaN if absent.
+func (p *MedianProfile) Median(k int) float64 {
+	if r, ok := p.res[k]; ok {
+		return stats.Median(r.Values())
+	}
+	return math.NaN()
+}
+
 // Medians returns the keys and their medians as parallel slices.
-func (p *Profile) Medians() (keys []int, medians []float64) {
+func (p *MedianProfile) Medians() (keys []int, medians []float64) {
 	keys = p.Keys()
 	medians = make([]float64, len(keys))
 	for i, k := range keys {

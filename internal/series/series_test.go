@@ -80,14 +80,11 @@ func TestVarAccMatchesBatch(t *testing.T) {
 	if math.Abs(a.StdDev()-2) > 1e-12 {
 		t.Errorf("StdDev = %v", a.StdDev())
 	}
-	if a.Min() != 2 || a.Max() != 9 {
-		t.Errorf("Min/Max = %v/%v", a.Min(), a.Max())
-	}
 }
 
 func TestVarAccEmpty(t *testing.T) {
 	var a VarAcc
-	if !math.IsNaN(a.Mean()) || !math.IsNaN(a.StdDev()) || !math.IsNaN(a.Min()) || !math.IsNaN(a.Max()) {
+	if !math.IsNaN(a.Mean()) || !math.IsNaN(a.StdDev()) {
 		t.Error("empty VarAcc accessors should be NaN")
 	}
 }
@@ -112,7 +109,7 @@ func TestGroupKeys(t *testing.T) {
 }
 
 func TestProfileMonthly(t *testing.T) {
-	p := NewProfile(ByMonth)
+	p := NewMedianProfile(ByMonth)
 	// Two years of observations: January values 10, July values 20.
 	for year := 2014; year <= 2015; year++ {
 		jan := time.Date(year, 1, 15, 0, 0, 0, 0, timeutil.Chicago)
@@ -206,16 +203,7 @@ func TestReservoirPanics(t *testing.T) {
 	NewReservoir(0, 1)
 }
 
-// refProfile is Profile without the instant memo: every Add converts the
-// instant and looks the group up.
-type refProfile struct{ p *Profile }
-
-func (r refProfile) Add(t time.Time, v float64) {
-	acc := r.p.group(r.p.Group.keyOf(t))
-	acc.v.Add(v)
-	acc.r.Add(v)
-}
-
+// sameProfile compares two mean profiles key by key, bit for bit.
 func sameProfile(t *testing.T, got, want *Profile) {
 	t.Helper()
 	gk, wk := got.Keys(), want.Keys()
@@ -226,17 +214,16 @@ func sameProfile(t *testing.T, got, want *Profile) {
 		if gk[i] != k {
 			t.Fatalf("Keys = %v, want %v", gk, wk)
 		}
-		if got.N(k) != want.N(k) || got.Mean(k) != want.Mean(k) || got.Median(k) != want.Median(k) {
-			t.Errorf("key %d: N/Mean/Median = %d/%v/%v, want %d/%v/%v", k,
-				got.N(k), got.Mean(k), got.Median(k), want.N(k), want.Mean(k), want.Median(k))
+		if got.N(k) != want.N(k) || got.Mean(k) != want.Mean(k) {
+			t.Errorf("key %d: N/Mean = %d/%v, want %d/%v", k, got.N(k), got.Mean(k), want.N(k), want.Mean(k))
 		}
 	}
 }
 
 func TestProfileMemoIgnoresLocation(t *testing.T) {
 	// 23:30 on the last of the month in Chicago is already next month (and
-	// next weekday) in UTC; the memo must see one instant, the calendar one
-	// Chicago group.
+	// next weekday) in UTC; a memo keyed on the instant must see one
+	// instant, the calendar one Chicago group.
 	at := time.Date(2016, 5, 31, 23, 30, 0, 0, timeutil.Chicago)
 	for _, g := range []GroupBy{ByYearMonth, ByMonth, ByWeekday} {
 		p := NewProfile(g)
@@ -248,15 +235,21 @@ func TestProfileMemoIgnoresLocation(t *testing.T) {
 			t.Errorf("GroupBy %d: keys %v, N(%d) = %d; want two groups, three observations in May's",
 				int(g), keys, g.keyOf(at), p.N(g.keyOf(at)))
 		}
+		if p.At(at) != p.At(at.In(time.UTC)) {
+			t.Errorf("GroupBy %d: At resolves one instant in two zones to two groups", int(g))
+		}
 	}
 }
 
 func TestProfileMemoMatchesReference(t *testing.T) {
-	// Ticks of 48 observations each, crossing a month end, several weekday
-	// boundaries and the 2016-11-06 fall-back hour (01:30 CDT and 01:30 CST
-	// are different instants with the same wall clock), then the whole
-	// sequence again backwards: the replay never offers a decreasing
-	// instant, the type must not care.
+	// The collector memoizes a profile's group per instant: it calls At
+	// when the unix-nanosecond instant changes and adds to that group
+	// until the next one. Ticks of 48 observations each, crossing a month
+	// end, several weekday boundaries and the 2016-11-06 fall-back hour
+	// (01:30 CDT and 01:30 CST are different instants with the same wall
+	// clock), then the whole sequence again backwards — the replay never
+	// offers a decreasing instant, the memo must not care — must equal Add
+	// per observation bit for bit.
 	var ticks []time.Time
 	for at := time.Date(2016, 10, 29, 0, 0, 0, 0, timeutil.Chicago); at.Before(time.Date(2016, 11, 8, 0, 0, 0, 0, timeutil.Chicago)); at = at.Add(30 * time.Minute) {
 		ticks = append(ticks, at)
@@ -266,15 +259,19 @@ func TestProfileMemoMatchesReference(t *testing.T) {
 	}
 	for _, g := range []GroupBy{ByYearMonth, ByMonth, ByWeekday, ByHour, ByYear} {
 		got, want := NewProfile(g), NewProfile(g)
-		ref := refProfile{want}
+		var acc *RunningMean
+		var accNano int64
 		for n, at := range ticks {
 			for rack := 0; rack < 48; rack++ {
 				v := float64(n%97) + float64(rack)/48
 				if rack%2 == 1 {
 					at = at.In(time.UTC) // zones interleaved inside a tick
 				}
-				got.Add(at, v)
-				ref.Add(at, v)
+				if acc == nil || at.UnixNano() != accNano {
+					acc, accNano = got.At(at), at.UnixNano()
+				}
+				acc.Add(v)
+				want.Add(at, v)
 			}
 		}
 		sameProfile(t, got, want)
