@@ -6,7 +6,7 @@ GO ?= go
 
 # check runs the stages one sub-make at a time and prints each stage's wall
 # seconds, so the gate's cost is a number in the log rather than a guess.
-CHECK_STAGES = vet lint build race bench-test fuzz-smoke smoke
+CHECK_STAGES = vet lint build race bench-test fuzz-smoke
 
 check:
 	@total=0; for stage in $(CHECK_STAGES); do \
@@ -57,11 +57,14 @@ race:
 	$(GO) test -race -cpu 1,2 -run 'Golden|Determinism|Pipeline' ./internal/sim
 	$(GO) test -race -cpu 1,2 -run 'Golden|Determin|Concurrent|CrossValidate|Sweep' ./internal/nn ./internal/core ./internal/mitigation
 
-# smoke is the end-to-end persistence round trip: mirasim -data flushes
-# segment files, miraanalyze -data reopens them warm, the figures must match
-# the CSV in-memory path, and a corrupted segment must fail descriptively.
+# smoke runs only the end-to-end command tests (cmd/smoke_test.go): they
+# build the commands and drive them as processes — warm segments against
+# the CSV path, scan workers, retention compaction, network push with a
+# SIGTERM shutdown, a two-hall fleet, a campaign sweep through a killed
+# worker and a restarted dispatcher, corrupt segments. The race stage's
+# `go test -race ./...` already runs them, so check has no stage of its own.
 smoke:
-	./scripts/smoke.sh
+	$(GO) test -count=1 -run '^TestSmoke' ./cmd/...
 
 # fuzz-smoke gives each fuzz target a short budget: the word-at-a-time bit
 # writer must write what a bit-at-a-time reference writes; segment parsing,

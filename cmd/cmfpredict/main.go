@@ -5,153 +5,143 @@
 // Usage:
 //
 //	cmfpredict [-seed N] [-start 2016-01-01] [-end 2017-01-01]
-//	           [-tune] [-baselines] [-report report.json]
-//	           [-log-format text|json]
+//	           [-tune] [-baselines] [-location] [-mitigation]
+//	           [-report report.json] [-log-format text|json]
 package main
 
 import (
-	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
 	"mira"
+	"mira/internal/cli"
 	"mira/internal/core"
-	"mira/internal/obs"
-	"mira/internal/timeutil"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	c := cli.New("cmfpredict", stderr).WithReport()
 	var (
-		seed       = flag.Int64("seed", 77, "simulation and training seed")
-		startStr   = flag.String("start", "2016-01-01", "telemetry window start (failure-dense 2016 by default)")
-		endStr     = flag.String("end", "2017-01-01", "telemetry window end")
-		tune       = flag.Bool("tune", false, "run Bayesian-optimization architecture search first")
-		baselines  = flag.Bool("baselines", false, "also evaluate threshold and logistic baselines")
-		location   = flag.Bool("location", false, "evaluate the system-level location predictor")
-		mitigation = flag.Bool("mitigation", false, "price prediction-triggered checkpointing")
-		reportPath = flag.String("report", "", "write a RunReport metric snapshot (JSON) to this file at exit")
-		logFormat  = flag.String("log-format", "text", "diagnostic log format: text or json")
+		seed       = c.Flags.Int64("seed", 77, "simulation and training seed")
+		startStr   = c.Flags.String("start", "2016-01-01", "telemetry window start (failure-dense 2016 by default)")
+		endStr     = c.Flags.String("end", "2017-01-01", "telemetry window end")
+		tune       = c.Flags.Bool("tune", false, "run Bayesian-optimization architecture search first")
+		baselines  = c.Flags.Bool("baselines", false, "also evaluate threshold and logistic baselines")
+		location   = c.Flags.Bool("location", false, "evaluate the system-level location predictor")
+		mitigation = c.Flags.Bool("mitigation", false, "price prediction-triggered checkpointing")
 	)
-	flag.Parse()
-	logg := obs.NewLogger(os.Stderr, *logFormat, "cmfpredict")
-
-	start, err := time.ParseInLocation("2006-01-02", *startStr, timeutil.Chicago)
-	if err != nil {
-		logg.Fatalf("bad -start: %v", err)
-	}
-	end, err := time.ParseInLocation("2006-01-02", *endStr, timeutil.Chicago)
-	if err != nil {
-		logg.Fatalf("bad -end: %v", err)
-	}
-
-	fmt.Printf("simulating %s .. %s at the coolant monitor's 300 s cadence...\n", *startStr, *endStr)
-	studyCfg := mira.StudyConfig{Seed: *seed, Start: start, End: end}
-	if *location {
-		studyCfg.LocationFrameEvery = time.Hour
-	}
-	study, err := mira.RunStudy(studyCfg)
-	if err != nil {
-		logg.Fatalf("%v", err)
-	}
-	fmt.Printf("captured %d pre-CMF windows and %d quiet windows\n\n",
-		len(study.PositiveWindows()), len(study.NegativeWindows()))
-
-	cfg := mira.PredictorConfig{Seed: *seed}
-	if *tune {
-		ds, err := study.BuildPredictorDataset(time.Hour, *seed)
+	return c.Run(args, func() error {
+		start, end, err := cli.Window(*startStr, *endStr)
 		if err != nil {
-			logg.Fatalf("%v", err)
+			return err
 		}
-		fmt.Println("running Bayesian-optimization architecture search...")
-		hidden, err := core.TuneArchitecture(ds, core.Config{Seed: *seed, Epochs: 25}, 8)
-		if err != nil {
-			logg.Fatalf("%v", err)
-		}
-		fmt.Printf("selected hidden layers: %v (paper default: [12 12 6])\n\n", hidden)
-		cfg.Hidden = hidden
-	}
 
-	points, err := study.Fig13Predictor(cfg)
-	if err != nil {
-		logg.Fatalf("%v", err)
-	}
-	fmt.Println("5-fold cross-validated performance vs lead time (Fig. 13):")
-	fmt.Println("lead    accuracy  precision  recall   F1      FPR")
-	for _, pt := range points {
-		c := pt.Confusion
-		fmt.Printf("%-6s  %8.3f  %9.3f  %6.3f  %6.3f  %5.3f\n",
-			pt.Lead, c.Accuracy(), c.Precision(), c.Recall(), c.F1(), c.FalsePositiveRate())
-	}
-	fmt.Println("[paper: ~87% accuracy six hours out rising to ~97% at 30 minutes]")
-
-	if *location || *mitigation {
-		predictor, err := study.TrainPredictor(time.Hour, mira.PredictorConfig{Seed: *seed + 10})
-		if err != nil {
-			logg.Fatalf("%v", err)
-		}
+		fmt.Fprintf(stdout, "simulating %s .. %s at the coolant monitor's 300 s cadence...\n", *startStr, *endStr)
+		studyCfg := mira.StudyConfig{Seed: *seed, Start: start, End: end}
 		if *location {
-			rep, err := study.EvaluateLocation(predictor, 0.9)
-			if err != nil {
-				logg.Fatalf("%v", err)
-			}
-			fmt.Println("\nsystem-level location prediction (paper: a stated improvement direction):")
-			fmt.Printf("  incidents evaluated: %d\n", rep.Evaluated)
-			fmt.Printf("  epicenter top-1 / top-3 accuracy: %.0f%% / %.0f%% (random: 2%% / 6%%)\n", rep.Top1*100, rep.Top3*100)
-			fmt.Printf("  mean epicenter rank: %.1f of 48 (random: 24.5)\n", rep.MeanEpicenterRank)
-			fmt.Printf("  machine-wide alarm precision: %.0f%% over %d alarm frames\n", rep.FrameAlarmPrecision*100, rep.AlarmFrames)
+			studyCfg.LocationFrameEvery = time.Hour
 		}
-		if *mitigation {
-			rep, err := study.EvaluateMitigation(predictor, mira.MitigationConfig{})
-			if err != nil {
-				logg.Fatalf("%v", err)
-			}
-			fmt.Println("\nproactive mitigation (paper §VI-B: checkpoint on warning):")
-			fmt.Printf("  incidents: %d; warned ≥30 min ahead: %.0f%%; mean warning: %v\n",
-				len(rep.Incidents), rep.WarnedFraction*100, rep.MeanWarningLead.Round(time.Minute))
-			fmt.Printf("  lost compute (kilo-node-hours): none=%.0f periodic=%.0f predictive=%.0f (+%.1f checkpoint overhead)\n",
-				rep.TotalLostNone, rep.TotalLostPeriodic, rep.TotalLostPredictive, rep.CheckpointOverheadHours)
-			fmt.Printf("  net savings vs periodic checkpointing: %.0f%%\n", rep.SavingsVsPeriodic()*100)
+		study, err := mira.RunStudy(studyCfg)
+		if err != nil {
+			return err
 		}
-	}
+		fmt.Fprintf(stdout, "captured %d pre-CMF windows and %d quiet windows\n\n",
+			len(study.PositiveWindows()), len(study.NegativeWindows()))
 
-	if *baselines {
-		fmt.Println("\nbaselines at a 2 h lead:")
-		ds, err := study.BuildPredictorDataset(2*time.Hour, *seed+1)
-		if err != nil {
-			logg.Fatalf("%v", err)
+		cfg := mira.PredictorConfig{Seed: *seed}
+		if *tune {
+			ds, err := study.BuildPredictorDataset(time.Hour, *seed)
+			if err != nil {
+				return err
+			}
+			fmt.Fprintln(stdout, "running Bayesian-optimization architecture search...")
+			hidden, err := core.TuneArchitecture(ds, core.Config{Seed: *seed, Epochs: 25}, 8)
+			if err != nil {
+				return err
+			}
+			fmt.Fprintf(stdout, "selected hidden layers: %v (paper default: [12 12 6])\n\n", hidden)
+			cfg.Hidden = hidden
 		}
-		nnConf, err := core.CrossValidate(ds, core.Config{Seed: *seed + 2}, 5)
-		if err != nil {
-			logg.Fatalf("%v", err)
-		}
-		fmt.Printf("  neural network (delta features): %v\n", nnConf)
-		thr, err := core.FitThresholdBaseline(ds, 2)
-		if err != nil {
-			logg.Fatalf("%v", err)
-		}
-		fmt.Printf("  threshold monitor:                %v\n", thr.Evaluate(ds))
-		logit, err := core.TrainLogisticBaseline(ds, core.Config{Seed: *seed + 3})
-		if err != nil {
-			logg.Fatalf("%v", err)
-		}
-		fmt.Printf("  logistic regression:              %v\n", logit.Evaluate(ds))
 
-		lvl, err := core.BuildDataset(study.PositiveWindows(), study.NegativeWindows(),
-			study.Step(), 4*time.Hour, core.LevelFeatures, *seed+4)
-		if err == nil {
-			lvlConf, err := core.CrossValidate(lvl, core.Config{Seed: *seed + 5}, 5)
+		points, err := study.Fig13Predictor(cfg)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(stdout, "5-fold cross-validated performance vs lead time (Fig. 13):")
+		fmt.Fprintln(stdout, "lead    accuracy  precision  recall   F1      FPR")
+		for _, pt := range points {
+			c := pt.Confusion
+			fmt.Fprintf(stdout, "%-6s  %8.3f  %9.3f  %6.3f  %6.3f  %5.3f\n",
+				pt.Lead, c.Accuracy(), c.Precision(), c.Recall(), c.F1(), c.FalsePositiveRate())
+		}
+		fmt.Fprintln(stdout, "[paper: ~87% accuracy six hours out rising to ~97% at 30 minutes]")
+
+		if *location || *mitigation {
+			predictor, err := study.TrainPredictor(time.Hour, mira.PredictorConfig{Seed: *seed + 10})
+			if err != nil {
+				return err
+			}
+			if *location {
+				rep, err := study.EvaluateLocation(predictor, 0.9)
+				if err != nil {
+					return err
+				}
+				fmt.Fprintln(stdout, "\nsystem-level *location prediction (paper: a stated improvement direction):")
+				fmt.Fprintf(stdout, "  incidents evaluated: %d\n", rep.Evaluated)
+				fmt.Fprintf(stdout, "  epicenter top-1 / top-3 accuracy: %.0f%% / %.0f%% (random: 2%% / 6%%)\n", rep.Top1*100, rep.Top3*100)
+				fmt.Fprintf(stdout, "  mean epicenter rank: %.1f of 48 (random: 24.5)\n", rep.MeanEpicenterRank)
+				fmt.Fprintf(stdout, "  machine-wide alarm precision: %.0f%% over %d alarm frames\n", rep.FrameAlarmPrecision*100, rep.AlarmFrames)
+			}
+			if *mitigation {
+				rep, err := study.EvaluateMitigation(predictor, mira.MitigationConfig{})
+				if err != nil {
+					return err
+				}
+				fmt.Fprintln(stdout, "\nproactive *mitigation (paper §VI-B: checkpoint on warning):")
+				fmt.Fprintf(stdout, "  incidents: %d; warned ≥30 min ahead: %.0f%%; mean warning: %v\n",
+					len(rep.Incidents), rep.WarnedFraction*100, rep.MeanWarningLead.Round(time.Minute))
+				fmt.Fprintf(stdout, "  lost compute (kilo-node-hours): none=%.0f periodic=%.0f predictive=%.0f (+%.1f checkpoint overhead)\n",
+					rep.TotalLostNone, rep.TotalLostPeriodic, rep.TotalLostPredictive, rep.CheckpointOverheadHours)
+				fmt.Fprintf(stdout, "  net savings vs periodic checkpointing: %.0f%%\n", rep.SavingsVsPeriodic()*100)
+			}
+		}
+
+		if *baselines {
+			fmt.Fprintln(stdout, "\nbaselines at a 2 h lead:")
+			ds, err := study.BuildPredictorDataset(2*time.Hour, *seed+1)
+			if err != nil {
+				return err
+			}
+			nnConf, err := core.CrossValidate(ds, core.Config{Seed: *seed + 2}, 5)
+			if err != nil {
+				return err
+			}
+			fmt.Fprintf(stdout, "  neural network (delta features): %v\n", nnConf)
+			thr, err := core.FitThresholdBaseline(ds, 2)
+			if err != nil {
+				return err
+			}
+			fmt.Fprintf(stdout, "  threshold monitor:                %v\n", thr.Evaluate(ds))
+			logit, err := core.TrainLogisticBaseline(ds, core.Config{Seed: *seed + 3})
+			if err != nil {
+				return err
+			}
+			fmt.Fprintf(stdout, "  logistic regression:              %v\n", logit.Evaluate(ds))
+
+			lvl, err := core.BuildDataset(study.PositiveWindows(), study.NegativeWindows(),
+				study.Step(), 4*time.Hour, core.LevelFeatures, *seed+4)
 			if err == nil {
-				fmt.Printf("  NN on level features (4 h lead): %v\n", lvlConf)
-				fmt.Println("  [paper §VI-D: the change in metric values, not their level, carries the signal]")
+				lvlConf, err := core.CrossValidate(lvl, core.Config{Seed: *seed + 5}, 5)
+				if err == nil {
+					fmt.Fprintf(stdout, "  NN on level features (4 h lead): %v\n", lvlConf)
+					fmt.Fprintln(stdout, "  [paper §VI-D: the change in metric values, not their level, carries the signal]")
+				}
 			}
 		}
-	}
 
-	if *reportPath != "" {
-		if err := obs.WriteRunReport(*reportPath); err != nil {
-			logg.Fatalf("-report: %v", err)
-		}
-		logg.Infof("run report written to %s", *reportPath)
-	}
+		return nil
+	})
 }

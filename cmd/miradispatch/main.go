@@ -20,92 +20,76 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"flag"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"mira/internal/campaign"
-	"mira/internal/obs"
+	"mira/internal/cli"
 )
 
-func main() {
-	var (
-		dataDir     = flag.String("data", "", "queue directory for durable job files (serve mode)")
-		listen      = flag.String("listen", "", "serve the campaign API (and /metrics, /healthz, pprof) on this address")
-		lease       = flag.Duration("lease", 30*time.Second, "claim lease; a worker silent this long forfeits its job")
-		maxAttempts = flag.Int("max-attempts", 3, "worker-reported failures before a job parks as failed")
-		url         = flag.String("url", "", "dispatcher base URL (client modes)")
-		submit      = flag.String("submit", "", "comma-separated JSON job-spec files to enqueue (requires -url)")
-		status      = flag.Bool("status", false, "print every job's state (requires -url)")
-		results     = flag.Bool("results", false, "print completed jobs' results as JSON (requires -url)")
-		logFormat   = flag.String("log-format", "text", "diagnostic log format: text or json")
-	)
-	flag.Parse()
-	logg := obs.NewLogger(os.Stderr, *logFormat, "miradispatch")
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	switch {
-	case *url != "":
-		if *dataDir != "" || *listen != "" {
-			logg.Fatalf("-url is a client mode; it does not combine with -data/-listen")
+func run(args []string, stdout, stderr io.Writer) int {
+	c := cli.New("miradispatch", stderr)
+	var (
+		dataDir     = c.Flags.String("data", "", "queue directory for durable job files (serve mode)")
+		listen      = c.Flags.String("listen", "", "serve the campaign API (and /metrics, /healthz, pprof) on this address")
+		lease       = c.Flags.Duration("lease", 30*time.Second, "claim lease; a worker silent this long forfeits its job")
+		maxAttempts = c.Flags.Int("max-attempts", 3, "worker-reported failures before a job parks as failed")
+		url         = c.Flags.String("url", "", "dispatcher base URL (client modes)")
+		submit      = c.Flags.String("submit", "", "comma-separated JSON job-spec files to enqueue (requires -url)")
+		status      = c.Flags.Bool("status", false, "print every job's state (requires -url)")
+		results     = c.Flags.Bool("results", false, "print completed jobs' results as JSON (requires -url)")
+	)
+	return c.Run(args, func() error {
+		switch {
+		case *url != "":
+			if *dataDir != "" || *listen != "" {
+				return errors.New("-url is a client mode; it does not combine with -data/-listen")
+			}
+			return runClient(stdout, *url, *submit, *status, *results)
+		case *dataDir != "" && *listen != "":
+			return serve(c, *dataDir, *listen, *lease, *maxAttempts)
+		default:
+			return errors.New("need either -data and -listen (serve) or -url (client); see -h")
 		}
-		runClient(logg, *url, *submit, *status, *results)
-	case *dataDir != "" && *listen != "":
-		serve(logg, *dataDir, *listen, *lease, *maxAttempts)
-	default:
-		logg.Fatalf("need either -data and -listen (serve) or -url (client); see -h")
-	}
+	})
 }
 
 // serve opens (or recovers) the durable queue and mounts the dispatcher
 // endpoints alongside the obs surface until SIGINT/SIGTERM.
-func serve(logg *obs.Logger, dataDir, listen string, lease time.Duration, maxAttempts int) {
+func serve(c *cli.Cmd, dataDir, listen string, lease time.Duration, maxAttempts int) error {
 	q, err := campaign.OpenQueue(dataDir, campaign.QueueOptions{
 		Lease:       lease,
 		MaxAttempts: maxAttempts,
 	})
 	if err != nil {
-		logg.Fatalf("open queue %s: %v", dataDir, err)
+		return fmt.Errorf("open queue %s: %w", dataDir, err)
 	}
-	d := campaign.NewDispatcher(q, logg)
-	srv, err := obs.ServeWith(listen, d.Mount)
+	srv, err := c.Serve(listen, campaign.NewDispatcher(q, c.Log).Mount)
 	if err != nil {
-		logg.Fatalf("-listen %s: %v", listen, err)
+		return err
 	}
-	var done, failed int
+	states := map[string]int{}
 	for _, j := range q.Status() {
-		switch j.State {
-		case campaign.StateDone:
-			done++
-		case campaign.StateFailed:
-			failed++
-		}
+		states[j.State]++
 	}
 	pending, _ := q.Depths()
-	logg.Infof("queue %s recovered: %d pending, %d done, %d failed", dataDir, pending, done, failed)
-	logg.Infof("campaign dispatcher on %s", srv.Addr())
-
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-	sig := <-sigCh
-	logg.Infof("%v: shutting down", sig)
-	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		logg.Errorf("http shutdown: %v", err)
-	}
-	logg.Infof("shutdown complete")
+	c.Log.Infof("queue %s recovered: %d pending, %d done, %d failed", dataDir, pending, states[campaign.StateDone], states[campaign.StateFailed])
+	c.Log.Infof("campaign dispatcher on %s", srv.Addr())
+	return c.ServeUntilSignal(srv, nil)
 }
 
 // runClient executes the requested client actions in submit → status →
 // results order so one invocation can both enqueue and inspect.
-func runClient(logg *obs.Logger, url, submit string, status, results bool) {
+func runClient(stdout io.Writer, url, submit string, status, results bool) error {
 	if submit == "" && !status && !results {
-		logg.Fatalf("-url needs at least one of -submit, -status, -results")
+		return errors.New("-url needs at least one of -submit, -status, -results")
 	}
 	ctx := context.Background()
 	c := campaign.NewClient(url, http.DefaultClient)
@@ -114,54 +98,60 @@ func runClient(logg *obs.Logger, url, submit string, status, results bool) {
 		for _, path := range strings.Split(submit, ",") {
 			spec, err := readSpecFile(path)
 			if err != nil {
-				logg.Fatalf("%v", err)
+				return err
 			}
 			id, err := c.Submit(ctx, spec)
 			if err != nil {
-				logg.Fatalf("submit %s: %v", path, err)
+				return fmt.Errorf("submit %s: %w", path, err)
 			}
-			fmt.Printf("job %d submitted: %s (seed %d, %s..%s)\n", id, spec.Name, spec.Seed, spec.Start, spec.End)
+			fmt.Fprintf(stdout, "job %d submitted: %s (seed %d, %s..%s)\n", id, spec.Name, spec.Seed, spec.Start, spec.End)
 		}
 	}
 	if status {
 		jobs, err := c.Status(ctx)
 		if err != nil {
-			logg.Fatalf("status: %v", err)
+			return fmt.Errorf("status: %w", err)
 		}
-		fmt.Printf("%-5s %-20s %-8s %-8s %-20s %s\n", "job", "name", "state", "attempt", "worker", "error")
+		fmt.Fprintf(stdout, "%-5s %-20s %-8s %-8s %-20s %s\n", "job", "name", "state", "attempt", "worker", "error")
 		for _, j := range jobs {
 			worker := "-"
 			if j.Worker != 0 {
 				worker = fmt.Sprint(j.Worker)
 			}
-			fmt.Printf("%-5d %-20s %-8s %-8d %-20s %s\n", j.ID, j.Name, j.State, j.Attempt, worker, j.Error)
+			fmt.Fprintf(stdout, "%-5d %-20s %-8s %-8d %-20s %s\n", j.ID, j.Name, j.State, j.Attempt, worker, j.Error)
 		}
 	}
 	if results {
 		res, err := c.Results(ctx)
 		if err != nil {
-			logg.Fatalf("results: %v", err)
+			return fmt.Errorf("results: %w", err)
 		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(res); err != nil {
-			logg.Fatalf("encode results: %v", err)
+			return fmt.Errorf("encode results: %w", err)
 		}
 	}
+	return nil
 }
 
-// readSpecFile loads one plain-JSON JobSpec; unknown fields are rejected so
-// a typoed knob fails loudly instead of silently running the default.
+// readSpecFile loads one plain-JSON JobSpec. Unknown fields and anything
+// after the object are rejected, so a typoed knob or a second pasted spec
+// fails loudly instead of silently running the default.
 func readSpecFile(path string) (campaign.JobSpec, error) {
-	b, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return campaign.JobSpec{}, err
 	}
-	dec := json.NewDecoder(strings.NewReader(string(b)))
+	defer f.Close()
+	dec := json.NewDecoder(f)
 	dec.DisallowUnknownFields()
 	var spec campaign.JobSpec
 	if err := dec.Decode(&spec); err != nil {
 		return campaign.JobSpec{}, fmt.Errorf("spec %s: %w", path, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return campaign.JobSpec{}, fmt.Errorf("spec %s: trailing data after the job object", path)
 	}
 	if spec.Version == 0 {
 		spec.Version = campaign.SpecVersion

@@ -5,9 +5,10 @@
 //
 // Usage:
 //
-//	miramon [-seed N] [-train-days 120] [-watch-days 45] [-data dir]
+//	miramon [-seed N] [-train-days 150] [-watch-days 45] [-data dir]
 //	        [-retention 0] [-compact-interval 1h] [-listen :8080] [-serve]
-//	        [-halls 1] [-racks 48] [-audit-interval 1m]
+//	        [-halls 1] [-racks 48] [-audit-interval 1m] [-scan-workers N]
+//	        [-slow-query 0] [-trace-sample 1]
 //	        [-report report.json] [-log-format text|json]
 //
 // With -data, a cold run persists the watched telemetry to segment files;
@@ -41,17 +42,16 @@ package main
 import (
 	"context"
 	"errors"
-	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
-	"os/signal"
 	"sync"
-	"syscall"
 	"time"
 
 	"mira"
 	"mira/internal/analysis"
+	"mira/internal/cli"
 	"mira/internal/core"
 	"mira/internal/envdb"
 	"mira/internal/obs"
@@ -129,206 +129,167 @@ func (w *watcher) OnIncident(inc sim.Incident) {
 	}
 }
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	c := cli.New("miramon", stderr).WithReport()
 	var (
-		seed        = flag.Int64("seed", 99, "seed")
-		trainDays   = flag.Int("train-days", 150, "days of telemetry to train the early-warning model on")
-		watchDays   = flag.Int("watch-days", 45, "days of telemetry to monitor")
-		dataDir     = flag.String("data", "", "persist watched telemetry to segment files; on a warm open, replay them instead of simulating")
-		retention   = flag.Duration("retention", 0, "hot-window length for the -data store: fold older records into 1-hour downsampled windows on disk (0 = keep everything full-rate)")
-		compactEach = flag.Duration("compact-interval", time.Hour, "how often a listening monitor re-runs retention compaction in the background (requires -retention and -listen)")
-		listen      = flag.String("listen", "", "serve /metrics, /healthz, and pprof on this address and stay up after the demo (e.g. :8080)")
-		serve       = flag.Bool("serve", false, "run as a telemetry server: expose the -data store through the telemetrynet ingest/query API on -listen instead of running the demo")
-		halls       = flag.Int("halls", 1, "machine halls the -data store is sized for; >1 shards the store per hall and persists per-hall segment directories")
-		racks       = flag.Int("racks", topology.NumRacks, "racks per hall (1..48)")
-		auditEach   = flag.Duration("audit-interval", time.Minute, "how often a listening monitor threshold-audits records newer than the last audited timestamp")
-		reportPath  = flag.String("report", "", "write a RunReport metric snapshot (JSON) to this file at exit")
-		logFormat   = flag.String("log-format", "text", "diagnostic log format: text or json")
-		scanWorkers = flag.Int("scan-workers", 0, "decode workers for parallel store scans (0 = GOMAXPROCS)")
-		slowQuery   = flag.Duration("slow-query", 0, "log telemetry API requests at or over this duration as JSON slow-query lines on stderr, and always keep their traces at /debug/traces (0 = disabled)")
-		traceSample = flag.Float64("trace-sample", 1, "head-sampling ratio for request traces at /debug/traces, 0..1; slow requests are kept regardless")
+		seed        = c.Flags.Int64("seed", 99, "seed")
+		trainDays   = c.Flags.Int("train-days", 150, "days of telemetry to train the early-warning model on")
+		watchDays   = c.Flags.Int("watch-days", 45, "days of telemetry to monitor")
+		dataDir     = c.Flags.String("data", "", "persist watched telemetry to segment files; on a warm open, replay them instead of simulating")
+		retention   = c.Flags.Duration("retention", 0, "hot-window length for the -data store: fold older records into 1-hour downsampled windows on disk (0 = keep everything full-rate)")
+		compactEach = c.Flags.Duration("compact-interval", time.Hour, "how often a listening monitor re-runs retention compaction in the background (requires -retention and -listen; <= 0 disables)")
+		listen      = c.Flags.String("listen", "", "serve /metrics, /healthz, and pprof on this address and stay up after the demo (e.g. :8080)")
+		serve       = c.Flags.Bool("serve", false, "run as a telemetry server: expose the -data store through the telemetrynet ingest/query API on -listen instead of running the demo")
+		fleetFlags  = c.Fleet("machine halls the -data store is sized for; >1 shards the store per hall and persists per-hall segment directories")
+		auditEach   = c.Flags.Duration("audit-interval", time.Minute, "how often a listening monitor threshold-audits records newer than the last audited timestamp")
+		scanWorkers = c.Flags.Int("scan-workers", 0, "decode workers for parallel store scans (0 = GOMAXPROCS)")
+		slowQuery   = c.Flags.Duration("slow-query", 0, "log telemetry API requests at or over this duration as JSON slow-query lines on stderr, and always keep their traces at /debug/traces (0 = disabled)")
+		traceSample = c.Flags.Float64("trace-sample", 1, "head-sampling ratio for request traces at /debug/traces, 0..1; slow requests are kept regardless")
 	)
-	flag.Parse()
-	logg := obs.NewLogger(os.Stderr, *logFormat, "miramon")
-
-	tcfg := obs.TracerConfig{SampleRatio: *traceSample, NoSample: *traceSample <= 0}
-	if *slowQuery > 0 {
+	return c.Run(args, func() error {
 		// One threshold drives both surfaces: the slow-query log and the
-		// tracer's always-keep-slow policy.
-		tcfg.SlowSpan = *slowQuery
-	}
-	obs.ConfigureTracer(tcfg)
+		// tracer's always-keep-slow policy (0 keeps the tracer's default).
+		obs.ConfigureTracer(obs.TracerConfig{SampleRatio: *traceSample, NoSample: *traceSample <= 0, SlowSpan: *slowQuery})
 
-	scan := analysis.CollectOptions{Workers: *scanWorkers}
-
-	if *serve && (*listen == "" || *dataDir == "") {
-		logg.Fatalf("-serve requires both -listen and -data")
-	}
-	fleet, err := topology.NewFleet(*halls, *racks)
-	if err != nil {
-		logg.Fatalf("bad -halls/-racks: %v", err)
-	}
-
-	// serveHTTP starts the shared listener: the obs surface, plus — with
-	// -serve — the telemetry API mounted on the same mux.
-	var httpSrv *obs.HTTPServer
-	serveHTTP := func(db envdb.DB) {
-		if *listen == "" {
-			return
+		scan := analysis.CollectOptions{Workers: *scanWorkers}
+		if *serve && (*listen == "" || *dataDir == "") {
+			return errors.New("-serve requires both -listen and -data")
 		}
-		var mount func(*http.ServeMux)
-		if *serve && db != nil {
-			mount = telemetrynet.NewServer(db, telemetrynet.ServerOptions{
-				ScanWorkers: *scanWorkers,
-				SlowQuery:   *slowQuery,
-			}).Mount
-		}
-		srv, err := obs.ServeWith(*listen, mount)
+		fleet, err := fleetFlags()
 		if err != nil {
-			logg.Fatalf("-listen %s: %v", *listen, err)
+			return err
 		}
-		httpSrv = srv
-		logg.Infof("serving /metrics, /healthz, and /debug/pprof on %s", srv.Addr())
-		if mount != nil {
-			logg.Infof("telemetry API on %s", srv.Addr())
-		}
-	}
+		opts := tsdb.Options{Retention: *retention, Fleet: fleet}
 
-	if *serve {
-		db, err := tsdb.Open(*dataDir, tsdb.Options{Retention: *retention, Fleet: fleet})
-		switch {
-		case errors.Is(err, tsdb.ErrNoData):
-			logg.Infof("no segments under %s; serving an empty store", *dataDir)
-			db = tsdb.NewStoreWith(tsdb.Options{Retention: *retention, Fleet: fleet})
-		case errors.Is(err, tsdb.ErrCorrupt):
-			obs.SetHealth(err)
-			logg.Errorf("store under %s is corrupt; serving unhealthy: %v", *dataDir, err)
-			serveHTTP(nil)
-			finish(logg, httpSrv, nil, "", 0, *reportPath)
-			return
-		case err != nil:
-			logg.Fatalf("%v", err)
-		}
-		db.ExposeGauges(nil)
-		serveHTTP(db)
-		compactOnce(db, *dataDir, *retention, logg)
-		aud := newAuditor(db, *scanWorkers)
-		if recs, alarms, _, err := aud.runOnce(); err != nil {
-			logg.Fatalf("initial audit: %v", err)
-		} else {
-			logg.Infof("serving %d stored records (%d threshold alarms on the initial audit)", db.Len(), alarms)
-			_ = recs
-		}
-		startCompactor(db, *dataDir, *retention, *compactEach, *listen, logg)
-		aud.startLoop(*auditEach, logg)
-		finish(logg, httpSrv, db, *dataDir, *retention, *reportPath)
-		return
-	}
-
-	serveHTTP(nil)
-
-	if *dataDir != "" {
-		db, err := tsdb.Open(*dataDir, tsdb.Options{Retention: *retention, Fleet: fleet})
-		switch {
-		case err == nil:
-			db.ExposeGauges(nil)
-			compactOnce(db, *dataDir, *retention, logg)
-			aud := replayAudit(db, *dataDir, scan, logg)
-			startCompactor(db, *dataDir, *retention, *compactEach, *listen, logg)
-			if *listen != "" {
-				aud.startLoop(*auditEach, logg)
+		// db is the -data store when it opened warm, nil on a cold start;
+		// -serve serves a missing store empty.
+		var db *tsdb.Store
+		if *dataDir != "" {
+			db, err = tsdb.Open(*dataDir, opts)
+			switch {
+			case errors.Is(err, tsdb.ErrCorrupt) && *listen != "":
+				// A long-running monitor should surface corruption on
+				// /healthz, not die: scrapers see the 503 and the error text.
+				obs.SetHealth(err)
+				c.Log.Errorf("store under %s is corrupt; serving unhealthy: %v", *dataDir, err)
+				srv, err := c.Serve(*listen, nil)
+				if err != nil {
+					return err
+				}
+				return stayUp(c, srv, nil, "")
+			case errors.Is(err, tsdb.ErrNoData) && *serve:
+				c.Log.Infof("no segments under %s; serving an empty store", *dataDir)
+				db = tsdb.NewStoreWith(opts)
+			case errors.Is(err, tsdb.ErrNoData):
+				db = nil
+			case err != nil:
+				return err
 			}
-			finish(logg, httpSrv, db, *dataDir, *retention, *reportPath)
-			return
-		case errors.Is(err, tsdb.ErrCorrupt) && *listen != "":
-			// A long-running monitor should surface corruption on
-			// /healthz, not die: scrapers see the 503 and the error text.
-			obs.SetHealth(err)
-			logg.Errorf("store under %s is corrupt; serving unhealthy: %v", *dataDir, err)
-			finish(logg, httpSrv, nil, "", 0, *reportPath)
-			return
-		case !errors.Is(err, tsdb.ErrNoData):
-			logg.Fatalf("%v", err)
 		}
-		// Cold start: run the live demo below and persist at the end.
-	}
 
-	// Train on a failure-dense 2016 stretch.
-	trainStart := time.Date(2016, 6, 1, 0, 0, 0, 0, timeutil.Chicago)
-	trainEnd := trainStart.AddDate(0, 0, *trainDays)
-	fmt.Printf("training the early-warning model on %d simulated days...\n", *trainDays)
-	study, err := mira.RunStudy(mira.StudyConfig{Seed: *seed, Start: trainStart, End: trainEnd})
-	if err != nil {
-		logg.Fatalf("%v", err)
-	}
-	predictor, err := study.TrainPredictor(time.Hour, mira.PredictorConfig{Seed: *seed})
-	if err != nil {
-		logg.Fatalf("%v", err)
-	}
-	fmt.Printf("trained on %d pre-CMF and %d quiet windows\n\n", len(study.PositiveWindows()), len(study.NegativeWindows()))
-
-	// Watch a later window live.
-	watchStart := trainEnd
-	watchEnd := watchStart.AddDate(0, 0, *watchDays)
-	fmt.Printf("monitoring %s .. %s...\n\n", watchStart.Format("2006-01-02"), watchEnd.Format("2006-01-02"))
-	w := newWatcher(predictor, timeutil.SampleInterval, logg)
-	s := sim.New(sim.Config{Seed: *seed, Start: trainStart, End: watchEnd})
-	// Replay includes the training period for scheduler continuity; only
-	// report the watch window.
-	w2 := &gate{inner: w, from: watchStart}
-	s.AddRecorder(w2)
-	// Keep the watched telemetry queryable in the compressed store so the
-	// summary can aggregate it without re-running the simulation. The demo
-	// simulates one machine; a wider -halls store just leaves the other
-	// halls' shards empty.
-	db := tsdb.NewStoreWith(tsdb.Options{Retention: *retention, Fleet: fleet})
-	db.ExposeGauges(nil)
-	dbRec := sim.NewEnvDBRecorder(db)
-	s.AddRecorder(&gate{inner: dbRec, from: watchStart})
-	if err := s.Run(); err != nil {
-		logg.Fatalf("%v", err)
-	}
-	if dbRec.Err != nil {
-		logg.Fatalf("telemetry recording: %v", dbRec.Err)
-	}
-
-	for _, e := range w.events {
-		fmt.Println(e)
-	}
-	fmt.Printf("\nsummary: %d threshold alarms, %d NN early warnings, %d CMF incidents\n",
-		w.warnings, w.alerts, len(s.Incidents()))
-	fmt.Println("threshold alarms fire when limits are already crossed; the NN flags the")
-	fmt.Println("characteristic telemetry *changes* hours earlier (paper §VI-D).")
-
-	db.SealAll()
-	st := db.Stats()
-	fmt.Printf("\ntelemetry retained: %d samples, %.2f MiB compressed (%.2f B/sample)\n",
-		db.Len(), float64(st.SealedBytes)/(1<<20), st.BytesPerSample)
-	hot := topology.RackID{Row: 1, Col: 8} // the paper's humidity hotspot
-	fmt.Printf("rack %v inlet °F by week (min / mean / max, aggregation pushdown):\n", hot)
-	aggs, err := db.Aggregate(hot, sensors.MetricInletTemp, watchStart, watchEnd, 7*24*time.Hour)
-	if err != nil {
-		logg.Fatalf("aggregate: %v", err)
-	}
-	for _, agg := range aggs {
-		if agg.Count == 0 {
-			continue
+		var mount func(*http.ServeMux)
+		if *serve {
+			mount = telemetrynet.NewServer(db, telemetrynet.ServerOptions{ScanWorkers: *scanWorkers, SlowQuery: *slowQuery}).Mount
 		}
-		fmt.Printf("  wk %s  %6.2f / %6.2f / %6.2f\n", agg.Start.Format("2006-01-02"), agg.Min, agg.Mean(), agg.Max)
-	}
-
-	summarizeAnalysis(db, scan)
-
-	if *dataDir != "" {
-		if err := db.Flush(*dataDir); err != nil {
-			logg.Fatalf("%v", err)
+		srv, err := c.Serve(*listen, mount)
+		if err != nil {
+			return err
 		}
-		compactOnce(db, *dataDir, *retention, logg)
-		fmt.Printf("\nwatched telemetry persisted to %s (%.1f MiB on disk); rerun with -data to replay without simulating\n",
-			*dataDir, float64(db.Stats().DiskBytes)/(1<<20))
-		startCompactor(db, *dataDir, *retention, *compactEach, *listen, logg)
-	}
-	finish(logg, httpSrv, db, *dataDir, *retention, *reportPath)
+		if db != nil {
+			if *serve {
+				c.Log.Infof("telemetry API on %s", srv.Addr())
+			}
+			db.ExposeGauges(nil)
+			if err := cli.Compact(stdout, db, *dataDir); err != nil {
+				return err
+			}
+			aud := newAuditor(db, *scanWorkers)
+			if *serve {
+				_, alarms, _, err := aud.runOnce()
+				if err != nil {
+					return fmt.Errorf("initial audit: %w", err)
+				}
+				c.Log.Infof("serving %d stored records (%d threshold alarms on the initial audit)", db.Len(), alarms)
+			} else if err := replayAudit(stdout, aud, *dataDir, scan); err != nil {
+				return err
+			}
+			startCompactor(c.Log, db, *dataDir, *retention, *compactEach, *listen)
+			if *listen != "" {
+				aud.startLoop(*auditEach, c.Log)
+			}
+			return stayUp(c, srv, db, *dataDir)
+		}
+
+		// Cold start (or no -data): run the live demo and persist at the end.
+		// Train on a failure-dense 2016 stretch.
+		trainStart := time.Date(2016, 6, 1, 0, 0, 0, 0, timeutil.Chicago)
+		trainEnd := trainStart.AddDate(0, 0, *trainDays)
+		fmt.Fprintf(stdout, "training the early-warning model on %d simulated days...\n", *trainDays)
+		study, err := mira.RunStudy(mira.StudyConfig{Seed: *seed, Start: trainStart, End: trainEnd})
+		if err != nil {
+			return err
+		}
+		predictor, err := study.TrainPredictor(time.Hour, mira.PredictorConfig{Seed: *seed})
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "trained on %d pre-CMF and %d quiet windows\n\n", len(study.PositiveWindows()), len(study.NegativeWindows()))
+
+		// Watch a later window live.
+		watchStart := trainEnd
+		watchEnd := watchStart.AddDate(0, 0, *watchDays)
+		fmt.Fprintf(stdout, "monitoring %s .. %s...\n\n", watchStart.Format("2006-01-02"), watchEnd.Format("2006-01-02"))
+		w := newWatcher(predictor, timeutil.SampleInterval, c.Log)
+		s := sim.New(sim.Config{Seed: *seed, Start: trainStart, End: watchEnd})
+		// Replay includes the training period for scheduler continuity; only
+		// report the watch window.
+		s.AddRecorder(&gate{inner: w, from: watchStart})
+		// Keep the watched telemetry queryable in the compressed store so
+		// the summary can aggregate it without re-running the simulation.
+		// The demo simulates one machine; a wider -halls store just leaves
+		// the other halls' shards empty.
+		db = tsdb.NewStoreWith(opts)
+		db.ExposeGauges(nil)
+		dbRec := sim.NewEnvDBRecorder(db)
+		s.AddRecorder(&gate{inner: dbRec, from: watchStart})
+		if err := s.Run(); err != nil {
+			return err
+		}
+		if dbRec.Err != nil {
+			return fmt.Errorf("telemetry recording: %w", dbRec.Err)
+		}
+
+		for _, e := range w.events {
+			fmt.Fprintln(stdout, e)
+		}
+		fmt.Fprintf(stdout, "\nsummary: %d threshold alarms, %d NN early warnings, %d CMF incidents\n",
+			w.warnings, w.alerts, len(s.Incidents()))
+		fmt.Fprintln(stdout, "threshold alarms fire when limits are already crossed; the NN flags the")
+		fmt.Fprintln(stdout, "characteristic telemetry *changes* hours earlier (paper §VI-D).")
+
+		db.SealAll()
+		st := db.Stats()
+		fmt.Fprintf(stdout, "\ntelemetry retained: %d samples, %.2f MiB compressed (%.2f B/sample)\n",
+			db.Len(), float64(st.SealedBytes)/(1<<20), st.BytesPerSample)
+		if err := summarize(stdout, db, scan, watchStart, watchEnd); err != nil {
+			return err
+		}
+
+		if *dataDir != "" {
+			if err := db.Flush(*dataDir); err != nil {
+				return err
+			}
+			if err := cli.Compact(stdout, db, *dataDir); err != nil {
+				return err
+			}
+			fmt.Fprintf(stdout, "\nwatched telemetry persisted to %s (%.1f MiB on disk); rerun with -data to replay without simulating\n",
+				*dataDir, float64(db.Stats().DiskBytes)/(1<<20))
+			startCompactor(c.Log, db, *dataDir, *retention, *compactEach, *listen)
+		}
+		return stayUp(c, srv, db, *dataDir)
+	})
 }
 
 // auditor runs incremental threshold audits: each pass scans only records
@@ -431,29 +392,13 @@ func (a *auditor) startLoop(interval time.Duration, logg *obs.Logger) {
 	}()
 }
 
-// compactOnce runs one retention compaction against the persisted store
-// and reports what it folded; a no-op without -retention.
-func compactOnce(db *tsdb.Store, dir string, retention time.Duration, logg *obs.Logger) {
-	if retention <= 0 {
-		return
-	}
-	cs, err := db.Compact(dir)
-	if err != nil {
-		logg.Fatalf("retention compaction: %v", err)
-	}
-	if cs.Windows > 0 {
-		fmt.Printf("compacted %d raw records into %d downsampled windows (%.1fx on-disk reduction for the compacted range)\n",
-			cs.SourceRecords, cs.Windows, cs.Reduction())
-	}
-}
-
 // startCompactor re-runs retention compaction every interval for as long
 // as the process serves /metrics — the long-running half of the retention
-// story. Compaction errors are logged, not fatal: a monitor should keep
-// serving its health and metrics surface even when a compaction pass
-// fails, and the next tick retries.
-func startCompactor(db *tsdb.Store, dir string, retention, interval time.Duration, listen string, logg *obs.Logger) {
-	if retention <= 0 || listen == "" {
+// story; an interval <= 0 turns it off. Compaction errors are logged, not
+// fatal: a monitor should keep serving its health and metrics surface even
+// when a compaction pass fails, and the next tick retries.
+func startCompactor(logg *obs.Logger, db *tsdb.Store, dir string, retention, interval time.Duration, listen string) {
+	if retention <= 0 || interval <= 0 || listen == "" {
 		return
 	}
 	logg.Infof("background retention compaction every %v (hot window %v)", interval, retention)
@@ -474,101 +419,85 @@ func startCompactor(db *tsdb.Store, dir string, retention, interval time.Duratio
 	}()
 }
 
-// finish writes the RunReport if requested, then either exits (no -listen)
-// or keeps serving until SIGINT/SIGTERM. On a signal the shutdown is
-// graceful: the listener drains in-flight requests, then — when a -data
-// store is live — buffered records are flushed to segments and, with
-// -retention, a final compaction folds anything past the hot window, so
-// telemetry ingested right up to the signal survives the restart.
-func finish(logg *obs.Logger, srv *obs.HTTPServer, db *tsdb.Store, dataDir string, retention time.Duration, reportPath string) {
-	if reportPath != "" {
-		if err := obs.WriteRunReport(reportPath); err != nil {
-			logg.Fatalf("-report: %v", err)
-		}
-		logg.Infof("run report written to %s", reportPath)
-	}
+// stayUp keeps a listening monitor serving until SIGINT/SIGTERM, and
+// returns at once without -listen. On a signal the shutdown is graceful:
+// the listener drains in-flight requests, then — when a -data store is
+// live — buffered records are flushed to segments and, with -retention, a
+// final compaction folds anything past the hot window, so telemetry
+// ingested right up to the signal survives the restart.
+func stayUp(c *cli.Cmd, srv *obs.HTTPServer, db *tsdb.Store, dir string) error {
 	if srv == nil {
-		return
+		return nil
 	}
-	logg.Infof("serving on %s (SIGINT/SIGTERM for graceful shutdown)", srv.Addr())
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-	sig := <-sigCh
-	logg.Infof("%v: shutting down", sig)
-	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		logg.Errorf("http shutdown: %v", err)
-	}
-	if db != nil && dataDir != "" {
-		if err := db.Flush(dataDir); err != nil {
-			logg.Fatalf("final flush: %v", err)
+	return c.ServeUntilSignal(srv, func() error {
+		if dir == "" {
+			return nil
 		}
-		if retention > 0 {
-			if _, err := db.Compact(dataDir); err != nil {
-				logg.Errorf("final compaction: %v", err)
-			}
+		if err := db.Flush(dir); err != nil {
+			return fmt.Errorf("final flush: %w", err)
 		}
-		logg.Infof("store flushed to %s (%d records)", dataDir, db.Len())
-	}
-	logg.Infof("shutdown complete")
+		if _, err := db.Compact(dir); err != nil {
+			c.Log.Errorf("final compaction: %v", err)
+		}
+		c.Log.Infof("store flushed to %s (%d records)", dir, db.Len())
+		return nil
+	})
 }
 
-// summarizeAnalysis runs the rack-level coolant and ambient figures over
-// the store so the analysis-layer metrics (figure durations) are populated
-// alongside tsdb and sim series on /metrics and in the RunReport.
-func summarizeAnalysis(db *tsdb.Store, scan analysis.CollectOptions) {
-	c := analysis.CollectFromStoreCtx(context.Background(), db, scan)
-	fig7 := c.Fig7RackCoolant()
-	fig9 := c.Fig9RackAmbient()
-	fmt.Printf("\nrack spreads over the watch window: flow %.1f%%, inlet %.1f%%, outlet %.1f%%; most humid rack %v\n",
-		fig7.FlowSpreadPct, fig7.InletSpreadPct, fig7.OutletSpreadPct, fig9.MaxHumidityRack)
-}
-
-// replayAudit is the warm-start path: no simulation, no NN (the model
-// trains on simulated incidents) — just classic threshold monitoring and
-// the aggregation pushdown summary over the persisted telemetry. The
-// returned auditor's watermarks sit at the end of the store, so a
-// subsequent audit loop re-checks only newly appended records.
-func replayAudit(db *tsdb.Store, dir string, scan analysis.CollectOptions, logg *obs.Logger) *auditor {
-	first, last, ok := db.Bounds()
-	if !ok {
-		logg.Fatalf("store under %s is empty", dir)
-	}
-	st := db.Stats()
-	fmt.Printf("warm start: replaying %d persisted samples from %s (%.1f MiB on disk)\n",
-		db.Len(), dir, float64(st.DiskBytes)/(1<<20))
-	fmt.Printf("window: %s .. %s\n\n", first.Format("2006-01-02 15:04"), last.Format("2006-01-02 15:04"))
-
-	// The merged scan behind the auditor decodes shards in parallel and —
-	// unlike EachRecordUntil — returns decode failures instead of
-	// panicking, which suits a replay over disk-loaded segments.
-	aud := newAuditor(db, scan.Workers)
-	_, warnings, coldWindows, err := aud.runOnce()
-	if err != nil {
-		logg.Fatalf("scan: %v", err)
-	}
-	fmt.Printf("threshold alarms over the stored window: %d\n", warnings)
-	if coldWindows > 0 {
-		fmt.Printf("(%d downsampled windows skipped by the threshold check; aggregates below still cover them)\n", coldWindows)
-	}
-	fmt.Println("(NN early warnings need a live run: the model trains on simulated incidents)")
-
+// summarize prints the weekly inlet aggregates of the paper's humidity
+// hotspot rack over [from, to) through the aggregation pushdown, then runs
+// the rack-level coolant and ambient figures over the store so the
+// analysis-layer metrics (figure durations) are populated alongside tsdb
+// and sim series on /metrics and in the RunReport.
+func summarize(w io.Writer, db *tsdb.Store, scan analysis.CollectOptions, from, to time.Time) error {
 	hot := topology.RackID{Row: 1, Col: 8} // the paper's humidity hotspot
-	fmt.Printf("\nrack %v inlet °F by week (min / mean / max, aggregation pushdown):\n", hot)
-	aggs, err := db.Aggregate(hot, sensors.MetricInletTemp, first, last.Add(time.Nanosecond), 7*24*time.Hour)
+	fmt.Fprintf(w, "rack %v inlet °F by week (min / mean / max, aggregation pushdown):\n", hot)
+	aggs, err := db.Aggregate(hot, sensors.MetricInletTemp, from, to, 7*24*time.Hour)
 	if err != nil {
-		logg.Fatalf("aggregate: %v", err)
+		return fmt.Errorf("aggregate: %w", err)
 	}
 	for _, agg := range aggs {
 		if agg.Count == 0 {
 			continue
 		}
-		fmt.Printf("  wk %s  %6.2f / %6.2f / %6.2f\n", agg.Start.Format("2006-01-02"), agg.Min, agg.Mean(), agg.Max)
+		fmt.Fprintf(w, "  wk %s  %6.2f / %6.2f / %6.2f\n", agg.Start.Format("2006-01-02"), agg.Min, agg.Mean(), agg.Max)
 	}
 
-	summarizeAnalysis(db, scan)
-	return aud
+	c := analysis.CollectFromStoreCtx(context.Background(), db, scan)
+	fig7 := c.Fig7RackCoolant()
+	fig9 := c.Fig9RackAmbient()
+	fmt.Fprintf(w, "\nrack spreads over the watch window: flow %.1f%%, inlet %.1f%%, outlet %.1f%%; most humid rack %v\n",
+		fig7.FlowSpreadPct, fig7.InletSpreadPct, fig7.OutletSpreadPct, fig9.MaxHumidityRack)
+	return nil
+}
+
+// replayAudit is the warm-start path: no simulation, no NN (the model
+// trains on simulated incidents) — just classic threshold monitoring and
+// the aggregation pushdown summary over the persisted telemetry. It leaves
+// the auditor's watermarks at the end of the store, so a subsequent audit
+// loop re-checks only newly appended records.
+func replayAudit(w io.Writer, aud *auditor, dir string, scan analysis.CollectOptions) error {
+	first, last, ok := aud.db.Bounds()
+	if !ok {
+		return fmt.Errorf("store under %s is empty", dir)
+	}
+	fmt.Fprintf(w, "warm start: replaying %d persisted samples from %s (%.1f MiB on disk)\n",
+		aud.db.Len(), dir, float64(aud.db.Stats().DiskBytes)/(1<<20))
+	fmt.Fprintf(w, "window: %s .. %s\n\n", first.Format("2006-01-02 15:04"), last.Format("2006-01-02 15:04"))
+
+	// The merged scan behind the auditor decodes shards in parallel and
+	// returns decode failures instead of panicking, which suits a replay
+	// over disk-loaded segments.
+	_, warnings, coldWindows, err := aud.runOnce()
+	if err != nil {
+		return fmt.Errorf("scan: %w", err)
+	}
+	fmt.Fprintf(w, "threshold alarms over the stored window: %d\n", warnings)
+	if coldWindows > 0 {
+		fmt.Fprintf(w, "(%d downsampled windows skipped by the threshold check; aggregates below still cover them)\n", coldWindows)
+	}
+	fmt.Fprint(w, "(NN early warnings need a live run: the model trains on simulated incidents)\n\n")
+	return summarize(w, aud.db, scan, first, last.Add(time.Nanosecond))
 }
 
 // gate forwards recorder callbacks only after a cutoff time.

@@ -11,13 +11,12 @@ import (
 	"mira/internal/obs"
 	"mira/internal/sim"
 	"mira/internal/telemetrynet"
-	"mira/internal/topology"
 	"mira/internal/tsdb"
 )
 
-// RunJob executes one campaign job: it stands up one simulator per hall
-// (seeded spec.Seed+hall, exactly as the mirasim CLI does, so campaign and
-// CLI runs of the same spec agree), streams telemetry into a worker-local
+// RunJob executes one campaign job: it runs the spec's fleet through
+// sim.RunFleet (hall h seeded spec.Seed+h, exactly as the mirasim CLI does,
+// so campaign and CLI runs of the same spec agree), streams telemetry into a worker-local
 // store — or the shared telemetrynet store when spec.Push is set — and
 // distills the reliability and efficiency outcomes the sweep compares.
 // Hall 0 additionally feeds a live analysis collector for the figure-level
@@ -50,31 +49,9 @@ func RunJob(ctx context.Context, spec JobSpec) (RunResult, error) {
 	}
 
 	collector := analysis.NewCollector()
-	var hall0 *sim.Simulator
-	for h := 0; h < fleet.Halls; h++ {
-		cfg, err := spec.SimConfig(h)
-		if err != nil {
-			return RunResult{}, err
-		}
-		rec := sim.NewEnvDBRecorder(sink)
-		hs := sim.New(cfg)
-		if fleet.Halls > 1 || fleet.Racks != topology.NumRacks {
-			hs.AddRecorder(sim.NewHallRecorder(rec, h, fleet.Racks))
-		} else {
-			hs.AddRecorder(rec)
-		}
-		if h == 0 {
-			hs.AddRecorder(collector)
-		}
-		if err := hs.Run(); err != nil {
-			return RunResult{}, fmt.Errorf("campaign: job %s hall %d: %w", spec.Name, h, err)
-		}
-		if rec.Err != nil {
-			return RunResult{}, fmt.Errorf("campaign: job %s hall %d telemetry: %w", spec.Name, h, rec.Err)
-		}
-		if h == 0 {
-			hall0 = hs
-		}
+	hall0, err := sim.RunFleet(fleet, sink, spec.SimConfig, collector)
+	if err != nil {
+		return RunResult{}, fmt.Errorf("campaign: job %s: %w", spec.Name, err)
 	}
 	collector.Finalize()
 

@@ -201,9 +201,9 @@ func writeTraceTree(w io.Writer, spans []SpanRecord) {
 }
 
 // HTTPServer is a running observability surface with optional extra
-// handlers mounted on the same mux (see ServeWith). Unlike the fire-and-
-// forget Serve, it supports graceful shutdown so services that accept
-// remote writes can stop taking requests before flushing state to disk.
+// handlers mounted on the same mux (see ServeWith). It supports graceful
+// shutdown so services that accept remote writes can stop taking requests
+// before flushing state to disk.
 type HTTPServer struct {
 	srv  *http.Server
 	addr string
@@ -234,21 +234,6 @@ func (r *Registry) ServeWith(addr string, mount func(mux *http.ServeMux)) (*HTTP
 	go srv.Serve(ln)
 	return &HTTPServer{srv: srv, addr: ln.Addr().String()}, nil
 }
-
-// Serve starts the observability surface on addr (":8080", "127.0.0.1:0",
-// ...) in a background goroutine and returns the bound address — useful
-// with port 0. The listener lives for the rest of the process; cmds that
-// need graceful shutdown use ServeWith instead.
-func (r *Registry) Serve(addr string) (string, error) {
-	s, err := r.ServeWith(addr, nil)
-	if err != nil {
-		return "", err
-	}
-	return s.Addr(), nil
-}
-
-// Serve starts the default registry's surface on addr.
-func Serve(addr string) (string, error) { return defaultRegistry.Serve(addr) }
 
 // ServeWith starts the default registry's surface on addr with extra
 // routes mounted on the same mux.

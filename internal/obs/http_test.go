@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -115,11 +116,12 @@ func TestPprofAndIndex(t *testing.T) {
 func TestServe(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("mira_test_served_total", "x").Inc()
-	addr, err := r.Serve("127.0.0.1:0")
+	srv, err := r.ServeWith("127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	status, body := get(t, "http://"+addr+"/metrics")
+	defer srv.Shutdown(context.Background())
+	status, body := get(t, "http://"+srv.Addr()+"/metrics")
 	if status != http.StatusOK || !strings.Contains(body, "mira_test_served_total 1") {
 		t.Errorf("served scrape: status=%d body=%q", status, body)
 	}

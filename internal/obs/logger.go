@@ -23,7 +23,6 @@ type Logger struct {
 	json      bool
 	min       Level
 	component string
-	exit      func(int) // os.Exit, replaceable in tests
 }
 
 // Level orders log severities.
@@ -65,7 +64,6 @@ func NewLogger(w io.Writer, format, component string) *Logger {
 		json:      format == "json",
 		min:       LevelInfo,
 		component: component,
-		exit:      os.Exit,
 	}
 }
 
@@ -87,12 +85,6 @@ func (l *Logger) Warnf(format string, args ...any) { l.emit(LevelWarn, format, a
 
 // Errorf logs at error level.
 func (l *Logger) Errorf(format string, args ...any) { l.emit(LevelError, format, args...) }
-
-// Fatalf logs at error level and exits with status 1.
-func (l *Logger) Fatalf(format string, args ...any) {
-	l.emit(LevelError, format, args...)
-	l.exit(1)
-}
 
 type logLine struct {
 	TS        string `json:"ts"`

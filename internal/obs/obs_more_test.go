@@ -82,20 +82,6 @@ func TestLoggerJSON(t *testing.T) {
 	}
 }
 
-func TestLoggerFatalf(t *testing.T) {
-	var buf bytes.Buffer
-	l := NewLogger(&buf, "text", "testcmd")
-	code := -1
-	l.exit = func(c int) { code = c }
-	l.Fatalf("boom")
-	if code != 1 {
-		t.Errorf("exit code = %d, want 1", code)
-	}
-	if !strings.Contains(buf.String(), "error testcmd: boom") {
-		t.Errorf("fatal line missing:\n%s", buf.String())
-	}
-}
-
 func TestRunReportSnapshot(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("mira_test_report_total", "c").Add(5)

@@ -1,12 +1,12 @@
 package sim
 
 import (
+	"fmt"
 	"time"
 
 	"mira/internal/envdb"
 	"mira/internal/sensors"
 	"mira/internal/topology"
-	"mira/internal/units"
 )
 
 // Window is a fixed-length trailing slice of one rack's telemetry, ending
@@ -170,48 +170,43 @@ func (r *EnvDBRecorder) OnSample(rec sensors.Record) {
 	}
 }
 
-// HallRecorder forwards to an inner recorder with every sample's rack
-// re-tagged into one machine hall — how a fleet run stands up one
-// simulator per hall against a shared multi-hall store. Racks at or past
-// the fleet's per-hall width are dropped, so a narrowed fleet (-racks)
-// never feeds out-of-fleet records to the sink. Only samples carry rack
-// identity on the telemetry path; the other recorder callbacks pass
-// through untouched.
-type HallRecorder struct {
+// RunFleet runs one simulator per hall of fleet, configured by config(h)
+// and recording into sink under its own hall's racks, and returns hall 0's
+// simulator, whose RAS log, incidents and scheduler the summaries report.
+// The hall0 recorders ride along on hall 0 only.
+func RunFleet(fleet topology.Fleet, sink envdb.DB, config func(hall int) (Config, error), hall0 ...Recorder) (*Simulator, error) {
+	var first *Simulator
+	for h := 0; h < fleet.Halls; h++ {
+		cfg, err := config(h)
+		if err != nil {
+			return nil, err
+		}
+		s, rec := New(cfg), NewEnvDBRecorder(sink)
+		s.AddRecorder(&hallRecorder{Recorder: rec, hall: h, racks: fleet.Racks})
+		if h == 0 {
+			first = s
+			s.recorders = append(s.recorders, hall0...)
+		}
+		if err := s.Run(); err != nil {
+			return nil, fmt.Errorf("hall %d: %w", h, err)
+		}
+		if rec.Err != nil {
+			return nil, fmt.Errorf("hall %d telemetry recording: %w", h, rec.Err)
+		}
+	}
+	return first, nil
+}
+
+// hallRecorder re-tags every sample's rack into one hall of a fleet and
+// drops racks past the fleet's per-hall width (-racks).
+type hallRecorder struct {
 	Recorder
-	Hall  int
-	Racks int // per-hall rack count; samples with Index() >= Racks drop
+	hall, racks int
 }
 
-// NewHallRecorder wraps inner for hall h of a fleet with racks racks per
-// hall (<= 0 selects the full 48-rack machine).
-func NewHallRecorder(inner Recorder, hall, racks int) *HallRecorder {
-	if racks <= 0 {
-		racks = topology.NumRacks
+func (h *hallRecorder) OnSample(rec sensors.Record) {
+	if rec.Rack.Index() < h.racks {
+		rec.Rack.Hall = h.hall
+		h.Recorder.OnSample(rec)
 	}
-	return &HallRecorder{Recorder: inner, Hall: hall, Racks: racks}
-}
-
-// OnSample re-tags the record's hall and forwards it.
-func (h *HallRecorder) OnSample(rec sensors.Record) {
-	if rec.Rack.Index() >= h.Racks {
-		return
-	}
-	rec.Rack.Hall = h.Hall
-	h.Recorder.OnSample(rec)
-}
-
-// SystemSeries accumulates the per-tick system power and utilization.
-type SystemSeries struct {
-	NopRecorder
-	Times       []time.Time
-	PowerMW     []float64
-	Utilization []float64
-}
-
-// OnTick appends the tick values.
-func (s *SystemSeries) OnTick(t time.Time, p units.Watts, util float64) {
-	s.Times = append(s.Times, t)
-	s.PowerMW = append(s.PowerMW, p.Megawatts())
-	s.Utilization = append(s.Utilization, util)
 }

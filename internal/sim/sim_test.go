@@ -418,3 +418,18 @@ func TestFanoutHistogramCoversEveryCallback(t *testing.T) {
 		t.Errorf("fan-out histogram grew by %.4fs over a run that slept %.4fs in OnRackState", got, slept)
 	}
 }
+
+// SystemSeries accumulates the per-tick system power and utilization.
+type SystemSeries struct {
+	NopRecorder
+	Times       []time.Time
+	PowerMW     []float64
+	Utilization []float64
+}
+
+// OnTick appends the tick values.
+func (s *SystemSeries) OnTick(t time.Time, p units.Watts, util float64) {
+	s.Times = append(s.Times, t)
+	s.PowerMW = append(s.PowerMW, p.Megawatts())
+	s.Utilization = append(s.Utilization, util)
+}
