@@ -51,9 +51,13 @@ test:
 # simulator's physics/delivery pipeline is run again at one P, where the
 # two goroutines never overlap, and at two, where they do: both must replay
 # the golden streams. The predictor stage's worker pool (cross-validation
-# fits, mitigation replay) gets the same one-P / two-P pass.
+# fits, mitigation replay) gets the same one-P / two-P pass. The end-to-end
+# command tests (mira/cmd, see smoke below) build the commands in a child
+# `go build` whose sources the test cache does not track, so that package
+# always runs uncached (-count=1) rather than replaying a stale pass.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race $$($(GO) list ./... | grep -vx mira/cmd)
+	$(GO) test -race -count=1 ./cmd
 	$(GO) test -race -cpu 1,2 -run 'Golden|Determinism|Pipeline' ./internal/sim
 	$(GO) test -race -cpu 1,2 -run 'Golden|Determin|Concurrent|CrossValidate|Sweep' ./internal/nn ./internal/core ./internal/mitigation
 
@@ -61,8 +65,8 @@ race:
 # build the commands and drive them as processes — warm segments against
 # the CSV path, scan workers, retention compaction, network push with a
 # SIGTERM shutdown, a two-hall fleet, a campaign sweep through a killed
-# worker and a restarted dispatcher, corrupt segments. The race stage's
-# `go test -race ./...` already runs them, so check has no stage of its own.
+# worker and a restarted dispatcher, corrupt segments. The race stage
+# already runs them uncached, so check has no stage of its own.
 smoke:
 	$(GO) test -count=1 -run '^TestSmoke' ./cmd/...
 

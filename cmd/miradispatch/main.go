@@ -64,10 +64,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 // serve opens (or recovers) the durable queue and mounts the dispatcher
 // endpoints alongside the obs surface until SIGINT/SIGTERM.
 func serve(c *cli.Cmd, dataDir, listen string, lease time.Duration, maxAttempts int) error {
-	q, err := campaign.OpenQueue(dataDir, campaign.QueueOptions{
-		Lease:       lease,
-		MaxAttempts: maxAttempts,
-	})
+	q, err := campaign.OpenQueue(dataDir, campaign.QueueOptions{Lease: lease, MaxAttempts: maxAttempts})
 	if err != nil {
 		return fmt.Errorf("open queue %s: %w", dataDir, err)
 	}

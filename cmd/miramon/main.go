@@ -182,9 +182,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			case errors.Is(err, tsdb.ErrNoData) && *serve:
 				c.Log.Infof("no segments under %s; serving an empty store", *dataDir)
 				db = tsdb.NewStoreWith(opts)
-			case errors.Is(err, tsdb.ErrNoData):
-				db = nil
-			case err != nil:
+			case err != nil && !errors.Is(err, tsdb.ErrNoData):
 				return err
 			}
 		}
@@ -377,9 +375,7 @@ func (a *auditor) startLoop(interval time.Duration, logg *obs.Logger) {
 	}
 	logg.Infof("incremental threshold audit every %v", interval)
 	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for range t.C {
+		for range time.Tick(interval) {
 			records, alarms, _, err := a.runOnce()
 			if err != nil {
 				logg.Errorf("threshold audit: %v", err)
@@ -403,9 +399,7 @@ func startCompactor(logg *obs.Logger, db *tsdb.Store, dir string, retention, int
 	}
 	logg.Infof("background retention compaction every %v (hot window %v)", interval, retention)
 	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for range t.C {
+		for range time.Tick(interval) {
 			cs, err := db.Compact(dir)
 			if err != nil {
 				logg.Errorf("retention compaction: %v", err)

@@ -12,6 +12,7 @@ package cmd
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"os/exec"
@@ -236,8 +237,14 @@ func TestSmoke(t *testing.T) {
 		// Serve the warm store: remote figures equal the local warm replay,
 		// a pushed day lands in the live store, and SIGTERM flushes it.
 		{"network_push_sigterm", func(s *smoke) {
-			mon := s.start("miramon", "-serve", "-listen", "127.0.0.1:0", "-data", seg)
+			report := filepath.Join(s.data, "serve-report.json")
+			mon := s.start("miramon", "-serve", "-listen", "127.0.0.1:0", "-data", seg, "-report", report)
 			url := "http://" + mon.waitFor("telemetry API on ")
+			// A serving monitor leaves its report before the signal, too.
+			mon.waitFor("run report written to ")
+			if b, err := os.ReadFile(report); err != nil || !json.Valid(b) {
+				s.t.Fatalf("serving miramon wrote no valid -report (%v):\n%s", err, b)
+			}
 			equal(s.t, "remote and local warm figures", figures(s.run("miraanalyze", "-remote", url)), figures(warm))
 			push := s.run("mirasim", "-start", "2014-03-12", "-end", "2014-03-13", "-push", url)
 			if !regexp.MustCompile(`telemetry pushed: [1-9][0-9]* records`).MatchString(push) {
@@ -326,12 +333,6 @@ func TestSmoke(t *testing.T) {
 				}
 			}
 			disp.terminate()
-		}},
-		// A -compact-interval of 0 turns the background compactor off.
-		{"compact_interval_off", func(s *smoke) {
-			mon := s.start("miramon", "-serve", "-listen", "127.0.0.1:0", "-data", filepath.Join(s.data, "empty"),
-				"-retention", "1h", "-compact-interval", "0")
-			mon.terminate()
 		}},
 		{"cold_corruption", func(s *smoke) {
 			truncate(s.t, cold, "*.cold.seg", func(n int64) int64 { return n - 7 })

@@ -79,18 +79,26 @@ func (c *Cmd) Run(args []string, body func() error) int {
 	}
 	c.Log = obs.NewLogger(c.stderr, *c.logFormat, c.name)
 	err := body()
-	if err == nil && c.report != nil && *c.report != "" {
-		if err = obs.WriteRunReport(*c.report); err != nil {
-			err = fmt.Errorf("-report: %w", err)
-		} else {
-			c.Log.Infof("run report written to %s", *c.report)
-		}
+	if err == nil {
+		err = c.writeReport()
 	}
 	if err != nil {
 		c.Log.Errorf("%v", err)
 		return 1
 	}
 	return 0
+}
+
+// writeReport writes the -report file, if one was asked for.
+func (c *Cmd) writeReport() error {
+	if c.report == nil || *c.report == "" {
+		return nil
+	}
+	if err := obs.WriteRunReport(*c.report); err != nil {
+		return fmt.Errorf("-report: %w", err)
+	}
+	c.Log.Infof("run report written to %s", *c.report)
+	return nil
 }
 
 // Serve starts the observability surface, plus mount's routes, on addr;
@@ -113,11 +121,15 @@ func Signalled() (ctx context.Context, stop context.CancelFunc) {
 	return signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 }
 
-// ServeUntilSignal keeps srv up until SIGINT or SIGTERM, then drains its
-// in-flight requests (15 s at most) and runs flush, if any. The signals
-// are caught before the "serving on" line is logged, so a supervisor that
-// waits for that line may signal at once.
+// ServeUntilSignal writes the -report (Run rewrites it after a clean
+// shutdown, so a killed process still leaves one), keeps srv up until
+// SIGINT or SIGTERM, then drains its in-flight requests (15 s at most) and
+// runs flush, if any. The signals are caught before the "serving on" line
+// is logged, so a supervisor that waits for that line may signal at once.
 func (c *Cmd) ServeUntilSignal(srv *obs.HTTPServer, flush func() error) error {
+	if err := c.writeReport(); err != nil {
+		return err
+	}
 	ctx, stop := Signalled()
 	defer stop()
 	c.Log.Infof("serving on %s (SIGINT/SIGTERM for graceful shutdown)", srv.Addr())

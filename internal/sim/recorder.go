@@ -182,7 +182,11 @@ func RunFleet(fleet topology.Fleet, sink envdb.DB, config func(hall int) (Config
 			return nil, err
 		}
 		s, rec := New(cfg), NewEnvDBRecorder(sink)
-		s.AddRecorder(&hallRecorder{Recorder: rec, hall: h, racks: fleet.Racks})
+		if h == 0 && fleet.Racks == topology.NumRacks {
+			s.AddRecorder(rec) // hall 0, every rack: nothing to re-tag
+		} else {
+			s.AddRecorder(&hallRecorder{Recorder: rec, hall: h, racks: fleet.Racks})
+		}
 		if h == 0 {
 			first = s
 			s.recorders = append(s.recorders, hall0...)
