@@ -51,7 +51,8 @@ test:
 # simulator's physics/delivery pipeline is run again at one P, where the
 # two goroutines never overlap, and at two, where they do: both must replay
 # the golden streams. The predictor stage's worker pool (cross-validation
-# fits, mitigation replay) gets the same one-P / two-P pass. The end-to-end
+# fits, mitigation replay) gets the same one-P / two-P pass, and so does the
+# hall-wide aggregate pushdown, whose racks run on that pool. The end-to-end
 # command tests (mira/cmd, see smoke below) build the commands in a child
 # `go build` whose sources the test cache does not track, so that package
 # always runs uncached (-count=1) rather than replaying a stale pass.
@@ -60,6 +61,7 @@ race:
 	$(GO) test -race -count=1 ./cmd
 	$(GO) test -race -cpu 1,2 -run 'Golden|Determinism|Pipeline' ./internal/sim
 	$(GO) test -race -cpu 1,2 -run 'Golden|Determin|Concurrent|CrossValidate|Sweep' ./internal/nn ./internal/core ./internal/mitigation
+	$(GO) test -race -cpu 1,2 -run 'AggregateRacks' ./internal/tsdb
 
 # smoke runs only the end-to-end command tests (cmd/smoke_test.go): they
 # build the commands and drive them as processes — warm segments against
@@ -73,10 +75,12 @@ smoke:
 # fuzz-smoke gives each fuzz target a short budget: the word-at-a-time bit
 # writer must write what a bit-at-a-time reference writes; segment parsing,
 # block decoding, the telemetry CSV import (miraanalyze -from), the network
-# frame parser, the client's chunk-stream decoder, the trace-header parser,
-# and the campaign job-spec/claim envelopes must reject arbitrary bytes cleanly
-# (wrapped sentinel errors for the wire formats, a fresh root trace for
-# X-Mira-Trace, an error or every row loaded for the CSV), never a panic.
+# frame parser, the client's chunk-stream and aggregate-frame decoders, the
+# trace-header parser, and the campaign job-spec/claim envelopes must reject
+# arbitrary bytes cleanly (wrapped sentinel errors for the wire formats, a
+# fresh root trace for X-Mira-Trace, an error or every row loaded for the
+# CSV), never a panic; a decoded aggregate frame must re-encode to the bytes
+# it came from, float bit patterns included.
 # The go fuzzer runs one target per invocation.
 fuzz-smoke:
 	$(GO) test ./internal/tsdb/ -run '^$$' -fuzz '^FuzzBitWriter$$' -fuzztime 10s
@@ -85,6 +89,7 @@ fuzz-smoke:
 	$(GO) test ./internal/tsdb/ -run '^$$' -fuzz '^FuzzImportCSV$$' -fuzztime 10s
 	$(GO) test ./internal/telemetrynet/ -run '^$$' -fuzz '^FuzzDecodeIngestFrame$$' -fuzztime 10s
 	$(GO) test ./internal/telemetrynet/ -run '^$$' -fuzz '^FuzzReadChunkStream$$' -fuzztime 10s
+	$(GO) test ./internal/telemetrynet/ -run '^$$' -fuzz '^FuzzDecodeAggs$$' -fuzztime 10s
 	$(GO) test ./internal/obs/ -run '^$$' -fuzz '^FuzzParseTraceHeader$$' -fuzztime 10s
 	$(GO) test ./internal/telemetrynet/ -run '^$$' -fuzz '^FuzzTraceHeaderHandling$$' -fuzztime 10s
 	$(GO) test ./internal/campaign/ -run '^$$' -fuzz '^FuzzDecodeJobSpec$$' -fuzztime 10s

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"context"
+	"fmt"
 	"time"
 
 	"mira/internal/envdb"
@@ -139,27 +140,29 @@ var nanUtil = func() float64 {
 	return zero / zero // NaN
 }()
 
-// rackMeansPushdown computes each rack's whole-trace mean of one metric
-// via aggregation pushdown: one single-window Aggregate per rack, so only
-// that metric's compressed column is decoded and no records are
-// materialized. For quantized channels the sums accumulate in the integer
+// rackMeansPushdown computes each rack's whole-trace mean of every metric
+// (out[j] for metrics[j]) via aggregation pushdown: one hall-wide
+// AggregateRacks call, so only those metrics' compressed columns are
+// decoded and no records are materialized — and a remote store answers in
+// one request. For quantized channels the sums accumulate in the integer
 // domain, which makes the means exact and compaction-invariant: the same
 // value before and after the store's cold range is downsampled. They agree
 // with a full float-order replay to within summation-order rounding.
-func rackMeansPushdown(ctx context.Context, db envdb.Aggregator, m sensors.Metric, from, to time.Time, hall int) ([]float64, error) {
-	out := make([]float64, topology.NumRacks)
-	for i := range out {
-		rack := topology.RackByIndex(i)
-		rack.Hall = hall
-		aggs, err := db.AggregateCtx(ctx, rack, m, from, to, 0)
-		if err != nil {
-			return nil, err
+func rackMeansPushdown(ctx context.Context, db envdb.Aggregator, hall int, from, to time.Time, metrics ...sensors.Metric) ([][]float64, error) {
+	aggs, err := db.AggregateRacks(ctx, hall, metrics, from, to)
+	if err != nil {
+		return nil, err
+	}
+	k := len(metrics)
+	if len(aggs) != topology.NumRacks*k {
+		return nil, fmt.Errorf("analysis: pushdown returned %d windows, want %d", len(aggs), topology.NumRacks*k)
+	}
+	out := make([][]float64, k)
+	for j := range out {
+		out[j] = make([]float64, topology.NumRacks)
+		for r := range out[j] {
+			out[j][r] = aggs[r*k+j].Mean()
 		}
-		if len(aggs) == 0 {
-			out[i] = nanUtil
-			continue
-		}
-		out[i] = aggs[0].Mean()
 	}
 	return out, nil
 }
@@ -168,11 +171,11 @@ func rackMeansPushdown(ctx context.Context, db envdb.Aggregator, m sensors.Metri
 // (hall 0 is the whole store for single-machine trees — the pushdown
 // analogue of CollectOptions.Hall) straight from compressed columns,
 // skipping record materialization and the replay entirely — the fast path
-// when only per-rack means are needed. The per-rack Aggregate sweep runs
-// as children of an "analysis.fig7_pushdown" span parented to ctx. Results
-// match Fig7RackCoolant after a full replay of the same store up to float
-// summation order, and are identical before and after retention
-// compaction (the cold tier stores exact sums).
+// when only per-rack means are needed. The one hall-wide AggregateRacks
+// call runs as a child of an "analysis.fig7_pushdown" span parented to
+// ctx. Results match Fig7RackCoolant after a full replay of the same store
+// up to float summation order, and are identical before and after
+// retention compaction (the cold tier stores exact sums).
 func Fig7CoolantPushdownHall(ctx context.Context, db envdb.Aggregator, hall int) (RackCoolant, error) {
 	defer timed("fig7_rack_coolant_pushdown")()
 	ctx, span := obs.Span(ctx, "analysis.fig7_pushdown")
@@ -181,19 +184,12 @@ func Fig7CoolantPushdownHall(ctx context.Context, db envdb.Aggregator, hall int)
 	if !ok {
 		return RackCoolant{}, nil
 	}
-	to := last.Add(time.Nanosecond)
-	flow, err := rackMeansPushdown(ctx, db, sensors.MetricFlow, first, to, hall)
+	means, err := rackMeansPushdown(ctx, db, hall, first, last.Add(time.Nanosecond),
+		sensors.MetricFlow, sensors.MetricInletTemp, sensors.MetricOutletTemp)
 	if err != nil {
 		return RackCoolant{}, err
 	}
-	inlet, err := rackMeansPushdown(ctx, db, sensors.MetricInletTemp, first, to, hall)
-	if err != nil {
-		return RackCoolant{}, err
-	}
-	outlet, err := rackMeansPushdown(ctx, db, sensors.MetricOutletTemp, first, to, hall)
-	if err != nil {
-		return RackCoolant{}, err
-	}
+	flow, inlet, outlet := means[0], means[1], means[2]
 	return RackCoolant{
 		FlowGPM: flow, InletF: inlet, OutletF: outlet,
 		FlowSpreadPct:   stats.SpreadPercent(flow),
@@ -214,16 +210,12 @@ func Fig9AmbientPushdownHall(ctx context.Context, db envdb.Aggregator, hall int)
 	if !ok {
 		return RackAmbient{}, nil
 	}
-	to := last.Add(time.Nanosecond)
-	temp, err := rackMeansPushdown(ctx, db, sensors.MetricDCTemperature, first, to, hall)
+	means, err := rackMeansPushdown(ctx, db, hall, first, last.Add(time.Nanosecond),
+		sensors.MetricDCTemperature, sensors.MetricDCHumidity)
 	if err != nil {
 		return RackAmbient{}, err
 	}
-	hum, err := rackMeansPushdown(ctx, db, sensors.MetricDCHumidity, first, to, hall)
-	if err != nil {
-		return RackAmbient{}, err
-	}
-	return ambientFromMeans(temp, hum), nil
+	return ambientFromMeans(means[0], means[1]), nil
 }
 
 // ambientFromMeans assembles the Fig. 9 structure from per-rack mean

@@ -11,11 +11,18 @@
 // DB.EachChunkMergedCtx, which delivers columnar Chunks; ScanRecords is
 // its row view. There is no record-at-a-time merge and no scan capability
 // to probe for: a consumer that needs time order calls the scan.
+//
+// Aggregation pushdown (Aggregator) has two query shapes: AggregateCtx is
+// one rack's metric in fixed windows (dashboard reads, GET /v1/aggregate
+// over the wire), and AggregateRacks is every rack of one hall over one
+// whole-range window for several metrics at once (the rack-level maps of
+// Figs. 7 and 9, GET /v1/aggregate/racks): one call, one response.
 package envdb
 
 import (
 	"context"
 	"encoding/csv"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -164,15 +171,30 @@ func (w WindowAgg) Mean() float64 {
 	return w.Sum / float64(w.Count)
 }
 
+// ErrAggregateShape marks an aggregate query the store refuses for its
+// shape — more windows than it will materialize, or a metric it does not
+// know — as opposed to a store failure (a block that fails to decode). The
+// telemetry server answers the first with 400 and the second with 500.
+var ErrAggregateShape = errors.New("envdb: aggregate query shape refused")
+
 // Aggregator is an optional capability of DB implementations that can
 // compute per-window min/max/sum/count of one rack's metric without
 // materializing records — aggregation pushdown straight off the storage
 // representation. Bounds scopes whole-store aggregations; AggregateCtx is
 // Aggregate under a caller trace.
+//
+// AggregateRacks is the hall-wide form: for to > from it returns one
+// WindowAgg per (rack 0..NumRacks-1 of hall, metric), rack-major — entry
+// r*len(metrics)+j is rack r's metrics[j] — each bit for bit what
+// AggregateCtx(ctx, rack, metrics[j], from, to, 0) returns as its single
+// window, including the Count-0, NaN-min/max entry of a rack with no rows
+// in range or outside the store's fleet. It returns no entries for
+// to <= from, and on any error no entries at all.
 type Aggregator interface {
 	Bounds() (first, last time.Time, ok bool)
 	Aggregate(rack topology.RackID, m sensors.Metric, from, to time.Time, window time.Duration) ([]WindowAgg, error)
 	AggregateCtx(ctx context.Context, rack topology.RackID, m sensors.Metric, from, to time.Time, window time.Duration) ([]WindowAgg, error)
+	AggregateRacks(ctx context.Context, hall int, metrics []sensors.Metric, from, to time.Time) ([]WindowAgg, error)
 }
 
 // Appender is the minimal ingest surface ReadCSV needs.

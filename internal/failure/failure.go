@@ -336,7 +336,9 @@ func (e *Engine) poisson(mean float64) int {
 
 // ActiveEpisode returns the episode perturbing the given rack at time t, or
 // nil. Calls must be made with non-decreasing t per rack (the simulator's
-// access pattern); the per-rack cursor makes the scan amortized O(1).
+// access pattern); the per-rack cursor makes the scan amortized O(1). The
+// episode is the engine's own, not a copy: callers read it and must not
+// modify it.
 func (e *Engine) ActiveEpisode(rack topology.RackID, t time.Time) *Episode {
 	i := rack.Index()
 	eps := e.perRack[i]
@@ -344,8 +346,7 @@ func (e *Engine) ActiveEpisode(rack topology.RackID, t time.Time) *Episode {
 		e.cursor[i]++
 	}
 	if e.cursor[i] < len(eps) && eps[e.cursor[i]].Active(t) {
-		ep := eps[e.cursor[i]]
-		return &ep
+		return &eps[e.cursor[i]]
 	}
 	return nil
 }

@@ -47,8 +47,14 @@ type Model struct {
 	rackBias [topology.NumRacks]float64
 	// EfficiencyDriftPerYear models the slow growth of per-node draw as
 	// applications became better optimized over Mira's lifetime
-	// (default +0.8%/year).
+	// (default +0.8%/year). Set it before the first power call: the drift
+	// is memoized per instant.
 	EfficiencyDriftPerYear float64
+
+	// driftVal is the drift at instant driftNano (0 = not yet computed):
+	// every rack of a tick shares one instant, so it is computed once.
+	driftVal  float64
+	driftNano int64
 }
 
 // NewModel creates a power model. The seed shapes the per-rack intensity
@@ -72,13 +78,16 @@ func NewModel(seed int64) *Model {
 
 // drift returns the multiplicative power drift at time t.
 func (m *Model) drift(t time.Time) float64 {
-	years := t.Sub(timeutil.ProductionStart).Hours() / (365.25 * 24)
-	return 1 + m.EfficiencyDriftPerYear*years
+	if nano := t.UnixNano(); m.driftVal == 0 || nano != m.driftNano {
+		years := t.Sub(timeutil.ProductionStart).Hours() / (365.25 * 24)
+		m.driftVal, m.driftNano = 1+m.EfficiencyDriftPerYear*years, nano
+	}
+	return m.driftVal
 }
 
-// RackPower returns the AC-side power drawn by one rack given its two
+// rackPower returns the AC-side power drawn by one rack given its two
 // midplane snapshots. A rack that is Down draws nothing.
-func (m *Model) RackPower(r topology.RackID, mids []scheduler.MidplaneSnapshot, t time.Time) units.Watts {
+func (m *Model) rackPower(r topology.RackID, mids []scheduler.MidplaneSnapshot, t time.Time) units.Watts {
 	downCount := 0
 	var dynamic units.Watts
 	bias := m.rackBias[r.Index()]
@@ -108,13 +117,16 @@ func (m *Model) RackPower(r topology.RackID, mids []scheduler.MidplaneSnapshot, 
 }
 
 // SystemPower returns the total facility-metered power: all 48 compute racks
-// plus auxiliary equipment. The snapshot must cover all midplanes in
-// scheduler order.
-func (m *Model) SystemPower(snap []scheduler.MidplaneSnapshot, t time.Time) units.Watts {
+// plus auxiliary equipment, summed in rack order. It writes each rack's
+// AC-side power into racks (by rack index; a Down rack draws nothing), so
+// a tick computes every rack's power once. The snapshot must cover all
+// midplanes in scheduler order.
+func (m *Model) SystemPower(snap []scheduler.MidplaneSnapshot, t time.Time, racks *[topology.NumRacks]units.Watts) units.Watts {
 	total := AuxiliaryBase
-	for i := 0; i < topology.NumRacks; i++ {
+	for i := range racks {
 		base := i * topology.MidplanesPerRack
-		total += m.RackPower(topology.RackByIndex(i), snap[base:base+topology.MidplanesPerRack], t)
+		racks[i] = m.rackPower(topology.RackByIndex(i), snap[base:base+topology.MidplanesPerRack], t)
+		total += racks[i]
 	}
 	return total
 }

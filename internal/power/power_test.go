@@ -26,11 +26,11 @@ func TestRackPowerStates(t *testing.T) {
 	m := NewModel(1)
 	r := topology.RackID{Row: 1, Col: 1}
 
-	idle := m.RackPower(r, []scheduler.MidplaneSnapshot{{State: scheduler.Idle}, {State: scheduler.Idle}}, t2014)
-	busy := m.RackPower(r, []scheduler.MidplaneSnapshot{
+	idle := m.rackPower(r, []scheduler.MidplaneSnapshot{{State: scheduler.Idle}, {State: scheduler.Idle}}, t2014)
+	busy := m.rackPower(r, []scheduler.MidplaneSnapshot{
 		{State: scheduler.Busy, Intensity: 1}, {State: scheduler.Busy, Intensity: 1},
 	}, t2014)
-	down := m.RackPower(r, []scheduler.MidplaneSnapshot{{State: scheduler.Down}, {State: scheduler.Down}}, t2014)
+	down := m.rackPower(r, []scheduler.MidplaneSnapshot{{State: scheduler.Down}, {State: scheduler.Down}}, t2014)
 
 	if down != 0 {
 		t.Errorf("down rack power = %v, want 0", down)
@@ -52,10 +52,10 @@ func TestRackPowerStates(t *testing.T) {
 func TestBurnerDrawsLessThanProduction(t *testing.T) {
 	m := NewModel(1)
 	r := topology.RackID{Row: 1, Col: 1}
-	prod := m.RackPower(r, []scheduler.MidplaneSnapshot{
+	prod := m.rackPower(r, []scheduler.MidplaneSnapshot{
 		{State: scheduler.Busy, Intensity: 1}, {State: scheduler.Busy, Intensity: 1},
 	}, t2014)
-	burn := m.RackPower(r, []scheduler.MidplaneSnapshot{
+	burn := m.rackPower(r, []scheduler.MidplaneSnapshot{
 		{State: scheduler.Burning, Intensity: workload.BurnerIntensity},
 		{State: scheduler.Burning, Intensity: workload.BurnerIntensity},
 	}, t2014)
@@ -71,10 +71,10 @@ func TestBurnerDrawsLessThanProduction(t *testing.T) {
 func TestIntensityAffectsPowerNotUtilization(t *testing.T) {
 	m := NewModel(1)
 	r := topology.RackID{Row: 2, Col: 2}
-	low := m.RackPower(r, []scheduler.MidplaneSnapshot{
+	low := m.rackPower(r, []scheduler.MidplaneSnapshot{
 		{State: scheduler.Busy, Intensity: 0.7}, {State: scheduler.Busy, Intensity: 0.7},
 	}, t2014)
-	high := m.RackPower(r, []scheduler.MidplaneSnapshot{
+	high := m.rackPower(r, []scheduler.MidplaneSnapshot{
 		{State: scheduler.Busy, Intensity: 1.3}, {State: scheduler.Busy, Intensity: 1.3},
 	}, t2014)
 	if high <= low {
@@ -107,7 +107,7 @@ func TestSystemPowerCalibration(t *testing.T) {
 	for i := 0; i < n80; i++ {
 		snap2014[i] = scheduler.MidplaneSnapshot{State: scheduler.Busy, Intensity: 1}
 	}
-	p2014 := m.SystemPower(snap2014, t2014)
+	p2014 := m.SystemPower(snap2014, t2014, new([topology.NumRacks]units.Watts))
 	if p2014.Megawatts() < 2.30 || p2014.Megawatts() > 2.70 {
 		t.Errorf("2014 system power = %v, want ≈2.5 MW", p2014)
 	}
@@ -118,7 +118,7 @@ func TestSystemPowerCalibration(t *testing.T) {
 		snap2019[i] = scheduler.MidplaneSnapshot{State: scheduler.Busy, Intensity: 1}
 	}
 	t2019 := time.Date(2019, 7, 1, 0, 0, 0, 0, timeutil.Chicago)
-	p2019 := m.SystemPower(snap2019, t2019)
+	p2019 := m.SystemPower(snap2019, t2019, new([topology.NumRacks]units.Watts))
 	if p2019.Megawatts() < 2.70 || p2019.Megawatts() > 3.10 {
 		t.Errorf("2019 system power = %v, want ≈2.9 MW", p2019)
 	}
@@ -134,7 +134,7 @@ func TestSystemPowerCalibration(t *testing.T) {
 
 func TestSystemPowerFullyDown(t *testing.T) {
 	m := NewModel(2)
-	p := m.SystemPower(snapAll(scheduler.Down, 0), t2014)
+	p := m.SystemPower(snapAll(scheduler.Down, 0), t2014, new([topology.NumRacks]units.Watts))
 	if p != AuxiliaryBase {
 		t.Errorf("all-down system power = %v, want auxiliary only %v", p, AuxiliaryBase)
 	}
@@ -146,8 +146,8 @@ func TestDriftGrowsPower(t *testing.T) {
 	mids := []scheduler.MidplaneSnapshot{
 		{State: scheduler.Busy, Intensity: 1}, {State: scheduler.Busy, Intensity: 1},
 	}
-	early := m.RackPower(r, mids, t2014)
-	late := m.RackPower(r, mids, time.Date(2019, 12, 1, 0, 0, 0, 0, timeutil.Chicago))
+	early := m.rackPower(r, mids, t2014)
+	late := m.rackPower(r, mids, time.Date(2019, 12, 1, 0, 0, 0, 0, timeutil.Chicago))
 	growth := (float64(late) - float64(early)) / float64(early)
 	if growth < 0.03 || growth > 0.08 {
 		t.Errorf("six-year drift = %v, want ≈4.7%%", growth)
@@ -157,10 +157,10 @@ func TestDriftGrowsPower(t *testing.T) {
 func TestPartiallyDownRack(t *testing.T) {
 	m := NewModel(5)
 	r := topology.RackID{Row: 1, Col: 5}
-	full := m.RackPower(r, []scheduler.MidplaneSnapshot{
+	full := m.rackPower(r, []scheduler.MidplaneSnapshot{
 		{State: scheduler.Busy, Intensity: 1}, {State: scheduler.Busy, Intensity: 1},
 	}, t2014)
-	half := m.RackPower(r, []scheduler.MidplaneSnapshot{
+	half := m.rackPower(r, []scheduler.MidplaneSnapshot{
 		{State: scheduler.Busy, Intensity: 1}, {State: scheduler.Down},
 	}, t2014)
 	if half >= full || half <= 0 {

@@ -339,7 +339,8 @@ func (s *Simulator) step(now time.Time, out *tickOut) {
 	s.applyPending(now)
 
 	// 3. System-level power and utilization.
-	sysPower := s.powerM.SystemPower(snap[:], now)
+	var rackPowers [topology.NumRacks]units.Watts
+	sysPower := s.powerM.SystemPower(snap[:], now, &rackPowers)
 	util := s.sched.SystemUtilization(now)
 
 	// 4. Ambient base conditions from the outdoor weather.
@@ -374,7 +375,7 @@ func (s *Simulator) step(now time.Time, out *tickOut) {
 			}
 		}
 
-		rackPower := s.powerM.RackPower(rack, snap[i*topology.MidplanesPerRack:(i+1)*topology.MidplanesPerRack], now)
+		rackPower := rackPowers[i]
 		heat := float64(power.RackHeatToCoolant(rackPower))
 		if !s.heatEMAInit[i] {
 			s.heatEMA[i] = heat

@@ -467,6 +467,37 @@ func (c *Client) AggregateCtx(ctx context.Context, rack topology.RackID, m senso
 		return nil, err
 	}
 	defer body.Close()
+	return readAggs(body)
+}
+
+// AggregateRacks implements envdb.Aggregator's hall-wide form over the
+// wire in one request: the server answers with every (rack, metric)
+// window of the hall in one aggregate frame, rack-major. The server
+// refuses a hall outside its fleet or more than sensors.NumMetrics
+// metrics with 400, returned as the error.
+func (c *Client) AggregateRacks(ctx context.Context, hall int, metrics []sensors.Metric, from, to time.Time) ([]envdb.WindowAgg, error) {
+	ctx, span := obs.Span(ctx, "net.client.aggregate_racks")
+	defer span.End()
+	ms := make([]string, len(metrics))
+	for i, m := range metrics {
+		ms[i] = strconv.Itoa(int(m))
+	}
+	body, err := c.get(ctx, "/v1/aggregate/racks", url.Values{
+		"hall":    {strconv.Itoa(hall)},
+		"metrics": {strings.Join(ms, ",")},
+		"from":    {strconv.FormatInt(from.UnixNano(), 10)},
+		"to":      {strconv.FormatInt(to.UnixNano(), 10)},
+	})
+	if err != nil {
+		return nil, err
+	}
+	defer body.Close()
+	return readAggs(body)
+}
+
+// readAggs decodes an aggregate response into envdb windows, each Start
+// in the server store's zone.
+func readAggs(body io.Reader) ([]envdb.WindowAgg, error) {
 	wire, loc, err := decodeAggs(body)
 	if err != nil {
 		return nil, err

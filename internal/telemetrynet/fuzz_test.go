@@ -6,7 +6,9 @@ import (
 	"errors"
 	"hash/crc32"
 	"io"
+	"math"
 	"testing"
+	"time"
 
 	"mira/internal/envdb"
 	"mira/internal/sensors"
@@ -143,6 +145,54 @@ func FuzzReadChunkStream(f *testing.F) {
 		})
 		if err != nil && !errors.Is(err, ErrFrame) {
 			t.Fatalf("readChunkStream: %v is not ErrFrame", err)
+		}
+	})
+}
+
+// FuzzDecodeAggs pins the aggregate frame decoder the client runs on every
+// pushdown response — up to 48 × k windows for a hall-wide AggregateRacks:
+// arbitrary bytes decode to a wrapped ErrFrame or to windows that
+// re-encode to exactly the bytes read, so every float bit pattern (NaN
+// payloads, −0) survives the wire.
+func FuzzDecodeAggs(f *testing.F) {
+	frame := func(zoneOff int32, aggs []windowAgg) []byte {
+		var b bytes.Buffer
+		encodeAggs(&b, zoneOff, aggs)
+		return b.Bytes()
+	}
+	hall := make([]windowAgg, topology.NumRacks*5)
+	for i := range hall {
+		v := 60 + float64(i)/8
+		hall[i] = windowAgg{startN: 1420092000e9, count: int64(17000 + i), min: v - 1, max: v + 1, sum: v * float64(17000+i)}
+	}
+	valid := frame(-21600, hall)
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	badCRC := append([]byte(nil), valid...)
+	badCRC[len(badCRC)-1] ^= 0x01
+	f.Add(badCRC)
+	for _, n := range []uint32{maxAggWindows, maxAggWindows + 1} {
+		huge := append([]byte(nil), valid[:12]...)
+		binary.LittleEndian.PutUint32(huge[8:], n)
+		f.Add(huge)
+	}
+	f.Add(frame(3600, []windowAgg{
+		{startN: -1, count: 0, min: math.NaN(), max: math.Float64frombits(0x7ff8_0000_dead_beef), sum: math.Copysign(0, -1)},
+		{startN: math.MaxInt64, count: math.MaxInt64, min: math.Inf(-1), max: math.Inf(1), sum: math.Float64frombits(0xfff0_0000_0000_0001)},
+	}))
+	f.Add(frame(0, nil))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		aggs, loc, err := decodeAggs(bytes.NewReader(data))
+		if err != nil {
+			if !errors.Is(err, ErrFrame) {
+				t.Fatalf("decodeAggs: %v is not ErrFrame", err)
+			}
+			return
+		}
+		_, off := time.Unix(0, 0).In(loc).Zone()
+		if again := frame(int32(off), aggs); !bytes.Equal(again, data[:len(again)]) {
+			t.Fatalf("%d windows re-encode to different bytes", len(aggs))
 		}
 	})
 }

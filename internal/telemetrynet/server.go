@@ -4,11 +4,14 @@ import (
 	"container/list"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"os"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -106,6 +109,7 @@ func (s *Server) Mount(mux *http.ServeMux) {
 	mux.HandleFunc("/v1/query", s.traced("query", "net.query", s.handleQuery))
 	mux.HandleFunc("/v1/series", s.traced("series", "net.series", s.handleSeries))
 	mux.HandleFunc("/v1/aggregate", s.traced("aggregate", "net.aggregate", s.handleAggregate))
+	mux.HandleFunc("/v1/aggregate/racks", s.traced("aggregate_racks", "net.aggregate_racks", s.handleAggregateRacks))
 	mux.HandleFunc("/v1/scan", s.traced("scan", "net.scan", s.handleScan))
 	mux.HandleFunc("/v1/info", s.traced("info", "net.info", s.handleInfo))
 }
@@ -390,15 +394,21 @@ func (s *Server) queryParams(req *http.Request) (rack topology.RackID, from, to 
 	if err != nil || !s.fleet.Contains(rack) {
 		return rack, from, to, fmt.Errorf("bad rack %q", q.Get("rack"))
 	}
+	from, to, err = timeParams(q)
+	return rack, from, to, err
+}
+
+// timeParams parses the shared from/to parameters.
+func timeParams(q url.Values) (from, to time.Time, err error) {
 	fromN, err := strconv.ParseInt(q.Get("from"), 10, 64)
 	if err != nil {
-		return rack, from, to, fmt.Errorf("bad from %q", q.Get("from"))
+		return from, to, fmt.Errorf("bad from %q", q.Get("from"))
 	}
 	toN, err := strconv.ParseInt(q.Get("to"), 10, 64)
 	if err != nil {
-		return rack, from, to, fmt.Errorf("bad to %q", q.Get("to"))
+		return from, to, fmt.Errorf("bad to %q", q.Get("to"))
 	}
-	return rack, time.Unix(0, fromN).UTC(), time.Unix(0, toN).UTC(), nil
+	return time.Unix(0, fromN).UTC(), time.Unix(0, toN).UTC(), nil
 }
 
 func metricParam(req *http.Request) (sensors.Metric, error) {
@@ -500,10 +510,62 @@ func (s *Server) handleAggregate(w http.ResponseWriter, req *http.Request) {
 	shape.set("metric", m.String())
 	shape.set("window", time.Duration(windowN).String())
 	aggs, err := agg.AggregateCtx(req.Context(), rack, m, from, to, time.Duration(windowN))
+	s.writeAggs(w, aggs, err)
+}
+
+// handleAggregateRacks answers envdb.Aggregator.AggregateRacks: the
+// whole-range window of every (rack, metric) of one hall, rack-major, in
+// one aggregate frame. metrics is a comma-separated list of at most
+// sensors.NumMetrics metric indices, which bounds the frame at
+// 48 × sensors.NumMetrics windows.
+func (s *Server) handleAggregateRacks(w http.ResponseWriter, req *http.Request) {
+	agg, ok := s.db.(envdb.Aggregator)
+	if !ok {
+		http.Error(w, "store does not support aggregation pushdown", http.StatusNotImplemented)
+		return
+	}
+	q := req.URL.Query()
+	hall, err := strconv.Atoi(q.Get("hall"))
+	if err != nil || hall < 0 || hall >= s.fleet.Halls {
+		http.Error(w, fmt.Sprintf("bad hall %q", q.Get("hall")), http.StatusBadRequest)
+		return
+	}
+	var metrics []sensors.Metric
+	if list := q.Get("metrics"); list != "" {
+		for _, f := range strings.Split(list, ",") {
+			m, err := strconv.Atoi(f)
+			if err != nil || m < 0 || m >= int(sensors.NumMetrics) || len(metrics) == int(sensors.NumMetrics) {
+				http.Error(w, fmt.Sprintf("bad metrics %q", list), http.StatusBadRequest)
+				return
+			}
+			metrics = append(metrics, sensors.Metric(m))
+		}
+	}
+	from, to, err := timeParams(q)
 	if err != nil {
-		// The store rejected the shape of the query (e.g. too many
-		// windows): the client's error, not the server's.
 		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	shape := shapeFrom(req.Context())
+	shape.set("hall", strconv.Itoa(hall))
+	shape.set("metrics", q.Get("metrics"))
+	shape.set("from", from.UTC().Format(time.RFC3339))
+	shape.set("to", to.UTC().Format(time.RFC3339))
+	aggs, err := agg.AggregateRacks(req.Context(), hall, metrics, from, to)
+	s.writeAggs(w, aggs, err)
+}
+
+// writeAggs answers an aggregate request with the store's windows, or
+// with its error: 400 for a query shape the store refuses, which is the
+// client's to fix, and 500 for anything else, a store failure such as a
+// block that fails to decode.
+func (s *Server) writeAggs(w http.ResponseWriter, aggs []envdb.WindowAgg, err error) {
+	if err != nil {
+		code := http.StatusInternalServerError
+		if errors.Is(err, envdb.ErrAggregateShape) {
+			code = http.StatusBadRequest
+		}
+		http.Error(w, err.Error(), code)
 		return
 	}
 	wire := make([]windowAgg, len(aggs))

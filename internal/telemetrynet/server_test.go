@@ -532,3 +532,89 @@ func TestScanFailureBeforeFirstRow(t *testing.T) {
 		t.Fatalf("scan reported a wire fault (%v) or delivered %d rows", err, delivered)
 	}
 }
+
+// failingAggregator is a store whose pushdown fails with err on both
+// aggregate shapes.
+type failingAggregator struct {
+	*tsdb.Store
+	err error
+}
+
+func (f failingAggregator) AggregateCtx(context.Context, topology.RackID, sensors.Metric, time.Time, time.Time, time.Duration) ([]envdb.WindowAgg, error) {
+	return nil, f.err
+}
+
+func (f failingAggregator) AggregateRacks(context.Context, int, []sensors.Metric, time.Time, time.Time) ([]envdb.WindowAgg, error) {
+	return nil, f.err
+}
+
+// TestAggregateErrorCodes: an aggregate the store refuses for its shape is
+// the client's error (400); any other store error, such as a block that
+// fails to decode, is the server's (500). Both endpoints answer alike, and
+// the client returns the code as the error, with no windows beside it.
+func TestAggregateErrorCodes(t *testing.T) {
+	store := tsdb.NewStoreWith(tsdb.Options{Partition: 24 * time.Hour})
+	fillStore(t, store, netTrace(3))
+	start := time.Date(2014, 5, 20, 0, 0, 0, 0, timeutil.Chicago)
+	to := start.Add(time.Hour)
+	decodeErr := fmt.Errorf("tsdb: sealed block: timestamps: %w", tsdb.ErrCorrupt)
+	shapeErr := fmt.Errorf("tsdb: too many windows: %w", envdb.ErrAggregateShape)
+	for _, tc := range []struct {
+		err  error
+		code int
+	}{{shapeErr, http.StatusBadRequest}, {decodeErr, http.StatusInternalServerError}} {
+		_, client := startServer(t, failingAggregator{store, tc.err})
+		calls := map[string]func() ([]envdb.WindowAgg, error){
+			"/v1/aggregate": func() ([]envdb.WindowAgg, error) {
+				return client.AggregateCtx(context.Background(), topology.RackByIndex(2), sensors.MetricFlow, start, to, 0)
+			},
+			"/v1/aggregate/racks": func() ([]envdb.WindowAgg, error) {
+				return client.AggregateRacks(context.Background(), 0, sensors.AllMetrics(), start, to)
+			},
+		}
+		for path, call := range calls {
+			got, err := call()
+			var he *httpError
+			if !errors.As(err, &he) || he.code != tc.code || !strings.Contains(he.msg, tc.err.Error()) {
+				t.Fatalf("%s over a store failing with %q = %v, want the server's %d carrying it", path, tc.err, err, tc.code)
+			}
+			if got != nil {
+				t.Fatalf("%s returned %d windows beside its error", path, len(got))
+			}
+		}
+	}
+}
+
+// TestAggregateRacksParams: the hall endpoint refuses a hall outside the
+// fleet, an unknown or surplus metric and a malformed range with 400, and
+// a store without pushdown with 501; an empty metric list is a valid,
+// empty answer.
+func TestAggregateRacksParams(t *testing.T) {
+	store := tsdb.NewStoreWith(tsdb.Options{Partition: 24 * time.Hour, Fleet: topology.Fleet{Halls: 2}})
+	srv, _ := startServer(t, store)
+	const rng = "&from=0&to=1000000000000000000"
+	for _, q := range []string{
+		"hall=2&metrics=0" + rng, "hall=-1&metrics=0" + rng, "hall=x&metrics=0" + rng,
+		"hall=0&metrics=6" + rng, "hall=0&metrics=0,,1" + rng, "hall=0&metrics=0,1,2,3,4,5,0" + rng,
+		"hall=0&metrics=0&from=x&to=1", "hall=0&metrics=0&from=0",
+	} {
+		resp, err := http.Get(srv.URL + "/v1/aggregate/racks?" + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", q, resp.StatusCode)
+		}
+	}
+	client := NewClient(srv.URL, ClientOptions{})
+	if got, err := client.AggregateRacks(context.Background(), 1, nil, time.Unix(0, 0), time.Unix(1, 0)); err != nil || len(got) != 0 {
+		t.Errorf("no metrics: %d windows, %v", len(got), err)
+	}
+	slice := &envdb.Store{}
+	_, sliceClient := startServer(t, slice)
+	var he *httpError
+	if _, err := sliceClient.AggregateRacks(context.Background(), 0, sensors.AllMetrics(), time.Unix(0, 0), time.Unix(1, 0)); !errors.As(err, &he) || he.code != http.StatusNotImplemented {
+		t.Errorf("slice store: %v, want the server's 501", err)
+	}
+}

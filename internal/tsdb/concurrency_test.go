@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -40,7 +41,8 @@ func TestConcurrentAppendQuery(t *testing.T) {
 		}(int64(wi), rack)
 	}
 
-	// Readers: range queries, series, aggregates, full scans.
+	// Readers: range queries, series, aggregates, hall-wide aggregates, full
+	// scans.
 	for ri := 0; ri < 4; ri++ {
 		wg.Add(1)
 		go func(seed int64) {
@@ -57,7 +59,7 @@ func TestConcurrentAppendQuery(t *testing.T) {
 				hi := lo + rng.Intn(perRack-lo)
 				from := base.Add(time.Duration(lo) * timeutil.SampleInterval)
 				to := base.Add(time.Duration(hi) * timeutil.SampleInterval)
-				switch rng.Intn(4) {
+				switch rng.Intn(5) {
 				case 0:
 					recs := s.Query(rack, from, to)
 					for i, r := range recs {
@@ -92,6 +94,23 @@ func TestConcurrentAppendQuery(t *testing.T) {
 					n := 0
 					s.EachRecordUntil(func(sensors.Record) bool { n++; return n < 500 })
 					_ = s.Len()
+				case 4:
+					metrics := []sensors.Metric{sensors.MetricFlow, sensors.MetricPower}
+					aggs, err := s.AggregateRacks(context.Background(), 0, metrics, from, to.Add(time.Nanosecond))
+					if err != nil {
+						t.Errorf("aggregate racks: %v", err)
+						return
+					}
+					written := map[int]bool{}
+					for _, r := range racks {
+						written[r.Index()] = true
+					}
+					for i, w := range aggs {
+						if w.Count > 0 && (!written[i/len(metrics)] || w.Min > w.Max) {
+							t.Errorf("inconsistent hall aggregate %d: %+v", i, w)
+							return
+						}
+					}
 				}
 			}
 		}(int64(ri))

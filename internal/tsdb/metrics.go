@@ -122,8 +122,9 @@ func (s *Store) shardTotals() []int {
 // queryOp names for metQueryDur, kept as constants so the label set stays
 // closed.
 const (
-	opQuery       = "query"
-	opSeries      = "series"
-	opAggregate   = "aggregate"
-	opScanChunked = "scan_chunked"
+	opQuery          = "query"
+	opSeries         = "series"
+	opAggregate      = "aggregate"
+	opAggregateRacks = "aggregate_racks"
+	opScanChunked    = "scan_chunked"
 )
