@@ -29,6 +29,8 @@ vet:
 # standard library calls), and an internal/ package that no non-test package
 # imports. LINT_TEST_SUPPORT lists the packages that exist to be imported by
 # other packages' tests; their exports may be referenced from _test.go files.
+# Last, it fails on any file gofmt would rewrite (bench/ included): vet does
+# not check formatting, so an unformatted file would otherwise land unseen.
 LINT_TEST_SUPPORT = mira/internal/telemetrynet/faultinject
 
 lint:
@@ -39,6 +41,7 @@ lint:
 		BEGIN { n = split(support, s, " "); for (i = 1; i <= n; i++) imported[s[i]] = 1 } \
 		{ if ($$1 ~ /\/internal\//) internal[$$1] = 1; for (i = 2; i <= NF; i++) imported[$$i] = 1 } \
 		END { for (p in internal) if (!(p in imported)) { print "lint: " p " is imported by no non-test package"; bad = 1 } exit bad }'
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "lint: not gofmt-clean:"; echo "$$unformatted"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -55,9 +58,13 @@ test:
 # hall-wide aggregate pushdown, whose racks run on that pool. The end-to-end
 # command tests (mira/cmd, see smoke below) build the commands in a child
 # `go build` whose sources the test cache does not track, so that package
-# always runs uncached (-count=1) rather than replaying a stale pass.
+# always runs uncached (-count=1) rather than replaying a stale pass. The
+# tsdb allocation ceilings (TestPointReadAllocations, TestBoundsAllocations)
+# run once more without -race: the race build skips the point-read one,
+# because sync.Pool drops pooled decode arenas at random under the detector.
 race:
 	$(GO) test -race $$($(GO) list ./... | grep -vx mira/cmd)
+	$(GO) test -count=1 -run Allocations ./internal/tsdb
 	$(GO) test -race -count=1 ./cmd
 	$(GO) test -race -cpu 1,2 -run 'Golden|Determinism|Pipeline' ./internal/sim
 	$(GO) test -race -cpu 1,2 -run 'Golden|Determin|Concurrent|CrossValidate|Sweep' ./internal/nn ./internal/core ./internal/mitigation

@@ -121,7 +121,7 @@ func TestDecodeJobSpecCorruption(t *testing.T) {
 		"empty":     {},
 		"short":     frame[:5],
 		"truncated": frame[:len(frame)-3],
-		"magic": append([]byte("XXXX"), frame[4:]...),
+		"magic":     append([]byte("XXXX"), frame[4:]...),
 		"bitflip": func() []byte {
 			b := append([]byte(nil), frame...)
 			b[len(b)/2] ^= 0x40

@@ -10,6 +10,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -352,6 +353,7 @@ func (c *Client) queryErr(ctx context.Context, rack topology.RackID, from, to ti
 	defer body.Close()
 	out := []sensors.Record{}
 	if err := readChunkStream(body, new(envdb.Chunk), func(c *envdb.Chunk) bool {
+		out = slices.Grow(out, c.Len())
 		for i := range c.Times {
 			out = append(out, c.Record(i))
 		}

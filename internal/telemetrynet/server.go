@@ -455,6 +455,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, req *http.Request) {
 	recs := s.db.Query(rack, from, to)
 	shape.set("rows", strconv.Itoa(len(recs)))
 	cw := newChunkWriter(w, false, s.zoneOff())
+	cw.reserve(len(recs))
 	for _, r := range recs {
 		if err := cw.add(r, 0); err != nil {
 			return // client went away mid-stream

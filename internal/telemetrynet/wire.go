@@ -268,6 +268,13 @@ func newChunkWriter(w io.Writer, tiered bool, zoneOff int32) *chunkWriter {
 	return &chunkWriter{w: w, tiered: tiered, zoneOff: zoneOff}
 }
 
+// reserve sizes the chunk buffer for n untiered records (at most one
+// chunk's worth), so a response whose length is known up front never
+// regrows it.
+func (cw *chunkWriter) reserve(n int) {
+	cw.buf = make([]byte, 0, 4+min(n, maxChunkRecords)*recordSize+4)
+}
+
 func (cw *chunkWriter) header() []byte {
 	var flags uint32
 	if cw.tiered {
@@ -447,7 +454,8 @@ func resize[T any](s []T, n int) []T {
 // encodeSeries writes a series response: times as UnixNano, values as raw
 // float64 bits, one CRC over the whole message.
 func encodeSeries(w io.Writer, zoneOff int32, times []time.Time, vals []float64) error {
-	buf := binary.LittleEndian.AppendUint32(nil, seriesMagic)
+	buf := make([]byte, 0, 16+16*len(times)) // header, points, CRC
+	buf = binary.LittleEndian.AppendUint32(buf, seriesMagic)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(zoneOff))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(times)))
 	for _, t := range times {

@@ -96,8 +96,9 @@ func (s *Store) AggregateRacks(ctx context.Context, hall int, metrics []sensors.
 	parallel.For(topology.NumRacks, func(i int) {
 		rack := topology.RackByIndex(i)
 		rack.Hall = hall
-		snap := s.readShard(rack).snapshot()
-		errs[i] = s.aggregateWhole(&snap, metrics, fromN, toN, out[i*k:(i+1)*k])
+		ar := pointRead(s.readShard(rack), fromN, toN)
+		errs[i] = s.aggregateWhole(ar, metrics, fromN, toN, out[i*k:(i+1)*k])
+		ar.release()
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -137,10 +138,11 @@ func (s *Store) aggregate(rack topology.RackID, m sensors.Metric, from, to time.
 		return nil, fmt.Errorf("tsdb: aggregate window %v over span %v needs %d windows (max %d): %w",
 			window, time.Duration(toN-fromN), nWin, int64(MaxAggregateWindows), envdb.ErrAggregateShape)
 	}
-	snap := s.readShard(rack).snapshot()
+	ar := pointRead(s.readShard(rack), fromN, toN)
+	defer ar.release()
 	if nWin == 1 {
 		out := make([]WindowAgg, 1)
-		if err := s.aggregateWhole(&snap, []sensors.Metric{m}, fromN, toN, out); err != nil {
+		if err := s.aggregateWhole(ar, []sensors.Metric{m}, fromN, toN, out); err != nil {
 			return nil, err
 		}
 		return out, nil
@@ -161,16 +163,11 @@ func (s *Store) aggregate(rack topology.RackID, m sensors.Metric, from, to time.
 	// therefore identical before and after compaction.
 	scale := channelScales[m]
 	exact := true
-	sumsI := make([]int64, nWin)
-	for _, bv := range snap.blocks() {
-		minT, maxT := bv.bounds()
-		if minT >= toN {
-			break // blocks are time-ordered: the rest are past the range
-		}
-		if maxT < fromN {
-			continue
-		}
-		ts, err := bv.timestamps()
+	ar.sums = int64Slice(ar.sums, int(nWin))
+	sumsI := ar.sums
+	clear(sumsI)
+	for _, bv := range ar.views {
+		ts, err := ar.timestamps(bv)
 		if err != nil {
 			return nil, err
 		}
@@ -224,10 +221,11 @@ func (s *Store) aggregate(rack topology.RackID, m sensors.Metric, from, to time.
 			// derive the float values by division — the same work as the
 			// generic decode, plus the integer accumulation for free.
 			metDecode.Inc()
-			ints, err := decodeIntsPackedInto(nil, b.ch[m].data, b.count)
+			ints, err := decodeIntsPackedInto(ar.ints, b.ch[m].data, b.count)
 			if err != nil {
 				return nil, b.wrap(m.String(), err)
 			}
+			ar.ints = ints
 			for i := lo; i < hi; i++ {
 				k := (ts[i] - fromN) / winN
 				w := &out[k]
@@ -250,7 +248,7 @@ func (s *Store) aggregate(rack topology.RackID, m sensors.Metric, from, to time.
 			}
 			continue
 		}
-		col, err := bv.channel(m)
+		col, err := ar.column(bv, m, lo, hi)
 		if err != nil {
 			return nil, err
 		}
@@ -384,33 +382,27 @@ func (a *wholeAgg) addDown(col downColumn, counts []int64, lo, hi int, scale flo
 }
 
 // aggregateWhole is the single-window kernel behind Aggregate's one-window
-// queries and AggregateRacks: it folds snap's rows in [fromN, toN) into
-// out[j] for metrics[j]. It accumulates exactly as the windowed kernel
-// does for its one window — same rows, same order, same integer-domain
-// sums — without the per-row window division, and decodes each block's
-// timestamps once for all metrics. Decode buffers of sealed blocks are
-// reused from block to block.
-func (s *Store) aggregateWhole(snap *snapshot, metrics []sensors.Metric, fromN, toN int64, out []WindowAgg) error {
-	accs := make([]wholeAgg, len(metrics))
+// queries and AggregateRacks: it folds the rows in [fromN, toN) of ar's
+// views into out[j] for metrics[j]. It accumulates exactly as the windowed
+// kernel does for its one window — same rows, same order, same
+// integer-domain sums — without the per-row window division, and decodes
+// each block's timestamps once for all metrics, into the arena.
+func (s *Store) aggregateWhole(ar *readArena, metrics []sensors.Metric, fromN, toN int64, out []WindowAgg) error {
+	// A stack array holds any list of distinct metrics, so a one-window
+	// Aggregate allocates only its result.
+	var few [sensors.NumMetrics]wholeAgg
+	accs := few[:]
+	if len(metrics) > len(few) {
+		accs = make([]wholeAgg, len(metrics))
+	}
+	accs = accs[:len(metrics)]
 	for j := range accs {
 		accs[j].exact = true
 	}
-	var times, ints []int64
-	var vals []float64
-	for _, bv := range snap.blocks() {
-		minT, maxT := bv.bounds()
-		if minT >= toN {
-			break // blocks are time-ordered: the rest are past the range
-		}
-		if maxT < fromN {
-			continue
-		}
-		ts, err := bv.timestampsArena(times)
+	for _, bv := range ar.views {
+		ts, err := ar.timestamps(bv)
 		if err != nil {
 			return err
-		}
-		if bv.sealed != nil {
-			times = ts // only sealed decodes own their buffer
 		}
 		lo, hi := searchRange(ts, fromN, toN)
 		if lo >= hi {
@@ -438,19 +430,17 @@ func (s *Store) aggregateWhole(snap *snapshot, metrics []sensors.Metric, fromN, 
 				// derive the float values by division, accumulating the
 				// integer sum alongside.
 				metDecode.Inc()
-				ints, err = decodeIntsPackedInto(ints, b.ch[m].data, b.count)
+				ints, err := decodeIntsPackedInto(ar.ints, b.ch[m].data, b.count)
 				if err != nil {
 					return b.wrap(m.String(), err)
 				}
+				ar.ints = ints
 				a.addInts(ints[lo:hi], scale)
 				continue
 			}
-			col, scratch, err := bv.channelArena(m, vals, ints)
+			col, err := ar.column(bv, m, lo, hi)
 			if err != nil {
 				return err
-			}
-			if bv.sealed != nil {
-				vals, ints = col, scratch
 			}
 			for _, v := range col[lo:hi] {
 				a.addValue(v, scale)

@@ -114,6 +114,7 @@ func BenchmarkQueryRange(b *testing.B) {
 	s, rack, _ := benchStore(b, 120)
 	from := base.Add(10 * 24 * time.Hour)
 	to := from.Add(30 * 24 * time.Hour)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if got := s.Query(rack, from, to); len(got) == 0 {
@@ -147,6 +148,7 @@ func BenchmarkSeries(b *testing.B) {
 	s, rack, _ := benchStore(b, 120)
 	from := base.Add(10 * 24 * time.Hour)
 	to := from.Add(30 * 24 * time.Hour)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, vs := s.Series(rack, sensors.MetricOutletTemp, from, to); len(vs) == 0 {
@@ -159,6 +161,7 @@ func BenchmarkSeries(b *testing.B) {
 // materializing any records.
 func BenchmarkAggregate(b *testing.B) {
 	s, rack, end := benchStore(b, 120)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if aggs, err := s.Aggregate(rack, sensors.MetricPower, base, end, 24*time.Hour); err != nil || len(aggs) == 0 {

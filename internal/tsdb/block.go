@@ -226,14 +226,18 @@ func (b *sealedBlock) decodeTimesArena(dst []int64) ([]int64, error) {
 // decodeChannel materializes one value column — the unit of decompression
 // work, so single-metric reads (Series, Aggregate) skip five sixths of it.
 func (b *sealedBlock) decodeChannel(m sensors.Metric) ([]float64, error) {
-	out, _, err := b.decodeChannelArena(m, nil, nil)
+	out, _, err := b.decodeChannelArena(m, 0, b.count, nil, nil)
 	return out, err
 }
 
 // decodeChannelArena decodes one value column into dst, using scratch for
 // the quantized-integer intermediate; both are reused when large enough,
 // and the (possibly regrown) scratch is returned for the caller's arena.
-func (b *sealedBlock) decodeChannelArena(m sensors.Metric, dst []float64, scratch []int64) ([]float64, []int64, error) {
+// An integer column is converted to floats only for rows [lo, hi), with
+// the same float64(n)/scale as a whole-column decode, so the rows a reader
+// asks for are bit-identical either way; rows outside are left stale. An
+// XOR column decodes whole.
+func (b *sealedBlock) decodeChannelArena(m sensors.Metric, lo, hi int, dst []float64, scratch []int64) ([]float64, []int64, error) {
 	metDecode.Inc()
 	c := b.ch[m]
 	if c.enc == encXOR {
@@ -249,8 +253,8 @@ func (b *sealedBlock) decodeChannelArena(m sensors.Metric, dst []float64, scratc
 	}
 	out := float64Slice(dst, b.count)
 	scale := c.scale
-	for i, n := range ints {
-		out[i] = float64(n) / scale
+	for i, n := range ints[lo:hi] {
+		out[lo+i] = float64(n) / scale
 	}
 	return out, ints, nil
 }

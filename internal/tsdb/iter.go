@@ -8,10 +8,11 @@ import (
 	"mira/internal/units"
 )
 
-// Iter is a streaming cursor over one rack's records in [from, to). It
-// decompresses one block at a time against a point-in-time snapshot, so
-// scans run without holding locks and without materializing the range.
-type Iter struct {
+// iter is a streaming cursor over one rack's records in [from, to), the
+// row-at-a-time walk behind EachRecordUntil. It decompresses one block at a
+// time against a point-in-time snapshot, so scans run without holding locks
+// and without materializing the range.
+type iter struct {
 	rack   topology.RackID
 	loc    *time.Location
 	fromN  int64
@@ -27,20 +28,14 @@ type Iter struct {
 	err   error
 }
 
-// Iter returns a streaming iterator over one rack's records in [from, to).
-func (s *Store) Iter(rack topology.RackID, from, to time.Time) *Iter {
-	s.init()
-	return s.iterShard(rack, s.readShard(rack), from.UnixNano(), to.UnixNano())
-}
-
-func (s *Store) iterShard(rack topology.RackID, sh *shard, fromN, toN int64) *Iter {
+func (s *Store) iterShard(rack topology.RackID, sh *shard, fromN, toN int64) *iter {
 	snap := sh.snapshot()
-	return &Iter{
+	return &iter{
 		rack:   rack,
 		loc:    s.location(),
 		fromN:  fromN,
 		toN:    toN,
-		blocks: snap.blocks(),
+		blocks: snap.appendBlocks(nil, fromN, toN),
 		pos:    1, // forces block advance on the first Next
 		hi:     0,
 	}
@@ -48,7 +43,7 @@ func (s *Store) iterShard(rack topology.RackID, sh *shard, fromN, toN int64) *It
 
 // Next advances the cursor; it returns false when the range is exhausted
 // or a block failed to decode (see Err).
-func (it *Iter) Next() bool {
+func (it *iter) Next() bool {
 	for it.pos+1 >= it.hi {
 		if !it.nextBlock() {
 			return false
@@ -63,24 +58,15 @@ func (it *Iter) Next() bool {
 // clean scan. Decode failures are only reachable through in-process
 // corruption (segments are checksum-verified at Open), so the error-free
 // query surface treats a non-nil Err as a panic-worthy invariant violation.
-func (it *Iter) Err() error { return it.err }
+func (it *iter) Err() error { return it.err }
 
 // nextBlock decodes the next block overlapping the range; false when none.
-func (it *Iter) nextBlock() bool {
+func (it *iter) nextBlock() bool {
 	if it.err != nil {
 		return false
 	}
 	for ; it.bi < len(it.blocks); it.bi++ {
 		bv := it.blocks[it.bi]
-		minT, maxT := bv.bounds()
-		if minT >= it.toN {
-			// Blocks are time-ordered: every later block is past the range
-			// too, so stop instead of bounds-checking the whole tail.
-			return false
-		}
-		if maxT < it.fromN {
-			continue
-		}
 		times, err := bv.timestamps()
 		if err != nil {
 			it.err = err
@@ -105,13 +91,13 @@ func (it *Iter) nextBlock() bool {
 	return false
 }
 
-func (it *Iter) fill() {
+func (it *iter) fill() {
 	it.cur = recordAt(it.rack, it.loc, it.times[it.pos], &it.cols, it.pos)
 }
 
 // recordAt materializes one record from decoded columnar data; shared by
-// the per-rack Iter and the parallel merge iterator so both produce
-// bit-identical records from the same stored bytes.
+// Query and the per-rack iter so both produce bit-identical records from
+// the same stored bytes.
 func recordAt(rack topology.RackID, loc *time.Location, tN int64, cols *[sensors.NumMetrics][]float64, i int) sensors.Record {
 	return sensors.Record{
 		Time:          time.Unix(0, tN).In(loc),
@@ -126,4 +112,4 @@ func recordAt(rack topology.RackID, loc *time.Location, tN int64, cols *[sensors
 }
 
 // Record returns the record at the cursor; valid after Next returns true.
-func (it *Iter) Record() sensors.Record { return it.cur }
+func (it *iter) Record() sensors.Record { return it.cur }

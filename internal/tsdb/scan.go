@@ -18,6 +18,7 @@ package tsdb
 
 import (
 	"context"
+	"math"
 	"runtime"
 	"strconv"
 	"sync"
@@ -46,6 +47,67 @@ type scanArena struct {
 	times []int64
 	ints  []int64 // quantized-integer scratch shared across the six channels
 	cols  [sensors.NumMetrics][]float64
+}
+
+// timestamps decodes bv's timestamp column, into the arena when bv is
+// sealed. Only a sealed view's decode is adopted as the arena's buffer: a
+// raw view (head prefix or frozen block) aliases live columns that a later
+// decode into the arena would overwrite, and a cold view decodes fresh.
+func (ar *scanArena) timestamps(bv blockView) ([]int64, error) {
+	if bv.sealed == nil {
+		return bv.timestamps()
+	}
+	ts, err := bv.sealed.decodeTimesArena(ar.times)
+	if err == nil {
+		ar.times = ts
+	}
+	return ts, err
+}
+
+// column decodes bv's channel m under the same adoption rule. Only rows
+// [lo, hi) of the result are valid: a sealed integer column converts just
+// those (see decodeChannelArena).
+func (ar *scanArena) column(bv blockView, m sensors.Metric, lo, hi int) ([]float64, error) {
+	if bv.sealed == nil {
+		return bv.channel(m)
+	}
+	col, ints, err := bv.sealed.decodeChannelArena(m, lo, hi, ar.cols[m], ar.ints)
+	if err == nil {
+		ar.cols[m], ar.ints = col, ints
+	}
+	return col, err
+}
+
+// readArena is the decode scratch of one point read (Query, Series,
+// Aggregate, and each rack of AggregateRacks): a scanArena, the rack's
+// snapshot and the views of its blocks in range, and the windowed
+// aggregate's integer sums. It comes from readPool and goes back there when
+// the read returns, so a warm point read allocates only its result; no
+// result handed to a caller may alias arena memory.
+type readArena struct {
+	scanArena
+	snap  snapshot
+	views []blockView
+	sums  []int64
+}
+
+var readPool = sync.Pool{New: func() any { return new(readArena) }}
+
+// pointRead takes an arena from readPool holding sh's snapshot and the
+// views of its blocks overlapping [fromN, toN). The caller must release it.
+func pointRead(sh *shard, fromN, toN int64) *readArena {
+	ar := readPool.Get().(*readArena)
+	ar.snap = sh.snapshot()
+	ar.views = ar.snap.appendBlocks(ar.views[:0], fromN, toN)
+	return ar
+}
+
+// release drops the arena's references into the store, so a pooled arena
+// pins no block that compaction has since removed, and returns it.
+func (ar *readArena) release() {
+	clear(ar.views)
+	ar.snap = snapshot{}
+	readPool.Put(ar)
 }
 
 // arenaPool recycles arena pairs across scans: a full-store scan is brief
@@ -117,13 +179,10 @@ func (st *shardStream) decodeStep() scanRun {
 			_, sp = obs.Span(st.pool.ctx, "tsdb.scan_block")
 		}
 		ar := &st.arenas[st.runSeq&1]
-		times, err := bv.timestampsArena(ar.times)
+		times, err := ar.timestamps(bv)
 		if err != nil {
 			sp.End()
 			return scanRun{err: err, last: true}
-		}
-		if bv.sealed != nil {
-			ar.times = times
 		}
 		lo, hi := searchRange(times, st.fromN, st.toN)
 		if lo >= hi {
@@ -135,14 +194,9 @@ func (st *shardStream) decodeStep() scanRun {
 			run.tier = envdb.TierDownsampled
 		}
 		for m := range run.cols {
-			col, scratch, err := bv.channelArena(sensors.Metric(m), ar.cols[m], ar.ints)
-			if err != nil {
+			if run.cols[m], err = ar.column(bv, sensors.Metric(m), lo, hi); err != nil {
 				sp.End()
 				return scanRun{err: err, last: true}
-			}
-			run.cols[m] = col
-			if bv.sealed != nil {
-				ar.cols[m], ar.ints = col, scratch
 			}
 		}
 		metScanBlocks.Inc()
@@ -287,6 +341,8 @@ func (s *Store) scanShards(ctx context.Context, from, to time.Time, workers int)
 	loc := s.location()
 	streams := make([]*shardStream, len(s.shards))
 	for i := range streams {
+		// Every block goes in the stream: decodeStep clips to the range
+		// and ends the stream at the first block past it.
 		snap := s.shards[i].snapshot()
 		streams[i] = &shardStream{
 			rackCode: s.fleet.RackAt(i).Code(),
@@ -294,7 +350,7 @@ func (s *Store) scanShards(ctx context.Context, from, to time.Time, workers int)
 			fromN:    fromN,
 			toN:      toN,
 			pool:     pool,
-			blocks:   snap.blocks(),
+			blocks:   snap.appendBlocks(nil, math.MinInt64, math.MaxInt64),
 			resCh:    make(chan scanRun, 1),
 			arenas:   arenaPool.Get().(*[2]scanArena),
 		}

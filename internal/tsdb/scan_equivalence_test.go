@@ -300,3 +300,32 @@ func TestScanWireBytesPinned(t *testing.T) {
 		t.Fatalf("scan body (%d bytes) CRC32 %d, want %d", len(body), got, scanWireCRC)
 	}
 }
+
+// TestPointWireBytesPinned pins the /v1/query and /v1/series bodies served
+// for wireFixture's first rack over its whole history, cold tier included,
+// at CRCs recorded before point reads decoded into pooled arenas: how the
+// store or the handler sizes its buffers must not move a byte.
+func TestPointWireBytesPinned(t *testing.T) {
+	srv := httptest.NewServer(telemetrynet.NewServer(wireFixture(t), telemetrynet.ServerOptions{}).Handler())
+	defer srv.Close()
+	for _, c := range []struct {
+		path string
+		crc  uint32
+	}{
+		{"/v1/query?rack=0&from=0&to=9000000000000000000", 1948424852},
+		{"/v1/series?rack=0&metric=3&from=0&to=9000000000000000000", 558161692},
+	} {
+		resp, err := http.Get(srv.URL + c.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, %v", c.path, resp.StatusCode, err)
+		}
+		if got := crc32.ChecksumIEEE(body); got != c.crc {
+			t.Errorf("%s: body (%d bytes) CRC32 %d, want %d", c.path, len(body), got, c.crc)
+		}
+	}
+}

@@ -543,27 +543,36 @@ type blockView struct {
 	raw    *headBlock
 }
 
-func (snap *snapshot) blocks() []blockView {
-	views := make([]blockView, 0, len(snap.cold)+len(snap.sealed)+1)
+// appendBlocks appends to dst the views of snap's blocks that overlap
+// [fromN, toN), in time order, so readers never look at a block outside
+// their range.
+func (snap *snapshot) appendBlocks(dst []blockView, fromN, toN int64) []blockView {
 	// Cold blocks precede every closed block in time (the compaction
 	// boundary never splits a window), so this order is time order.
 	for _, d := range snap.cold {
-		views = append(views, blockView{down: d})
+		dst = appendOverlapping(dst, blockView{down: d}, fromN, toN)
 	}
 	for _, b := range snap.sealed {
 		// The one place a reader decides which form of a closed block it
 		// sees: a frozen block's columns stay valid (and pinned by this view)
 		// however soon seal clears raw.
 		if h := b.raw.Load(); h != nil {
-			views = append(views, blockView{raw: h})
+			dst = appendOverlapping(dst, blockView{raw: h}, fromN, toN)
 		} else {
-			views = append(views, blockView{sealed: b})
+			dst = appendOverlapping(dst, blockView{sealed: b}, fromN, toN)
 		}
 	}
 	if len(snap.head.times) > 0 {
-		views = append(views, blockView{raw: &snap.head})
+		dst = appendOverlapping(dst, blockView{raw: &snap.head}, fromN, toN)
 	}
-	return views
+	return dst
+}
+
+func appendOverlapping(dst []blockView, bv blockView, fromN, toN int64) []blockView {
+	if minT, maxT := bv.bounds(); maxT >= fromN && minT < toN {
+		dst = append(dst, bv)
+	}
+	return dst
 }
 
 func (bv blockView) bounds() (minT, maxT int64) {
@@ -600,34 +609,12 @@ func (bv blockView) channel(m sensors.Metric) ([]float64, error) {
 	return bv.raw.vals[m], nil
 }
 
-// timestampsArena is timestamps with arena reuse: sealed blocks decode into
-// dst's backing array when it is large enough. Raw views alias their
-// columns and cold blocks decode fresh (they are rare), so both ignore dst
-// and must never be adopted as arena memory.
-func (bv blockView) timestampsArena(dst []int64) ([]int64, error) {
-	if bv.sealed != nil {
-		return bv.sealed.decodeTimesArena(dst)
-	}
-	return bv.timestamps()
-}
-
-// channelArena is channel with arena reuse for sealed blocks; the (possibly
-// regrown) integer scratch comes back for the caller to keep. Raw and cold
-// views ignore the arena like timestampsArena.
-func (bv blockView) channelArena(m sensors.Metric, dst []float64, scratch []int64) ([]float64, []int64, error) {
-	if bv.sealed != nil {
-		return bv.sealed.decodeChannelArena(m, dst, scratch)
-	}
-	out, err := bv.channel(m)
-	return out, scratch, err
-}
-
 // mustDecode is the internal-invariant backstop for the error-free query
 // surface (Query, Series, EachRecordUntil): memory-born blocks are
 // correct by construction and disk-loaded blocks are checksum-verified at
 // Open, so a decode error here means in-process memory corruption or a
 // codec bug — not bad input. Callers that want errors instead of a panic
-// (e.g. streaming over untrusted segments) use Iter, Aggregate, or
+// (e.g. streaming over untrusted segments) use Aggregate or
 // EachChunkMergedCtx and check the returned error.
 func mustDecode[T any](v T, err error) T {
 	mustOK(err)
@@ -649,16 +636,31 @@ func searchRange(times []int64, fromN, toN int64) (lo, hi int) {
 
 // Query returns the stored records for one rack with timestamps in
 // [from, to), in time order. Values are the stored (ingest-quantized)
-// values; see channelScales.
+// values; see channelScales. Sealed blocks decode into a pooled readArena
+// and only the rows in range become records.
 func (s *Store) Query(rack topology.RackID, from, to time.Time) []sensors.Record {
 	s.init()
 	defer metQueryDur.With(opQuery).ObserveSince(time.Now())
+	loc := s.location()
+	fromN, toN := from.UnixNano(), to.UnixNano()
+	ar := pointRead(s.readShard(rack), fromN, toN)
+	defer ar.release()
 	out := []sensors.Record{}
-	it := s.Iter(rack, from, to)
-	for it.Next() {
-		out = append(out, it.Record())
+	var cols [sensors.NumMetrics][]float64
+	for _, bv := range ar.views {
+		ts := mustDecode(ar.timestamps(bv))
+		lo, hi := searchRange(ts, fromN, toN)
+		if lo >= hi {
+			continue
+		}
+		for m := range cols {
+			cols[m] = mustDecode(ar.column(bv, sensors.Metric(m), lo, hi))
+		}
+		out = slices.Grow(out, hi-lo)
+		for i := lo; i < hi; i++ {
+			out = append(out, recordAt(rack, loc, ts[i], &cols, i))
+		}
 	}
-	mustOK(it.Err())
 	return out
 }
 
@@ -669,27 +671,22 @@ func (s *Store) Series(rack topology.RackID, m sensors.Metric, from, to time.Tim
 	defer metQueryDur.With(opSeries).ObserveSince(time.Now())
 	loc := s.location()
 	fromN, toN := from.UnixNano(), to.UnixNano()
-	snap := s.readShard(rack).snapshot()
+	ar := pointRead(s.readShard(rack), fromN, toN)
+	defer ar.release()
 	times := []time.Time{}
 	vals := []float64{}
-	for _, bv := range snap.blocks() {
-		minT, maxT := bv.bounds()
-		if minT >= toN {
-			break // blocks are time-ordered: the rest are past the range
-		}
-		if maxT < fromN {
-			continue
-		}
-		ts := mustDecode(bv.timestamps())
+	for _, bv := range ar.views {
+		ts := mustDecode(ar.timestamps(bv))
 		lo, hi := searchRange(ts, fromN, toN)
 		if lo >= hi {
 			continue
 		}
-		col := mustDecode(bv.channel(m))
-		for i := lo; i < hi; i++ {
-			times = append(times, time.Unix(0, ts[i]).In(loc))
-			vals = append(vals, col[i])
+		col := mustDecode(ar.column(bv, m, lo, hi))
+		times = slices.Grow(times, hi-lo)
+		for _, t := range ts[lo:hi] {
+			times = append(times, time.Unix(0, t).In(loc))
 		}
+		vals = append(vals, col[lo:hi]...)
 	}
 	return times, vals
 }
@@ -812,26 +809,60 @@ func (s *Store) stats() (st Stats, frozen int) {
 }
 
 // Bounds reports the earliest and latest record timestamps across all
-// racks; ok is false for an empty store.
+// racks; ok is false for an empty store. Blocks are time-ordered within a
+// shard (cold, then closed, then head), so each shard contributes its
+// first block's start and its last block's end, read under the shard's
+// read lock: no snapshot, no view list, no allocation — the telemetry
+// server asks for the zone on every response.
 func (s *Store) Bounds() (first, last time.Time, ok bool) {
 	s.init()
 	var minN, maxN int64
 	for i := range s.shards {
-		snap := s.shards[i].snapshot()
-		for _, bv := range snap.blocks() {
-			lo, hi := bv.bounds()
-			if !ok || lo < minN {
-				minN = lo
-			}
-			if !ok || hi > maxN {
-				maxN = hi
-			}
-			ok = true
+		lo, hi, has := s.shards[i].bounds()
+		if !has {
+			continue
 		}
+		if !ok || lo < minN {
+			minN = lo
+		}
+		if !ok || hi > maxN {
+			maxN = hi
+		}
+		ok = true
 	}
 	if !ok {
 		return time.Time{}, time.Time{}, false
 	}
 	loc := s.location()
 	return time.Unix(0, minN).In(loc), time.Unix(0, maxN).In(loc), true
+}
+
+// bounds is the shard's first and last stored timestamp; ok is false for
+// an empty shard.
+func (sh *shard) bounds() (minT, maxT int64, ok bool) {
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	headRows := 0
+	if sh.head != nil {
+		headRows = len(sh.head.times)
+	}
+	switch {
+	case len(sh.cold) > 0:
+		minT = sh.cold[0].minT
+	case len(sh.sealed) > 0:
+		minT = sh.sealed[0].minT
+	case headRows > 0:
+		minT = sh.head.times[0]
+	default:
+		return 0, 0, false
+	}
+	switch {
+	case headRows > 0:
+		maxT = sh.head.times[headRows-1]
+	case len(sh.sealed) > 0:
+		maxT = sh.sealed[len(sh.sealed)-1].maxT
+	default:
+		maxT = sh.cold[len(sh.cold)-1].maxT
+	}
+	return minT, maxT, true
 }

@@ -319,7 +319,7 @@ func TestIterMatchesQuery(t *testing.T) {
 	from := base.Add(3 * timeutil.SampleInterval)
 	to := base.Add(555 * timeutil.SampleInterval)
 	want := s.Query(rack, from, to)
-	it := s.Iter(rack, from, to)
+	it := s.iterShard(rack, s.readShard(rack), from.UnixNano(), to.UnixNano())
 	var got []sensors.Record
 	for it.Next() {
 		got = append(got, it.Record())
@@ -333,7 +333,7 @@ func TestIterMatchesQuery(t *testing.T) {
 		}
 	}
 	// Empty range.
-	if it := s.Iter(rack, to, to); it.Next() {
+	if it := s.iterShard(rack, s.readShard(rack), to.UnixNano(), to.UnixNano()); it.Next() {
 		t.Error("empty range iterator should be exhausted")
 	}
 }
