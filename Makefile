@@ -2,7 +2,7 @@
 # the roadmap expect before a change lands.
 GO ?= go
 
-.PHONY: check vet lint build test race bench-e2e bench-test profile-study smoke fuzz-smoke loc
+.PHONY: check vet lint build test race bench-e2e bench-test profile-study profile-pointreads smoke fuzz-smoke loc
 
 # check runs the stages one sub-make at a time and prints each stage's wall
 # seconds, so the gate's cost is a number in the log rather than a guess.
@@ -124,6 +124,18 @@ profile-study:
 	$(GO) test -run '^$$' -bench '^BenchmarkStudyRun$$' -benchtime 5x -benchmem \
 		-o .bench_build/study.test -cpuprofile .bench_build/study.cpu.prof .
 	$(GO) tool pprof -top -cum -nodecount 30 .bench_build/study.test .bench_build/study.cpu.prof
+
+# profile-pointreads does the same for the serving side's point reads: it
+# CPU-profiles BenchmarkPointReads (Query, Series and hourly Aggregate over
+# 1 h to 30 d windows of a 60-day sealed store, ending at the newest sample
+# and in history, the cells of dashboard_read's mix) and prints the 30
+# heaviest functions by cumulative time, so a move in dashboard_read or
+# tsdb.query_us names its decode, search or materialization step.
+profile-pointreads:
+	mkdir -p .bench_build
+	$(GO) test -run '^$$' -bench '^BenchmarkPointReads$$' -benchmem \
+		-o .bench_build/tsdb.test -cpuprofile .bench_build/pointreads.cpu.prof ./internal/tsdb
+	$(GO) tool pprof -top -cum -nodecount 30 .bench_build/tsdb.test .bench_build/pointreads.cpu.prof
 
 # loc prints non-test Go lines per package and their total — the size the
 # roadmap tracks PR over PR (CHANGES.md records the table). bench/ is a

@@ -3,6 +3,8 @@ package analysis
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
 	"time"
 
 	"mira/internal/envdb"
@@ -140,22 +142,35 @@ var nanUtil = func() float64 {
 	return zero / zero // NaN
 }()
 
+// wholeFrom and wholeTo are the widest range a store accepts, every
+// instant a UnixNano can name: a whole-trace aggregate asks for it instead
+// of first fetching the store's bounds, which is one more request on a
+// remote store.
+var (
+	wholeFrom = time.Unix(0, math.MinInt64)
+	wholeTo   = time.Unix(0, math.MaxInt64)
+)
+
 // rackMeansPushdown computes each rack's whole-trace mean of every metric
 // (out[j] for metrics[j]) via aggregation pushdown: one hall-wide
-// AggregateRacks call, so only those metrics' compressed columns are
-// decoded and no records are materialized — and a remote store answers in
-// one request. For quantized channels the sums accumulate in the integer
+// AggregateRacks call over [wholeFrom, wholeTo), so only those metrics'
+// compressed columns are decoded and no records are materialized — and a
+// remote store answers in one request. It returns nil when the hall holds
+// no sample. For quantized channels the sums accumulate in the integer
 // domain, which makes the means exact and compaction-invariant: the same
 // value before and after the store's cold range is downsampled. They agree
 // with a full float-order replay to within summation-order rounding.
-func rackMeansPushdown(ctx context.Context, db envdb.Aggregator, hall int, from, to time.Time, metrics ...sensors.Metric) ([][]float64, error) {
-	aggs, err := db.AggregateRacks(ctx, hall, metrics, from, to)
+func rackMeansPushdown(ctx context.Context, db envdb.Aggregator, hall int, metrics ...sensors.Metric) ([][]float64, error) {
+	aggs, err := db.AggregateRacks(ctx, hall, metrics, wholeFrom, wholeTo)
 	if err != nil {
 		return nil, err
 	}
 	k := len(metrics)
 	if len(aggs) != topology.NumRacks*k {
 		return nil, fmt.Errorf("analysis: pushdown returned %d windows, want %d", len(aggs), topology.NumRacks*k)
+	}
+	if !slices.ContainsFunc(aggs, func(a envdb.WindowAgg) bool { return a.Count > 0 }) {
+		return nil, nil
 	}
 	out := make([][]float64, k)
 	for j := range out {
@@ -175,18 +190,14 @@ func rackMeansPushdown(ctx context.Context, db envdb.Aggregator, hall int, from,
 // call runs as a child of an "analysis.fig7_pushdown" span parented to
 // ctx. Results match Fig7RackCoolant after a full replay of the same store
 // up to float summation order, and are identical before and after
-// retention compaction (the cold tier stores exact sums).
+// retention compaction (the cold tier stores exact sums). A hall without
+// samples yields the zero RackCoolant.
 func Fig7CoolantPushdownHall(ctx context.Context, db envdb.Aggregator, hall int) (RackCoolant, error) {
 	defer timed("fig7_rack_coolant_pushdown")()
 	ctx, span := obs.Span(ctx, "analysis.fig7_pushdown")
 	defer span.End()
-	first, last, ok := db.Bounds()
-	if !ok {
-		return RackCoolant{}, nil
-	}
-	means, err := rackMeansPushdown(ctx, db, hall, first, last.Add(time.Nanosecond),
-		sensors.MetricFlow, sensors.MetricInletTemp, sensors.MetricOutletTemp)
-	if err != nil {
+	means, err := rackMeansPushdown(ctx, db, hall, sensors.MetricFlow, sensors.MetricInletTemp, sensors.MetricOutletTemp)
+	if err != nil || means == nil {
 		return RackCoolant{}, err
 	}
 	flow, inlet, outlet := means[0], means[1], means[2]
@@ -206,13 +217,8 @@ func Fig9AmbientPushdownHall(ctx context.Context, db envdb.Aggregator, hall int)
 	defer timed("fig9_rack_ambient_pushdown")()
 	ctx, span := obs.Span(ctx, "analysis.fig9_pushdown")
 	defer span.End()
-	first, last, ok := db.Bounds()
-	if !ok {
-		return RackAmbient{}, nil
-	}
-	means, err := rackMeansPushdown(ctx, db, hall, first, last.Add(time.Nanosecond),
-		sensors.MetricDCTemperature, sensors.MetricDCHumidity)
-	if err != nil {
+	means, err := rackMeansPushdown(ctx, db, hall, sensors.MetricDCTemperature, sensors.MetricDCHumidity)
+	if err != nil || means == nil {
 		return RackAmbient{}, err
 	}
 	return ambientFromMeans(means[0], means[1]), nil

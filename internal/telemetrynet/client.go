@@ -316,7 +316,24 @@ func (c *Client) infoCtx(ctx context.Context) (Info, error) {
 	if err := json.NewDecoder(body).Decode(&info); err != nil {
 		return Info{}, fmt.Errorf("telemetrynet: decoding info: %w", err)
 	}
+	finish(body)
 	return info, nil
+}
+
+// drainLimit bounds how much of a response body finish reads past its
+// frame: a JSON document's newline, a chunked body's terminator.
+const drainLimit = 4 << 10
+
+// finish reads a point read's response body to EOF once its frame has
+// decoded. The frame readers stop at the frame's last byte, but net/http
+// returns a connection to the keep-alive pool only when the body was read
+// to its end before Close; a chunk-encoded response (any frame larger than
+// the server's first write buffer) would otherwise cost a new connection.
+// A body with more than drainLimit bytes left is closed unread and its
+// connection dropped.
+func finish(body io.Reader) {
+	// A failed read only loses the connection, which Close then drops.
+	_, _ = io.Copy(io.Discard, io.LimitReader(body, drainLimit))
 }
 
 // Len returns the remote record count. Panics on a failed request (see the
@@ -361,6 +378,7 @@ func (c *Client) queryErr(ctx context.Context, rack topology.RackID, from, to ti
 	}); err != nil {
 		return nil, err
 	}
+	finish(body)
 	return out, nil
 }
 
@@ -390,6 +408,7 @@ func (c *Client) Series(rack topology.RackID, m sensors.Metric, from, to time.Ti
 	if err != nil {
 		panic(err)
 	}
+	finish(body)
 	return times, vals
 }
 
@@ -498,12 +517,13 @@ func (c *Client) AggregateRacks(ctx context.Context, hall int, metrics []sensors
 }
 
 // readAggs decodes an aggregate response into envdb windows, each Start
-// in the server store's zone.
+// in the server store's zone, and reads the body to its end.
 func readAggs(body io.Reader) ([]envdb.WindowAgg, error) {
 	wire, loc, err := decodeAggs(body)
 	if err != nil {
 		return nil, err
 	}
+	finish(body)
 	out := make([]envdb.WindowAgg, len(wire))
 	for i, a := range wire {
 		out[i] = envdb.WindowAgg{

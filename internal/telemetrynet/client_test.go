@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -14,6 +15,8 @@ import (
 
 	"mira/internal/envdb"
 	"mira/internal/sensors"
+	"mira/internal/timeutil"
+	"mira/internal/topology"
 	"mira/internal/tsdb"
 )
 
@@ -259,4 +262,52 @@ func TestClientErrorPanics(t *testing.T) {
 		}
 	}()
 	client.Len()
+}
+
+// TestPointReadsReuseConnection: a point read whose response outgrows one
+// write is chunk-encoded, and its frame ends before the body does, so a
+// client that closed the body at the frame's end would dial a new
+// connection for every such read. Twenty each of 30-day Series, hourly
+// Aggregate and Query reads in a row must reach the server on one
+// connection.
+func TestPointReadsReuseConnection(t *testing.T) {
+	db := tsdb.NewStore()
+	rack := topology.RackByIndex(7)
+	start := time.Date(2014, 5, 20, 0, 0, 0, 0, timeutil.Chicago)
+	const rows = 30 * 288
+	rec := netTrace(1)[7]
+	for i := 0; i < rows; i++ {
+		rec.Time = start.Add(time.Duration(i) * timeutil.SampleInterval)
+		if err := db.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var dials atomic.Int64
+	ts := httptest.NewUnstartedServer(NewServer(db, ServerOptions{}).Handler())
+	ts.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	ts.Start()
+	t.Cleanup(ts.Close)
+	tr := &http.Transport{}
+	t.Cleanup(tr.CloseIdleConnections)
+	c := NewClient(ts.URL, ClientOptions{HTTPClient: &http.Client{Transport: tr}})
+	end := start.Add(rows * timeutil.SampleInterval)
+	for i := 0; i < 20; i++ {
+		if _, vals := c.Series(rack, sensors.MetricFlow, start, end); len(vals) != rows {
+			t.Fatalf("series returned %d points, want %d", len(vals), rows)
+		}
+		aggs, err := c.Aggregate(rack, sensors.MetricPower, start, end, time.Hour)
+		if err != nil || len(aggs) != 30*24 {
+			t.Fatalf("aggregate returned %d windows (%v), want %d", len(aggs), err, 30*24)
+		}
+		if recs := c.Query(rack, start, end); len(recs) != rows {
+			t.Fatalf("query returned %d records, want %d", len(recs), rows)
+		}
+	}
+	if n := dials.Load(); n != 1 {
+		t.Fatalf("60 point reads dialed %d connections, want 1", n)
+	}
 }

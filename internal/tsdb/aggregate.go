@@ -167,11 +167,11 @@ func (s *Store) aggregate(rack topology.RackID, m sensors.Metric, from, to time.
 	sumsI := ar.sums
 	clear(sumsI)
 	for _, bv := range ar.views {
-		ts, err := ar.timestamps(bv)
+		sp, err := ar.span(bv, fromN, toN)
 		if err != nil {
 			return nil, err
 		}
-		lo, hi := searchRange(ts, fromN, toN)
+		ts, lo, hi := sp.ts, sp.lo, sp.hi
 		if lo >= hi {
 			continue
 		}
@@ -220,12 +220,10 @@ func (s *Store) aggregate(rack topology.RackID, m sensors.Metric, from, to time.
 			// Raw integer fast path: decode the quantized column once and
 			// derive the float values by division — the same work as the
 			// generic decode, plus the integer accumulation for free.
-			metDecode.Inc()
-			ints, err := decodeIntsPackedInto(ar.ints, b.ch[m].data, b.count)
+			ints, err := ar.quantized(sp, m)
 			if err != nil {
-				return nil, b.wrap(m.String(), err)
+				return nil, err
 			}
-			ar.ints = ints
 			for i := lo; i < hi; i++ {
 				k := (ts[i] - fromN) / winN
 				w := &out[k]
@@ -248,7 +246,7 @@ func (s *Store) aggregate(rack topology.RackID, m sensors.Metric, from, to time.
 			}
 			continue
 		}
-		col, err := ar.column(bv, m, lo, hi)
+		col, err := ar.values(sp, m)
 		if err != nil {
 			return nil, err
 		}
@@ -400,11 +398,11 @@ func (s *Store) aggregateWhole(ar *readArena, metrics []sensors.Metric, fromN, t
 		accs[j].exact = true
 	}
 	for _, bv := range ar.views {
-		ts, err := ar.timestamps(bv)
+		sp, err := ar.span(bv, fromN, toN)
 		if err != nil {
 			return err
 		}
-		lo, hi := searchRange(ts, fromN, toN)
+		lo, hi := sp.lo, sp.hi
 		if lo >= hi {
 			continue
 		}
@@ -429,16 +427,14 @@ func (s *Store) aggregateWhole(ar *readArena, metrics []sensors.Metric, fromN, t
 				// Raw integer fast path: decode the quantized column and
 				// derive the float values by division, accumulating the
 				// integer sum alongside.
-				metDecode.Inc()
-				ints, err := decodeIntsPackedInto(ar.ints, b.ch[m].data, b.count)
+				ints, err := ar.quantized(sp, m)
 				if err != nil {
-					return b.wrap(m.String(), err)
+					return err
 				}
-				ar.ints = ints
 				a.addInts(ints[lo:hi], scale)
 				continue
 			}
-			col, err := ar.column(bv, m, lo, hi)
+			col, err := ar.values(sp, m)
 			if err != nil {
 				return err
 			}

@@ -3,6 +3,7 @@ package tsdb
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -90,6 +91,12 @@ type sealedBlock struct {
 	// src names the segment file and block index for disk-loaded blocks
 	// ("" for memory-born ones), so decode errors identify their origin.
 	src string
+	// idx is the block's restart index, built by the first point read that
+	// covers the block only in part (see restartIndex); idxErr is that
+	// build's decode failure, returned to every later caller too.
+	idxOnce sync.Once
+	idx     *restartIndex
+	idxErr  error
 }
 
 // headBlock is the mutable in-progress partition of a shard: plain columnar
@@ -209,47 +216,53 @@ func (b *sealedBlock) wrap(what string, err error) error {
 }
 
 func (b *sealedBlock) decodeTimes() ([]int64, error) {
-	return b.decodeTimesArena(nil)
+	return b.decodeTimesArena(nil, nil, 0, b.count)
 }
 
-// decodeTimesArena decodes the timestamp column into dst, reusing its
-// backing array when large enough.
-func (b *sealedBlock) decodeTimesArena(dst []int64) ([]int64, error) {
+// decodeTimesArena decodes the timestamps of rows [r0, r1) into dst, sized
+// to the block and reusing its backing array when large enough; rows
+// outside are left stale. Without an index the decode starts at the stream
+// head, so r0 must be 0; with one, r0 must be a restart row.
+func (b *sealedBlock) decodeTimesArena(dst []int64, idx *restartIndex, r0, r1 int) ([]int64, error) {
 	metDecode.Inc()
-	ts, err := decodeTimesInto(dst, b.times, b.count)
-	if err != nil {
+	out := int64Slice(dst, b.count)
+	var st timeState
+	if idx != nil {
+		st = idx.times[r0/restartStride]
+	}
+	if _, err := decodeTimesFrom(out[r0:r1], b.times, st); err != nil {
 		return nil, b.wrap("timestamps", err)
 	}
-	return ts, nil
+	return out, nil
 }
 
 // decodeChannel materializes one value column — the unit of decompression
 // work, so single-metric reads (Series, Aggregate) skip five sixths of it.
 func (b *sealedBlock) decodeChannel(m sensors.Metric) ([]float64, error) {
-	out, _, err := b.decodeChannelArena(m, 0, b.count, nil, nil)
+	out, _, err := b.decodeChannelArena(m, 0, b.count, nil, nil, nil)
 	return out, err
 }
 
 // decodeChannelArena decodes one value column into dst, using scratch for
 // the quantized-integer intermediate; both are reused when large enough,
 // and the (possibly regrown) scratch is returned for the caller's arena.
-// An integer column is converted to floats only for rows [lo, hi), with
-// the same float64(n)/scale as a whole-column decode, so the rows a reader
-// asks for are bit-identical either way; rows outside are left stale. An
-// XOR column decodes whole.
-func (b *sealedBlock) decodeChannelArena(m sensors.Metric, lo, hi int, dst []float64, scratch []int64) ([]float64, []int64, error) {
-	metDecode.Inc()
+// An integer column decodes as decodeIntsArena does and is converted to
+// floats only for rows [lo, hi), with the same float64(n)/scale as a
+// whole-column decode, so the rows a reader asks for are bit-identical
+// either way; rows outside are left stale. An XOR column decodes whole.
+func (b *sealedBlock) decodeChannelArena(m sensors.Metric, lo, hi int, dst []float64, scratch []int64, idx *restartIndex) ([]float64, []int64, error) {
 	c := b.ch[m]
 	if c.enc == encXOR {
+		metDecode.Inc()
 		out, err := decodeXORInto(dst, c.data, b.count)
 		if err != nil {
 			return nil, scratch, b.wrap(m.String(), err)
 		}
 		return out, scratch, nil
 	}
-	ints, err := decodeIntsPackedInto(scratch, c.data, b.count)
+	ints, err := b.decodeIntsArena(m, lo, hi, scratch, idx)
 	if err != nil {
-		return nil, scratch, b.wrap(m.String(), err)
+		return nil, scratch, err
 	}
 	out := float64Slice(dst, b.count)
 	scale := c.scale
@@ -257,6 +270,103 @@ func (b *sealedBlock) decodeChannelArena(m sensors.Metric, lo, hi int, dst []flo
 		out[lo+i] = float64(n) / scale
 	}
 	return out, ints, nil
+}
+
+// decodeIntsArena decodes the quantized values of integer column m into
+// scratch, sized to the block and reused when large enough, so that rows
+// [lo, hi) are valid; rows outside may be stale. Without an index the
+// whole column decodes; with one the decode runs from the restart at or
+// before lo to hi.
+func (b *sealedBlock) decodeIntsArena(m sensors.Metric, lo, hi int, scratch []int64, idx *restartIndex) ([]int64, error) {
+	metDecode.Inc()
+	out := int64Slice(scratch, b.count)
+	r0, r1 := 0, b.count
+	var st packState
+	if idx != nil {
+		k := lo / restartStride
+		r0, r1, st = k*restartStride, hi, idx.cols[m][k]
+	}
+	if _, err := decodeIntsPackedFrom(out[r0:r1], b.ch[m].data, st); err != nil {
+		return nil, b.wrap(m.String(), err)
+	}
+	return out, nil
+}
+
+// restartStride is the row distance between the restart points of a
+// sealed block's index: four packGroups, so every restart of an integer
+// column sits on a group header.
+const restartStride = 4 * packGroup
+
+// restartIndex lets a point read decode only the stretch of a sealed block
+// its range overlaps. Span k holds rows [k·restartStride,
+// (k+1)·restartStride); the index keeps each span's first timestamp and
+// the decoder state before its first row, of the timestamp stream and of
+// every encIntPacked column (an XOR column has none and decodes whole).
+// At the 300 s cadence a 30-day block of 8,640 rows has 34 spans, so the
+// index costs 34 × (8 + 24 + 6 × 16) B ≈ 4.3 KB beside ≈97 KB of payload.
+// It is not persisted: Open decodes nothing for it, and reads that cover
+// whole blocks (scans, compaction, whole-range aggregates) never build it.
+type restartIndex struct {
+	first []int64 // span k's first timestamp
+	times []timeState
+	cols  [sensors.NumMetrics][]packState // nil for an XOR column
+}
+
+// rows returns the rows [r0, r1) of the spans that can hold timestamps in
+// [fromN, toN): from the last span starting before fromN (the first span
+// when none does) through the last span starting before toN. Timestamps
+// never decrease within a block, so every row outside lies outside the
+// range.
+func (idx *restartIndex) rows(fromN, toN int64, count int) (r0, r1 int) {
+	k0, _ := slices.BinarySearch(idx.first, fromN)
+	k1, _ := slices.BinarySearch(idx.first, toN)
+	return max(k0-1, 0) * restartStride, min(k1*restartStride, count)
+}
+
+// index returns b's restart index, building it on the first call with
+// one full decode of the timestamp stream and of every integer column, so
+// a corrupt payload fails the first partial read just as it fails a
+// whole-block decode. Concurrent first callers wait for the one that
+// builds.
+func (b *sealedBlock) index() (*restartIndex, error) {
+	b.idxOnce.Do(func() { b.idx, b.idxErr = b.buildIndex() })
+	return b.idx, b.idxErr
+}
+
+// buildIndex decodes the block span by span, each span from the state
+// the previous one ended in, and records the states.
+func (b *sealedBlock) buildIndex() (*restartIndex, error) {
+	spans := (b.count + restartStride - 1) / restartStride
+	idx := &restartIndex{first: make([]int64, spans), times: make([]timeState, spans)}
+	var scratch [restartStride]int64
+	span := func(k int) []int64 { return scratch[:min(restartStride, b.count-k*restartStride)] }
+	metDecode.Inc()
+	var ts timeState
+	for k := range idx.times {
+		idx.times[k] = ts
+		var err error
+		if ts, err = decodeTimesFrom(span(k), b.times, ts); err != nil {
+			return nil, b.wrap("timestamps", err)
+		}
+		idx.first[k] = scratch[0]
+	}
+	for m, c := range b.ch {
+		if c.enc != encIntPacked {
+			continue
+		}
+		metDecode.Inc()
+		states := make([]packState, spans)
+		var st packState
+		for k := range states {
+			states[k] = st
+			var err error
+			if st, err = decodeIntsPackedFrom(span(k), c.data, st); err != nil {
+				return nil, b.wrap(sensors.Metric(m).String(), err)
+			}
+		}
+		idx.cols[m] = states
+	}
+	return idx, nil
 }
 
 // payloadBytes is the compressed size of a sealed block's streams.

@@ -237,7 +237,7 @@ func foldBlocks(blocks []*sealedBlock, win int64, src string) (*downBlock, error
 		intFold:
 			for bi, b := range blocks {
 				metDecode.Inc()
-				ints, err := decodeIntsPackedInto(nil, b.ch[m].data, b.count)
+				ints, err := decodeIntsPacked(b.ch[m].data, b.count)
 				if err != nil {
 					return nil, b.wrap(sensors.Metric(m).String(), err)
 				}

@@ -247,8 +247,14 @@ func float64Slice(dst []float64, n int) []float64 {
 	return dst[:n]
 }
 
+// decodeTimes decodes n delta-of-delta timestamps: the range decode from
+// the stream head.
 func decodeTimes(buf []byte, n int) ([]int64, error) {
-	return decodeTimesInto(nil, buf, n)
+	out := make([]int64, n)
+	if _, err := decodeTimesFrom(out, buf, timeState{}); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // refill8 tops a local look-ahead word up from buf with one unaligned
@@ -290,35 +296,59 @@ func readTailBits(buf []byte, cur uint64, bits uint, off int, width uint) (uint6
 	return v, cur << rest, bits - rest, off, true
 }
 
-// decodeTimesInto decodes n delta-of-delta timestamps into dst, reusing its
-// backing array when large enough. The loop keeps the bit cursor in locals
-// (no per-value method calls or struct traffic) and folds runs of '0'
-// prefixes — zero delta-of-deltas, the whole stream for a fixed-cadence
-// sampler — into one LeadingZeros64 per word: this is the hot half of the
-// chunked scan's decode budget.
-func decodeTimesInto(dst []int64, buf []byte, n int) ([]int64, error) {
-	out := int64Slice(dst, n)
-	if n == 0 {
-		return out, nil
+// timeState is the timestamp decoder's position before one row: the bits
+// of the stream consumed, the previous timestamp and the previous delta.
+// The zero value is the stream head, before the raw first timestamp.
+type timeState struct {
+	pos         int
+	prev, delta int64
+}
+
+// seekBits starts a decoder's local bit cursor (look-ahead word, valid bit
+// count, next byte offset) at bit pos of buf; ok is false when the stream
+// holds no bit at pos.
+func seekBits(buf []byte, pos int) (cur uint64, bits uint, off int, ok bool) {
+	cur, bits, off, ok = refill8(buf, 0, 0, pos>>3)
+	skip := uint(pos & 7)
+	if !ok || bits <= skip {
+		return 0, 0, off, false
 	}
-	if len(buf) < 8 {
-		return nil, fmt.Errorf("decoding timestamps: %w", errOverrun)
+	return cur << skip, bits - skip, off, true
+}
+
+// decodeTimesFrom decodes the len(dst) timestamps that follow state st
+// into dst and returns the state after them, so a block's timestamps decode
+// from any restart point its index recorded (see restartIndex) as well as
+// from the head. The loop keeps the bit cursor in locals (no per-value
+// method calls or struct traffic) and folds runs of '0' prefixes — zero
+// delta-of-deltas, the whole stream for a fixed-cadence sampler — into one
+// LeadingZeros64 per word: this is the hot half of the chunked scan's
+// decode budget.
+func decodeTimesFrom(dst []int64, buf []byte, st timeState) (timeState, error) {
+	n := len(dst)
+	i := 0
+	if n > 0 && st.pos == 0 {
+		// The first timestamp is written raw before any varbit, so it is
+		// byte-aligned in the first eight bytes.
+		if len(buf) < 8 {
+			return st, fmt.Errorf("decoding timestamps: %w", errOverrun)
+		}
+		st = timeState{pos: 64, prev: int64(binary.BigEndian.Uint64(buf))}
+		dst[0] = st.prev
+		i = 1
 	}
-	// The first timestamp is written raw before any varbit, so it is
-	// byte-aligned in the first eight bytes.
-	prev := int64(binary.BigEndian.Uint64(buf))
-	out[0] = prev
-	var (
-		cur   uint64
-		bits  uint
-		off   = 8
-		delta int64
-		ok    bool
-	)
-	for i := 1; i < n; {
+	if i == n {
+		return st, nil
+	}
+	cur, bits, off, ok := seekBits(buf, st.pos)
+	if !ok {
+		return st, fmt.Errorf("decoding timestamps: %w", errOverrun)
+	}
+	prev, delta := st.prev, st.delta
+	for i < n {
 		if bits < 38 {
 			if cur, bits, off, ok = refill8(buf, cur, bits, off); !ok {
-				return nil, fmt.Errorf("decoding timestamps: %w", errOverrun)
+				return st, fmt.Errorf("decoding timestamps: %w", errOverrun)
 			}
 		}
 		w := cur
@@ -335,7 +365,7 @@ func decodeTimesInto(dst []int64, buf []byte, n int) ([]int64, error) {
 			bits -= z
 			for e := i + int(z); i < e; i++ {
 				prev += delta
-				out[i] = prev
+				dst[i] = prev
 			}
 			continue
 		}
@@ -343,13 +373,13 @@ func decodeTimesInto(dst []int64, buf []byte, n int) ([]int64, error) {
 		var u uint64
 		if ones >= uint(len(varbitSizes)) { // 64-bit bucket, no terminator
 			if u, cur, bits, off, ok = readTailBits(buf, cur<<6, bits-6, off, 64); !ok {
-				return nil, fmt.Errorf("decoding timestamps: %w", errOverrun)
+				return st, fmt.Errorf("decoding timestamps: %w", errOverrun)
 			}
 		} else {
 			size := varbitSizes[ones-1]
 			total := ones + 1 + size // prefix ones, terminating zero, payload
 			if bits < total {
-				return nil, fmt.Errorf("decoding timestamps: %w", errOverrun)
+				return st, fmt.Errorf("decoding timestamps: %w", errOverrun)
 			}
 			u = (w << (ones + 1)) >> (64 - size)
 			cur <<= total
@@ -357,10 +387,10 @@ func decodeTimesInto(dst []int64, buf []byte, n int) ([]int64, error) {
 		}
 		delta += unzigzag(u)
 		prev += delta
-		out[i] = prev
+		dst[i] = prev
 		i++
 	}
-	return out, nil
+	return timeState{pos: off*8 - int(bits), prev: prev, delta: delta}, nil
 }
 
 // encodeInts compresses a quantized channel: the first value raw-ish
@@ -381,7 +411,7 @@ func encodeInts(vals []int64) []byte {
 	return w.bytes()
 }
 
-// decodeInts decodes n zigzag-delta integers. Like decodeTimesInto it runs
+// decodeInts decodes n zigzag-delta integers. Like decodeTimesFrom it runs
 // the bit cursor in locals and folds '0'-prefix runs (repeated values) into
 // one LeadingZeros64.
 func decodeInts(buf []byte, n int) ([]int64, error) {
@@ -492,26 +522,45 @@ func encodeIntsPacked(vals []int64) []byte {
 	return w.bytes()
 }
 
-// decodeIntsPackedInto decodes n word-packed integer deltas into dst,
-// reusing its backing array when large enough. One group costs one 7-bit
-// header read; its values then stream out of the look-ahead word at a fixed
-// shift each — no prefix decode, no width branch per value — which is why
-// sealed blocks use this encoding over varbit.
-func decodeIntsPackedInto(dst []int64, buf []byte, n int) ([]int64, error) {
-	out := int64Slice(dst, n)
+// packState is the packed integer decoder's position before one group
+// header: the bits of the stream consumed and the previous value. The zero
+// value is the stream head.
+type packState struct {
+	pos  int
+	prev int64
+}
+
+// decodeIntsPacked decodes n word-packed integer deltas: the range decode
+// from the stream head.
+func decodeIntsPacked(buf []byte, n int) ([]int64, error) {
+	out := make([]int64, n)
+	if _, err := decodeIntsPackedFrom(out, buf, packState{}); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// decodeIntsPackedFrom decodes the len(dst) values that follow state st
+// into dst and returns the state after them. st must sit on a group
+// header; the returned state does too, and a later call may start from it,
+// only when len(dst) is a whole number of groups or runs to the column's
+// end, whose last group may be short. One group costs one 7-bit header
+// read; its values then stream out of the look-ahead word at a fixed shift
+// each — no prefix decode, no width branch per value — which is why sealed
+// blocks use this encoding over varbit.
+func decodeIntsPackedFrom(dst []int64, buf []byte, st packState) (packState, error) {
+	n := len(dst)
 	if n == 0 {
-		return out, nil
+		return st, nil
 	}
-	fail := func() ([]int64, error) {
-		return nil, fmt.Errorf("decoding packed integer deltas: %w", errOverrun)
+	fail := func() (packState, error) {
+		return st, fmt.Errorf("decoding packed integer deltas: %w", errOverrun)
 	}
-	var (
-		cur  uint64
-		bits uint
-		off  int
-		prev int64
-		ok   bool
-	)
+	cur, bits, off, ok := seekBits(buf, st.pos)
+	if !ok {
+		return fail()
+	}
+	prev := st.prev
 	for i := 0; i < n; {
 		if bits < 7 {
 			if cur, bits, off, ok = refill8(buf, cur, bits, off); !ok || bits < 7 {
@@ -528,10 +577,10 @@ func decodeIntsPackedInto(dst []int64, buf []byte, n int) ([]int64, error) {
 		switch {
 		case width == 0:
 			for e := i + cnt; i < e; i++ {
-				out[i] = prev
+				dst[i] = prev
 			}
 		case width > 64:
-			return nil, fmt.Errorf("decoding packed integer deltas: invalid group width %d", width)
+			return st, fmt.Errorf("decoding packed integer deltas: invalid group width %d", width)
 		case width > 56:
 			// Wider than one refill guarantees: split reads, off the hot path
 			// (such groups carry first values or pathological jumps).
@@ -544,7 +593,7 @@ func decodeIntsPackedInto(dst []int64, buf []byte, n int) ([]int64, error) {
 					return fail()
 				}
 				prev += unzigzag(u)
-				out[i] = prev
+				dst[i] = prev
 			}
 		default:
 			for e := i + cnt; i < e; i++ {
@@ -556,11 +605,11 @@ func decodeIntsPackedInto(dst []int64, buf []byte, n int) ([]int64, error) {
 				prev += unzigzag(cur >> (64 - width))
 				cur <<= width
 				bits -= width
-				out[i] = prev
+				dst[i] = prev
 			}
 		}
 	}
-	return out, nil
+	return packState{pos: off*8 - int(bits), prev: prev}, nil
 }
 
 // encodeXOR is the classic Gorilla float encoding: XOR against the previous

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -146,7 +147,10 @@ func fuzzCounts(n int) []int64 {
 
 // FuzzDecodeBlock drives the stream decoders directly with arbitrary
 // payloads and value counts: they must return cleanly (value or error) on
-// every input, never panic or hang.
+// every input, never panic or hang. The payload is also a sealed block's
+// timestamp stream and, in a second block, an integer column: each
+// block's restart index must build exactly when the full decode succeeds,
+// and every range decode from its restarts must equal the full decode.
 func FuzzDecodeBlock(f *testing.F) {
 	ts := make([]int64, 64)
 	ints := make([]int64, 64)
@@ -181,6 +185,17 @@ func FuzzDecodeBlock(f *testing.F) {
 	f.Add(uint16(64), encodeDownChannelFloats(fsums, append([]float64(nil), floats...), append([]float64(nil), floats...)))
 	f.Add(uint16(1), []byte{0})
 	f.Add(uint16(4096), []byte{})
+	// Streams that decode whole at the fuzzed count (n+1 rows) across
+	// several restart spans, with a partial last span and group.
+	rng600 := rand.New(rand.NewSource(10))
+	long := make([]int64, 600)
+	ticks := make([]int64, 600)
+	for i := range long {
+		long[i] = rng600.Int63n(2000) - 1000
+		ticks[i] = int64(i)*300e9 + rng600.Int63n(2)*int64(rng600.Intn(1e6))
+	}
+	f.Add(uint16(599), encodeTimes(ticks))
+	f.Add(uint16(599), encodeIntsPacked(long))
 	f.Fuzz(func(t *testing.T, n uint16, data []byte) {
 		count := int(n)%4096 + 1
 		if out, err := decodeTimes(data, count); err == nil && len(out) != count {
@@ -189,8 +204,8 @@ func FuzzDecodeBlock(f *testing.F) {
 		if out, err := decodeInts(data, count); err == nil && len(out) != count {
 			t.Fatalf("decodeInts returned %d values, want %d", len(out), count)
 		}
-		if out, err := decodeIntsPackedInto(nil, data, count); err == nil && len(out) != count {
-			t.Fatalf("decodeIntsPackedInto returned %d values, want %d", len(out), count)
+		if out, err := decodeIntsPacked(data, count); err == nil && len(out) != count {
+			t.Fatalf("decodeIntsPacked returned %d values, want %d", len(out), count)
 		}
 		if out, err := decodeXOR(data, count); err == nil && len(out) != count {
 			t.Fatalf("decodeXOR returned %d values, want %d", len(out), count)
@@ -208,7 +223,64 @@ func FuzzDecodeBlock(f *testing.F) {
 				_ = math.Abs(s[i])
 			}
 		}
+		checkRestarts(t, data, count)
 	})
+}
+
+// checkRestarts is FuzzDecodeBlock's restart-index check: data as the
+// timestamp stream of a count-row block whose channels are all XOR (so the
+// index decodes only timestamps), and as the integer column of a block
+// with valid fixed-cadence timestamps.
+func checkRestarts(t *testing.T, data []byte, count int) {
+	ts, terr := decodeTimes(data, count)
+	reg := make([]int64, count)
+	for i := range reg {
+		reg[i] = int64(i) * 300e9
+	}
+	ints, ierr := decodeIntsPacked(data, count)
+	tb := &sealedBlock{count: count, times: data}
+	ib := &sealedBlock{count: count, times: encodeTimes(reg)}
+	for m := range tb.ch {
+		tb.ch[m] = channelData{enc: encXOR}
+		ib.ch[m] = channelData{enc: encXOR}
+	}
+	ib.ch[sensors.MetricFlow] = channelData{enc: encIntPacked, scale: 1, data: data}
+	for _, c := range []struct {
+		b       *sealedBlock
+		fullErr error
+	}{{tb, terr}, {ib, ierr}} {
+		idx, err := c.b.index()
+		if (err == nil) != (c.fullErr == nil) {
+			t.Fatalf("restart index build error %v, full decode error %v", err, c.fullErr)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("restart index build error does not wrap ErrCorrupt: %v", err)
+			}
+			continue
+		}
+		for k := range idx.first {
+			r0 := k * restartStride
+			if c.b == tb {
+				got, err := c.b.decodeTimesArena(nil, idx, r0, count)
+				if err != nil || idx.first[k] != ts[r0] || !slices.Equal(got[r0:], ts[r0:]) {
+					t.Fatalf("timestamps from restart %d differ from the full decode (%v)", k, err)
+				}
+				continue
+			}
+			for _, lo := range []int{r0, r0 + 1, r0 + restartStride - 1} {
+				for _, hi := range []int{lo + 1, lo + packGroup, count} {
+					if lo >= count || hi > count || lo >= hi {
+						continue
+					}
+					got, err := c.b.decodeIntsArena(sensors.MetricFlow, lo, hi, nil, idx)
+					if err != nil || !slices.Equal(got[lo:hi], ints[lo:hi]) {
+						t.Fatalf("integer rows [%d, %d) differ from the full decode (%v)", lo, hi, err)
+					}
+				}
+			}
+		}
+	}
 }
 
 // FuzzImportCSV feeds arbitrary bytes to Store.ImportCSV, the parser behind

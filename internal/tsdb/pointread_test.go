@@ -68,6 +68,14 @@ var pointShapes = []pointShape{
 		s.SealAll()
 		return s, raw
 	}},
+	// 24 h partitions hold 288 samples: two restart spans per block, the
+	// second partial, so point reads decode from restarts inside a block.
+	{"sealed-long", func(t *testing.T) (*Store, *envdb.Store) {
+		s, raw := NewStoreWith(Options{Partition: 24 * time.Hour}), &envdb.Store{}
+		appendSamples(t, rand.New(rand.NewSource(5)), 0, 900, s, raw)
+		s.SealAll()
+		return s, raw
+	}},
 	{"frozen", func(t *testing.T) (*Store, *envdb.Store) {
 		s, raw := NewStoreWith(Options{Partition: 6 * time.Hour}), &envdb.Store{}
 		rng := rand.New(rand.NewSource(2))
@@ -230,9 +238,12 @@ func sameResult(got, want pointResult) error {
 // point reads of other racks and blocks from several goroutines (a result
 // aliasing arena memory would be overwritten by them), and every answer
 // must equal the slice-store reference (an arena that adopted a head or
-// frozen block's live columns would decode other blocks into them). Run
-// under -race it also checks that pooled arenas never pass between
-// goroutines unsynchronized.
+// frozen block's live columns would decode other blocks into them). The
+// goroutines start together on the same one-hour reads of every block of
+// a rack nothing has read yet, so they race to build the same restart
+// indexes. Run under -race it also checks that pooled arenas never pass
+// between goroutines unsynchronized and that an index is published to
+// every reader that waits for its build.
 func TestPointReadsDoNotAlias(t *testing.T) {
 	for _, shape := range pointShapes {
 		t.Run(shape.name, func(t *testing.T) {
@@ -261,14 +272,31 @@ func TestPointReadsDoNotAlias(t *testing.T) {
 			}
 
 			const workers, perWorker = 4, 40
+			ops := []string{"query", "series", "aggregate"}
 			var wg sync.WaitGroup
-			errs := make(chan error, workers*perWorker)
+			start := make(chan struct{})
+			errs := make(chan error, workers*(perWorker+hours))
 			for w := 0; w < workers; w++ {
 				wg.Add(1)
 				go func(seed int64) {
 					defer wg.Done()
+					<-start
+					for h0 := 0; h0 < hours; h0 += 2 {
+						r, err := pointResult{
+							op:    ops[(int(seed)+h0)%len(ops)],
+							rack:  pointRacks[1],
+							m:     sensors.MetricOutletTemp,
+							h0:    h0,
+							hours: 1,
+						}.read(s)
+						if err == nil {
+							err = checkPoint(ref, raw, r)
+						}
+						if err != nil {
+							errs <- fmt.Errorf("first touch %v: %v", r, err)
+						}
+					}
 					rng := rand.New(rand.NewSource(seed))
-					ops := []string{"query", "series", "aggregate"}
 					for i := 0; i < perWorker; i++ {
 						h0 := rng.Intn(hours)
 						r, err := pointResult{
@@ -287,6 +315,7 @@ func TestPointReadsDoNotAlias(t *testing.T) {
 					}
 				}(int64(w))
 			}
+			close(start)
 			wg.Wait()
 			close(errs)
 			for err := range errs {
@@ -388,8 +417,11 @@ func blocksTouched(s *Store, rack topology.RackID, from, to time.Time) int {
 }
 
 // TestPointReadAllocations caps what a warm point read allocates on a
-// sealed store: its result slices, grown once per block the range touches,
-// and nothing for decoding. sync.Pool drops items at random under the race
+// sealed store, for every window of BenchmarkPointReads: its result slices,
+// grown once per block the range touches, and nothing for decoding. A
+// read's first call warms it: it fills the pool and builds the restart
+// index of every block the range covers in part, which are set-up costs a
+// block pays once. sync.Pool drops items at random under the race
 // detector, so the race build skips it; the Makefile runs it without. The
 // collector is off while it counts, because every collection empties the
 // pool and the refill is not what a warm read costs.
@@ -398,27 +430,34 @@ func TestPointReadAllocations(t *testing.T) {
 		t.Skip("sync.Pool is randomized under -race")
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	s, rack, end := pointBenchStore(t, 60)
-	for _, w := range dashboardWindows {
-		from := end.Add(-w.d)
-		blocks := float64(blocksTouched(s, rack, from, end))
-		if blocks == 0 {
-			t.Fatalf("%s window reads no block", w.name)
+	s, rack, newest := pointBenchStore(t, 60)
+	for _, e := range pointEnds(newest) {
+		for _, w := range dashboardWindows {
+			checkPointAllocations(t, s, rack, w.name+e.suffix, e.t.Add(-w.d), e.t)
 		}
-		cases := []struct {
-			op   string
-			want float64
-			read func()
-		}{
-			{"query", blocks, func() { s.Query(rack, from, end) }},
-			{"series", 2 * blocks, func() { s.Series(rack, sensors.MetricOutletTemp, from, end) }},
-			{"aggregate", 1, func() { mustDecode(s.Aggregate(rack, sensors.MetricPower, from, end, time.Hour)) }},
-		}
-		for _, c := range cases {
-			c.read() // warm the pool
-			if got := testing.AllocsPerRun(50, c.read); got > c.want {
-				t.Errorf("%s %s: %v allocs per read, want ≤ %v", c.op, w.name, got, c.want)
-			}
+	}
+}
+
+// checkPointAllocations runs TestPointReadAllocations on one window.
+func checkPointAllocations(t *testing.T, s *Store, rack topology.RackID, name string, from, end time.Time) {
+	t.Helper()
+	blocks := float64(blocksTouched(s, rack, from, end))
+	if blocks == 0 {
+		t.Fatalf("%s window reads no block", name)
+	}
+	cases := []struct {
+		op   string
+		want float64
+		read func()
+	}{
+		{"query", blocks, func() { s.Query(rack, from, end) }},
+		{"series", 2 * blocks, func() { s.Series(rack, sensors.MetricOutletTemp, from, end) }},
+		{"aggregate", 1, func() { mustDecode(s.Aggregate(rack, sensors.MetricPower, from, end, time.Hour)) }},
+	}
+	for _, c := range cases {
+		c.read() // warm the pool and build the restart indexes
+		if got := testing.AllocsPerRun(50, c.read); got > c.want {
+			t.Errorf("%s %s: %v allocs per read, want ≤ %v", c.op, name, got, c.want)
 		}
 	}
 }
@@ -444,38 +483,57 @@ func pointBenchStore(tb testing.TB, days int) (*Store, topology.RackID, time.Tim
 	return s, recs[0].Rack, recs[len(recs)-1].Time.Add(time.Second)
 }
 
+// pointEnds are where the dashboard's windows end on a store whose newest
+// sample is just before end: at end itself (70 % of the mix), and in
+// history, inside a block and off the restart grid (the other 30 %).
+func pointEnds(end time.Time) []struct {
+	suffix string
+	t      time.Time
+} {
+	return []struct {
+		suffix string
+		t      time.Time
+	}{{"", end}, {"-past", end.Add(-17*24*time.Hour - 37*time.Minute)}}
+}
+
 // pointSink keeps the benchmarked reads' results live.
 var pointSink int
 
 // BenchmarkPointReads runs the dashboard's point reads — Query, Series and
-// Aggregate in hour buckets — over windows ending at the newest sample of a
-// 60-day sealed store.
+// Aggregate in hour buckets — over windows of a 60-day sealed store ending
+// at its newest sample and, in the "-past" cells, 17 days before it.
 func BenchmarkPointReads(b *testing.B) {
-	s, rack, end := pointBenchStore(b, 60)
-	for _, w := range dashboardWindows {
-		from := end.Add(-w.d)
-		b.Run("query/"+w.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				pointSink += len(s.Query(rack, from, end))
-			}
-		})
-		b.Run("series/"+w.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_, vals := s.Series(rack, sensors.MetricOutletTemp, from, end)
-				pointSink += len(vals)
-			}
-		})
-		b.Run("aggregate/"+w.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				aggs, err := s.Aggregate(rack, sensors.MetricPower, from, end, time.Hour)
-				if err != nil {
-					b.Fatal(err)
-				}
-				pointSink += len(aggs)
-			}
-		})
+	s, rack, newest := pointBenchStore(b, 60)
+	for _, e := range pointEnds(newest) {
+		for _, w := range dashboardWindows {
+			benchPointWindow(b, s, rack, w.name+e.suffix, e.t.Add(-w.d), e.t)
+		}
 	}
+}
+
+// benchPointWindow benchmarks the three point reads over [from, end).
+func benchPointWindow(b *testing.B, s *Store, rack topology.RackID, name string, from, end time.Time) {
+	b.Run("query/"+name, func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			pointSink += len(s.Query(rack, from, end))
+		}
+	})
+	b.Run("series/"+name, func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_, vals := s.Series(rack, sensors.MetricOutletTemp, from, end)
+			pointSink += len(vals)
+		}
+	})
+	b.Run("aggregate/"+name, func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			aggs, err := s.Aggregate(rack, sensors.MetricPower, from, end, time.Hour)
+			if err != nil {
+				b.Fatal(err)
+			}
+			pointSink += len(aggs)
+		}
+	})
 }

@@ -57,7 +57,7 @@ func (ar *scanArena) timestamps(bv blockView) ([]int64, error) {
 	if bv.sealed == nil {
 		return bv.timestamps()
 	}
-	ts, err := bv.sealed.decodeTimesArena(ar.times)
+	ts, err := bv.sealed.decodeTimesArena(ar.times, nil, 0, bv.sealed.count)
 	if err == nil {
 		ar.times = ts
 	}
@@ -66,12 +66,13 @@ func (ar *scanArena) timestamps(bv blockView) ([]int64, error) {
 
 // column decodes bv's channel m under the same adoption rule. Only rows
 // [lo, hi) of the result are valid: a sealed integer column converts just
-// those (see decodeChannelArena).
-func (ar *scanArena) column(bv blockView, m sensors.Metric, lo, hi int) ([]float64, error) {
+// those, and with a restart index decodes only from the restart at or
+// before lo (see decodeChannelArena). Scans pass no index.
+func (ar *scanArena) column(bv blockView, m sensors.Metric, lo, hi int, idx *restartIndex) ([]float64, error) {
 	if bv.sealed == nil {
 		return bv.channel(m)
 	}
-	col, ints, err := bv.sealed.decodeChannelArena(m, lo, hi, ar.cols[m], ar.ints)
+	col, ints, err := bv.sealed.decodeChannelArena(m, lo, hi, ar.cols[m], ar.ints, idx)
 	if err == nil {
 		ar.cols[m], ar.ints = col, ints
 	}
@@ -100,6 +101,65 @@ func pointRead(sh *shard, fromN, toN int64) *readArena {
 	ar.snap = sh.snapshot()
 	ar.views = ar.snap.appendBlocks(ar.views[:0], fromN, toN)
 	return ar
+}
+
+// pointSpan is what a point read decodes of one block view: the view's
+// timestamps, valid on the rows [lo, hi) that fall in the read's range,
+// and the restart index the columns of those rows decode from (nil: from
+// the stream head).
+type pointSpan struct {
+	bv     blockView
+	ts     []int64
+	lo, hi int
+	idx    *restartIndex
+}
+
+// span decodes the timestamps a point read of [fromN, toN) needs from bv.
+// A sealed block the range covers only in part decodes just the spans of
+// its restart index that overlap the range, building the index on the
+// block's first such read; a sealed block the range covers whole, and
+// every other view, decodes as the scan does and never touches the index.
+func (ar *readArena) span(bv blockView, fromN, toN int64) (pointSpan, error) {
+	sp := pointSpan{bv: bv}
+	b := bv.sealed
+	if b == nil || fromN <= b.minT && toN > b.maxT {
+		ts, err := ar.timestamps(bv)
+		if err != nil {
+			return sp, err
+		}
+		sp.ts = ts
+		sp.lo, sp.hi = searchRange(ts, fromN, toN)
+		return sp, nil
+	}
+	idx, err := b.index()
+	if err != nil {
+		return sp, err
+	}
+	r0, r1 := idx.rows(fromN, toN, b.count)
+	ts, err := b.decodeTimesArena(ar.times, idx, r0, r1)
+	if err != nil {
+		return sp, err
+	}
+	ar.times = ts
+	lo, hi := searchRange(ts[r0:r1], fromN, toN)
+	sp.ts, sp.lo, sp.hi, sp.idx = ts, r0+lo, r0+hi, idx
+	return sp, nil
+}
+
+// values decodes channel m of sp's view; only rows [sp.lo, sp.hi) of the
+// result are valid.
+func (ar *readArena) values(sp pointSpan, m sensors.Metric) ([]float64, error) {
+	return ar.column(sp.bv, m, sp.lo, sp.hi, sp.idx)
+}
+
+// quantized decodes the integers of sp's sealed encIntPacked column m into
+// the arena; only rows [sp.lo, sp.hi) of the result are valid.
+func (ar *readArena) quantized(sp pointSpan, m sensors.Metric) ([]int64, error) {
+	ints, err := sp.bv.sealed.decodeIntsArena(m, sp.lo, sp.hi, ar.ints, sp.idx)
+	if err == nil {
+		ar.ints = ints
+	}
+	return ints, err
 }
 
 // release drops the arena's references into the store, so a pooled arena
@@ -194,7 +254,7 @@ func (st *shardStream) decodeStep() scanRun {
 			run.tier = envdb.TierDownsampled
 		}
 		for m := range run.cols {
-			if run.cols[m], err = ar.column(bv, sensors.Metric(m), lo, hi); err != nil {
+			if run.cols[m], err = ar.column(bv, sensors.Metric(m), lo, hi, nil); err != nil {
 				sp.End()
 				return scanRun{err: err, last: true}
 			}

@@ -637,7 +637,8 @@ func searchRange(times []int64, fromN, toN int64) (lo, hi int) {
 // Query returns the stored records for one rack with timestamps in
 // [from, to), in time order. Values are the stored (ingest-quantized)
 // values; see channelScales. Sealed blocks decode into a pooled readArena
-// and only the rows in range become records.
+// (only the restart spans overlapping the range when the range covers a
+// block in part) and only the rows in range become records.
 func (s *Store) Query(rack topology.RackID, from, to time.Time) []sensors.Record {
 	s.init()
 	defer metQueryDur.With(opQuery).ObserveSince(time.Now())
@@ -648,17 +649,16 @@ func (s *Store) Query(rack topology.RackID, from, to time.Time) []sensors.Record
 	out := []sensors.Record{}
 	var cols [sensors.NumMetrics][]float64
 	for _, bv := range ar.views {
-		ts := mustDecode(ar.timestamps(bv))
-		lo, hi := searchRange(ts, fromN, toN)
-		if lo >= hi {
+		sp := mustDecode(ar.span(bv, fromN, toN))
+		if sp.lo >= sp.hi {
 			continue
 		}
 		for m := range cols {
-			cols[m] = mustDecode(ar.column(bv, sensors.Metric(m), lo, hi))
+			cols[m] = mustDecode(ar.values(sp, sensors.Metric(m)))
 		}
-		out = slices.Grow(out, hi-lo)
-		for i := lo; i < hi; i++ {
-			out = append(out, recordAt(rack, loc, ts[i], &cols, i))
+		out = slices.Grow(out, sp.hi-sp.lo)
+		for i := sp.lo; i < sp.hi; i++ {
+			out = append(out, recordAt(rack, loc, sp.ts[i], &cols, i))
 		}
 	}
 	return out
@@ -676,17 +676,16 @@ func (s *Store) Series(rack topology.RackID, m sensors.Metric, from, to time.Tim
 	times := []time.Time{}
 	vals := []float64{}
 	for _, bv := range ar.views {
-		ts := mustDecode(ar.timestamps(bv))
-		lo, hi := searchRange(ts, fromN, toN)
-		if lo >= hi {
+		sp := mustDecode(ar.span(bv, fromN, toN))
+		if sp.lo >= sp.hi {
 			continue
 		}
-		col := mustDecode(ar.column(bv, m, lo, hi))
-		times = slices.Grow(times, hi-lo)
-		for _, t := range ts[lo:hi] {
+		col := mustDecode(ar.values(sp, m))
+		times = slices.Grow(times, sp.hi-sp.lo)
+		for _, t := range sp.ts[sp.lo:sp.hi] {
 			times = append(times, time.Unix(0, t).In(loc))
 		}
-		vals = append(vals, col[lo:hi]...)
+		vals = append(vals, col[sp.lo:sp.hi]...)
 	}
 	return times, vals
 }
