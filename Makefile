@@ -2,7 +2,7 @@
 # the roadmap expect before a change lands.
 GO ?= go
 
-.PHONY: check vet lint build test race bench-e2e bench-test profile-study profile-pointreads smoke fuzz-smoke loc
+.PHONY: check vet lint build test race bench-e2e bench-test profile-study profile-pointreads profile-scan smoke fuzz-smoke loc
 
 # check runs the stages one sub-make at a time and prints each stage's wall
 # seconds, so the gate's cost is a number in the log rather than a guess.
@@ -136,6 +136,17 @@ profile-pointreads:
 	$(GO) test -run '^$$' -bench '^BenchmarkPointReads$$' -benchmem \
 		-o .bench_build/tsdb.test -cpuprofile .bench_build/pointreads.cpu.prof ./internal/tsdb
 	$(GO) tool pprof -top -cum -nodecount 30 .bench_build/tsdb.test .bench_build/pointreads.cpu.prof
+
+# profile-scan does the same for the merged scan: it CPU-profiles
+# BenchmarkScan (the full 48-rack scan of a 60-day store in 30-day blocks,
+# back to back and with the pools emptied before each scan, the decode and
+# merge behind replay_remote and study_local's replay) and prints the 30
+# heaviest functions by cumulative time.
+profile-scan:
+	mkdir -p .bench_build
+	$(GO) test -run '^$$' -bench '^BenchmarkScan$$' -benchmem \
+		-o .bench_build/tsdb.test -cpuprofile .bench_build/scan.cpu.prof ./internal/tsdb
+	$(GO) tool pprof -top -cum -nodecount 30 .bench_build/tsdb.test .bench_build/scan.cpu.prof
 
 # loc prints non-test Go lines per package and their total — the size the
 # roadmap tracks PR over PR (CHANGES.md records the table). bench/ is a

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -129,5 +130,77 @@ func TestRunReportDropsNonFiniteGauges(t *testing.T) {
 	rep := r.Snapshot()
 	if _, ok := rep.Gauges["mira_test_nan"]; ok {
 		t.Error("NaN gauge leaked into the report")
+	}
+}
+
+// TestSpanNamesResolvedOnce: a span name is validated and its duration
+// histogram resolved at its first start only — later spans of the name
+// leave the registry's name table as it is — while an invalid name, never
+// admitted to the table, panics at every start.
+func TestSpanNamesResolvedOnce(t *testing.T) {
+	r := NewRegistry()
+	_, sp := r.Span(context.Background(), "test.once")
+	sp.End()
+	table := r.spans.Load()
+	for i := 0; i < 3; i++ {
+		_, sp := r.Span(context.Background(), "test.once")
+		sp.End()
+	}
+	if r.spans.Load() != table {
+		t.Error("a known span name was resolved again")
+	}
+	if got := r.spanDurations().With("test.once").Count(); got != 4 {
+		t.Errorf("test.once observations = %d, want 4", got)
+	}
+	for i := 0; i < 2; i++ {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("start %d of an invalid span name did not panic", i)
+				}
+			}()
+			r.Span(context.Background(), "Bad Name")
+		}()
+	}
+}
+
+// TestSpanNamesConcurrent: goroutines starting spans of the same new names
+// at once each get the one histogram of a name (the race detector checks
+// the name table's copy-on-write), and no observation is lost.
+func TestSpanNamesConcurrent(t *testing.T) {
+	r := NewRegistry()
+	names := []string{"test.c0", "test.c1", "test.c2", "test.c3"}
+	const goroutines, rounds = 8, 50
+	var wg sync.WaitGroup
+	wg.Add(goroutines)
+	for g := 0; g < goroutines; g++ {
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				for _, name := range names {
+					_, sp := r.Span(context.Background(), name)
+					sp.End()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, name := range names {
+		if got := r.spanDurations().With(name).Count(); got != goroutines*rounds {
+			t.Errorf("%s observations = %d, want %d", name, got, goroutines*rounds)
+		}
+	}
+}
+
+// BenchmarkSpan is one child span started and ended under a traced parent,
+// the per-request cost every served read pays for its handler span.
+func BenchmarkSpan(b *testing.B) {
+	r := NewRegistry()
+	ctx, root := r.Span(context.Background(), "bench.root")
+	defer root.End()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_, sp := r.Span(ctx, "bench.child")
+		sp.End()
 	}
 }

@@ -23,6 +23,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // metricNameRE is the namespace rule: every series this repository exports
@@ -87,6 +88,16 @@ type Registry struct {
 	health   error
 
 	tr tracer
+
+	// spans maps every span name started on this registry to its child of
+	// the mira_span_duration_seconds family (spanDur, resolved once), so a
+	// span validates its name and finds its histogram once per name, not
+	// at every start and End. It is copied on write under spanMu; reads
+	// take no lock.
+	spanOnce sync.Once
+	spanDur  *HistogramVec
+	spanMu   sync.Mutex
+	spans    atomic.Pointer[map[string]*Histogram]
 }
 
 // NewRegistry creates an empty registry.

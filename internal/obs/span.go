@@ -3,6 +3,7 @@ package obs
 import (
 	"context"
 	"fmt"
+	"maps"
 	"regexp"
 	"sync"
 	"time"
@@ -25,6 +26,7 @@ type spanCtxKey struct{}
 type ActiveSpan struct {
 	reg      *Registry
 	name     string
+	dur      *Histogram // name's child of mira_span_duration_seconds
 	start    time.Time
 	sc       SpanContext
 	parentID SpanID
@@ -42,10 +44,7 @@ func Span(ctx context.Context, name string) (context.Context, *ActiveSpan) {
 
 // Span starts a span on this registry.
 func (r *Registry) Span(ctx context.Context, name string) (context.Context, *ActiveSpan) {
-	if !spanNameRE.MatchString(name) {
-		panic(fmt.Sprintf("obs: invalid span name %q", name))
-	}
-	s := &ActiveSpan{reg: r, name: name, start: time.Now()}
+	s := &ActiveSpan{reg: r, name: name, dur: r.spanHistogram(name), start: time.Now()}
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -92,7 +91,7 @@ func (s *ActiveSpan) End() {
 		return
 	}
 	elapsed := time.Since(s.start)
-	s.reg.spanDurations().With(s.name).Observe(elapsed.Seconds())
+	s.dur.Observe(elapsed.Seconds())
 	if !s.tracked {
 		return
 	}
@@ -113,8 +112,41 @@ func (s *ActiveSpan) End() {
 	}
 }
 
-// spanDurations lazily registers the span histogram family.
+// spanHistogram returns the duration histogram of span name, validating
+// the name the first time r sees it; later spans of the name cost one
+// lock-free map read.
+func (r *Registry) spanHistogram(name string) *Histogram {
+	if m := r.spans.Load(); m != nil {
+		if h, ok := (*m)[name]; ok {
+			return h
+		}
+	}
+	if !spanNameRE.MatchString(name) {
+		panic(fmt.Sprintf("obs: invalid span name %q", name))
+	}
+	r.spanMu.Lock()
+	defer r.spanMu.Unlock()
+	var names map[string]*Histogram
+	if m := r.spans.Load(); m != nil {
+		if h, ok := (*m)[name]; ok {
+			return h
+		}
+		names = maps.Clone(*m)
+	} else {
+		names = make(map[string]*Histogram)
+	}
+	h := r.spanDurations().With(name)
+	names[name] = h
+	r.spans.Store(&names)
+	return h
+}
+
+// spanDurations returns the span histogram family, registering it on the
+// registry's first span.
 func (r *Registry) spanDurations() *HistogramVec {
-	return r.HistogramVec("mira_span_duration_seconds",
-		"wall-clock duration of trace spans, labeled by span name", "span", nil)
+	r.spanOnce.Do(func() {
+		r.spanDur = r.HistogramVec("mira_span_duration_seconds",
+			"wall-clock duration of trace spans, labeled by span name", "span", nil)
+	})
+	return r.spanDur
 }

@@ -579,8 +579,10 @@ func (s *Server) writeAggs(w http.ResponseWriter, aggs []envdb.WindowAgg, err er
 // handleScan streams every stored record as a chunked frame sequence.
 // order=rack (default) walks rack-major like envdb.DB.EachRecordUntil;
 // order=time streams the store's merged scan (global time order, rack
-// code ascending within an instant) straight from its chunk columns and
-// honors tiers=1 by appending each record's storage tier. A scan that
+// code ascending within an instant) straight from its chunk columns, one
+// wire chunk per merged chunk, so the chunk buffers on both ends stay the
+// size of the store's chunks, and honors tiers=1 by appending each
+// record's storage tier. A scan that
 // fails before its first row answers 500 with the store's error; one that
 // fails mid-stream ends without the terminator chunk, which the client
 // decodes as a truncated stream.
@@ -631,7 +633,7 @@ func (s *Server) handleScan(w http.ResponseWriter, req *http.Request) {
 				}
 				sent++
 			}
-			return true
+			return cw.flushChunk() == nil
 		})
 	}
 	shape.set("rows", strconv.Itoa(sent))

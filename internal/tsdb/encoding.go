@@ -261,11 +261,14 @@ func decodeTimes(buf []byte, n int) ([]int64, error) {
 // 8-byte load (whole bytes only, partial-byte residue masked to keep bits
 // past the valid count zero); near the stream tail it falls back to a byte
 // loop. It returns ok=false when the word is empty and the stream is
-// drained — a bitstream overrun.
+// drained — a bitstream overrun. The decode loops call it once per word,
+// so it must stay within the inliner's budget (cost 79 of 80 as written;
+// `go build -gcflags=-m=2 ./internal/tsdb` reports it): a separate tail
+// function would count in full at the call and push it over.
 func refill8(buf []byte, cur uint64, bits uint, off int) (uint64, uint, int, bool) {
-	if take := (64 - bits) >> 3; off+8 <= len(buf) {
-		w := binary.BigEndian.Uint64(buf[off:])
-		w &= ^uint64(0) << (64 - take*8)
+	if off+8 <= len(buf) {
+		take := (64 - bits) >> 3
+		w := binary.BigEndian.Uint64(buf[off:]) &^ (^uint64(0) >> (take * 8))
 		return cur | w>>bits, bits + take*8, off + int(take), true
 	}
 	for bits <= 56 && off < len(buf) {
@@ -283,12 +286,7 @@ func readTailBits(buf []byte, cur uint64, bits uint, off int, width uint) (uint6
 	take := bits
 	v := cur >> (64 - take) // take == 0 shifts by 64: zero, as intended
 	rest := width - take
-	cur, bits = 0, 0
-	for bits <= 56 && off < len(buf) {
-		cur |= uint64(buf[off]) << (56 - bits)
-		off++
-		bits += 8
-	}
+	cur, bits, off, _ = refill8(buf, 0, 0, off)
 	if bits < rest {
 		return 0, 0, 0, off, false
 	}
@@ -660,19 +658,51 @@ func decodeXOR(buf []byte, n int) ([]float64, error) {
 }
 
 // decodeXORInto decodes n XOR-encoded floats into dst, reusing its backing
-// array when large enough. The control prefix and window descriptor ('11' +
-// 5-bit leading + 6-bit length) together span at most 13 bits, so each
-// value's framing is peeked from the look-ahead word in one shot.
+// array when large enough: the range decode from the stream head.
 func decodeXORInto(dst []float64, buf []byte, n int) ([]float64, error) {
 	out := float64Slice(dst, n)
-	if n == 0 {
-		return out, nil
+	if _, err := decodeXORFrom(out, buf, xorState{}); err != nil {
+		return nil, err
 	}
-	r := &bitReader{b: buf}
-	bits := r.readBits(64)
-	out[0] = math.Float64frombits(bits)
-	var leading, trailing uint
-	for i := 1; i < n; i++ {
+	return out, nil
+}
+
+// xorState is the XOR float decoder's position before one value: the bits
+// of the stream consumed, the previous value's bits and the meaningful-bit
+// window the next '10' control reuses. The zero value is the stream head,
+// before the raw first value.
+type xorState struct {
+	pos               int
+	prev              uint64
+	leading, trailing uint
+}
+
+// decodeXORFrom decodes the len(dst) floats that follow state st into dst
+// and returns the state after them, so the merged scan decodes an XOR
+// column a span at a time, each span from where the last one ended. The
+// control prefix and window descriptor ('11' + 5-bit leading + 6-bit
+// length) together span at most 13 bits, so each value's framing is peeked
+// from the look-ahead word in one shot.
+func decodeXORFrom(dst []float64, buf []byte, st xorState) (xorState, error) {
+	n := len(dst)
+	if n == 0 {
+		return st, nil
+	}
+	r := &bitReader{b: buf, off: st.pos >> 3}
+	r.refill()
+	if skip := uint(st.pos & 7); r.n < skip {
+		r.overrun()
+	} else {
+		r.skip(skip)
+	}
+	bits, leading, trailing := st.prev, st.leading, st.trailing
+	i := 0
+	if st.pos == 0 {
+		bits = r.readBits(64)
+		dst[0] = math.Float64frombits(bits)
+		i = 1
+	}
+	for ; i < n && r.err == nil; i++ {
 		if r.n < 13 {
 			r.refill()
 		}
@@ -683,7 +713,7 @@ func decodeXORInto(dst []float64, buf []byte, n int) ([]float64, error) {
 				break
 			}
 			r.skip(1)
-			out[i] = math.Float64frombits(bits)
+			dst[i] = math.Float64frombits(bits)
 			continue
 		}
 		if w>>62&1 != 0 { // '11': new window descriptor
@@ -696,7 +726,7 @@ func decodeXORInto(dst []float64, buf []byte, n int) ([]float64, error) {
 			if leading+sig > 64 {
 				// Corrupted window descriptor; without this check the
 				// trailing count underflows and the read length explodes.
-				return nil, fmt.Errorf("decoding XOR floats: invalid window (leading %d, significant %d)", leading, sig)
+				return st, fmt.Errorf("decoding XOR floats: invalid window (leading %d, significant %d)", leading, sig)
 			}
 			trailing = 64 - leading - sig
 			r.skip(13)
@@ -708,13 +738,10 @@ func decodeXORInto(dst []float64, buf []byte, n int) ([]float64, error) {
 			r.skip(2)
 		}
 		bits ^= r.readBits(64-leading-trailing) << trailing
-		out[i] = math.Float64frombits(bits)
-		if r.err != nil {
-			break
-		}
+		dst[i] = math.Float64frombits(bits)
 	}
 	if r.err != nil {
-		return nil, fmt.Errorf("decoding XOR floats: %w", r.err)
+		return st, fmt.Errorf("decoding XOR floats: %w", r.err)
 	}
-	return out, nil
+	return xorState{pos: r.off*8 - int(r.n), prev: bits, leading: leading, trailing: trailing}, nil
 }

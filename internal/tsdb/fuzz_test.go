@@ -151,6 +151,9 @@ func fuzzCounts(n int) []int64 {
 // timestamp stream and, in a second block, an integer column: each
 // block's restart index must build exactly when the full decode succeeds,
 // and every range decode from its restarts must equal the full decode.
+// Last, the payload is a block's XOR column and its integer column, each
+// scanned span by span as the merged scan decodes it: the joined spans
+// must equal the whole-column decode, or both must fail with ErrCorrupt.
 func FuzzDecodeBlock(f *testing.F) {
 	ts := make([]int64, 64)
 	ints := make([]int64, 64)
@@ -224,6 +227,7 @@ func FuzzDecodeBlock(f *testing.F) {
 			}
 		}
 		checkRestarts(t, data, count)
+		checkScanSpans(t, data, count)
 	})
 }
 

@@ -77,11 +77,9 @@ func (it *iter) nextBlock() bool {
 			continue
 		}
 		it.times = times
-		for m := range it.cols {
-			if it.cols[m], err = bv.channel(sensors.Metric(m)); err != nil {
-				it.err = err
-				return false
-			}
+		if err := bv.channels(&it.cols); err != nil {
+			it.err = err
+			return false
 		}
 		it.pos = lo - 1
 		it.hi = hi

@@ -32,7 +32,7 @@ var (
 	metScanBlocks = obs.NewCounter("mira_tsdb_scan_blocks_decoded_total",
 		"sealed or head blocks decoded by scan-pool workers")
 	metScanDecodeDur = obs.NewHistogram("mira_tsdb_scan_block_decode_duration_seconds",
-		"time a scan-pool worker spends decoding one block (all channels)", nil)
+		"time a scan-pool worker spends decoding one run, all channels: a span of at most 512 rows of a sealed block, or a whole head, frozen or cold block", nil)
 	metScanStallDur = obs.NewHistogram("mira_tsdb_scan_merge_stall_seconds",
 		"time the chunk merge waits for a shard's next decoded run; near zero when prefetch keeps up", nil)
 	metScanRecords = obs.NewCounter("mira_tsdb_scan_records_merged_total",

@@ -5,11 +5,13 @@ package tsdb
 // workers, and the chunk merge (chunk.go) folds the per-shard streams into
 // columnar chunks in global timestamp order (ties broken by shard index) —
 // the shard-then-merge shape Prometheus' TSDB and Gorilla use for scan
-// queries. The design keeps memory bounded: each shard has at most two
-// decoded runs resident (the one being merged plus one prefetch), however
-// long the trace is.
+// queries. The design keeps memory bounded by the span, not the block: a
+// stream decodes a sealed block scanSpan rows at a time, each run from the
+// decoder state the last one ended in, and holds at most two decoded runs
+// (the one being merged plus one prefetch), however long the block or the
+// trace is.
 //
-// Scheduling is demand-driven: a shard's next block is only decoded when
+// Scheduling is demand-driven: a shard's next run is only decoded when
 // a request for it sits in the pool queue, and the merge issues exactly
 // one outstanding request per shard (re-armed the moment it takes a
 // finished run). Workers therefore never block delivering results —
@@ -29,7 +31,8 @@ import (
 	"mira/internal/sensors"
 )
 
-// scanRun is one decoded, range-clipped block of a shard: timestamps, all
+// scanRun is one decoded, range-clipped run of a shard — a span of a
+// sealed block, or a whole head, frozen or cold block: timestamps, all
 // channel columns, and the [lo, hi) index window inside them.
 type scanRun struct {
 	times  []int64
@@ -40,9 +43,10 @@ type scanRun struct {
 	last   bool // no further runs will follow from this shard
 }
 
-// scanArena is one reusable set of decode buffers. Each shardStream owns
-// two (see shardStream.arenas), so after the first two runs a scan's
-// steady state decodes with zero allocations.
+// scanArena is one reusable set of decode buffers: the target of a merged
+// scan's span runs (each shardStream owns two, see shardStream.arenas,
+// each at most scanSpan rows) and, inside readArena, of a point read's
+// block decodes.
 type scanArena struct {
 	times []int64
 	ints  []int64 // quantized-integer scratch shared across the six channels
@@ -67,7 +71,7 @@ func (ar *scanArena) timestamps(bv blockView) ([]int64, error) {
 // column decodes bv's channel m under the same adoption rule. Only rows
 // [lo, hi) of the result are valid: a sealed integer column converts just
 // those, and with a restart index decodes only from the restart at or
-// before lo (see decodeChannelArena). Scans pass no index.
+// before lo (see decodeChannelArena).
 func (ar *scanArena) column(bv blockView, m sensors.Metric, lo, hi int, idx *restartIndex) ([]float64, error) {
 	if bv.sealed == nil {
 		return bv.channel(m)
@@ -170,14 +174,39 @@ func (ar *readArena) release() {
 	readPool.Put(ar)
 }
 
-// arenaPool recycles arena pairs across scans: a full-store scan is brief
-// but its decode buffers are not small (two runs' worth of eight columns
-// per shard), so handing them back at pool close makes repeated scans —
-// the replay/figure pipeline — allocation-free instead of megabytes per
-// pass. Recycling happens in scanPool.close, strictly after the workers
-// have joined; the merge must not touch run buffers after that
+// scanSpan is the most rows one run of the merged scan decodes from a
+// sealed block. It is a whole number of restart spans, so every run but a
+// block's last covers whole packGroups and each integer column's decoder
+// state carries over to the next run (see decodeIntsPackedFrom). A
+// stream's two runs then hold 2 × 8 columns × 512 rows × 8 B = 64 KiB
+// decoded, 3 MiB for a 48-rack hall, whatever the partition length; a
+// 30-day block of 8,640 rows decoded whole held 17 times that. BenchmarkScan
+// chose 512 over 1,024: as fast warm, and half the allocation when the
+// pooled buffers are gone.
+const scanSpan = 2 * restartStride
+
+// arenaPool recycles arena pairs across scans, so repeated scans — the
+// replay/figure pipeline — decode into the same span-sized buffers.
+// Recycling happens in scanPool.close, strictly after the workers have
+// joined; the merge must not touch run buffers after that
 // (chunkMerger.close).
 var arenaPool = sync.Pool{New: func() any { return new([2]scanArena) }}
+
+// blockCursor is a stream's place in the block it is decoding: the next
+// row and, for a sealed block, the decoder state of each of its streams
+// before that row (the zero value is a block's head). The block's traced
+// decode span and its rows in range so far live here too, so the
+// tsdb.scan_block span covers the block however many runs it takes.
+type blockCursor struct {
+	row   int
+	times timeState
+	ints  [sensors.NumMetrics]packState // encIntPacked columns
+	xor   [sensors.NumMetrics]xorState  // encXOR columns
+
+	span    *obs.ActiveSpan // nil when the scan is untraced
+	rows    int             // rows in range decoded so far
+	counted bool            // the block is counted in BlocksDecoded
+}
 
 // shardStream is one shard's portion of a fanned-out scan: an
 // order-preserving stream of decoded runs produced by the pool's workers
@@ -189,11 +218,12 @@ type shardStream struct {
 	fromN, toN int64
 	pool       *scanPool
 
-	// nextBlock is advanced only by the worker currently serving this
-	// stream's request; the one-outstanding-request invariant makes that a
-	// single writer at any time.
+	// nextBlock and cursor are advanced only by the worker currently
+	// serving this stream's request; the one-outstanding-request invariant
+	// makes that a single writer at any time.
 	blocks    []blockView
 	nextBlock int
+	cursor    blockCursor
 	resCh     chan scanRun
 
 	// arenas double-buffers the decode target: run k decodes into
@@ -217,60 +247,146 @@ type shardStream struct {
 // decodeStep produces the stream's next non-empty run, or a terminal
 // marker. It runs on a pool worker.
 func (st *shardStream) decodeStep() scanRun {
-	for ; st.nextBlock < len(st.blocks); st.nextBlock++ {
+	for st.nextBlock < len(st.blocks) {
 		bv := st.blocks[st.nextBlock]
-		minT, maxT := bv.bounds()
-		if minT >= st.toN {
-			// Blocks are time-ordered, so every later block starts past the
-			// range too: the stream is done, no per-block tail check needed.
-			return scanRun{last: true}
-		}
-		if maxT < st.fromN {
-			continue
-		}
-		start := time.Now()
-		// Worker-side child span: pool.ctx carries the scan's parent span
-		// (threaded through scanShards), so block decodes running on pool
-		// goroutines still link into the request's trace. Untraced scans
-		// skip the span entirely — no root-trace pollution from the
-		// auditor or plain local replays.
-		var sp *obs.ActiveSpan
-		if st.pool.traced {
-			_, sp = obs.Span(st.pool.ctx, "tsdb.scan_block")
-		}
-		ar := &st.arenas[st.runSeq&1]
-		times, err := ar.timestamps(bv)
-		if err != nil {
-			sp.End()
-			return scanRun{err: err, last: true}
-		}
-		lo, hi := searchRange(times, st.fromN, st.toN)
-		if lo >= hi {
-			sp.End()
-			continue
-		}
-		run := scanRun{times: times, lo: lo, hi: hi}
-		if bv.down != nil {
-			run.tier = envdb.TierDownsampled
-		}
-		for m := range run.cols {
-			if run.cols[m], err = ar.column(bv, sensors.Metric(m), lo, hi, nil); err != nil {
-				sp.End()
-				return scanRun{err: err, last: true}
+		c := &st.cursor
+		if c.row == 0 {
+			minT, maxT := bv.bounds()
+			if minT >= st.toN {
+				// Blocks are time-ordered, so every later block starts past the
+				// range too: the stream is done, no per-block tail check needed.
+				return scanRun{last: true}
+			}
+			if maxT < st.fromN {
+				st.nextBlock++
+				continue
+			}
+			// Worker-side child span: pool.ctx carries the scan's parent span
+			// (threaded through scanShards), so block decodes running on pool
+			// goroutines still link into the request's trace. Untraced scans
+			// skip the span entirely — no root-trace pollution from the
+			// auditor or plain local replays.
+			if st.pool.traced {
+				_, c.span = obs.Span(st.pool.ctx, "tsdb.scan_block")
 			}
 		}
-		metScanBlocks.Inc()
-		if st.pool.stats != nil {
-			st.pool.stats.BlocksDecoded.Add(1)
+		start := time.Now()
+		ar := &st.arenas[st.runSeq&1]
+		var (
+			run scanRun
+			n   int // rows of the block the run covers
+			err error
+		)
+		if bv.sealed != nil {
+			run, n, err = st.spanRun(bv.sealed, ar)
+		} else {
+			run, n, err = st.viewRun(bv)
+		}
+		if err != nil {
+			st.endBlock()
+			return scanRun{err: err, last: true}
 		}
 		metScanDecodeDur.ObserveSince(start)
-		sp.SetAttr("rows", strconv.Itoa(hi-lo))
-		sp.End()
-		st.nextBlock++
-		st.runSeq++
-		return run
+		c.row += n
+		if run.lo < run.hi {
+			c.rows += run.hi - run.lo
+			if !c.counted {
+				c.counted = true
+				metScanBlocks.Inc()
+				if st.pool.stats != nil {
+					st.pool.stats.BlocksDecoded.Add(1)
+				}
+			}
+		}
+		// hi short of the run's end means a row at or past toN: the rest of
+		// the block lies past the range, and the next block's bounds end
+		// the stream.
+		if run.hi < n || bv.sealed == nil || c.row == bv.sealed.count {
+			st.endBlock()
+		}
+		if run.lo < run.hi {
+			st.runSeq++
+			return run
+		}
 	}
 	return scanRun{last: true}
+}
+
+// spanRun decodes the next span of sealed block b — at most scanSpan rows
+// after the cursor — into ar and moves the cursor's decoder states past it;
+// n is the span's row count. Every column decodes all n rows, as the next
+// span's decode starts where this one ends, but an integer column converts
+// to floats only the rows [lo, hi) inside the scan's range; rows outside
+// are stale. A span wholly past the range decodes only its timestamps.
+func (st *shardStream) spanRun(b *sealedBlock, ar *scanArena) (run scanRun, n int, err error) {
+	c := &st.cursor
+	n = min(scanSpan, b.count-c.row)
+	if c.row == 0 {
+		metDecode.Add(1 + uint64(sensors.NumMetrics))
+	}
+	ts := int64Slice(ar.times, n)
+	ar.times = ts
+	if c.times, err = decodeTimesFrom(ts, b.times, c.times); err != nil {
+		return run, n, b.wrap("timestamps", err)
+	}
+	run.times = ts
+	run.lo, run.hi = searchRange(ts, st.fromN, st.toN)
+	if run.lo >= run.hi && run.hi < n {
+		return run, n, nil
+	}
+	for m, ch := range b.ch {
+		col := float64Slice(ar.cols[m], n)
+		ar.cols[m], run.cols[m] = col, col
+		if ch.enc == encXOR {
+			if c.xor[m], err = decodeXORFrom(col, ch.data, c.xor[m]); err != nil {
+				return run, n, b.wrap(sensors.Metric(m).String(), err)
+			}
+			continue
+		}
+		ints := int64Slice(ar.ints, n)
+		ar.ints = ints
+		if c.ints[m], err = decodeIntsPackedFrom(ints, ch.data, c.ints[m]); err != nil {
+			return run, n, b.wrap(sensors.Metric(m).String(), err)
+		}
+		for i, v := range ints[run.lo:run.hi] {
+			col[run.lo+i] = float64(v) / ch.scale
+		}
+	}
+	return run, n, nil
+}
+
+// viewRun is a head, frozen or cold block as one run: raw columns alias
+// the view's live columns, a cold block decodes fresh (its window counts
+// once for all channels).
+func (st *shardStream) viewRun(bv blockView) (run scanRun, n int, err error) {
+	if run.times, err = bv.timestamps(); err != nil {
+		return run, 0, err
+	}
+	if bv.down != nil {
+		run.tier = envdb.TierDownsampled
+	}
+	run.lo, run.hi = searchRange(run.times, st.fromN, st.toN)
+	if run.lo < run.hi {
+		err = bv.channels(&run.cols)
+	}
+	return run, len(run.times), err
+}
+
+// endBlock finishes the stream's current block: its decode span ends and
+// the cursor moves to the head of the next block.
+func (st *shardStream) endBlock() {
+	st.endSpan()
+	st.cursor = blockCursor{}
+	st.nextBlock++
+}
+
+// endSpan ends the current block's tsdb.scan_block span, if one is open.
+func (st *shardStream) endSpan() {
+	if sp := st.cursor.span; sp != nil {
+		sp.SetAttr("rows", strconv.Itoa(st.cursor.rows))
+		sp.End()
+		st.cursor.span = nil
+	}
 }
 
 // advanceRun blocks until the stream's next run is decoded, then re-arms
@@ -353,7 +469,8 @@ func (p *scanPool) request(st *shardStream) {
 	}
 }
 
-// close stops the workers and waits for them to exit, then hands every
+// close stops the workers and waits for them to exit, then ends the decode
+// span of every block a stopped scan left part-decoded and hands every
 // stream's arena pair back to arenaPool; safe to call twice. Run buffers
 // (shardStream.cur) must not be read after close — they may already be
 // decoding another scan's blocks.
@@ -361,6 +478,7 @@ func (p *scanPool) close() {
 	p.once.Do(func() { close(p.quit) })
 	p.wg.Wait()
 	for _, st := range p.streams {
+		st.endSpan()
 		if st.arenas != nil {
 			arenaPool.Put(st.arenas)
 			st.arenas = nil

@@ -595,6 +595,30 @@ func (bv blockView) timestamps() ([]int64, error) {
 	return bv.raw.times, nil
 }
 
+// channels decodes every value column of bv into cols; a cold view decodes
+// its window counts once for all of them.
+func (bv blockView) channels(cols *[sensors.NumMetrics][]float64) error {
+	if bv.down == nil {
+		for m := range cols {
+			var err error
+			if cols[m], err = bv.channel(sensors.Metric(m)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	counts, err := bv.down.recordCounts()
+	if err != nil {
+		return err
+	}
+	for m := range cols {
+		if cols[m], err = bv.down.channelMeans(sensors.Metric(m), counts); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func (bv blockView) channel(m sensors.Metric) ([]float64, error) {
 	if bv.down != nil {
 		counts, err := bv.down.recordCounts()

@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"context"
+	"strconv"
 	"testing"
 	"time"
 
@@ -90,5 +91,64 @@ func TestPlainScanStartsNoSpans(t *testing.T) {
 			t.Fatalf("untraced scan minted trace %s with %d spans (first: %q)",
 				tr.Trace, len(tr.Spans), tr.Spans[0].Name)
 		}
+	}
+}
+
+// scanTraceSpans returns the spans of the retained trace root belongs to.
+func scanTraceSpans(root *obs.ActiveSpan) []obs.SpanRecord {
+	var spans []obs.SpanRecord
+	for _, f := range obs.Default().TraceByID(root.Context().Trace) {
+		spans = append(spans, f.Spans...)
+	}
+	return spans
+}
+
+// TestScanBlockSpansPerBlock: a traced scan records one tsdb.scan_block
+// span per block, however many span runs the block decodes in, carrying
+// the block's rows; and a scan stopped inside its blocks still ends their
+// spans when its pool closes, so the request's trace completes.
+func TestScanBlockSpansPerBlock(t *testing.T) {
+	s := NewStore()
+	fill(t, 12*288, topology.AllRacks()[:3], s) // blocks of up to 3,456 rows: several runs each
+	s.SealAll()
+	blocks := 0
+	for i := range s.shards {
+		blocks += len(s.shards[i].sealed)
+	}
+
+	ctx, root := obs.Span(context.Background(), "test.scan_blocks")
+	stats := new(envdb.ScanStats)
+	if err := s.EachChunkMergedCtx(envdb.ContextWithScanStats(ctx, stats), 2, func(*envdb.Chunk) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	n, rows := 0, 0
+	for _, sp := range scanTraceSpans(root) {
+		if sp.Name != "tsdb.scan_block" {
+			continue
+		}
+		n++
+		for _, a := range sp.Attrs {
+			if a[0] == "rows" {
+				r, err := strconv.Atoi(a[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				rows += r
+			}
+		}
+	}
+	if n != blocks || stats.BlocksDecoded.Load() != int64(blocks) || rows != s.Len() {
+		t.Fatalf("%d tsdb.scan_block spans with %d rows, %d blocks counted; want %d spans and counted blocks with %d rows",
+			n, rows, stats.BlocksDecoded.Load(), blocks, s.Len())
+	}
+
+	ctx, root = obs.Span(context.Background(), "test.scan_blocks_stopped")
+	if err := s.EachChunkMergedCtx(ctx, 2, func(*envdb.Chunk) bool { return false }); err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	if spans := scanTraceSpans(root); len(spans) == 0 {
+		t.Fatal("a stopped scan's trace never completed: a block span was left open")
 	}
 }
