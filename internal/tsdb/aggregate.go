@@ -8,6 +8,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"time"
 
@@ -97,7 +98,7 @@ func (s *Store) AggregateRacks(ctx context.Context, hall int, metrics []sensors.
 		rack := topology.RackByIndex(i)
 		rack.Hall = hall
 		ar := pointRead(s.readShard(rack), fromN, toN)
-		errs[i] = s.aggregateWhole(ar, metrics, fromN, toN, out[i*k:(i+1)*k])
+		errs[i] = s.aggregateRange(ar, metrics, fromN, toN, 0, out[i*k:(i+1)*k])
 		ar.release()
 	})
 	for _, err := range errs {
@@ -127,179 +128,36 @@ func (s *Store) aggregate(rack topology.RackID, m sensors.Metric, from, to time.
 	if err := checkMetric(m); err != nil {
 		return nil, err
 	}
-	winN := int64(window)
-	if winN <= 0 {
-		winN = toN - fromN
+	// The span as an unsigned difference is exact even where toN - fromN
+	// overflows int64, as it does for a range over most representable
+	// instants. (span-1)/window+1 rather than (span+window-1)/window: the
+	// latter overflows for large spans, silently truncating the count.
+	nWin := uint64(1)
+	if window > 0 {
+		nWin = (uint64(toN)-uint64(fromN)-1)/uint64(window) + 1
 	}
-	// (span-1)/winN+1 rather than (span+winN-1)/winN: the latter overflows
-	// int64 for large spans, silently truncating the window count.
-	nWin := (toN-fromN-1)/winN + 1
 	if nWin > MaxAggregateWindows {
 		return nil, fmt.Errorf("tsdb: aggregate window %v over span %v needs %d windows (max %d): %w",
 			window, time.Duration(toN-fromN), nWin, int64(MaxAggregateWindows), envdb.ErrAggregateShape)
 	}
 	ar := pointRead(s.readShard(rack), fromN, toN)
 	defer ar.release()
-	if nWin == 1 {
-		out := make([]WindowAgg, 1)
-		if err := s.aggregateWhole(ar, []sensors.Metric{m}, fromN, toN, out); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	loc := s.location()
 	out := make([]WindowAgg, nWin)
-	for k := range out {
-		out[k] = WindowAgg{
-			Start: time.Unix(0, fromN+int64(k)*winN).In(loc),
-			Min:   math.NaN(),
-			Max:   math.NaN(),
-		}
-	}
-	// Sums accumulate twice: in float (always valid) and in the quantized
-	// integer domain. Integer addition is associative, so when every
-	// contribution stays integral the integer totals replace the float
-	// sums at the end — making Sum independent of accumulation order and
-	// therefore identical before and after compaction.
-	scale := channelScales[m]
-	exact := true
-	ar.sums = int64Slice(ar.sums, int(nWin))
-	sumsI := ar.sums
-	clear(sumsI)
-	for _, bv := range ar.views {
-		sp, err := ar.span(bv, fromN, toN)
-		if err != nil {
-			return nil, err
-		}
-		ts, lo, hi := sp.ts, sp.lo, sp.hi
-		if lo >= hi {
-			continue
-		}
-		if d := bv.down; d != nil {
-			counts, err := d.recordCounts()
-			if err != nil {
-				return nil, err
-			}
-			col, err := d.channelAgg(m, counts)
-			if err != nil {
-				return nil, err
-			}
-			for i := lo; i < hi; i++ {
-				k := (ts[i] - fromN) / winN
-				w := &out[k]
-				var mn, mx, sm float64
-				if col.scale > 0 {
-					mn = float64(col.minsI[i]) / col.scale
-					mx = float64(col.maxsI[i]) / col.scale
-					sm = float64(col.sumsI[i]) / col.scale
-					if exact && col.scale == scale {
-						if s2, ok := addInt64(sumsI[k], col.sumsI[i]); ok {
-							sumsI[k] = s2
-						} else {
-							exact = false
-						}
-					} else {
-						exact = false
-					}
-				} else {
-					exact = false
-					mn, mx, sm = col.minsF[i], col.maxsF[i], col.sumsF[i]
-				}
-				if w.Count == 0 || mn < w.Min {
-					w.Min = mn
-				}
-				if w.Count == 0 || mx > w.Max {
-					w.Max = mx
-				}
-				w.Sum += sm
-				w.Count += int(counts[i])
-			}
-			continue
-		}
-		if b := bv.sealed; b != nil && exact && b.ch[m].enc == encIntPacked && b.ch[m].scale == scale {
-			// Raw integer fast path: decode the quantized column once and
-			// derive the float values by division — the same work as the
-			// generic decode, plus the integer accumulation for free.
-			ints, err := ar.quantized(sp, m)
-			if err != nil {
-				return nil, err
-			}
-			for i := lo; i < hi; i++ {
-				k := (ts[i] - fromN) / winN
-				w := &out[k]
-				v := float64(ints[i]) / scale
-				if w.Count == 0 || v < w.Min {
-					w.Min = v
-				}
-				if w.Count == 0 || v > w.Max {
-					w.Max = v
-				}
-				w.Sum += v
-				w.Count++
-				if exact {
-					if s2, ok := addInt64(sumsI[k], ints[i]); ok {
-						sumsI[k] = s2
-					} else {
-						exact = false
-					}
-				}
-			}
-			continue
-		}
-		col, err := ar.values(sp, m)
-		if err != nil {
-			return nil, err
-		}
-		for i := lo; i < hi; i++ {
-			k := (ts[i] - fromN) / winN
-			w := &out[k]
-			v := col[i]
-			if w.Count == 0 || v < w.Min {
-				w.Min = v
-			}
-			if w.Count == 0 || v > w.Max {
-				w.Max = v
-			}
-			w.Sum += v
-			w.Count++
-			if exact {
-				// Head values were quantized on ingest, so they round-trip
-				// through the integer grid; anything that doesn't (raw-
-				// precision channels, XOR fallback) demotes the whole query
-				// to float sums.
-				n := math.Round(v * scale)
-				if !(math.Abs(n) < maxQuantized) || float64(int64(n))/scale != v {
-					exact = false
-				} else if s2, ok := addInt64(sumsI[k], int64(n)); ok {
-					sumsI[k] = s2
-				} else {
-					exact = false
-				}
-			}
-		}
-	}
-	if exact {
-		for k := range out {
-			if out[k].Count > 0 {
-				out[k].Sum = float64(sumsI[k]) / scale
-			}
-		}
+	if err := s.aggregateRange(ar, []sensors.Metric{m}, fromN, toN, int64(window), out); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// wholeAgg is one metric's running whole-range window: the windowed
-// kernel's per-window state for its single window, plus the query-wide
-// exactness flag that kernel keeps per call.
-type wholeAgg struct {
+// windowAcc is one (window, metric) accumulator of aggregateRange.
+type windowAcc struct {
 	count         int
 	min, max, sum float64
 	sumI          int64
-	exact         bool
 }
 
 // addValue folds one decoded sample, checking it against the integer grid.
-func (a *wholeAgg) addValue(v float64, scale float64) {
+func (a *windowAcc) addValue(v float64, scale float64, exact *bool) {
 	if a.count == 0 || v < a.min {
 		a.min = v
 	}
@@ -308,24 +166,24 @@ func (a *wholeAgg) addValue(v float64, scale float64) {
 	}
 	a.sum += v
 	a.count++
-	if a.exact {
+	if *exact {
 		// Head values were quantized on ingest, so they round-trip through
 		// the integer grid; anything that doesn't (raw-precision channels,
-		// XOR fallback) demotes the whole query to float sums.
+		// XOR fallback) demotes the metric to float sums.
 		n := math.Round(v * scale)
 		if !(math.Abs(n) < maxQuantized) || float64(int64(n))/scale != v {
-			a.exact = false
+			*exact = false
 		} else if s2, ok := addInt64(a.sumI, int64(n)); ok {
 			a.sumI = s2
 		} else {
-			a.exact = false
+			*exact = false
 		}
 	}
 }
 
 // addInts folds a run of quantized samples of a sealed integer column.
-func (a *wholeAgg) addInts(ints []int64, scale float64) {
-	cnt, mn, mx, sm, sumI, exact := a.count, a.min, a.max, a.sum, a.sumI, a.exact
+func (a *windowAcc) addInts(ints []int64, scale float64, exactp *bool) {
+	cnt, mn, mx, sm, sumI, exact := a.count, a.min, a.max, a.sum, a.sumI, *exactp
 	for _, n := range ints {
 		v := float64(n) / scale
 		if cnt == 0 || v < mn {
@@ -344,28 +202,28 @@ func (a *wholeAgg) addInts(ints []int64, scale float64) {
 			}
 		}
 	}
-	a.count, a.min, a.max, a.sum, a.sumI, a.exact = cnt, mn, mx, sm, sumI, exact
+	a.count, a.min, a.max, a.sum, a.sumI, *exactp = cnt, mn, mx, sm, sumI, exact
 }
 
 // addDown folds compacted windows [lo, hi) of a downsampled column.
-func (a *wholeAgg) addDown(col downColumn, counts []int64, lo, hi int, scale float64) {
+func (a *windowAcc) addDown(col downColumn, counts []int64, lo, hi int, scale float64, exact *bool) {
 	for i := lo; i < hi; i++ {
 		var mn, mx, sm float64
 		if col.scale > 0 {
 			mn = float64(col.minsI[i]) / col.scale
 			mx = float64(col.maxsI[i]) / col.scale
 			sm = float64(col.sumsI[i]) / col.scale
-			if a.exact && col.scale == scale {
+			if *exact && col.scale == scale {
 				if s2, ok := addInt64(a.sumI, col.sumsI[i]); ok {
 					a.sumI = s2
 				} else {
-					a.exact = false
+					*exact = false
 				}
 			} else {
-				a.exact = false
+				*exact = false
 			}
 		} else {
-			a.exact = false
+			*exact = false
 			mn, mx, sm = col.minsF[i], col.maxsF[i], col.sumsF[i]
 		}
 		if a.count == 0 || mn < a.min {
@@ -379,81 +237,102 @@ func (a *wholeAgg) addDown(col downColumn, counts []int64, lo, hi int, scale flo
 	}
 }
 
-// aggregateWhole is the single-window kernel behind Aggregate's one-window
-// queries and AggregateRacks: it folds the rows in [fromN, toN) of ar's
-// views into out[j] for metrics[j]. It accumulates exactly as the windowed
-// kernel does for its one window — same rows, same order, same
-// integer-domain sums — without the per-row window division, and decodes
-// each block's timestamps once for all metrics, into the arena.
-func (s *Store) aggregateWhole(ar *readArena, metrics []sensors.Metric, fromN, toN int64, out []WindowAgg) error {
-	// A stack array holds any list of distinct metrics, so a one-window
-	// Aggregate allocates only its result.
-	var few [sensors.NumMetrics]wholeAgg
-	accs := few[:]
-	if len(metrics) > len(few) {
-		accs = make([]wholeAgg, len(metrics))
+// aggregateRange is the aggregation kernel behind Aggregate and
+// AggregateRacks: it folds the rows in [fromN, toN) of ar's views into
+// len(out)/len(metrics) windows of winN aligned to fromN (one whole-range
+// window, winN unused, when that is 1), out[w·len(metrics) + j] holding
+// window w of metrics[j]. Each view is one
+// point read of a blockReader (readRange), which decodes each block's
+// timestamps once for all metrics; the run is split at window edges, one
+// binary search per window, and each piece folds with addInts (a sealed
+// integer column, whose integers are the sums' own grid), addDown (the
+// stored aggregates of a cold block's windows, each attributed to the
+// window holding its start) or addValue. Sums accumulate twice: in float
+// (always valid) and in the quantized integer domain. Integer addition is
+// associative, so when every contribution of a metric, in any window,
+// stays integral, the integer totals replace its float sums at the end —
+// making Sum independent of accumulation order and therefore identical
+// before and after compaction.
+func (s *Store) aggregateRange(ar *readArena, metrics []sensors.Metric, fromN, toN, winN int64, out []WindowAgg) error {
+	k := len(metrics)
+	if k == 0 {
+		return nil
 	}
-	accs = accs[:len(metrics)]
-	for j := range accs {
-		accs[j].exact = true
+	nWin := len(out) / k
+	ar.accs = slices.Grow(ar.accs[:0], len(out))[:len(out)]
+	accs := ar.accs
+	clear(accs)
+	// A stack array holds any list of distinct metrics, so an Aggregate
+	// allocates only its result.
+	var few [sensors.NumMetrics]bool
+	exact := few[:0]
+	if k > len(few) {
+		exact = make([]bool, 0, k)
 	}
+	var cols colSet
+	for _, m := range metrics {
+		exact = append(exact, true)
+		cols |= colOf(m)
+	}
+	var rd blockReader
 	for _, bv := range ar.views {
-		sp, err := ar.span(bv, fromN, toN)
+		rd.reset(bv)
+		ask := cols
+		if bv.down != nil {
+			ask = colTimes // a cold block folds its stored aggregates
+		}
+		run, lo, hi, err := rd.readRange(fromN, toN, ask, &ar.scanArena)
 		if err != nil {
 			return err
 		}
-		lo, hi := sp.lo, sp.hi
-		if lo >= hi {
-			continue
-		}
-		if d := bv.down; d != nil {
-			counts, err := d.recordCounts()
-			if err != nil {
-				return err
+		for i := lo; i < hi; {
+			w, j := 0, hi
+			if nWin > 1 {
+				w = int(uint64(run.times[i]-fromN) / uint64(winN))
 			}
-			for j, m := range metrics {
-				col, err := d.channelAgg(m, counts)
-				if err != nil {
-					return err
+			if w < nWin-1 {
+				e, _ := slices.BinarySearch(run.times[i:hi], fromN+int64(w+1)*winN)
+				j = i + e
+			}
+			for x, m := range metrics {
+				a, scale := &accs[w*k+x], channelScales[m]
+				switch ints := run.ints[m]; {
+				case bv.down != nil:
+					col, counts, err := rd.coldAgg(m)
+					if err != nil {
+						return err
+					}
+					a.addDown(col, counts, run.row+i, run.row+j, scale, &exact[x])
+				case ints != nil && run.scale[m] == scale:
+					a.addInts(ints[i:j], scale, &exact[x])
+				default:
+					for _, v := range ar.floats(run, int(m), i, j)[i:j] {
+						a.addValue(v, scale, &exact[x])
+					}
 				}
-				accs[j].addDown(col, counts, lo, hi, channelScales[m])
 			}
-			continue
-		}
-		for j, m := range metrics {
-			a := &accs[j]
-			scale := channelScales[m]
-			if b := bv.sealed; b != nil && a.exact && b.ch[m].enc == encIntPacked && b.ch[m].scale == scale {
-				// Raw integer fast path: decode the quantized column and
-				// derive the float values by division, accumulating the
-				// integer sum alongside.
-				ints, err := ar.quantized(sp, m)
-				if err != nil {
-					return err
-				}
-				a.addInts(ints[lo:hi], scale)
-				continue
-			}
-			col, err := ar.values(sp, m)
-			if err != nil {
-				return err
-			}
-			for _, v := range col[lo:hi] {
-				a.addValue(v, scale)
-			}
+			i = j
 		}
 	}
-	start := time.Unix(0, fromN).In(s.location())
-	for j := range accs {
-		a := &accs[j]
-		w := WindowAgg{Start: start, Count: a.count, Min: math.NaN(), Max: math.NaN(), Sum: a.sum}
-		if a.count > 0 {
-			w.Min, w.Max = a.min, a.max
-			if a.exact {
-				w.Sum = float64(a.sumI) / channelScales[metrics[j]]
+	loc := s.location()
+	for w := range nWin {
+		start := time.Unix(0, fromN+int64(w)*winN).In(loc)
+		for x, m := range metrics {
+			a := &accs[w*k+x]
+			o := WindowAgg{Start: start, Count: a.count, Min: math.NaN(), Max: math.NaN(), Sum: a.sum}
+			if a.count > 0 {
+				o.Min, o.Max = a.min, a.max
+				if exact[x] {
+					o.Sum = float64(a.sumI) / channelScales[m]
+				}
 			}
+			out[w*k+x] = o
 		}
-		out[j] = w
+	}
+	// A fine grid over a long range (up to MaxAggregateWindows) does not
+	// leave its accumulators pinned in the pool.
+	if len(accs) > 1<<16 {
+		ar.accs = nil
 	}
 	return nil
 }

@@ -215,83 +215,6 @@ func (b *sealedBlock) wrap(what string, err error) error {
 	return fmt.Errorf("tsdb: sealed block: %s: %w: %w", what, ErrCorrupt, err)
 }
 
-func (b *sealedBlock) decodeTimes() ([]int64, error) {
-	return b.decodeTimesArena(nil, nil, 0, b.count)
-}
-
-// decodeTimesArena decodes the timestamps of rows [r0, r1) into dst, sized
-// to the block and reusing its backing array when large enough; rows
-// outside are left stale. Without an index the decode starts at the stream
-// head, so r0 must be 0; with one, r0 must be a restart row.
-func (b *sealedBlock) decodeTimesArena(dst []int64, idx *restartIndex, r0, r1 int) ([]int64, error) {
-	metDecode.Inc()
-	out := int64Slice(dst, b.count)
-	var st timeState
-	if idx != nil {
-		st = idx.times[r0/restartStride]
-	}
-	if _, err := decodeTimesFrom(out[r0:r1], b.times, st); err != nil {
-		return nil, b.wrap("timestamps", err)
-	}
-	return out, nil
-}
-
-// decodeChannel materializes one value column — the unit of decompression
-// work, so single-metric reads (Series, Aggregate) skip five sixths of it.
-func (b *sealedBlock) decodeChannel(m sensors.Metric) ([]float64, error) {
-	out, _, err := b.decodeChannelArena(m, 0, b.count, nil, nil, nil)
-	return out, err
-}
-
-// decodeChannelArena decodes one value column into dst, using scratch for
-// the quantized-integer intermediate; both are reused when large enough,
-// and the (possibly regrown) scratch is returned for the caller's arena.
-// An integer column decodes as decodeIntsArena does and is converted to
-// floats only for rows [lo, hi), with the same float64(n)/scale as a
-// whole-column decode, so the rows a reader asks for are bit-identical
-// either way; rows outside are left stale. An XOR column decodes whole.
-func (b *sealedBlock) decodeChannelArena(m sensors.Metric, lo, hi int, dst []float64, scratch []int64, idx *restartIndex) ([]float64, []int64, error) {
-	c := b.ch[m]
-	if c.enc == encXOR {
-		metDecode.Inc()
-		out, err := decodeXORInto(dst, c.data, b.count)
-		if err != nil {
-			return nil, scratch, b.wrap(m.String(), err)
-		}
-		return out, scratch, nil
-	}
-	ints, err := b.decodeIntsArena(m, lo, hi, scratch, idx)
-	if err != nil {
-		return nil, scratch, err
-	}
-	out := float64Slice(dst, b.count)
-	scale := c.scale
-	for i, n := range ints[lo:hi] {
-		out[lo+i] = float64(n) / scale
-	}
-	return out, ints, nil
-}
-
-// decodeIntsArena decodes the quantized values of integer column m into
-// scratch, sized to the block and reused when large enough, so that rows
-// [lo, hi) are valid; rows outside may be stale. Without an index the
-// whole column decodes; with one the decode runs from the restart at or
-// before lo to hi.
-func (b *sealedBlock) decodeIntsArena(m sensors.Metric, lo, hi int, scratch []int64, idx *restartIndex) ([]int64, error) {
-	metDecode.Inc()
-	out := int64Slice(scratch, b.count)
-	r0, r1 := 0, b.count
-	var st packState
-	if idx != nil {
-		k := lo / restartStride
-		r0, r1, st = k*restartStride, hi, idx.cols[m][k]
-	}
-	if _, err := decodeIntsPackedFrom(out[r0:r1], b.ch[m].data, st); err != nil {
-		return nil, b.wrap(m.String(), err)
-	}
-	return out, nil
-}
-
 // restartStride is the row distance between the restart points of a
 // sealed block's index: four packGroups, so every restart of an integer
 // column sits on a group header.
@@ -301,11 +224,12 @@ const restartStride = 4 * packGroup
 // its range overlaps. Span k holds rows [k·restartStride,
 // (k+1)·restartStride); the index keeps each span's first timestamp and
 // the decoder state before its first row, of the timestamp stream and of
-// every encIntPacked column (an XOR column has none and decodes whole).
-// At the 300 s cadence a 30-day block of 8,640 rows has 34 spans, so the
-// index costs 34 × (8 + 24 + 6 × 16) B ≈ 4.3 KB beside ≈97 KB of payload.
-// It is not persisted: Open decodes nothing for it, and reads that cover
-// whole blocks (scans, compaction, whole-range aggregates) never build it.
+// every encIntPacked column (an XOR column has none and decodes from the
+// stream head). At the 300 s cadence a 30-day block of 8,640 rows has 34
+// spans, so the index costs 34 × (8 + 24 + 6 × 16) B ≈ 4.3 KB beside ≈97
+// KB of payload. It is not persisted: Open decodes nothing for it, and
+// reads that cover whole blocks (scans, compaction, whole-range
+// aggregates) never build it.
 type restartIndex struct {
 	first []int64 // span k's first timestamp
 	times []timeState
@@ -333,38 +257,33 @@ func (b *sealedBlock) index() (*restartIndex, error) {
 	return b.idx, b.idxErr
 }
 
-// buildIndex decodes the block span by span, each span from the state
-// the previous one ended in, and records the states.
+// buildIndex steps a reader through the block a span at a time, over the
+// timestamps and the integer columns, and records its states before each.
 func (b *sealedBlock) buildIndex() (*restartIndex, error) {
 	spans := (b.count + restartStride - 1) / restartStride
 	idx := &restartIndex{first: make([]int64, spans), times: make([]timeState, spans)}
-	var scratch [restartStride]int64
-	span := func(k int) []int64 { return scratch[:min(restartStride, b.count-k*restartStride)] }
-	metDecode.Inc()
-	var ts timeState
-	for k := range idx.times {
-		idx.times[k] = ts
-		var err error
-		if ts, err = decodeTimesFrom(span(k), b.times, ts); err != nil {
-			return nil, b.wrap("timestamps", err)
-		}
-		idx.first[k] = scratch[0]
-	}
+	cols := colTimes
 	for m, c := range b.ch {
-		if c.enc != encIntPacked {
-			continue
+		if c.enc == encIntPacked {
+			idx.cols[m] = make([]packState, spans)
+			cols |= colOf(sensors.Metric(m))
 		}
-		metDecode.Inc()
-		states := make([]packState, spans)
-		var st packState
-		for k := range states {
-			states[k] = st
-			var err error
-			if st, err = decodeIntsPackedFrom(span(k), c.data, st); err != nil {
-				return nil, b.wrap(sensors.Metric(m).String(), err)
+	}
+	var rd blockReader
+	var ar scanArena
+	rd.reset(blockView{sealed: b})
+	for k := range idx.first {
+		idx.times[k] = rd.times
+		for m, st := range idx.cols {
+			if st != nil {
+				st[k] = rd.ints[m]
 			}
 		}
-		idx.cols[m] = states
+		run, err := rd.next(restartStride, cols, &ar)
+		if err != nil {
+			return nil, err
+		}
+		idx.first[k] = run.times[0]
 	}
 	return idx, nil
 }

@@ -95,7 +95,8 @@ type chunkMerger struct {
 	streams []*shardStream // as returned by scanShards, shard order
 	active  []*shardStream // streams with a current run, shard order
 	chunk   envdb.Chunk
-	srcs    [][]float64 // aligned-stretch read cursors, reused across rounds
+	bufs    *scanBuffers // where the chunk's columns come from and go back
+	srcs    [][]float64  // aligned-stretch read cursors, reused across rounds
 	started bool
 	merged  uint64
 	err     error
@@ -110,6 +111,7 @@ func (cm *chunkMerger) fill() bool {
 	}
 	if !cm.started {
 		cm.started = true
+		cm.takeColumns()
 		// Admit every stream's first run; the waits overlap since all
 		// streams were armed at scanShards time.
 		cm.active = make([]*shardStream, 0, len(cm.streams))
@@ -416,6 +418,15 @@ func (cm *chunkMerger) emit(st *shardStream, limit int64, lone bool) bool {
 	}
 }
 
+// takeColumns draws the chunk's columns from arenaPool, so a scan starts
+// from the capacities an earlier scan grew instead of regrowing them.
+func (cm *chunkMerger) takeColumns() {
+	cm.bufs = arenaPool.Get().(*scanBuffers)
+	ar, c := &cm.bufs.arenas[0], &cm.chunk
+	c.Times, c.Racks, c.Tiers, c.Cols = ar.times, cm.bufs.racks, cm.bufs.tiers, ar.cols
+	c.Reset()
+}
+
 func (cm *chunkMerger) fail(err error) {
 	cm.err = err
 	cm.close()
@@ -434,5 +445,13 @@ func (cm *chunkMerger) close() {
 	cm.merged = 0
 	if cm.pool != nil {
 		cm.pool.close()
+	}
+	// envdb.Chunk is valid only inside the consumer's callback, and none
+	// runs after close: the chunk's columns go back to the pool.
+	if b := cm.bufs; b != nil {
+		c := &cm.chunk
+		b.arenas[0].times, b.racks, b.tiers, b.arenas[0].cols = c.Times, c.Racks, c.Tiers, c.Cols
+		arenaPool.Put(b)
+		cm.bufs, cm.chunk = nil, envdb.Chunk{}
 	}
 }

@@ -177,19 +177,27 @@ func addInt64(a, b int64) (int64, bool) {
 // One block spans the whole folded range on purpose: the cold codec's
 // adaptive models need long streams to reach their compression ratio. The
 // fold reads payloads, so blocks a racing partition roll left frozen are
-// sealed first.
+// sealed first. Each pass over a block — its timestamps, then each
+// channel — steps a blockReader through the whole block in one run.
 func foldBlocks(blocks []*sealedBlock, win int64, src string) (*downBlock, error) {
 	for _, b := range blocks {
 		b.seal()
+	}
+	var rd blockReader
+	var ar scanArena
+	read := func(b *sealedBlock, cols colSet) (*blockRun, error) {
+		rd.reset(blockView{sealed: b})
+		return rd.next(b.count, cols, &ar)
 	}
 	var starts, counts []int64
 	winIdx := make([][]int32, len(blocks))
 	var srcRecords int64
 	for bi, b := range blocks {
-		ts, err := b.decodeTimes()
+		run, err := read(b, colTimes)
 		if err != nil {
 			return nil, err
 		}
+		ts := run.times
 		idx := make([]int32, len(ts))
 		for i, t := range ts {
 			w := floorDiv(t, win) * win
@@ -228,78 +236,71 @@ func foldBlocks(blocks []*sealedBlock, win int64, src string) (*downBlock, error
 				break
 			}
 		}
+		col := colOf(sensors.Metric(m))
 		if exact {
-			sumsI := make([]int64, nw)
-			minsI := make([]int64, nw)
-			maxsI := make([]int64, nw)
-			seen := make([]bool, nw)
-			ok := true
-		intFold:
-			for bi, b := range blocks {
-				metDecode.Inc()
-				ints, err := decodeIntsPacked(b.ch[m].data, b.count)
+			sums, mins, maxs, ok, err := foldChannel(blocks, winIdx, nw, func(b *sealedBlock) ([]int64, error) {
+				run, err := read(b, col)
 				if err != nil {
-					return nil, b.wrap(sensors.Metric(m).String(), err)
+					return nil, err
 				}
-				for i, v := range ints {
-					k := winIdx[bi][i]
-					s, fits := addInt64(sumsI[k], v)
-					if !fits {
-						ok = false
-						break intFold
-					}
-					sumsI[k] = s
-					if !seen[k] {
-						minsI[k], maxsI[k] = v, v
-						seen[k] = true
-						continue
-					}
-					if v < minsI[k] {
-						minsI[k] = v
-					}
-					if v > maxsI[k] {
-						maxsI[k] = v
-					}
-				}
+				return run.ints[m], nil
+			})
+			if err != nil {
+				return nil, err
 			}
 			if ok {
-				d.ch[m] = downChannel{
-					enc:   encInt,
-					scale: channelScales[m],
-					data:  encodeDownChannelInts(sumsI, minsI, maxsI, counts),
-				}
+				d.ch[m] = downChannel{enc: encInt, scale: channelScales[m], data: encodeDownChannelInts(sums, mins, maxs, counts)}
 				continue
 			}
 			// Integer sums overflowed — refold this channel in float.
 		}
-		sumsF := make([]float64, nw)
-		minsF := make([]float64, nw)
-		maxsF := make([]float64, nw)
-		seen := make([]bool, nw)
-		for bi, b := range blocks {
-			vals, err := b.decodeChannel(sensors.Metric(m))
+		sums, mins, maxs, _, err := foldChannel(blocks, winIdx, nw, func(b *sealedBlock) ([]float64, error) {
+			run, err := read(b, col)
 			if err != nil {
 				return nil, err
 			}
-			for i, v := range vals {
-				k := winIdx[bi][i]
-				sumsF[k] += v
-				if !seen[k] {
-					minsF[k], maxsF[k] = v, v
-					seen[k] = true
-					continue
-				}
-				if v < minsF[k] {
-					minsF[k] = v
-				}
-				if v > maxsF[k] {
-					maxsF[k] = v
-				}
-			}
+			return ar.floats(run, m, 0, b.count), nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		d.ch[m] = downChannel{enc: encXOR, data: encodeDownChannelFloats(sumsF, minsF, maxsF)}
+		d.ch[m] = downChannel{enc: encXOR, data: encodeDownChannelFloats(sums, mins, maxs)}
 	}
 	return d, nil
+}
+
+// foldChannel folds one channel of blocks, read through values, into
+// per-window sum, min and max columns, the rows of block bi landing in the
+// windows winIdx[bi] names; ok is false when an integer sum overflows.
+func foldChannel[T int64 | float64](blocks []*sealedBlock, winIdx [][]int32, nw int, values func(*sealedBlock) ([]T, error)) (sums, mins, maxs []T, ok bool, err error) {
+	sums, mins, maxs = make([]T, nw), make([]T, nw), make([]T, nw)
+	seen := make([]bool, nw)
+	for bi, b := range blocks {
+		vals, err := values(b)
+		if err != nil {
+			return nil, nil, nil, false, err
+		}
+		for i, v := range vals {
+			k := winIdx[bi][i]
+			s := sums[k] + v
+			if v > 0 && s < sums[k] || v < 0 && s > sums[k] {
+				return nil, nil, nil, false, nil // wrapped: only integers can
+			}
+			sums[k] = s
+			if !seen[k] {
+				mins[k], maxs[k] = v, v
+				seen[k] = true
+				continue
+			}
+			if v < mins[k] {
+				mins[k] = v
+			}
+			if v > maxs[k] {
+				maxs[k] = v
+			}
+		}
+	}
+	return sums, mins, maxs, true, nil
 }
 
 func putZigzagUvarint(dst []byte, v int64) []byte {

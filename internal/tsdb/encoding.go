@@ -653,14 +653,10 @@ func encodeXOR(vals []float64) []byte {
 	return w.bytes()
 }
 
+// decodeXOR decodes n XOR-encoded floats: the range decode from the
+// stream head.
 func decodeXOR(buf []byte, n int) ([]float64, error) {
-	return decodeXORInto(nil, buf, n)
-}
-
-// decodeXORInto decodes n XOR-encoded floats into dst, reusing its backing
-// array when large enough: the range decode from the stream head.
-func decodeXORInto(dst []float64, buf []byte, n int) ([]float64, error) {
-	out := float64Slice(dst, n)
+	out := make([]float64, n)
 	if _, err := decodeXORFrom(out, buf, xorState{}); err != nil {
 		return nil, err
 	}

@@ -263,11 +263,18 @@ func checkRestarts(t *testing.T, data []byte, count int) {
 			}
 			continue
 		}
+		var rd blockReader
+		var ar scanArena
+		rd.reset(blockView{sealed: c.b})
 		for k := range idx.first {
 			r0 := k * restartStride
 			if c.b == tb {
-				got, err := c.b.decodeTimesArena(nil, idx, r0, count)
-				if err != nil || idx.first[k] != ts[r0] || !slices.Equal(got[r0:], ts[r0:]) {
+				err := rd.seek(r0, colTimes)
+				var run *blockRun
+				if err == nil {
+					run, err = rd.next(count-r0, colTimes, &ar)
+				}
+				if err != nil || idx.first[k] != ts[r0] || !slices.Equal(run.times, ts[r0:]) {
 					t.Fatalf("timestamps from restart %d differ from the full decode (%v)", k, err)
 				}
 				continue
@@ -277,8 +284,12 @@ func checkRestarts(t *testing.T, data []byte, count int) {
 					if lo >= count || hi > count || lo >= hi {
 						continue
 					}
-					got, err := c.b.decodeIntsArena(sensors.MetricFlow, lo, hi, nil, idx)
-					if err != nil || !slices.Equal(got[lo:hi], ints[lo:hi]) {
+					err := rd.seek(lo, colOf(sensors.MetricFlow))
+					var run *blockRun
+					if err == nil {
+						run, err = rd.next(hi-r0, colOf(sensors.MetricFlow), &ar)
+					}
+					if err != nil || !slices.Equal(run.ints[sensors.MetricFlow][lo-r0:], ints[lo:hi]) {
 						t.Fatalf("integer rows [%d, %d) differ from the full decode (%v)", lo, hi, err)
 					}
 				}

@@ -22,7 +22,7 @@ var (
 	metFlushBytes = obs.NewCounter("mira_tsdb_flush_bytes_written_total",
 		"segment bytes written to disk by Store.Flush")
 	metDecode = obs.NewCounter("mira_tsdb_block_decode_total",
-		"compressed payload decodes (one timestamp stream or value column each)")
+		"compressed payload streams decoded: one per timestamp, window-count or value column per block a read touches")
 	metQueryDur = obs.NewHistogramVec("mira_tsdb_query_duration_seconds",
 		"latency of the read surface, labeled by operation", "op", nil)
 
@@ -32,7 +32,7 @@ var (
 	metScanBlocks = obs.NewCounter("mira_tsdb_scan_blocks_decoded_total",
 		"sealed or head blocks decoded by scan-pool workers")
 	metScanDecodeDur = obs.NewHistogram("mira_tsdb_scan_block_decode_duration_seconds",
-		"time a scan-pool worker spends decoding one run, all channels: a span of at most 512 rows of a sealed block, or a whole head, frozen or cold block", nil)
+		"time a scan-pool worker spends decoding one run, all channels: a span of at most 512 rows of one block", nil)
 	metScanStallDur = obs.NewHistogram("mira_tsdb_scan_merge_stall_seconds",
 		"time the chunk merge waits for a shard's next decoded run; near zero when prefetch keeps up", nil)
 	metScanRecords = obs.NewCounter("mira_tsdb_scan_records_merged_total",

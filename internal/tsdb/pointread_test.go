@@ -407,9 +407,11 @@ func blocksTouched(s *Store, rack topology.RackID, from, to time.Time) int {
 	ar := pointRead(s.readShard(rack), from.UnixNano(), to.UnixNano())
 	defer ar.release()
 	n := 0
+	var rd blockReader
 	for _, bv := range ar.views {
-		ts := mustDecode(bv.timestamps())
-		if lo, hi := searchRange(ts, from.UnixNano(), to.UnixNano()); lo < hi {
+		rd.reset(bv)
+		run := mustDecode(rd.next(rd.rows, colTimes, &ar.scanArena))
+		if lo, hi := searchRange(run.times, from.UnixNano(), to.UnixNano()); lo < hi {
 			n++
 		}
 	}

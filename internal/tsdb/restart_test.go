@@ -80,9 +80,9 @@ func restartTimes(rng *rand.Rand, n int, irregular bool) []int64 {
 var restartRowCounts = []int{1, 2, 63, 64, 65, 255, 256, 257, 300, 513, 1000}
 
 // TestRangeDecodeMatchesFull: for every block shape, the restart index
-// holds each span's first timestamp, and a decode from every restart to
-// every [lo, hi) it can serve equals the same slice of the full decode,
-// through a scratch still holding an earlier read's rows.
+// holds each span's first timestamp, and a blockReader seeked to every row
+// lo and stepped to every hi it can serve decodes the same rows as the
+// full decode, through an arena still holding an earlier read's rows.
 func TestRangeDecodeMatchesFull(t *testing.T) {
 	rng := rand.New(rand.NewSource(39))
 	for _, n := range restartRowCounts {
@@ -104,23 +104,33 @@ func TestRangeDecodeMatchesFull(t *testing.T) {
 						t.Fatalf("span %d starts at %d, want %d", k, first, ts[k*restartStride])
 					}
 				}
-				var tsBuf, intBuf []int64
+				var rd blockReader
+				var ar scanArena
+				rd.reset(blockView{sealed: b})
 				for lo := 0; lo < n; lo++ {
 					for _, hi := range rangeEnds(rng, lo, n) {
 						r0 := lo / restartStride * restartStride
 						if lo == r0 {
-							if tsBuf, err = b.decodeTimesArena(tsBuf, idx, r0, hi); err != nil {
+							if err := rd.seek(lo, colTimes); err != nil {
 								t.Fatal(err)
 							}
-							if !slices.Equal(tsBuf[r0:hi], ts[r0:hi]) {
+							run, err := rd.next(hi-r0, colTimes, &ar)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if run.row != r0 || !slices.Equal(run.times, ts[r0:hi]) {
 								t.Fatalf("timestamps [%d, %d) differ from the full decode", r0, hi)
 							}
 						}
 						for m, col := range cols {
-							if intBuf, err = b.decodeIntsArena(sensors.Metric(m), lo, hi, intBuf, idx); err != nil {
+							if err := rd.seek(lo, colOf(sensors.Metric(m))); err != nil {
 								t.Fatal(err)
 							}
-							if !slices.Equal(intBuf[lo:hi], col[lo:hi]) {
+							run, err := rd.next(hi-r0, colOf(sensors.Metric(m)), &ar)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if run.row != r0 || !slices.Equal(run.ints[m][lo-r0:], col[lo:hi]) {
 								t.Fatalf("column %d rows [%d, %d) differ from the full decode", m, lo, hi)
 							}
 						}
@@ -150,9 +160,9 @@ func rangeEnds(rng *rand.Rand, lo, n int) []int {
 }
 
 // TestPointSpanMatchesFull drives the point-read path over one block —
-// readArena.span, values and quantized — for random ranges, covering the
-// block whole and in part, and compares each with searchRange over the
-// full decode.
+// blockReader.readRange and the arena's float conversion — for random
+// ranges, covering the block whole and in part, and compares each with
+// searchRange over the full decode.
 func TestPointSpanMatchesFull(t *testing.T) {
 	rng := rand.New(rand.NewSource(40))
 	for _, n := range restartRowCounts {
@@ -160,7 +170,8 @@ func TestPointSpanMatchesFull(t *testing.T) {
 			ts := restartTimes(rng, n, irregular)
 			cols := restartColumns(rng, n)
 			b := restartBlock(ts, cols)
-			ar := new(readArena)
+			var ar scanArena
+			var rd blockReader
 			for trial := 0; trial < 300; trial++ {
 				// Ends drawn from just outside the block to just past it, on
 				// and off stored instants.
@@ -171,28 +182,29 @@ func TestPointSpanMatchesFull(t *testing.T) {
 				}
 				fromN, toN := min(a, z), max(a, z)+1
 				lo, hi := searchRange(ts, fromN, toN)
-				sp, err := ar.span(blockView{sealed: b}, fromN, toN)
+				rd.reset(blockView{sealed: b})
+				run, rlo, rhi, err := rd.readRange(fromN, toN, allCols, &ar)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if sp.lo != lo || sp.hi != hi || !slices.Equal(sp.ts[lo:hi], ts[lo:hi]) {
-					t.Fatalf("rows=%d: span of [%d, %d) = [%d, %d), want [%d, %d)", n, fromN, toN, sp.lo, sp.hi, lo, hi)
+				if run.row+rlo != lo || run.row+rhi != hi || !slices.Equal(run.times[rlo:rhi], ts[lo:hi]) {
+					t.Fatalf("rows=%d: span of [%d, %d) = [%d, %d), want [%d, %d)", n, fromN, toN, run.row+rlo, run.row+rhi, lo, hi)
+				}
+				// A range covering the block in part decodes the timestamps of
+				// the restart spans it overlaps, no more.
+				if b.idx != nil && (fromN > b.minT || toN <= b.maxT) {
+					if r0, r1 := b.idx.rows(fromN, toN, n); len(ar.times) != r1-r0 {
+						t.Fatalf("rows=%d: [%d, %d) decoded %d timestamps, want the %d of rows [%d, %d)", n, fromN, toN, len(ar.times), r1-r0, r0, r1)
+					}
 				}
 				if lo >= hi {
 					continue
 				}
 				for m, col := range cols {
-					ints, err := ar.quantized(sp, sensors.Metric(m))
-					if err != nil {
-						t.Fatal(err)
-					}
-					vals, err := ar.values(sp, sensors.Metric(m))
-					if err != nil {
-						t.Fatal(err)
-					}
-					for i := lo; i < hi; i++ {
-						if ints[i] != col[i] || vals[i] != float64(col[i]) {
-							t.Fatalf("rows=%d: column %d row %d = %d/%v, want %d", n, m, i, ints[i], vals[i], col[i])
+					ints, vals := run.ints[m], ar.floats(run, m, rlo, rhi)
+					for i := rlo; i < rhi; i++ {
+						if ints[i] != col[run.row+i] || vals[i] != float64(col[run.row+i]) {
+							t.Fatalf("rows=%d: column %d row %d = %d/%v, want %d", n, m, run.row+i, ints[i], vals[i], col[run.row+i])
 						}
 					}
 				}

@@ -108,42 +108,66 @@ func BenchmarkScan(b *testing.B) {
 }
 
 // scanBlock decodes sealed block b the way the merged scan does, a span
-// at a time through one shard stream over the whole time range, and joins
+// at a time through one blockReader over two alternating arenas, and joins
 // the spans. It fails when a run has more than scanSpan rows or the block
 // decodes in other than ceil(count/scanSpan) runs.
 func scanBlock(t *testing.T, b *sealedBlock) ([]int64, [sensors.NumMetrics][]float64, error) {
 	t.Helper()
-	st := &shardStream{
-		fromN:  math.MinInt64,
-		toN:    math.MaxInt64,
-		pool:   &scanPool{},
-		blocks: []blockView{{sealed: b}},
-		arenas: new([2]scanArena),
-	}
+	var rd blockReader
+	var arenas [2]scanArena
 	var times []int64
 	var cols [sensors.NumMetrics][]float64
 	runs := 0
-	for {
-		run := st.decodeStep()
-		if run.err != nil {
-			return nil, cols, run.err
-		}
-		if run.last {
-			break
+	for rd.reset(blockView{sealed: b}); rd.row < rd.rows; {
+		ar := &arenas[runs&1]
+		run, err := rd.next(scanSpan, allCols, ar)
+		if err != nil {
+			return nil, cols, err
 		}
 		runs++
-		if run.lo != 0 || run.hi > scanSpan {
-			t.Fatalf("run %d covers rows [%d, %d) of a %d-row span limit", runs, run.lo, run.hi, scanSpan)
+		if len(run.times) > scanSpan {
+			t.Fatalf("run %d covers %d rows of a %d-row span limit", runs, len(run.times), scanSpan)
 		}
-		times = append(times, run.times[run.lo:run.hi]...)
+		times = append(times, run.times...)
 		for m := range cols {
-			cols[m] = append(cols[m], run.cols[m][run.lo:run.hi]...)
+			cols[m] = append(cols[m], ar.floats(run, m, 0, len(run.times))...)
 		}
 	}
 	if want := (b.count + scanSpan - 1) / scanSpan; runs != want {
 		t.Fatalf("a %d-row block scanned in %d runs, want %d", b.count, runs, want)
 	}
 	return times, cols, nil
+}
+
+// decodeTimes and decodeChannel are the whole-block oracle of the reader
+// tests: each stream decoded straight through its codec from the stream
+// head, errors wrapped as the reader wraps them.
+func (b *sealedBlock) decodeTimes() ([]int64, error) {
+	ts, err := decodeTimes(b.times, b.count)
+	if err != nil {
+		return nil, b.wrap("timestamps", err)
+	}
+	return ts, nil
+}
+
+func (b *sealedBlock) decodeChannel(m sensors.Metric) ([]float64, error) {
+	c := b.ch[m]
+	if c.enc == encXOR {
+		vals, err := decodeXOR(c.data, b.count)
+		if err != nil {
+			return nil, b.wrap(m.String(), err)
+		}
+		return vals, nil
+	}
+	ints, err := decodeIntsPacked(c.data, b.count)
+	if err != nil {
+		return nil, b.wrap(m.String(), err)
+	}
+	vals := make([]float64, len(ints))
+	for i, n := range ints {
+		vals[i] = float64(n) / c.scale
+	}
+	return vals, nil
 }
 
 // sameFloatBits reports whether two float columns hold the same bit patterns.
@@ -404,5 +428,40 @@ func TestColdScanDecodesCountsOnce(t *testing.T) {
 	}
 	if got, want := metDecode.Value()-before, uint64(2+sensors.NumMetrics); got != want {
 		t.Fatalf("scanning a cold block made %d payload decodes, want %d", got, want)
+	}
+}
+
+// TestColdPointReadsDecodeCountsOnce: a one-rack 6-hour Query over one
+// cold block decodes the window starts, the window counts once for all six
+// channels, and the six channels — eight payload decodes, as the scan
+// does — and a one-window Aggregate decodes the starts, the counts once
+// and its one channel.
+func TestColdPointReadsDecodeCountsOnce(t *testing.T) {
+	s := NewStoreWith(Options{Partition: 6 * time.Hour, Retention: 12 * time.Hour})
+	rack := topology.RackID{Row: 0, Col: 0}
+	fill(t, 600, []topology.RackID{rack}, s)
+	if _, err := s.Compact(""); err != nil {
+		t.Fatal(err)
+	}
+	cold := s.shards[rack.Index()].cold
+	if len(cold) != 1 || cold[0].maxT-cold[0].minT < int64(6*time.Hour) {
+		t.Fatalf("want one cold block of more than 6 hours, have %d", len(cold))
+	}
+	from := time.Unix(0, cold[0].minT)
+	to := from.Add(6 * time.Hour)
+	before := metDecode.Value()
+	if recs := s.Query(rack, from, to); len(recs) != 6 {
+		t.Fatalf("queried %d records, want 6 hourly windows", len(recs))
+	}
+	if got, want := metDecode.Value()-before, uint64(2+sensors.NumMetrics); got != want {
+		t.Fatalf("a 6-hour Query over a cold block made %d payload decodes, want %d", got, want)
+	}
+	before = metDecode.Value()
+	aggs, err := s.Aggregate(rack, sensors.MetricPower, from, to, 0)
+	if err != nil || len(aggs) != 1 || aggs[0].Count != 72 {
+		t.Fatalf("Aggregate = %+v, %v; want one window of 72 samples", aggs, err)
+	}
+	if got := metDecode.Value() - before; got != 3 {
+		t.Fatalf("a one-window Aggregate over a cold block made %d payload decodes, want 3", got)
 	}
 }

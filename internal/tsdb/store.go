@@ -13,6 +13,7 @@ import (
 	"mira/internal/envdb"
 	"mira/internal/sensors"
 	"mira/internal/topology"
+	"mira/internal/units"
 )
 
 // DefaultPartition is the time span of one block: 30 days ≈ 8640 samples at
@@ -585,52 +586,15 @@ func (bv blockView) bounds() (minT, maxT int64) {
 	return bv.raw.times[0], bv.raw.times[len(bv.raw.times)-1]
 }
 
-func (bv blockView) timestamps() ([]int64, error) {
+// rows is the view's row count: samples, or windows of a cold block.
+func (bv blockView) rows() int {
 	if bv.down != nil {
-		return bv.down.starts()
+		return bv.down.count
 	}
 	if bv.sealed != nil {
-		return bv.sealed.decodeTimes()
+		return bv.sealed.count
 	}
-	return bv.raw.times, nil
-}
-
-// channels decodes every value column of bv into cols; a cold view decodes
-// its window counts once for all of them.
-func (bv blockView) channels(cols *[sensors.NumMetrics][]float64) error {
-	if bv.down == nil {
-		for m := range cols {
-			var err error
-			if cols[m], err = bv.channel(sensors.Metric(m)); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	counts, err := bv.down.recordCounts()
-	if err != nil {
-		return err
-	}
-	for m := range cols {
-		if cols[m], err = bv.down.channelMeans(sensors.Metric(m), counts); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (bv blockView) channel(m sensors.Metric) ([]float64, error) {
-	if bv.down != nil {
-		counts, err := bv.down.recordCounts()
-		if err != nil {
-			return nil, err
-		}
-		return bv.down.channelMeans(m, counts)
-	}
-	if bv.sealed != nil {
-		return bv.sealed.decodeChannel(m)
-	}
-	return bv.raw.vals[m], nil
+	return len(bv.raw.times)
 }
 
 // mustDecode is the internal-invariant backstop for the error-free query
@@ -660,9 +624,9 @@ func searchRange(times []int64, fromN, toN int64) (lo, hi int) {
 
 // Query returns the stored records for one rack with timestamps in
 // [from, to), in time order. Values are the stored (ingest-quantized)
-// values; see channelScales. Sealed blocks decode into a pooled readArena
-// (only the restart spans overlapping the range when the range covers a
-// block in part) and only the rows in range become records.
+// values; see channelScales. Each block view in range is one point read
+// of a blockReader (readRange) into a pooled readArena, and only the rows
+// in range become records.
 func (s *Store) Query(rack topology.RackID, from, to time.Time) []sensors.Record {
 	s.init()
 	defer metQueryDur.With(opQuery).ObserveSince(time.Now())
@@ -671,21 +635,40 @@ func (s *Store) Query(rack topology.RackID, from, to time.Time) []sensors.Record
 	ar := pointRead(s.readShard(rack), fromN, toN)
 	defer ar.release()
 	out := []sensors.Record{}
+	var rd blockReader
 	var cols [sensors.NumMetrics][]float64
 	for _, bv := range ar.views {
-		sp := mustDecode(ar.span(bv, fromN, toN))
-		if sp.lo >= sp.hi {
+		rd.reset(bv)
+		run, lo, hi, err := rd.readRange(fromN, toN, allCols, &ar.scanArena)
+		mustOK(err)
+		if lo >= hi {
 			continue
 		}
 		for m := range cols {
-			cols[m] = mustDecode(ar.values(sp, sensors.Metric(m)))
+			cols[m] = ar.floats(run, m, lo, hi)
 		}
-		out = slices.Grow(out, sp.hi-sp.lo)
-		for i := sp.lo; i < sp.hi; i++ {
-			out = append(out, recordAt(rack, loc, sp.ts[i], &cols, i))
+		out = slices.Grow(out, hi-lo)
+		for i := lo; i < hi; i++ {
+			out = append(out, recordAt(rack, loc, run.times[i], &cols, i))
 		}
 	}
 	return out
+}
+
+// recordAt materializes one record from decoded columnar data; shared by
+// Query and EachRecordUntil so both produce bit-identical records from
+// the same stored bytes.
+func recordAt(rack topology.RackID, loc *time.Location, tN int64, cols *[sensors.NumMetrics][]float64, i int) sensors.Record {
+	return sensors.Record{
+		Time:          time.Unix(0, tN).In(loc),
+		Rack:          rack,
+		DCTemperature: units.Fahrenheit(cols[sensors.MetricDCTemperature][i]),
+		DCHumidity:    units.RelativeHumidity(cols[sensors.MetricDCHumidity][i]),
+		Flow:          units.GPM(cols[sensors.MetricFlow][i]),
+		InletTemp:     units.Fahrenheit(cols[sensors.MetricInletTemp][i]),
+		OutletTemp:    units.Fahrenheit(cols[sensors.MetricOutletTemp][i]),
+		Power:         units.Watts(cols[sensors.MetricPower][i]),
+	}
 }
 
 // Series extracts one metric for one rack over [from, to) as parallel
@@ -699,39 +682,53 @@ func (s *Store) Series(rack topology.RackID, m sensors.Metric, from, to time.Tim
 	defer ar.release()
 	times := []time.Time{}
 	vals := []float64{}
+	var rd blockReader
 	for _, bv := range ar.views {
-		sp := mustDecode(ar.span(bv, fromN, toN))
-		if sp.lo >= sp.hi {
+		rd.reset(bv)
+		run, lo, hi, err := rd.readRange(fromN, toN, colOf(m), &ar.scanArena)
+		mustOK(err)
+		if lo >= hi {
 			continue
 		}
-		col := mustDecode(ar.values(sp, m))
-		times = slices.Grow(times, sp.hi-sp.lo)
-		for _, t := range sp.ts[sp.lo:sp.hi] {
+		times = slices.Grow(times, hi-lo)
+		for _, t := range run.times[lo:hi] {
 			times = append(times, time.Unix(0, t).In(loc))
 		}
-		vals = append(vals, col[sp.lo:sp.hi]...)
+		vals = append(vals, ar.floats(run, int(m), lo, hi)[lo:hi]...)
 	}
 	return times, vals
 }
 
 // EachRecordUntil visits every stored record (rack-major, time order
-// within rack) until f returns false. The visit runs against a per-shard
-// snapshot, so it never blocks concurrent appends for more than the
-// snapshot instant.
+// within rack) until f returns false. Each rack's blocks are stepped a
+// scanSpan at a time against a snapshot of its shard, so the visit never
+// blocks concurrent appends for more than the snapshot instant. A decode
+// failure panics (see mustDecode), even when f has stopped the visit.
 func (s *Store) EachRecordUntil(f func(sensors.Record) bool) {
 	s.init()
+	loc := s.location()
+	var rd blockReader
+	var cols [sensors.NumMetrics][]float64
 	for i := range s.shards {
-		it := s.iterShard(s.fleet.RackAt(i), &s.shards[i], minTime, maxTime)
-		for it.Next() {
-			if !f(it.Record()) {
-				// Every exit path must surface a latched decode failure —
-				// corruption seen mid-scan may not be dropped just because
-				// the visitor stopped early.
-				mustOK(it.Err())
-				return
+		rack := s.fleet.RackAt(i)
+		ar := pointRead(&s.shards[i], minTime, maxTime)
+		for _, bv := range ar.views {
+			for rd.reset(bv); rd.row < rd.rows; {
+				run, err := rd.next(scanSpan, allCols, &ar.scanArena)
+				mustOK(err)
+				lo, hi := searchRange(run.times, minTime, maxTime)
+				for m := range cols {
+					cols[m] = ar.floats(run, m, lo, hi)
+				}
+				for j := lo; j < hi; j++ {
+					if !f(recordAt(rack, loc, run.times[j], &cols, j)) {
+						ar.release()
+						return
+					}
+				}
 			}
 		}
-		mustOK(it.Err())
+		ar.release()
 	}
 }
 

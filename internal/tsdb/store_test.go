@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"strings"
@@ -310,32 +311,80 @@ func TestAggregateWindowCountClamp(t *testing.T) {
 	if len(aggs) != 100000 {
 		t.Fatalf("windows = %d, want 100000", len(aggs))
 	}
+	// Every representable instant, a range a server request can ask for,
+	// whose span overflows int64: one whole window, weekly windows the
+	// clamp admits, or the clamp's error — never a panic.
+	first, last := time.Unix(0, math.MinInt64), time.Unix(0, math.MaxInt64)
+	if aggs, err := s.Aggregate(rack, sensors.MetricPower, first, last, 0); err != nil || len(aggs) != 1 || aggs[0].Count != 2000 {
+		t.Fatalf("whole representable range: %+v, err %v; want one window of 2000 samples", aggs, err)
+	}
+	if _, err := s.Aggregate(rack, sensors.MetricPower, first, last, time.Nanosecond); !errors.Is(err, envdb.ErrAggregateShape) {
+		t.Fatalf("1ns windows over the representable range: err %v, want ErrAggregateShape", err)
+	}
+	weekly, err := s.Aggregate(rack, sensors.MetricPower, first, last, 7*24*time.Hour)
+	if err != nil {
+		t.Fatalf("weekly windows over the representable range: %v", err)
+	}
+	n := 0
+	for _, w := range weekly {
+		n += w.Count
+	}
+	if n != 2000 {
+		t.Fatalf("weekly windows over the representable range hold %d samples, want 2000", n)
+	}
 }
 
-func TestIterMatchesQuery(t *testing.T) {
-	s := NewStoreWith(Options{Partition: 12 * time.Hour})
-	rack := topology.RackID{Row: 0, Col: 7}
-	fill(t, 600, []topology.RackID{rack}, s)
-	from := base.Add(3 * timeutil.SampleInterval)
-	to := base.Add(555 * timeutil.SampleInterval)
-	want := s.Query(rack, from, to)
-	it := s.iterShard(rack, s.readShard(rack), from.UnixNano(), to.UnixNano())
-	var got []sensors.Record
-	for it.Next() {
-		got = append(got, it.Record())
+// TestEachRecordUntilMatchesQuery: EachRecordUntil yields, rack-major,
+// exactly the per-rack concatenation of Query over every representable
+// instant, on a store holding all four kinds of block view at once — cold,
+// sealed, frozen (its seal parked in sealHook) and head — and a visitor
+// that stops early sees a prefix of it.
+func TestEachRecordUntilMatchesQuery(t *testing.T) {
+	racks := []topology.RackID{{Row: 0, Col: 7}, {Row: 1, Col: 2}, {Row: 2, Col: 13}}
+	s := NewStoreWith(Options{Partition: time.Hour, Retention: 2 * time.Hour})
+	if err := s.AppendTick(hourTicks(racks, 0, 60)); err != nil {
+		t.Fatal(err)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("iter yielded %d, want %d", len(got), len(want))
+	if _, err := s.Compact(""); err != nil {
+		t.Fatal(err)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("iter[%d] = %+v, want %+v", i, got[i], want[i])
+	gate := parkSeals(t)
+	rolled := make(chan error, 1)
+	go func() { rolled <- s.AppendTick(hourTicks(racks, 60, 66)) }()
+	gate.waitParked(t)
+	if err := s.AppendTick(hourTicks(racks, 66, 70)); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		gate.open()
+		if err := <-rolled; err != nil {
+			t.Fatal(err)
 		}
+	}()
+	st, frozen := s.stats()
+	if st.ColdBlocks == 0 || st.SealedBlocks == 0 || frozen == 0 || st.HeadBytes <= int64(frozen)*12*8*(1+int64(sensors.NumMetrics)) {
+		t.Fatalf("store holds %d cold, %d sealed and %d frozen blocks and %d head bytes; want every tier", st.ColdBlocks, st.SealedBlocks, frozen, st.HeadBytes)
 	}
-	// Empty range.
-	if it := s.iterShard(rack, s.readShard(rack), to.UnixNano(), to.UnixNano()); it.Next() {
-		t.Error("empty range iterator should be exhausted")
+	var want []sensors.Record
+	for i := range s.shards {
+		want = append(want, s.Query(s.fleet.RackAt(i), time.Unix(0, minTime), time.Unix(0, maxTime))...)
 	}
+	var got []sensors.Record
+	s.EachRecordUntil(func(r sensors.Record) bool {
+		got = append(got, r)
+		return true
+	})
+	if len(want) != s.Len() {
+		t.Fatalf("Query yielded %d records, the store holds %d", len(want), s.Len())
+	}
+	sameRecords(t, "EachRecordUntil vs Query", got, want)
+	stop := len(want) / 3
+	got = got[:0]
+	s.EachRecordUntil(func(r sensors.Record) bool {
+		got = append(got, r)
+		return len(got) < stop
+	})
+	sameRecords(t, "early-stopped EachRecordUntil", got, want[:stop])
 }
 
 func TestDownsample(t *testing.T) {
