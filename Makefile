@@ -59,12 +59,13 @@ test:
 # command tests (mira/cmd, see smoke below) build the commands in a child
 # `go build` whose sources the test cache does not track, so that package
 # always runs uncached (-count=1) rather than replaying a stale pass. The
-# tsdb allocation ceilings (TestPointReadAllocations, TestBoundsAllocations)
-# run once more without -race: the race build skips the point-read one,
-# because sync.Pool drops pooled decode arenas at random under the detector.
+# allocation ceilings (tsdb's TestPointReadAllocations and
+# TestBoundsAllocations, telemetrynet's TestScanAllocations) run once more
+# without -race: the race build skips the pooled ones, because sync.Pool
+# drops pooled decode arenas and scan buffers at random under the detector.
 race:
 	$(GO) test -race $$($(GO) list ./... | grep -vx mira/cmd)
-	$(GO) test -count=1 -run Allocations ./internal/tsdb
+	$(GO) test -count=1 -run Allocations ./internal/tsdb ./internal/telemetrynet
 	$(GO) test -race -count=1 ./cmd
 	$(GO) test -race -cpu 1,2 -run 'Golden|Determinism|Pipeline' ./internal/sim
 	$(GO) test -race -cpu 1,2 -run 'Golden|Determin|Concurrent|CrossValidate|Sweep' ./internal/nn ./internal/core ./internal/mitigation

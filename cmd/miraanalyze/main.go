@@ -249,7 +249,7 @@ func analyzeOffline(w io.Writer, path string, fleet topology.Fleet, scan analysi
 	}
 	defer f.Close()
 	db := tsdb.NewStoreWith(tsdb.Options{Fleet: fleet})
-	if err := db.ImportCSV(f); err != nil {
+	if err := envdb.ReadCSV(f, db); err != nil {
 		return err
 	}
 	db.SealAll()

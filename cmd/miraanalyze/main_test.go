@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"mira/internal/envdb"
 	"mira/internal/sim"
 	"mira/internal/timeutil"
 	"mira/internal/topology"
@@ -37,7 +39,7 @@ func fixture(t *testing.T) (seg, csv string) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if err := db.ExportCSV(f); err != nil {
+	if err := envdb.WriteCSV(context.Background(), f, db); err != nil {
 		t.Fatal(err)
 	}
 	return seg, csv

@@ -195,7 +195,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			if err != nil {
 				return err
 			}
-			err = db.ExportCSV(f)
+			err = envdb.WriteCSV(context.Background(), f, db)
 			if cerr := f.Close(); err == nil {
 				err = cerr
 			}

@@ -138,11 +138,14 @@ func TestReplayMergedBoundedMemory(t *testing.T) {
 }
 
 // sortedRecords is the merged scan's order written out in test code: the
-// store's rack-major EachRecordUntil output stable-sorted by (instant,
-// rack code).
+// store's records read rack by rack through Query, in fleet order, then
+// stable-sorted by (instant, rack code).
 func sortedRecords(db *tsdb.Store) []sensors.Record {
 	var out []sensors.Record
-	db.EachRecordUntil(func(r sensors.Record) bool { out = append(out, r); return true })
+	fleet := db.Fleet()
+	for g := 0; g < fleet.NumRacks(); g++ {
+		out = append(out, db.Query(fleet.RackAt(g), time.Unix(0, math.MinInt64), time.Unix(0, math.MaxInt64))...)
+	}
 	sort.SliceStable(out, func(a, b int) bool {
 		ta, tb := out[a].Time.UnixNano(), out[b].Time.UnixNano()
 		if ta != tb {

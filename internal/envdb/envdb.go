@@ -2,15 +2,16 @@
 // stand-in for the IBM DB2 environmental database that stored Mira's
 // coolant-monitor samples. It defines the telemetry-store surface (DB) that
 // the simulator records into and the analyses query, the CSV interchange
-// schema, and a simple slice-backed in-memory implementation (Store). The
-// compressed, concurrent production engine lives in mira/internal/tsdb and
-// the remote client in mira/internal/telemetrynet; both implement the same
-// DB surface.
+// (WriteCSV and ReadCSV, free functions over that surface), and a simple
+// slice-backed in-memory implementation (Store). The compressed,
+// concurrent production engine lives in mira/internal/tsdb and the remote
+// client in mira/internal/telemetrynet; both implement the same DB surface.
 //
-// Every store reads in global time order through one scan,
-// DB.EachChunkMergedCtx, which delivers columnar Chunks; ScanRecords is
-// its row view. There is no record-at-a-time merge and no scan capability
-// to probe for: a consumer that needs time order calls the scan.
+// Every store reads all of its records through one scan,
+// DB.EachChunkMergedCtx, in global (time, rack code) order, delivered as
+// columnar Chunks; ScanRecords is its row view and WriteCSV its CSV view.
+// There is no rack-major walk, no record-at-a-time merge and no scan
+// capability to probe for.
 //
 // Aggregation pushdown (Aggregator) has two query shapes: AggregateCtx is
 // one rack's metric in fixed windows (dashboard reads, GET /v1/aggregate
@@ -37,22 +38,22 @@ import (
 
 // DB is the environmental-database surface shared by the slice-backed
 // Store, the compressed tsdb.Store and the remote telemetrynet.Client:
-// ordered ingest, rack/time-range queries, single-metric series
-// extraction, a rack-major visit with early stop, the one time-ordered
-// scan, and CSV interchange.
+// ordered ingest, the stored time range, rack/time-range queries,
+// single-metric series extraction, and the one time-ordered scan. CSV
+// interchange is WriteCSV and ReadCSV over this surface.
 type DB interface {
 	// Append ingests one record; records must arrive in non-decreasing
 	// time order per rack (equal timestamps are allowed).
 	Append(r sensors.Record) error
 	// Len returns the number of stored records across all racks.
 	Len() int
+	// Bounds returns the earliest and latest stored timestamps, or
+	// ok=false for an empty store.
+	Bounds() (first, last time.Time, ok bool)
 	// Query returns one rack's records with timestamps in [from, to).
 	Query(rack topology.RackID, from, to time.Time) []sensors.Record
 	// Series extracts one metric for one rack over [from, to).
 	Series(rack topology.RackID, m sensors.Metric, from, to time.Time) ([]time.Time, []float64)
-	// EachRecordUntil visits every record, rack-major, time order within
-	// rack, and stops early when f returns false.
-	EachRecordUntil(f func(sensors.Record) bool)
 	// EachChunkMergedCtx is the store's one time-ordered scan: every
 	// stored record in global (timestamp, rack code) order, delivered as
 	// columnar chunks. workers bounds the store's decode fan-out (<= 0
@@ -61,10 +62,6 @@ type DB interface {
 	// counters (ContextWithScanStats). The scan stops early when f
 	// returns false; failures come back as errors, never as panics.
 	EachChunkMergedCtx(ctx context.Context, workers int, f func(*Chunk) bool) error
-	// ExportCSV writes all records in the csvHeader schema.
-	ExportCSV(w io.Writer) error
-	// ImportCSV reads records in the csvHeader schema.
-	ImportCSV(r io.Reader) error
 }
 
 // Tier identifies the storage tier a scanned record came from in stores
@@ -180,8 +177,7 @@ var ErrAggregateShape = errors.New("envdb: aggregate query shape refused")
 // Aggregator is an optional capability of DB implementations that can
 // compute per-window min/max/sum/count of one rack's metric without
 // materializing records — aggregation pushdown straight off the storage
-// representation. Bounds scopes whole-store aggregations; AggregateCtx is
-// Aggregate under a caller trace.
+// representation. AggregateCtx is Aggregate under a caller trace.
 //
 // AggregateRacks is the hall-wide form: for to > from it returns one
 // WindowAgg per (rack 0..NumRacks-1 of hall, metric), rack-major — entry
@@ -191,7 +187,6 @@ var ErrAggregateShape = errors.New("envdb: aggregate query shape refused")
 // in range or outside the store's fleet. It returns no entries for
 // to <= from, and on any error no entries at all.
 type Aggregator interface {
-	Bounds() (first, last time.Time, ok bool)
 	Aggregate(rack topology.RackID, m sensors.Metric, from, to time.Time, window time.Duration) ([]WindowAgg, error)
 	AggregateCtx(ctx context.Context, rack topology.RackID, m sensors.Metric, from, to time.Time, window time.Duration) ([]WindowAgg, error)
 	AggregateRacks(ctx context.Context, hall int, metrics []sensors.Metric, from, to time.Time) ([]WindowAgg, error)
@@ -212,11 +207,6 @@ type Appender interface {
 // per-record Append loop (which has no atomicity guarantee) when absent.
 type BatchAppender interface {
 	AppendTick(recs []sensors.Record) error
-}
-
-// RecordVisitor is the minimal scan surface WriteCSV needs.
-type RecordVisitor interface {
-	EachRecordUntil(f func(sensors.Record) bool)
 }
 
 // FleetDescriber is an optional capability of DB implementations that know
@@ -349,18 +339,23 @@ func (s *Store) Series(rack topology.RackID, m sensors.Metric, from, to time.Tim
 	return times, vals
 }
 
-// EachRecordUntil visits every stored record (rack-major, time order
-// within rack) and stops as soon as f returns false, so consumers (e.g. CSV
-// export hitting a write error) don't iterate millions of remaining
-// records for nothing.
-func (s *Store) EachRecordUntil(f func(sensors.Record) bool) {
+// Bounds returns the earliest and latest stored timestamps, each in its
+// own record's location, or ok=false for an empty store.
+func (s *Store) Bounds() (first, last time.Time, ok bool) {
 	for i := range s.records {
-		for _, r := range s.records[i] {
-			if !f(r) {
-				return
-			}
+		recs := s.records[i]
+		if len(recs) == 0 {
+			continue
 		}
+		if f := recs[0].Time; !ok || f.Before(first) {
+			first = f
+		}
+		if l := recs[len(recs)-1].Time; !ok || l.After(last) {
+			last = l
+		}
+		ok = true
 	}
+	return first, last, ok
 }
 
 // sliceChunkRows is the fill target of one slice-store chunk, the same
@@ -410,56 +405,48 @@ func (s *Store) EachChunkMergedCtx(_ context.Context, _ int, f func(*Chunk) bool
 // csvHeader is the export schema.
 var csvHeader = []string{"time", "rack", "dc_temperature_f", "dc_humidity_rh", "coolant_flow_gpm", "inlet_temp_f", "outlet_temp_f", "power_w"}
 
-// ExportCSV writes all records (rack-major) as CSV.
-func (s *Store) ExportCSV(w io.Writer) error { return WriteCSV(w, s) }
-
-// ImportCSV reads records in the ExportCSV schema into the store.
-func (s *Store) ImportCSV(r io.Reader) error { return ReadCSV(r, s) }
-
-// csvFlushEvery bounds how many rows csv.Writer may buffer before the
-// export checks for an underlying write error. Without the periodic flush,
-// cw.Write never fails (it only buffers) and a disk-full or closed-pipe
-// export would walk every remaining record before noticing.
-const csvFlushEvery = 10000
-
-// WriteCSV writes every record of db in the csvHeader schema. The scan
-// stops within csvFlushEvery rows of the first underlying write error
-// instead of visiting the remaining records.
-func WriteCSV(w io.Writer, db RecordVisitor) error {
+// WriteCSV writes every record of db in the csvHeader schema, in the
+// merged scan's (time, rack code) order; ctx carries the scan's trace.
+// csv.Writer buffers rows, so the writer is flushed and its error checked
+// after every scan chunk: a dead destination stops the scan at the chunk
+// where its error surfaced instead of walking the remaining records. Scan
+// and write failures come back as errors.
+func WriteCSV(ctx context.Context, w io.Writer, db DB) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write(csvHeader); err != nil {
 		return fmt.Errorf("envdb: writing header: %w", err)
 	}
-	var err error
-	rows := 0
-	db.EachRecordUntil(func(r sensors.Record) bool {
-		row := []string{
-			r.Time.UTC().Format(time.RFC3339),
-			r.Rack.String(),
-			strconv.FormatFloat(float64(r.DCTemperature), 'f', 3, 64),
-			strconv.FormatFloat(float64(r.DCHumidity), 'f', 3, 64),
-			strconv.FormatFloat(float64(r.Flow), 'f', 3, 64),
-			strconv.FormatFloat(float64(r.InletTemp), 'f', 3, 64),
-			strconv.FormatFloat(float64(r.OutletTemp), 'f', 3, 64),
-			strconv.FormatFloat(float64(r.Power), 'f', 1, 64),
-		}
-		if err = cw.Write(row); err != nil {
-			return false
-		}
-		rows++
-		metCSVWritten.Inc()
-		if rows%csvFlushEvery == 0 {
-			cw.Flush()
-			if err = cw.Error(); err != nil {
+	var werr error
+	row := make([]string, len(csvHeader))
+	err := db.EachChunkMergedCtx(ctx, 0, func(c *Chunk) bool {
+		for i := range c.Times {
+			r := c.Record(i)
+			row[0] = r.Time.UTC().Format(time.RFC3339)
+			row[1] = r.Rack.String()
+			row[2] = strconv.FormatFloat(float64(r.DCTemperature), 'f', 3, 64)
+			row[3] = strconv.FormatFloat(float64(r.DCHumidity), 'f', 3, 64)
+			row[4] = strconv.FormatFloat(float64(r.Flow), 'f', 3, 64)
+			row[5] = strconv.FormatFloat(float64(r.InletTemp), 'f', 3, 64)
+			row[6] = strconv.FormatFloat(float64(r.OutletTemp), 'f', 3, 64)
+			row[7] = strconv.FormatFloat(float64(r.Power), 'f', 1, 64)
+			if werr = cw.Write(row); werr != nil {
 				return false
 			}
 		}
+		cw.Flush()
+		if werr = cw.Error(); werr != nil {
+			return false
+		}
+		metCSVWritten.Add(uint64(c.Len()))
 		return true
 	})
-	if err != nil {
-		return fmt.Errorf("envdb: writing rows: %w", err)
+	if werr != nil {
+		return fmt.Errorf("envdb: writing rows: %w", werr)
 	}
-	cw.Flush()
+	if err != nil {
+		return fmt.Errorf("envdb: scanning rows: %w", err)
+	}
+	cw.Flush() // an empty store delivers no chunk: the header is still buffered
 	if err := cw.Error(); err != nil {
 		return fmt.Errorf("envdb: writing rows: %w", err)
 	}

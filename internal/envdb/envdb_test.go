@@ -97,20 +97,6 @@ func TestDownsampling(t *testing.T) {
 	}
 }
 
-func TestEachRecord(t *testing.T) {
-	s := &Store{}
-	for i, r := range topology.AllRacks() {
-		if err := s.Append(rec(r, base, 64+float64(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	count := 0
-	s.EachRecordUntil(func(sensors.Record) bool { count++; return true })
-	if count != topology.NumRacks {
-		t.Errorf("EachRecordUntil visited %d, want %d", count, topology.NumRacks)
-	}
-}
-
 func TestCSVRoundTrip(t *testing.T) {
 	s := &Store{}
 	r1 := topology.RackID{Row: 0, Col: 13}
@@ -125,16 +111,19 @@ func TestCSVRoundTrip(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := s.ExportCSV(&buf); err != nil {
+	if err := WriteCSV(context.Background(), &buf, s); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	if !strings.Contains(out, "(0,D)") || !strings.Contains(out, "(1,8)") {
-		t.Errorf("CSV missing rack ids:\n%s", out)
+	// Rows come in the merged scan's (time, rack code) order.
+	lines := strings.Split(out, "\n")
+	if len(lines) != 10 || !strings.HasPrefix(lines[1], `2015-03-01T06:00:00Z,"(0,D)",`) ||
+		!strings.HasPrefix(lines[2], `2015-03-01T06:00:00Z,"(1,8)",`) {
+		t.Errorf("CSV rows not in (time, rack) order:\n%s", out)
 	}
 
 	s2 := &Store{}
-	if err := s2.ImportCSV(strings.NewReader(out)); err != nil {
+	if err := ReadCSV(strings.NewReader(out), s2); err != nil {
 		t.Fatal(err)
 	}
 	if s2.Len() != s.Len() {
@@ -154,22 +143,22 @@ func TestCSVRoundTrip(t *testing.T) {
 
 func TestImportCSVErrors(t *testing.T) {
 	s := &Store{}
-	if err := s.ImportCSV(strings.NewReader("")); err == nil {
+	if err := ReadCSV(strings.NewReader(""), s); err == nil {
 		t.Error("empty input should fail on header")
 	}
-	if err := s.ImportCSV(strings.NewReader("a,b\n")); err == nil {
+	if err := ReadCSV(strings.NewReader("a,b\n"), s); err == nil {
 		t.Error("wrong header should fail")
 	}
 	bad := strings.Join(csvHeader, ",") + "\n2015-01-01T00:00:00Z,(9,9),1,2,3,4,5,6\n"
-	if err := s.ImportCSV(strings.NewReader(bad)); err == nil {
+	if err := ReadCSV(strings.NewReader(bad), s); err == nil {
 		t.Error("bad rack should fail")
 	}
 	bad2 := strings.Join(csvHeader, ",") + "\nnot-a-time,(0,0),1,2,3,4,5,6\n"
-	if err := s.ImportCSV(strings.NewReader(bad2)); err == nil {
+	if err := ReadCSV(strings.NewReader(bad2), s); err == nil {
 		t.Error("bad time should fail")
 	}
 	bad3 := strings.Join(csvHeader, ",") + "\n2015-01-01T00:00:00Z,(0,0),x,2,3,4,5,6\n"
-	if err := s.ImportCSV(strings.NewReader(bad3)); err == nil {
+	if err := ReadCSV(strings.NewReader(bad3), s); err == nil {
 		t.Error("bad value should fail")
 	}
 }
@@ -180,7 +169,7 @@ func TestImportCSVReorderedHeader(t *testing.T) {
 	reordered := []string{"time", "rack", "dc_humidity_rh", "dc_temperature_f", "coolant_flow_gpm", "inlet_temp_f", "outlet_temp_f", "power_w"}
 	csv := strings.Join(reordered, ",") + "\n2015-01-01T00:00:00Z,(0,0),32.000,80.000,26.500,64.000,79.000,57000.0\n"
 	s := &Store{}
-	err := s.ImportCSV(strings.NewReader(csv))
+	err := ReadCSV(strings.NewReader(csv), s)
 	if err == nil {
 		t.Fatal("reordered header should fail")
 	}
@@ -189,25 +178,8 @@ func TestImportCSVReorderedHeader(t *testing.T) {
 	}
 	// A renamed column fails too.
 	renamed := strings.Replace(strings.Join(csvHeader, ","), "power_w", "power_kw", 1)
-	if err := s.ImportCSV(strings.NewReader(renamed + "\n")); err == nil {
+	if err := ReadCSV(strings.NewReader(renamed+"\n"), s); err == nil {
 		t.Error("renamed column should fail")
-	}
-}
-
-func TestEachRecordUntil(t *testing.T) {
-	s := &Store{}
-	for i, r := range topology.AllRacks() {
-		if err := s.Append(rec(r, base, 64+float64(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	visited := 0
-	s.EachRecordUntil(func(sensors.Record) bool {
-		visited++
-		return visited < 5
-	})
-	if visited != 5 {
-		t.Errorf("EachRecordUntil visited %d, want 5", visited)
 	}
 }
 
@@ -216,23 +188,23 @@ type failWriter struct{}
 
 func (failWriter) Write(p []byte) (int, error) { return 0, errors.New("disk full") }
 
-// countingVisitor counts how many records WriteCSV pulls from the store.
-type countingVisitor struct {
-	db      *Store
-	visited int
+// countingDB counts the rows its store's merged scan delivers to WriteCSV.
+type countingDB struct {
+	*Store
+	delivered int
 }
 
-func (c *countingVisitor) EachRecordUntil(f func(sensors.Record) bool) {
-	c.db.EachRecordUntil(func(r sensors.Record) bool {
-		c.visited++
-		return f(r)
+func (c *countingDB) EachChunkMergedCtx(ctx context.Context, workers int, f func(*Chunk) bool) error {
+	return c.Store.EachChunkMergedCtx(ctx, workers, func(ch *Chunk) bool {
+		c.delivered += ch.Len()
+		return f(ch)
 	})
 }
 
-// TestExportCSVEarlyStop: once the writer fails, the export must stop
-// visiting records instead of iterating the whole store. The csv.Writer
-// buffers ~4 KiB, so the error surfaces after a few dozen rows — far fewer
-// than the thousands stored.
+// TestExportCSVEarlyStop: once the writer fails, the export must stop the
+// scan instead of iterating the whole store. The csv.Writer buffers ~4 KiB,
+// so the error surfaces a few dozen rows into the first chunk, and the
+// scan delivers that chunk and no other.
 func TestExportCSVEarlyStop(t *testing.T) {
 	s := &Store{}
 	r := topology.RackID{Row: 0, Col: 2}
@@ -242,16 +214,12 @@ func TestExportCSVEarlyStop(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cv := &countingVisitor{db: s}
-	err := WriteCSV(failWriter{}, cv)
-	if err == nil {
+	db := &countingDB{Store: s}
+	if err := WriteCSV(context.Background(), failWriter{}, db); err == nil {
 		t.Fatal("export to a failing writer should error")
 	}
-	if cv.visited >= n {
-		t.Errorf("export visited all %d records despite the write error", cv.visited)
-	}
-	if cv.visited == 0 {
-		t.Error("export visited no records (buffered writer should accept some rows first)")
+	if db.delivered != sliceChunkRows {
+		t.Errorf("scan delivered %d rows, want the %d of the chunk where the write failed", db.delivered, sliceChunkRows)
 	}
 }
 
@@ -300,31 +268,61 @@ func (w *failAfterWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestWriteCSVStopsOnWriteError: csv.Writer only surfaces underlying write
-// errors at Flush, so WriteCSV must flush periodically and abort the scan —
-// not walk every remaining record after the destination is dead.
+// TestWriteCSVStopsOnWriteError: csv.Writer buffers rows, so WriteCSV
+// flushes after every scan chunk and stops the scan at the chunk where the
+// destination died — at once or mid-stream — instead of walking every
+// remaining record.
 func TestWriteCSVStopsOnWriteError(t *testing.T) {
 	s := &Store{}
 	r := topology.RackID{Row: 1, Col: 3}
-	const n = 2*csvFlushEvery + 5000
+	const n = 25000
 	for i := 0; i < n; i++ {
 		if err := s.Append(rec(r, base.Add(time.Duration(i)*time.Second), 64)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	cv := &countingVisitor{db: s}
-	err := WriteCSV(&failAfterWriter{n: 256}, cv)
-	if err == nil {
-		t.Fatal("WriteCSV on a failing writer should error")
+	var full bytes.Buffer
+	if err := WriteCSV(context.Background(), &full, s); err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(err.Error(), "disk full") {
-		t.Errorf("error %v does not wrap the underlying write error", err)
+	rowLen := len(strings.SplitN(full.String(), "\n", 3)[1]) + 1 // every row has the same width
+	chunkBytes := sliceChunkRows * rowLen
+	for _, limit := range []int{256, 5 * chunkBytes / 2} {
+		db := &countingDB{Store: s}
+		err := WriteCSV(context.Background(), &failAfterWriter{n: limit}, db)
+		if err == nil || !strings.Contains(err.Error(), "disk full") {
+			t.Fatalf("WriteCSV on a writer dying after %d bytes = %v, want the write error", limit, err)
+		}
+		if want := (limit/chunkBytes + 1) * sliceChunkRows; db.delivered != want {
+			t.Errorf("writer dying after %d bytes: scan delivered %d rows, want %d", limit, db.delivered, want)
+		}
 	}
-	if cv.visited > csvFlushEvery {
-		t.Errorf("visited %d records after the writer died, want <= %d", cv.visited, csvFlushEvery)
+}
+
+// TestStoreBounds: the slice store's bounds span every rack, each end in
+// its own record's location.
+func TestStoreBounds(t *testing.T) {
+	s := &Store{}
+	if _, _, ok := s.Bounds(); ok {
+		t.Fatal("empty store reports bounds")
 	}
-	if cv.visited == n {
-		t.Error("scan walked the entire store despite a dead writer")
+	a, b := topology.RackID{Row: 0, Col: 4}, topology.RackID{Row: 2, Col: 1}
+	for _, r := range []sensors.Record{
+		rec(a, base.Add(time.Hour), 64),
+		rec(b, base.UTC(), 64),
+		rec(b, base.Add(2*time.Hour), 64),
+		rec(a, base.Add(3*time.Hour).UTC(), 64),
+	} {
+		if err := s.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first, last, ok := s.Bounds()
+	if !ok || !first.Equal(base) || !last.Equal(base.Add(3*time.Hour)) {
+		t.Fatalf("Bounds = %v, %v, %v; want %v, %v", first, last, ok, base, base.Add(3*time.Hour))
+	}
+	if first.Location() != time.UTC || last.Location() != time.UTC {
+		t.Fatalf("Bounds locations %v, %v; want each record's own", first.Location(), last.Location())
 	}
 }
 

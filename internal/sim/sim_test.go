@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -34,6 +35,16 @@ func TestRunEmptyWindow(t *testing.T) {
 	}
 }
 
+// allRecords reads every record of db rack by rack through Query, in
+// rack-index order.
+func allRecords(db *envdb.Store) []sensors.Record {
+	var out []sensors.Record
+	for _, r := range topology.AllRacks() {
+		out = append(out, db.Query(r, time.Unix(0, math.MinInt64), time.Unix(0, math.MaxInt64))...)
+	}
+	return out
+}
+
 func TestSmokeWeekTelemetry(t *testing.T) {
 	db := &envdb.Store{}
 	rec := NewEnvDBRecorder(db)
@@ -49,13 +60,12 @@ func TestSmokeWeekTelemetry(t *testing.T) {
 	}
 	// Telemetry plausibility: inlet ≈64, outlet ≈70-80, flow ≈26.
 	var inlet, outlet, flow, power []float64
-	db.EachRecordUntil(func(r sensors.Record) bool {
+	for _, r := range allRecords(db) {
 		inlet = append(inlet, float64(r.InletTemp))
 		outlet = append(outlet, float64(r.OutletTemp))
 		flow = append(flow, float64(r.Flow))
 		power = append(power, float64(r.Power))
-		return true
-	})
+	}
 	if m := stats.Mean(inlet); m < 63 || m > 66 {
 		t.Errorf("mean inlet = %v, want ≈64", m)
 	}
@@ -203,7 +213,9 @@ func TestDeterminism(t *testing.T) {
 		rec := NewEnvDBRecorder(db)
 		s := runWindow(t, 6, start, 14, timeutil.SampleInterval, rec)
 		var sum float64
-		db.EachRecordUntil(func(r sensors.Record) bool { sum += float64(r.Power); return true })
+		for _, r := range allRecords(db) {
+			sum += float64(r.Power)
+		}
 		return s.Log().Len(), len(s.Incidents()), sum
 	}
 	l1, i1, s1 := run()
@@ -292,7 +304,9 @@ func TestSupplyAffectsInletSeasonally(t *testing.T) {
 		rec := NewEnvDBRecorder(db)
 		runWindow(t, 10, start, 28, 2*timeutil.SampleInterval, rec)
 		var vals []float64
-		db.EachRecordUntil(func(r sensors.Record) bool { vals = append(vals, float64(r.InletTemp)); return true })
+		for _, r := range allRecords(db) {
+			vals = append(vals, float64(r.InletTemp))
+		}
 		return stats.Mean(vals)
 	}
 	jan := inletMean(time.Date(2015, 1, 5, 0, 0, 0, 0, timeutil.Chicago))
@@ -318,12 +332,11 @@ func TestExcursionsRaiseAmbientPeaks(t *testing.T) {
 	start := time.Date(2015, 1, 1, 0, 0, 0, 0, timeutil.Chicago)
 	runWindow(t, 12, start, 365, 2*timeutil.SampleInterval, rec)
 	var maxTemp float64
-	db.EachRecordUntil(func(r sensors.Record) bool {
+	for _, r := range allRecords(db) {
 		if v := float64(r.DCTemperature); v > maxTemp {
 			maxTemp = v
 		}
-		return true
-	})
+	}
 	// The paper's Fig. 8 tops out near 90 °F; our per-rack sample maximum
 	// additionally carries the row-end airflow offset tail.
 	if maxTemp < 86 || maxTemp > 98 {
@@ -370,7 +383,7 @@ func TestDriftingSensorDoesNotTriggerFalseCMFs(t *testing.T) {
 	neighbor := topology.RackID{Row: 2, Col: 0xA}
 	var driftSum, neighSum float64
 	var driftN, neighN int
-	db.EachRecordUntil(func(r sensors.Record) bool {
+	for _, r := range allRecords(db) {
 		switch r.Rack {
 		case drifting:
 			driftSum += float64(r.OutletTemp)
@@ -379,8 +392,7 @@ func TestDriftingSensorDoesNotTriggerFalseCMFs(t *testing.T) {
 			neighSum += float64(r.OutletTemp)
 			neighN++
 		}
-		return true
-	})
+	}
 	if driftN == 0 || neighN == 0 {
 		t.Fatal("missing telemetry")
 	}

@@ -39,17 +39,20 @@ func postFrame(t *testing.T, url string, frame []byte) (int, IngestResult) {
 	return resp.StatusCode, res
 }
 
-// storeDump flattens a store bit-for-bit comparably.
+// storeDump flattens a store bit-for-bit comparably, reading it rack by
+// rack through Query in fleet order.
 func storeDump(db *tsdb.Store) []string {
 	var out []string
-	db.EachRecordUntil(func(r sensors.Record) bool {
-		line := fmt.Sprintf("%d %v", r.Time.UnixNano(), r.Rack)
-		for _, m := range sensors.AllMetrics() {
-			line += fmt.Sprintf(" %x", math.Float64bits(r.Value(m)))
+	fleet := db.Fleet()
+	for g := 0; g < fleet.NumRacks(); g++ {
+		for _, r := range db.Query(fleet.RackAt(g), time.Unix(0, math.MinInt64), time.Unix(0, math.MaxInt64)) {
+			line := fmt.Sprintf("%d %v", r.Time.UnixNano(), r.Rack)
+			for _, m := range sensors.AllMetrics() {
+				line += fmt.Sprintf(" %x", math.Float64bits(r.Value(m)))
+			}
+			out = append(out, line)
 		}
-		out = append(out, line)
-		return true
-	})
+	}
 	return out
 }
 

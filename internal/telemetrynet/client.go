@@ -60,14 +60,14 @@ type ClientStats struct {
 // bit patterns and aggregation runs server-side.
 //
 // Error model: methods that return errors (Append, Flush, Aggregate,
-// EachChunkMergedCtx, ExportCSV/ImportCSV, Info) surface transport and
-// protocol failures normally. The error-free envdb.DB read surface
-// (Query, Series, Len, Bounds, EachRecordUntil) mirrors the local stores'
-// convention — there a failure means corrupted memory and panics — by
-// panicking on a failed request; remote consumers should prefer the
-// erroring surfaces, which every shipped consumer (analysis replay and
-// pushdown) already uses. Check connectivity once with Info before
-// leaning on the error-free surface.
+// EachChunkMergedCtx, Info) surface transport and protocol failures
+// normally, and so do envdb.WriteCSV and envdb.ReadCSV over the client.
+// The error-free envdb.DB read surface (Query, Series, Len, Bounds)
+// mirrors the local stores' convention — there a failure means corrupted
+// memory and panics — by panicking on a failed request; remote consumers
+// should prefer the erroring surfaces, which every shipped consumer
+// (analysis replay and pushdown) already uses. Check connectivity once
+// with Info before leaning on the error-free surface.
 //
 // The client is safe for concurrent use; Append/Flush serialize on an
 // internal mutex (one frame in flight), reads run concurrently.
@@ -346,8 +346,7 @@ func (c *Client) Len() int {
 	return info.Records
 }
 
-// Bounds implements envdb.Aggregator's bounds surface from /v1/info.
-// Panics on a failed request.
+// Bounds implements envdb.DB from /v1/info. Panics on a failed request.
 func (c *Client) Bounds() (first, last time.Time, ok bool) {
 	info, err := c.Info()
 	if err != nil {
@@ -412,24 +411,6 @@ func (c *Client) Series(rack topology.RackID, m sensors.Metric, from, to time.Ti
 	return times, vals
 }
 
-// EachRecordUntil visits every remote record rack-major (time order
-// within a rack), streamed in CRC-checked chunks, stopping early when f
-// returns false (the remaining stream is abandoned, not downloaded).
-// Panics on a failed request.
-func (c *Client) EachRecordUntil(f func(sensors.Record) bool) {
-	err := c.scan(c.ctx, url.Values{"order": {"rack"}}, func(ch *envdb.Chunk) bool {
-		for i := range ch.Times {
-			if !f(ch.Record(i)) {
-				return false
-			}
-		}
-		return true
-	})
-	if err != nil {
-		panic(err)
-	}
-}
-
 // EachChunkMergedCtx implements envdb.DB over the wire: the server streams
 // its merged scan with every row's tier, and the client decodes each wire
 // chunk straight into the columns of one reused envdb.Chunk. workers
@@ -437,20 +418,10 @@ func (c *Client) EachRecordUntil(f func(sensors.Record) bool) {
 // option. The request carries ctx's trace in X-Mira-Trace, so the server's
 // handler and store scan spans join the caller's trace.
 func (c *Client) EachChunkMergedCtx(ctx context.Context, workers int, f func(*envdb.Chunk) bool) error {
-	q := url.Values{"order": {"time"}, "tiers": {"1"}}
+	q := url.Values{"tiers": {"1"}}
 	if workers > 0 {
 		q.Set("workers", strconv.Itoa(workers))
 	}
-	return c.scan(ctx, q, f)
-}
-
-// EachRecordMergedTierCtx implements envdb.ContextTierScanner: the merged
-// scan one materialized row at a time, with each row's storage tier.
-func (c *Client) EachRecordMergedTierCtx(ctx context.Context, workers int, f func(sensors.Record, envdb.Tier) bool) error {
-	return envdb.ScanRecords(ctx, c, workers, f)
-}
-
-func (c *Client) scan(ctx context.Context, q url.Values, f func(*envdb.Chunk) bool) error {
 	ctx, span := obs.Span(ctx, "net.client.scan")
 	defer span.End()
 	body, err := c.get(ctx, "/v1/scan", q)
@@ -464,6 +435,12 @@ func (c *Client) scan(ctx context.Context, q url.Values, f func(*envdb.Chunk) bo
 		rows += ch.Len()
 		return f(ch)
 	})
+}
+
+// EachRecordMergedTierCtx implements envdb.ContextTierScanner: the merged
+// scan one materialized row at a time, with each row's storage tier.
+func (c *Client) EachRecordMergedTierCtx(ctx context.Context, workers int, f func(sensors.Record, envdb.Tier) bool) error {
+	return envdb.ScanRecords(ctx, c, workers, f)
 }
 
 // Aggregate implements envdb.Aggregator over the wire: the server computes
@@ -533,16 +510,4 @@ func readAggs(body io.Reader) ([]envdb.WindowAgg, error) {
 		}
 	}
 	return out, nil
-}
-
-// ExportCSV writes every remote record in the envdb CSV schema.
-func (c *Client) ExportCSV(w io.Writer) error { return envdb.WriteCSV(w, c) }
-
-// ImportCSV pushes records from the envdb CSV schema, flushing the final
-// partial batch.
-func (c *Client) ImportCSV(r io.Reader) error {
-	if err := envdb.ReadCSV(r, c); err != nil {
-		return err
-	}
-	return c.Flush()
 }

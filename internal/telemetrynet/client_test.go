@@ -151,10 +151,9 @@ func TestRetryBackoffJitter(t *testing.T) {
 }
 
 // TestClientScanFallback: there is none. Against a server that answers 404
-// on /v1/scan the merged scan returns that 404 as its error and the
-// error-free EachRecordUntil panics with it (the documented contract of
-// that surface); either way nothing is delivered and exactly one request
-// is made — no per-rack /v1/query stand-in.
+// on /v1/scan the merged scan returns that 404 as its error, and so does a
+// CSV export through the client; either way nothing is delivered and
+// exactly one request is made — no per-rack /v1/query stand-in.
 func TestClientScanFallback(t *testing.T) {
 	store := tsdb.NewStoreWith(tsdb.Options{Partition: 24 * time.Hour})
 	fillStore(t, store, netTrace(6))
@@ -184,18 +183,13 @@ func TestClientScanFallback(t *testing.T) {
 		t.Fatalf("merged scan = %v, want the server's 404 as the error", err)
 	}
 
-	func() {
-		defer func() {
-			if err, _ := recover().(error); !is404(err) {
-				t.Fatalf("EachRecordUntil panicked with %v, want the server's 404", err)
-			}
-		}()
-		client.EachRecordUntil(func(sensors.Record) bool { delivered++; return true })
-		t.Fatal("EachRecordUntil returned instead of panicking")
-	}()
+	var csv bytes.Buffer
+	if err := envdb.WriteCSV(context.Background(), &csv, client); !is404(err) {
+		t.Fatalf("WriteCSV = %v, want the server's 404 as the error", err)
+	}
 
-	if delivered != 0 {
-		t.Fatalf("%d records delivered by failed scans", delivered)
+	if delivered != 0 || strings.Count(csv.String(), "\n") > 1 {
+		t.Fatalf("failed scans delivered %d records and CSV %q", delivered, csv.String())
 	}
 	if want := []string{"/v1/scan", "/v1/scan"}; !reflect.DeepEqual(requests, want) {
 		t.Fatalf("requests %v, want one /v1/scan per call and nothing else", requests)
@@ -209,11 +203,12 @@ func TestClientCSV(t *testing.T) {
 	fillStore(t, store, netTrace(5))
 	_, client := startServer(t, store)
 
+	ctx := context.Background()
 	var fromStore, fromClient bytes.Buffer
-	if err := store.ExportCSV(&fromStore); err != nil {
+	if err := envdb.WriteCSV(ctx, &fromStore, store); err != nil {
 		t.Fatal(err)
 	}
-	if err := client.ExportCSV(&fromClient); err != nil {
+	if err := envdb.WriteCSV(ctx, &fromClient, client); err != nil {
 		t.Fatal(err)
 	}
 	if fromStore.String() != fromClient.String() {
@@ -222,14 +217,17 @@ func TestClientCSV(t *testing.T) {
 
 	dst := tsdb.NewStoreWith(tsdb.Options{Partition: 24 * time.Hour})
 	_, dstClient := startServer(t, dst)
-	if err := dstClient.ImportCSV(bytes.NewReader(fromStore.Bytes())); err != nil {
+	if err := envdb.ReadCSV(bytes.NewReader(fromStore.Bytes()), dstClient); err != nil {
+		t.Fatal(err)
+	}
+	if err := dstClient.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if dst.Len() != store.Len() {
 		t.Fatalf("imported %d records over the wire, want %d", dst.Len(), store.Len())
 	}
 	var reexport bytes.Buffer
-	if err := dst.ExportCSV(&reexport); err != nil {
+	if err := envdb.WriteCSV(ctx, &reexport, dst); err != nil {
 		t.Fatal(err)
 	}
 	if reexport.String() != fromStore.String() {

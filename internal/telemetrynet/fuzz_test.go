@@ -35,11 +35,7 @@ func FuzzDecodeIngestFrame(f *testing.F) {
 	f.Add(retiredIngestFrame(76, 2, wireTrace(4)))
 	f.Add(retiredChunkStream(wireTrace(6)))
 	var chunked bytes.Buffer
-	cw := newChunkWriter(&chunked, true, -21600)
-	for _, r := range wireTrace(6) {
-		cw.add(r, 1)
-	}
-	cw.close()
+	writeRows(f, &chunked, true, traceChunk(wireTrace(6)))
 	f.Add(chunked.Bytes())
 
 	// Overflow-adjacent headers: counts at and beyond every cap, including a
@@ -111,13 +107,12 @@ func FuzzDecodeIngestFrame(f *testing.F) {
 // wrapped ErrFrame. Never a panic — in particular no rack code that
 // Chunk.Record would panic on may reach a chunk.
 func FuzzReadChunkStream(f *testing.F) {
-	var valid bytes.Buffer
-	cw := newChunkWriter(&valid, true, -21600)
-	for i, r := range wireTrace(9) {
-		r.Rack.Hall = i % 3
-		cw.add(r, byte(i%2))
+	recs := wireTrace(9)
+	for i := range recs {
+		recs[i].Rack.Hall = i % 3
 	}
-	cw.close()
+	var valid bytes.Buffer
+	writeRows(f, &valid, true, traceChunk(recs))
 	stream := valid.Bytes()
 	f.Add(stream)
 	f.Add(stream[:len(stream)-6]) // truncated inside the terminator

@@ -123,7 +123,7 @@ func (s *Server) Handler() http.Handler {
 }
 
 // queryShape accumulates the request's shape fields — endpoint, time
-// range, rack, tier/order/workers, rows — for the slow-query log and the
+// range, rack, tiers/workers, rows — for the slow-query log and the
 // handler span's attributes. Handlers fill it via shapeFrom(ctx).
 type queryShape struct {
 	mu     sync.Mutex
@@ -423,18 +423,10 @@ func metricParam(req *http.Request) (sensors.Metric, error) {
 // remote reads reconstruct instants in the same calendar zone as local
 // reads — monthly bucketing downstream depends on it.
 func (s *Server) zoneOff() int32 {
-	if agg, ok := s.db.(envdb.Aggregator); ok {
-		if first, _, ok := agg.Bounds(); ok {
-			return zoneOffset(first)
-		}
-		return 0
+	if first, _, ok := s.db.Bounds(); ok {
+		return zoneOffset(first)
 	}
-	var off int32
-	s.db.EachRecordUntil(func(r sensors.Record) bool {
-		off = zoneOffset(r.Time)
-		return false
-	})
-	return off
+	return 0
 }
 
 // setRangeShape records the shared rack/time-range query shape.
@@ -457,7 +449,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, req *http.Request) {
 	cw := newChunkWriter(w, false, s.zoneOff())
 	cw.reserve(len(recs))
 	for _, r := range recs {
-		if err := cw.add(r, 0); err != nil {
+		if err := cw.add(r); err != nil {
 			return // client went away mid-stream
 		}
 	}
@@ -576,26 +568,16 @@ func (s *Server) writeAggs(w http.ResponseWriter, aggs []envdb.WindowAgg, err er
 	encodeAggs(w, s.zoneOff(), wire)
 }
 
-// handleScan streams every stored record as a chunked frame sequence.
-// order=rack (default) walks rack-major like envdb.DB.EachRecordUntil;
-// order=time streams the store's merged scan (global time order, rack
+// handleScan streams the store's merged scan (global time order, rack
 // code ascending within an instant) straight from its chunk columns, one
 // wire chunk per merged chunk, so the chunk buffers on both ends stay the
-// size of the store's chunks, and honors tiers=1 by appending each
-// record's storage tier. A scan that
-// fails before its first row answers 500 with the store's error; one that
-// fails mid-stream ends without the terminator chunk, which the client
-// decodes as a truncated stream.
+// size of the store's chunks; tiers=1 appends each record's storage tier.
+// The chunk buffer comes from scanBufs and goes back when the stream ends.
+// A scan that fails before its first row answers 500 with the store's
+// error; one that fails mid-stream ends without the terminator chunk,
+// which the client decodes as a truncated stream.
 func (s *Server) handleScan(w http.ResponseWriter, req *http.Request) {
 	q := req.URL.Query()
-	order := q.Get("order")
-	if order == "" {
-		order = "rack"
-	}
-	if order != "rack" && order != "time" {
-		http.Error(w, fmt.Sprintf("bad order %q", order), http.StatusBadRequest)
-		return
-	}
 	tiered := q.Get("tiers") == "1"
 	workers := s.opts.ScanWorkers
 	if ws := q.Get("workers"); ws != "" {
@@ -611,31 +593,25 @@ func (s *Server) handleScan(w http.ResponseWriter, req *http.Request) {
 		}
 	}
 	shape := shapeFrom(req.Context())
-	shape.set("order", order)
 	shape.set("tiers", strconv.FormatBool(tiered))
 	shape.set("workers", strconv.Itoa(workers))
 	cw := newChunkWriter(w, tiered, s.zoneOff())
+	buf := scanBufs.Get().(*[]byte)
+	cw.buf = *buf
+	defer func() {
+		*buf = cw.buf[:0]
+		scanBufs.Put(buf)
+	}()
 	sent := 0
-	var err error
-	if order == "rack" {
-		s.db.EachRecordUntil(func(r sensors.Record) bool {
-			if cw.add(r, byte(envdb.TierRaw)) != nil {
+	err := s.db.EachChunkMergedCtx(req.Context(), workers, func(c *envdb.Chunk) bool {
+		for i := range c.Times {
+			if cw.addRow(c, i) != nil {
 				return false // client went away; abandon the scan
 			}
 			sent++
-			return true
-		})
-	} else {
-		err = s.db.EachChunkMergedCtx(req.Context(), workers, func(c *envdb.Chunk) bool {
-			for i := range c.Times {
-				if cw.addRow(c, i) != nil {
-					return false
-				}
-				sent++
-			}
-			return cw.flushChunk() == nil
-		})
-	}
+		}
+		return cw.flushChunk() == nil
+	})
 	shape.set("rows", strconv.Itoa(sent))
 	if err != nil {
 		if !cw.started {
@@ -647,6 +623,11 @@ func (s *Server) handleScan(w http.ResponseWriter, req *http.Request) {
 		metScanRecordsSent.Add(uint64(sent))
 	}
 }
+
+// scanBufs holds the chunk buffers of finished scan streams. A scan's
+// buffer grows to its largest merged chunk; without the pool every
+// /v1/scan would regrow it from nil.
+var scanBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // Info is the JSON body of /v1/info: the store's record count, time
 // bounds, calendar zone, and fleet shape.
@@ -671,25 +652,11 @@ func (s *Server) handleInfo(w http.ResponseWriter, req *http.Request) {
 		Halls:             s.fleet.Halls,
 		RacksPerHall:      s.fleet.Racks,
 	}
-	if agg, ok := s.db.(envdb.Aggregator); ok {
-		info.Aggregator = true
-		if first, last, ok := agg.Bounds(); ok {
-			info.HasData = true
-			info.FirstUnixNano = first.UnixNano()
-			info.LastUnixNano = last.UnixNano()
-		}
-	} else {
-		s.db.EachRecordUntil(func(r sensors.Record) bool {
-			n := r.Time.UnixNano()
-			if !info.HasData || n < info.FirstUnixNano {
-				info.FirstUnixNano = n
-			}
-			if !info.HasData || n > info.LastUnixNano {
-				info.LastUnixNano = n
-			}
-			info.HasData = true
-			return true
-		})
+	_, info.Aggregator = s.db.(envdb.Aggregator)
+	if first, last, ok := s.db.Bounds(); ok {
+		info.HasData = true
+		info.FirstUnixNano = first.UnixNano()
+		info.LastUnixNano = last.UnixNano()
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(info)

@@ -285,13 +285,13 @@ func (cw *chunkWriter) header() []byte {
 	return binary.LittleEndian.AppendUint32(hdr, uint32(cw.zoneOff))
 }
 
-// add appends one record to the stream.
-func (cw *chunkWriter) add(r sensors.Record, tier byte) error {
+// add appends one raw-tier record to the stream.
+func (cw *chunkWriter) add(r sensors.Record) error {
 	if err := cw.start(); err != nil {
 		return err
 	}
 	cw.buf = appendRecord(cw.buf, r)
-	return cw.endRow(tier)
+	return cw.endRow(byte(envdb.TierRaw))
 }
 
 // addRow appends row i of c straight from its columns: the same bytes add

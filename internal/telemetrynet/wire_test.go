@@ -193,19 +193,40 @@ func TestRetiredWireFormatsRejected(t *testing.T) {
 	}
 }
 
+// traceChunk holds recs as one chunk's columns, row i in tier i%2.
+func traceChunk(recs []sensors.Record) *envdb.Chunk {
+	c := &envdb.Chunk{Loc: recs[0].Time.Location()}
+	for i, r := range recs {
+		c.Times = append(c.Times, r.Time.UnixNano())
+		c.Racks = append(c.Racks, r.Rack.Code())
+		c.Tiers = append(c.Tiers, envdb.Tier(i%2))
+		for m := range c.Cols {
+			c.Cols[m] = append(c.Cols[m], r.Value(sensors.Metric(m)))
+		}
+	}
+	return c
+}
+
+// writeRows streams every row of c with addRow.
+func writeRows(t testing.TB, w io.Writer, tiered bool, c *envdb.Chunk) {
+	t.Helper()
+	cw := newChunkWriter(w, tiered, zoneOffset(time.Unix(0, c.Times[0]).In(c.Loc)))
+	for i := range c.Times {
+		if err := cw.addRow(c, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cw.close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestChunkStreamRoundTrip(t *testing.T) {
 	recs := wireTrace(113)
 	for _, tiered := range []bool{false, true} {
 		var buf bytes.Buffer
-		cw := newChunkWriter(&buf, tiered, zoneOffset(recs[0].Time))
-		for i, r := range recs {
-			if err := cw.add(r, byte(i%2)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := cw.close(); err != nil {
-			t.Fatal(err)
-		}
+		c := traceChunk(recs)
+		writeRows(t, &buf, tiered, c)
 		var got []sensors.Record
 		var tiers []byte
 		if err := readRecords(bytes.NewReader(buf.Bytes()), func(r sensors.Record, tier byte) bool {
@@ -231,29 +252,22 @@ func TestChunkStreamRoundTrip(t *testing.T) {
 			}
 		}
 
-		// Written from chunk columns, the stream is byte-identical.
-		var c envdb.Chunk
-		c.Loc = recs[0].Time.Location()
-		for i, r := range recs {
-			c.Times = append(c.Times, r.Time.UnixNano())
-			c.Racks = append(c.Racks, r.Rack.Code())
-			c.Tiers = append(c.Tiers, envdb.Tier(i%2))
-			for m := range c.Cols {
-				c.Cols[m] = append(c.Cols[m], r.Value(sensors.Metric(m)))
-			}
-		}
-		var rows bytes.Buffer
-		cw = newChunkWriter(&rows, tiered, zoneOffset(recs[0].Time))
-		for i := range recs {
-			if err := cw.addRow(&c, i); err != nil {
+		// Written from records, the stream is byte-identical to the
+		// raw-tier rows written from chunk columns.
+		var rows, adds bytes.Buffer
+		clear(c.Tiers)
+		writeRows(t, &rows, tiered, c)
+		cw := newChunkWriter(&adds, tiered, zoneOffset(recs[0].Time))
+		for _, r := range recs {
+			if err := cw.add(r); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if err := cw.close(); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(rows.Bytes(), buf.Bytes()) {
-			t.Fatalf("tiered=%v: addRow stream differs from the add stream", tiered)
+		if !bytes.Equal(adds.Bytes(), rows.Bytes()) {
+			t.Fatalf("tiered=%v: add stream differs from the addRow stream", tiered)
 		}
 
 		// Truncation anywhere — including a lost terminator — is detected.
@@ -272,7 +286,7 @@ func TestChunkStreamEarlyStop(t *testing.T) {
 	var buf bytes.Buffer
 	cw := newChunkWriter(&buf, false, 0)
 	for _, r := range recs {
-		if err := cw.add(r, 0); err != nil {
+		if err := cw.add(r); err != nil {
 			t.Fatal(err)
 		}
 	}

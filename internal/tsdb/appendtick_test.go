@@ -27,12 +27,8 @@ func fleetTicks(fleet topology.Fleet, n int) []sensors.Record {
 	return out
 }
 
-// dumpStore flattens everything the store yields, in EachRecordUntil order.
-func dumpStore(s *Store) []sensors.Record {
-	var out []sensors.Record
-	s.EachRecordUntil(func(r sensors.Record) bool { out = append(out, r); return true })
-	return out
-}
+// dumpStore flattens everything the store yields, rack by rack.
+func dumpStore(s *Store) []sensors.Record { return rackMajor(s, s.fleet) }
 
 // sameBits compares two records field by field on exact float64 bit
 // patterns — the equivalence the batched ingest path must preserve.
@@ -240,10 +236,9 @@ func TestConcurrentFirstAppend(t *testing.T) {
 	}
 	// Whichever zone won, every record reads back in the same one.
 	want := s.Query(tick[0].Rack, base.Add(-time.Hour).UTC(), base.Add(time.Hour).UTC())[0].Time.Location()
-	s.EachRecordUntil(func(r sensors.Record) bool {
+	for _, r := range dumpStore(s) {
 		if r.Time.Location() != want {
 			t.Fatalf("mixed calendar zones in one store: %v and %v", r.Time.Location(), want)
 		}
-		return true
-	})
+	}
 }

@@ -193,8 +193,8 @@ func benchStoreAllRacks(b *testing.B, days int) *Store {
 // BenchmarkEachRecord is the full-trace replay benchmark on the merged
 // scan: chunks in global (timestamp, rack) order with a single decode
 // worker pipelined against the merge loop — the shape offline replay uses.
-// Compare against BenchmarkEachRecordSerial (rack-major, no merge) and
-// BenchmarkEachRecordParallel (every row materialized as a record).
+// Compare against BenchmarkEachRecordParallel (every row materialized as
+// a record).
 func BenchmarkEachRecord(b *testing.B) {
 	s := benchStoreAllRacks(b, 7)
 	want := s.Len()
@@ -205,22 +205,6 @@ func BenchmarkEachRecord(b *testing.B) {
 		if err := s.EachChunkMergedCtx(context.Background(), 1, func(c *envdb.Chunk) bool { n += c.Len(); return true }); err != nil {
 			b.Fatal(err)
 		}
-		if n != want {
-			b.Fatalf("visited %d, want %d", n, want)
-		}
-	}
-	b.ReportMetric(float64(want), "records/op")
-}
-
-// BenchmarkEachRecordSerial is the serial full-trace replay baseline:
-// rack-major order, one shard at a time, records materialized one by one.
-func BenchmarkEachRecordSerial(b *testing.B) {
-	s := benchStoreAllRacks(b, 7)
-	want := s.Len()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n := 0
-		s.EachRecordUntil(func(sensors.Record) bool { n++; return true })
 		if n != want {
 			b.Fatalf("visited %d, want %d", n, want)
 		}

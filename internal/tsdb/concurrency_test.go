@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"mira/internal/envdb"
 	"mira/internal/sensors"
 	"mira/internal/timeutil"
 	"mira/internal/topology"
@@ -91,8 +92,10 @@ func TestConcurrentAppendQuery(t *testing.T) {
 						}
 					}
 				case 3:
-					n := 0
-					s.EachRecordUntil(func(sensors.Record) bool { n++; return n < 500 })
+					if err := s.EachChunkMergedCtx(context.Background(), 1, func(*envdb.Chunk) bool { return false }); err != nil {
+						t.Errorf("scan: %v", err)
+						return
+					}
 					_ = s.Len()
 				case 4:
 					metrics := []sensors.Metric{sensors.MetricFlow, sensors.MetricPower}

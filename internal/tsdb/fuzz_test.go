@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/csv"
 	"errors"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"mira/internal/envdb"
 	"mira/internal/sensors"
 	"mira/internal/timeutil"
 	"mira/internal/topology"
@@ -298,7 +300,7 @@ func checkRestarts(t *testing.T, data []byte, count int) {
 	}
 }
 
-// FuzzImportCSV feeds arbitrary bytes to Store.ImportCSV, the parser behind
+// FuzzImportCSV feeds arbitrary bytes to envdb.ReadCSV, the parser behind
 // miraanalyze -from. It must reject them with an error or load every data
 // row, and never panic.
 func FuzzImportCSV(f *testing.F) {
@@ -313,7 +315,7 @@ func FuzzImportCSV(f *testing.F) {
 		}
 	}
 	var valid bytes.Buffer
-	if err := src.ExportCSV(&valid); err != nil {
+	if err := envdb.WriteCSV(context.Background(), &valid, src); err != nil {
 		f.Fatal(err)
 	}
 	const header = "time,rack,dc_temperature_f,dc_humidity_rh,coolant_flow_gpm,inlet_temp_f,outlet_temp_f,power_w\n"
@@ -327,7 +329,7 @@ func FuzzImportCSV(f *testing.F) {
 		"2015-01-01T00:00:00Z,(0,0),80.000,32.000,26.500,64.000,79.000,57000.0\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := NewStore()
-		if err := s.ImportCSV(bytes.NewReader(data)); err != nil {
+		if err := envdb.ReadCSV(bytes.NewReader(data), s); err != nil {
 			return
 		}
 		rows, err := csv.NewReader(bytes.NewReader(data)).ReadAll()

@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -108,17 +109,26 @@ var pointShapes = []pointShape{
 }
 
 // yieldStore is a slice store holding the records s yields (window means
-// for compacted windows), read through EachRecordUntil's own iterator.
+// for compacted windows), read through the merged scan rather than the
+// point reads it is the reference for.
 func yieldStore(t *testing.T, s *Store) *envdb.Store {
 	t.Helper()
 	ref := &envdb.Store{}
-	s.EachRecordUntil(func(r sensors.Record) bool {
+	if err := envdb.ScanRecords(context.Background(), s, 1, func(r sensors.Record, _ envdb.Tier) bool {
 		if err := ref.Append(r); err != nil {
 			t.Fatal(err)
 		}
 		return true
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	return ref
+}
+
+// mustDecode returns v, failing on an error the store's reads never make.
+func mustDecode[T any](v T, err error) T {
+	mustOK(err)
+	return v
 }
 
 // pointResult is one point read — op over hours [h0, h0+hours) of the

@@ -1,8 +1,8 @@
 package tsdb
 
 // The block reader: every read of a block's rows — the merged scan, the
-// point reads and aggregates, compaction, the restart-index build and the
-// row walk of EachRecordUntil — seeks one blockReader and steps it.
+// point reads and aggregates, compaction and the restart-index build —
+// seeks one blockReader and steps it.
 
 import (
 	"math/bits"

@@ -26,7 +26,7 @@ type tieredRecord struct {
 }
 
 // scanReference is the merged scan's contract written out in test code:
-// the store's rack-major EachRecordUntil output, each rack's leading
+// the store's per-rack Query reads (rackMajor), each rack's leading
 // cold-tier rows marked downsampled, stable-sorted by (instant, rack
 // code). Nothing of the merge itself is reused.
 func scanReference(s *Store) []tieredRecord {
@@ -38,7 +38,7 @@ func scanReference(s *Store) []tieredRecord {
 	}
 	var out []tieredRecord
 	seen := map[uint16]int{}
-	s.EachRecordUntil(func(r sensors.Record) bool {
+	for _, r := range rackMajor(s, s.fleet) {
 		code := r.Rack.Code()
 		tier := envdb.TierRaw
 		if seen[code] < cold[code] {
@@ -46,8 +46,7 @@ func scanReference(s *Store) []tieredRecord {
 		}
 		seen[code]++
 		out = append(out, tieredRecord{r, tier})
-		return true
-	})
+	}
 	sort.SliceStable(out, func(a, b int) bool {
 		ta, tb := out[a].r.Time.UnixNano(), out[b].r.Time.UnixNano()
 		if ta != tb {

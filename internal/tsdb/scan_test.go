@@ -1,7 +1,9 @@
 package tsdb
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -16,13 +18,12 @@ import (
 	"mira/internal/topology"
 )
 
-// mergedReference derives the expected merged order from the serial
-// rack-major EachRecordUntil: stable-sort by (instant, rack code). Within
-// one rack the visit is already time-ordered, so the stable sort is
-// exactly the merged scan's contract.
+// mergedReference derives the expected merged order from the per-rack
+// Query reads of rackMajor: stable-sort by (instant, rack code). Within one
+// rack the reads are already time-ordered, so the stable sort is exactly
+// the merged scan's contract.
 func mergedReference(s *Store) []sensors.Record {
-	var out []sensors.Record
-	s.EachRecordUntil(func(r sensors.Record) bool { out = append(out, r); return true })
+	out := rackMajor(s, s.fleet)
 	sort.SliceStable(out, func(a, b int) bool {
 		ta, tb := out[a].Time.UnixNano(), out[b].Time.UnixNano()
 		if ta != tb {
@@ -164,8 +165,8 @@ func TestMergedScanEmptyStore(t *testing.T) {
 }
 
 // TestMergedScanCorruption white-boxes a corrupt sealed payload into the
-// tail of one shard: the merged scan must surface it as an error (not a
-// panic, unlike EachRecordUntil), while a scan that stops after its first
+// tail of one shard: the merged scan must surface it as an error, not a
+// panic, while a scan that stops after its first
 // chunk stays clean — decoding is demand-driven, and a shard that alone
 // holds the range still ends its chunk near the fill target instead of
 // copying the whole shard into one chunk.
@@ -199,22 +200,20 @@ func TestMergedScanCorruption(t *testing.T) {
 	}
 }
 
-// TestEachRecordUntilSurfacesCorruption pins the EachRecordUntil bugfix:
-// corruption may not be silently dropped even when the visitor stops the
-// scan early — the error-free surface panics on it.
-func TestEachRecordUntilSurfacesCorruption(t *testing.T) {
-	s := NewStoreWith(Options{Partition: 6 * time.Hour})
-	rack := topology.RackID{Row: 0, Col: 3}
-	fill(t, 200, []topology.RackID{rack}, s)
-	s.SealAll()
-	s.shards[rack.Index()].sealed[0].times = []byte{0x00}
-
-	defer func() {
-		if recover() == nil {
-			t.Fatal("EachRecordUntil over a corrupt shard should panic even with an early-stopping visitor")
+// TestWriteCSVSurfacesCorruption: a CSV export of a store with a corrupt
+// sealed block (the corrupt-block scan shape) returns the scan's
+// ErrCorrupt as an error instead of panicking or writing a silently short
+// file.
+func TestWriteCSVSurfacesCorruption(t *testing.T) {
+	for _, shape := range scanShapes {
+		if !shape.corrupt {
+			continue
 		}
-	}()
-	s.EachRecordUntil(func(sensors.Record) bool { return false })
+		var buf bytes.Buffer
+		if err := envdb.WriteCSV(context.Background(), &buf, shape.build(t)); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: WriteCSV = %v, want an error wrapping ErrCorrupt", shape.name, err)
+		}
+	}
 }
 
 // TestMergedScanDuringIngest hammers merged scans against concurrent

@@ -92,19 +92,8 @@ func TestFlushOpenRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Rack-major full scans agree too.
-	var wantOrder, gotOrder []sensors.Record
-	s.EachRecordUntil(func(r sensors.Record) bool { wantOrder = append(wantOrder, r); return true })
-	got.EachRecordUntil(func(r sensors.Record) bool { gotOrder = append(gotOrder, r); return true })
-	if len(gotOrder) != len(wantOrder) {
-		t.Fatalf("EachRecordUntil visited %d, want %d", len(gotOrder), len(wantOrder))
-	}
-	for i := range wantOrder {
-		if !gotOrder[i].Time.Equal(wantOrder[i].Time) || gotOrder[i].Rack != wantOrder[i].Rack {
-			t.Fatalf("EachRecordUntil[%d] = (%v, %v), want (%v, %v)",
-				i, gotOrder[i].Rack, gotOrder[i].Time, wantOrder[i].Rack, wantOrder[i].Time)
-		}
-	}
+	// Whole-range reads of every rack agree too.
+	sameRecords(t, "reopened whole-range reads", rackMajor(got, got.fleet), rackMajor(s, s.fleet))
 }
 
 // TestFlushOpenRaw exercises the XOR channel path across the process

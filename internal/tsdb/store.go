@@ -2,7 +2,6 @@ package tsdb
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"slices"
 	"sort"
@@ -597,18 +596,13 @@ func (bv blockView) rows() int {
 	return len(bv.raw.times)
 }
 
-// mustDecode is the internal-invariant backstop for the error-free query
-// surface (Query, Series, EachRecordUntil): memory-born blocks are
-// correct by construction and disk-loaded blocks are checksum-verified at
-// Open, so a decode error here means in-process memory corruption or a
-// codec bug — not bad input. Callers that want errors instead of a panic
-// (e.g. streaming over untrusted segments) use Aggregate or
-// EachChunkMergedCtx and check the returned error.
-func mustDecode[T any](v T, err error) T {
-	mustOK(err)
-	return v
-}
-
+// mustOK is the internal-invariant backstop for the error-free point
+// reads (Query, Series): memory-born blocks are correct by construction
+// and disk-loaded blocks are checksum-verified at Open, so a decode error
+// there means in-process memory corruption or a codec bug — not bad
+// input. Callers that want errors instead of a panic (e.g. streaming over
+// untrusted segments) use Aggregate or EachChunkMergedCtx and check the
+// returned error.
 func mustOK(err error) {
 	if err != nil {
 		panic(err)
@@ -655,9 +649,7 @@ func (s *Store) Query(rack topology.RackID, from, to time.Time) []sensors.Record
 	return out
 }
 
-// recordAt materializes one record from decoded columnar data; shared by
-// Query and EachRecordUntil so both produce bit-identical records from
-// the same stored bytes.
+// recordAt materializes one record of Query from decoded columnar data.
 func recordAt(rack topology.RackID, loc *time.Location, tN int64, cols *[sensors.NumMetrics][]float64, i int) sensors.Record {
 	return sensors.Record{
 		Time:          time.Unix(0, tN).In(loc),
@@ -699,52 +691,11 @@ func (s *Store) Series(rack topology.RackID, m sensors.Metric, from, to time.Tim
 	return times, vals
 }
 
-// EachRecordUntil visits every stored record (rack-major, time order
-// within rack) until f returns false. Each rack's blocks are stepped a
-// scanSpan at a time against a snapshot of its shard, so the visit never
-// blocks concurrent appends for more than the snapshot instant. A decode
-// failure panics (see mustDecode), even when f has stopped the visit.
-func (s *Store) EachRecordUntil(f func(sensors.Record) bool) {
-	s.init()
-	loc := s.location()
-	var rd blockReader
-	var cols [sensors.NumMetrics][]float64
-	for i := range s.shards {
-		rack := s.fleet.RackAt(i)
-		ar := pointRead(&s.shards[i], minTime, maxTime)
-		for _, bv := range ar.views {
-			for rd.reset(bv); rd.row < rd.rows; {
-				run, err := rd.next(scanSpan, allCols, &ar.scanArena)
-				mustOK(err)
-				lo, hi := searchRange(run.times, minTime, maxTime)
-				for m := range cols {
-					cols[m] = ar.floats(run, m, lo, hi)
-				}
-				for j := lo; j < hi; j++ {
-					if !f(recordAt(rack, loc, run.times[j], &cols, j)) {
-						ar.release()
-						return
-					}
-				}
-			}
-		}
-		ar.release()
-	}
-}
-
 // Sentinel nanos covering any representable sample time.
 const (
 	minTime = int64(-1) << 62
 	maxTime = int64(1)<<62 - 1
 )
-
-// ExportCSV writes all records (rack-major) in the envdb export schema.
-func (s *Store) ExportCSV(w io.Writer) error { return envdb.WriteCSV(w, s) }
-
-// ImportCSV reads records in the envdb export schema into the store.
-// Because the default ingest precision equals the schema's formatting
-// precision, export → import → export round-trips byte-identically.
-func (s *Store) ImportCSV(r io.Reader) error { return envdb.ReadCSV(r, s) }
 
 // Stats describes the store's footprint.
 type Stats struct {

@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -57,6 +58,17 @@ func fill(t *testing.T, n int, racks []topology.RackID, dbs ...envdb.DB) {
 	}
 }
 
+// rackMajor reads every record of db rack by rack through Query over every
+// representable instant, in fleet order: a whole-store reference that
+// shares nothing with the merged scan.
+func rackMajor(db envdb.DB, fleet topology.Fleet) []sensors.Record {
+	var out []sensors.Record
+	for g := 0; g < fleet.NumRacks(); g++ {
+		out = append(out, db.Query(fleet.RackAt(g), time.Unix(0, minTime), time.Unix(0, maxTime))...)
+	}
+	return out
+}
+
 // TestParityWithSliceStore drives identical data through envdb.Store and
 // tsdb.Store — across several sealed partitions plus a live head — and
 // requires identical query results.
@@ -106,19 +118,8 @@ func TestParityWithSliceStore(t *testing.T) {
 		}
 	}
 
-	// EachRecordUntil must visit the same records in the same rack-major order.
-	var gotOrder, wantOrder []sensors.Record
-	ts.EachRecordUntil(func(r sensors.Record) bool { gotOrder = append(gotOrder, r); return true })
-	ref.EachRecordUntil(func(r sensors.Record) bool { wantOrder = append(wantOrder, r); return true })
-	if len(gotOrder) != len(wantOrder) {
-		t.Fatalf("EachRecordUntil visited %d, want %d", len(gotOrder), len(wantOrder))
-	}
-	for i := range wantOrder {
-		if !gotOrder[i].Time.Equal(wantOrder[i].Time) || gotOrder[i].Rack != wantOrder[i].Rack {
-			t.Fatalf("EachRecordUntil[%d] = (%v, %v), want (%v, %v)",
-				i, gotOrder[i].Rack, gotOrder[i].Time, wantOrder[i].Rack, wantOrder[i].Time)
-		}
-	}
+	// Whole-range reads of every rack agree too.
+	sameRecords(t, "whole-range reads", rackMajor(ts, ts.fleet), rackMajor(ref, ts.fleet))
 }
 
 func TestOutOfOrderAppend(t *testing.T) {
@@ -334,12 +335,12 @@ func TestAggregateWindowCountClamp(t *testing.T) {
 	}
 }
 
-// TestEachRecordUntilMatchesQuery: EachRecordUntil yields, rack-major,
-// exactly the per-rack concatenation of Query over every representable
-// instant, on a store holding all four kinds of block view at once — cold,
-// sealed, frozen (its seal parked in sealHook) and head — and a visitor
-// that stops early sees a prefix of it.
-func TestEachRecordUntilMatchesQuery(t *testing.T) {
+// TestScanMatchesQuery: the merged scan yields exactly the per-rack Query
+// results over every representable instant in (time, rack code) order, on
+// a store holding all four kinds of block view at once — cold, sealed,
+// frozen (its seal parked in sealHook) and head — and a scan that stops
+// early delivers a prefix of it.
+func TestScanMatchesQuery(t *testing.T) {
 	racks := []topology.RackID{{Row: 0, Col: 7}, {Row: 1, Col: 2}, {Row: 2, Col: 13}}
 	s := NewStoreWith(Options{Partition: time.Hour, Retention: 2 * time.Hour})
 	if err := s.AppendTick(hourTicks(racks, 0, 60)); err != nil {
@@ -365,26 +366,20 @@ func TestEachRecordUntilMatchesQuery(t *testing.T) {
 	if st.ColdBlocks == 0 || st.SealedBlocks == 0 || frozen == 0 || st.HeadBytes <= int64(frozen)*12*8*(1+int64(sensors.NumMetrics)) {
 		t.Fatalf("store holds %d cold, %d sealed and %d frozen blocks and %d head bytes; want every tier", st.ColdBlocks, st.SealedBlocks, frozen, st.HeadBytes)
 	}
-	var want []sensors.Record
-	for i := range s.shards {
-		want = append(want, s.Query(s.fleet.RackAt(i), time.Unix(0, minTime), time.Unix(0, maxTime))...)
-	}
-	var got []sensors.Record
-	s.EachRecordUntil(func(r sensors.Record) bool {
-		got = append(got, r)
-		return true
-	})
+	want := mergedReference(s)
 	if len(want) != s.Len() {
 		t.Fatalf("Query yielded %d records, the store holds %d", len(want), s.Len())
 	}
-	sameRecords(t, "EachRecordUntil vs Query", got, want)
+	sameRecords(t, "merged scan vs Query", collectMerged(t, s, 2), want)
 	stop := len(want) / 3
-	got = got[:0]
-	s.EachRecordUntil(func(r sensors.Record) bool {
+	var got []sensors.Record
+	if err := envdb.ScanRecords(context.Background(), s, 2, func(r sensors.Record, _ envdb.Tier) bool {
 		got = append(got, r)
 		return len(got) < stop
-	})
-	sameRecords(t, "early-stopped EachRecordUntil", got, want[:stop])
+	}); err != nil {
+		t.Fatal(err)
+	}
+	sameRecords(t, "early-stopped merged scan", got, want[:stop])
 }
 
 func TestDownsample(t *testing.T) {
@@ -404,18 +399,18 @@ func TestCSVRoundTripByteIdentical(t *testing.T) {
 	s.SealAll()
 
 	var first bytes.Buffer
-	if err := s.ExportCSV(&first); err != nil {
+	if err := envdb.WriteCSV(context.Background(), &first, s); err != nil {
 		t.Fatal(err)
 	}
 	s2 := NewStore()
-	if err := s2.ImportCSV(bytes.NewReader(first.Bytes())); err != nil {
+	if err := envdb.ReadCSV(bytes.NewReader(first.Bytes()), s2); err != nil {
 		t.Fatal(err)
 	}
 	if s2.Len() != s.Len() {
 		t.Fatalf("round-trip Len = %d, want %d", s2.Len(), s.Len())
 	}
 	var second bytes.Buffer
-	if err := s2.ExportCSV(&second); err != nil {
+	if err := envdb.WriteCSV(context.Background(), &second, s2); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(first.Bytes(), second.Bytes()) {
@@ -536,7 +531,7 @@ func TestNegativeZeroHasOneGrid(t *testing.T) {
 	export := func(s *Store) string {
 		t.Helper()
 		var buf bytes.Buffer
-		if err := s.ExportCSV(&buf); err != nil {
+		if err := envdb.WriteCSV(context.Background(), &buf, s); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String()
