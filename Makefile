@@ -87,8 +87,11 @@ smoke:
 # trace-header parser, and the campaign job-spec/claim envelopes must reject
 # arbitrary bytes cleanly (wrapped sentinel errors for the wire formats, a
 # fresh root trace for X-Mira-Trace, an error or every row loaded for the
-# CSV), never a panic; a decoded aggregate frame must re-encode to the bytes
-# it came from, float bit patterns included.
+# CSV), never a panic. Two round-trip properties ride along: a segment file
+# either tier's parser accepts must re-encode through the one segment writer
+# to the same bytes (FuzzOpenSegment), and a decoded aggregate or series
+# frame must re-encode to the bytes it came from, float bit patterns
+# included (FuzzDecodeAggs).
 # The go fuzzer runs one target per invocation.
 fuzz-smoke:
 	$(GO) test ./internal/tsdb/ -run '^$$' -fuzz '^FuzzBitWriter$$' -fuzztime 10s

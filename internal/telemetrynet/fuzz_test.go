@@ -144,15 +144,21 @@ func FuzzReadChunkStream(f *testing.F) {
 	})
 }
 
-// FuzzDecodeAggs pins the aggregate frame decoder the client runs on every
-// pushdown response — up to 48 × k windows for a hall-wide AggregateRacks:
-// arbitrary bytes decode to a wrapped ErrFrame or to windows that
-// re-encode to exactly the bytes read, so every float bit pattern (NaN
-// payloads, −0) survives the wire.
+// FuzzDecodeAggs pins the two fixed-frame decoders the client runs on
+// every pushdown response — up to 48 × k windows for a hall-wide
+// AggregateRacks — and every Series read: arbitrary bytes decode, as an
+// aggregate frame and as a series frame, to a wrapped ErrFrame or to
+// values that re-encode to exactly the bytes read, so every float bit
+// pattern (NaN payloads, −0) survives the wire.
 func FuzzDecodeAggs(f *testing.F) {
 	frame := func(zoneOff int32, aggs []windowAgg) []byte {
 		var b bytes.Buffer
 		encodeAggs(&b, zoneOff, aggs)
+		return b.Bytes()
+	}
+	series := func(zoneOff int32, times []time.Time, vals []float64) []byte {
+		var b bytes.Buffer
+		encodeSeries(&b, zoneOff, times, vals)
 		return b.Bytes()
 	}
 	hall := make([]windowAgg, topology.NumRacks*5)
@@ -166,7 +172,7 @@ func FuzzDecodeAggs(f *testing.F) {
 	badCRC := append([]byte(nil), valid...)
 	badCRC[len(badCRC)-1] ^= 0x01
 	f.Add(badCRC)
-	for _, n := range []uint32{maxAggWindows, maxAggWindows + 1} {
+	for _, n := range []uint32{aggFrame.max, aggFrame.max + 1} {
 		huge := append([]byte(nil), valid[:12]...)
 		binary.LittleEndian.PutUint32(huge[8:], n)
 		f.Add(huge)
@@ -176,18 +182,41 @@ func FuzzDecodeAggs(f *testing.F) {
 		{startN: math.MaxInt64, count: math.MaxInt64, min: math.Inf(-1), max: math.Inf(1), sum: math.Float64frombits(0xfff0_0000_0000_0001)},
 	}))
 	f.Add(frame(0, nil))
+	cst := time.FixedZone("CST", -21600)
+	f.Add(series(-21600,
+		[]time.Time{time.Unix(0, 1420092000e9).In(cst), time.Unix(0, -1).In(cst), time.Unix(0, math.MaxInt64).In(cst)},
+		[]float64{math.NaN(), math.Float64frombits(0x7ff8_0000_dead_beef), math.Copysign(0, -1)}))
+	f.Add(series(0, []time.Time{time.Unix(0, 0).UTC()}, []float64{math.Float64frombits(0xfff0_0000_0000_0001)}))
+	f.Add(series(3600, nil, nil))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		aggs, loc, err := decodeAggs(bytes.NewReader(data))
-		if err != nil {
+		if aggs, loc, err := decodeAggs(bytes.NewReader(data)); err != nil {
 			if !errors.Is(err, ErrFrame) {
 				t.Fatalf("decodeAggs: %v is not ErrFrame", err)
 			}
+		} else {
+			_, off := time.Unix(0, 0).In(loc).Zone()
+			if again := frame(int32(off), aggs); !bytes.Equal(again, data[:len(again)]) {
+				t.Fatalf("%d windows re-encode to different bytes", len(aggs))
+			}
+		}
+		times, vals, err := decodeSeries(bytes.NewReader(data))
+		if err != nil {
+			if !errors.Is(err, ErrFrame) {
+				t.Fatalf("decodeSeries: %v is not ErrFrame", err)
+			}
 			return
 		}
-		_, off := time.Unix(0, 0).In(loc).Zone()
-		if again := frame(int32(off), aggs); !bytes.Equal(again, data[:len(again)]) {
-			t.Fatalf("%d windows re-encode to different bytes", len(aggs))
+		// The zone travels only in the points' times, so a series with
+		// none is compared on everything but the zone field.
+		var off int32
+		if len(times) > 0 {
+			off = zoneOffset(times[0])
+		} else {
+			off = int32(binary.LittleEndian.Uint32(data[4:]))
+		}
+		if again := series(off, times, vals); !bytes.Equal(again, data[:len(again)]) {
+			t.Fatalf("%d points re-encode to different bytes", len(times))
 		}
 	})
 }

@@ -49,8 +49,6 @@ const (
 	// exists, and their magics decode to ErrFrame like any unknown one.
 	ingestMagicV2 = 0x324E544D // "MTN2": ingest frame
 	chunkMagic    = 0x3252544D // "MTR2": record-chunk stream header
-	seriesMagic   = 0x534E544D // "MTNS": series response
-	aggMagic      = 0x414E544D // "MTNA": aggregate response
 
 	// recordSize is the fixed encoding of one sensors.Record: packed rack
 	// code (uint16, topology.RackID.Code: hall high byte, within-hall index
@@ -66,9 +64,6 @@ const (
 	maxFrameRecords = 1 << 20
 	// maxChunkRecords bounds one response chunk.
 	maxChunkRecords = 1 << 16
-	// maxSeriesPoints and maxAggWindows bound single-shot response decodes.
-	maxSeriesPoints = 1 << 26
-	maxAggWindows   = 1 << 24
 )
 
 func frameErr(format string, args ...any) error {
@@ -451,55 +446,86 @@ func resize[T any](s []T, n int) []T {
 	return make([]T, n)
 }
 
-// encodeSeries writes a series response: times as UnixNano, values as raw
-// float64 bits, one CRC over the whole message.
-func encodeSeries(w io.Writer, zoneOff int32, times []time.Time, vals []float64) error {
-	buf := make([]byte, 0, 16+16*len(times)) // header, points, CRC
-	buf = binary.LittleEndian.AppendUint32(buf, seriesMagic)
+// fixedFrame is the envelope series and aggregate responses share: a
+// 12-byte header (magic, zone offset, entry count), count fixed-width
+// entries, and an IEEE CRC32 over header and entries. max bounds count, and
+// with it what a single-shot decode allocates.
+type fixedFrame struct {
+	what  string // names the frame in errors
+	magic uint32
+	entry int // bytes per entry
+	max   uint32
+}
+
+// A series entry is one UnixNano time and one float64 value (the frame
+// holds all the times, then all the values); an aggregate entry is a
+// windowAgg's five 8-byte fields.
+var (
+	seriesFrame = fixedFrame{"series", 0x534E544D, 16, 1 << 26}    // "MTNS"
+	aggFrame    = fixedFrame{"aggregate", 0x414E544D, 40, 1 << 24} // "MTNA"
+)
+
+// write writes a frame of n entries, whose bytes put appends.
+func (f fixedFrame) write(w io.Writer, zoneOff int32, n int, put func([]byte) []byte) error {
+	buf := make([]byte, 0, 12+n*f.entry+4)
+	buf = binary.LittleEndian.AppendUint32(buf, f.magic)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(zoneOff))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(times)))
-	for _, t := range times {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(t.UnixNano()))
-	}
-	for _, v := range vals {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
-	_, err := w.Write(buf)
+	buf = put(binary.LittleEndian.AppendUint32(buf, uint32(n)))
+	_, err := w.Write(binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf)))
 	return err
 }
 
-func decodeSeries(r io.Reader) ([]time.Time, []float64, error) {
+// read reads one frame and returns its checksum-verified entries and zone.
+func (f fixedFrame) read(r io.Reader) ([]byte, *time.Location, error) {
 	var hdr [12]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, nil, frameErr("reading series header: %v", err)
+		return nil, nil, frameErr("reading %s header: %v", f.what, err)
 	}
-	if m := binary.LittleEndian.Uint32(hdr[0:]); m != seriesMagic {
-		return nil, nil, frameErr("bad series magic %#x", m)
+	if m := binary.LittleEndian.Uint32(hdr[0:]); m != f.magic {
+		return nil, nil, frameErr("bad %s magic %#x", f.what, m)
 	}
-	loc := zoneLocation(int32(binary.LittleEndian.Uint32(hdr[4:])))
 	count := binary.LittleEndian.Uint32(hdr[8:])
-	need, err := frameLen("series", count, 16, 4, maxSeriesPoints)
+	need, err := frameLen(f.what, count, f.entry, 4, f.max)
 	if err != nil {
 		return nil, nil, err
 	}
 	body, err := readBody(r, need)
 	if err != nil {
-		return nil, nil, frameErr("reading %d-point series: %v", count, err)
+		return nil, nil, frameErr("reading %d-entry %s: %v", count, f.what, err)
 	}
-	sum := crc32.ChecksumIEEE(hdr[:])
-	sum = crc32.Update(sum, crc32.IEEETable, body[:len(body)-4])
-	if got := binary.LittleEndian.Uint32(body[len(body)-4:]); got != sum {
-		return nil, nil, frameErr("series checksum mismatch: got %#x, computed %#x", got, sum)
+	body, crc := body[:need-4], body[need-4:]
+	sum := crc32.Update(crc32.ChecksumIEEE(hdr[:]), crc32.IEEETable, body)
+	if got := binary.LittleEndian.Uint32(crc); got != sum {
+		return nil, nil, frameErr("%s checksum mismatch: got %#x, computed %#x", f.what, got, sum)
 	}
-	times := make([]time.Time, count)
-	vals := make([]float64, count)
+	return body, zoneLocation(int32(binary.LittleEndian.Uint32(hdr[4:]))), nil
+}
+
+// encodeSeries writes a series response: times as UnixNano, values as raw
+// float64 bits.
+func encodeSeries(w io.Writer, zoneOff int32, times []time.Time, vals []float64) error {
+	return seriesFrame.write(w, zoneOff, len(times), func(buf []byte) []byte {
+		for _, t := range times {
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(t.UnixNano()))
+		}
+		for _, v := range vals {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+		}
+		return buf
+	})
+}
+
+func decodeSeries(r io.Reader) ([]time.Time, []float64, error) {
+	body, loc, err := seriesFrame.read(r)
+	if err != nil {
+		return nil, nil, err
+	}
+	n := len(body) / seriesFrame.entry
+	times := make([]time.Time, n)
+	vals := make([]float64, n)
 	for i := range times {
 		times[i] = time.Unix(0, int64(binary.LittleEndian.Uint64(body[i*8:]))).In(loc)
-	}
-	off := int(count) * 8
-	for i := range vals {
-		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[off+i*8:]))
+		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[(n+i)*8:]))
 	}
 	return times, vals, nil
 }
@@ -507,58 +533,32 @@ func decodeSeries(r io.Reader) ([]time.Time, []float64, error) {
 // encodeAggs writes an aggregate response: per window, start (UnixNano),
 // count, and min/max/sum as raw float64 bits — bit-exact pushdown results.
 func encodeAggs(w io.Writer, zoneOff int32, aggs []windowAgg) error {
-	buf := binary.LittleEndian.AppendUint32(nil, aggMagic)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(zoneOff))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(aggs)))
-	for _, a := range aggs {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(a.startN))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(a.count))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(a.min))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(a.max))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(a.sum))
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
-	_, err := w.Write(buf)
-	return err
+	return aggFrame.write(w, zoneOff, len(aggs), func(buf []byte) []byte {
+		for _, a := range aggs {
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(a.startN))
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(a.count))
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(a.min))
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(a.max))
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(a.sum))
+		}
+		return buf
+	})
 }
 
 // windowAgg is the wire form of envdb.WindowAgg.
 type windowAgg struct {
-	startN int64
-	count  int64
-	min    float64
-	max    float64
-	sum    float64
+	startN, count int64
+	min, max, sum float64
 }
 
-const aggEntrySize = 8 * 5
-
 func decodeAggs(r io.Reader) ([]windowAgg, *time.Location, error) {
-	var hdr [12]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, nil, frameErr("reading aggregate header: %v", err)
-	}
-	if m := binary.LittleEndian.Uint32(hdr[0:]); m != aggMagic {
-		return nil, nil, frameErr("bad aggregate magic %#x", m)
-	}
-	loc := zoneLocation(int32(binary.LittleEndian.Uint32(hdr[4:])))
-	count := binary.LittleEndian.Uint32(hdr[8:])
-	need, err := frameLen("aggregate", count, aggEntrySize, 4, maxAggWindows)
+	body, loc, err := aggFrame.read(r)
 	if err != nil {
 		return nil, nil, err
 	}
-	body, err := readBody(r, need)
-	if err != nil {
-		return nil, nil, frameErr("reading %d-window aggregate: %v", count, err)
-	}
-	sum := crc32.ChecksumIEEE(hdr[:])
-	sum = crc32.Update(sum, crc32.IEEETable, body[:len(body)-4])
-	if got := binary.LittleEndian.Uint32(body[len(body)-4:]); got != sum {
-		return nil, nil, frameErr("aggregate checksum mismatch: got %#x, computed %#x", got, sum)
-	}
-	out := make([]windowAgg, count)
+	out := make([]windowAgg, len(body)/aggFrame.entry)
 	for i := range out {
-		b := body[i*aggEntrySize:]
+		b := body[i*aggFrame.entry:]
 		out[i] = windowAgg{
 			startN: int64(binary.LittleEndian.Uint64(b[0:])),
 			count:  int64(binary.LittleEndian.Uint64(b[8:])),

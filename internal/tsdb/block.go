@@ -28,10 +28,11 @@ const (
 // range; larger values fall back to XOR encoding.
 const maxQuantized = 1 << 53
 
-// channelData is one compressed value column of a sealed block.
+// channelData is one compressed value column of a sealed block, or one
+// aggregate column of a downsampled block.
 type channelData struct {
 	enc   byte
-	scale float64 // 10^decimals, valid when enc == encIntPacked
+	scale float64 // 10^decimals, valid for an integer enc (encIntPacked, or encInt when downsampled)
 	data  []byte
 }
 
@@ -88,9 +89,7 @@ type sealedBlock struct {
 	// zones holds per-channel value bounds, computed by seal or read from
 	// the segment's block header.
 	zones [sensors.NumMetrics]ZoneMap
-	// src names the segment file and block index for disk-loaded blocks
-	// ("" for memory-born ones), so decode errors identify their origin.
-	src string
+	origin
 	// idx is the block's restart index, built by the first point read that
 	// covers the block only in part (see restartIndex); idxErr is that
 	// build's decode failure, returned to every later caller too.
@@ -205,14 +204,19 @@ func quantizeExact(dst []int64, vals []float64, scale float64) ([]int64, bool) {
 	return ints, true
 }
 
+// origin names where a block came from, "segment F block i" for a block
+// loaded from disk and "" for a memory-born one, so decode errors identify
+// it.
+type origin string
+
 // wrap qualifies a decode error with the block's origin and marks it as
 // corruption: payloads are either memory-born or checksum-verified at
 // Open, so a failed decode means the bytes went bad after that.
-func (b *sealedBlock) wrap(what string, err error) error {
-	if b.src != "" {
-		return fmt.Errorf("tsdb: %s: %s: %w: %w", b.src, what, ErrCorrupt, err)
+func (o origin) wrap(what string, err error) error {
+	if o == "" {
+		o = "in-memory block"
 	}
-	return fmt.Errorf("tsdb: sealed block: %s: %w: %w", what, ErrCorrupt, err)
+	return fmt.Errorf("tsdb: %s: %s: %w: %w", o, what, ErrCorrupt, err)
 }
 
 // restartStride is the row distance between the restart points of a

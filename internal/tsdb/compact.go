@@ -139,7 +139,7 @@ func (s *Store) CompactBefore(dir string, cutoff time.Time) (CompactStats, error
 			continue
 		}
 		fold := sealed[:k]
-		d, err := foldBlocks(fold, win, "")
+		d, err := foldBlocks(fold, win)
 		if err != nil {
 			return st, err
 		}
@@ -154,7 +154,7 @@ func (s *Store) CompactBefore(dir string, cutoff time.Time) (CompactStats, error
 			// after the cold rename, through atomicfile.Hook) leaves the disk
 			// mid-state and the in-memory store untouched.
 			allCold := append(append([]*downBlock(nil), cold...), d)
-			if _, err := writeColdSegment(shardDir, fi, loc, allCold); err != nil {
+			if _, err := saveSegFile(shardDir, coldTier, fi, loc, allCold); err != nil {
 				return st, err
 			}
 			if err := atomicfile.SyncDir(shardDir); err != nil {
@@ -166,7 +166,7 @@ func (s *Store) CompactBefore(dir string, cutoff time.Time) (CompactStats, error
 			// without compaction.
 			rawName := filepath.Join(shardDir, segFileName(fi))
 			if len(sealed) > k {
-				if _, err := s.writeSegment(shardDir, fi, loc, sealed[k:]); err != nil {
+				if _, err := saveSegFile(shardDir, rawTier, fi, loc, sealed[k:]); err != nil {
 					return st, err
 				}
 			} else if err := os.Remove(rawName); err != nil && !os.IsNotExist(err) {

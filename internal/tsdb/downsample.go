@@ -29,13 +29,6 @@ import (
 	"mira/internal/sensors"
 )
 
-// downChannel is one compressed aggregate column of a downsampled block.
-type downChannel struct {
-	enc   byte    // encInt: exact integer streams; encXOR: float fallback
-	scale float64 // 10^decimals, valid when enc == encInt
-	data  []byte
-}
-
 // downBlock is an immutable run of downsampled windows for one shard.
 // minT/maxT are the first and last window START times; a window covers
 // [start, start+window). Like sealedBlock, all fields are written once and
@@ -47,8 +40,8 @@ type downBlock struct {
 	srcRecords int64 // raw records folded into this block
 	times      []byte
 	counts     []byte
-	ch         [sensors.NumMetrics]downChannel
-	src        string // segment origin for disk-loaded blocks, "" in memory
+	ch         [sensors.NumMetrics]channelData // encInt: exact integer streams; encXOR: float fallback
+	origin
 }
 
 // downColumn is one decoded aggregate column. scale > 0 means the integer
@@ -58,15 +51,6 @@ type downColumn struct {
 	scale               float64
 	sumsI, minsI, maxsI []int64
 	sumsF, minsF, maxsF []float64
-}
-
-// wrap qualifies a decode error with the block's origin and marks it as
-// corruption: downsampled payloads only decode wrong when the bytes are.
-func (b *downBlock) wrap(what string, err error) error {
-	if b.src != "" {
-		return fmt.Errorf("tsdb: %s: %s: %w: %w", b.src, what, ErrCorrupt, err)
-	}
-	return fmt.Errorf("tsdb: downsampled block: %s: %w: %w", what, ErrCorrupt, err)
 }
 
 // starts decodes the window start times and validates their shape against
@@ -179,7 +163,7 @@ func addInt64(a, b int64) (int64, bool) {
 // fold reads payloads, so blocks a racing partition roll left frozen are
 // sealed first. Each pass over a block — its timestamps, then each
 // channel — steps a blockReader through the whole block in one run.
-func foldBlocks(blocks []*sealedBlock, win int64, src string) (*downBlock, error) {
+func foldBlocks(blocks []*sealedBlock, win int64) (*downBlock, error) {
 	for _, b := range blocks {
 		b.seal()
 	}
@@ -226,7 +210,6 @@ func foldBlocks(blocks []*sealedBlock, win int64, src string) (*downBlock, error
 		srcRecords: srcRecords,
 		times:      encodeTimes(starts),
 		counts:     encodeInts(counts),
-		src:        src,
 	}
 	for m := range d.ch {
 		exact := true
@@ -249,7 +232,7 @@ func foldBlocks(blocks []*sealedBlock, win int64, src string) (*downBlock, error
 				return nil, err
 			}
 			if ok {
-				d.ch[m] = downChannel{enc: encInt, scale: channelScales[m], data: encodeDownChannelInts(sums, mins, maxs, counts)}
+				d.ch[m] = channelData{enc: encInt, scale: channelScales[m], data: encodeDownChannelInts(sums, mins, maxs, counts)}
 				continue
 			}
 			// Integer sums overflowed — refold this channel in float.
@@ -264,7 +247,7 @@ func foldBlocks(blocks []*sealedBlock, win int64, src string) (*downBlock, error
 		if err != nil {
 			return nil, err
 		}
-		d.ch[m] = downChannel{enc: encXOR, data: encodeDownChannelFloats(sums, mins, maxs)}
+		d.ch[m] = channelData{enc: encXOR, data: encodeDownChannelFloats(sums, mins, maxs)}
 	}
 	return d, nil
 }

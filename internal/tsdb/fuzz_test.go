@@ -55,8 +55,9 @@ func fuzzSeedSegments(f *testing.F) (raw, cold []byte) {
 }
 
 // FuzzOpenSegment feeds arbitrary bytes through both segment parsers and,
-// when parsing succeeds, through every block decode path. Any rejection
-// must be a wrapped ErrCorrupt; nothing may panic.
+// when parsing succeeds, back through the one segment writer and through
+// every block decode path. Any rejection must be a wrapped ErrCorrupt;
+// nothing may panic; an accepted segment must re-encode to its own bytes.
 func FuzzOpenSegment(f *testing.F) {
 	raw, cold := fuzzSeedSegments(f)
 	f.Add(raw)
@@ -77,6 +78,9 @@ func FuzzOpenSegment(f *testing.F) {
 		binary.LittleEndian.PutUint64(mut[z+8:], math.Float64bits(0.0))
 		f.Add(mut)
 	}
+	// A cold segment whose first block's last window ends past the int64
+	// range, followed by a block starting before it.
+	f.Add(coldSegmentBytes(1<<62, 1<<62, 0))
 	for _, b := range [][]byte{raw, cold} {
 		for _, n := range []int{0, 1, segFileHeaderSize, len(b) / 2, len(b) - 1} {
 			if n >= 0 && n < len(b) {
@@ -92,11 +96,12 @@ func FuzzOpenSegment(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if _, blocks, _, err := parseSegment("shard-00.seg", data); err != nil {
+		if shard, blocks, loc, err := parseSegment("shard-00.seg", data); err != nil {
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("parseSegment error does not wrap ErrCorrupt: %v", err)
 			}
 		} else {
+			checkSegRoundTrip(t, rawTier, data, shard, loc, blocks)
 			for _, b := range blocks {
 				if _, err := b.decodeTimes(); err != nil && !errors.Is(err, ErrCorrupt) {
 					t.Fatalf("decodeTimes error does not wrap ErrCorrupt: %v", err)
@@ -108,11 +113,12 @@ func FuzzOpenSegment(f *testing.F) {
 				}
 			}
 		}
-		if _, blocks, _, err := parseColdSegment("shard-00.cold.seg", data); err != nil {
+		if shard, blocks, loc, err := parseColdSegment("shard-00.cold.seg", data); err != nil {
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("parseColdSegment error does not wrap ErrCorrupt: %v", err)
 			}
 		} else {
+			checkSegRoundTrip(t, coldTier, data, shard, loc, blocks)
 			for _, d := range blocks {
 				if _, err := d.starts(); err != nil && !errors.Is(err, ErrCorrupt) {
 					t.Fatalf("starts error does not wrap ErrCorrupt: %v", err)
@@ -135,6 +141,25 @@ func FuzzOpenSegment(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkSegRoundTrip is FuzzOpenSegment's writer/parser agreement: blocks
+// a parser accepted from data, re-encoded through writeSegFile, must give
+// data back byte for byte in the file header's magic, version, shard and
+// block count, and from the first block header to the end. The location
+// name and offset between them are derived from the parsed zone (an empty
+// name writes back as "UTC"), so they are left out.
+func checkSegRoundTrip[B segBlock](t *testing.T, tier segTier, data []byte, shard int, loc *time.Location, blocks []B) {
+	t.Helper()
+	var buf bytes.Buffer
+	n, err := writeSegFile(&buf, tier, shard, loc, blocks)
+	if err != nil || n != int64(buf.Len()) {
+		t.Fatalf("writeSegFile = %d, %v; wrote %d bytes", n, err, buf.Len())
+	}
+	blocksAt := func(b []byte) []byte { return b[segFileHeaderSize+int(binary.LittleEndian.Uint16(b[12:14])):] }
+	if again := buf.Bytes(); !bytes.Equal(again[:12], data[:12]) || !bytes.Equal(blocksAt(again), blocksAt(data)) {
+		t.Fatalf("%d accepted blocks re-encode to different bytes", len(blocks))
+	}
 }
 
 // fuzzCounts rebuilds the deterministic per-window counts the down-channel

@@ -1,42 +1,55 @@
 package tsdb
 
-// On-disk segment layer: one file per shard (rack) holding that shard's
-// sealed blocks, so a finished run survives restarts and later analyses
+// On-disk segment layer: one file per shard (rack) and tier holding that
+// shard's blocks, so a finished run survives restarts and later analyses
 // reopen it instead of re-running the simulation — the "record once,
 // analyze many times" posture of the paper's DB2 environmental database.
 //
-// Format (version 2, little-endian):
+// Both tiers share one envelope (little-endian), written by writeSegFile
+// and checked by parseSegFile:
 //
 //	file header:
-//	  magic    [4]byte  "MTSG"
-//	  version  uint16   2
+//	  magic    [4]byte  "MTSG" raw ("shard-NN.seg"), "MTSC" cold ("shard-NN.cold.seg")
+//	  version  uint16   2 raw, 1 cold
 //	  shard    uint16   rack index in [0, NumRacks)
 //	  nblocks  uint32
 //	  locLen   uint16   length of the location name
 //	  locOff   int32    UTC offset in seconds of the records' location
 //	  loc      []byte   location name (e.g. "America/Chicago", "CST")
 //	per block, in time order:
-//	  header:
-//	    minT      int64    unix nanoseconds of the first sample
-//	    maxT      int64    unix nanoseconds of the last sample
-//	    count     uint32   samples in the block
-//	    timesLen  uint32   compressed timestamp payload length
-//	    channels  [6]×(enc uint8, scale float64 bits, dataLen uint32)
-//	    zones     [6]×(min float64 bits, max float64 bits); both-NaN marks
-//	                       an unusable zone (channel holds NaN values, so
-//	                       the range proves nothing)
-//	    crc       uint32   IEEE CRC32 over the header bytes above plus all
-//	                       of the block's payload bytes
-//	  payloads:
-//	    times bytes, then the six channel payloads
+//	  header fields    the tier's own, below
+//	  crc      uint32  IEEE CRC32 over the header fields plus all of the
+//	                   block's payload bytes
+//	  payloads         in the order the header lists their lengths
 //
-// Downsampled-tier segments ("shard-NN.cold.seg", magic "MTSC") share the
-// same file-header shape; their per-block headers carry the compaction
-// window, window-start bounds, window count, folded source-record count,
-// and a counts payload alongside the six channel payloads (the aggregate
-// codecs live in downsample.go). Retention compaction writes them and
-// rewrites the raw segment behind them; Open resolves a crashed compaction
-// by preferring raw blocks over any cold block they overlap.
+// A raw block's header fields:
+//
+//	minT      int64    unix nanoseconds of the first sample
+//	maxT      int64    unix nanoseconds of the last sample
+//	count     uint32   samples in the block
+//	timesLen  uint32   compressed timestamp payload length
+//	channels  [6]×(enc uint8, scale float64 bits, dataLen uint32)
+//	zones     [6]×(min float64 bits, max float64 bits); both-NaN marks an
+//	                   unusable zone (channel holds NaN values, so the range
+//	                   proves nothing)
+//
+// and its payloads: times, then the six channel payloads. A cold
+// (downsampled) block's header fields:
+//
+//	window      int64   compaction window, nanoseconds
+//	minT        int64   unix nanoseconds of the first window start
+//	maxT        int64   unix nanoseconds of the last window start
+//	count       uint32  windows in the block
+//	srcRecords  uint64  raw records folded into the block
+//	timesLen    uint32  window-start payload length
+//	countsLen   uint32  per-window record-count payload length
+//	channels    [6]×(enc uint8, scale float64 bits, dataLen uint32)
+//
+// and its payloads: window starts, counts, then the six aggregate channel
+// payloads (codecs in downsample.go). Retention compaction writes cold
+// segments and rewrites the raw segment behind them; Open resolves a
+// crashed compaction by preferring raw blocks over any cold block they
+// overlap.
 //
 // The CRC covers the header fields as well as the payloads, so corruption
 // of counts, bounds, or encodings is caught at Open, not at decode time.
@@ -75,34 +88,47 @@ var (
 	ErrCorrupt = errors.New("corrupt segment")
 )
 
-var segMagic = [4]byte{'M', 'T', 'S', 'G'}
-
-// coldMagic marks downsampled-tier segments ("shard-NN.cold.seg"). They
-// share the raw format's file-header shape; each block header carries the
-// compaction window, the first/last window start, the window count, the
-// folded source-record count, and per-channel aggregate payloads
-// (see downsample.go for the payload codecs).
-var coldMagic = [4]byte{'M', 'T', 'S', 'C'}
-
 const (
-	// segVersion is the one raw-segment layout Open accepts and Flush
-	// writes: each block header carries per-channel zone maps (min/max
-	// float64 bits), a pruning index no scan uses yet. Version 1,
-	// which lacked them, is retired — no such file exists — and is
-	// rejected like any other unknown version. Cold segments number their
-	// own layout; downsampled blocks already store per-window min/max.
-	segVersion     = 2
-	segVersionCold = 1
-
 	segFileHeaderSize = 4 + 2 + 2 + 4 + 2 + 4 // + location name
-	// segBlockHeaderSize covers minT, maxT, count, timesLen, six
-	// (enc, scale, dataLen) channel triples, six (zoneMin, zoneMax)
-	// float64 pairs, and the CRC.
-	segBlockHeaderSize = 8 + 8 + 4 + 4 + int(sensors.NumMetrics)*(1+8+4+16) + 4
-	// coldBlockHeaderSize covers window, minT, maxT, count, srcRecords,
-	// timesLen, countsLen, six channel triples, and the CRC.
+	// segBlockHeaderSize and coldBlockHeaderSize are a raw and a cold
+	// block's header fields plus the CRC.
+	segBlockHeaderSize  = 8 + 8 + 4 + 4 + int(sensors.NumMetrics)*(1+8+4+16) + 4
 	coldBlockHeaderSize = 8 + 8 + 8 + 4 + 8 + 4 + 4 + int(sensors.NumMetrics)*(1+8+4) + 4
 )
+
+// segTier is one storage tier's identity in the shared envelope.
+type segTier struct {
+	magic   [4]byte
+	version uint16
+	header  int // block header bytes, CRC included
+	file    func(shard int) string
+}
+
+// The raw tier's version 2 carries per-channel zone maps; version 1, which
+// lacked them, is retired — no such file exists — and is rejected like any
+// other unknown version. Cold segments number their own layout.
+var (
+	rawTier  = segTier{[4]byte{'M', 'T', 'S', 'G'}, 2, segBlockHeaderSize, segFileName}
+	coldTier = segTier{[4]byte{'M', 'T', 'S', 'C'}, 1, coldBlockHeaderSize, coldSegFileName}
+)
+
+// segBlock is one tier's block codec inside the envelope; *sealedBlock
+// and *downBlock implement it.
+type segBlock interface {
+	// putHeader appends the block's header fields, CRC excluded.
+	putHeader(h []byte) []byte
+	// payloads appends the block's payloads in file order.
+	payloads(p [][]byte) [][]byte
+	// getHeader fills a fresh block from header fields h, validates them,
+	// and appends the payload lengths in file order to lens.
+	getHeader(h []byte, lens []int) ([]int, error)
+	// span is the time range [first, end) the block covers; a block may
+	// not start before its predecessor's end.
+	span() (first, end int64)
+	// attach hands the block its payloads, aliasing the file buffer, and
+	// validates them against the header.
+	attach(p [][]byte, src origin) error
+}
 
 func segFileName(shard int) string     { return fmt.Sprintf("shard-%02d.seg", shard) }
 func coldSegFileName(shard int) string { return fmt.Sprintf("shard-%02d.cold.seg", shard) }
@@ -158,20 +184,18 @@ func (s *Store) Flush(dir string) error {
 		if n := len(touched); n == 0 || touched[n-1] != shardDir {
 			touched = append(touched, shardDir)
 		}
+		var raw, cold int64
+		var err error
 		if len(snap.sealed) > 0 {
-			n, err := s.writeSegment(shardDir, fi, loc, snap.sealed)
-			if err != nil {
-				return err
-			}
-			disk += n
+			raw, err = saveSegFile(shardDir, rawTier, fi, loc, snap.sealed)
 		}
-		if len(snap.cold) > 0 {
-			n, err := writeColdSegment(shardDir, fi, loc, snap.cold)
-			if err != nil {
-				return err
-			}
-			disk += n
+		if err == nil && len(snap.cold) > 0 {
+			cold, err = saveSegFile(shardDir, coldTier, fi, loc, snap.cold)
 		}
+		if err != nil {
+			return err
+		}
+		disk += raw + cold
 	}
 	for _, d := range touched {
 		if err := atomicfile.SyncDir(d); err != nil {
@@ -183,75 +207,57 @@ func (s *Store) Flush(dir string) error {
 	return nil
 }
 
-// writeSegment atomically replaces one shard's raw segment file with
-// blocks. It reads payloads, so it first seals any block a concurrent
-// partition roll closed after the caller's last SealAll (a no-op otherwise).
-func (s *Store) writeSegment(dir string, shard int, loc *time.Location, blocks []*sealedBlock) (int64, error) {
-	for _, b := range blocks {
-		b.seal()
+// saveSegFile atomically replaces shard's tier-t segment file in dir with
+// blocks and returns its size.
+func saveSegFile[B segBlock](dir string, t segTier, shard int, loc *time.Location, blocks []B) (int64, error) {
+	var n int64
+	err := atomicfile.Write(filepath.Join(dir, t.file(shard)), func(w io.Writer) (err error) {
+		n, err = writeSegFile(w, t, shard, loc, blocks)
+		return err
+	})
+	if err != nil {
+		return 0, fmt.Errorf("tsdb: write segment %s: %w", t.file(shard), err)
 	}
+	return n, nil
+}
+
+// writeSegFile writes a tier-t segment holding blocks (non-empty, in time
+// order) to w and returns the bytes written.
+func writeSegFile[B segBlock](w io.Writer, t segTier, shard int, loc *time.Location, blocks []B) (int64, error) {
 	// The location name plus its current UTC offset reconstructs both IANA
 	// zones (by name) and fixed zones like timeutil.Chicago (by offset).
 	locName := loc.String()
-	_, locOff := time.Unix(0, blocks[0].minT).In(loc).Zone()
-
-	written := int64(segFileHeaderSize + len(locName))
-	err := atomicfile.Write(filepath.Join(dir, segFileName(shard)), func(w io.Writer) error {
-		hdr := make([]byte, 0, segFileHeaderSize)
-		hdr = append(hdr, segMagic[:]...)
-		hdr = binary.LittleEndian.AppendUint16(hdr, segVersion)
-		hdr = binary.LittleEndian.AppendUint16(hdr, uint16(shard))
-		hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(blocks)))
-		hdr = binary.LittleEndian.AppendUint16(hdr, uint16(len(locName)))
-		hdr = binary.LittleEndian.AppendUint32(hdr, uint32(int32(locOff)))
-		hdr = append(hdr, locName...)
-		if _, err := w.Write(hdr); err != nil {
-			return err
+	first, _ := blocks[0].span()
+	_, locOff := time.Unix(0, first).In(loc).Zone()
+	hdr := append(make([]byte, 0, max(t.header, segFileHeaderSize+len(locName))), t.magic[:]...)
+	hdr = binary.LittleEndian.AppendUint16(hdr, t.version)
+	hdr = binary.LittleEndian.AppendUint16(hdr, uint16(shard))
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(blocks)))
+	hdr = binary.LittleEndian.AppendUint16(hdr, uint16(len(locName)))
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(int32(locOff)))
+	hdr = append(hdr, locName...)
+	var n int64
+	var err error
+	write := func(b []byte) {
+		if err == nil {
+			k, werr := w.Write(b)
+			n, err = n+int64(k), werr
 		}
-
-		bh := make([]byte, 0, segBlockHeaderSize)
-		for _, b := range blocks {
-			bh = bh[:0]
-			bh = binary.LittleEndian.AppendUint64(bh, uint64(b.minT))
-			bh = binary.LittleEndian.AppendUint64(bh, uint64(b.maxT))
-			bh = binary.LittleEndian.AppendUint32(bh, uint32(b.count))
-			bh = binary.LittleEndian.AppendUint32(bh, uint32(len(b.times)))
-			for m := range b.ch {
-				c := b.ch[m]
-				bh = append(bh, c.enc)
-				bh = binary.LittleEndian.AppendUint64(bh, math.Float64bits(c.scale))
-				bh = binary.LittleEndian.AppendUint32(bh, uint32(len(c.data)))
-			}
-			for m := range b.ch {
-				bh = binary.LittleEndian.AppendUint64(bh, math.Float64bits(b.zones[m].Min))
-				bh = binary.LittleEndian.AppendUint64(bh, math.Float64bits(b.zones[m].Max))
-			}
-			crc := crc32.ChecksumIEEE(bh)
-			crc = crc32.Update(crc, crc32.IEEETable, b.times)
-			for m := range b.ch {
-				crc = crc32.Update(crc, crc32.IEEETable, b.ch[m].data)
-			}
-			bh = binary.LittleEndian.AppendUint32(bh, crc)
-			if _, err := w.Write(bh); err != nil {
-				return err
-			}
-			if _, err := w.Write(b.times); err != nil {
-				return err
-			}
-			written += int64(len(bh)) + int64(len(b.times))
-			for m := range b.ch {
-				if _, err := w.Write(b.ch[m].data); err != nil {
-					return err
-				}
-				written += int64(len(b.ch[m].data))
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, fmt.Errorf("tsdb: flush shard %d: %w", shard, err)
 	}
-	return written, nil
+	write(hdr)
+	var p [][]byte
+	for _, b := range blocks {
+		hdr, p = b.putHeader(hdr[:0]), b.payloads(p[:0])
+		crc := crc32.ChecksumIEEE(hdr)
+		for _, q := range p {
+			crc = crc32.Update(crc, crc32.IEEETable, q)
+		}
+		write(binary.LittleEndian.AppendUint32(hdr, crc))
+		for _, q := range p {
+			write(q)
+		}
+	}
+	return n, err
 }
 
 // Open loads a store previously persisted with Flush. Blocks are validated
@@ -266,72 +272,54 @@ func Open(dir string, opts Options) (*Store, error) {
 	s := NewStoreWith(opts)
 	var disk int64
 	loaded := 0
-	if s.fleet.Halls > 1 {
-		for h := 0; h < s.fleet.Halls; h++ {
-			n, cnt, err := s.loadSegDir(filepath.Join(dir, hallDirName(h)), h*s.fleet.Racks)
-			if err != nil {
-				if errors.Is(err, fs.ErrNotExist) {
-					continue // hall with nothing persisted yet
-				}
-				return nil, err
-			}
-			disk += n
-			loaded += cnt
-		}
-	} else {
-		n, cnt, err := s.loadSegDir(dir, 0)
+	for h := 0; h < s.fleet.Halls; h++ {
+		hallDir, _ := s.segPlace(dir, h*s.fleet.Racks)
+		n, cnt, err := s.loadSegDir(hallDir, h*s.fleet.Racks)
 		if err != nil {
-			if errors.Is(err, fs.ErrNotExist) {
-				return nil, fmt.Errorf("tsdb: open %s: %w", dir, ErrNoData)
-			}
 			return nil, err
 		}
-		disk = n
-		loaded = cnt
+		disk += n
+		loaded += cnt
 	}
 	if loaded == 0 {
 		return nil, fmt.Errorf("tsdb: open %s: %w", dir, ErrNoData)
 	}
-	// Crash recovery across the tiers: a cold block that overlaps any raw
-	// sealed block's time range (window extents, not just starts) is a
-	// leftover from a compaction that wrote its cold segment but died
-	// before the raw rewrite. The raw data is still complete, so raw wins
-	// and the stale cold block is dropped. A clean compaction never leaves
-	// such an overlap — the fold boundary never splits a window.
 	for i := range s.shards {
 		sh := &s.shards[i]
-		if len(sh.cold) == 0 {
-			continue
+		for _, b := range sh.sealed {
+			sh.total += b.count
 		}
-		kept := make([]*downBlock, 0, len(sh.cold))
+		if n := len(sh.sealed); n > 0 {
+			sh.lastT, sh.hasLast = sh.sealed[n-1].maxT, true
+		}
+		// Crash recovery across the tiers: a cold block that overlaps any
+		// raw sealed block's time range (window extents, not just starts)
+		// is a leftover from a compaction that wrote its cold segment but
+		// died before the raw rewrite. The raw data is still complete, so
+		// raw wins and the stale cold block is dropped. A clean compaction
+		// never leaves such an overlap — the fold boundary never splits a
+		// window.
+		kept := sh.cold[:0]
+	cold:
 		for _, d := range sh.cold {
-			stale := false
 			for _, b := range sh.sealed {
-				if b.minT <= d.maxT+d.window-1 && b.maxT >= d.minT {
-					stale = true
-					break
+				if b.minT < d.maxT+d.window && b.maxT >= d.minT {
+					continue cold
 				}
-			}
-			if stale {
-				continue
 			}
 			kept = append(kept, d)
 			sh.total += d.count
 		}
 		sh.cold = kept
-		if len(kept) > 0 {
-			// Forbid appends into compacted windows: the watermark moves to
-			// the end of the last cold window if raw data doesn't already
-			// reach past it.
-			last := kept[len(kept)-1]
-			if end := last.maxT + last.window - 1; !sh.hasLast || end > sh.lastT {
-				sh.lastT = end
-				sh.hasLast = true
+		// Forbid appends into compacted windows: the watermark moves to the
+		// end of the last cold window if raw data doesn't already reach
+		// past it.
+		if n := len(kept); n > 0 {
+			if end := kept[n-1].maxT + kept[n-1].window - 1; !sh.hasLast || end > sh.lastT {
+				sh.lastT, sh.hasLast = end, true
 			}
 		}
-	}
-	for i := range s.shards {
-		s.shards[i].counter = s.shards[i].total
+		sh.counter = sh.total
 	}
 	s.diskBytes.Store(disk)
 	return s, nil
@@ -339,70 +327,45 @@ func Open(dir string, opts Options) (*Store, error) {
 
 // loadSegDir reads every segment file in one directory into the store,
 // mapping each file's within-hall shard index to shards[base+index]. A
-// missing directory surfaces as fs.ErrNotExist for the caller to translate
-// (cold start for a flat store, empty hall for a fleet one).
+// missing directory holds nothing: a flat store's then opens as ErrNoData,
+// a fleet hall's as empty.
 func (s *Store) loadSegDir(dir string, base int) (disk int64, loaded int, err error) {
 	entries, err := os.ReadDir(dir)
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return 0, 0, err
-		}
+	if errors.Is(err, fs.ErrNotExist) {
+		return 0, 0, nil
+	} else if err != nil {
 		return 0, 0, fmt.Errorf("tsdb: open %s: %w", dir, err)
 	}
 	for _, e := range entries {
-		if e.IsDir() {
-			continue
+		name := e.Name()
+		if ok, _ := filepath.Match("shard-*.seg", name); !ok || e.IsDir() {
+			continue // the pattern matches cold segment names too
 		}
-		// The raw pattern below also matches cold segment names, so the
-		// cold suffix must be routed first.
-		if ok, _ := filepath.Match("shard-*.cold.seg", e.Name()); ok {
-			path := filepath.Join(dir, e.Name())
-			buf, err := os.ReadFile(path)
-			if err != nil {
-				return 0, 0, fmt.Errorf("tsdb: open: %w", err)
-			}
-			shard, blocks, loc, err := parseColdSegment(e.Name(), buf)
-			if err != nil {
-				return 0, 0, err
-			}
-			if shard >= s.fleet.Racks {
-				return 0, 0, fmt.Errorf("tsdb: segment %s: %w: shard %d outside fleet (%d racks per hall)", e.Name(), ErrCorrupt, shard, s.fleet.Racks)
-			}
-			sh := &s.shards[base+shard]
-			if len(sh.cold) > 0 {
-				return 0, 0, fmt.Errorf("tsdb: segment %s: %w: duplicate cold shard %d", e.Name(), ErrCorrupt, shard)
-			}
-			sh.cold = blocks
-			s.loc.CompareAndSwap(nil, loc)
-			disk += int64(len(buf))
-			loaded++
-			continue
-		}
-		if ok, _ := filepath.Match("shard-*.seg", e.Name()); !ok {
-			continue
-		}
-		path := filepath.Join(dir, e.Name())
-		buf, err := os.ReadFile(path)
+		buf, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			return 0, 0, fmt.Errorf("tsdb: open: %w", err)
 		}
-		shard, blocks, loc, err := parseSegment(e.Name(), buf)
+		var fi int
+		var loc *time.Location
+		var install func(sh *shard) bool // false when sh already holds this tier
+		if cold, _ := filepath.Match("shard-*.cold.seg", name); cold {
+			var blocks []*downBlock
+			fi, blocks, loc, err = parseColdSegment(name, buf)
+			install = func(sh *shard) bool { return setOnce(&sh.cold, blocks) }
+		} else {
+			var blocks []*sealedBlock
+			fi, blocks, loc, err = parseSegment(name, buf)
+			install = func(sh *shard) bool { return setOnce(&sh.sealed, blocks) }
+		}
 		if err != nil {
 			return 0, 0, err
 		}
-		if shard >= s.fleet.Racks {
-			return 0, 0, fmt.Errorf("tsdb: segment %s: %w: shard %d outside fleet (%d racks per hall)", e.Name(), ErrCorrupt, shard, s.fleet.Racks)
+		if fi >= s.fleet.Racks {
+			return 0, 0, fmt.Errorf("tsdb: segment %s: %w: shard %d outside fleet (%d racks per hall)", name, ErrCorrupt, fi, s.fleet.Racks)
 		}
-		sh := &s.shards[base+shard]
-		if sh.total > 0 {
-			return 0, 0, fmt.Errorf("tsdb: segment %s: %w: duplicate shard %d", e.Name(), ErrCorrupt, shard)
+		if !install(&s.shards[base+fi]) {
+			return 0, 0, fmt.Errorf("tsdb: segment %s: %w: duplicate shard %d", name, ErrCorrupt, fi)
 		}
-		for _, b := range blocks {
-			sh.sealed = append(sh.sealed, b)
-			sh.total += b.count
-		}
-		sh.lastT = blocks[len(blocks)-1].maxT
-		sh.hasLast = true
 		s.loc.CompareAndSwap(nil, loc)
 		disk += int64(len(buf))
 		loaded++
@@ -410,330 +373,284 @@ func (s *Store) loadSegDir(dir string, base int) (disk int64, loaded int, err er
 	return disk, loaded, nil
 }
 
-// parseSegment validates one segment file and returns its shard index,
+// setOnce stores blocks in an empty *dst and reports whether it was empty.
+func setOnce[B any](dst *[]B, blocks []B) bool {
+	if len(*dst) > 0 {
+		return false
+	}
+	*dst = blocks
+	return true
+}
+
+// parseSegment validates one raw segment file and returns its shard index,
 // blocks (aliasing buf), and the records' location.
 func parseSegment(name string, buf []byte) (int, []*sealedBlock, *time.Location, error) {
-	corrupt := func(format string, args ...any) error {
-		return fmt.Errorf("tsdb: segment %s: %w: %s", name, ErrCorrupt, fmt.Sprintf(format, args...))
-	}
-	if len(buf) < segFileHeaderSize {
-		return 0, nil, nil, corrupt("truncated file header (%d bytes)", len(buf))
-	}
-	if [4]byte(buf[:4]) != segMagic {
-		return 0, nil, nil, corrupt("bad magic %q", buf[:4])
-	}
-	version := binary.LittleEndian.Uint16(buf[4:6])
-	if version != segVersion {
-		return 0, nil, nil, corrupt("unsupported format version %d (want %d)", version, segVersion)
-	}
-	shard := int(binary.LittleEndian.Uint16(buf[6:8]))
-	if shard >= topology.NumRacks {
-		return 0, nil, nil, corrupt("shard index %d out of range (racks: %d)", shard, topology.NumRacks)
-	}
-	nblocks := int(binary.LittleEndian.Uint32(buf[8:12]))
-	locLen := int(binary.LittleEndian.Uint16(buf[12:14]))
-	locOff := int(int32(binary.LittleEndian.Uint32(buf[14:18])))
-	if len(buf) < segFileHeaderSize+locLen {
-		return 0, nil, nil, corrupt("truncated location name")
-	}
-	locName := string(buf[segFileHeaderSize : segFileHeaderSize+locLen])
-	loc := loadLocation(locName, locOff)
-	if nblocks <= 0 || nblocks > (len(buf)-segFileHeaderSize)/segBlockHeaderSize {
-		return 0, nil, nil, corrupt("implausible block count %d for %d bytes", nblocks, len(buf))
-	}
-
-	blocks := make([]*sealedBlock, 0, nblocks)
-	off := segFileHeaderSize + locLen
-	var prevMax int64
-	for i := 0; i < nblocks; i++ {
-		if len(buf)-off < segBlockHeaderSize {
-			return 0, nil, nil, corrupt("block %d: truncated header", i)
-		}
-		h := buf[off : off+segBlockHeaderSize]
-		b := &sealedBlock{
-			minT:  int64(binary.LittleEndian.Uint64(h[0:8])),
-			maxT:  int64(binary.LittleEndian.Uint64(h[8:16])),
-			count: int(binary.LittleEndian.Uint32(h[16:20])),
-			src:   fmt.Sprintf("segment %s block %d", name, i),
-		}
-		timesLen := int(binary.LittleEndian.Uint32(h[20:24]))
-		payload := timesLen
-		p := 24
-		for m := range b.ch {
-			b.ch[m].enc = h[p]
-			b.ch[m].scale = math.Float64frombits(binary.LittleEndian.Uint64(h[p+1 : p+9]))
-			dataLen := int(binary.LittleEndian.Uint32(h[p+9 : p+13]))
-			payload += dataLen
-			p += 13
-		}
-		for m := range b.zones {
-			b.zones[m].Min = math.Float64frombits(binary.LittleEndian.Uint64(h[p : p+8]))
-			b.zones[m].Max = math.Float64frombits(binary.LittleEndian.Uint64(h[p+8 : p+16]))
-			p += 16
-		}
-		wantCRC := binary.LittleEndian.Uint32(h[p : p+4])
-
-		if b.count <= 0 {
-			return 0, nil, nil, corrupt("block %d: empty block", i)
-		}
-		for m, z := range b.zones {
-			// Valid zones are either ordered or the both-NaN "unusable"
-			// sentinel; anything else is a mangled header the CRC would
-			// catch anyway — reject it with a precise message first.
-			if !z.usable() && !(math.IsNaN(z.Min) && math.IsNaN(z.Max)) {
-				return 0, nil, nil, corrupt("block %d: channel %d: inverted zone map [%v, %v]", i, m, z.Min, z.Max)
-			}
-		}
-		// Plausibility floor before any decoder allocates count-sized
-		// buffers: delta-of-delta timestamps cost 64 bits for the first
-		// value and at least one bit for each later one.
-		if timesLen*8 < 63+b.count {
-			return 0, nil, nil, corrupt("block %d: %d samples cannot fit in %d timestamp bytes", i, b.count, timesLen)
-		}
-		if b.minT > b.maxT {
-			return 0, nil, nil, corrupt("block %d: inverted time bounds", i)
-		}
-		if i > 0 && b.minT < prevMax {
-			return 0, nil, nil, corrupt("block %d: overlaps previous block", i)
-		}
-		prevMax = b.maxT
-		if len(buf)-off-segBlockHeaderSize < payload {
-			return 0, nil, nil, corrupt("block %d: truncated payload (%d of %d bytes)", i, len(buf)-off-segBlockHeaderSize, payload)
-		}
-
-		crc := crc32.ChecksumIEEE(h[:p]) // header fields, sans CRC itself
-		crc = crc32.Update(crc, crc32.IEEETable, buf[off+segBlockHeaderSize:off+segBlockHeaderSize+payload])
-		if crc != wantCRC {
-			return 0, nil, nil, corrupt("block %d: checksum mismatch (got %08x, want %08x)", i, crc, wantCRC)
-		}
-
-		q := off + segBlockHeaderSize
-		b.times = buf[q : q+timesLen : q+timesLen]
-		q += timesLen
-		p = 24
-		for m := range b.ch {
-			dataLen := int(binary.LittleEndian.Uint32(h[p+9 : p+13]))
-			b.ch[m].data = buf[q : q+dataLen : q+dataLen]
-			q += dataLen
-			p += 13
-			switch b.ch[m].enc {
-			case encIntPacked:
-				if !(b.ch[m].scale > 0) || math.IsInf(b.ch[m].scale, 1) { // also rejects NaN
-					return 0, nil, nil, corrupt("block %d: channel %d: invalid scale %v", i, m, b.ch[m].scale)
-				}
-				// Packed groups cost at least their 7-bit width header.
-				if groups := (b.count + packGroup - 1) / packGroup; dataLen*8 < groups*7 {
-					return 0, nil, nil, corrupt("block %d: channel %d: %d values cannot fit in %d bytes", i, m, b.count, dataLen)
-				}
-			case encXOR:
-				if dataLen*8 < 63+b.count { // 64-bit first value, ≥1 bit each after
-					return 0, nil, nil, corrupt("block %d: channel %d: %d values cannot fit in %d bytes", i, m, b.count, dataLen)
-				}
-			default:
-				return 0, nil, nil, corrupt("block %d: channel %d: unknown encoding %d", i, m, b.ch[m].enc)
-			}
-		}
-		blocks = append(blocks, b)
-		off = q
-	}
-	if off != len(buf) {
-		return 0, nil, nil, corrupt("%d trailing bytes after last block", len(buf)-off)
-	}
-	return shard, blocks, loc, nil
+	return parseSegFile[sealedBlock](rawTier, name, buf)
 }
 
-// writeColdSegment atomically replaces one shard's downsampled segment file
-// in dir with blocks.
-func writeColdSegment(dir string, shard int, loc *time.Location, blocks []*downBlock) (int64, error) {
-	locName := loc.String()
-	_, locOff := time.Unix(0, blocks[0].minT).In(loc).Zone()
-
-	written := int64(segFileHeaderSize + len(locName))
-	err := atomicfile.Write(filepath.Join(dir, coldSegFileName(shard)), func(w io.Writer) error {
-		hdr := make([]byte, 0, segFileHeaderSize)
-		hdr = append(hdr, coldMagic[:]...)
-		hdr = binary.LittleEndian.AppendUint16(hdr, segVersionCold)
-		hdr = binary.LittleEndian.AppendUint16(hdr, uint16(shard))
-		hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(blocks)))
-		hdr = binary.LittleEndian.AppendUint16(hdr, uint16(len(locName)))
-		hdr = binary.LittleEndian.AppendUint32(hdr, uint32(int32(locOff)))
-		hdr = append(hdr, locName...)
-		if _, err := w.Write(hdr); err != nil {
-			return err
-		}
-
-		bh := make([]byte, 0, coldBlockHeaderSize)
-		for _, d := range blocks {
-			bh = bh[:0]
-			bh = binary.LittleEndian.AppendUint64(bh, uint64(d.window))
-			bh = binary.LittleEndian.AppendUint64(bh, uint64(d.minT))
-			bh = binary.LittleEndian.AppendUint64(bh, uint64(d.maxT))
-			bh = binary.LittleEndian.AppendUint32(bh, uint32(d.count))
-			bh = binary.LittleEndian.AppendUint64(bh, uint64(d.srcRecords))
-			bh = binary.LittleEndian.AppendUint32(bh, uint32(len(d.times)))
-			bh = binary.LittleEndian.AppendUint32(bh, uint32(len(d.counts)))
-			for m := range d.ch {
-				c := d.ch[m]
-				bh = append(bh, c.enc)
-				bh = binary.LittleEndian.AppendUint64(bh, math.Float64bits(c.scale))
-				bh = binary.LittleEndian.AppendUint32(bh, uint32(len(c.data)))
-			}
-			crc := crc32.ChecksumIEEE(bh)
-			crc = crc32.Update(crc, crc32.IEEETable, d.times)
-			crc = crc32.Update(crc, crc32.IEEETable, d.counts)
-			for m := range d.ch {
-				crc = crc32.Update(crc, crc32.IEEETable, d.ch[m].data)
-			}
-			bh = binary.LittleEndian.AppendUint32(bh, crc)
-			if _, err := w.Write(bh); err != nil {
-				return err
-			}
-			if _, err := w.Write(d.times); err != nil {
-				return err
-			}
-			if _, err := w.Write(d.counts); err != nil {
-				return err
-			}
-			written += int64(len(bh) + len(d.times) + len(d.counts))
-			for m := range d.ch {
-				if _, err := w.Write(d.ch[m].data); err != nil {
-					return err
-				}
-				written += int64(len(d.ch[m].data))
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, fmt.Errorf("tsdb: cold segment shard %d: %w", shard, err)
-	}
-	return written, nil
-}
-
-// parseColdSegment validates one downsampled segment file and returns its
-// shard index, blocks (aliasing buf), and the records' location.
+// parseColdSegment is parseSegment for a downsampled segment file.
 func parseColdSegment(name string, buf []byte) (int, []*downBlock, *time.Location, error) {
-	corrupt := func(format string, args ...any) error {
-		return fmt.Errorf("tsdb: segment %s: %w: %s", name, ErrCorrupt, fmt.Sprintf(format, args...))
+	return parseSegFile[downBlock](coldTier, name, buf)
+}
+
+// parseSegFile validates one tier-t segment file — its file header, then
+// each block's header, payload bounds, CRC and the tier's own checks, then
+// that nothing trails the last block — and returns its shard index, blocks
+// (aliasing buf), and the records' location.
+func parseSegFile[T any, B interface {
+	*T
+	segBlock
+}](t segTier, name string, buf []byte) (int, []B, *time.Location, error) {
+	corrupt := func(format string, args ...any) (int, []B, *time.Location, error) {
+		return 0, nil, nil, fmt.Errorf("tsdb: segment %s: %w: %s", name, ErrCorrupt, fmt.Sprintf(format, args...))
 	}
 	if len(buf) < segFileHeaderSize {
-		return 0, nil, nil, corrupt("truncated file header (%d bytes)", len(buf))
+		return corrupt("truncated file header (%d bytes)", len(buf))
 	}
-	if [4]byte(buf[:4]) != coldMagic {
-		return 0, nil, nil, corrupt("bad magic %q", buf[:4])
+	if [4]byte(buf[:4]) != t.magic {
+		return corrupt("bad magic %q", buf[:4])
 	}
-	version := binary.LittleEndian.Uint16(buf[4:6])
-	if version != segVersionCold {
-		return 0, nil, nil, corrupt("unsupported format version %d (want %d)", version, segVersionCold)
+	if version := binary.LittleEndian.Uint16(buf[4:6]); version != t.version {
+		return corrupt("unsupported format version %d (want %d)", version, t.version)
 	}
 	shard := int(binary.LittleEndian.Uint16(buf[6:8]))
 	if shard >= topology.NumRacks {
-		return 0, nil, nil, corrupt("shard index %d out of range (racks: %d)", shard, topology.NumRacks)
+		return corrupt("shard index %d out of range (racks: %d)", shard, topology.NumRacks)
 	}
 	nblocks := int(binary.LittleEndian.Uint32(buf[8:12]))
-	locLen := int(binary.LittleEndian.Uint16(buf[12:14]))
-	locOff := int(int32(binary.LittleEndian.Uint32(buf[14:18])))
-	if len(buf) < segFileHeaderSize+locLen {
-		return 0, nil, nil, corrupt("truncated location name")
+	off := segFileHeaderSize + int(binary.LittleEndian.Uint16(buf[12:14]))
+	if len(buf) < off {
+		return corrupt("truncated location name")
 	}
-	locName := string(buf[segFileHeaderSize : segFileHeaderSize+locLen])
-	loc := loadLocation(locName, locOff)
-	if nblocks <= 0 || nblocks > (len(buf)-segFileHeaderSize)/coldBlockHeaderSize {
-		return 0, nil, nil, corrupt("implausible block count %d for %d bytes", nblocks, len(buf))
+	loc := loadLocation(string(buf[segFileHeaderSize:off]), int(int32(binary.LittleEndian.Uint32(buf[14:18]))))
+	if nblocks <= 0 || nblocks > (len(buf)-segFileHeaderSize)/t.header {
+		return corrupt("implausible block count %d for %d bytes", nblocks, len(buf))
 	}
 
-	blocks := make([]*downBlock, 0, nblocks)
-	off := segFileHeaderSize + locLen
+	blocks := make([]B, 0, nblocks)
+	var lens []int
+	var payloads [][]byte
 	var prevEnd int64
 	for i := 0; i < nblocks; i++ {
-		if len(buf)-off < coldBlockHeaderSize {
-			return 0, nil, nil, corrupt("block %d: truncated header", i)
+		if len(buf)-off < t.header {
+			return corrupt("block %d: truncated header", i)
 		}
-		h := buf[off : off+coldBlockHeaderSize]
-		d := &downBlock{
-			window:     int64(binary.LittleEndian.Uint64(h[0:8])),
-			minT:       int64(binary.LittleEndian.Uint64(h[8:16])),
-			maxT:       int64(binary.LittleEndian.Uint64(h[16:24])),
-			count:      int(binary.LittleEndian.Uint32(h[24:28])),
-			srcRecords: int64(binary.LittleEndian.Uint64(h[28:36])),
-			src:        fmt.Sprintf("segment %s block %d", name, i),
+		fields := buf[off : off+t.header-4]
+		b := B(new(T))
+		var err error
+		if lens, err = b.getHeader(fields, lens[:0]); err != nil {
+			return corrupt("block %d: %v", i, err)
 		}
-		timesLen := int(binary.LittleEndian.Uint32(h[36:40]))
-		countsLen := int(binary.LittleEndian.Uint32(h[40:44]))
-		payload := timesLen + countsLen
-		p := 44
-		for m := range d.ch {
-			d.ch[m].enc = h[p]
-			d.ch[m].scale = math.Float64frombits(binary.LittleEndian.Uint64(h[p+1 : p+9]))
-			dataLen := int(binary.LittleEndian.Uint32(h[p+9 : p+13]))
-			payload += dataLen
-			p += 13
+		first, end := b.span()
+		if i > 0 && first < prevEnd {
+			return corrupt("block %d: overlaps previous block", i)
 		}
-		wantCRC := binary.LittleEndian.Uint32(h[p : p+4])
-
-		if d.window <= 0 {
-			return 0, nil, nil, corrupt("block %d: invalid window %d", i, d.window)
+		prevEnd = end
+		off += t.header
+		payload := 0
+		for _, n := range lens {
+			payload += n
 		}
-		if d.count <= 0 {
-			return 0, nil, nil, corrupt("block %d: empty block", i)
+		if len(buf)-off < payload {
+			return corrupt("block %d: truncated payload (%d of %d bytes)", i, len(buf)-off, payload)
 		}
-		if timesLen*8 < 63+d.count {
-			return 0, nil, nil, corrupt("block %d: %d windows cannot fit in %d timestamp bytes", i, d.count, timesLen)
+		crc := crc32.Update(crc32.ChecksumIEEE(fields), crc32.IEEETable, buf[off:off+payload])
+		if want := binary.LittleEndian.Uint32(buf[off-4 : off]); crc != want {
+			return corrupt("block %d: checksum mismatch (got %08x, want %08x)", i, crc, want)
 		}
-		if countsLen*8 < d.count {
-			return 0, nil, nil, corrupt("block %d: %d windows cannot fit in %d count bytes", i, d.count, countsLen)
+		payloads = payloads[:0]
+		for _, n := range lens {
+			payloads = append(payloads, buf[off:off+n:off+n])
+			off += n
 		}
-		if d.srcRecords < int64(d.count) {
-			return 0, nil, nil, corrupt("block %d: %d source records for %d windows", i, d.srcRecords, d.count)
+		if err := b.attach(payloads, origin(fmt.Sprintf("segment %s block %d", name, i))); err != nil {
+			return corrupt("block %d: %v", i, err)
 		}
-		if d.minT > d.maxT {
-			return 0, nil, nil, corrupt("block %d: inverted time bounds", i)
-		}
-		if d.minT != floorDiv(d.minT, d.window)*d.window || d.maxT != floorDiv(d.maxT, d.window)*d.window {
-			return 0, nil, nil, corrupt("block %d: bounds not aligned to %dns windows", i, d.window)
-		}
-		if i > 0 && d.minT < prevEnd {
-			return 0, nil, nil, corrupt("block %d: overlaps previous block", i)
-		}
-		prevEnd = d.maxT + d.window
-		if len(buf)-off-coldBlockHeaderSize < payload {
-			return 0, nil, nil, corrupt("block %d: truncated payload (%d of %d bytes)", i, len(buf)-off-coldBlockHeaderSize, payload)
-		}
-
-		crc := crc32.ChecksumIEEE(h[:p]) // header fields, sans CRC itself
-		crc = crc32.Update(crc, crc32.IEEETable, buf[off+coldBlockHeaderSize:off+coldBlockHeaderSize+payload])
-		if crc != wantCRC {
-			return 0, nil, nil, corrupt("block %d: checksum mismatch (got %08x, want %08x)", i, crc, wantCRC)
-		}
-
-		q := off + coldBlockHeaderSize
-		d.times = buf[q : q+timesLen : q+timesLen]
-		q += timesLen
-		d.counts = buf[q : q+countsLen : q+countsLen]
-		q += countsLen
-		p = 44
-		for m := range d.ch {
-			dataLen := int(binary.LittleEndian.Uint32(h[p+9 : p+13]))
-			d.ch[m].data = buf[q : q+dataLen : q+dataLen]
-			q += dataLen
-			p += 13
-			switch d.ch[m].enc {
-			case encInt:
-				if !(d.ch[m].scale > 0) || math.IsInf(d.ch[m].scale, 1) { // also rejects NaN
-					return 0, nil, nil, corrupt("block %d: channel %d: invalid scale %v", i, m, d.ch[m].scale)
-				}
-			case encXOR:
-			default:
-				return 0, nil, nil, corrupt("block %d: channel %d: unknown encoding %d", i, m, d.ch[m].enc)
-			}
-		}
-		blocks = append(blocks, d)
-		off = q
+		blocks = append(blocks, b)
 	}
 	if off != len(buf) {
-		return 0, nil, nil, corrupt("%d trailing bytes after last block", len(buf)-off)
+		return corrupt("%d trailing bytes after last block", len(buf)-off)
 	}
 	return shard, blocks, loc, nil
+}
+
+// putChannels appends the (enc, scale, dataLen) triple of every channel.
+func putChannels(h []byte, ch *[sensors.NumMetrics]channelData) []byte {
+	for _, c := range ch {
+		h = append(h, c.enc)
+		h = binary.LittleEndian.AppendUint64(h, math.Float64bits(c.scale))
+		h = binary.LittleEndian.AppendUint32(h, uint32(len(c.data)))
+	}
+	return h
+}
+
+// getChannels reads the triples putChannels wrote from h into ch, appends
+// each channel's payload length to lens, and returns the bytes after them.
+func getChannels(h []byte, ch *[sensors.NumMetrics]channelData, lens []int) ([]byte, []int) {
+	for m := range ch {
+		ch[m].enc = h[0]
+		ch[m].scale = math.Float64frombits(binary.LittleEndian.Uint64(h[1:9]))
+		lens = append(lens, int(binary.LittleEndian.Uint32(h[9:13])))
+		h = h[13:]
+	}
+	return h, lens
+}
+
+// validScale reports whether an integer channel's scale is a positive
+// finite number (NaN included in the rejects).
+func validScale(scale float64) bool { return scale > 0 && !math.IsInf(scale, 1) }
+
+func (b *sealedBlock) span() (int64, int64) { return b.minT, b.maxT }
+
+// putHeader also seals b: a partition roll concurrent with the caller's
+// last SealAll may have closed it since (a no-op otherwise).
+func (b *sealedBlock) putHeader(h []byte) []byte {
+	b.seal()
+	h = binary.LittleEndian.AppendUint64(h, uint64(b.minT))
+	h = binary.LittleEndian.AppendUint64(h, uint64(b.maxT))
+	h = binary.LittleEndian.AppendUint32(h, uint32(b.count))
+	h = binary.LittleEndian.AppendUint32(h, uint32(len(b.times)))
+	h = putChannels(h, &b.ch)
+	for _, z := range b.zones {
+		h = binary.LittleEndian.AppendUint64(h, math.Float64bits(z.Min))
+		h = binary.LittleEndian.AppendUint64(h, math.Float64bits(z.Max))
+	}
+	return h
+}
+
+func (b *sealedBlock) payloads(p [][]byte) [][]byte {
+	p = append(p, b.times)
+	for _, c := range b.ch {
+		p = append(p, c.data)
+	}
+	return p
+}
+
+func (b *sealedBlock) getHeader(h []byte, lens []int) ([]int, error) {
+	b.minT = int64(binary.LittleEndian.Uint64(h[0:8]))
+	b.maxT = int64(binary.LittleEndian.Uint64(h[8:16]))
+	b.count = int(binary.LittleEndian.Uint32(h[16:20]))
+	timesLen := int(binary.LittleEndian.Uint32(h[20:24]))
+	h, lens = getChannels(h[24:], &b.ch, append(lens, timesLen))
+	for m := range b.zones {
+		b.zones[m] = ZoneMap{math.Float64frombits(binary.LittleEndian.Uint64(h[0:8])), math.Float64frombits(binary.LittleEndian.Uint64(h[8:16]))}
+		h = h[16:]
+	}
+	if b.count <= 0 {
+		return nil, errors.New("empty block")
+	}
+	for m, z := range b.zones {
+		// Valid zones are either ordered or the both-NaN "unusable"
+		// sentinel; anything else is a mangled header the CRC would catch
+		// anyway — reject it with a precise message first.
+		if !z.usable() && !(math.IsNaN(z.Min) && math.IsNaN(z.Max)) {
+			return nil, fmt.Errorf("channel %d: inverted zone map [%v, %v]", m, z.Min, z.Max)
+		}
+	}
+	// Plausibility floor before any decoder allocates count-sized buffers:
+	// delta-of-delta timestamps cost 64 bits for the first value and at
+	// least one bit for each later one.
+	if timesLen*8 < 63+b.count {
+		return nil, fmt.Errorf("%d samples cannot fit in %d timestamp bytes", b.count, timesLen)
+	}
+	if b.minT > b.maxT {
+		return nil, errors.New("inverted time bounds")
+	}
+	return lens, nil
+}
+
+func (b *sealedBlock) attach(p [][]byte, src origin) error {
+	b.times, b.origin = p[0], src
+	for m := range b.ch {
+		c := &b.ch[m]
+		c.data = p[1+m]
+		switch c.enc {
+		case encIntPacked:
+			if !validScale(c.scale) {
+				return fmt.Errorf("channel %d: invalid scale %v", m, c.scale)
+			}
+			// Packed groups cost at least their 7-bit width header.
+			if groups := (b.count + packGroup - 1) / packGroup; len(c.data)*8 < groups*7 {
+				return fmt.Errorf("channel %d: %d values cannot fit in %d bytes", m, b.count, len(c.data))
+			}
+		case encXOR:
+			if len(c.data)*8 < 63+b.count { // 64-bit first value, ≥1 bit each after
+				return fmt.Errorf("channel %d: %d values cannot fit in %d bytes", m, b.count, len(c.data))
+			}
+		default:
+			return fmt.Errorf("channel %d: unknown encoding %d", m, c.enc)
+		}
+	}
+	return nil
+}
+
+// span's end is the exclusive end of d's last window.
+func (d *downBlock) span() (int64, int64) { return d.minT, d.maxT + d.window }
+
+func (d *downBlock) putHeader(h []byte) []byte {
+	h = binary.LittleEndian.AppendUint64(h, uint64(d.window))
+	h = binary.LittleEndian.AppendUint64(h, uint64(d.minT))
+	h = binary.LittleEndian.AppendUint64(h, uint64(d.maxT))
+	h = binary.LittleEndian.AppendUint32(h, uint32(d.count))
+	h = binary.LittleEndian.AppendUint64(h, uint64(d.srcRecords))
+	h = binary.LittleEndian.AppendUint32(h, uint32(len(d.times)))
+	h = binary.LittleEndian.AppendUint32(h, uint32(len(d.counts)))
+	return putChannels(h, &d.ch)
+}
+
+func (d *downBlock) payloads(p [][]byte) [][]byte {
+	p = append(p, d.times, d.counts)
+	for _, c := range d.ch {
+		p = append(p, c.data)
+	}
+	return p
+}
+
+func (d *downBlock) getHeader(h []byte, lens []int) ([]int, error) {
+	d.window = int64(binary.LittleEndian.Uint64(h[0:8]))
+	d.minT = int64(binary.LittleEndian.Uint64(h[8:16]))
+	d.maxT = int64(binary.LittleEndian.Uint64(h[16:24]))
+	d.count = int(binary.LittleEndian.Uint32(h[24:28]))
+	d.srcRecords = int64(binary.LittleEndian.Uint64(h[28:36]))
+	timesLen, countsLen := int(binary.LittleEndian.Uint32(h[36:40])), int(binary.LittleEndian.Uint32(h[40:44]))
+	_, lens = getChannels(h[44:], &d.ch, append(lens, timesLen, countsLen))
+	switch {
+	case d.window <= 0:
+		return nil, fmt.Errorf("invalid window %d", d.window)
+	case d.count <= 0:
+		return nil, errors.New("empty block")
+	case timesLen*8 < 63+d.count:
+		return nil, fmt.Errorf("%d windows cannot fit in %d timestamp bytes", d.count, timesLen)
+	case countsLen*8 < d.count:
+		return nil, fmt.Errorf("%d windows cannot fit in %d count bytes", d.count, countsLen)
+	case d.srcRecords < int64(d.count):
+		return nil, fmt.Errorf("%d source records for %d windows", d.srcRecords, d.count)
+	case d.minT > d.maxT:
+		return nil, errors.New("inverted time bounds")
+	case d.minT != floorDiv(d.minT, d.window)*d.window || d.maxT != floorDiv(d.maxT, d.window)*d.window:
+		return nil, fmt.Errorf("bounds not aligned to %dns windows", d.window)
+	case d.maxT > math.MaxInt64-d.window:
+		// span, the overlap check and Open's watermark all add the window.
+		return nil, fmt.Errorf("last window [%d, +%d) ends past the int64 range", d.maxT, d.window)
+	}
+	return lens, nil
+}
+
+func (d *downBlock) attach(p [][]byte, src origin) error {
+	d.times, d.counts, d.origin = p[0], p[1], src
+	for m := range d.ch {
+		d.ch[m].data = p[2+m]
+		switch d.ch[m].enc {
+		case encInt:
+			if !validScale(d.ch[m].scale) {
+				return fmt.Errorf("channel %d: invalid scale %v", m, d.ch[m].scale)
+			}
+		case encXOR:
+		default:
+			return fmt.Errorf("channel %d: unknown encoding %d", m, d.ch[m].enc)
+		}
+	}
+	return nil
 }
 
 // loadLocation reconstructs the records' location: IANA names resolve via

@@ -334,6 +334,155 @@ func TestOpenCorruption(t *testing.T) {
 			}
 		})
 	}
+	// The same mutations of a compacted store's cold segment, bar the
+	// raw-only zone map: both tiers share one envelope, so each must fail
+	// there too.
+	for name, corrupt := range cases {
+		if name == "inverted zone map" {
+			continue
+		}
+		t.Run("cold "+name, func(t *testing.T) {
+			dir, path := compactOneShard(t)
+			corrupt(t, path)
+			if _, err := Open(dir, Options{Partition: 24 * time.Hour}); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Open = %v, want ErrCorrupt", err)
+			}
+		})
+	}
+}
+
+// compactOneShard is flushOneShard for a compacted store: it returns the
+// store's directory and its one cold segment file, with a raw segment
+// beside it.
+func compactOneShard(t *testing.T) (string, string) {
+	t.Helper()
+	dir := t.TempDir()
+	s := NewStoreWith(Options{Partition: 24 * time.Hour, Retention: 24 * time.Hour})
+	rack := topology.RackID{Row: 1, Col: 4}
+	fill(t, 3*288, []topology.RackID{rack}, s)
+	if err := s.Flush(dir); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := s.Compact(dir); err != nil || st.Windows == 0 {
+		t.Fatalf("Compact = %+v, %v; want folded windows", st, err)
+	}
+	for _, name := range []string{segFileName(rack.Index()), coldSegFileName(rack.Index())} {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir, filepath.Join(dir, coldSegFileName(rack.Index()))
+}
+
+// TestOpenRejectsMisplacedShards: the loader's own checks, past a segment's
+// checksum. A file claiming a shard another file already loaded, in either
+// tier, and a shard beyond the opening fleet's racks are corruption, not a
+// merge or a silent drop.
+func TestOpenRejectsMisplacedShards(t *testing.T) {
+	copyAs := func(t *testing.T, path, name string) {
+		t.Helper()
+		buf, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(filepath.Dir(path), name), buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Run("duplicate raw shard", func(t *testing.T) {
+		dir, path := flushOneShard(t)
+		copyAs(t, path, segFileName(7))
+		if _, err := Open(dir, Options{}); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "duplicate") {
+			t.Fatalf("Open = %v, want ErrCorrupt naming a duplicate shard", err)
+		}
+	})
+	t.Run("duplicate cold shard", func(t *testing.T) {
+		dir, path := compactOneShard(t)
+		copyAs(t, path, coldSegFileName(9))
+		if _, err := Open(dir, Options{}); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "duplicate") {
+			t.Fatalf("Open = %v, want ErrCorrupt naming a duplicate shard", err)
+		}
+	})
+	t.Run("shard outside fleet", func(t *testing.T) {
+		dir := t.TempDir()
+		s := NewStoreWith(Options{Partition: 24 * time.Hour})
+		fill(t, 300, topology.AllRacks(), s)
+		if err := s.Flush(dir); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Open(dir, Options{Partition: 24 * time.Hour, Fleet: topology.Fleet{Halls: 1, Racks: 8}})
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "outside fleet") {
+			t.Fatalf("Open = %v, want ErrCorrupt naming a shard outside the fleet", err)
+		}
+	})
+}
+
+// coldSegmentBytes renders, by hand rather than through the writer, a
+// checksum-valid cold segment for shard 0 whose blocks each hold one
+// window of the given length, starting at starts[i], folded from one
+// record.
+func coldSegmentBytes(window int64, starts ...int64) []byte {
+	out := append([]byte("MTSC"), 1, 0, 0, 0) // version 1, shard 0
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(starts)))
+	out = binary.LittleEndian.AppendUint16(out, 3)
+	out = binary.LittleEndian.AppendUint32(out, 0)
+	out = append(out, "UTC"...)
+	for _, t := range starts {
+		times, counts := encodeTimes([]int64{t}), encodeInts([]int64{1})
+		h := binary.LittleEndian.AppendUint64(nil, uint64(window))
+		h = binary.LittleEndian.AppendUint64(h, uint64(t))
+		h = binary.LittleEndian.AppendUint64(h, uint64(t))
+		h = binary.LittleEndian.AppendUint32(h, 1) // windows
+		h = binary.LittleEndian.AppendUint64(h, 1) // source records
+		h = binary.LittleEndian.AppendUint32(h, uint32(len(times)))
+		h = binary.LittleEndian.AppendUint32(h, uint32(len(counts)))
+		for m := 0; m < int(sensors.NumMetrics); m++ {
+			h = append(h, encXOR)
+			h = binary.LittleEndian.AppendUint64(h, 0)
+			h = binary.LittleEndian.AppendUint32(h, 0)
+		}
+		crc := crc32.Update(crc32.ChecksumIEEE(h), crc32.IEEETable, append(append([]byte(nil), times...), counts...))
+		out = append(binary.LittleEndian.AppendUint32(append(out, h...), crc), times...)
+		out = append(out, counts...)
+	}
+	return out
+}
+
+// TestOpenColdWindowEndOverflow: a cold block whose last window ends past
+// the int64 range is corrupt. Unchecked, its end wrapped negative, so a
+// second block starting before the first passed the overlap check and
+// Open served Bounds() with first > last.
+func TestOpenColdWindowEndOverflow(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		window int64
+		starts []int64
+		ok     bool
+	}{
+		{"hourly control", int64(time.Hour), []int64{0, int64(time.Hour)}, true},
+		{"end past int64", 1 << 62, []int64{1 << 62, 0}, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, coldSegFileName(0)), coldSegmentBytes(c.window, c.starts...), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s, err := Open(dir, Options{})
+			if c.ok {
+				if err != nil || s.Len() != len(c.starts) {
+					t.Fatalf("Open = %v; want %d windows", err, len(c.starts))
+				}
+				return
+			}
+			if err == nil {
+				first, last, _ := s.Bounds()
+				t.Fatalf("Open accepted the segment, serving bounds %v .. %v", first.UnixNano(), last.UnixNano())
+			}
+			if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "block 0") {
+				t.Fatalf("Open = %v, want ErrCorrupt on block 0", err)
+			}
+		})
+	}
 }
 
 // TestReopenAppendFlush checks the warm-restart ingest path: appends after
